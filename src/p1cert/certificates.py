@@ -35,6 +35,7 @@ from .data import constant_catalog, expansion_tables, reference_values
 from .functionals import PowerSum, QSqrt2, SPoly, tail1, tail2, tail3, tail4
 from .numerics import (
     Interval,
+    as_fraction,
     frac_pow,
     sqrt2_enclosure,
     sqrt_enclosure,
@@ -88,15 +89,6 @@ class CertificateReport:
             "verdict": self.verdict,
             "narrative": self.narrative,
         }
-
-    def __str__(self) -> str:
-        head = f"== {self.name} ({'PASS' if self.verdict else 'FAIL'}) =="
-        if self.inputs:
-            head += "\n   inputs: " + ", ".join(
-                f"{k}={v}" for k, v in self.inputs)
-        body = "\n".join(f"   {c}" for c in self.checks)
-        tail = f"\n   {self.narrative}" if self.narrative else ""
-        return f"{head}\n{body}{tail}"
 
 
 def _report(name: str, inputs: Mapping[str, object],
@@ -520,10 +512,9 @@ def scalar_bounds() -> Dict[str, PowerSum]:
             "Y_head": y_head}
 
 
-def z2_remainder_division_free() -> PowerSum:
-    """All of the |x z_{2,R}| bound except its two division terms."""
-    scalars = scalar_bounds()
-    j_m = scalars["j_m"]
+def z2_remainder_division_free(j_m: PowerSum, e_m: PowerSum) -> PowerSum:
+    """All of the |x z_{2,R}| bound except its two division terms, from
+    the scalar bound ``j_m`` and the route constant ``e_m`` (E_M)."""
     rho_half = PowerSum.monomial(1, _HALF)
     rho_one = PowerSum.monomial(1, Fraction(1))
     explicit = PowerSum({
@@ -538,146 +529,135 @@ def z2_remainder_division_free() -> PowerSum:
                   * j_m
                   * (PowerSum.constant(1) + rho_half * j_m
                      + rho_one * j_m * j_m * Fraction(1, 3)))
-    return explicit + route_constants()["E_M"] + cubic_tail
+    return explicit + e_m + cubic_tail
 
 
-def _division_anchor(anchor_rho: Fraction,
-                     tol: Fraction = CERT_TOL) -> Fraction:
-    """Exact upper constant c with 1/(1-u) <= 1 + u + u^2 + u^3 + c u^4
-    for all 0 <= u <= u(anchor_rho), where u = rho^(-1/2) J_M."""
-    scalars = scalar_bounds()
-    u_hi = (scalars["J_M"].enclosure(anchor_rho, tol=tol)
-            * frac_pow(anchor_rho, -1, 2, tol)).hi
-    if u_hi >= 1:
-        raise PreconditionError(
-            f"division terms need rho^(-1/2) J_M < 1; got {float(u_hi)}")
-    return 1 / (1 - u_hi)
+def _wedge_leaves(scalars: Mapping[str, PowerSum],
+                  routes: Mapping[str, PowerSum]) -> Dict[str, PowerSum]:
+    """Every input of the lower-wedge formulas, each a small PowerSum."""
+    return {
+        **scalars,
+        **routes,
+        "z_2R_free": z2_remainder_division_free(scalars["j_m"],
+                                                routes["E_M"]),
+        "rho^-1/2": PowerSum.monomial(1, _HALF),
+        "rho^-1": PowerSum.monomial(1, Fraction(1)),
+        "|S|": PowerSum.constant(SPoly.s_power(1)),
+        "sqrt2+1": PowerSum.constant(QSqrt2(1, 1)),
+    }
 
 
-def z2_remainder_majorant(anchor_rho: Fraction = Fraction(3),
-                          tol: Fraction = CERT_TOL) -> PowerSum:
-    """Division-free majorant of the |x z_{2,R}| bound, valid for
-    rho >= anchor_rho, nonincreasing in rho by construction."""
-    scalars = scalar_bounds()
-    big_j = scalars["J_M"]
-    rho_half = PowerSum.monomial(1, _HALF)
-    u = rho_half * big_j
-    c_hi = _division_anchor(anchor_rho, tol)
-    geometric = (PowerSum.constant(1) + u + u ** 2 + u ** 3
-                 + u ** 4 * c_hi)
-    division_part = (big_j ** 4 * geometric * 5
-                     + rho_half * big_j ** 5 * geometric ** 2
-                     * Fraction(2, 3))
-    return z2_remainder_division_free() + division_part
+class _Monotone:
+    """Flag: the expression is nonnegative and nonincreasing in rho.
+
+    Sums and products of nonnegative nonincreasing functions, and of
+    nonnegative constants, are again nonnegative and nonincreasing (the
+    closure lemma).  The flag therefore passes through +, x and
+    nonnegative integer powers only; there is no - and no /.
+    """
+
+    __slots__ = ("ok",)
+
+    def __init__(self, ok: bool):
+        self.ok = ok
+
+    def _join(self, other) -> "_Monotone":
+        if not isinstance(other, _Monotone):
+            other = _Monotone(as_fraction(other) >= 0)
+        return _Monotone(self.ok and other.ok)
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _join
+
+    def __pow__(self, n: int) -> "_Monotone":
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(
+                f"closure needs a nonnegative int power, got {n!r}")
+        return self
 
 
-def z2_factor_majorant(anchor_rho: Fraction = Fraction(3),
-                       tol: Fraction = CERT_TOL) -> PowerSum:
-    """Division-free majorant of the |e^(-2x) z_2| bound."""
-    head = PowerSum({
-        Fraction(0): SPoly.constant(_HALF),
-        _HALF: SPoly.s_power(1, Fraction(2, 3)),
-    })
-    return head + PowerSum.monomial(1, Fraction(1)) \
-        * z2_remainder_majorant(anchor_rho, tol)
+def _geometric(c_hi: Fraction):
+    """1/(1-u) <= 1 + u + u^2 + u^3 + c_hi u^4 whenever 1/(1-u) <= c_hi."""
+    return lambda u: 1 + u + u ** 2 + u ** 3 + c_hi * u ** 4
 
 
-def sector_majorants(anchor_rho: Fraction = Fraction(3),
-                     tol: Fraction = CERT_TOL) -> Dict[str, PowerSum]:
-    """Division-free majorants of the seven source bounds plus the linear
-    and quadratic operator bounds, all nonincreasing in rho >= anchor."""
-    scalars = scalar_bounds()
-    routes = route_constants()
-    y1, y1r, y_head = scalars["Y_1M"], scalars["Y_1RM"], scalars["Y_head"]
-    z2r = z2_remainder_majorant(anchor_rho, tol)
-    z2 = z2_factor_majorant(anchor_rho, tol)
-    s2_524 = PowerSum({Fraction(0): SPoly.s_power(2, Fraction(5, 24))})
-    inv_rho = PowerSum.monomial(1, Fraction(1))
-    inv_rho2 = PowerSum.monomial(1, Fraction(2))
-    sqrt2p1 = QSqrt2(1, 1)
-
-    m1 = y1 * y1 * z2 * routes["M_G1"]
-    m2 = y1 * z2 * y1r * routes["M_G2"] * 2
-    m3 = y1 * z2r * y_head * routes["M_G3"]
-    m4 = y1 * (routes["M_G40"] + routes["M_G41"])
-    m5 = s2_524 * y1 * y1 * routes["M_G5"]
-    m6 = s2_524 * y1 * y1r * routes["M_G6"]
-    m7 = s2_524 * y1 * routes["M_G7"]
-    v_m = y1 * ((z2 * routes["M_q"] * 2 + s2_524 * routes["M_Lq"])
-                + y1 * (inv_rho * z2
-                        * SPoly.constant(sqrt2p1 * Fraction(1, 14))
-                        + inv_rho
-                        * PowerSum({Fraction(0):
-                                    SPoly.s_power(2, Fraction(5, 288))})))
-    t_m = (y1 * y1 * inv_rho2
-           * (z2 * SPoly.constant(sqrt2p1 * Fraction(1, 9))
-              + PowerSum({Fraction(0): SPoly.s_power(2, Fraction(5, 192))})))
-    return {"M_1": m1, "M_2": m2, "M_3": m3, "M_4": m4, "M_5": m5,
-            "M_6": m6, "M_7": m7, "V_M": v_m, "T_M": t_m,
-            "z_2M": z2, "z_2RM": z2r}
+def z2_remainder_majorant(v: Mapping, recip):
+    """The |x z_{2,R}| bound: its division-free part plus the division
+    terms 5 J_M^4/(1-u) + (2/3) rho^(-1/2) J_M^5/(1-u)^2, u = rho^(-1/2)
+    J_M, with 1/(1-u) bounded by ``recip(u)``.  ``v`` maps leaf names to
+    values of one type (see :func:`_lower_wedge`)."""
+    big_j, inv_sqrt_rho = v["J_M"], v["rho^-1/2"]
+    r = recip(inv_sqrt_rho * big_j)
+    return v["z_2R_free"] + (5 * big_j ** 4 * r
+                             + Fraction(2, 3) * inv_sqrt_rho * big_j ** 5
+                             * r ** 2)
 
 
-def sector_point_values(rho: Fraction,
-                        tol: Fraction = CERT_TOL) -> Dict[str, Interval]:
-    """Sharp enclosures of all catalogued quantities at one rho value,
-    evaluating the two division terms by interval division."""
-    rho = Fraction(rho)
-    s_abs = stokes_modulus(tol)
-    sqrt2 = sqrt2_enclosure(tol)
-    scalars = scalar_bounds()
-    routes = route_constants()
+def _lower_wedge(v: Mapping, recip) -> Dict[str, object]:
+    """The lower-wedge formulas, written once: z_2RM, z_2M, the seven
+    source bounds M_1..M_7, and the linear and quadratic operator bounds
+    V_M, T_M.
 
-    def at(ps: PowerSum) -> Interval:
-        return ps.enclosure(rho, s_abs=s_abs, sqrt2=sqrt2, tol=tol)
-
-    inv_rho = Interval(Fraction(1) / rho)
-    inv_sqrt_rho = frac_pow(rho, -1, 2, tol)
-    j_m = at(scalars["j_m"])
-    big_j = at(scalars["J_M"])
-    y1 = at(scalars["Y_1M"])
-    y1r = at(scalars["Y_1RM"])
-    y_head = at(scalars["Y_head"])
-
-    u = inv_sqrt_rho * big_j
-    one_minus_u = 1 - u
-    division = (5 * big_j ** 4 * one_minus_u.inverse()
-                + Fraction(2, 3) * inv_sqrt_rho * big_j ** 5
-                * (one_minus_u ** 2).inverse())
-    z2r = at(z2_remainder_division_free()) + division
-    z2 = Fraction(1, 2) + Fraction(2, 3) * s_abs * inv_sqrt_rho \
-        + z2r * inv_rho
-
-    s2 = s_abs ** 2
-    sqrt2p1 = sqrt2 + 1
-    e_m, m_q, m_lq = at(routes["E_M"]), at(routes["M_q"]), at(routes["M_Lq"])
-    g = {name: at(routes[name]) for name in
-         ("M_G1", "M_G2", "M_G3", "M_G40", "M_G41", "M_G5", "M_G6", "M_G7")}
+    ``v`` maps each name of :func:`_wedge_leaves` to a value: an Interval
+    at one rho, or a :class:`_Monotone` flag.  ``recip(u)`` bounds
+    1/(1-u).  Leaves and nonnegative constants are combined by +, x and
+    nonnegative integer powers only.
+    """
+    y1, y1r, inv_rho = v["Y_1M"], v["Y_1RM"], v["rho^-1"]
+    z2r = z2_remainder_majorant(v, recip)
+    z2 = (Fraction(1, 2) + Fraction(2, 3) * v["|S|"] * v["rho^-1/2"]
+          + z2r * inv_rho)
+    s2 = v["|S|"] ** 2
     s2_524 = Fraction(5, 24) * s2
-    values = {
-        "j_m": j_m,
-        "J_M": big_j,
-        "Y_1M": y1,
-        "Y_1RM": y1r,
-        "E_M": e_m,
+    sqrt2p1 = v["sqrt2+1"]
+    return {
         "z_2RM": z2r,
         "z_2M": z2,
-        "M_q": m_q,
-        "M_Lq": m_lq,
-        "M_1": y1 * y1 * z2 * g["M_G1"],
-        "M_2": 2 * y1 * z2 * y1r * g["M_G2"],
-        "M_3": y1 * z2r * y_head * g["M_G3"],
-        "M_4": y1 * (g["M_G40"] + g["M_G41"]),
-        "M_5": s2_524 * y1 * y1 * g["M_G5"],
-        "M_6": s2_524 * y1 * y1r * g["M_G6"],
-        "M_7": s2_524 * y1 * g["M_G7"],
-        "V_M": y1 * ((2 * z2 * m_q + s2_524 * m_lq)
+        "M_1": y1 * y1 * z2 * v["M_G1"],
+        "M_2": 2 * y1 * z2 * y1r * v["M_G2"],
+        "M_3": y1 * z2r * v["Y_head"] * v["M_G3"],
+        "M_4": y1 * (v["M_G40"] + v["M_G41"]),
+        "M_5": s2_524 * y1 * y1 * v["M_G5"],
+        "M_6": s2_524 * y1 * y1r * v["M_G6"],
+        "M_7": s2_524 * y1 * v["M_G7"],
+        "V_M": y1 * ((2 * z2 * v["M_q"] + s2_524 * v["M_Lq"])
                      + y1 * (sqrt2p1 * Fraction(1, 14) * inv_rho * z2
                              + Fraction(5, 288) * s2 * inv_rho)),
         "T_M": (y1 ** 2 * inv_rho ** 2
                 * (sqrt2p1 * Fraction(1, 9) * z2
                    + Fraction(5, 192) * s2)),
     }
-    return values
+
+
+def _wedge_values(rho: Fraction, recip, tol: Fraction,
+                  leaves: Optional[Mapping[str, PowerSum]]
+                  ) -> Dict[str, Interval]:
+    """Leaf enclosures at rho and the lower-wedge formulas over them."""
+    if leaves is None:
+        leaves = _wedge_leaves(scalar_bounds(), route_constants())
+    s_abs = stokes_modulus(tol)
+    sqrt2 = sqrt2_enclosure(tol)
+    at = {name: ps.enclosure(rho, s_abs=s_abs, sqrt2=sqrt2, tol=tol)
+          for name, ps in leaves.items()}
+    return {**at, **_lower_wedge(at, recip)}
+
+
+def sector_majorants(rho: Fraction, c_hi: Fraction,
+                     tol: Fraction = CERT_TOL,
+                     leaves: Optional[Mapping[str, PowerSum]] = None
+                     ) -> Dict[str, Interval]:
+    """Enclosures at rho of the majorants of the catalogued quantities:
+    the lower-wedge formulas with 1/(1-u) bounded by the geometric
+    1 + u + u^2 + u^3 + c_hi u^4, valid whenever 1/(1-u) <= c_hi."""
+    return _wedge_values(Fraction(rho), _geometric(c_hi), tol, leaves)
+
+
+def sector_point_values(rho: Fraction, tol: Fraction = CERT_TOL,
+                        leaves: Optional[Mapping[str, PowerSum]] = None
+                        ) -> Dict[str, Interval]:
+    """Sharp enclosures of all catalogued quantities at one rho value,
+    evaluating the two division terms by interval division."""
+    return _wedge_values(Fraction(rho), lambda u: (1 - u).inverse(), tol,
+                         leaves)
 
 
 def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
@@ -685,14 +665,21 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
     """Ball-invariance and contraction in the lower wedge, |x| >= rho >= 3.
 
     Chain certified here: exact equality of the recomputed tail-functional
-    constants with the shipped catalog; mechanical monotonicity in rho of
-    every division-free majorant; reference containment of the printed
-    rho=3 values; the source-norm, linear and quadratic targets
+    constants with the shipped catalog; monotonicity in rho of every
+    majorant; reference containment of the printed rho=3 values; the
+    source-norm, linear and quadratic targets
 
         sum M_j <= 2,   V_M <= 9/40 < 1/4,   T_M <= 18/467 < 1/25;
 
     and the resulting fixed-point conditions on the radius-4 ball,
         2 + 4*(1/4) + 16*(1/25) < 4   and   1/4 + 2*4*(1/25) <= 3/4.
+
+    Monotonicity is a closure argument: sums and products of nonnegative,
+    nonincreasing functions of rho are again nonnegative and
+    nonincreasing.  Every majorant is built by +, x and integer powers
+    from leaves whose coefficients and exponents are nonnegative, with
+    1/(1-u) replaced by the geometric bound 1 + u + u^2 + u^3 + c u^4
+    (c = 1/(1-u(3))), so the value at rho bounds it on all of [rho, oo).
     """
     rho = Fraction(rho)
     if rho < 3:
@@ -710,24 +697,32 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
             note="tables -> tail functionals reproduce the catalog row "
                  "exactly"))
 
-    u_hi = _slim_up((scalar_bounds()["J_M"].enclosure(anchor, tol=tol)
-                     * frac_pow(anchor, -1, 2, tol)).hi)
+    leaves = _wedge_leaves(scalar_bounds(), routes)
+    u_hi = (leaves["J_M"].enclosure(anchor, tol=tol)
+            * frac_pow(anchor, -1, 2, tol)).hi
     checks.append(check(
-        "division_terms_valid", u_hi, Fraction(1), "<",
+        "division_terms_valid", _slim_up(u_hi), Fraction(1), "<",
         note="rho^(-1/2) J_M < 1 at the anchor, so the geometric majorant "
              "and interval division apply for all rho >= 3"))
+    if u_hi >= 1:
+        raise PreconditionError(
+            f"division terms need rho^(-1/2) J_M < 1; got {float(u_hi)}")
+    c_hi = 1 / (1 - u_hi)
 
-    majorants = sector_majorants(anchor, tol)
+    flags = _lower_wedge(
+        {name: _Monotone(ps.nonincreasing_in_rho())
+         for name, ps in leaves.items()}, _geometric(c_hi))
     for name in ("M_1", "M_2", "M_3", "M_4", "M_5", "M_6", "M_7",
                  "V_M", "T_M", "z_2M"):
-        mono = majorants[name].nonincreasing_in_rho()
         checks.append(check(
-            f"monotone_{name}", Fraction(0 if mono else 1), Fraction(0),
-            "==", note="division-free majorant has nonnegative "
-                       "coefficients and exponents"))
+            f"monotone_{name}", Fraction(0 if flags[name].ok else 1),
+            Fraction(0), "==",
+            note="nonnegative and nonincreasing by closure: leaves with "
+                 "nonnegative coefficients and exponents, combined only "
+                 "by +, x and integer powers"))
 
-    points = sector_point_values(rho, tol)
     if rho == 3:
+        points = sector_point_values(rho, tol, leaves)
         printed = reference_values()
         max_width = _slim_up(max(points[name].width for name in printed))
         for name in sorted(printed):
@@ -737,11 +732,11 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
             "reference_enclosure_width", max_width, Fraction(1, 10**4), "<",
             note="widest enclosure among the printed reference values"))
 
-    m_sum_maj = sum((majorants[f"M_{i}"] for i in range(2, 8)),
-                    majorants["M_1"])
-    m_sum = _slim(m_sum_maj.enclosure(rho, tol=tol))
-    v_m = _slim(majorants["V_M"].enclosure(rho, tol=tol))
-    t_m = _slim(majorants["T_M"].enclosure(rho, tol=tol))
+    majorants = sector_majorants(rho, c_hi, tol, leaves)
+    m_sum = _slim(sum((majorants[f"M_{i}"] for i in range(2, 8)),
+                      majorants["M_1"]))
+    v_m = _slim(majorants["V_M"])
+    t_m = _slim(majorants["T_M"])
     checks.extend([
         check("source_norm_at_most_2", m_sum.hi, Fraction(2), "<=",
               lo=m_sum.lo, note="sum of the seven source bounds"),
@@ -1003,7 +998,6 @@ __all__ = [
     "scalar_bounds",
     "z2_remainder_division_free",
     "z2_remainder_majorant",
-    "z2_factor_majorant",
     "sector_majorants",
     "sector_point_values",
     "check_omega_4",

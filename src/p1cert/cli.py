@@ -55,7 +55,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import certificates, data, evaluator, inner
 from .certificates import CertificateReport, PreconditionError
-from .numerics import Interval, truncation_window
+from .numerics import truncation_window
 from .result import CheckResult
 
 EXIT_PASS = 0
@@ -229,14 +229,6 @@ def _report_lines(report: CertificateReport) -> List[str]:
     if report.narrative:
         lines.append(f"  note: {report.narrative}")
     return lines
-
-
-def _interval_text(iv: Interval, indent: str = "") -> List[str]:
-    slim = certificates._slim(iv)
-    return [
-        f"{indent}[{slim.lo}, {slim.hi}]",
-        f"{indent}~ ({_dec(float(slim.lo))}, {_dec(float(slim.hi))})",
-    ]
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -62,7 +62,11 @@ TABLE_SHAPE: Mapping[str, Tuple[int, int, int, int]] = {
 
 Table = Dict[int, Dict[Tuple[int, int], Fraction]]
 
-_cache: Dict[Tuple[str, str], Any] = {}
+# Keyed by (directory, file name).  A file's bytes are read once; its
+# fingerprint and its parse both come from those bytes, so a digest always
+# describes what was parsed, even if the file changes on disk later.
+_bytes_cache: Dict[Tuple[str, str], bytes] = {}
+_parse_cache: Dict[Tuple[str, str], Any] = {}
 
 
 def data_dir() -> Path:
@@ -74,26 +78,32 @@ def data_dir() -> Path:
 
 
 def clear_cache() -> None:
-    """Drop memoized parses (needed after changing the data directory)."""
-    _cache.clear()
+    """Drop memoized reads and parses (needed after changing the data
+    directory or a data file)."""
+    _bytes_cache.clear()
+    _parse_cache.clear()
 
 
 def _raw_bytes(name: str) -> bytes:
-    path = data_dir() / name
-    if not path.is_file():
-        raise FileNotFoundError(f"data file not found: {path}")
-    return path.read_bytes()
+    key = (str(data_dir()), name)
+    if key not in _bytes_cache:
+        path = data_dir() / name
+        if not path.is_file():
+            raise FileNotFoundError(f"data file not found: {path}")
+        _bytes_cache[key] = path.read_bytes()
+    return _bytes_cache[key]
 
 
 def _load(name: str) -> Any:
     key = (str(data_dir()), name)
-    if key not in _cache:
-        _cache[key] = json.loads(_raw_bytes(name).decode("utf-8"))
-    return _cache[key]
+    if key not in _parse_cache:
+        _parse_cache[key] = json.loads(_raw_bytes(name).decode("utf-8"))
+    return _parse_cache[key]
 
 
 def file_fingerprints() -> Dict[str, str]:
-    """SHA-256 hex digest of every bundled data file currently in use."""
+    """SHA-256 hex digest of the bytes of every data file in use: the
+    same bytes the parsers read."""
     return {
         name: hashlib.sha256(_raw_bytes(name)).hexdigest() for name in DATA_FILES
     }

@@ -25,17 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
+from .numerics import as_fraction
+
 Key = Tuple[int, int, int]  # (k, j, m) for S^k * x^(-j/2) * e^(-m*x)
 Scalar = Union[int, str, Fraction]
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(
-            f"float {value!r} is not an exact coefficient; "
-            "use int, Fraction, or a 'num/den' string"
-        )
-    return Fraction(value)
 
 
 def _check_key(key) -> Key:
@@ -58,7 +51,7 @@ class FormalSeries:
         acc: dict[Key, Fraction] = {}
         for key, coeff in items:
             key = _check_key(key)
-            c = _exact(coeff)
+            c = as_fraction(coeff)
             if c == 0:
                 continue
             c = acc.get(key, Fraction(0)) + c
@@ -137,7 +130,7 @@ class FormalSeries:
 
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
-            c = _exact(other)
+            c = as_fraction(other)
             if c == 0:
                 return FormalSeries()
             return FormalSeries({key: c * v for key, v in self._terms.items()})
@@ -190,7 +183,7 @@ class FormalSeries:
         if isinstance(other, FormalSeries):
             return self._terms == other._terms
         try:
-            c = _exact(other)
+            c = as_fraction(other)
         except TypeError:
             return NotImplemented
         return self._terms == ({} if c == 0 else {(0, 0, 0): c})
@@ -217,7 +210,7 @@ class FormalSeries:
 def _coerce(value) -> FormalSeries:
     if isinstance(value, FormalSeries):
         return value
-    return FormalSeries.term(_exact(value))
+    return FormalSeries.term(as_fraction(value))
 
 
 __all__ = ["FormalSeries", "Key"]

@@ -24,6 +24,13 @@ step, where |S|, sqrt(2), and rho are replaced by verified intervals.
 A PowerSum whose exponents are all nonnegative and whose coefficients
 are all nonnegative is mechanically certified nonincreasing in rho, so
 its supremum over rho >= rho0 is its value at rho0.
+
+Products need not be expanded to inherit that property.  Sums and
+products of nonnegative nonincreasing functions, and of nonnegative
+constants, are again nonnegative and nonincreasing (the closure lemma),
+so an expression built by + and x from certified PowerSums is certified
+as it stands; the lower-wedge certificate checks its small leaf
+PowerSums this way and evaluates the expression by interval arithmetic.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import Iterable, Mapping, Tuple, Union
 from .numerics import (
     DEFAULT_ROOT_TOL,
     Interval,
+    as_fraction,
     frac_pow,
     sqrt2_enclosure,
     stokes_modulus,
@@ -41,15 +49,6 @@ from .numerics import (
 
 Scalar = Union[int, str, Fraction]
 FamilyKey = Tuple[int, int]  # (k, m): coefficient of S^k e^(-m x)
-
-
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(
-            f"float {value!r} is not an exact value; "
-            "use int, Fraction, or a 'num/den' string"
-        )
-    return Fraction(value)
 
 
 # -- Q(sqrt(2)) ---------------------------------------------------------------
@@ -60,8 +59,8 @@ class QSqrt2:
     __slots__ = ("a", "b")
 
     def __init__(self, a: Scalar = 0, b: Scalar = 0):
-        object.__setattr__(self, "a", _exact(a))
-        object.__setattr__(self, "b", _exact(b))
+        object.__setattr__(self, "a", as_fraction(a))
+        object.__setattr__(self, "b", as_fraction(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("QSqrt2 is immutable")
@@ -139,7 +138,7 @@ class QSqrt2:
 def _coerce_q(value) -> QSqrt2:
     if isinstance(value, QSqrt2):
         return value
-    return QSqrt2(_exact(value))
+    return QSqrt2(as_fraction(value))
 
 
 # -- polynomials in |S| --------------------------------------------------------
@@ -261,7 +260,7 @@ def _coerce_spoly(value) -> SPoly:
         return value
     if isinstance(value, QSqrt2):
         return SPoly.constant(value)
-    return SPoly.constant(_exact(value))
+    return SPoly.constant(as_fraction(value))
 
 
 # -- sums of rho powers --------------------------------------------------------
@@ -280,7 +279,7 @@ class PowerSum:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Fraction, SPoly] = {}
         for e, c in items:
-            e = _exact(e)
+            e = as_fraction(e)
             c = _coerce_spoly(c)
             if c.is_zero():
                 continue
@@ -297,7 +296,7 @@ class PowerSum:
     @classmethod
     def monomial(cls, coeff: Union[Scalar, QSqrt2, SPoly], exponent: Scalar) -> "PowerSum":
         """coeff * rho^(-exponent)."""
-        return cls({_exact(exponent): coeff})
+        return cls({as_fraction(exponent): coeff})
 
     @classmethod
     def constant(cls, coeff: Union[Scalar, QSqrt2, SPoly]) -> "PowerSum":
@@ -307,7 +306,7 @@ class PowerSum:
         return sorted(self._terms.items())
 
     def coefficient(self, exponent: Scalar) -> SPoly:
-        return self._terms.get(_exact(exponent), SPoly())
+        return self._terms.get(as_fraction(exponent), SPoly())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -378,7 +377,7 @@ class PowerSum:
                   tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
         """Interval value at rho (Interval or exact rational)."""
         if not isinstance(rho, Interval):
-            rho = Interval(_exact(rho))
+            rho = Interval(as_fraction(rho))
         if s_abs is None:
             s_abs = stokes_modulus(tol)
         if sqrt2 is None:
@@ -411,7 +410,7 @@ def _coerce_powersum(value) -> PowerSum:
         return value
     if isinstance(value, (SPoly, QSqrt2)):
         return PowerSum.constant(value)
-    return PowerSum.constant(_exact(value))
+    return PowerSum.constant(as_fraction(value))
 
 
 # -- the weighted tail functionals ---------------------------------------------
@@ -421,7 +420,7 @@ def _family(entries: Mapping[FamilyKey, Scalar]) -> dict[FamilyKey, Fraction]:
     for (k, m), c in entries.items():
         if not (isinstance(k, int) and isinstance(m, int)) or k < 0:
             raise ValueError(f"family keys are (S-power >= 0, integer m): {(k, m)!r}")
-        c = _exact(c)
+        c = as_fraction(c)
         if c != 0:
             out[(k, m)] = c
     return out

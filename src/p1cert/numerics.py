@@ -28,11 +28,13 @@ PI_LO = Fraction(_PI_DIGITS, 10**40)
 PI_HI = Fraction(_PI_DIGITS + 1, 10**40)
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """Exact rational from an int, Fraction, or 'num/den' string; floats
+    are refused, since they would smuggle rounding into exact values."""
     if isinstance(value, float):
         raise TypeError(
-            "refusing to build an interval endpoint from a float; "
-            "pass a Fraction, int, or decimal string instead"
+            f"float {value!r} is not an exact value; "
+            "use int, Fraction, or a 'num/den' string"
         )
     return Fraction(value)
 
@@ -50,8 +52,8 @@ class Interval:
     def __init__(self, lo, hi=None):
         if hi is None:
             hi = lo
-        lo = _as_fraction(lo)
-        hi = _as_fraction(hi)
+        lo = as_fraction(lo)
+        hi = as_fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
         object.__setattr__(self, "lo", lo)
@@ -71,7 +73,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def __contains__(self, value) -> bool:
-        value = _as_fraction(value)
+        value = as_fraction(value)
         return self.lo <= value <= self.hi
 
     def contains_interval(self, other: "Interval") -> bool:
@@ -318,6 +320,7 @@ def truncation_window(printed: str) -> Interval:
 __all__ = [
     "Rational",
     "Interval",
+    "as_fraction",
     "DEFAULT_ROOT_TOL",
     "pi_enclosure",
     "root_enclosure",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .numerics import Interval, root_enclosure
+from .numerics import Interval, as_fraction, root_enclosure
 
 Coefficient = Union[int, str, Fraction]
 Poly = Sequence[Fraction]
@@ -33,18 +33,9 @@ DEFAULT_REL_SLACK = Fraction(1, 1000)
 DEFAULT_MAX_DEPTH = 12
 
 
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(
-            f"float {value!r} is not an exact coefficient; "
-            "use int, Fraction, or a 'num/den' string"
-        )
-    return Fraction(value)
-
-
 def poly(coeffs: Iterable[Coefficient]) -> list[Fraction]:
     """Exact coefficient list from ints, Fractions, or 'num/den' strings."""
-    return [_exact(c) for c in coeffs]
+    return [as_fraction(c) for c in coeffs]
 
 
 # -- exact polynomial arithmetic ---------------------------------------------
@@ -67,7 +58,7 @@ def poly_sub(p: Poly, q: Poly) -> list[Fraction]:
 
 
 def poly_scale(p: Poly, c: Coefficient) -> list[Fraction]:
-    c = _exact(c)
+    c = as_fraction(c)
     return [c * a for a in p]
 
 
@@ -97,7 +88,7 @@ def poly_eval(p: Poly, x):
 
 def taylor_shift(p: Poly, c: Coefficient) -> list[Fraction]:
     """Coefficients of P(c + u) as a polynomial in u (exact)."""
-    c = _exact(c)
+    c = as_fraction(c)
     q = [Fraction(a) for a in p]
     n = len(q)
     for i in range(n):
@@ -158,8 +149,8 @@ def sup_abs(p: Poly, lo, hi, *,
     cannot affect the global maximum.
     """
     pcoeffs = poly(p)
-    lo = _exact(lo)
-    hi = _exact(hi)
+    lo = as_fraction(lo)
+    hi = as_fraction(hi)
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if lo == hi:
@@ -193,7 +184,7 @@ def sup_abs_partition(p: Poly, breakpoints: Sequence, *,
     consecutive pair is bounded with :func:`sup_abs` and the maxima are
     combined.
     """
-    bps = [_exact(b) for b in breakpoints]
+    bps = [as_fraction(b) for b in breakpoints]
     if len(bps) < 2:
         raise ValueError("a partition needs at least two breakpoints")
     for a, b in zip(bps, bps[1:]):
@@ -216,7 +207,7 @@ def ratio_sup_bound(numerator_sup, denominator_offset_sup) -> Fraction:
     Fraction or an Interval (whose upper end is used).
     """
     def _hi(v):
-        return v.hi if isinstance(v, Interval) else _exact(v)
+        return v.hi if isinstance(v, Interval) else as_fraction(v)
 
     n = _hi(numerator_sup)
     d = _hi(denominator_offset_sup)

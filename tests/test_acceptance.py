@@ -94,7 +94,8 @@ def test_criterion_3_certificate_suite():
     """Every certificate passes: both ray parameter sets, the matching
     bounds, the wedge kernel, the lower wedge at rho=3, the interior
     interval (all bounds including |R| < 1/8619 and the origin
-    windows), and the Maclaurin envelope; runtime < 2 min."""
+    windows), and the Maclaurin envelope; runtime < 2 min, of which the
+    lower wedge alone < 5 s."""
     start = time.perf_counter()
     reports, summary = C.run_all(Fraction(3))
     elapsed = time.perf_counter() - start
@@ -143,6 +144,13 @@ def test_criterion_3_certificate_suite():
 
     assert "arg z in [-3pi/5, pi]" in summary
     assert elapsed < 120.0, f"suite took {elapsed:.2f}s (limit 120s)"
+
+    start = time.perf_counter()
+    lower_again = C.check_omega_4(Fraction(3))
+    lower_elapsed = time.perf_counter() - start
+    assert lower_again.verdict
+    assert lower_elapsed < 5.0, \
+        f"lower wedge took {lower_elapsed:.2f}s (limit 5s)"
 
 
 def test_criterion_4_integration_lands_in_certified_windows():

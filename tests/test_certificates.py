@@ -10,7 +10,8 @@ from mpmath import inf, mp, mpf, quad
 
 from p1cert import certificates as C
 from p1cert import data, inner
-from p1cert.numerics import Interval, truncation_window
+from p1cert.functionals import PowerSum
+from p1cert.numerics import Interval, frac_pow, truncation_window
 
 
 @pytest.fixture(autouse=True)
@@ -184,12 +185,50 @@ class TestSectorCertificate:
         assert checks["contraction_factor"].value == Fraction(57, 100)
 
     def test_majorants_monotone_and_decreasing(self):
-        majorants = C.sector_majorants()
-        for name in ("M_1", "M_4", "V_M", "T_M"):
-            assert majorants[name].nonincreasing_in_rho()
-            at3 = majorants[name].enclosure(Fraction(3))
-            at4 = majorants[name].enclosure(Fraction(4))
-            assert at4.hi < at3.hi
+        """Each majorant bounds its sharp value at rho=3 and is smaller at
+        rho=4."""
+        u3 = (C.scalar_bounds()["J_M"].enclosure(3, tol=C.CERT_TOL)
+              * frac_pow(3, -1, 2, C.CERT_TOL)).hi
+        c_hi = 1 / (1 - u3)
+        points = C.sector_point_values(Fraction(3))
+        at3 = C.sector_majorants(Fraction(3), c_hi)
+        at4 = C.sector_majorants(Fraction(4), c_hi)
+        for name in ("M_1", "M_2", "M_3", "M_4", "M_5", "M_6", "M_7",
+                     "V_M", "T_M", "z_2M", "z_2RM"):
+            assert at3[name].hi >= points[name].hi, name
+            assert at4[name].hi < at3[name].hi, name
+
+    def test_negative_leaf_fails_monotone_by_name(self, monkeypatch):
+        """A leaf with a negative coefficient breaks the closure argument
+        for exactly the majorant that uses it."""
+        original = C.scalar_bounds
+
+        def bent():
+            scalars = original()
+            scalars["Y_head"] = (scalars["Y_head"]
+                                 + PowerSum.monomial(Fraction(-1, 10**6), 1))
+            return scalars
+
+        monkeypatch.setattr(C, "scalar_bounds", bent)
+        report = C.check_omega_4(3)
+        assert not report.verdict
+        failing = [c.name for c in report.failures()
+                   if c.name.startswith("monotone_")]
+        assert failing == ["monotone_M_3"]
+
+    def test_closure_flag_allows_only_sums_and_products(self):
+        flag = C._Monotone(True)
+        assert (1 + flag * Fraction(1, 2) + flag ** 3).ok
+        assert not (flag * -1).ok
+        assert not (flag + C._Monotone(False)).ok
+        with pytest.raises(TypeError):
+            flag - flag
+        with pytest.raises(TypeError):
+            1 - flag
+        with pytest.raises(TypeError):
+            flag / 2
+        with pytest.raises(ValueError):
+            flag ** -1
 
     def test_point_values_match_references(self):
         points = C.sector_point_values(Fraction(3))

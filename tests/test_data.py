@@ -1,5 +1,6 @@
 """Bundled data: shape invariants, frozen spot values, override mechanics."""
 
+import hashlib
 import json
 import shutil
 from fractions import Fraction
@@ -212,3 +213,23 @@ def test_missing_override_file_raises(tmp_path, monkeypatch):
     data.clear_cache()
     with pytest.raises(FileNotFoundError):
         data.expansion_tables()
+
+
+def test_fingerprint_describes_the_parsed_bytes(tmp_path, monkeypatch):
+    """A file edited in place after it was parsed is still reported with
+    the digest of the bytes that were parsed, not of the new bytes."""
+    for name in data.DATA_FILES:
+        shutil.copy(data.data_dir() / name, tmp_path / name)
+    monkeypatch.setenv(data.DATA_ENV_VAR, str(tmp_path))
+    data.clear_cache()
+    target = tmp_path / "constant_catalog.json"
+    parsed_bytes = target.read_bytes()
+    catalog = data.constant_catalog()
+
+    doc = json.loads(parsed_bytes)
+    doc["reference_values"]["values"]["M_1"] = "0.99999"
+    target.write_text(json.dumps(doc))
+
+    assert data.constant_catalog() == catalog
+    assert data.file_fingerprints()["constant_catalog.json"] == \
+        hashlib.sha256(parsed_bytes).hexdigest()
