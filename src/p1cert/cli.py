@@ -147,7 +147,6 @@ def _data_overlay(tables: Optional[str],
         previous = os.environ.get(data.DATA_ENV_VAR)
         os.environ[data.DATA_ENV_VAR] = str(workdir)
         data.clear_cache()
-        evaluator._INNER_CERTIFIED = None
         try:
             yield
         finally:
@@ -156,7 +155,6 @@ def _data_overlay(tables: Optional[str],
             else:
                 os.environ[data.DATA_ENV_VAR] = previous
             data.clear_cache()
-            evaluator._INNER_CERTIFIED = None
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +501,7 @@ def _emit_eval(fmt: str, outcome, precision_bits: int) -> int:
         if outcome.error_estimate is not None:
             lines.append("heuristic error estimate: "
                          + _nstr(outcome.error_estimate, _ERROR_DIGITS)
-                         + "  (integration tail sum, not a certificate)")
+                         + "  (truncation and rounding sum, not a certificate)")
         if outcome.warning:
             lines.append(f"warning: {outcome.warning}")
         click.echo("\n".join(lines))

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf, workprec
 
-from . import formal, inner
+from . import data, formal, inner
 from .certificates import PreconditionError
 from .numerics import Interval
 
@@ -53,7 +53,7 @@ BLOWUP_THRESHOLD = 10**8
 DEFAULT_HORIZON = 10
 
 #: Taylor order window for the integrator.
-MIN_ORDER, MAX_ORDER = 16, 24
+MIN_ORDER, MAX_ORDER = 16, 64
 
 _MAX_STEPS = 500_000
 
@@ -419,9 +419,14 @@ def _taylor_raw(c0: mpc, c1: mpc, center: mpc, count: int) -> List[mpc]:
     if count >= 3:
         coeffs.append(2 * c0 * c1 + mpf(1) / 6)
     for k in range(2, count - 1):
+        # The Cauchy square is symmetric in j <-> k - j: sum each pair
+        # once and add the middle square for even k.
         acc = mpc(0)
-        for j in range(k + 1):
+        for j in range((k + 1) // 2):
             acc += coeffs[j] * coeffs[k - j]
+        acc *= 2
+        if k % 2 == 0:
+            acc += coeffs[k // 2] ** 2
         coeffs.append(6 * acc / ((k + 1) * (k + 2)))
     return coeffs[: count + 1]
 
@@ -483,8 +488,10 @@ class PoleNotFoundError(RuntimeError):
 class IntegrationResult:
     """Endpoint state of one integration run.
 
-    ``error_estimate`` sums the per-step truncation tails; it is a
-    heuristic accuracy indicator, not a certified bound.  ``defect`` is
+    ``error_estimate`` sums, over the steps, the truncation tail and a
+    bound on the rounding of the series evaluation at the working
+    precision; it is a heuristic accuracy indicator, not a certified
+    bound.  ``order`` is the Taylor order the steps used.  ``defect`` is
     the forward-backward round-trip discrepancy when requested.
     """
 
@@ -498,18 +505,33 @@ class IntegrationResult:
     trajectory: Optional[Tuple[Tuple[mpc, mpc], ...]] = None
 
 
-#: Local truncation budget per step is tol**_LOCAL_EXPONENT; the
+#: Local truncation budget per step is
+#:     eps = max(tol**_LOCAL_EXPONENT, 2**-prec),
+#: with prec the working precision in force (guard bits included).  The
 #: super-linear exponent makes the accumulated defect scale like
-#: tol^(~2.4), so halving the tolerance reliably gains more than 4x.
+#: tol^(~2.4), so halving the tolerance reliably gains more than 4x; the
+#: floor keeps a step from resolving digits that rounding discards.
+#: While the floor binds the tolerance no longer sets the error, and the
+#: order is the one cheapest per unit length at eps (Jorba & Zou,
+#: Experimental Math. 14 (2005)):  ceil(-ln(eps)/2) + 1, about 57 at
+#: 160 bits.  Otherwise the order is 0.8 times the tolerance's decimal
+#: digits, rounded to even.  Both are clamped to the order window.
 _LOCAL_EXPONENT = Fraction(5, 2)
 
 _STEP_SAFETY = Fraction(4, 5)
 _MAX_STEP = Fraction(3, 4)
 
 
+def _clamp_order(order: int) -> int:
+    return int(min(MAX_ORDER, max(MIN_ORDER, order)))
+
+
 def _pick_order(tol: mpf) -> int:
+    floor = mpf(2) ** -mp.prec
+    if tol ** _to_mpf(_LOCAL_EXPONENT) < floor:
+        return _clamp_order(int(mp.ceil(-mp.ln(floor) / 2)) + 1)
     digits = float(-mp.log10(tol))
-    return int(min(MAX_ORDER, max(MIN_ORDER, 2 * round(0.4 * digits))))
+    return _clamp_order(2 * round(0.4 * digits))
 
 
 def _integrate_leg(
@@ -526,7 +548,11 @@ def _integrate_leg(
     Assumes an mpmath working precision is already in force.  Raises
     :class:`PoleProximityError` on blowup.
     """
-    local_budget = tol ** _to_mpf(_LOCAL_EXPONENT)
+    local_budget = max(tol ** _to_mpf(_LOCAL_EXPONENT), mpf(2) ** -mp.prec)
+    # Horner's rounding bound for a degree-n series is about
+    # 2n u sum|c_k| |s|^k with u = 2^-prec (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 5.1).
+    rounding = 2 * order * mpf(2) ** -mp.prec
     safety = _to_mpf(_STEP_SAFETY)
     max_step = _to_mpf(_MAX_STEP)
     distance = abs(t_to - t_from)
@@ -572,13 +598,16 @@ def _integrate_leg(
         else:
             s = step * direction
         g_next = mpc(0)
+        magnitude = mpf(0)
         for ck in reversed(coeffs):
             g_next = g_next * s + ck
+            magnitude = magnitude * step + abs(ck)
         gp_next = mpc(0)
         for k in range(order, 0, -1):
             gp_next = gp_next * s + k * coeffs[k]
         error_sum += abs(coeffs[order - 1]) * step ** (order - 1)
         error_sum += abs(coeffs[order]) * step**order
+        error_sum += rounding * magnitude
         g, g_prime = g_next, gp_next
         t = t + s
         steps += 1
@@ -603,9 +632,14 @@ def integrate(
     """Integrate  g'' = 6 g^2 + t  from t_start to t_end (straight path).
 
     Adaptive Taylor marching: at each state the local series is built to
-    ``order`` (chosen in [16, 24] from the tolerance when not given) and
-    the step is sized from the growth of the top coefficients so that
-    the local truncation stays below tol**(5/2).  A trajectory value
+    ``order`` and the step is sized from the growth of the top
+    coefficients so that the local truncation stays below
+    eps = max(tol**(5/2), 2**-prec), prec being the working precision
+    ``precision_bits`` plus :data:`GUARD_BITS`.  When ``order`` is not
+    given it is ceil(-ln(eps)/2) + 1 while the 2**-prec floor binds
+    (57 at the default precision), and otherwise follows the tolerance;
+    either way it is clamped to [:data:`MIN_ORDER`, :data:`MAX_ORDER`]
+    and reported as ``order``.  A trajectory value
     exceeding :data:`BLOWUP_THRESHOLD` raises
     :class:`PoleProximityError` carrying a double-pole location
     estimate.  With ``report_defect`` the path is re-integrated in
@@ -617,11 +651,7 @@ def integrate(
         tol_m = _to_mpf(tol)
         if not 0 < tol_m < 1:
             raise PreconditionError(f"tolerance must be in (0, 1), got {tol!r}")
-        order_eff = (
-            _pick_order(tol_m)
-            if order is None
-            else int(min(MAX_ORDER, max(MIN_ORDER, order)))
-        )
+        order_eff = _pick_order(tol_m) if order is None else _clamp_order(order)
         g0 = _to_mpc(value)
         gp0 = _to_mpc(slope)
         ta = _to_mpc(t_start)
@@ -780,22 +810,26 @@ class ZeroData:
     y_slope_radius: mpf
 
 
-_INNER_CERTIFIED: Optional[bool] = None
+#: Interior-certificate verdicts keyed by the SHA-256 of the
+#: ``inner_ode.json`` bytes they were computed from, so a switched data
+#: directory or an edited file is certified afresh.
+_INNER_CERTIFIED: Dict[str, bool] = {}
 
 
 def _inner_certified() -> bool:
-    global _INNER_CERTIFIED
-    if _INNER_CERTIFIED is None:
-        _INNER_CERTIFIED = all(c.passed for c in inner.certify())
-    return _INNER_CERTIFIED
+    digest = data.file_fingerprints()["inner_ode.json"]
+    if digest not in _INNER_CERTIFIED:
+        _INNER_CERTIFIED[digest] = all(c.passed for c in inner.certify())
+    return _INNER_CERTIFIED[digest]
 
 
 def y_at_zero(precision_bits: int = DEFAULT_PRECISION_BITS) -> ZeroData:
     """Certified enclosures of y(0) and y'(0).
 
-    Requires the interior certificate to pass (it is run once and
-    cached); the g-frame windows are its exact conclusion, and the
-    y-frame images follow by the exact rotation between frames.
+    Requires the interior certificate to pass (it is run once per
+    ``inner_ode.json`` content and cached); the g-frame windows are its
+    exact conclusion, and the y-frame images follow by the exact
+    rotation between frames.
     """
     _require_bits(precision_bits)
     if not _inner_certified():
@@ -829,8 +863,8 @@ class Evaluation:
 
     ``rigorous`` is True exactly when ``error_bound`` is a certified
     radius (origin window or asymptotic ball); otherwise
-    ``error_estimate`` is the integrator's heuristic tail sum and the
-    value is a consistency estimate.
+    ``error_estimate`` is the integrator's heuristic sum of truncation
+    tails and rounding bounds, and the value is a consistency estimate.
     """
 
     z: mpc

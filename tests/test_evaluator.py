@@ -10,12 +10,16 @@ freezing).
 
 import csv
 import io
+import json
 import random
+import shutil
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf, workprec
 
+from p1cert import data
 from p1cert import evaluator as ev
 from p1cert import inner
 from p1cert.certificates import PreconditionError
@@ -394,6 +398,34 @@ class TestIntegration:
         assert run_low.order == ev.MIN_ORDER
         assert run_high.order == ev.MAX_ORDER
 
+    @staticmethod
+    def _orders_used(monkeypatch, **kwargs):
+        """Run centre data from t = 0 to 1; return the run and the set of
+        series orders the steps built."""
+        built = set()
+        taylor = ev._taylor_raw
+
+        def recording(c0, c1, center, count):
+            built.add(count)
+            return taylor(c0, c1, center, count)
+
+        monkeypatch.setattr(ev, "_taylor_raw", recording)
+        run = ev.integrate(inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, 1, **kwargs)
+        return run, built
+
+    def test_default_run_stops_at_working_precision(self, monkeypatch):
+        # eps = max(tol^(5/2), 2^-160) = 2^-160 at the defaults; resolving
+        # tol^(5/2) = 1e-62.5 instead took 1457 order-20 steps
+        run, built = self._orders_used(monkeypatch)
+        assert run.steps <= 20
+        assert built == {run.order}
+        assert run.order == 57  # ceil(80 ln 2) + 1
+
+    def test_explicit_order_is_honoured_under_the_floor(self, monkeypatch):
+        run, built = self._orders_used(monkeypatch, order=20)
+        assert run.order == 20
+        assert built == {20}
+
     def test_tolerance_validation(self):
         with pytest.raises(PreconditionError):
             ev.integrate(0, 0, 0, 1, tol=2)
@@ -492,9 +524,25 @@ class TestOriginAndEvaluation:
         assert abs(mpf(41) / 134 - mpf("0.305970")) < mpf(10) ** -6
 
     def test_origin_requires_certificate(self, monkeypatch):
-        monkeypatch.setattr(ev, "_INNER_CERTIFIED", False)
+        digest = data.file_fingerprints()["inner_ode.json"]
+        monkeypatch.setattr(ev, "_INNER_CERTIFIED", {digest: False})
         with pytest.raises(PreconditionError):
             ev.y_at_zero()
+
+    def test_origin_recertifies_switched_interior_data(self, tmp_path, monkeypatch):
+        ev.y_at_zero()  # the verdict for the bundled data is now cached
+        for name in data.DATA_FILES:
+            shutil.copy(data.data_dir() / name, tmp_path / name)
+        doc = json.loads((tmp_path / "inner_ode.json").read_text())
+        doc["polynomials"]["g0"][0] = "-281/519"
+        (tmp_path / "inner_ode.json").write_text(json.dumps(doc))
+        monkeypatch.setenv(data.DATA_ENV_VAR, str(tmp_path))
+        data.clear_cache()
+        try:
+            with pytest.raises(PreconditionError):
+                ev.y_at_zero()
+        finally:
+            data.clear_cache()
 
     def test_landing_run_confirms_origin_window(self, landing_run):
         data = ev.y_at_zero()
@@ -551,6 +599,32 @@ class TestOriginAndEvaluation:
         assert outcome.method == "integration"
         assert outcome.y is None
         assert "t_p" in outcome.warning
+
+    def test_past_the_pole_at_default_tolerance_within_15_s(self):
+        z = ev.frame_map(mpf("2.5"), "t").z
+        start = time.perf_counter()
+        outcome = ev.evaluate_point(z)
+        elapsed = time.perf_counter() - start
+        assert outcome.y is None
+        assert "t_p" in outcome.warning
+        assert elapsed < 15.0, f"past-the-pole point took {elapsed:.2f}s (limit 15s)"
+
+    @pytest.mark.parametrize(
+        "t_polar",
+        [(mpf(1), mpf(0)), (mpf("2.2"), mpf("0.8"))],
+        ids=["disk", "outer"],
+    )
+    def test_error_estimate_covers_the_rounding(self, t_polar):
+        # the estimate may not claim more accuracy than the working
+        # precision delivers: compare with a 300-bit, tol 1e-60 run
+        radius, turns = t_polar
+        z = ev.frame_map(radius * mp.expjpi(turns), "t", precision_bits=300).z
+        outcome = ev.evaluate_point(z)
+        reference = ev.evaluate_point(
+            z, precision_bits=300, tol=Fraction(1, 10**60)
+        )
+        assert outcome.method == reference.method == "integration"
+        assert outcome.error_estimate >= abs(outcome.y - reference.y)
 
 
 # ---------------------------------------------------------------------------
