@@ -34,9 +34,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .data import constant_catalog, expansion_tables, reference_values
 from .functionals import PowerSum, QSqrt2, SPoly, tail1, tail2, tail3, tail4
 from .numerics import (
+    DyadicInterval,
     Interval,
     as_fraction,
     frac_pow,
+    slim,
+    slim_up,
     sqrt2_enclosure,
     sqrt_enclosure,
     stokes_modulus,
@@ -102,25 +105,6 @@ def _report(name: str, inputs: Mapping[str, object],
     )
 
 
-def _slim_up(x: Fraction, bits: int = 128, threshold: int = 512) -> Fraction:
-    """Outward (upward) dyadic rounding applied only when the exact
-    rational is too large to print comfortably; comparisons against the
-    rounded value are conservative."""
-    if x.numerator.bit_length() + x.denominator.bit_length() > threshold:
-        return _dyadic_ceil(x, bits)
-    return x
-
-
-def _slim(iv: Interval, bits: int = 128, threshold: int = 512) -> Interval:
-    """Outward rounding of both endpoints under the same size rule."""
-    lo, hi = iv.lo, iv.hi
-    if lo.numerator.bit_length() + lo.denominator.bit_length() > threshold:
-        lo = _dyadic_floor(lo, bits)
-    if hi.numerator.bit_length() + hi.denominator.bit_length() > threshold:
-        hi = _dyadic_ceil(hi, bits)
-    return Interval(lo, hi)
-
-
 def _window_overlap(name: str, enclosure: Interval, printed: str,
                     note: str = "") -> CheckResult:
     """The enclosure must intersect the truncation window of ``printed``.
@@ -131,7 +115,7 @@ def _window_overlap(name: str, enclosure: Interval, printed: str,
     they intersect.
     """
     window = truncation_window(printed)
-    gap = _slim_up(max(enclosure.lo - window.hi, window.lo - enclosure.hi))
+    gap = slim_up(max(enclosure.lo - window.hi, window.lo - enclosure.hi))
     detail = (f"enclosure [{float(enclosure.lo):.10f}, "
               f"{float(enclosure.hi):.10f}] vs printed {printed}")
     if note:
@@ -174,10 +158,10 @@ def check_omega_I(rho: Union[Fraction, int, Interval] = 1,
     one_eps = 1 + eps
     inv_rho = rho_iv.inverse()
     inv_rho2 = (rho_iv ** 2).inverse()
-    map_value = _slim(Fraction(one_eps, 14) * inv_rho
-                      + Fraction(one_eps ** 2 * H0_NORM, 9) * inv_rho2)
-    contraction = _slim(Fraction(1, 14) * inv_rho
-                        + Fraction(2 * one_eps * H0_NORM, 9) * inv_rho2)
+    map_value = slim(Fraction(one_eps, 14) * inv_rho
+                     + Fraction(one_eps ** 2 * H0_NORM, 9) * inv_rho2)
+    contraction = slim(Fraction(1, 14) * inv_rho
+                       + Fraction(2 * one_eps * H0_NORM, 9) * inv_rho2)
     checks = [
         check("ray_ball_maps_into_itself", map_value.hi, eps, "<=",
               lo=map_value.lo,
@@ -230,23 +214,23 @@ def check_z0_bounds(tol: Fraction = CERT_TOL) -> CertificateReport:
                   + Fraction(392, 625) * inv_A72)
 
     # |y - y0|(z0) <= sqrt(|z0| / (6 |x0|)) * |H(x0)|
-    value_err = _slim(sqrt_enclosure(Fraction(17, 60) * inv_A, tol) * h_at)
+    value_err = slim(sqrt_enclosure(Fraction(17, 60) * inv_A, tol) * h_at)
     # |y' - y0'|(z0) <= sqrt(|z0|/6) / (|z0| sqrt(|x0|))
     #                   * (|H(x0)|/8 + (5/4)|x0| |H'(x0)|)
     slope_pref = (sqrt_enclosure(Fraction(17, 60), tol) * Fraction(10, 17)
                   * sqrt_enclosure(A, tol).inverse())
-    slope_err = _slim(slope_pref * (Fraction(1, 8) * h_at
-                                    + Fraction(5, 4) * A * h_prime_at))
+    slope_err = slim(slope_pref * (Fraction(1, 8) * h_at
+                                   + Fraction(5, 4) * A * h_prime_at))
 
     # Rotated asymptotic data at z0 (both exactly real):
-    c1 = _slim(-(sqrt_enclosure(Fraction(17, 60), tol)
-                 * (1 + Fraction(4, 25) * inv_A2)))
-    c2 = _slim(sqrt_enclosure(Fraction(60, 17), tol)
-               * (Fraction(1, 12) - Fraction(4, 75) * inv_A2))
+    c1 = slim(-(sqrt_enclosure(Fraction(17, 60), tol)
+                * (1 + Fraction(4, 25) * inv_A2)))
+    c2 = slim(sqrt_enclosure(Fraction(60, 17), tol)
+              * (Fraction(1, 12) - Fraction(4, 75) * inv_A2))
     d1 = abs(c1 + Fraction(280, 519))
     d2 = abs(c2 - Fraction(150, 1013))
-    value_budget = _slim(Fraction(3, 890) + d1)
-    slope_budget = _slim(Fraction(29, 4468) + d2)
+    value_budget = slim(Fraction(3, 890) + d1)
+    slope_budget = slim(Fraction(29, 4468) + d2)
 
     checks = [
         check("ray_instance_maps_into_itself", map_value.hi, eps, "<=",
@@ -285,9 +269,12 @@ def check_z0_bounds(tol: Fraction = CERT_TOL) -> CertificateReport:
 # kernel constants, then the contraction inequalities.
 # ---------------------------------------------------------------------------
 
+#: Significant bits kept by the wedge quadrature's dyadic kernel.
+QUADRATURE_BITS = 128
+
+
 def inverse_power_integral(alpha_quarters: int, T: int = 64,
-                           panels: int = 4096,
-                           tol: Fraction = Fraction(1, 10**10)) -> Interval:
+                           panels: int = 4096) -> Interval:
     """Enclosure of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp.
 
     Composite midpoint rule on [-1, T] with the exact per-panel error
@@ -297,72 +284,77 @@ def inverse_power_integral(alpha_quarters: int, T: int = 64,
 
     whose first factor is decreasing and second increasing in |p|; the
     tail beyond T is enclosed by [0, T^(1-a/2) * 2/(a-2)].
+
+    The sums run on :class:`DyadicInterval` at ``QUADRATURE_BITS`` bits.
+    The grid points -1 + j h/2 enter exactly when h/2 is dyadic (as for
+    4096 panels) and rounded outward otherwise; each (1+p^2)^(-n/4) is
+    the outward reciprocal of the integer fourth root of the exact n-th
+    power of 1+p^2.
     """
     a = alpha_quarters
     if a <= 2:
         raise PreconditionError("integral diverges unless a > 2")
     if T < 1 or panels < 1:
         raise PreconditionError("need T >= 1 and panels >= 1")
+    bits = QUADRATURE_BITS
     h = Fraction(T + 1, panels)
-    quad_coeff = Fraction(a * a + 2 * a, 4)
-    lin_coeff = Fraction(a, 2)
+    quad_coeff = DyadicInterval.enclose(Fraction(a * a + 2 * a, 4), bits)
+    minus_half_a = DyadicInterval.enclose(Fraction(-a, 2), bits)
+    zero, one = DyadicInterval(0, 0, 0), DyadicInterval(1, 1, 0)
 
-    def f(p: Fraction) -> Interval:
-        return frac_pow(1 + p * p, -a, 4, tol)
+    def abs_grid(j: int) -> DyadicInterval:
+        """|p| at the half-step grid point p = -1 + j h/2."""
+        return DyadicInterval.enclose(
+            Fraction(abs(j * (T + 1) - 2 * panels), 2 * panels), bits)
 
-    def second_factor_range(lo_abs: Fraction, hi_abs: Fraction) -> Interval:
-        return Interval(quad_coeff * lo_abs ** 2 - lin_coeff,
-                        quad_coeff * hi_abs ** 2 - lin_coeff)
+    def inverse_power(u: DyadicInterval, n: int) -> DyadicInterval:
+        """u^(-n/4) for u > 0."""
+        return (u ** n).fourth_root(bits).inverse(bits)
 
-    first_factor_cache: Dict[Fraction, Interval] = {}
+    def f(p_abs: DyadicInterval) -> DyadicInterval:
+        return inverse_power(one + p_abs * p_abs, a)
 
-    def first_factor(p_abs: Fraction) -> Interval:
-        cached = first_factor_cache.get(p_abs)
-        if cached is None:
-            cached = frac_pow(1 + p_abs * p_abs, -(a + 8), 4, tol)
-            first_factor_cache[p_abs] = cached
-        return cached
+    def first_factor(p_abs: DyadicInterval) -> DyadicInterval:
+        return inverse_power(one + p_abs * p_abs, a + 8)
 
-    # The fractional-power enclosures carry large odd denominators, so the
-    # running sums are outward-rounded to 128 significant dyadic bits each
-    # step: the additions stay cheap and each step widens the enclosure by
-    # at most 2^-127 relatively.
-    mid_sum = Interval(0)
-    err_sum = Interval(0)
+    # Each step rounds the running sums outward to ``bits`` significant
+    # bits, which widens the enclosure by at most 2^-(bits-1) relatively.
+    mid_sum = err_sum = zero
+    left_abs = abs_grid(0)
+    left_factor = first_factor(left_abs)
     for i in range(panels):
-        left = Fraction(-1) + i * h
-        right = left + h
-        mid_sum = _round_out(mid_sum + f(left + h / 2), 128)
-        if right <= 0:
-            lo_abs, hi_abs = -right, -left
-            factor1 = Interval(first_factor(hi_abs).lo,
-                               first_factor(lo_abs).hi)
-        elif left >= 0:
-            lo_abs, hi_abs = left, right
-            factor1 = Interval(first_factor(hi_abs).lo,
-                               first_factor(lo_abs).hi)
-        else:
-            lo_abs, hi_abs = Fraction(0), max(-left, right)
-            factor1 = Interval(first_factor(hi_abs).lo, Fraction(1))
-        err_sum = _round_out(
-            err_sum + factor1 * second_factor_range(lo_abs, hi_abs), 128)
-    tail_hi = Fraction(2, a - 2) * frac_pow(T, -(a - 2), 2, tol).hi
-    return (h * mid_sum
-            + Fraction(h ** 3, 24) * err_sum
+        mid_sum = (mid_sum + f(abs_grid(2 * i + 1))).round_out(bits)
+        right_abs = abs_grid(2 * i + 2)
+        right_factor = first_factor(right_abs)
+        # |p| and the first factor (decreasing in |p|) range between
+        # their values at the panel edges, extended to |p| = 0, where the
+        # factor is 1, on the panel that contains p = 0
+        abs_range = left_abs.hull(right_abs)
+        factor1 = left_factor.hull(right_factor)
+        if 2 * i * (T + 1) < 2 * panels < (2 * i + 2) * (T + 1):
+            abs_range = abs_range.hull(zero)
+            factor1 = factor1.hull(one)
+        factor2 = abs_range * abs_range * quad_coeff + minus_half_a
+        err_sum = (err_sum + factor1 * factor2).round_out(bits)
+        left_abs, left_factor = right_abs, right_factor
+    # T^(1-a/2) = (T^2)^(-(a-2)/4)
+    tail_hi = Fraction(2, a - 2) * inverse_power(
+        DyadicInterval.enclose(T * T, bits), a - 2).to_interval().hi
+    return (h * mid_sum.to_interval()
+            + Fraction(h ** 3, 24) * err_sum.to_interval()
             + Interval(0, tail_hi))
 
 
 def wedge_kernel_constants(T: int = 64, panels: int = 4096,
                            tol: Fraction = CERT_TOL) -> Dict[str, Interval]:
     """The three kernel constants of the wedge contraction argument."""
-    quad_tol = Fraction(1, 10**10)
-    i74 = inverse_power_integral(7, T, panels, quad_tol)
-    i94 = inverse_power_integral(9, T, panels, quad_tol)
-    i114 = inverse_power_integral(11, T, panels, quad_tol)
+    i74 = inverse_power_integral(7, T, panels)
+    i94 = inverse_power_integral(9, T, panels)
+    i114 = inverse_power_integral(11, T, panels)
     M = Fraction(196, 625) * (frac_pow(2, 5, 4, tol) * i74 + Fraction(2, 5))
     N = Fraction(1, 18) + frac_pow(2, 1, 4, tol) * i114
     L = Fraction(1, 28) + frac_pow(2, -5, 4, tol) * i94
-    return {"M": _slim(M), "N": _slim(N), "L": _slim(L)}
+    return {"M": slim(M), "N": slim(N), "L": slim(L)}
 
 
 def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
@@ -392,10 +384,10 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
     rho0 = x0_abs(tol)
     inv_rho0 = rho0.inverse()
     inv_rho0_sq = (rho0 ** 2).inverse()
-    map_value = _slim(l_bound * inv_rho0 * (1 + eps)
-                      + n_bound * inv_rho0_sq * m_bound * (1 + eps) ** 2)
-    contraction = _slim(l_bound * inv_rho0
-                        + 2 * n_bound * inv_rho0_sq * m_bound * (1 + eps))
+    map_value = slim(l_bound * inv_rho0 * (1 + eps)
+                     + n_bound * inv_rho0_sq * m_bound * (1 + eps) ** 2)
+    contraction = slim(l_bound * inv_rho0
+                       + 2 * n_bound * inv_rho0_sq * m_bound * (1 + eps))
     sqrt2 = sqrt2_enclosure(tol)
     vertical_quadratic = Fraction(784, 3125) * sqrt2
     vertical_linear = Fraction(1, 14) * sqrt2
@@ -701,7 +693,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
     u_hi = (leaves["J_M"].enclosure(anchor, tol=tol)
             * frac_pow(anchor, -1, 2, tol)).hi
     checks.append(check(
-        "division_terms_valid", _slim_up(u_hi), Fraction(1), "<",
+        "division_terms_valid", slim_up(u_hi), Fraction(1), "<",
         note="rho^(-1/2) J_M < 1 at the anchor, so the geometric majorant "
              "and interval division apply for all rho >= 3"))
     if u_hi >= 1:
@@ -724,7 +716,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
     if rho == 3:
         points = sector_point_values(rho, tol, leaves)
         printed = reference_values()
-        max_width = _slim_up(max(points[name].width for name in printed))
+        max_width = slim_up(max(points[name].width for name in printed))
         for name in sorted(printed):
             checks.append(_window_overlap(
                 f"reference_{name}", points[name], printed[name]))
@@ -733,10 +725,10 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
             note="widest enclosure among the printed reference values"))
 
     majorants = sector_majorants(rho, c_hi, tol, leaves)
-    m_sum = _slim(sum((majorants[f"M_{i}"] for i in range(2, 8)),
-                      majorants["M_1"]))
-    v_m = _slim(majorants["V_M"])
-    t_m = _slim(majorants["T_M"])
+    m_sum = slim(sum((majorants[f"M_{i}"] for i in range(2, 8)),
+                     majorants["M_1"]))
+    v_m = slim(majorants["V_M"])
+    t_m = slim(majorants["T_M"])
     checks.extend([
         check("source_norm_at_most_2", m_sum.hi, Fraction(2), "<=",
               lo=m_sum.lo, note="sum of the seven source bounds"),
@@ -791,48 +783,37 @@ def check_inner_interval(system=None) -> CertificateReport:
 # Maclaurin-envelope disk certificate
 # ---------------------------------------------------------------------------
 
-def _dyadic_floor(x: Fraction, bits: int) -> Fraction:
-    if x == 0:
-        return x
-    shift = x.numerator.bit_length() - x.denominator.bit_length() - bits
-    if shift >= 0:
-        q = x.numerator // (x.denominator << shift)
-        return Fraction(q << shift)
-    q = (x.numerator << -shift) // x.denominator
-    return Fraction(q, 1 << -shift)
-
-
-def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    return -_dyadic_floor(-x, bits)
-
-
-def _round_out(iv: Interval, bits: int = 64) -> Interval:
-    """Outward rounding to ``bits`` significant dyadic bits per endpoint."""
-    return Interval(_dyadic_floor(iv.lo, bits), _dyadic_ceil(iv.hi, bits))
-
-
 def taylor_envelope_run(horizon: int = 256, bits: int = 64,
                         eps: Fraction = Fraction(1, 108)
                         ) -> Tuple[Fraction, int]:
     """Signed interval run of the Maclaurin recurrence against the
-    envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k)."""
+    envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k).
+
+    c0 and c1 are the exact windows; the run from c2 on is a
+    :class:`DyadicInterval` recurrence rounded outward to ``bits`` bits.
+    Each convolution sums every symmetric pair once, 2 sum_{j<k-j}
+    c_j c_{k-j} plus the middle square, which equals the full sum exactly
+    in interval arithmetic.
+    """
     a, b = Fraction(87, 469), Fraction(41, 134)
     ratio_base = Fraction(20, 37)
-    coeffs = [Interval(-(a + eps), -(a - eps)),
-              Interval(b - eps, b + eps)]
-    coeffs.append(_round_out(3 * coeffs[0] ** 2, bits))
-    coeffs.append(_round_out(2 * coeffs[0] * coeffs[1] + Fraction(1, 6),
-                             bits))
+    windows = [Interval(-(a + eps), -(a - eps)),
+               Interval(b - eps, b + eps)]
+    c0, c1 = windows
+    coeffs = [DyadicInterval.enclose(c, bits)
+              for c in windows + [3 * c0 ** 2, 2 * c0 * c1 + Fraction(1, 6)]]
     for k in range(2, horizon - 1):
-        conv = Interval(0)
-        for j in range(k + 1):
-            conv = conv + coeffs[j] * coeffs[k - j]
-        nxt = Fraction(6, (k + 1) * (k + 2)) * conv
-        coeffs.append(_round_out(nxt, bits))
+        pairs = coeffs[0] * coeffs[k]
+        for j in range(1, (k + 1) // 2):
+            pairs = pairs + coeffs[j] * coeffs[k - j]
+        conv = pairs + pairs
+        if k % 2 == 0:
+            conv = conv + coeffs[k // 2] * coeffs[k // 2]
+        coeffs.append(conv.scale(Fraction(6, (k + 1) * (k + 2)), bits))
     worst = Fraction(0)
     worst_k = 0
     envelope = ratio_base ** 2
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(windows + [d.to_interval() for d in coeffs[2:]]):
         bound = (k + 1) * envelope
         r = max(abs(c.lo), abs(c.hi)) / bound
         if r > worst:
@@ -906,7 +887,7 @@ def check_taylor_radius(horizon: int = 256,
               note="sum_{j<=k}(j+1)(k-j+1) = (k+1)(k+2)(k+3)/6 for k<=64; "
                    "with it, the envelope propagates through the "
                    "recurrence with no loss"),
-        check("envelope_numeric_run", _slim_up(run_worst), Fraction(1), "<",
+        check("envelope_numeric_run", slim_up(run_worst), Fraction(1), "<",
               note=f"max_k |c_k| R0^(k+2)/(k+1) over k <= {horizon}, "
                    f"attained at k = {run_k} (signed interval recurrence, "
                    "64-bit outward rounding)"),

@@ -55,7 +55,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import certificates, data, evaluator, inner
 from .certificates import CertificateReport, PreconditionError
-from .numerics import truncation_window
+from .numerics import slim, truncation_window
 from .result import CheckResult
 
 EXIT_PASS = 0
@@ -354,8 +354,7 @@ def _emit_constants(fmt: str, rho: Fraction, rows) -> int:
             "rows": [
                 {
                     "name": name,
-                    "enclosure": [str(certificates._slim(enc).lo),
-                                  str(certificates._slim(enc).hi)],
+                    "enclosure": [str(slim(enc).lo), str(slim(enc).hi)],
                     "enclosure_float": [float(enc.lo), float(enc.hi)],
                     "reference": printed,
                     "window": [str(window.lo), str(window.hi)],
@@ -370,8 +369,7 @@ def _emit_constants(fmt: str, rho: Fraction, rows) -> int:
         click.echo(_csv_text(
             ["name", "enclosure_lo", "enclosure_hi", "enclosure_lo_float",
              "enclosure_hi_float", "reference", "contained"],
-            [[name, str(certificates._slim(enc).lo),
-              str(certificates._slim(enc).hi),
+            [[name, str(slim(enc).lo), str(slim(enc).hi),
               _dec(float(enc.lo)), _dec(float(enc.hi)), printed,
               "true" if contained else "false"]
              for name, enc, printed, window, contained in rows]))
@@ -379,8 +377,8 @@ def _emit_constants(fmt: str, rho: Fraction, rows) -> int:
         lines = [f"p1cert constants  rho = {rho}"] + _fingerprint_lines() + [""]
         for name, enc, printed, window, contained in rows:
             lines.append(f"== {name} ==")
-            lo, hi = certificates._slim(enc).lo, certificates._slim(enc).hi
-            lines.append(f"  enclosure: [{lo}, {hi}]")
+            slimmed = slim(enc)
+            lines.append(f"  enclosure: [{slimmed.lo}, {slimmed.hi}]")
             lines.append(f"           ~ ({_dec(float(enc.lo))}, "
                          f"{_dec(float(enc.hi))})")
             lines.append(

@@ -52,6 +52,9 @@ BLOWUP_THRESHOLD = 10**8
 #: Default search horizon (in |t|) for :func:`pole_estimate`.
 DEFAULT_HORIZON = 10
 
+#: Significant digits of the pole estimate in a past-the-pole warning.
+_WARNING_DIGITS = 15
+
 #: Taylor order window for the integrator.
 MIN_ORDER, MAX_ORDER = 16, 64
 
@@ -938,6 +941,9 @@ def evaluate_point(
             precision_bits=precision_bits,
         )
     except PoleProximityError as blowup:
+        # A fixed digit count, with any imaginary part below the working
+        # precision chopped, keeps rounding noise out of the text.
+        estimate = mp.chop(blowup.estimate, tol=mpf(2) ** -precision_bits)
         return Evaluation(
             z=zv,
             y=None,
@@ -946,7 +952,8 @@ def evaluate_point(
             rigorous=False,
             warning=(
                 "trajectory blew up before reaching the target; "
-                f"double-pole estimate t_p ~= {blowup.estimate}"
+                f"double-pole estimate t_p ~= "
+                f"{mp.nstr(estimate, _WARNING_DIGITS)}"
             ),
         )
     y_val, y_slope = y_from_g(run.value, run.slope, precision_bits)

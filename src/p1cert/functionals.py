@@ -36,13 +36,13 @@ PowerSums this way and evaluates the expression by interval arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .numerics import (
     DEFAULT_ROOT_TOL,
     Interval,
     as_fraction,
-    frac_pow,
+    root_enclosure,
     sqrt2_enclosure,
     stokes_modulus,
 )
@@ -375,17 +375,25 @@ class PowerSum:
     def enclosure(self, rho, s_abs: Interval | None = None,
                   sqrt2: Interval | None = None,
                   tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
-        """Interval value at rho (Interval or exact rational)."""
+        """Interval value at rho (Interval or exact rational).
+
+        rho^(-e) is the (-numerator)-th power of one enclosure of the
+        denominator-th root of rho, taken once per denominator.
+        """
         if not isinstance(rho, Interval):
             rho = Interval(as_fraction(rho))
         if s_abs is None:
             s_abs = stokes_modulus(tol)
         if sqrt2 is None:
             sqrt2 = sqrt2_enclosure(tol)
+        roots: Dict[int, Interval] = {}
         total = Interval(0)
         for e, c in self._terms.items():
-            power = frac_pow(rho, -e.numerator, e.denominator, tol)
-            total = total + c.enclosure(s_abs, sqrt2) * power
+            root = roots.get(e.denominator)
+            if root is None:
+                root = roots[e.denominator] = root_enclosure(
+                    rho, e.denominator, tol)
+            total = total + c.enclosure(s_abs, sqrt2) * root ** -e.numerator
         return total
 
     def __eq__(self, other):

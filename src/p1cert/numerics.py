@@ -1,4 +1,4 @@
-"""Exact rational interval arithmetic.
+"""Exact rational interval arithmetic, and its one outward-rounding module.
 
 Everything certificate-grade in this package runs on closed intervals with
 `fractions.Fraction` endpoints.  Interval operations return intervals that
@@ -7,12 +7,22 @@ no rounding step and hence no rounding-mode bookkeeping.  Floating point is
 used in one place only: to *seed* brackets for n-th roots.  Every seed is
 verified by exact rational powering before it is trusted, so a bad seed can
 cost time but never correctness.
+
+Rounding lives here too, in two forms.  :func:`dyadic_floor`,
+:func:`dyadic_ceil`, :func:`slim` and :func:`slim_up` shorten large
+rational endpoints outward before they are compared or printed.
+:class:`DyadicInterval` is an interval whose endpoints are Python-int
+mantissas times a shared power of two (Arb's design without the radius:
+F. Johansson, IEEE Trans. Comput. 66 (2017)); the hot loops that round
+every step anyway run on it and convert back to :class:`Interval`
+exactly, so every certified comparison stays an exact rational one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Tuple
 
 Rational = Fraction
 
@@ -36,6 +46,8 @@ def as_fraction(value) -> Fraction:
             f"float {value!r} is not an exact value; "
             "use int, Fraction, or a 'num/den' string"
         )
+    if isinstance(value, Fraction):
+        return value
     return Fraction(value)
 
 
@@ -204,6 +216,184 @@ def _coerce(value) -> Interval:
     return Interval(value)
 
 
+# -- outward dyadic rounding ------------------------------------------------
+
+def _floor_mantissa(num: int, den: int, bits: int) -> Tuple[int, int]:
+    """(m, e) with m 2^e the largest dyadic of about ``bits`` significant
+    bits that is <= num/den (den > 0)."""
+    shift = num.bit_length() - den.bit_length() - bits
+    if shift >= 0:
+        return num // (den << shift), shift
+    return (num << -shift) // den, shift
+
+
+def dyadic_floor(x: Fraction, bits: int) -> Fraction:
+    """The largest dyadic of about ``bits`` significant bits <= x."""
+    m, e = _floor_mantissa(x.numerator, x.denominator, bits)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
+    """The smallest dyadic of about ``bits`` significant bits >= x."""
+    return -dyadic_floor(-x, bits)
+
+
+def _oversized(x: Fraction, threshold: int) -> bool:
+    return x.numerator.bit_length() + x.denominator.bit_length() > threshold
+
+
+def slim_up(x: Fraction, bits: int = 128, threshold: int = 512) -> Fraction:
+    """Outward (upward) dyadic rounding applied only when the exact
+    rational is too large to print comfortably; comparisons against the
+    rounded value are conservative."""
+    return dyadic_ceil(x, bits) if _oversized(x, threshold) else x
+
+
+def slim(iv: Interval, bits: int = 128, threshold: int = 512) -> Interval:
+    """Outward rounding of both endpoints under the same size rule."""
+    lo, hi = iv.lo, iv.hi
+    if _oversized(lo, threshold):
+        lo = dyadic_floor(lo, bits)
+    if _oversized(hi, threshold):
+        hi = dyadic_ceil(hi, bits)
+    return Interval(lo, hi)
+
+
+def _enclose_point(x: Fraction, bits: int) -> "DyadicInterval":
+    """x exactly when it is dyadic, else its ``bits``-bit floor and ceil."""
+    num, den = x.numerator, x.denominator
+    if den & (den - 1) == 0:
+        return DyadicInterval(num, num, 1 - den.bit_length())
+    m, e = _floor_mantissa(num, den, bits)
+    # x is not on the grid 2^e, so its ceiling there is the floor plus one
+    return DyadicInterval(m, m + 1, e)
+
+
+class DyadicInterval:
+    """A closed interval [lo 2^exp, hi 2^exp] with int mantissas lo <= hi.
+
+    Sums, products, nonnegative integer powers and hulls are exact (dyadic
+    numbers are closed under them).  Rational scaling, the reciprocal and
+    the fourth root round outward to a requested number of significant
+    bits, and :meth:`round_out` bounds the mantissas; the precision is
+    always relative to the endpoint of larger magnitude.  Every result
+    contains the exact image of its operands, and :meth:`to_interval`
+    converts back without rounding.
+    """
+
+    __slots__ = ("lo", "hi", "exp")
+
+    def __init__(self, lo: int, hi: int, exp: int):
+        if lo > hi:
+            raise ValueError(f"empty dyadic interval: lo={lo} > hi={hi}")
+        self.lo = lo
+        self.hi = hi
+        self.exp = exp
+
+    @classmethod
+    def enclose(cls, value, bits: int) -> "DyadicInterval":
+        """Outward enclosure of an Interval or an exact rational: exact
+        for dyadic endpoints, ``bits`` significant bits otherwise."""
+        if not isinstance(value, Interval):
+            return _enclose_point(as_fraction(value), bits)
+        return _enclose_point(value.lo, bits).hull(
+            _enclose_point(value.hi, bits))
+
+    def to_interval(self) -> Interval:
+        """The same interval with Fraction endpoints, exactly."""
+        if self.exp >= 0:
+            return Interval(self.lo << self.exp, self.hi << self.exp)
+        den = 1 << -self.exp
+        return Interval(Fraction(self.lo, den), Fraction(self.hi, den))
+
+    def _aligned(self, other: "DyadicInterval"):
+        """Both intervals' mantissas on the finer of the two grids."""
+        d = self.exp - other.exp
+        if d >= 0:
+            return (self.lo << d, self.hi << d, other.lo, other.hi,
+                    other.exp)
+        return (self.lo, self.hi, other.lo << -d, other.hi << -d, self.exp)
+
+    def __add__(self, other: "DyadicInterval") -> "DyadicInterval":
+        alo, ahi, blo, bhi, exp = self._aligned(other)
+        return DyadicInterval(alo + blo, ahi + bhi, exp)
+
+    def __mul__(self, other: "DyadicInterval") -> "DyadicInterval":
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        exp = self.exp + other.exp
+        if a >= 0 and c >= 0:
+            return DyadicInterval(a * c, b * d, exp)
+        products = (a * c, a * d, b * c, b * d)
+        return DyadicInterval(min(products), max(products), exp)
+
+    def __pow__(self, n: int) -> "DyadicInterval":
+        if self.lo < 0 or not isinstance(n, int) or n < 0:
+            raise ValueError("dyadic powers need a nonnegative interval "
+                             "and a nonnegative int exponent")
+        return DyadicInterval(self.lo ** n, self.hi ** n, self.exp * n)
+
+    def hull(self, other: "DyadicInterval") -> "DyadicInterval":
+        alo, ahi, blo, bhi, exp = self._aligned(other)
+        return DyadicInterval(min(alo, blo), max(ahi, bhi), exp)
+
+    def round_out(self, bits: int) -> "DyadicInterval":
+        """Outward rounding to ``bits`` significant bits."""
+        shift = max(-self.lo, self.hi).bit_length() - bits
+        if shift <= 0:
+            return self
+        return DyadicInterval(self.lo >> shift, -(-self.hi >> shift),
+                              self.exp + shift)
+
+    def scale(self, q, bits: int) -> "DyadicInterval":
+        """q times the interval, rounded outward to ``bits`` bits."""
+        q = as_fraction(q)
+        num, den = q.numerator, q.denominator
+        lo, hi = self.lo * num, self.hi * num
+        if num < 0:
+            lo, hi = hi, lo
+        shift = bits + den.bit_length() - max(-lo, hi).bit_length()
+        if shift >= 0:
+            return DyadicInterval((lo << shift) // den,
+                                  -((-hi << shift) // den),
+                                  self.exp - shift)
+        den <<= -shift
+        return DyadicInterval(lo // den, -(-hi // den), self.exp - shift)
+
+    def inverse(self, bits: int) -> "DyadicInterval":
+        """1/x over a positive interval, rounded outward to ``bits`` bits."""
+        if self.lo <= 0:
+            raise ZeroDivisionError("dyadic reciprocal needs lo > 0")
+        k = bits + self.hi.bit_length()
+        return DyadicInterval((1 << k) // self.hi, -(-(1 << k) // self.lo),
+                              -self.exp - k)
+
+    def fourth_root(self, bits: int) -> "DyadicInterval":
+        """x^(1/4) over a nonnegative interval, to ``bits`` bits outward.
+
+        The mantissas are shifted to about 4*bits bits on a grid whose
+        exponent is a multiple of 4; then isqrt(isqrt(m)) is the exact
+        floor of m^(1/4), and the upper end takes +1 unless its root is
+        exact.
+        """
+        if self.lo < 0:
+            raise ValueError("fourth root of an interval with negative part")
+        shift = 4 * bits - self.hi.bit_length()
+        shift += (self.exp - shift) % 4
+        if shift >= 0:
+            lo, hi = self.lo << shift, self.hi << shift
+        else:
+            lo, hi = self.lo >> -shift, -(-self.hi >> -shift)
+        root_lo = math.isqrt(math.isqrt(lo))
+        # ceil(hi^(1/4)); when hi <= lo + 1 it is at most root_lo + 1
+        root_hi = root_lo if hi - lo <= 1 else math.isqrt(math.isqrt(hi))
+        if root_hi ** 4 < hi:
+            root_hi += 1
+        return DyadicInterval(root_lo, root_hi, (self.exp - shift) // 4)
+
+    def __repr__(self):
+        return f"DyadicInterval({self.lo}, {self.hi}, {self.exp})"
+
+
 def pi_enclosure() -> Interval:
     """Enclosure of pi with width 1e-40."""
     return Interval(PI_LO, PI_HI)
@@ -320,7 +510,12 @@ def truncation_window(printed: str) -> Interval:
 __all__ = [
     "Rational",
     "Interval",
+    "DyadicInterval",
     "as_fraction",
+    "dyadic_floor",
+    "dyadic_ceil",
+    "slim",
+    "slim_up",
     "DEFAULT_ROOT_TOL",
     "pi_enclosure",
     "root_enclosure",

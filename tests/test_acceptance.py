@@ -95,7 +95,8 @@ def test_criterion_3_certificate_suite():
     bounds, the wedge kernel, the lower wedge at rho=3, the interior
     interval (all bounds including |R| < 1/8619 and the origin
     windows), and the Maclaurin envelope; runtime < 2 min, of which the
-    lower wedge alone < 5 s."""
+    lower wedge alone < 5 s, the upper wedge < 2 s and the envelope
+    < 1 s."""
     start = time.perf_counter()
     reports, summary = C.run_all(Fraction(3))
     elapsed = time.perf_counter() - start
@@ -151,6 +152,20 @@ def test_criterion_3_certificate_suite():
     assert lower_again.verdict
     assert lower_elapsed < 5.0, \
         f"lower wedge took {lower_elapsed:.2f}s (limit 5s)"
+
+    start = time.perf_counter()
+    wedge_again = C.check_omega_12()
+    wedge_elapsed = time.perf_counter() - start
+    assert wedge_again.verdict
+    assert wedge_elapsed < 2.0, \
+        f"upper wedge took {wedge_elapsed:.2f}s (limit 2s)"
+
+    start = time.perf_counter()
+    envelope_again = C.check_taylor_radius()
+    envelope_elapsed = time.perf_counter() - start
+    assert envelope_again.verdict
+    assert envelope_elapsed < 1.0, \
+        f"Maclaurin envelope took {envelope_elapsed:.2f}s (limit 1s)"
 
 
 def test_criterion_4_integration_lands_in_certified_windows():

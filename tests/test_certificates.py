@@ -116,6 +116,18 @@ class TestInversePowerIntegral:
         iv = C.inverse_power_integral(quarters, T=64, panels=512)
         assert iv.lo <= oracle <= iv.hi
 
+    @pytest.mark.parametrize("panels", [4096, 500])
+    @pytest.mark.parametrize("quarters", [7, 9, 11])
+    def test_kernel_grid_contains_mpmath_oracle(self, quarters, panels):
+        # 4096 panels: the certificate's dyadic grid, taken exactly;
+        # 500 panels: h/2 = 13/200 is not dyadic, so the grid is rounded
+        mp.dps = 40
+        alpha = mpf(quarters) / 4
+        oracle = Fraction(str(quad(
+            lambda p: (1 + p ** 2) ** (-alpha), [-1, inf])))
+        iv = C.inverse_power_integral(quarters, T=64, panels=panels)
+        assert iv.lo <= oracle <= iv.hi
+
     def test_refinement_shrinks_and_stays_consistent(self):
         coarse = C.inverse_power_integral(7, T=64, panels=128)
         fine = C.inverse_power_integral(7, T=64, panels=512)
@@ -304,6 +316,15 @@ class TestTaylorRadius:
         assert worst_k == 1
         assert abs(float(worst) - 0.99795716) < 1e-7
         assert worst < 1
+
+    def test_envelope_run_matches_exact_rational_run(self):
+        # the worst ratio is attained at k = 1 by the exact c1 window,
+        # (41/134 + 1/108) / (2 (20/37)^3) = 115539493/115776000; the same
+        # run in Fractions with per-endpoint 64-bit rounding gives it too
+        worst, worst_k = C.taylor_envelope_run(256)
+        expected = Fraction(115539493, 115776000)
+        assert worst_k == 1
+        assert abs(worst - expected) <= expected * Fraction(1, 2 ** 60)
 
     def test_wider_windows_fail_by_name(self):
         report = C.check_taylor_radius(eps=Fraction(1, 20))

@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 from p1cert.numerics import (
     DEFAULT_ROOT_TOL,
+    DyadicInterval,
     Interval,
+    dyadic_ceil,
+    dyadic_floor,
     frac_pow,
     pi_enclosure,
     root_enclosure,
@@ -221,3 +224,59 @@ def run_containment_samples(count: int, seed: int = 0) -> None:
             k = rng.randint(2, 4)
             r = root_enclosure(u, k, Fraction(1, 10**12))
             assert r.lo**k <= u.hi and r.hi**k >= u.lo
+
+
+# -- the dyadic kernel ----------------------------------------------------
+
+wide_rationals = st.fractions(
+    min_value=Fraction(-10**6), max_value=Fraction(10**6),
+    max_denominator=10**6,
+)
+kernel_bits = st.integers(min_value=4, max_value=140)
+
+
+@st.composite
+def dyadic_and_exact(draw):
+    """A DyadicInterval and the exact Interval it stands for."""
+    a, b = draw(wide_rationals), draw(wide_rationals)
+    d = DyadicInterval.enclose(Interval(min(a, b), max(a, b)),
+                               draw(kernel_bits))
+    return d, d.to_interval()
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_rationals, wide_rationals, kernel_bits)
+def test_dyadic_enclose_is_outward_and_rounding_is_too(a, b, bits):
+    iv = Interval(min(a, b), max(a, b))
+    assert DyadicInterval.enclose(iv, bits).to_interval().contains_interval(iv)
+    assert dyadic_floor(a, bits) <= a <= dyadic_ceil(a, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_and_exact(), dyadic_and_exact(), kernel_bits,
+       st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4))
+def test_dyadic_ops_enclose_the_exact_results(xd, yd, bits, q):
+    (x, u), (y, v) = xd, yd
+    assert (x + y).to_interval().contains_interval(u + v)
+    assert (x * y).to_interval().contains_interval(u * v)
+    assert x.scale(q, bits).to_interval().contains_interval(u * q)
+    assert x.round_out(bits).to_interval().contains_interval(u)
+    assert x.hull(y).to_interval().contains_interval(u.hull(v))
+    if u.lo > 0:
+        assert x.inverse(bits).to_interval().contains_interval(u.inverse())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**300),
+       st.integers(min_value=-200, max_value=200), kernel_bits)
+def test_dyadic_fourth_root_brackets_within_one_ulp(m, e, bits):
+    u = DyadicInterval(m, m, e).to_interval().lo
+    root = DyadicInterval(m, m, e).fourth_root(bits)
+    enc = root.to_interval()
+    assert enc.lo ** 4 <= u <= enc.hi ** 4
+    assert root.hi - root.lo <= 1
+
+
+def test_dyadic_fourth_root_of_an_exact_power_is_exact():
+    root = DyadicInterval(3 ** 4, 3 ** 4, -8).fourth_root(64)
+    assert root.to_interval() == Interval(Fraction(3, 4))
