@@ -11,8 +11,9 @@ adaptive Taylor integrator for the equation in the rotated frame
 
 pole-distance estimation, and CSV export helpers.
 
-Everything here is arbitrary-precision floating point (mpmath, 100-bit
-minimum working precision).  Apart from the asymptotic error formulas
+Everything here is arbitrary-precision arithmetic: mpmath floating point
+(100-bit minimum working precision), and fixed point on Python integers
+for the integrator's inner loop.  Apart from the asymptotic error formulas
 and the enclosure windows at the origin -- which are certified facts
 imported from the exact modules -- outputs are high-quality numerical
 estimates, not proofs; the exact certificates never depend on this
@@ -21,8 +22,10 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf, workprec
@@ -406,7 +409,8 @@ def taylor_coeffs(
     inhomogeneous term contributes  center/2  to c_2 and  1/6  to c_3
     (writing t = center + s); beyond that the recurrence is the plain
     Cauchy square:  (k+1)(k+2) c_{k+2} = 6 * sum_{j<=k} c_j c_{k-j}.
-    Requires ``count`` >= 2.
+    Requires ``count`` >= 2.  This is the floating-point reference for
+    the integrator's fixed-point kernel (:func:`_taylor_fixed`).
     """
     _require_bits(precision_bits)
     if count < 2:
@@ -414,24 +418,21 @@ def taylor_coeffs(
             "count must be at least 2 (the first forced coefficient)"
         )
     with workprec(precision_bits + GUARD_BITS):
-        return _taylor_raw(_to_mpc(value), _to_mpc(slope), _to_mpc(center), count)
-
-
-def _taylor_raw(c0: mpc, c1: mpc, center: mpc, count: int) -> List[mpc]:
-    coeffs = [c0, c1, 3 * c0 * c0 + center / 2]
-    if count >= 3:
-        coeffs.append(2 * c0 * c1 + mpf(1) / 6)
-    for k in range(2, count - 1):
-        # The Cauchy square is symmetric in j <-> k - j: sum each pair
-        # once and add the middle square for even k.
-        acc = mpc(0)
-        for j in range((k + 1) // 2):
-            acc += coeffs[j] * coeffs[k - j]
-        acc *= 2
-        if k % 2 == 0:
-            acc += coeffs[k // 2] ** 2
-        coeffs.append(6 * acc / ((k + 1) * (k + 2)))
-    return coeffs[: count + 1]
+        c0, c1 = _to_mpc(value), _to_mpc(slope)
+        coeffs = [c0, c1, 3 * c0 * c0 + _to_mpc(center) / 2]
+        if count >= 3:
+            coeffs.append(2 * c0 * c1 + mpf(1) / 6)
+        for k in range(2, count - 1):
+            # The Cauchy square is symmetric in j <-> k - j: sum each pair
+            # once and add the middle square for even k.
+            acc = mpc(0)
+            for j in range((k + 1) // 2):
+                acc += coeffs[j] * coeffs[k - j]
+            acc *= 2
+            if k % 2 == 0:
+                acc += coeffs[k // 2] ** 2
+            coeffs.append(6 * acc / ((k + 1) * (k + 2)))
+        return coeffs
 
 
 def series_eval(
@@ -454,6 +455,124 @@ def series_eval(
 
 
 # --------------------------------------------------------------------------
+# fixed-point Taylor kernel
+# --------------------------------------------------------------------------
+#
+# The integrator runs on Gaussian integers: a complex x is held as the
+# pair (floor(Re x * 2^bits), floor(Im x * 2^bits)), with one exponent
+# 2^-bits shared by a whole leg (Johansson, IEEE Trans. Comput. 66 (2017),
+# without the radius).  A step of length at most rho = 2^e works with the
+# scaled series  G(sigma) = g(t + rho*sigma),  which solves
+# G'' = rho^2 (6 G^2 + t + rho*sigma).  Its coefficients b_k = c_k rho^k
+# follow  b_2 = rho^2 (3 b_0^2 + t/2),  b_3 = rho^2 (2 b_0 b_1 + rho/6)  and
+# b_{k+2} = 6 rho^2 sum_j b_j b_{k-j} / ((k+1)(k+2)),  so a coefficient
+# costs integer products, a shift and one integer division, and |sigma| <= 1
+# keeps each Horner rounding at one unit of 2^-bits.
+
+Gaussian = Tuple[int, int]
+
+#: Fraction bits of the kernel beyond the working precision.  At the
+#: 2^-prec step budget the top coefficient |b_n| is about 2^-prec * 0.8^n
+#: (2^-(prec+18) at order 57) and the step is read from it, so it needs
+#: bits of its own below 2^-prec.
+_KERNEL_GUARD_BITS = 64
+
+
+def _fixed(x: mpf, bits: int) -> int:
+    sign, man, exp, _ = x._mpf_
+    if sign:
+        man = -man
+    shift = exp + bits
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _to_fixed(x: mpc, bits: int) -> Gaussian:
+    return _fixed(x.real, bits), _fixed(x.imag, bits)
+
+
+def _from_fixed(x: Gaussian, bits: int) -> mpc:
+    return mpc(mpf((x[0], -bits)), mpf((x[1], -bits)))
+
+
+def _log2_abs(x: Gaussian, bits: int) -> float:
+    """log2 |x| as a float; -inf at zero."""
+    norm = x[0] * x[0] + x[1] * x[1]
+    return 0.5 * math.log2(norm) - bits if norm else -math.inf
+
+
+def _exp2_int(x: float) -> int:
+    """2^x rounded down to an int with 53 significant bits."""
+    whole = math.floor(x)
+    mantissa = int(math.ldexp(2.0 ** (x - whole), 53))
+    shift = whole - 53
+    return mantissa << shift if shift >= 0 else mantissa >> -shift
+
+
+def _taylor_fixed(
+    value: Gaussian,
+    slope: Gaussian,
+    center: Gaussian,
+    count: int,
+    e: int,
+    bits: int,
+) -> Tuple[List[int], List[int]]:
+    """Scaled coefficients b_0..b_count of  g'' = 6 g^2 + t  at ``center``.
+
+    Everything is fixed point at 2^-bits and rho = 2^e; returns the real
+    and the imaginary mantissas.  Requires ``count`` >= 3 and 2e < bits.
+    Each coefficient is rounded down once.
+    """
+    (vr, vi), (sr, si), (tr, ti) = value, slope, center
+    if e >= 0:
+        b1r, b1i = sr << e, si << e
+    else:
+        b1r, b1i = sr >> -e, si >> -e
+    shift = bits - 2 * e
+    den = 2 << shift
+    b2r = (6 * (vr * vr - vi * vi) + (tr << bits)) // den
+    b2i = (12 * vr * vi + (ti << bits)) // den
+    den = 6 << shift
+    b3r = (12 * (vr * b1r - vi * b1i) + (1 << (2 * bits + e))) // den
+    b3i = 12 * (vr * b1i + vi * b1r) // den
+    re = [vr, b1r, b2r, b3r]
+    im = [vi, b1i, b2i, b3i]
+    for k in range(2, count - 1):
+        # The Cauchy square is symmetric in j <-> k - j: sum each pair
+        # once and add the middle square for even k.
+        half = (k + 1) // 2
+        ra, ia = re[:half], im[:half]
+        rb, ib = re[k:k - half:-1], im[k:k - half:-1]
+        acc_r = 2 * (sum(map(mul, ra, rb)) - sum(map(mul, ia, ib)))
+        acc_i = 2 * (sum(map(mul, ra, ib)) + sum(map(mul, ia, rb)))
+        if k % 2 == 0:
+            mr, mi = re[k // 2], im[k // 2]
+            acc_r += mr * mr - mi * mi
+            acc_i += 2 * mr * mi
+        den = (k + 1) * (k + 2) << shift
+        re.append(6 * acc_r // den)
+        im.append(6 * acc_i // den)
+    return re, im
+
+
+def _horner_fixed(
+    re: Sequence[int], im: Sequence[int], sigma: Gaussian, bits: int
+) -> Tuple[Gaussian, Gaussian]:
+    """G(sigma) and G'(sigma) of the scaled series, for |sigma| <= 1."""
+    xr, xi = sigma
+    n = len(re) - 1
+    gr, gi = re[n], im[n]
+    dr, di = n * gr, n * gi
+    for k in range(n - 1, 0, -1):
+        gr, gi = (((gr * xr - gi * xi) >> bits) + re[k],
+                  ((gr * xi + gi * xr) >> bits) + im[k])
+        dr, di = (((dr * xr - di * xi) >> bits) + k * re[k],
+                  ((dr * xi + di * xr) >> bits) + k * im[k])
+    gr, gi = (((gr * xr - gi * xi) >> bits) + re[0],
+              ((gr * xi + gi * xr) >> bits) + im[0])
+    return (gr, gi), (dr, di)
+
+
+# --------------------------------------------------------------------------
 # adaptive Taylor integration of  g'' = 6 g^2 + t
 # --------------------------------------------------------------------------
 
@@ -461,14 +580,16 @@ def series_eval(
 class PoleProximityError(RuntimeError):
     """The trajectory blew up: a double pole of the solution is near.
 
-    Carries the last state and the double-pole location estimate
-    ``t + 2 g/g'`` implied by the local behaviour g ~ (t - t_p)^(-2).
+    Carries the last state, the number of steps taken to reach it and the
+    double-pole location estimate ``t + 2 g/g'`` implied by the local
+    behaviour g ~ (t - t_p)^(-2).
     """
 
-    def __init__(self, t_last: mpc, value: mpc, slope: mpc):
+    def __init__(self, t_last: mpc, value: mpc, slope: mpc, steps: int):
         self.t_last = t_last
         self.value = value
         self.slope = slope
+        self.steps = steps
         self.estimate = t_last + 2 * value / slope
         super().__init__(
             f"trajectory magnitude exceeded {BLOWUP_THRESHOLD:.0e} at "
@@ -477,11 +598,16 @@ class PoleProximityError(RuntimeError):
 
 
 class PoleNotFoundError(RuntimeError):
-    """No blowup was met within the search horizon."""
+    """No blowup was met within the search horizon.
 
-    def __init__(self, direction, horizon):
+    ``steps`` is the number of integrator steps taken along the ray, or
+    None when the error stands for more than one ray.
+    """
+
+    def __init__(self, direction, horizon, steps: Optional[int] = None):
         self.direction = direction
         self.horizon = horizon
+        self.steps = steps
         super().__init__(
             f"no pole within |t| <= {horizon} along direction {direction}"
         )
@@ -492,10 +618,12 @@ class IntegrationResult:
     """Endpoint state of one integration run.
 
     ``error_estimate`` sums, over the steps, the truncation tail and a
-    bound on the rounding of the series evaluation at the working
-    precision; it is a heuristic accuracy indicator, not a certified
-    bound.  ``order`` is the Taylor order the steps used.  ``defect`` is
-    the forward-backward round-trip discrepancy when requested.
+    bound on the fixed-point kernel's rounding, and adds the rounding of
+    the result to the working precision.  It leaves out how earlier
+    errors grow along the path, so it is a heuristic accuracy indicator,
+    not a certified bound.  ``order`` is the Taylor order the steps used.
+    ``defect`` is the forward-backward round-trip discrepancy when
+    requested.
     """
 
     value: mpc
@@ -537,6 +665,26 @@ def _pick_order(tol: mpf) -> int:
     return _clamp_order(2 * round(0.4 * digits))
 
 
+def _top_nonzero(re: Sequence[int], im: Sequence[int]) -> List[int]:
+    """The two largest k >= 2 with b_k != 0, largest first."""
+    top: List[int] = []
+    for k in range(len(re) - 1, 1, -1):
+        if re[k] or im[k]:
+            top.append(k)
+            if len(top) == 2:
+                break
+    return top
+
+
+def _blowup(
+    t: Gaussian, value: Gaussian, slope: Gaussian, steps: int, bits: int
+) -> PoleProximityError:
+    return PoleProximityError(
+        _from_fixed(t, bits), _from_fixed(value, bits), _from_fixed(slope, bits),
+        steps,
+    )
+
+
 def _integrate_leg(
     g: mpc,
     g_prime: mpc,
@@ -548,77 +696,111 @@ def _integrate_leg(
 ) -> Tuple[mpc, mpc, int, mpf]:
     """March from t_from to t_to along the straight segment.
 
-    Assumes an mpmath working precision is already in force.  Raises
+    Assumes an mpmath working precision is already in force.  The state
+    (t, g, g') is carried in fixed point at that precision plus
+    :data:`_KERNEL_GUARD_BITS` and rounded back to it once, at the end.
+    Each step's scale rho = 2^e comes from the previous step and grows,
+    with the series rebuilt, when the step would exceed it.  Raises
     :class:`PoleProximityError` on blowup.
     """
-    local_budget = max(tol ** _to_mpf(_LOCAL_EXPONENT), mpf(2) ** -mp.prec)
-    # Horner's rounding bound for a degree-n series is about
-    # 2n u sum|c_k| |s|^k with u = 2^-prec (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 5.1).
-    rounding = 2 * order * mpf(2) ** -mp.prec
-    safety = _to_mpf(_STEP_SAFETY)
-    max_step = _to_mpf(_MAX_STEP)
-    distance = abs(t_to - t_from)
-    t = t_from
-    steps = 0
-    error_sum = mpf(0)
+    # The fixed-point conversion would read inf and nan as 0.
+    if not all(mp.isfinite(x) for x in (g, g_prime, t_from, t_to)):
+        raise PreconditionError("integration needs finite data and endpoints")
+    prec = mp.prec
+    bits = prec + _KERNEL_GUARD_BITS
+    # log2 of the per-step budget max(tol^(5/2), 2^-prec)
+    log_budget = max(float(_LOCAL_EXPONENT) * float(mp.log(tol, 2)), -prec)
+    log_safety = math.log2(_STEP_SAFETY)
+    log_max_step = math.log2(_MAX_STEP)
+    # error_sum counts units of 2^error_exp, next to the per-step budget,
+    # so that it stays a modest float at any precision.
+    error_exp = math.floor(log_budget)
+    # Horner's and the recurrence's roundings: at most one unit of
+    # 2^-bits per coefficient and per Horner stage, in each component.
+    rounding = (4 * order + 4) * 2.0 ** (-bits - error_exp)
     if collect is not None:
-        collect.append((t, g))
-    if distance == 0:
-        return g, g_prime, 0, error_sum
-    direction = (t_to - t_from) / distance
+        collect.append((t_from, g))
+    value, slope = _to_fixed(g, bits), _to_fixed(g_prime, bits)
+    t, target = _to_fixed(t_from, bits), _to_fixed(t_to, bits)
+    span = (target[0] - t[0], target[1] - t[1])
+    span2 = span[0] * span[0] + span[1] * span[1]
+    if span2 == 0:
+        return g, g_prime, 0, mpf(0)
+    distance = math.isqrt(span2)
+    direction = ((span[0] << bits) // distance, (span[1] << bits) // distance)
     # Once the remaining distance is pure accumulation dust, stop.
-    dust = distance * mpf(2) ** (-(mp.prec - 8))
+    dust2 = (distance >> (prec - 8)) ** 2
+    blowup2 = (BLOWUP_THRESHOLD << bits) ** 2
+    steps = 0
+    error_sum = 0.0
+    e = None
     while True:
-        remaining_vector = t_to - t
-        remaining = abs(remaining_vector)
-        if remaining <= dust:
+        gap = (target[0] - t[0], target[1] - t[1])
+        gap2 = gap[0] * gap[0] + gap[1] * gap[1]
+        if gap2 <= dust2:
             break
-        if abs(g) > BLOWUP_THRESHOLD:
-            raise PoleProximityError(t, g, g_prime)
+        if value[0] * value[0] + value[1] * value[1] > blowup2:
+            raise _blowup(t, value, slope, steps, bits)
         if steps >= _MAX_STEPS:
             raise RuntimeError(
                 f"integration exceeded {_MAX_STEPS} steps "
-                f"(t = {t}, target {t_to})"
+                f"(t = {_from_fixed(t, bits)}, target {t_to})"
             )
-        coeffs = _taylor_raw(g, g_prime, t, order)
-        scale = max(mpf(1), abs(coeffs[0]), abs(coeffs[1]))
-        step = min(remaining, max_step)
-        candidates = []
-        for k in (order - 1, order):
-            mag = abs(coeffs[k])
-            if mag != 0:
-                candidates.append((local_budget * scale / mag) ** (mpf(1) / k))
-        if candidates:
-            step = min(step, safety * min(candidates))
-        if step <= 0 or step < remaining * mpf(2) ** (-(mp.prec // 2)):
+        log_remaining = 0.5 * math.log2(gap2) - bits
+        log_cap = min(log_remaining, log_max_step)
+        e_cap = math.ceil(log_cap)
+        if e is None:
+            e = e_cap
+        log_scale = max(0.0, _log2_abs(value, bits), _log2_abs(slope, bits))
+        while True:
+            re, im = _taylor_fixed(value, slope, t, order, e, bits)
+            top = _top_nonzero(re, im)
+            # A zero top coefficient below the largest admissible rho may
+            # have underflowed: it bounds nothing until rho is that large.
+            if e < e_cap and (not top or top[0] < order):
+                e = e_cap
+                continue
+            # Size the step so that |c_k| step^k <= eps * scale for the
+            # last two nonzero coefficients, c_k = b_k / rho^k.
+            sizes = [(k, _log2_abs((re[k], im[k]), bits)) for k in top]
+            log_step = min(
+                [log_cap]
+                + [log_safety + e + (log_budget + log_scale - log_b) / k
+                   for k, log_b in sizes]
+            )
+            if log_step <= e:
+                break
+            e = math.ceil(log_step)
+        if log_step < log_remaining - prec // 2:
             raise RuntimeError(
-                f"step size collapsed at t = {t} without blowup"
+                f"step size collapsed at t = {_from_fixed(t, bits)} "
+                "without blowup"
             )
-        if step >= remaining:
-            s = remaining_vector
-            step = remaining
+        if log_step >= log_remaining:
+            delta = gap
+            log_step = log_remaining
         else:
-            s = step * direction
-        g_next = mpc(0)
-        magnitude = mpf(0)
-        for ck in reversed(coeffs):
-            g_next = g_next * s + ck
-            magnitude = magnitude * step + abs(ck)
-        gp_next = mpc(0)
-        for k in range(order, 0, -1):
-            gp_next = gp_next * s + k * coeffs[k]
-        error_sum += abs(coeffs[order - 1]) * step ** (order - 1)
-        error_sum += abs(coeffs[order]) * step**order
-        error_sum += rounding * magnitude
-        g, g_prime = g_next, gp_next
-        t = t + s
+            length = _exp2_int(log_step + bits)
+            delta = ((length * direction[0]) >> bits,
+                     (length * direction[1]) >> bits)
+        # sigma = delta / rho, exactly: e <= 0 since rho <= 1.
+        sigma = (delta[0] << -e, delta[1] << -e)
+        value, slope_scaled = _horner_fixed(re, im, sigma, bits)
+        slope = (slope_scaled[0] << -e, slope_scaled[1] << -e)
+        for k, log_b in sizes:
+            error_sum += 2.0 ** (log_b + k * (log_step - e) - error_exp)
+        error_sum += rounding
+        t = (t[0] + delta[0], t[1] + delta[1])
         steps += 1
+        e = math.ceil(log_step)
         if collect is not None:
-            collect.append((t, g))
-    if abs(g) > BLOWUP_THRESHOLD:
-        raise PoleProximityError(t, g, g_prime)
-    return g, g_prime, steps, error_sum
+            collect.append((_from_fixed(t, bits), _from_fixed(value, bits)))
+    if value[0] * value[0] + value[1] * value[1] > blowup2:
+        raise _blowup(t, value, slope, steps, bits)
+    # Rounding the result to the working precision costs 2^-prec |g|.
+    error_sum += 2.0 ** (_log2_abs(value, bits) - prec - error_exp)
+    g, g_prime = _from_fixed(value, bits), _from_fixed(slope, bits)
+    return g, g_prime, steps, mp.ldexp(mpf(error_sum), error_exp)
 
 
 def integrate(
@@ -642,8 +824,10 @@ def integrate(
     given it is ceil(-ln(eps)/2) + 1 while the 2**-prec floor binds
     (57 at the default precision), and otherwise follows the tolerance;
     either way it is clamped to [:data:`MIN_ORDER`, :data:`MAX_ORDER`]
-    and reported as ``order``.  A trajectory value
-    exceeding :data:`BLOWUP_THRESHOLD` raises
+    and reported as ``order``.  The steps run on a fixed-point kernel
+    with :data:`_KERNEL_GUARD_BITS` bits below the working precision, and
+    the result is rounded to the working precision once, at the end.  A
+    trajectory value exceeding :data:`BLOWUP_THRESHOLD` raises
     :class:`PoleProximityError` carrying a double-pole location
     estimate.  With ``report_defect`` the path is re-integrated in
     reverse and the worst component of the round-trip discrepancy is
@@ -688,14 +872,16 @@ class PoleEstimate:
 
     ``fit_residual`` compares the blowup radius implied by |g|^(-1/2)
     with the one implied by 2g/g'; both follow from the local model
-    g ~ (t - t_p)^(-2), so a small residual certifies the fit quality
-    (heuristically, not rigorously).
+    g ~ (t - t_p)^(-2), so a small residual indicates the fit quality
+    (heuristically, not rigorously).  ``steps`` is the number of
+    integrator steps taken along the ray.
     """
 
     distance: mpf
     location: mpc
     direction: mpf
     fit_residual: mpf
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -734,7 +920,9 @@ def pole_estimate(
         g0 = _to_mpc(inner.CENTER_VALUE)
         gp0 = _to_mpc(inner.CENTER_SLOPE)
         try:
-            _integrate_leg(g0, gp0, mpc(0), target, tol_m, _pick_order(tol_m), None)
+            _, _, steps, _ = _integrate_leg(
+                g0, gp0, mpc(0), target, tol_m, _pick_order(tol_m), None
+            )
         except PoleProximityError as blowup:
             location = blowup.estimate
             radius_from_value = abs(blowup.value) ** (mpf(-1) / 2)
@@ -745,8 +933,9 @@ def pole_estimate(
                 location=location,
                 direction=theta,
                 fit_residual=fit_residual,
+                steps=blowup.steps,
             )
-    raise PoleNotFoundError(direction, horizon)
+    raise PoleNotFoundError(direction, horizon, steps)
 
 
 def pole_scan(
@@ -762,20 +951,45 @@ def pole_scan(
     for poles.  Which direction attains the minimum is not specified by
     the certified statements; the scan reports what it finds and labels
     it as a numerical interpretation.
+
+    Every ray starts from the origin data g(0) = CENTER_VALUE,
+    g'(0) = CENTER_SLOPE, which are real, and  g'' = 6 g^2 + t  has real
+    coefficients, so  g(conj t) = conj g(t).  The ray at -theta is
+    therefore the mirror image of the ray at theta: once one of the two
+    has been integrated, the other reuses its result, unbounded staying
+    unbounded and a pole estimate passing to its conjugate location with
+    the same distance, fit residual and step count.  The default fan
+    integrates 5 of its 9 rays.  Every direction is reported, in the
+    order given.
     """
     _require_bits(precision_bits)
-    if directions is None:
-        with workprec(precision_bits + GUARD_BITS):
+    with workprec(precision_bits + GUARD_BITS):
+        if directions is None:
             directions = [mp.pi * k / 25 for k in range(-4, 5)]
+        thetas = [_to_mpf(theta) for theta in directions]
+        mirrors = [-theta for theta in thetas]
+    scanned: Dict[mpf, Optional[PoleEstimate]] = {}
     estimates: List[PoleEstimate] = []
     unbounded: List[mpf] = []
-    for theta in directions:
-        try:
-            estimates.append(
-                pole_estimate(theta, horizon, tol, precision_bits=precision_bits)
-            )
-        except PoleNotFoundError:
-            unbounded.append(_to_mpf(theta))
+    for direction, theta, mirror in zip(directions, thetas, mirrors):
+        if mirror in scanned:
+            found = scanned[mirror]
+            if found is not None:
+                found = replace(
+                    found, location=found.location.conjugate(), direction=theta
+                )
+        else:
+            try:
+                found = pole_estimate(
+                    direction, horizon, tol, precision_bits=precision_bits
+                )
+            except PoleNotFoundError:
+                found = None
+        scanned[theta] = found
+        if found is None:
+            unbounded.append(_to_mpf(direction))
+        else:
+            estimates.append(found)
     if not estimates:
         raise PoleNotFoundError("every scanned direction", horizon)
     best = min(estimates, key=lambda e: e.distance)
@@ -941,9 +1155,9 @@ def evaluate_point(
             precision_bits=precision_bits,
         )
     except PoleProximityError as blowup:
-        # A fixed digit count, with any imaginary part below the working
-        # precision chopped, keeps rounding noise out of the text.
-        estimate = mp.chop(blowup.estimate, tol=mpf(2) ** -precision_bits)
+        # A fixed digit count, with any part below that many digits of
+        # |t_p| chopped, keeps rounding noise out of the text.
+        estimate = mp.chop(blowup.estimate, tol=mpf(10) ** -_WARNING_DIGITS)
         return Evaluation(
             z=zv,
             y=None,
@@ -957,13 +1171,20 @@ def evaluate_point(
             ),
         )
     y_val, y_slope = y_from_g(run.value, run.slope, precision_bits)
+    with workprec(precision_bits + GUARD_BITS):
+        # Reading z and turning it into t (one rotation) moves t by up to
+        # 3 units of 2^-prec |t|, hence g by |g'| times that; turning g
+        # back into y costs 2 units of 2^-prec |g|.
+        error_estimate = run.error_estimate + mpf(2) ** -mp.prec * (
+            3 * abs(point.t) * abs(run.slope) + 2 * abs(run.value)
+        )
     return Evaluation(
         z=zv,
         y=y_val,
         y_prime=y_slope,
         method="integration",
         rigorous=False,
-        error_estimate=run.error_estimate,
+        error_estimate=error_estimate,
         warning=warning,
     )
 

@@ -17,6 +17,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
 from p1cert import data
@@ -292,6 +294,51 @@ class TestTaylorCoeffs:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point Taylor kernel
+# ---------------------------------------------------------------------------
+
+
+parts = st.floats(min_value=-2, max_value=2, allow_nan=False)
+points = st.builds(mpc, parts, parts)
+
+
+class TestFixedPointKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(points, points, points, st.integers(-12, 2), st.integers(16, 64),
+           points)
+    def test_kernel_agrees_with_the_mpc_recurrence(
+        self, value, slope, center, e, order, sigma
+    ):
+        prec = ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS
+        bits = prec + ev._KERNEL_GUARD_BITS
+        with workprec(bits + 64):
+            reference = ev.taylor_coeffs(
+                value, slope, center, order, precision_bits=bits
+            )
+            re, im = ev._taylor_fixed(
+                ev._to_fixed(value, bits), ev._to_fixed(slope, bits),
+                ev._to_fixed(center, bits), order, e, bits,
+            )
+            scaled = [ev._from_fixed(pair, bits) for pair in zip(re, im)]
+            rho = mpf(2) ** e
+            scale = max(mpf(1), *(abs(b) for b in scaled))
+            allowed = mpf(2) ** -prec * scale
+            assert len(scaled) == order + 1
+            for k, (b, c) in enumerate(zip(scaled, reference)):
+                assert abs(b * rho**-k - c) <= allowed * rho**-k
+            # Horner at |sigma| <= 1 gives G(sigma) = g(center + rho sigma)
+            # and G'(sigma) = rho g'(center + rho sigma).
+            sigma = sigma / max(1, abs(sigma))
+            value_at, slope_at = ev._horner_fixed(
+                re, im, ev._to_fixed(sigma, bits), bits
+            )
+            g, g_prime = ev.series_eval(reference, rho * sigma, precision_bits=bits)
+            assert abs(ev._from_fixed(value_at, bits) - g) <= allowed
+            slope_error = abs(ev._from_fixed(slope_at, bits) - rho * g_prime)
+            assert slope_error <= allowed * order
+
+
+# ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
@@ -403,13 +450,13 @@ class TestIntegration:
         """Run centre data from t = 0 to 1; return the run and the set of
         series orders the steps built."""
         built = set()
-        taylor = ev._taylor_raw
+        taylor = ev._taylor_fixed
 
-        def recording(c0, c1, center, count):
+        def recording(value, slope, center, count, e, bits):
             built.add(count)
-            return taylor(c0, c1, center, count)
+            return taylor(value, slope, center, count, e, bits)
 
-        monkeypatch.setattr(ev, "_taylor_raw", recording)
+        monkeypatch.setattr(ev, "_taylor_fixed", recording)
         run = ev.integrate(inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, 1, **kwargs)
         return run, built
 
@@ -426,11 +473,30 @@ class TestIntegration:
         assert run.order == 20
         assert built == {20}
 
+    def test_lacunary_series_still_sizes_the_step(self):
+        # g = g' = 0 at t = 0: only c_k with k = 3 mod 5 are nonzero, so
+        # the top coefficients c_56 and c_57 of the order-57 series vanish
+        # while the tail from c_58 on does not
+        run = ev.integrate(0, 0, 0, Fraction(3, 4))
+        reference = ev.integrate(
+            0, 0, 0, Fraction(3, 4), tol=Fraction(1, 10**80), precision_bits=300
+        )
+        error = abs(run.value - reference.value)
+        assert error < mpf(10) ** -45
+        assert run.error_estimate >= error
+
     def test_tolerance_validation(self):
         with pytest.raises(PreconditionError):
             ev.integrate(0, 0, 0, 1, tol=2)
         with pytest.raises(PreconditionError):
             ev.integrate(0, 0, 0, 1, precision_bits=64)
+
+    def test_non_finite_data_rejected(self):
+        for bad in (mpf("inf"), mpf("nan")):
+            with pytest.raises(PreconditionError):
+                ev.integrate(bad, 0, 0, 1)
+            with pytest.raises(PreconditionError):
+                ev.integrate(0, 0, 0, mpc(1, bad))
 
     def test_blowup_raises_pole_proximity(self):
         with pytest.raises(ev.PoleProximityError) as info:
@@ -483,6 +549,41 @@ class TestPoles:
         assert len(scan.unbounded_directions) >= 7
         assert "interpretation" not in scan.note or scan.note  # note present
         assert "estimate" in scan.note
+
+    def test_steps_are_reported_on_both_outcomes(self):
+        est = ev.pole_estimate(0, tol=Fraction(1, 10**8))
+        with pytest.raises(ev.PoleNotFoundError) as info:
+            ev.pole_estimate(mp.pi / 2, tol=Fraction(1, 10**8))
+        assert est.steps > 0
+        assert info.value.steps > 0
+
+    def test_mirrored_ray_equals_the_direct_one(self):
+        # g(conj t) = conj g(t) for the real origin data: the ray at
+        # -theta reuses the ray at theta
+        theta = 1e-6
+        scan = ev.pole_scan([theta, -theta])
+        assert [e.direction for e in scan.estimates] == [theta, -theta]
+        assert scan.unbounded_directions == ()
+        mirrored = scan.estimates[1]
+        direct = ev.pole_estimate(-theta)
+        assert abs(mirrored.location - direct.location) < mpf(10) ** -30
+        assert abs(mirrored.distance - direct.distance) < mpf(10) ** -30
+        assert mirrored.location.imag < 0
+        assert mirrored.steps == direct.steps
+
+    def test_default_fan_integrates_five_rays(self, monkeypatch):
+        legs = []
+        leg = ev._integrate_leg
+
+        def counting(*args):
+            legs.append(args)
+            return leg(*args)
+
+        monkeypatch.setattr(ev, "_integrate_leg", counting)
+        with workprec(53):  # the ambient precision of the command line
+            scan = ev.pole_scan()
+        assert len(legs) == 5
+        assert len(scan.estimates) + len(scan.unbounded_directions) == 9
 
     def test_scan_without_any_pole_raises(self):
         with pytest.raises(ev.PoleNotFoundError):
@@ -620,6 +721,13 @@ class TestOriginAndEvaluation:
         assert outcome.y is None
         assert "t_p" in outcome.warning
         assert elapsed < 15.0, f"past-the-pole point took {elapsed:.2f}s (limit 15s)"
+
+    def test_default_pole_scan_within_6_s(self):
+        start = time.perf_counter()
+        scan = ev.pole_scan()
+        elapsed = time.perf_counter() - start
+        assert scan.best.direction == 0
+        assert elapsed < 6.0, f"default pole scan took {elapsed:.2f}s (limit 6s)"
 
     @pytest.mark.parametrize(
         "t_polar",
