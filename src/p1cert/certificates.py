@@ -156,12 +156,8 @@ def check_omega_I(rho: Union[Fraction, int, Interval] = 1,
         raise PreconditionError(f"ray certificate needs rho > 0, got {rho}")
     eps = Fraction(eps)
     one_eps = 1 + eps
-    inv_rho = rho_iv.inverse()
-    inv_rho2 = (rho_iv ** 2).inverse()
-    map_value = slim(Fraction(one_eps, 14) * inv_rho
-                     + Fraction(one_eps ** 2 * H0_NORM, 9) * inv_rho2)
-    contraction = slim(Fraction(1, 14) * inv_rho
-                       + Fraction(2 * one_eps * H0_NORM, 9) * inv_rho2)
+    map_value, contraction = map(slim, _ray_sides(
+        rho_iv.inverse(), (rho_iv ** 2).inverse(), one_eps))
     checks = [
         check("ray_ball_maps_into_itself", map_value.hi, eps, "<=",
               lo=map_value.lo,
@@ -176,6 +172,14 @@ def check_omega_I(rho: Union[Fraction, int, Interval] = 1,
         checks,
         narrative=f"solution ball radius (1+eps)||H0|| = {one_eps * H0_NORM}",
     )
+
+
+def _ray_sides(inv_rho: Interval, inv_rho2: Interval, one_eps: Fraction):
+    """Left sides of :func:`check_omega_I`'s inequalities at 1/rho."""
+    return (Fraction(one_eps, 14) * inv_rho
+            + Fraction(one_eps ** 2 * H0_NORM, 9) * inv_rho2,
+            Fraction(1, 14) * inv_rho
+            + Fraction(2 * one_eps * H0_NORM, 9) * inv_rho2)
 
 
 def _short(value: Union[Interval, Fraction]) -> str:
@@ -201,11 +205,7 @@ def check_z0_bounds(tol: Fraction = CERT_TOL) -> CertificateReport:
     inv_A2 = (A ** 2).inverse()
 
     one_eps = 1 + eps
-    map_value = (Fraction(one_eps, 14) * inv_A
-                 + Fraction(one_eps ** 2 * H0_NORM, 9) * (A ** 2).inverse())
-    contraction = (Fraction(1, 14) * inv_A
-                   + Fraction(2 * one_eps * H0_NORM, 9) * (A ** 2).inverse())
-
+    map_value, contraction = _ray_sides(inv_A, inv_A2, one_eps)
     h_norm = one_eps * H0_NORM
     h_at = h_norm * frac_pow(A, -5, 2, tol)
     inv_A72 = frac_pow(A, -7, 2, tol)
@@ -227,8 +227,8 @@ def check_z0_bounds(tol: Fraction = CERT_TOL) -> CertificateReport:
                 * (1 + Fraction(4, 25) * inv_A2)))
     c2 = slim(sqrt_enclosure(Fraction(60, 17), tol)
               * (Fraction(1, 12) - Fraction(4, 75) * inv_A2))
-    d1 = abs(c1 + Fraction(280, 519))
-    d2 = abs(c2 - Fraction(150, 1013))
+    d1 = abs(c1 - inner_interval.T0_VALUE)
+    d2 = abs(c2 - inner_interval.T0_SLOPE)
     value_budget = slim(Fraction(3, 890) + d1)
     slope_budget = slim(Fraction(29, 4468) + d2)
 
@@ -783,43 +783,27 @@ def check_inner_interval(system=None) -> CertificateReport:
 # Maclaurin-envelope disk certificate
 # ---------------------------------------------------------------------------
 
+def maclaurin_enclosures(horizon: int = 256, bits: int = 64,
+                         eps: Fraction = Fraction(1, 108)) -> List[Interval]:
+    """c_0..c_horizon: the exact windows c_0, c_1, then the recurrence on
+    :class:`DyadicInterval` rounded outward to ``bits`` bits."""
+    prefix = inner_interval.origin_windows(eps, eps)
+    run = inner_interval.maclaurin_extend(
+        [DyadicInterval.enclose(c, bits) for c in prefix], horizon,
+        lambda x, k: x.scale(Fraction(6, (k + 1) * (k + 2)), bits))
+    return prefix[:2] + [d.to_interval() for d in run[2:]]
+
+
 def taylor_envelope_run(horizon: int = 256, bits: int = 64,
                         eps: Fraction = Fraction(1, 108)
                         ) -> Tuple[Fraction, int]:
     """Signed interval run of the Maclaurin recurrence against the
-    envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k).
-
-    c0 and c1 are the exact windows; the run from c2 on is a
-    :class:`DyadicInterval` recurrence rounded outward to ``bits`` bits.
-    Each convolution sums every symmetric pair once, 2 sum_{j<k-j}
-    c_j c_{k-j} plus the middle square, which equals the full sum exactly
-    in interval arithmetic.
-    """
-    a, b = Fraction(87, 469), Fraction(41, 134)
-    ratio_base = Fraction(20, 37)
-    windows = [Interval(-(a + eps), -(a - eps)),
-               Interval(b - eps, b + eps)]
-    c0, c1 = windows
-    coeffs = [DyadicInterval.enclose(c, bits)
-              for c in windows + [3 * c0 ** 2, 2 * c0 * c1 + Fraction(1, 6)]]
-    for k in range(2, horizon - 1):
-        pairs = coeffs[0] * coeffs[k]
-        for j in range(1, (k + 1) // 2):
-            pairs = pairs + coeffs[j] * coeffs[k - j]
-        conv = pairs + pairs
-        if k % 2 == 0:
-            conv = conv + coeffs[k // 2] * coeffs[k // 2]
-        coeffs.append(conv.scale(Fraction(6, (k + 1) * (k + 2)), bits))
-    worst = Fraction(0)
-    worst_k = 0
-    envelope = ratio_base ** 2
-    for k, c in enumerate(windows + [d.to_interval() for d in coeffs[2:]]):
-        bound = (k + 1) * envelope
-        r = max(abs(c.lo), abs(c.hi)) / bound
-        if r > worst:
-            worst, worst_k = r, k
-        envelope *= ratio_base
-    return worst, worst_k
+    envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k)."""
+    ratios = [max(abs(c.lo), abs(c.hi))
+              / ((k + 1) * Fraction(20, 37) ** (k + 2))
+              for k, c in enumerate(maclaurin_enclosures(horizon, bits, eps))]
+    worst = max(ratios)
+    return worst, ratios.index(worst)
 
 
 def check_taylor_radius(horizon: int = 256,
@@ -838,35 +822,26 @@ def check_taylor_radius(horizon: int = 256,
     run with outward dyadic rounding re-confirms the envelope numerically
     up to ``horizon``.
     """
-    a, b, eps = Fraction(87, 469), Fraction(41, 134), Fraction(eps)
-    r0 = Fraction(37, 20)
+    eps = Fraction(eps)
     inv = Fraction(20, 37)
-    c0 = Interval(-(a + eps), -(a - eps))
-    c1 = Interval(b - eps, b + eps)
-    c2 = 3 * c0 ** 2
-    c3 = 2 * c0 * c1 + Fraction(1, 6)
+    c0, c1, c2, c3 = inner_interval.origin_windows(eps, eps)
     corner_c2 = {3 * v ** 2 for v in (c0.lo, c0.hi)}
     corner_c3 = {2 * v * w + Fraction(1, 6)
                  for v in (c0.lo, c0.hi) for w in (c1.lo, c1.hi)}
     corners_match = (min(corner_c2) == c2.lo and max(corner_c2) == c2.hi
                      and min(corner_c3) == c3.lo and max(corner_c3) == c3.hi)
 
-    identity_worst = max(
-        abs(sum((j + 1) * (k - j + 1) for j in range(k + 1))
-            - Fraction((k + 1) * (k + 2) * (k + 3), 6))
-        for k in range(65)
-    )
     run_worst, run_k = taylor_envelope_run(horizon, eps=eps)
 
     checks = [
-        check("c0_interior_excludes_zero", Fraction(0), a - eps, "<",
+        check("c0_interior_excludes_zero", Fraction(0), -c0.hi, "<",
               note="window of -c0 stays positive (interior critical point "
                    "of c2 excluded)"),
-        check("c0_magnitude_below_one_fifth", a + eps, Fraction(1, 5), "<"),
-        check("c1_interior_excludes_zero", Fraction(0), b - eps, "<",
+        check("c0_magnitude_below_one_fifth", -c0.lo, Fraction(1, 5), "<"),
+        check("c1_interior_excludes_zero", Fraction(0), c1.lo, "<",
               note="window of c1 stays positive (interior critical point "
                    "of c3 excluded)"),
-        check("c1_below_six_nineteenths", b + eps, Fraction(6, 19), "<"),
+        check("c1_below_six_nineteenths", c1.hi, Fraction(6, 19), "<"),
         check("c2_window_positive", Fraction(0), c2.lo, "<"),
         check("c2_window_below_eighth", c2.hi, Fraction(1, 8), "<",
               lo=c2.lo),
@@ -882,8 +857,8 @@ def check_taylor_radius(horizon: int = 256,
               note="6/19 < 2/R0^3, i.e. 303918 < 304000"),
         check("envelope_base_k2", Fraction(1, 8), 3 * inv ** 4, "<"),
         check("envelope_base_k3", Fraction(1, 15), 4 * inv ** 5, "<"),
-        check("majorant_recurrence_identity", identity_worst, Fraction(0),
-              "==",
+        check("majorant_recurrence_identity",
+              formal.convolution_identity_defect(), Fraction(0), "==",
               note="sum_{j<=k}(j+1)(k-j+1) = (k+1)(k+2)(k+3)/6 for k<=64; "
                    "with it, the envelope propagates through the "
                    "recurrence with no loss"),
@@ -894,7 +869,8 @@ def check_taylor_radius(horizon: int = 256,
     ]
     return _report(
         "taylor_radius",
-        {"a": a, "b": b, "eps": eps, "R0": r0, "horizon": horizon},
+        {"a": -inner_interval.CENTER_VALUE, "b": inner_interval.CENTER_SLOPE,
+         "eps": eps, "R0": Fraction(37, 20), "horizon": horizon},
         checks,
         narrative="the solution is analytic and bounded on |t| < 37/20",
     )
@@ -931,16 +907,29 @@ REGION_STATEMENT = (
 )
 
 
+def ray_reports(tol: Fraction = CERT_TOL) -> List[CertificateReport]:
+    """The ray at rho = 1 and at |x0|, and the matching bounds at z0."""
+    return [
+        check_omega_I(1, Fraction(3, 20), tol),
+        check_omega_I(x0_abs(tol), Fraction(1, 40), tol),
+        check_z0_bounds(tol),
+    ]
+
+
+def failure_summary(reports: Sequence[CertificateReport]) -> str:
+    """'NOT CERTIFIED; failing: ...' naming each failed check by report."""
+    return "NOT CERTIFIED; failing: " + ", ".join(
+        f"{r.name}: {[c.name for c in r.failures()]}"
+        for r in reports if not r.verdict)
+
+
 def run_all(rho: Fraction = Fraction(3),
             tol: Fraction = CERT_TOL,
             horizon: int = 256) -> Tuple[List[CertificateReport], str]:
     """Run every certificate; returns (reports sorted by name, region
     statement when all pass, otherwise a failure summary)."""
     rho = Fraction(rho)
-    reports = [
-        check_omega_I(1, Fraction(3, 20), tol),
-        check_omega_I(x0_abs(tol), Fraction(1, 40), tol),
-        check_z0_bounds(tol),
+    reports = ray_reports(tol) + [
         check_omega_12(tol=tol),
         check_inner_interval(),
         check_taylor_radius(horizon),
@@ -958,10 +947,7 @@ def run_all(rho: Fraction = Fraction(3),
     reports.sort(key=lambda r: r.name)
     if all(r.verdict for r in reports):
         return reports, REGION_STATEMENT
-    failing = ", ".join(
-        f"{r.name}: {[c.name for c in r.failures()]}"
-        for r in reports if not r.verdict)
-    return reports, f"NOT CERTIFIED; failing: {failing}"
+    return reports, failure_summary(reports)
 
 
 __all__ = [
@@ -984,8 +970,11 @@ __all__ = [
     "check_omega_4",
     "check_inner_interval",
     "check_taylor_radius",
+    "maclaurin_enclosures",
     "taylor_envelope_run",
     "check_symbolic_tables",
     "REGION_STATEMENT",
+    "ray_reports",
+    "failure_summary",
     "run_all",
 ]

@@ -298,31 +298,16 @@ def _scope_reports(scope: str, rho: Fraction,
             f"got rho = {rho}")
     if scope == "all":
         return certificates.run_all(rho, tol)
-    if scope == "omegaI":
-        reports = [
-            certificates.check_omega_I(1, Fraction(3, 20), tol),
-            certificates.check_omega_I(
-                certificates.x0_abs(tol), Fraction(1, 40), tol),
-            certificates.check_z0_bounds(tol),
-        ]
-    elif scope == "omega12":
-        reports = [certificates.check_omega_12(tol=tol)]
-    elif scope == "omega4":
-        reports = [certificates.check_omega_4(rho, tol)]
-    elif scope == "inner":
-        reports = [certificates.check_inner_interval()]
-    elif scope == "radius":
-        reports = [certificates.check_taylor_radius()]
-    else:  # pragma: no cover - guarded by click.Choice
-        raise ValueError(f"unknown scope {scope!r}")
+    reports = {
+        "omegaI": lambda: certificates.ray_reports(tol),
+        "omega12": lambda: [certificates.check_omega_12(tol=tol)],
+        "omega4": lambda: [certificates.check_omega_4(rho, tol)],
+        "inner": lambda: [certificates.check_inner_interval()],
+        "radius": lambda: [certificates.check_taylor_radius()],
+    }[scope]()
     if all(r.verdict for r in reports):
-        summary = f"scope '{scope}': every certified inequality holds"
-    else:
-        failing = ", ".join(
-            f"{r.name}: {[c.name for c in r.failures()]}"
-            for r in reports if not r.verdict)
-        summary = f"NOT CERTIFIED; failing: {failing}"
-    return reports, summary
+        return reports, f"scope '{scope}': every certified inequality holds"
+    return reports, certificates.failure_summary(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +570,7 @@ def identities(fmt: str, partitions: Optional[str],
             report = certificates.check_symbolic_tables()
             summary = ("all shipped tables match their recomputations"
                        if report.verdict else
-                       "NOT CERTIFIED; failing: "
-                       + str([c.name for c in report.failures()]))
+                       certificates.failure_summary([report]))
             code = _emit_reports("identities", fmt, [report], summary,
                                  ["p1cert identities"])
     except PreconditionError as exc:

@@ -68,8 +68,8 @@ _MAX_STEPS = 500_000
 #: exact rationals whose forward flow the interior certificate traps at
 #: the origin.
 INITIAL_TIME = inner.T0
-INITIAL_VALUE = Fraction(-280, 519)
-INITIAL_SLOPE = Fraction(150, 1013)
+INITIAL_VALUE = inner.T0_VALUE
+INITIAL_SLOPE = inner.T0_SLOPE
 
 #: Asymptotic-region tokens accepted by :func:`asymptotic_y`:
 #: ``omegaI`` is the oscillatory ray arg x = pi/2 beyond the matching
@@ -289,7 +289,7 @@ def h0_value(x: Number, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
         xv = _to_mpc(x)
         if xv == 0:
             raise PreconditionError("h0 is undefined at x = 0")
-        s_const = mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi))
+        s_const = stokes_constant(precision_bits)
         total = mpc(0)
         for (k, j, m), coeff in formal.h0_series().items():
             term = _to_mpf(coeff) * s_const**k
@@ -407,8 +407,7 @@ def taylor_coeffs(
     Given g(center) = ``value`` and g'(center) = ``slope``, returns
     [c_0, ..., c_count] with g(center + s) = sum c_k s^k.  The
     inhomogeneous term contributes  center/2  to c_2 and  1/6  to c_3
-    (writing t = center + s); beyond that the recurrence is the plain
-    Cauchy square:  (k+1)(k+2) c_{k+2} = 6 * sum_{j<=k} c_j c_{k-j}.
+    (writing t = center + s); the rest is :func:`inner.maclaurin_extend`.
     Requires ``count`` >= 2.  This is the floating-point reference for
     the integrator's fixed-point kernel (:func:`_taylor_fixed`).
     """
@@ -419,20 +418,10 @@ def taylor_coeffs(
         )
     with workprec(precision_bits + GUARD_BITS):
         c0, c1 = _to_mpc(value), _to_mpc(slope)
-        coeffs = [c0, c1, 3 * c0 * c0 + _to_mpc(center) / 2]
-        if count >= 3:
-            coeffs.append(2 * c0 * c1 + mpf(1) / 6)
-        for k in range(2, count - 1):
-            # The Cauchy square is symmetric in j <-> k - j: sum each pair
-            # once and add the middle square for even k.
-            acc = mpc(0)
-            for j in range((k + 1) // 2):
-                acc += coeffs[j] * coeffs[k - j]
-            acc *= 2
-            if k % 2 == 0:
-                acc += coeffs[k // 2] ** 2
-            coeffs.append(6 * acc / ((k + 1) * (k + 2)))
-        return coeffs
+        prefix = [c0, c1, 3 * c0 * c0 + _to_mpc(center) / 2, 2 * c0 * c1 + mpf(1) / 6]
+        return inner.maclaurin_extend(
+            prefix, count, lambda x, k: 6 * x / ((k + 1) * (k + 2))
+        )[:count + 1]
 
 
 def series_eval(
@@ -521,6 +510,11 @@ def _taylor_fixed(
     Everything is fixed point at 2^-bits and rho = 2^e; returns the real
     and the imaginary mantissas.  Requires ``count`` >= 3 and 2e < bits.
     Each coefficient is rounded down once.
+
+    The one specialised copy of :func:`inner.maclaurin_extend`: it runs
+    every integrator step, and the shared loop over a Gaussian-integer
+    element class was 1.1-1.6x slower at order 16 and 1.5-2.2x at order
+    57 (five runs, 2-core Xeon, Python 3.11).
     """
     (vr, vi), (sr, si), (tr, ti) = value, slope, center
     if e >= 0:
@@ -987,7 +981,7 @@ def pole_scan(
                 found = None
         scanned[theta] = found
         if found is None:
-            unbounded.append(_to_mpf(direction))
+            unbounded.append(theta)
         else:
             estimates.append(found)
     if not estimates:
@@ -1053,17 +1047,9 @@ def y_at_zero(precision_bits: int = DEFAULT_PRECISION_BITS) -> ZeroData:
         raise PreconditionError(
             "the interior certificate failed; no enclosure at the origin"
         )
-    value_window = Interval(
-        inner.CENTER_VALUE - inner.VALUE_WINDOW,
-        inner.CENTER_VALUE + inner.VALUE_WINDOW,
-    )
-    slope_window = Interval(
-        inner.CENTER_SLOPE - inner.SLOPE_WINDOW,
-        inner.CENTER_SLOPE + inner.SLOPE_WINDOW,
-    )
+    value_window, slope_window = inner.origin_windows()[:2]
+    y_value, y_slope = y_from_g(inner.CENTER_VALUE, inner.CENTER_SLOPE, precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        y_value = _fifth_root_of_unity_power(-2) * _to_mpf(inner.CENTER_VALUE)
-        y_slope = -_fifth_root_of_unity_power(-3) * _to_mpf(inner.CENTER_SLOPE)
         return ZeroData(
             value_window=value_window,
             slope_window=slope_window,

@@ -501,6 +501,16 @@ def verify_G04_tables():
     ]
 
 
+def convolution_identity_defect() -> Fraction:
+    """max over k <= 64 of |sum_{j<=k} (j+1)(k-j+1) - (k+1)(k+2)(k+3)/6|;
+    zero means the envelope (k+1) A^(k+2) solves the majorant recurrence."""
+    return max(
+        abs(sum((j + 1) * (k - j + 1) for j in range(k + 1))
+            - Fraction((k + 1) * (k + 2) * (k + 3), 6))
+        for k in range(65)
+    )
+
+
 def verify_auxiliary_identities():
     """Closed-form identities that the tail-sum bounds lean on.
 
@@ -508,9 +518,8 @@ def verify_auxiliary_identities():
         correction; (b) the exact geometric-remainder identity
         1 - (1-2u+3u^2)(1+u)^2 = -4u^3(1+u)^2 + 5u^4(1+u) - u^5, which is
         the division-free form of the quartic/quintic remainder split; and
-        (c) the discrete comparison identity
-        sum_{j=0..k} (j+1)(k-j+1) = (k+1)(k+2)(k+3)/6 for k = 0..64, the
-        exact-solution property of the majorant recurrence.
+        (c) the discrete comparison identity of
+        :func:`convolution_identity_defect`.
     """
     from .result import check
 
@@ -530,14 +539,10 @@ def verify_auxiliary_identities():
     rhs = -4 * u**3 * (one + u) ** 2 + 5 * u**4 * (one + u) - u**5
     results.append(_series_match("geometric_remainder_identity", lhs, rhs))
 
-    worst = max(
-        abs(sum((j + 1) * (k - j + 1) for j in range(k + 1))
-            - Fraction((k + 1) * (k + 2) * (k + 3), 6))
-        for k in range(65)
-    )
     results.append(check(
-        "convolution_comparison_identity", Fraction(worst), Fraction(0),
-        "==", note="sum_{j<=k}(j+1)(k-j+1) == (k+1)(k+2)(k+3)/6, k = 0..64",
+        "convolution_comparison_identity", convolution_identity_defect(),
+        Fraction(0), "==",
+        note="sum_{j<=k}(j+1)(k-j+1) == (k+1)(k+2)(k+3)/6, k = 0..64",
     ))
     return results
 
@@ -549,4 +554,5 @@ __all__ += [
     "series_from_table",
     "verify_r_table", "verify_q_table", "verify_E_table",
     "verify_G04_tables", "verify_auxiliary_identities",
+    "convolution_identity_defect",
 ]

@@ -14,7 +14,7 @@ Everything quantitative reduces to a fixed list of sup-norm bounds for exact
 polynomials (certified here by partitioned cubic-head enclosures), followed
 by exact rational arithmetic: operator-norm products, a contraction factor,
 ball invariance, and windows for the values of ``g`` and ``g'`` at ``t = 0``
-that seed the power-series certificate on the disk.
+that seed the disk's power series (:func:`maclaurin_extend`).
 
 All polynomials live in the shifted variable ``s = t + 17/10 in [0, 17/10]``.
 """
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from . import data
+from .numerics import Interval
 from .polybound import (
     Poly,
     poly,
@@ -41,6 +42,9 @@ from .polybound import (
 from .result import CheckResult, check
 
 T0 = Fraction(-17, 10)
+# g0(t0), g0'(t0): the ray certificate's rotated data at z0, handed over here
+T0_VALUE = Fraction(-280, 519)
+T0_SLOPE = Fraction(150, 1013)
 S_END = Fraction(17, 10)
 
 # admissible window for the free constants multiplying J1, J2
@@ -70,6 +74,16 @@ CENTER_VALUE = Fraction(-87, 469)        # g(0) target
 CENTER_SLOPE = Fraction(41, 134)         # g'(0) target
 VALUE_WINDOW = Fraction(1, 167)
 SLOPE_WINDOW = Fraction(1, 108)
+
+
+def origin_windows(value_radius: Fraction = VALUE_WINDOW,
+                   slope_radius: Fraction = SLOPE_WINDOW) -> List[Interval]:
+    """Windows for Taylor coefficients c_0..c_3 at t = 0: g(0) and g'(0)
+    within the given radii of the centres, c_2 = 3c_0^2, c_3 = 2c_0c_1 + 1/6."""
+    c0 = Interval(CENTER_VALUE - value_radius, CENTER_VALUE + value_radius)
+    c1 = Interval(CENTER_SLOPE - slope_radius, CENTER_SLOPE + slope_radius)
+    return [c0, c1, 3 * c0 ** 2, 2 * c0 * c1 + Fraction(1, 6)]
+
 
 # crude integral-operator norms: |kernel| <= sum of sup-norm products, times
 # the interval length 17/10
@@ -330,3 +344,22 @@ def certify(system: Optional[InnerSystem] = None) -> List[CheckResult]:
     )
 
     return results
+
+
+def maclaurin_extend(prefix: Sequence, count: int, divide: Callable) -> List:
+    """Extend Taylor coefficients c_0..c_3 of ``g'' = 6*g**2 + t`` (they
+    carry the term t) to c_0..c_count by the Cauchy square
+    ``(k+1)(k+2) c_{k+2} = 6 * sum_{j<=k} c_j c_{k-j}``, with ``divide(x, k)``
+    returning ``6*x/((k+1)*(k+2))`` and all else ``+`` and ``*``.  Each
+    symmetric pair is formed once and doubled, plus the middle square for
+    even k: the full sum exactly, in interval arithmetic too."""
+    coeffs = list(prefix)
+    for k in range(2, count - 1):
+        pairs = coeffs[0] * coeffs[k]
+        for j in range(1, (k + 1) // 2):
+            pairs = pairs + coeffs[j] * coeffs[k - j]
+        conv = pairs + pairs
+        if k % 2 == 0:
+            conv = conv + coeffs[k // 2] * coeffs[k // 2]
+        coeffs.append(divide(conv, k))
+    return coeffs

@@ -6,6 +6,7 @@ import shutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import inf, mp, mpf, quad
 
 from p1cert import certificates as C
@@ -317,14 +318,33 @@ class TestTaylorRadius:
         assert abs(float(worst) - 0.99795716) < 1e-7
         assert worst < 1
 
-    def test_envelope_run_matches_exact_rational_run(self):
-        # the worst ratio is attained at k = 1 by the exact c1 window,
-        # (41/134 + 1/108) / (2 (20/37)^3) = 115539493/115776000; the same
-        # run in Fractions with per-endpoint 64-bit rounding gives it too
-        worst, worst_k = C.taylor_envelope_run(256)
-        expected = Fraction(115539493, 115776000)
-        assert worst_k == 1
-        assert abs(worst - expected) <= expected * Fraction(1, 2 ** 60)
+    @settings(max_examples=20, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 200), max_value=Fraction(1, 20),
+                        max_denominator=10**4))
+    @example(Fraction(1, 108))
+    def test_envelope_run_matches_exact_rational_run(self, eps):
+        # the same recurrence in exact Fraction intervals: the dyadic run
+        # rounds outward, so it encloses every coefficient, and its worst
+        # envelope ratio is the exact run's to 64-bit rounding
+        horizon = 64
+        exact = inner.maclaurin_extend(
+            inner.origin_windows(eps, eps), horizon,
+            lambda x, k: x * Fraction(6, (k + 1) * (k + 2)))
+        run = C.maclaurin_enclosures(horizon, eps=eps)
+        assert len(run) == len(exact) == horizon + 1
+        for c, d in zip(exact, run):
+            assert d.lo <= c.lo and c.hi <= d.hi
+        ratios = [max(abs(c.lo), abs(c.hi))
+                  / ((k + 1) * Fraction(20, 37) ** (k + 2))
+                  for k, c in enumerate(exact)]
+        expected = max(ratios)
+        worst, worst_k = C.taylor_envelope_run(horizon, eps=eps)
+        assert worst_k == ratios.index(expected)
+        assert expected <= worst <= expected * (1 + Fraction(1, 2 ** 60))
+        if eps == Fraction(1, 108):
+            # attained at k = 1 by the exact c1 window:
+            # (41/134 + 1/108) / (2 (20/37)^3) = 115539493/115776000
+            assert worst == Fraction(115539493, 115776000)
 
     def test_wider_windows_fail_by_name(self):
         report = C.check_taylor_radius(eps=Fraction(1, 20))

@@ -445,6 +445,13 @@ class TestPole:
         assert float(pole_json["best"]["direction"]) == 0.0
         assert len(pole_json["unbounded_directions"]) == 8
 
+    def test_unbounded_directions_keep_every_printed_digit(self, pole_json):
+        # the fan is pi k/25, k = -4..4, and only k = 0 meets a pole
+        with workprec(200):
+            expected = [mp.nstr(mp.pi * k / 25, 25)
+                        for k in range(-4, 5) if k]
+        assert pole_json["unbounded_directions"] == expected
+
     def test_note_flags_the_estimate_as_numerical(self, pole_json):
         assert "estimate" in pole_json["note"]
         assert "not a certified statement" in pole_json["note"]
