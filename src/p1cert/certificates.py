@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .data import constant_catalog, expansion_tables, reference_values
-from .functionals import PowerSum, QSqrt2, SPoly, tail1, tail2, tail3, tail4
+from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power, tail1,
+                          tail2, tail3, tail4)
 from .numerics import (
     DyadicInterval,
     Interval,
@@ -428,14 +429,6 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
 _HALF = Fraction(1, 2)
 
 
-def _l1_by_s_power(entries: Mapping[Tuple[int, int], Fraction]) -> SPoly:
-    """Plain absolute-coefficient sums grouped by S-power (weight one)."""
-    acc: Dict[int, Fraction] = {}
-    for (k, _m), c in entries.items():
-        acc[k] = acc.get(k, Fraction(0)) + abs(c)
-    return SPoly(acc)
-
-
 def route_constants() -> Dict[str, PowerSum]:
     """The eleven closed-form constants, recomputed from the shipped
     coefficient tables through the weighted tail functionals.
@@ -463,7 +456,7 @@ def route_constants() -> Dict[str, PowerSum]:
     m_g2 = PowerSum({Fraction(j - 7, 2): tail1(j, r[j - 2]) for j in (7, 8)})
     m_g3 = m_g2 + PowerSum({Fraction(j - 5, 2): tail1(j, r[j])
                             for j in (5, 6)})
-    m_g40 = PowerSum({Fraction(j - 5, 2): _l1_by_s_power(p[j])
+    m_g40 = PowerSum({Fraction(j - 5, 2): abs_sums_by_s_power(p[j])
                       for j in range(5, 9)})
     log_free_factor = PowerSum({
         Fraction(0): SPoly.constant(_HALF),

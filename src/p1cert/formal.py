@@ -22,8 +22,11 @@ nothing here rounds.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from itertools import chain
+from typing import Mapping, Tuple, Union
 
 from .numerics import as_fraction
 
@@ -31,38 +34,146 @@ Key = Tuple[int, int, int]  # (k, j, m) for S^k * x^(-j/2) * e^(-m*x)
 Scalar = Union[int, str, Fraction]
 
 
-def _check_key(key) -> Key:
-    k, j, m = key
-    if not (isinstance(k, int) and isinstance(j, int) and isinstance(m, int)):
-        raise TypeError(f"term key must be three ints, got {key!r}")
-    if k < 0:
-        raise ValueError(f"negative power of the symbol S in key {key!r}")
-    return (k, j, m)
+def _collect(pairs) -> dict:
+    """Sum (key, coefficient) pairs into a dict holding no zero coefficient."""
+    acc: dict = {}
+    for key, c in pairs:
+        if not c:
+            continue
+        if key in acc:
+            c = acc[key] + c
+            if not c:
+                del acc[key]
+                continue
+        acc[key] = c
+    return acc
 
 
-class FormalSeries:
-    """A finite formal sum of monomials S^k * x^(-j/2) * e^(-m*x)."""
+class MonomialSum:
+    """Exact sparse sum  sum over keys of  coefficient * monomial(key).
+
+    The one core of the formal ring below and of the |S|-polynomials and
+    rho-power sums in :mod:`p1cert.functionals`.  A subclass fixes its key
+    rule (``_key`` validates a key, ``_mul_key`` multiplies two monomials,
+    by default adding their exponents, ``_UNIT`` is the key of 1) and how
+    a scalar becomes a coefficient (``_coefficient``).  Coefficients are
+    exact ring elements that test false when zero; none is stored.
+    """
 
     __slots__ = ("_terms",)
+    _mul_key = staticmethod(operator.add)
 
-    def __init__(self, terms: Union[Mapping[Key, Scalar],
-                                    Iterable[Tuple[Key, Scalar]]] = ()):
+    def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Key, Fraction] = {}
-        for key, coeff in items:
-            key = _check_key(key)
-            c = as_fraction(coeff)
-            if c == 0:
-                continue
-            c = acc.get(key, Fraction(0)) + c
-            if c == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", _collect(
+            (self._key(key), self._coefficient(c)) for key, c in items))
+
+    @classmethod
+    def _make(cls, terms: dict):
+        """Wrap an already collected term dict without revalidating it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
-        raise AttributeError("FormalSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def constant(cls, value):
+        return cls({cls._UNIT: value})
+
+    @classmethod
+    def _coerce(cls, value):
+        return value if isinstance(value, cls) else cls.constant(value)
+
+    # -- inspection -------------------------------------------------------------
+
+    def items(self):
+        """Terms as (key, coefficient), in sorted key order."""
+        return sorted(self._terms.items())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    # -- ring operations ----------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return self._make(_collect(chain(self._terms.items(),
+                                         other._terms.items())))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make({key: -c for key, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        mul_key = self._mul_key
+        return self._make(_collect(
+            (mul_key(k1, k2), c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(
+                f"{type(self).__name__} powers must be nonnegative ints")
+        result = self.constant(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- comparison -----------------------------------------------------------------
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+
+class FormalSeries(MonomialSum):
+    """A finite formal sum of monomials S^k * x^(-j/2) * e^(-m*x)."""
+
+    __slots__ = ()
+    _UNIT = (0, 0, 0)
+    _coefficient = staticmethod(as_fraction)
+
+    @staticmethod
+    def _key(key) -> Key:
+        k, j, m = key
+        if not (isinstance(k, int) and isinstance(j, int) and isinstance(m, int)):
+            raise TypeError(f"term key must be three ints, got {key!r}")
+        if k < 0:
+            raise ValueError(f"negative power of the symbol S in key {key!r}")
+        return (k, j, m)
+
+    @staticmethod
+    def _mul_key(a: Key, b: Key) -> Key:
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
     # -- constructors ---------------------------------------------------------
 
@@ -76,25 +187,12 @@ class FormalSeries:
 
     @classmethod
     def one(cls) -> "FormalSeries":
-        return cls.term(1)
+        return cls.constant(1)
 
     # -- inspection -----------------------------------------------------------
 
-    def items(self):
-        """Terms as ((k, j, m), coefficient), in sorted key order."""
-        return sorted(self._terms.items())
-
     def coefficient(self, k: int, j: int, m: int) -> Fraction:
         return self._terms.get((k, j, m), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def x_slice(self, j: int) -> dict[Tuple[int, int], Fraction]:
         """The coefficient family {(k, m): c} multiplying x^(-j/2)."""
@@ -104,92 +202,13 @@ class FormalSeries:
         """Sorted distinct j with a nonzero x^(-j/2) slice."""
         return sorted({j for (_, j, _) in self._terms})
 
-    # -- ring operations --------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            s = acc.get(key, Fraction(0)) + c
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-        return FormalSeries(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalSeries({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, FormalSeries):
-            c = as_fraction(other)
-            if c == 0:
-                return FormalSeries()
-            return FormalSeries({key: c * v for key, v in self._terms.items()})
-        acc: dict[Key, Fraction] = {}
-        for (k1, j1, m1), c1 in self._terms.items():
-            for (k2, j2, m2), c2 in other._terms.items():
-                key = (k1 + k2, j1 + j2, m1 + m2)
-                s = acc.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return FormalSeries(acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("formal series powers must be nonnegative ints")
-        result = FormalSeries.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def ddx(self) -> "FormalSeries":
         """Exact derivative with respect to x."""
-        acc: dict[Key, Fraction] = {}
-
-        def _bump(key, c):
-            if c == 0:
-                return
-            s = acc.get(key, Fraction(0)) + c
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-
-        for (k, j, m), c in self._terms.items():
-            _bump((k, j + 2, m), -c * Fraction(j, 2))
-            _bump((k, j, m), -c * m)
-        return FormalSeries(acc)
-
-    # -- comparison / display ---------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, FormalSeries):
-            return self._terms == other._terms
-        try:
-            c = as_fraction(other)
-        except TypeError:
-            return NotImplemented
-        return self._terms == ({} if c == 0 else {(0, 0, 0): c})
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return FormalSeries(
+            pair
+            for (k, j, m), c in self._terms.items()
+            for pair in (((k, j + 2, m), -c * Fraction(j, 2)),
+                         ((k, j, m), -c * m)))
 
     def __repr__(self):
         if not self._terms:
@@ -207,13 +226,7 @@ class FormalSeries:
         return "FormalSeries(" + " + ".join(bits) + ")"
 
 
-def _coerce(value) -> FormalSeries:
-    if isinstance(value, FormalSeries):
-        return value
-    return FormalSeries.term(as_fraction(value))
-
-
-__all__ = ["FormalSeries", "Key"]
+__all__ = ["MonomialSum", "FormalSeries", "Key"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +246,10 @@ def xi_unit() -> FormalSeries:
     return FormalSeries.term(1, k=1, j=1, m=1)
 
 
+@functools.cache
 def h0_series() -> FormalSeries:
-    """The five-term quasi-solution plus its two subleading layers."""
+    """The five-term quasi-solution plus its two subleading layers (built
+    once: the series is an immutable constant)."""
     xi = xi_unit()
     inv_x = FormalSeries.term(1, j=2)
     inv_x2 = FormalSeries.term(1, j=4)

@@ -19,8 +19,10 @@ polynomials in |S| (:class:`SPoly`) rather than numbers.
 The value algebra is exact end to end: :class:`QSqrt2` is the field
 Q(sqrt(2)) with decidable signs, :class:`SPoly` are polynomials in |S|
 over it, and :class:`PowerSum` are finite sums of SPoly-weighted powers
-rho^(-e) with rational e.  Numbers only appear at the final enclosure
-step, where |S|, sqrt(2), and rho are replaced by verified intervals.
+rho^(-e) with rational e; both are built on the sparse-sum core
+:class:`p1cert.formal.MonomialSum`.  Numbers only appear at the final
+enclosure step, where |S|, sqrt(2), and rho are replaced by verified
+intervals.
 A PowerSum whose exponents are all nonnegative and whose coefficients
 are all nonnegative is mechanically certified nonincreasing in rho, so
 its supremum over rho >= rho0 is its value at rho0.
@@ -36,8 +38,9 @@ PowerSums this way and evaluates the expression by interval arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
+from .formal import MonomialSum
 from .numerics import (
     DEFAULT_ROOT_TOL,
     Interval,
@@ -109,8 +112,8 @@ class QSqrt2:
     def is_nonnegative(self) -> bool:
         return self.sign() >= 0
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
 
     # conversion
     def enclosure(self, sqrt2: Interval | None = None,
@@ -143,88 +146,29 @@ def _coerce_q(value) -> QSqrt2:
 
 # -- polynomials in |S| --------------------------------------------------------
 
-class SPoly:
+class SPoly(MonomialSum):
     """Polynomial in the nonnegative symbol |S| with QSqrt2 coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _UNIT = 0
+    _coefficient = staticmethod(_coerce_q)
 
-    def __init__(self, coeffs: Union[Mapping[int, Union[Scalar, QSqrt2]],
-                                     Iterable[Tuple[int, Union[Scalar, QSqrt2]]]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, QSqrt2] = {}
-        for k, c in items:
-            if not isinstance(k, int) or k < 0:
-                raise ValueError(f"|S| powers must be nonnegative ints, got {k!r}")
-            c = _coerce_q(c)
-            if c.is_zero():
-                continue
-            s = acc.get(k, QSqrt2()) + c
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        object.__setattr__(self, "_coeffs", acc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SPoly is immutable")
-
-    @classmethod
-    def constant(cls, value: Union[Scalar, QSqrt2]) -> "SPoly":
-        return cls({0: value})
+    @staticmethod
+    def _key(k) -> int:
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"|S| powers must be nonnegative ints, got {k!r}")
+        return k
 
     @classmethod
     def s_power(cls, k: int, coeff: Union[Scalar, QSqrt2] = 1) -> "SPoly":
         return cls({k: coeff})
 
-    def items(self):
-        return sorted(self._coeffs.items())
-
     def coefficient(self, k: int) -> QSqrt2:
-        return self._coeffs.get(k, QSqrt2())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return self._terms.get(k, QSqrt2())
 
     def is_nonnegative(self) -> bool:
         """True when every coefficient is >= 0 (so the value is, too)."""
-        return all(c.is_nonnegative() for c in self._coeffs.values())
-
-    def __add__(self, other):
-        other = _coerce_spoly(other)
-        acc = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = acc.get(k, QSqrt2()) + c
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return SPoly(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SPoly({k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-_coerce_spoly(other))
-
-    def __rsub__(self, other):
-        return _coerce_spoly(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_spoly(other)
-        acc: dict[int, QSqrt2] = {}
-        for k1, c1 in self._coeffs.items():
-            for k2, c2 in other._coeffs.items():
-                k = k1 + k2
-                s = acc.get(k, QSqrt2()) + c1 * c2
-                if s.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-        return SPoly(acc)
-
-    __rmul__ = __mul__
+        return all(c.is_nonnegative() for c in self._terms.values())
 
     def enclosure(self, s_abs: Interval | None = None,
                   sqrt2: Interval | None = None,
@@ -234,131 +178,42 @@ class SPoly:
         if sqrt2 is None:
             sqrt2 = sqrt2_enclosure(tol)
         total = Interval(0)
-        for k, c in self._coeffs.items():
+        for k, c in self._terms.items():
             total = total + c.enclosure(sqrt2) * s_abs**k
         return total
 
-    def __eq__(self, other):
-        try:
-            other = _coerce_spoly(other)
-        except TypeError:
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
-
     def __repr__(self):
-        if not self._coeffs:
+        if not self._terms:
             return "SPoly(0)"
         bits = [f"{k}: {c!r}" for k, c in self.items()]
         return "SPoly({" + ", ".join(bits) + "})"
 
 
-def _coerce_spoly(value) -> SPoly:
-    if isinstance(value, SPoly):
-        return value
-    if isinstance(value, QSqrt2):
-        return SPoly.constant(value)
-    return SPoly.constant(as_fraction(value))
-
-
 # -- sums of rho powers --------------------------------------------------------
 
-class PowerSum:
+class PowerSum(MonomialSum):
     """Finite sum over rational e of  SPoly_e * rho^(-e).
 
     Exponents may be any rationals; the nonincreasing-in-rho
     certification below additionally requires them nonnegative.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _UNIT = Fraction(0)
+    _key = staticmethod(as_fraction)
+    _coefficient = staticmethod(SPoly._coerce)
 
-    def __init__(self, terms: Union[Mapping[Scalar, Union[Scalar, QSqrt2, SPoly]],
-                                    Iterable[Tuple[Scalar, Union[Scalar, QSqrt2, SPoly]]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Fraction, SPoly] = {}
-        for e, c in items:
-            e = as_fraction(e)
-            c = _coerce_spoly(c)
-            if c.is_zero():
-                continue
-            s = acc.get(e, SPoly()) + c
-            if s.is_zero():
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-        object.__setattr__(self, "_terms", acc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSum is immutable")
+    # Rebound here so bench/tracer.py can hook them through vars(PowerSum).
+    __mul__ = __rmul__ = MonomialSum.__mul__
+    __pow__ = MonomialSum.__pow__
 
     @classmethod
     def monomial(cls, coeff: Union[Scalar, QSqrt2, SPoly], exponent: Scalar) -> "PowerSum":
         """coeff * rho^(-exponent)."""
         return cls({as_fraction(exponent): coeff})
 
-    @classmethod
-    def constant(cls, coeff: Union[Scalar, QSqrt2, SPoly]) -> "PowerSum":
-        return cls.monomial(coeff, 0)
-
-    def items(self):
-        return sorted(self._terms.items())
-
     def coefficient(self, exponent: Scalar) -> SPoly:
         return self._terms.get(as_fraction(exponent), SPoly())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        other = _coerce_powersum(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, SPoly()) + c
-            if s.is_zero():
-                acc.pop(e, None)
-            else:
-                acc[e] = s
-        return PowerSum(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSum({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_coerce_powersum(other))
-
-    def __rsub__(self, other):
-        return _coerce_powersum(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce_powersum(other)
-        acc: dict[Fraction, SPoly] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                s = acc.get(e, SPoly()) + c1 * c2
-                if s.is_zero():
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
-        return PowerSum(acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("PowerSum powers must be nonnegative ints")
-        result = PowerSum.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def nonincreasing_in_rho(self) -> bool:
         """Mechanical certificate that the value cannot grow with rho >= 1.
@@ -396,29 +251,11 @@ class PowerSum:
             total = total + c.enclosure(s_abs, sqrt2) * root ** -e.numerator
         return total
 
-    def __eq__(self, other):
-        try:
-            other = _coerce_powersum(other)
-        except TypeError:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __repr__(self):
         if not self._terms:
             return "PowerSum(0)"
         bits = [f"rho^(-{e}): {c!r}" for e, c in self.items()]
         return "PowerSum({" + ", ".join(bits) + "})"
-
-
-def _coerce_powersum(value) -> PowerSum:
-    if isinstance(value, PowerSum):
-        return value
-    if isinstance(value, (SPoly, QSqrt2)):
-        return PowerSum.constant(value)
-    return PowerSum.constant(as_fraction(value))
 
 
 # -- the weighted tail functionals ---------------------------------------------
@@ -442,12 +279,10 @@ def _require_m_at_least(family: Mapping[FamilyKey, Fraction], m_min: int, name: 
             )
 
 
-def _abs_sums_by_s_power(family: Mapping[FamilyKey, Fraction],
-                         weight_of_m) -> SPoly:
-    acc: dict[int, Fraction] = {}
-    for (k, m), c in family.items():
-        acc[k] = acc.get(k, Fraction(0)) + abs(c) * weight_of_m(m)
-    return SPoly({k: v for k, v in acc.items()})
+def abs_sums_by_s_power(family: Mapping[FamilyKey, Fraction],
+                        weight_of_m=lambda m: 1) -> SPoly:
+    """sum over m of weight(m) * |p_{k,m}|, as a polynomial in |S|."""
+    return SPoly((k, abs(c) * weight_of_m(m)) for (k, m), c in family.items())
 
 
 def tail1(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
@@ -457,7 +292,7 @@ def tail1(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
     family = _family(entries)
     _require_m_at_least(family, 0, "tail1")
     w = Fraction(2, j - 2)
-    return _abs_sums_by_s_power(family, lambda m: w)
+    return abs_sums_by_s_power(family, lambda m: w)
 
 
 def tail2(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
@@ -466,7 +301,7 @@ def tail2(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
         raise ValueError(f"tail2 needs j > 0, got j = {j}")
     family = _family(entries)
     _require_m_at_least(family, 1, "tail2")
-    return _abs_sums_by_s_power(family, lambda m: Fraction(2, m))
+    return abs_sums_by_s_power(family, lambda m: Fraction(2, m))
 
 
 def tail3(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
@@ -476,7 +311,7 @@ def tail3(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
     family = _family(entries)
     _require_m_at_least(family, 0, "tail3")
     w = Fraction(2, j - 3)
-    return _abs_sums_by_s_power(family, lambda m: w)
+    return abs_sums_by_s_power(family, lambda m: w)
 
 
 def tail4(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
@@ -486,13 +321,14 @@ def tail4(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
     family = _family(entries)
     _require_m_at_least(family, 1, "tail4")
     w = Fraction(j * j + 2 * j - 2, j * (j - 1))
-    return _abs_sums_by_s_power(family, lambda m: w / m)
+    return abs_sums_by_s_power(family, lambda m: w / m)
 
 
 __all__ = [
     "QSqrt2",
     "SPoly",
     "PowerSum",
+    "abs_sums_by_s_power",
     "tail1",
     "tail2",
     "tail3",

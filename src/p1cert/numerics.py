@@ -94,11 +94,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def intersection(self, other: "Interval") -> "Interval":
-        if not self.intersects(other):
-            raise ValueError(f"disjoint intervals {self} and {other}")
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 

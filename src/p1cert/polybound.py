@@ -29,8 +29,8 @@ Poly = Sequence[Fraction]
 _ZERO = Fraction(0)
 _CRIT_TOL = Fraction(1, 10**12)
 
-DEFAULT_REL_SLACK = Fraction(1, 1000)
-DEFAULT_MAX_DEPTH = 12
+_REL_SLACK = Fraction(1, 1000)
+_MAX_DEPTH = 12
 
 
 def poly(coeffs: Iterable[Coefficient]) -> list[Fraction]:
@@ -137,15 +137,13 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
     return max(lows), max(cands) + tail
 
 
-def sup_abs(p: Poly, lo, hi, *,
-            rel_slack: Fraction = DEFAULT_REL_SLACK,
-            max_depth: int = DEFAULT_MAX_DEPTH) -> Interval:
+def sup_abs(p: Poly, lo, hi) -> Interval:
     """Enclosure of sup over [lo, hi] of |P|.
 
     The result's ``hi`` is a certified upper bound; its ``lo`` is the
     largest exactly evaluated |P| value seen, so the true supremum lies
-    in the interval.  Pieces are bisected (up to ``max_depth``) until
-    each one's bound is within ``rel_slack`` of an attained value or
+    in the interval.  Pieces are bisected (up to ``_MAX_DEPTH`` times) until
+    each one's bound is within ``_REL_SLACK`` of an attained value or
     cannot affect the global maximum.
     """
     pcoeffs = poly(p)
@@ -158,15 +156,15 @@ def sup_abs(p: Poly, lo, hi, *,
 
     best_lower = _ZERO
     accepted: list[Fraction] = []
-    pieces = [(lo, hi, max_depth)]
+    pieces = [(lo, hi, _MAX_DEPTH)]
     while pieces:
         a, b, depth = pieces.pop()
         lower, upper = _piece_bound(pcoeffs, a, b)
         if lower > best_lower:
             best_lower = lower
         if (depth <= 0
-                or upper <= lower * (1 + rel_slack)
-                or upper <= best_lower * (1 + rel_slack)):
+                or upper <= lower * (1 + _REL_SLACK)
+                or upper <= best_lower * (1 + _REL_SLACK)):
             accepted.append(upper)
             continue
         m = (a + b) / 2
@@ -175,9 +173,7 @@ def sup_abs(p: Poly, lo, hi, *,
     return Interval(best_lower, max(accepted))
 
 
-def sup_abs_partition(p: Poly, breakpoints: Sequence, *,
-                      rel_slack: Fraction = DEFAULT_REL_SLACK,
-                      max_depth: int = DEFAULT_MAX_DEPTH) -> Interval:
+def sup_abs_partition(p: Poly, breakpoints: Sequence) -> Interval:
     """Enclosure of sup |P| over [b0, bn], worked piece by piece.
 
     ``breakpoints`` is a strictly ascending rational sequence; each
@@ -193,7 +189,7 @@ def sup_abs_partition(p: Poly, breakpoints: Sequence, *,
     lower = _ZERO
     upper = _ZERO
     for a, b in zip(bps, bps[1:]):
-        piece = sup_abs(p, a, b, rel_slack=rel_slack, max_depth=max_depth)
+        piece = sup_abs(p, a, b)
         lower = max(lower, piece.lo)
         upper = max(upper, piece.hi)
     return Interval(lower, upper)
@@ -232,6 +228,4 @@ __all__ = [
     "sup_abs",
     "sup_abs_partition",
     "ratio_sup_bound",
-    "DEFAULT_REL_SLACK",
-    "DEFAULT_MAX_DEPTH",
 ]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1cert.formal import FormalSeries
+from p1cert.functionals import PowerSum, QSqrt2, SPoly
 
 F = Fraction
 
@@ -39,6 +40,33 @@ series_strategy = st.builds(
         max_size=5,
     ),
 )
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+spoly_strategy = st.builds(
+    SPoly,
+    st.dictionaries(
+        keys=st.integers(0, 3),
+        values=st.builds(QSqrt2, small_fractions, small_fractions),
+        max_size=3,
+    ),
+)
+
+powersum_strategy = st.builds(
+    PowerSum,
+    st.dictionaries(
+        keys=st.fractions(min_value=-2, max_value=3, max_denominator=4),
+        values=spoly_strategy,
+        max_size=3,
+    ),
+)
+
+# Three elements of one algebra; every algebra built on the shared
+# monomial-sum core must satisfy the same ring axioms.
+same_type_triples = st.one_of(*(
+    st.tuples(s, s, s)
+    for s in (series_strategy, spoly_strategy, powersum_strategy)
+))
 
 
 class TestConstruction:
@@ -98,11 +126,17 @@ class TestRingOps:
         assert s.j_values() == [5, 6]
         assert s.x_slice(5) == {(0, 1): F(2), (1, 2): F(3)}
 
-    @settings(max_examples=100, deadline=None)
-    @given(a=series_strategy, b=series_strategy, c=series_strategy)
-    def test_mul_associative_and_distributive(self, a, b, c):
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    @settings(max_examples=150, deadline=None)
+    @given(abc=same_type_triples)
+    def test_mul_associative_and_distributive(self, abc):
+        a, b, c = abc
+        left, right = (a * b) * c, a * (b * c)
+        assert left == right
+        assert hash(left) == hash(right)
+        spread, collected = a * (b + c), a * b + a * c
+        assert spread == collected
+        assert hash(spread) == hash(collected)
+        assert a**3 == a * a * a
 
 
 class TestDerivative:
