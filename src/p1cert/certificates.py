@@ -35,6 +35,7 @@ from .data import constant_catalog, expansion_tables, reference_values
 from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power, tail1,
                           tail2, tail3, tail4)
 from .numerics import (
+    CERT_TOL,
     DyadicInterval,
     Interval,
     as_fraction,
@@ -43,17 +44,11 @@ from .numerics import (
     slim_up,
     sqrt2_enclosure,
     sqrt_enclosure,
-    stokes_modulus,
     truncation_window,
 )
 from .result import CheckResult, check
 from . import formal
 from . import inner as inner_interval
-
-#: Default outward-rounding tolerance for root enclosures inside
-#: certificates.  Tight enough that every stated margin (the smallest is
-#: ~3e-9) dwarfs the enclosure width.
-CERT_TOL = Fraction(1, 10**24)
 
 #: Norm bound carried by the quasi-solution on the imaginary-axis ray:
 #: sup of |x^(5/2) H0(x)| there.
@@ -128,10 +123,10 @@ def _window_overlap(name: str, enclosure: Interval, printed: str,
 # The matching point x0
 # ---------------------------------------------------------------------------
 
-def x0_abs(tol: Fraction = CERT_TOL) -> Interval:
+def x0_abs() -> Interval:
     """|x0| = (204/5)^(5/4) / 30, the outer-frame image of the matching
     point z0 = (17/10) e^(i pi/5) on the oscillatory ray."""
-    return frac_pow(Fraction(204, 5), 5, 4, tol) * Fraction(1, 30)
+    return frac_pow(Fraction(204, 5), 5, 4) * Fraction(1, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +134,7 @@ def x0_abs(tol: Fraction = CERT_TOL) -> Interval:
 # ---------------------------------------------------------------------------
 
 def check_omega_I(rho: Union[Fraction, int, Interval] = 1,
-                  eps: Fraction = Fraction(3, 20),
-                  tol: Fraction = CERT_TOL) -> CertificateReport:
+                  eps: Fraction = Fraction(3, 20)) -> CertificateReport:
     """Ball-invariance and contraction on the imaginary-axis ray.
 
     With ||H0|| <= 784/3125 in the weighted sup norm ||H|| =
@@ -191,7 +185,7 @@ def _short(value: Union[Interval, Fraction]) -> str:
     return str(value)
 
 
-def check_z0_bounds(tol: Fraction = CERT_TOL) -> CertificateReport:
+def check_z0_bounds() -> CertificateReport:
     """Hand-off bounds at the matching point z0 = (17/10) e^(i pi/5).
 
     Converts the ray certificate at rho = |x0|, eps = 1/40 into bounds on
@@ -201,32 +195,32 @@ def check_z0_bounds(tol: Fraction = CERT_TOL) -> CertificateReport:
     used by the inner-interval certificate.
     """
     eps = Fraction(1, 40)
-    A = x0_abs(tol)
+    A = x0_abs()
     inv_A = A.inverse()
     inv_A2 = (A ** 2).inverse()
 
     one_eps = 1 + eps
     map_value, contraction = _ray_sides(inv_A, inv_A2, one_eps)
     h_norm = one_eps * H0_NORM
-    h_at = h_norm * frac_pow(A, -5, 2, tol)
-    inv_A72 = frac_pow(A, -7, 2, tol)
+    h_at = h_norm * frac_pow(A, -5, 2)
+    inv_A72 = frac_pow(A, -7, 2)
     h_prime_at = (Fraction(h_norm, 14) * inv_A72
-                  + Fraction(h_norm ** 2, 9) * frac_pow(A, -9, 2, tol)
+                  + Fraction(h_norm ** 2, 9) * frac_pow(A, -9, 2)
                   + Fraction(392, 625) * inv_A72)
 
     # |y - y0|(z0) <= sqrt(|z0| / (6 |x0|)) * |H(x0)|
-    value_err = slim(sqrt_enclosure(Fraction(17, 60) * inv_A, tol) * h_at)
+    value_err = slim(sqrt_enclosure(Fraction(17, 60) * inv_A) * h_at)
     # |y' - y0'|(z0) <= sqrt(|z0|/6) / (|z0| sqrt(|x0|))
     #                   * (|H(x0)|/8 + (5/4)|x0| |H'(x0)|)
-    slope_pref = (sqrt_enclosure(Fraction(17, 60), tol) * Fraction(10, 17)
-                  * sqrt_enclosure(A, tol).inverse())
+    slope_pref = (sqrt_enclosure(Fraction(17, 60)) * Fraction(10, 17)
+                  * sqrt_enclosure(A).inverse())
     slope_err = slim(slope_pref * (Fraction(1, 8) * h_at
                                    + Fraction(5, 4) * A * h_prime_at))
 
     # Rotated asymptotic data at z0 (both exactly real):
-    c1 = slim(-(sqrt_enclosure(Fraction(17, 60), tol)
+    c1 = slim(-(sqrt_enclosure(Fraction(17, 60))
                 * (1 + Fraction(4, 25) * inv_A2)))
-    c2 = slim(sqrt_enclosure(Fraction(60, 17), tol)
+    c2 = slim(sqrt_enclosure(Fraction(60, 17))
               * (Fraction(1, 12) - Fraction(4, 75) * inv_A2))
     d1 = abs(c1 - inner_interval.T0_VALUE)
     d2 = abs(c2 - inner_interval.T0_SLOPE)
@@ -346,21 +340,20 @@ def inverse_power_integral(alpha_quarters: int, T: int = 64,
             + Interval(0, tail_hi))
 
 
-def wedge_kernel_constants(T: int = 64, panels: int = 4096,
-                           tol: Fraction = CERT_TOL) -> Dict[str, Interval]:
+def wedge_kernel_constants(T: int = 64,
+                           panels: int = 4096) -> Dict[str, Interval]:
     """The three kernel constants of the wedge contraction argument."""
     i74 = inverse_power_integral(7, T, panels)
     i94 = inverse_power_integral(9, T, panels)
     i114 = inverse_power_integral(11, T, panels)
-    M = Fraction(196, 625) * (frac_pow(2, 5, 4, tol) * i74 + Fraction(2, 5))
-    N = Fraction(1, 18) + frac_pow(2, 1, 4, tol) * i114
-    L = Fraction(1, 28) + frac_pow(2, -5, 4, tol) * i94
+    M = Fraction(196, 625) * (frac_pow(2, 5, 4) * i74 + Fraction(2, 5))
+    N = Fraction(1, 18) + frac_pow(2, 1, 4) * i114
+    L = Fraction(1, 28) + frac_pow(2, -5, 4) * i94
     return {"M": slim(M), "N": slim(N), "L": slim(L)}
 
 
 def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
-                   panels: int = 4096,
-                   tol: Fraction = CERT_TOL) -> CertificateReport:
+                   panels: int = 4096) -> CertificateReport:
     """Contraction on the upper wedge and the adjacent strip.
 
     The integral-equation kernel there is controlled by three constants
@@ -375,21 +368,21 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
     variants of the source bounds are dominated by M and L.
     """
     eps = Fraction(eps)
-    constants = wedge_kernel_constants(T, panels, tol)
+    constants = wedge_kernel_constants(T, panels)
     M, N, L = constants["M"], constants["N"], constants["L"]
     # The contraction step consumes the certified constant bounds, not the
     # raw quadrature enclosures, so it stays valid verbatim whenever the
     # three constant checks pass.
     m_bound, n_bound, l_bound = (Fraction(32, 25), Fraction(203, 138),
                                  Fraction(3, 5))
-    rho0 = x0_abs(tol)
+    rho0 = x0_abs()
     inv_rho0 = rho0.inverse()
     inv_rho0_sq = (rho0 ** 2).inverse()
     map_value = slim(l_bound * inv_rho0 * (1 + eps)
                      + n_bound * inv_rho0_sq * m_bound * (1 + eps) ** 2)
     contraction = slim(l_bound * inv_rho0
                        + 2 * n_bound * inv_rho0_sq * m_bound * (1 + eps))
-    sqrt2 = sqrt2_enclosure(tol)
+    sqrt2 = sqrt2_enclosure()
     vertical_quadratic = Fraction(784, 3125) * sqrt2
     vertical_linear = Fraction(1, 14) * sqrt2
     checks = [
@@ -613,40 +606,35 @@ def _lower_wedge(v: Mapping, recip) -> Dict[str, object]:
     }
 
 
-def _wedge_values(rho: Fraction, recip, tol: Fraction,
+def _wedge_values(rho: Fraction, recip,
                   leaves: Optional[Mapping[str, PowerSum]]
                   ) -> Dict[str, Interval]:
     """Leaf enclosures at rho and the lower-wedge formulas over them."""
     if leaves is None:
         leaves = _wedge_leaves(scalar_bounds(), route_constants())
-    s_abs = stokes_modulus(tol)
-    sqrt2 = sqrt2_enclosure(tol)
-    at = {name: ps.enclosure(rho, s_abs=s_abs, sqrt2=sqrt2, tol=tol)
-          for name, ps in leaves.items()}
+    at = {name: ps.enclosure(rho) for name, ps in leaves.items()}
     return {**at, **_lower_wedge(at, recip)}
 
 
 def sector_majorants(rho: Fraction, c_hi: Fraction,
-                     tol: Fraction = CERT_TOL,
                      leaves: Optional[Mapping[str, PowerSum]] = None
                      ) -> Dict[str, Interval]:
     """Enclosures at rho of the majorants of the catalogued quantities:
     the lower-wedge formulas with 1/(1-u) bounded by the geometric
     1 + u + u^2 + u^3 + c_hi u^4, valid whenever 1/(1-u) <= c_hi."""
-    return _wedge_values(Fraction(rho), _geometric(c_hi), tol, leaves)
+    return _wedge_values(Fraction(rho), _geometric(c_hi), leaves)
 
 
-def sector_point_values(rho: Fraction, tol: Fraction = CERT_TOL,
+def sector_point_values(rho: Fraction,
                         leaves: Optional[Mapping[str, PowerSum]] = None
                         ) -> Dict[str, Interval]:
     """Sharp enclosures of all catalogued quantities at one rho value,
     evaluating the two division terms by interval division."""
-    return _wedge_values(Fraction(rho), lambda u: (1 - u).inverse(), tol,
-                         leaves)
+    return _wedge_values(Fraction(rho), lambda u: (1 - u).inverse(), leaves)
 
 
-def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
-                  tol: Fraction = CERT_TOL) -> CertificateReport:
+def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
+                  ) -> CertificateReport:
     """Ball-invariance and contraction in the lower wedge, |x| >= rho >= 3.
 
     Chain certified here: exact equality of the recomputed tail-functional
@@ -683,8 +671,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
                  "exactly"))
 
     leaves = _wedge_leaves(scalar_bounds(), routes)
-    u_hi = (leaves["J_M"].enclosure(anchor, tol=tol)
-            * frac_pow(anchor, -1, 2, tol)).hi
+    u_hi = (leaves["J_M"].enclosure(anchor) * frac_pow(anchor, -1, 2)).hi
     checks.append(check(
         "division_terms_valid", slim_up(u_hi), Fraction(1), "<",
         note="rho^(-1/2) J_M < 1 at the anchor, so the geometric majorant "
@@ -707,7 +694,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
                  "by +, x and integer powers"))
 
     if rho == 3:
-        points = sector_point_values(rho, tol, leaves)
+        points = sector_point_values(rho, leaves)
         printed = reference_values()
         max_width = slim_up(max(points[name].width for name in printed))
         for name in sorted(printed):
@@ -717,7 +704,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3),
             "reference_enclosure_width", max_width, Fraction(1, 10**4), "<",
             note="widest enclosure among the printed reference values"))
 
-    majorants = sector_majorants(rho, c_hi, tol, leaves)
+    majorants = sector_majorants(rho, c_hi, leaves)
     m_sum = slim(sum((majorants[f"M_{i}"] for i in range(2, 8)),
                      majorants["M_1"]))
     v_m = slim(majorants["V_M"])
@@ -776,10 +763,15 @@ def check_inner_interval(system=None) -> CertificateReport:
 # Maclaurin-envelope disk certificate
 # ---------------------------------------------------------------------------
 
-def maclaurin_enclosures(horizon: int = 256, bits: int = 64,
+#: Significant bits kept by the Maclaurin envelope's dyadic run.
+ENVELOPE_BITS = 64
+
+
+def maclaurin_enclosures(horizon: int = 256,
                          eps: Fraction = Fraction(1, 108)) -> List[Interval]:
     """c_0..c_horizon: the exact windows c_0, c_1, then the recurrence on
-    :class:`DyadicInterval` rounded outward to ``bits`` bits."""
+    :class:`DyadicInterval` rounded outward to ``ENVELOPE_BITS`` bits."""
+    bits = ENVELOPE_BITS
     prefix = inner_interval.origin_windows(eps, eps)
     run = inner_interval.maclaurin_extend(
         [DyadicInterval.enclose(c, bits) for c in prefix], horizon,
@@ -787,14 +779,14 @@ def maclaurin_enclosures(horizon: int = 256, bits: int = 64,
     return prefix[:2] + [d.to_interval() for d in run[2:]]
 
 
-def taylor_envelope_run(horizon: int = 256, bits: int = 64,
+def taylor_envelope_run(horizon: int = 256,
                         eps: Fraction = Fraction(1, 108)
                         ) -> Tuple[Fraction, int]:
     """Signed interval run of the Maclaurin recurrence against the
     envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k)."""
     ratios = [max(abs(c.lo), abs(c.hi))
               / ((k + 1) * Fraction(20, 37) ** (k + 2))
-              for k, c in enumerate(maclaurin_enclosures(horizon, bits, eps))]
+              for k, c in enumerate(maclaurin_enclosures(horizon, eps))]
     worst = max(ratios)
     return worst, ratios.index(worst)
 
@@ -858,7 +850,7 @@ def check_taylor_radius(horizon: int = 256,
         check("envelope_numeric_run", slim_up(run_worst), Fraction(1), "<",
               note=f"max_k |c_k| R0^(k+2)/(k+1) over k <= {horizon}, "
                    f"attained at k = {run_k} (signed interval recurrence, "
-                   "64-bit outward rounding)"),
+                   f"{ENVELOPE_BITS}-bit outward rounding)"),
     ]
     return _report(
         "taylor_radius",
@@ -900,12 +892,12 @@ REGION_STATEMENT = (
 )
 
 
-def ray_reports(tol: Fraction = CERT_TOL) -> List[CertificateReport]:
+def ray_reports() -> List[CertificateReport]:
     """The ray at rho = 1 and at |x0|, and the matching bounds at z0."""
     return [
-        check_omega_I(1, Fraction(3, 20), tol),
-        check_omega_I(x0_abs(tol), Fraction(1, 40), tol),
-        check_z0_bounds(tol),
+        check_omega_I(1, Fraction(3, 20)),
+        check_omega_I(x0_abs(), Fraction(1, 40)),
+        check_z0_bounds(),
     ]
 
 
@@ -917,19 +909,18 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
 
 
 def run_all(rho: Fraction = Fraction(3),
-            tol: Fraction = CERT_TOL,
             horizon: int = 256) -> Tuple[List[CertificateReport], str]:
     """Run every certificate; returns (reports sorted by name, region
     statement when all pass, otherwise a failure summary)."""
     rho = Fraction(rho)
-    reports = ray_reports(tol) + [
-        check_omega_12(tol=tol),
+    reports = ray_reports() + [
+        check_omega_12(),
         check_inner_interval(),
         check_taylor_radius(horizon),
         check_symbolic_tables(),
     ]
     if rho >= 3:
-        reports.append(check_omega_4(rho, tol))
+        reports.append(check_omega_4(rho))
     else:
         reports.append(_report(
             "omega_4", {"rho": rho},

@@ -48,7 +48,7 @@ import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import click
 from mpmath import mp, mpc, mpf, workprec
@@ -155,6 +155,25 @@ def _data_overlay(tables: Optional[str],
             else:
                 os.environ[data.DATA_ENV_VAR] = previous
             data.clear_cache()
+
+
+def _run(body: Callable[[], int], tables: Optional[str] = None,
+         partitions: Optional[str] = None) -> None:
+    """Run a command body over the data overlay and exit with its code.
+
+    A violated precondition exits 2 and a pole scan that meets no blowup
+    exits 1, each with its reason on stderr.
+    """
+    try:
+        with _data_overlay(tables, partitions):
+            code = body()
+    except PreconditionError as exc:
+        click.echo(f"precondition violated: {exc}", err=True)
+        code = EXIT_PRECONDITION
+    except evaluator.PoleNotFoundError as exc:
+        click.echo(f"no blowup found: {exc}", err=True)
+        code = EXIT_FAIL
+    raise SystemExit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +309,18 @@ def _emit_reports(command: str, fmt: str, reports: Sequence[CertificateReport],
 # ---------------------------------------------------------------------------
 
 
-def _scope_reports(scope: str, rho: Fraction,
-                   tol: Fraction) -> Tuple[List[CertificateReport], str]:
+def _scope_reports(scope: str,
+                   rho: Fraction) -> Tuple[List[CertificateReport], str]:
     if scope in ("all", "omega4") and rho < 3:
         raise PreconditionError(
             f"the lower-wedge certificate is stated for rho >= 3, "
             f"got rho = {rho}")
     if scope == "all":
-        return certificates.run_all(rho, tol)
+        return certificates.run_all(rho)
     reports = {
-        "omegaI": lambda: certificates.ray_reports(tol),
-        "omega12": lambda: [certificates.check_omega_12(tol=tol)],
-        "omega4": lambda: [certificates.check_omega_4(rho, tol)],
+        "omegaI": certificates.ray_reports,
+        "omega12": lambda: [certificates.check_omega_12()],
+        "omega4": lambda: [certificates.check_omega_4(rho)],
         "inner": lambda: [certificates.check_inner_interval()],
         "radius": lambda: [certificates.check_taylor_radius()],
     }[scope]()
@@ -315,11 +334,11 @@ def _scope_reports(scope: str, rho: Fraction,
 # ---------------------------------------------------------------------------
 
 
-def _constants_rows(rho: Fraction, tol: Fraction):
+def _constants_rows(rho: Fraction):
     if rho < 3:
         raise PreconditionError(
             f"the sector constants are defined for rho >= 3, got {rho}")
-    values = certificates.sector_point_values(rho, tol)
+    values = certificates.sector_point_values(rho)
     rows = []
     for name, printed in data.reference_values().items():
         enclosure = values[name]
@@ -492,143 +511,11 @@ def _emit_eval(fmt: str, outcome, precision_bits: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The click group
+# series and pole
 # ---------------------------------------------------------------------------
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-def main() -> None:
-    """Certified enclosures and evaluation for a distinguished
-    pole-free solution of  y'' = 6 y^2 + z."""
-
-
-@main.command()
-@click.option("--scope", type=click.Choice(_SCOPES), default="all",
-              show_default=True,
-              help="Which certificate family to run.")
-@rho_option
-@format_option
-@data_options
-def verify(scope: str, rho: Fraction, fmt: str,
-           partitions: Optional[str], tables: Optional[str]) -> None:
-    """Run the machine-checked certificate suites.
-
-    Exit status: 0 when every selected inequality holds, 1 when any
-    fails, 2 when the request violates a stated precondition.
-    """
-    try:
-        with _data_overlay(tables, partitions):
-            reports, summary = _scope_reports(
-                scope, rho, certificates.CERT_TOL)
-            code = _emit_reports(
-                "verify", fmt, reports, summary,
-                [f"p1cert verify  scope = {scope}  rho = {rho}"],
-                extra={"scope": scope, "rho": str(rho)})
-    except PreconditionError as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
-        code = EXIT_PRECONDITION
-    raise SystemExit(code)
-
-
-@main.command()
-@rho_option
-@format_option
-@data_options
-def constants(rho: Fraction, fmt: str,
-              partitions: Optional[str], tables: Optional[str]) -> None:
-    """Enclose the catalogued sector constants at radius RHO.
-
-    Prints each constant's validated enclosure beside the shipped
-    reference decimal and whether the enclosure meets the reference's
-    truncation window.  The reference decimals are stated at rho = 3;
-    at larger rho the enclosures shrink below them, which the
-    containment column then reports.  Exit status: 0, or 2 when
-    rho < 3.
-    """
-    try:
-        with _data_overlay(tables, partitions):
-            rows = _constants_rows(rho, certificates.CERT_TOL)
-            code = _emit_constants(fmt, rho, rows)
-    except PreconditionError as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
-        code = EXIT_PRECONDITION
-    raise SystemExit(code)
-
-
-@main.command()
-@format_option
-@data_options
-def identities(fmt: str, partitions: Optional[str],
-               tables: Optional[str]) -> None:
-    """Check the shipped expansion tables against recomputed ones.
-
-    Every comparison is an exact identity between rational polynomial
-    coefficients.  Exit status: 0 when all hold, 1 otherwise.
-    """
-    try:
-        with _data_overlay(tables, partitions):
-            report = certificates.check_symbolic_tables()
-            summary = ("all shipped tables match their recomputations"
-                       if report.verdict else
-                       certificates.failure_summary([report]))
-            code = _emit_reports("identities", fmt, [report], summary,
-                                 ["p1cert identities"])
-    except PreconditionError as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
-        code = EXIT_PRECONDITION
-    raise SystemExit(code)
-
-
-@main.command(name="eval")
-@click.option("--z", "z_text", required=True,
-              help="Evaluation point: 're,im', polar 'r<theta' "
-                   "(theta in radians), or a bare real number.")
-@precision_option
-@format_option
-@data_options
-def eval_command(z_text: str, precision_bits: int, fmt: str,
-                 partitions: Optional[str], tables: Optional[str]) -> None:
-    """Evaluate the distinguished solution at one point.
-
-    Method preference: certified origin window at z = 0; certified
-    asymptotic representations where they apply; otherwise numerical
-    integration from the origin data (flagged non-rigorous).  Points in
-    the one sector that can contain poles, beyond the certified disk,
-    carry an explicit warning.
-    """
-    try:
-        with _data_overlay(tables, partitions):
-            z = _parse_z(z_text, precision_bits)
-            outcome = evaluator.evaluate_point(
-                z, precision_bits=precision_bits)
-            code = _emit_eval(fmt, outcome, precision_bits)
-    except PreconditionError as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
-        code = EXIT_PRECONDITION
-    raise SystemExit(code)
-
-
-@main.command()
-@click.option("--order", type=click.IntRange(min=2), default=8,
-              show_default=True,
-              help="Highest coefficient index to print (at least 2; the "
-                   "first two coefficients are the seed data).")
-@precision_option
-@format_option
-def series(order: int, precision_bits: int, fmt: str) -> None:
-    """Maclaurin coefficients of the interior-frame solution at t = 0.
-
-    Seeded from the certified origin data g(0) = -87/469,
-    g'(0) = 41/134 (window centres); coefficients beyond the first two
-    follow from the quadratic recurrence of  g'' = 6 g^2 + t.
-    """
-    try:
-        coeffs = evaluator.taylor_coeffs(
-            inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, order,
-            precision_bits)
-    except PreconditionError as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
-        raise SystemExit(EXIT_PRECONDITION)
+def _emit_series(fmt: str, order: int, coeffs) -> int:
     if fmt == "json":
         payload = {
             "command": "series",
@@ -656,42 +543,25 @@ def series(order: int, precision_bits: int, fmt: str) -> None:
         for k, c in enumerate(coeffs):
             lines.append(f"  c_{k} = {_complex_text(c)}")
         click.echo("\n".join(lines))
-    raise SystemExit(EXIT_PASS)
+    return EXIT_PASS
 
 
-@main.command()
-@precision_option
-@format_option
-def pole(precision_bits: int, fmt: str) -> None:
-    """Estimate the nearest pole distance along rays from the origin.
+def _estimate_payload(est) -> Dict[str, object]:
+    return {
+        "direction": _nstr(est.direction, _JSON_DIGITS),
+        "distance": _nstr(est.distance, _JSON_DIGITS),
+        "location": _complex_json(est.location),
+        "fit_residual": _nstr(est.fit_residual, _ERROR_DIGITS),
+    }
 
-    Scans a fan of directions inside the one sector that can contain
-    poles, integrating outward until blowup.  The reported minimum is a
-    numerical estimate, not a certified statement.
-    """
-    try:
-        scan = evaluator.pole_scan(precision_bits=precision_bits)
-    except PreconditionError as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
-        raise SystemExit(EXIT_PRECONDITION)
-    except evaluator.PoleNotFoundError as exc:
-        click.echo(f"no blowup found: {exc}", err=True)
-        raise SystemExit(EXIT_FAIL)
 
-    def estimate_payload(est) -> Dict[str, object]:
-        return {
-            "direction": _nstr(est.direction, _JSON_DIGITS),
-            "distance": _nstr(est.distance, _JSON_DIGITS),
-            "location": _complex_json(est.location),
-            "fit_residual": _nstr(est.fit_residual, _ERROR_DIGITS),
-        }
-
+def _emit_pole(fmt: str, scan) -> int:
     if fmt == "json":
         payload = {
             "command": "pole",
             "fingerprints": data.file_fingerprints(),
-            "best": estimate_payload(scan.best),
-            "found": [estimate_payload(e) for e in scan.estimates],
+            "best": _estimate_payload(scan.best),
+            "found": [_estimate_payload(e) for e in scan.estimates],
             "unbounded_directions": [
                 _nstr(d, _JSON_DIGITS) for d in scan.unbounded_directions],
             "note": scan.note,
@@ -725,7 +595,139 @@ def pole(precision_bits: int, fmt: str) -> None:
                      f"arg t = {_nstr(scan.best.direction, 10)}")
         lines.append(f"note: {scan.note}")
         click.echo("\n".join(lines))
-    raise SystemExit(EXIT_PASS)
+    return EXIT_PASS
+
+
+# ---------------------------------------------------------------------------
+# The click group
+# ---------------------------------------------------------------------------
+
+
+@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+def main() -> None:
+    """Certified enclosures and evaluation for a distinguished
+    pole-free solution of  y'' = 6 y^2 + z."""
+
+
+@main.command()
+@click.option("--scope", type=click.Choice(_SCOPES), default="all",
+              show_default=True,
+              help="Which certificate family to run.")
+@rho_option
+@format_option
+@data_options
+def verify(scope: str, rho: Fraction, fmt: str,
+           partitions: Optional[str], tables: Optional[str]) -> None:
+    """Run the machine-checked certificate suites.
+
+    Exit status: 0 when every selected inequality holds, 1 when any
+    fails, 2 when the request violates a stated precondition.
+    """
+    def body() -> int:
+        reports, summary = _scope_reports(scope, rho)
+        return _emit_reports(
+            "verify", fmt, reports, summary,
+            [f"p1cert verify  scope = {scope}  rho = {rho}"],
+            extra={"scope": scope, "rho": str(rho)})
+
+    _run(body, tables, partitions)
+
+
+@main.command()
+@rho_option
+@format_option
+@data_options
+def constants(rho: Fraction, fmt: str,
+              partitions: Optional[str], tables: Optional[str]) -> None:
+    """Enclose the catalogued sector constants at radius RHO.
+
+    Prints each constant's validated enclosure beside the shipped
+    reference decimal and whether the enclosure meets the reference's
+    truncation window.  The reference decimals are stated at rho = 3;
+    at larger rho the enclosures shrink below them, which the
+    containment column then reports.  Exit status: 0, or 2 when
+    rho < 3.
+    """
+    _run(lambda: _emit_constants(fmt, rho, _constants_rows(rho)),
+         tables, partitions)
+
+
+@main.command()
+@format_option
+@data_options
+def identities(fmt: str, partitions: Optional[str],
+               tables: Optional[str]) -> None:
+    """Check the shipped expansion tables against recomputed ones.
+
+    Every comparison is an exact identity between rational polynomial
+    coefficients.  Exit status: 0 when all hold, 1 otherwise.
+    """
+    def body() -> int:
+        report = certificates.check_symbolic_tables()
+        summary = ("all shipped tables match their recomputations"
+                   if report.verdict else
+                   certificates.failure_summary([report]))
+        return _emit_reports("identities", fmt, [report], summary,
+                             ["p1cert identities"])
+
+    _run(body, tables, partitions)
+
+
+@main.command(name="eval")
+@click.option("--z", "z_text", required=True,
+              help="Evaluation point: 're,im', polar 'r<theta' "
+                   "(theta in radians), or a bare real number.")
+@precision_option
+@format_option
+@data_options
+def eval_command(z_text: str, precision_bits: int, fmt: str,
+                 partitions: Optional[str], tables: Optional[str]) -> None:
+    """Evaluate the distinguished solution at one point.
+
+    Method preference: certified origin window at z = 0; certified
+    asymptotic representations where they apply; otherwise numerical
+    integration from the origin data (flagged non-rigorous).  Points in
+    the one sector that can contain poles, beyond the certified disk,
+    carry an explicit warning.
+    """
+    def body() -> int:
+        z = _parse_z(z_text, precision_bits)
+        outcome = evaluator.evaluate_point(z, precision_bits=precision_bits)
+        return _emit_eval(fmt, outcome, precision_bits)
+
+    _run(body, tables, partitions)
+
+
+@main.command()
+@click.option("--order", type=click.IntRange(min=2), default=8,
+              show_default=True,
+              help="Highest coefficient index to print (at least 2; the "
+                   "first two coefficients are the seed data).")
+@precision_option
+@format_option
+def series(order: int, precision_bits: int, fmt: str) -> None:
+    """Maclaurin coefficients of the interior-frame solution at t = 0.
+
+    Seeded from the certified origin data g(0) = -87/469,
+    g'(0) = 41/134 (window centres); coefficients beyond the first two
+    follow from the quadratic recurrence of  g'' = 6 g^2 + t.
+    """
+    _run(lambda: _emit_series(fmt, order, evaluator.taylor_coeffs(
+        inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, order, precision_bits)))
+
+
+@main.command()
+@precision_option
+@format_option
+def pole(precision_bits: int, fmt: str) -> None:
+    """Estimate the nearest pole distance along rays from the origin.
+
+    Scans a fan of directions inside the one sector that can contain
+    poles, integrating outward until blowup.  The reported minimum is a
+    numerical estimate, not a certified statement.
+    """
+    _run(lambda: _emit_pole(
+        fmt, evaluator.pole_scan(precision_bits=precision_bits)))
 
 
 if __name__ == "__main__":  # pragma: no cover

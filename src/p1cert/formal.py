@@ -152,6 +152,9 @@ class MonomialSum:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its coefficient, so it must hash like it
+        if self._terms.keys() <= {self._UNIT}:
+            return hash(self._terms.get(self._UNIT, 0))
         return hash(frozenset(self._terms.items()))
 
 

@@ -42,7 +42,6 @@ from typing import Dict, Mapping, Tuple, Union
 
 from .formal import MonomialSum
 from .numerics import (
-    DEFAULT_ROOT_TOL,
     Interval,
     as_fraction,
     root_enclosure,
@@ -116,11 +115,8 @@ class QSqrt2:
         return bool(self.a or self.b)
 
     # conversion
-    def enclosure(self, sqrt2: Interval | None = None,
-                  tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
-        if sqrt2 is None:
-            sqrt2 = sqrt2_enclosure(tol)
-        return Interval(self.a) + sqrt2 * self.b
+    def enclosure(self) -> Interval:
+        return Interval(self.a) + sqrt2_enclosure() * self.b
 
     def __eq__(self, other):
         try:
@@ -130,7 +126,8 @@ class QSqrt2:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational equals QSqrt2(a, 0), so it must hash like a
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __repr__(self):
         if self.b == 0:
@@ -170,16 +167,12 @@ class SPoly(MonomialSum):
         """True when every coefficient is >= 0 (so the value is, too)."""
         return all(c.is_nonnegative() for c in self._terms.values())
 
-    def enclosure(self, s_abs: Interval | None = None,
-                  sqrt2: Interval | None = None,
-                  tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
+    def enclosure(self, s_abs: Interval | None = None) -> Interval:
         if s_abs is None:
-            s_abs = stokes_modulus(tol)
-        if sqrt2 is None:
-            sqrt2 = sqrt2_enclosure(tol)
+            s_abs = stokes_modulus()
         total = Interval(0)
         for k, c in self._terms.items():
-            total = total + c.enclosure(sqrt2) * s_abs**k
+            total = total + c.enclosure() * s_abs**k
         return total
 
     def __repr__(self):
@@ -227,9 +220,7 @@ class PowerSum(MonomialSum):
             e >= 0 and c.is_nonnegative() for e, c in self._terms.items()
         )
 
-    def enclosure(self, rho, s_abs: Interval | None = None,
-                  sqrt2: Interval | None = None,
-                  tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
+    def enclosure(self, rho, s_abs: Interval | None = None) -> Interval:
         """Interval value at rho (Interval or exact rational).
 
         rho^(-e) is the (-numerator)-th power of one enclosure of the
@@ -238,17 +229,15 @@ class PowerSum(MonomialSum):
         if not isinstance(rho, Interval):
             rho = Interval(as_fraction(rho))
         if s_abs is None:
-            s_abs = stokes_modulus(tol)
-        if sqrt2 is None:
-            sqrt2 = sqrt2_enclosure(tol)
+            s_abs = stokes_modulus()
         roots: Dict[int, Interval] = {}
         total = Interval(0)
         for e, c in self._terms.items():
             root = roots.get(e.denominator)
             if root is None:
                 root = roots[e.denominator] = root_enclosure(
-                    rho, e.denominator, tol)
-            total = total + c.enclosure(s_abs, sqrt2) * root ** -e.numerator
+                    rho, e.denominator)
+            total = total + c.enclosure(s_abs) * root ** -e.numerator
         return total
 
     def __repr__(self):

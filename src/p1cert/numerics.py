@@ -6,7 +6,8 @@ contain the exact image set; because endpoint arithmetic is exact there is
 no rounding step and hence no rounding-mode bookkeeping.  Floating point is
 used in one place only: to *seed* brackets for n-th roots.  Every seed is
 verified by exact rational powering before it is trusted, so a bad seed can
-cost time but never correctness.
+cost time but never correctness.  Brackets are then bisected to the one
+certificate width :data:`CERT_TOL`.
 
 Rounding lives here too, in two forms.  :func:`dyadic_floor`,
 :func:`dyadic_ceil`, :func:`slim` and :func:`slim_up` shorten large
@@ -20,14 +21,16 @@ exactly, so every certified comparison stays an exact rational one.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Tuple
 
 Rational = Fraction
 
-#: Default width target for root enclosures.
-DEFAULT_ROOT_TOL = Fraction(1, 10**30)
+#: Width of every root bracket inside a certificate.  Tight enough that
+#: every stated margin (the smallest is ~3e-9) dwarfs the enclosure width.
+CERT_TOL = Fraction(1, 10**24)
 
 # pi truncated to 40 decimal places; the 41st digit is 6, so the truncation
 # window [PI_LO, PI_LO + 10^-40] is a genuine enclosure.  The test suite
@@ -233,24 +236,31 @@ def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
     return -dyadic_floor(-x, bits)
 
 
-def _oversized(x: Fraction, threshold: int) -> bool:
-    return x.numerator.bit_length() + x.denominator.bit_length() > threshold
+#: A rational is slimmed once its numerator and denominator together
+#: exceed this many bits, and then rounded outward to ``SLIM_BITS``.
+SLIM_THRESHOLD = 512
+SLIM_BITS = 128
 
 
-def slim_up(x: Fraction, bits: int = 128, threshold: int = 512) -> Fraction:
+def _oversized(x: Fraction) -> bool:
+    return (x.numerator.bit_length() + x.denominator.bit_length()
+            > SLIM_THRESHOLD)
+
+
+def slim_up(x: Fraction) -> Fraction:
     """Outward (upward) dyadic rounding applied only when the exact
     rational is too large to print comfortably; comparisons against the
     rounded value are conservative."""
-    return dyadic_ceil(x, bits) if _oversized(x, threshold) else x
+    return dyadic_ceil(x, SLIM_BITS) if _oversized(x) else x
 
 
-def slim(iv: Interval, bits: int = 128, threshold: int = 512) -> Interval:
+def slim(iv: Interval) -> Interval:
     """Outward rounding of both endpoints under the same size rule."""
     lo, hi = iv.lo, iv.hi
-    if _oversized(lo, threshold):
-        lo = dyadic_floor(lo, bits)
-    if _oversized(hi, threshold):
-        hi = dyadic_ceil(hi, bits)
+    if _oversized(lo):
+        lo = dyadic_floor(lo, SLIM_BITS)
+    if _oversized(hi):
+        hi = dyadic_ceil(hi, SLIM_BITS)
     return Interval(lo, hi)
 
 
@@ -436,7 +446,7 @@ def _root_bracket(a: Fraction, n: int, tol: Fraction):
     return lo, hi
 
 
-def root_enclosure(u, n: int, tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
+def root_enclosure(u, n: int, tol: Fraction = CERT_TOL) -> Interval:
     """Enclosure of the n-th root of a nonnegative interval or rational.
 
     The root map is monotone, so the enclosure is the hull of verified
@@ -455,12 +465,11 @@ def root_enclosure(u, n: int, tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
     return Interval(lo, hi)
 
 
-def sqrt_enclosure(u, tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
-    return root_enclosure(u, 2, tol)
+def sqrt_enclosure(u) -> Interval:
+    return root_enclosure(u, 2)
 
 
-def frac_pow(u, num: int, den: int,
-             tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
+def frac_pow(u, num: int, den: int) -> Interval:
     """Enclosure of u ** (num/den) for positive u (u >= 0 when num > 0).
 
     Computed as the num-th integer power of an n-th root enclosure; for
@@ -471,18 +480,20 @@ def frac_pow(u, num: int, den: int,
     u = _coerce(u)
     if num == 0:
         return Interval(1)
-    root = root_enclosure(u, den, tol)
+    root = root_enclosure(u, den)
     return root**num
 
 
-def sqrt2_enclosure(tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
-    return root_enclosure(2, 2, tol)
+@functools.cache
+def sqrt2_enclosure() -> Interval:
+    return root_enclosure(2, 2)
 
 
-def stokes_modulus(tol: Fraction = DEFAULT_ROOT_TOL) -> Interval:
+@functools.cache
+def stokes_modulus() -> Interval:
     """Enclosure of sqrt(6/(5*pi)), the modulus of the Stokes multiplier
     attached to the tritronquee's exponentially small corrections."""
-    return sqrt_enclosure(Interval(6) / (5 * pi_enclosure()), tol)
+    return sqrt_enclosure(Interval(6) / (5 * pi_enclosure()))
 
 
 def truncation_window(printed: str) -> Interval:
@@ -511,7 +522,7 @@ __all__ = [
     "dyadic_ceil",
     "slim",
     "slim_up",
-    "DEFAULT_ROOT_TOL",
+    "CERT_TOL",
     "pi_enclosure",
     "root_enclosure",
     "sqrt_enclosure",

@@ -49,19 +49,6 @@ class CheckResult:
         """Lower end of the certified enclosure (defaults to ``value``)."""
         return self.value if self.lo is None else self.lo
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": str(self.value),
-            "value_float": float(self.value),
-            "bound": str(self.bound),
-            "bound_float": float(self.bound),
-            "comparison": self.comparison,
-            "margin_float": float(self.margin),
-            "note": self.note,
-        }
-
     def as_inequality(self) -> Dict[str, object]:
         """Report row: the comparison with both sides as [lo, hi] pairs."""
         lo = self.value_lo

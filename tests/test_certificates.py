@@ -200,8 +200,8 @@ class TestSectorCertificate:
     def test_majorants_monotone_and_decreasing(self):
         """Each majorant bounds its sharp value at rho=3 and is smaller at
         rho=4."""
-        u3 = (C.scalar_bounds()["J_M"].enclosure(3, tol=C.CERT_TOL)
-              * frac_pow(3, -1, 2, C.CERT_TOL)).hi
+        u3 = (C.scalar_bounds()["J_M"].enclosure(3)
+              * frac_pow(3, -1, 2)).hi
         c_hi = 1 / (1 - u3)
         points = C.sector_point_values(Fraction(3))
         at3 = C.sector_majorants(Fraction(3), c_hi)

@@ -427,6 +427,11 @@ class TestSeries:
         result = invoke("series", "--order", "1")
         assert result.exit_code == 2
 
+    def test_precision_below_minimum_exits_2(self):
+        result = invoke("series", "--precision-bits", "50")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("precondition violated:")
+
 
 # ---------------------------------------------------------------------------
 # pole
@@ -455,6 +460,21 @@ class TestPole:
     def test_note_flags_the_estimate_as_numerical(self, pole_json):
         assert "estimate" in pole_json["note"]
         assert "not a certified statement" in pole_json["note"]
+
+    def test_precision_below_minimum_exits_2(self):
+        result = invoke("pole", "--precision-bits", "50")
+        assert result.exit_code == 2
+        assert result.stderr.startswith("precondition violated:")
+
+    def test_no_blowup_exits_1(self, monkeypatch):
+        def no_pole(**kwargs):
+            raise evaluator.PoleNotFoundError(0, 10)
+
+        monkeypatch.setattr(evaluator, "pole_scan", no_pole)
+        result = invoke("pole")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("no blowup found:")
+        assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p1cert.formal import FormalSeries
 from p1cert.numerics import Interval, truncation_window
 from p1cert.functionals import PowerSum, QSqrt2, SPoly, tail1, tail2, tail3, tail4
 
@@ -117,6 +118,25 @@ class TestPowerSum:
         p = PowerSum.monomial(SPoly({0: 1, 2: "5/24"}), "3/2")
         assert p.nonincreasing_in_rho()
         assert p.enclosure(9).hi < p.enclosure(3).lo
+
+
+@pytest.mark.parametrize("value, scalar", [
+    (FormalSeries.term(3), 3),
+    (FormalSeries(), 0),
+    (SPoly.constant(F(1, 2)), F(1, 2)),
+    (SPoly(), 0),
+    (PowerSum.constant(2), 2),
+    (PowerSum.constant(QSqrt2(1, 1)), QSqrt2(1, 1)),
+    (PowerSum(), 0),
+    (QSqrt2(5), 5),
+    (QSqrt2(), 0),
+], ids=["FormalSeries-3", "FormalSeries-0", "SPoly-1/2", "SPoly-0",
+        "PowerSum-2", "PowerSum-1+sqrt2", "PowerSum-0", "QSqrt2-5",
+        "QSqrt2-0"])
+def test_constants_hash_like_the_scalar_they_equal(value, scalar):
+    assert value == scalar
+    assert hash(value) == hash(scalar)
+    assert len({value, scalar}) == 1
 
 
 class TestTails:

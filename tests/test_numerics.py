@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1cert import certificates
 from p1cert.numerics import (
-    DEFAULT_ROOT_TOL,
+    CERT_TOL,
     DyadicInterval,
     Interval,
     dyadic_ceil,
@@ -151,6 +152,26 @@ class TestRoots:
         enc = stokes_modulus()
         assert truncation_window("0.618038723237103328").contains_interval(enc)
         assert Interval(Fraction("0.618038"), Fraction("0.618040")).contains_interval(enc)
+
+
+class TestCertTol:
+    def test_certificates_use_the_numerics_constant(self):
+        assert certificates.CERT_TOL is CERT_TOL
+
+    def test_point_roots_are_bracketed_to_cert_tol(self):
+        for enc in (sqrt2_enclosure(), sqrt_enclosure(5)):
+            assert 0 < enc.width <= CERT_TOL
+
+    def test_frac_pow_width_follows_from_its_root(self):
+        # 2^(5/4) = r^5 with r = 2^(1/4) bracketed to CERT_TOL, and
+        # d(r^5)/dr = 5 r^4 <= 5 * 2.0001
+        enc = frac_pow(2, 5, 4)
+        assert 0 < enc.width <= 5 * Fraction(20001, 10000) * CERT_TOL
+
+    def test_stokes_modulus_width_is_two_brackets(self):
+        # one CERT_TOL bracket per endpoint of the 1e-40 wide 6/(5 pi)
+        enc = stokes_modulus()
+        assert 0 < enc.width <= 2 * CERT_TOL + Fraction(1, 10**40)
 
 
 class TestTruncationWindow:
