@@ -46,17 +46,13 @@ from .numerics import (
     sqrt_enclosure,
     truncation_window,
 )
-from .result import CheckResult, check
+from .result import CheckResult, PreconditionError, check
 from . import formal
 from . import inner as inner_interval
 
 #: Norm bound carried by the quasi-solution on the imaginary-axis ray:
 #: sup of |x^(5/2) H0(x)| there.
 H0_NORM = Fraction(784, 3125)
-
-
-class PreconditionError(ValueError):
-    """A certificate was invoked outside its domain of validity."""
 
 
 # ---------------------------------------------------------------------------

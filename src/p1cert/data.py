@@ -22,11 +22,13 @@ The directory can be overridden with the ``P1CERT_DATA_DIR`` environment
 variable (all three files must be present there), letting callers swap in
 perturbed data for fault-injection runs.  :func:`file_fingerprints` exposes
 SHA-256 digests of the active files so reports can pin the inputs they
-certified.
+certified.  A file that does not parse to the shape described here
+raises :class:`~p1cert.result.PreconditionError` naming the file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -37,6 +39,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 
 from .functionals import PowerSum, QSqrt2, SPoly
 from .polybound import Poly, poly
+from .result import PreconditionError
 
 DATA_ENV_VAR = "P1CERT_DATA_DIR"
 
@@ -101,6 +104,20 @@ def _load(name: str) -> Any:
     return _parse_cache[key]
 
 
+def _parses(name: str):
+    """Report a malformed data file ``name`` as a violated precondition."""
+    def wrap(parse):
+        @functools.wraps(parse)
+        def parsed():
+            try:
+                return parse()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise PreconditionError(
+                    f"malformed data file {name}: {exc}") from exc
+        return parsed
+    return wrap
+
+
 def file_fingerprints() -> Dict[str, str]:
     """SHA-256 hex digest of the bytes of every data file in use: the
     same bytes the parsers read."""
@@ -109,6 +126,7 @@ def file_fingerprints() -> Dict[str, str]:
     }
 
 
+@_parses("expansion_tables.json")
 def expansion_tables() -> Dict[str, Table]:
     """All coefficient families, as family -> j -> {(k, m): coefficient}."""
     raw = _load("expansion_tables.json")["tables"]
@@ -137,6 +155,7 @@ def expansion_tables() -> Dict[str, Table]:
     return out
 
 
+@_parses("constant_catalog.json")
 def constant_catalog() -> Dict[str, PowerSum]:
     """Closed-form majorant constants as symbolic sums over rho powers."""
     raw = _load("constant_catalog.json")["constants"]
@@ -159,18 +178,21 @@ def constant_catalog() -> Dict[str, PowerSum]:
     return out
 
 
+@_parses("constant_catalog.json")
 def reference_values() -> Dict[str, str]:
     """Printed decimal truncations of assembled quantities at rho = 3."""
     raw = _load("constant_catalog.json")["reference_values"]["values"]
     return dict(raw)
 
 
+@_parses("inner_ode.json")
 def inner_polynomials() -> Dict[str, Poly]:
     """Approximating polynomials in s = t + 17/10, ascending coefficients."""
     raw = _load("inner_ode.json")["polynomials"]
     return {name: poly(coeffs) for name, coeffs in raw.items()}
 
 
+@_parses("inner_ode.json")
 def inner_partitions() -> Dict[str, List[Fraction]]:
     """Certification partitions as ascending t values in [-17/10, 0]."""
     raw = _load("inner_ode.json")["partitions"]

@@ -195,13 +195,15 @@ def frame_map(
     The branch conventions are principal everywhere, so the z <-> x
     round trip is the identity exactly for arg z in (-4*pi/5, 4*pi/5];
     the z <-> t round trip is a rotation and holds for every z.
-    Mapping from the x frame requires x != 0.
+    The point must be finite, and x != 0 in the x frame.
     """
     _require_bits(precision_bits)
     if frame not in ("z", "t", "x"):
         raise ValueError(f"unknown frame {frame!r}; expected 'z', 't' or 'x'")
     with workprec(precision_bits + GUARD_BITS):
         w = _to_mpc(value)
+        if not mp.isfinite(w):
+            raise PreconditionError(f"the point must be finite, got {w}")
         if frame == "z":
             z = w
         elif frame == "t":

@@ -29,6 +29,9 @@ from itertools import chain
 from typing import Mapping, Tuple, Union
 
 from .numerics import as_fraction
+from .result import check
+# data imports functionals, which imports this module, so the table
+# checks import ``data.expansion_tables`` in place
 
 Key = Tuple[int, int, int]  # (k, j, m) for S^k * x^(-j/2) * e^(-m*x)
 Scalar = Union[int, str, Fraction]
@@ -344,8 +347,6 @@ def series_from_table(families) -> FormalSeries:
 def _series_match(name: str, computed: FormalSeries,
                   expected: FormalSeries, note: str = ""):
     """Exact term-wise equality, naming the first offending term on failure."""
-    from .result import check
-
     diff = computed - expected
     if diff.is_zero():
         return check(name, Fraction(0), Fraction(0), "==", note=note)
@@ -361,8 +362,6 @@ def _series_match(name: str, computed: FormalSeries,
 
 
 def _power_range(name: str, computed: FormalSeries, lo: int, hi: int):
-    from .result import check
-
     expected = list(range(lo, hi + 1))
     got = computed.j_values()
     extra = sorted(set(got) ^ set(expected))
@@ -375,8 +374,6 @@ def _power_range(name: str, computed: FormalSeries, lo: int, hi: int):
 
 def _min_exponential(name: str, computed: FormalSeries, m_min: int,
                      label: str):
-    from .result import check
-
     worst = min((m for (_, _, m), _ in computed.items()), default=m_min)
     return check(
         name, Fraction(m_min), Fraction(worst), "<=",
@@ -386,8 +383,6 @@ def _min_exponential(name: str, computed: FormalSeries, m_min: int,
 
 
 def _coefficient_equals(name: str, computed: FormalSeries, key, expected):
-    from .result import check
-
     k, j, m = key
     return check(
         name, computed.coefficient(k, j, m), Fraction(expected), "==",
@@ -403,7 +398,6 @@ def verify_r_table():
     series sum_{j=5..9} x^(-j/2) r_j.
     """
     from .data import expansion_tables
-    from .result import check  # noqa: F401  (used via helpers)
 
     h0 = h0_series()
     sqrt_x = FormalSeries.term(1, j=-1)
@@ -539,8 +533,6 @@ def verify_auxiliary_identities():
         (c) the discrete comparison identity of
         :func:`convolution_identity_defect`.
     """
-    from .result import check
-
     factored = (FormalSeries.term(Fraction(1, 3), k=1, m=1)
                 * (FormalSeries.one()
                    + FormalSeries.term(1, j=1) * small_j_series()))

@@ -38,13 +38,13 @@ PowerSums this way and evaluates the expression by interval arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from .formal import MonomialSum
 from .numerics import (
     Interval,
     as_fraction,
-    root_enclosure,
+    frac_pow,
     sqrt2_enclosure,
     stokes_modulus,
 )
@@ -221,23 +221,15 @@ class PowerSum(MonomialSum):
         )
 
     def enclosure(self, rho, s_abs: Interval | None = None) -> Interval:
-        """Interval value at rho (Interval or exact rational).
-
-        rho^(-e) is the (-numerator)-th power of one enclosure of the
-        denominator-th root of rho, taken once per denominator.
-        """
+        """Interval value at rho (Interval or exact rational)."""
         if not isinstance(rho, Interval):
             rho = Interval(as_fraction(rho))
         if s_abs is None:
             s_abs = stokes_modulus()
-        roots: Dict[int, Interval] = {}
         total = Interval(0)
         for e, c in self._terms.items():
-            root = roots.get(e.denominator)
-            if root is None:
-                root = roots[e.denominator] = root_enclosure(
-                    rho, e.denominator)
-            total = total + c.enclosure(s_abs) * root ** -e.numerator
+            total = total + c.enclosure(s_abs) * frac_pow(
+                rho, -e.numerator, e.denominator)
         return total
 
     def __repr__(self):

@@ -3,11 +3,10 @@
 Everything certificate-grade in this package runs on closed intervals with
 `fractions.Fraction` endpoints.  Interval operations return intervals that
 contain the exact image set; because endpoint arithmetic is exact there is
-no rounding step and hence no rounding-mode bookkeeping.  Floating point is
-used in one place only: to *seed* brackets for n-th roots.  Every seed is
-verified by exact rational powering before it is trusted, so a bad seed can
-cost time but never correctness.  Brackets are then bisected to the one
-certificate width :data:`CERT_TOL`.
+no rounding step and hence no rounding-mode bookkeeping.  Roots are the one
+exception: :func:`floor_root` takes exact integer n-th roots, with no
+floating point, and :func:`root_enclosure` rounds each endpoint outward on
+the dyadic grid finer than the one certificate width :data:`CERT_TOL`.
 
 Rounding lives here too, in two forms.  :func:`dyadic_floor`,
 :func:`dyadic_ceil`, :func:`slim` and :func:`slim_up` shorten large
@@ -388,9 +387,9 @@ class DyadicInterval:
             lo, hi = self.lo << shift, self.hi << shift
         else:
             lo, hi = self.lo >> -shift, -(-self.hi >> -shift)
-        root_lo = math.isqrt(math.isqrt(lo))
+        root_lo = floor_root(lo, 4)
         # ceil(hi^(1/4)); when hi <= lo + 1 it is at most root_lo + 1
-        root_hi = root_lo if hi - lo <= 1 else math.isqrt(math.isqrt(hi))
+        root_hi = root_lo if hi - lo <= 1 else floor_root(hi, 4)
         if root_hi ** 4 < hi:
             root_hi += 1
         return DyadicInterval(root_lo, root_hi, (self.exp - shift) // 4)
@@ -404,54 +403,36 @@ def pi_enclosure() -> Interval:
     return Interval(PI_LO, PI_HI)
 
 
-def _float_root_seed(a: Fraction, n: int) -> float:
-    """Non-rigorous float estimate of a**(1/n), overflow-safe."""
-    num, den = a.numerator, a.denominator
-    try:
-        return float(a) ** (1.0 / n)
-    except OverflowError:
-        # compute in log space from the integer bit lengths
-        log2a = (num.bit_length() - den.bit_length()) * math.log(2)
-        return math.exp(log2a / n)
-
-
-def _root_bracket(a: Fraction, n: int, tol: Fraction):
-    """Return (lo, hi) with lo**n <= a <= hi**n and hi - lo <= tol."""
-    if a < 0:
-        raise ValueError(f"n-th root of negative rational {a}")
-    if a == 0:
-        return Fraction(0), Fraction(0)
-    seed = _float_root_seed(a, n)
-    if seed <= 0 or not math.isfinite(seed):
-        lo, hi = Fraction(0), max(Fraction(1), a)
-    else:
-        slack = Fraction(1, 2**40)
-        s = Fraction(seed)
-        for _ in range(80):
-            lo = s * (1 - slack)
-            hi = s * (1 + slack)
-            if lo**n <= a <= hi**n:
-                break
-            slack *= 4
-        else:  # pathological seed; fall back to a trivial bracket
-            lo, hi = Fraction(0), max(Fraction(1), a)
-    if lo < 0:
-        lo = Fraction(0)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if mid**n <= a:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def floor_root(m: int, n: int) -> int:
+    """The exact floor of the n-th root of an int m >= 0: nested
+    :func:`math.isqrt` when n is a power of two, else integer Newton."""
+    if m < 0 or n < 1:
+        raise ValueError(f"floor_root needs m >= 0 and n >= 1, got {m}, {n}")
+    if n & (n - 1) == 0:
+        while n > 1:
+            m, n = math.isqrt(m), n >> 1
+        return m
+    if m < 2:
+        return m
+    # from 2^ceil(bits/n) > m^(1/n), Newton steps decrease strictly and
+    # never pass below the floor root, so the first non-decrease ends it
+    x = 1 << -(-m.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def root_enclosure(u, n: int, tol: Fraction = CERT_TOL) -> Interval:
     """Enclosure of the n-th root of a nonnegative interval or rational.
 
-    The root map is monotone, so the enclosure is the hull of verified
-    brackets of the endpoint roots.  ``tol`` bounds each bracket's width
-    (the result can be wider if the input interval is wide).
+    The root map is monotone, so each endpoint is rounded outward on the
+    grid 2^-k, k the smallest integer with 2^-k <= ``tol``: the lower end
+    is the floor root of floor(lo 2^(nk)), the upper end the ceiling root
+    of ceil(hi 2^(nk)).  Each bracket is at most 2^-k wide (the result can
+    be wider if the input interval is wide), and a root on the grid, such
+    as (81/16)^(1/4), comes back as a point.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"root order must be a positive int, got {n!r}")
@@ -460,9 +441,17 @@ def root_enclosure(u, n: int, tol: Fraction = CERT_TOL) -> Interval:
         raise ValueError(f"n-th root of interval {u} with negative part")
     if n == 1:
         return u
-    lo, _ = _root_bracket(u.lo, n, tol)
-    _, hi = _root_bracket(u.hi, n, tol)
-    return Interval(lo, hi)
+    # the smallest k with 2^-k <= tol is this estimate or the next one
+    k = tol.denominator.bit_length() - tol.numerator.bit_length()
+    if Fraction(2) ** -k > tol:
+        k += 1
+    scale = Fraction(2) ** (n * k)
+    top = math.ceil(u.hi * scale)
+    hi = floor_root(top, n)
+    if hi ** n < top:
+        hi += 1
+    lo = floor_root(math.floor(u.lo * scale), n)
+    return Interval(lo, hi) * Fraction(2) ** -k
 
 
 def sqrt_enclosure(u) -> Interval:
@@ -524,6 +513,7 @@ __all__ = [
     "slim_up",
     "CERT_TOL",
     "pi_enclosure",
+    "floor_root",
     "root_enclosure",
     "sqrt_enclosure",
     "sqrt2_enclosure",

@@ -27,7 +27,6 @@ Coefficient = Union[int, str, Fraction]
 Poly = Sequence[Fraction]
 
 _ZERO = Fraction(0)
-_CRIT_TOL = Fraction(1, 10**12)
 
 _REL_SLACK = Fraction(1, 1000)
 _MAX_DEPTH = 12
@@ -124,7 +123,7 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
         if disc == 0:
             crit.append(Interval(-h2 / (3 * h3)))
         elif disc > 0:
-            sq = root_enclosure(disc, 2, _CRIT_TOL)
+            sq = root_enclosure(disc, 2)
             for sgn in (1, -1):
                 crit.append((Interval(-2 * h2) + sgn * sq) / (6 * h3))
     for enclosure in crit:

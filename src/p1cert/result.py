@@ -1,10 +1,15 @@
-"""Uniform pass/fail records for certified inequality and identity checks."""
+"""Uniform pass/fail records for certified checks, and PreconditionError."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
+
+
+class PreconditionError(ValueError):
+    """A certificate, a point or a data file outside its domain of validity."""
+
 
 _COMPARATORS = {
     "<": lambda a, b: a < b,

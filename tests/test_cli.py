@@ -261,6 +261,22 @@ class TestIdentities:
         assert "r_defect_series_matches_table" in result.output
         assert "first mismatch at S^2 x^(-5/2) e^(-2x)" in result.output
 
+    @pytest.mark.parametrize("defect", ["not_json", "short_row"])
+    def test_malformed_tables_exit_2_naming_the_file(self, tmp_path, defect):
+        text = (data.data_dir() / "expansion_tables.json").read_text()
+        if defect == "not_json":
+            text = text[:len(text) // 2]
+        else:
+            doc = json.loads(text)
+            del doc["tables"]["r"]["5"][0][2]
+            text = json.dumps(doc)
+        path = tmp_path / "tables.json"
+        path.write_text(text)
+        result = invoke("verify", "--scope", "all", "--tables", str(path))
+        assert result.exit_code == 2
+        assert "precondition violated:" in result.output
+        assert "expansion_tables.json" in result.output
+
     def test_tampered_tables_also_fail_verify_all(self, tampered_tables):
         result = invoke("verify", "--scope", "all", "--format", "json",
                         "--tables", tampered_tables)
@@ -373,6 +389,12 @@ class TestEval:
     def test_malformed_z_exits_2(self):
         result = invoke("eval", "--z", "not-a-number")
         assert result.exit_code == 2
+        for z in ("inf", "-inf", "nan", "inf,0", "0,inf"):
+            for fmt in ("text", "json"):
+                result = invoke("eval", "--z", z, "--format", fmt)
+                assert result.exit_code == 2, (z, fmt, result.output)
+                assert "precondition violated:" in result.output
+                assert "rigorous" not in result.output
 
     def test_precision_below_minimum_exits_2(self):
         result = invoke("eval", "--z", "0", "--precision-bits", "64")

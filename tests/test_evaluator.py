@@ -498,6 +498,16 @@ class TestIntegration:
             with pytest.raises(PreconditionError):
                 ev.integrate(0, 0, 0, mpc(1, bad))
 
+    @pytest.mark.parametrize("z", [
+        mpc("inf"), mpc("-inf"), mpc("nan"), mpc(0, "inf"), mpc(1, "nan"),
+    ])
+    def test_non_finite_points_rejected(self, z):
+        with pytest.raises(PreconditionError):
+            ev.evaluate_point(z)
+        for region in ev.ASYMPTOTIC_REGIONS:
+            with pytest.raises(PreconditionError):
+                ev.asymptotic_y(z, region)
+
     def test_blowup_raises_pole_proximity(self):
         with pytest.raises(ev.PoleProximityError) as info:
             ev.integrate(

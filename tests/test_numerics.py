@@ -21,6 +21,7 @@ from p1cert.numerics import (
     Interval,
     dyadic_ceil,
     dyadic_floor,
+    floor_root,
     frac_pow,
     pi_enclosure,
     root_enclosure,
@@ -134,6 +135,20 @@ class TestRoots:
 
     def test_zero(self):
         assert root_enclosure(0, 3) == Interval(0)
+
+    def test_exact_roots_come_back_as_points(self):
+        assert root_enclosure(Fraction(81, 16), 4) == Interval(Fraction(3, 2))
+        assert sqrt_enclosure(Fraction(9, 4)) == Interval(Fraction(3, 2))
+        assert root_enclosure(Fraction(10**400), 2) == Interval(10**200)
+
+    @pytest.mark.parametrize("a", [Fraction(10**400), Fraction(1, 10**400)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_extreme_magnitudes_bracket_within_cert_tol(self, a, n):
+        # far outside the float range: 10^400 overflows a double and
+        # 10^-400 underflows to zero
+        enc = root_enclosure(a, n)
+        assert enc.lo ** n <= a <= enc.hi ** n
+        assert enc.width <= CERT_TOL
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -296,6 +311,13 @@ def test_dyadic_fourth_root_brackets_within_one_ulp(m, e, bits):
     enc = root.to_interval()
     assert enc.lo ** 4 <= u <= enc.hi ** 4
     assert root.hi - root.lo <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**400), st.integers(2, 9))
+def test_floor_root_is_the_exact_floor(m, n):
+    r = floor_root(m, n)
+    assert r ** n <= m < (r + 1) ** n
 
 
 def test_dyadic_fourth_root_of_an_exact_power_is_exact():
