@@ -39,6 +39,7 @@ from .numerics import (
     DyadicInterval,
     Interval,
     as_fraction,
+    floor_root,
     frac_pow,
     slim,
     slim_up,
@@ -260,13 +261,14 @@ def check_z0_bounds() -> CertificateReport:
 # kernel constants, then the contraction inequalities.
 # ---------------------------------------------------------------------------
 
-#: Significant bits kept by the wedge quadrature's dyadic kernel.
+#: Fractional bits of the wedge quadrature's fixed-point grid values.
 QUADRATURE_BITS = 128
 
 
-def inverse_power_integral(alpha_quarters: int, T: int = 64,
-                           panels: int = 4096) -> Interval:
-    """Enclosure of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp.
+def inverse_power_integral(alpha_quarters: Sequence[int], T: int = 64,
+                           panels: int = 4096) -> Tuple[Interval, ...]:
+    """Enclosures of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp,  one
+    per entry a of ``alpha_quarters``, from one sweep of the grid.
 
     Composite midpoint rule on [-1, T] with the exact per-panel error
     h^3/24 * f''(xi) enclosed through the sign-aware product
@@ -276,72 +278,94 @@ def inverse_power_integral(alpha_quarters: int, T: int = 64,
     whose first factor is decreasing and second increasing in |p|; the
     tail beyond T is enclosed by [0, T^(1-a/2) * 2/(a-2)].
 
-    The sums run on :class:`DyadicInterval` at ``QUADRATURE_BITS`` bits.
-    The grid points -1 + j h/2 enter exactly when h/2 is dyadic (as for
-    4096 panels) and rounded outward otherwise; each (1+p^2)^(-n/4) is
-    the outward reciprocal of the integer fourth root of the exact n-th
-    power of 1+p^2.
+    The sweep runs on plain ints.  The half-step grid point
+    p = -1 + j h/2 is m/D with D = 2 panels and m = j (T+1) - D, so
+    u = 1 + p^2 = (D^2 + m^2)/D^2 is exact for any panel count.  At each
+    grid point the floor and the ceiling of 2^B u^(-1/4), with
+    B = ``QUADRATURE_BITS`` fractional bits, come from one exact integer
+    fourth root; every power u^(-n/4) is then the n-th power of the
+    floor (lower end) or of the ceiling (upper end), and the midpoint
+    and error sums are accumulated exactly, with no rounding per step.
     """
-    a = alpha_quarters
-    if a <= 2:
+    if any(a <= 2 for a in alpha_quarters):
         raise PreconditionError("integral diverges unless a > 2")
     if T < 1 or panels < 1:
         raise PreconditionError("need T >= 1 and panels >= 1")
-    bits = QUADRATURE_BITS
-    h = Fraction(T + 1, panels)
-    quad_coeff = DyadicInterval.enclose(Fraction(a * a + 2 * a, 4), bits)
-    minus_half_a = DyadicInterval.enclose(Fraction(-a, 2), bits)
-    zero, one = DyadicInterval(0, 0, 0), DyadicInterval(1, 1, 0)
+    B = QUADRATURE_BITS
+    D = 2 * panels
+    D2 = D * D
+    top = D2 << 4 * B
+    exps = sorted(set(alpha_quarters))
+    edge_exps = [a + 8 for a in exps]
 
-    def abs_grid(j: int) -> DyadicInterval:
-        """|p| at the half-step grid point p = -1 + j h/2."""
-        return DyadicInterval.enclose(
-            Fraction(abs(j * (T + 1) - 2 * panels), 2 * panels), bits)
+    def root_bounds(j: int) -> Tuple[int, int, int]:
+        """(m, floor, ceil) of 2^B u^(-1/4) at grid point j."""
+        m = j * (T + 1) - D
+        q, rem = divmod(top, D2 + m * m)
+        g = floor_root(q, 4)
+        return m, g, g if rem == 0 and g ** 4 == q else g + 1
 
-    def inverse_power(u: DyadicInterval, n: int) -> DyadicInterval:
-        """u^(-n/4) for u > 0."""
-        return (u ** n).fourth_root(bits).inverse(bits)
+    def powers(g: int, ns: List[int]) -> List[int]:
+        """g^n for each n of the ascending list ns, by multiplying up."""
+        out, acc, done = [], 1, 0
+        for n in ns:
+            acc *= g ** (n - done)
+            done = n
+            out.append(acc)
+        return out
 
-    def f(p_abs: DyadicInterval) -> DyadicInterval:
-        return inverse_power(one + p_abs * p_abs, a)
-
-    def first_factor(p_abs: DyadicInterval) -> DyadicInterval:
-        return inverse_power(one + p_abs * p_abs, a + 8)
-
-    # Each step rounds the running sums outward to ``bits`` significant
-    # bits, which widens the enclosure by at most 2^-(bits-1) relatively.
-    mid_sum = err_sum = zero
-    left_abs = abs_grid(0)
-    left_factor = first_factor(left_abs)
+    # Exact int sums per exponent a: midpoint values on the scale 2^(aB),
+    # error products on the scale 4 D^2 2^((a+8)B).  On that scale the
+    # first factor is ``ones`` at p = 0, and 4 D^2 times the second
+    # factor is (a^2+2a) m^2 - 2a D^2.
+    mid_lo, mid_hi = [0] * len(exps), [0] * len(exps)
+    err_lo, err_hi = [0] * len(exps), [0] * len(exps)
+    ones = [1 << n * B for n in edge_exps]
+    quad = [(a * a + 2 * a, 2 * a * D2) for a in exps]
+    m_left, g_lo, g_hi = root_bounds(0)
+    left_lo, left_hi = powers(g_lo, edge_exps), powers(g_hi, edge_exps)
     for i in range(panels):
-        mid_sum = (mid_sum + f(abs_grid(2 * i + 1))).round_out(bits)
-        right_abs = abs_grid(2 * i + 2)
-        right_factor = first_factor(right_abs)
-        # |p| and the first factor (decreasing in |p|) range between
-        # their values at the panel edges, extended to |p| = 0, where the
-        # factor is 1, on the panel that contains p = 0
-        abs_range = left_abs.hull(right_abs)
-        factor1 = left_factor.hull(right_factor)
-        if 2 * i * (T + 1) < 2 * panels < (2 * i + 2) * (T + 1):
-            abs_range = abs_range.hull(zero)
-            factor1 = factor1.hull(one)
-        factor2 = abs_range * abs_range * quad_coeff + minus_half_a
-        err_sum = (err_sum + factor1 * factor2).round_out(bits)
-        left_abs, left_factor = right_abs, right_factor
-    # T^(1-a/2) = (T^2)^(-(a-2)/4)
-    tail_hi = Fraction(2, a - 2) * inverse_power(
-        DyadicInterval.enclose(T * T, bits), a - 2).to_interval().hi
-    return (h * mid_sum.to_interval()
-            + Fraction(h ** 3, 24) * err_sum.to_interval()
+        _, c_lo, c_hi = root_bounds(2 * i + 1)
+        m_right, g_lo, g_hi = root_bounds(2 * i + 2)
+        right_lo = powers(g_lo, edge_exps)
+        right_hi = powers(g_hi, edge_exps)
+        # |p| ranges over the panel edges, extended to |p| = 0, where the
+        # first factor (decreasing in |p|) is 1, on the panel with p = 0
+        straddles = m_left < 0 < m_right
+        m_min = 0 if straddles else min(abs(m_left), abs(m_right))
+        m_max = max(abs(m_left), abs(m_right))
+        for k, (f_lo, f_hi) in enumerate(zip(powers(c_lo, exps),
+                                             powers(c_hi, exps))):
+            mid_lo[k] += f_lo
+            mid_hi[k] += f_hi
+            f1_lo = min(left_lo[k], right_lo[k])
+            f1_hi = ones[k] if straddles else max(left_hi[k], right_hi[k])
+            coeff, offset = quad[k]
+            f2_lo = coeff * m_min * m_min - offset
+            f2_hi = coeff * m_max * m_max - offset
+            err_lo[k] += f2_lo * (f1_hi if f2_lo < 0 else f1_lo)
+            err_hi[k] += f2_hi * (f1_lo if f2_hi < 0 else f1_hi)
+        m_left, left_lo, left_hi = m_right, right_lo, right_hi
+    h = Fraction(T + 1, panels)
+    enclosures = {}
+    for k, a in enumerate(exps):
+        mid_den = 1 << a * B
+        err_den = 4 * D2 << (a + 8) * B
+        # T^(1-a/2) = (sqrt T)^(2-a)
+        tail_hi = Fraction(2, a - 2) * frac_pow(T, 2 - a, 2).hi
+        enclosures[a] = (
+            h * Interval(Fraction(mid_lo[k], mid_den),
+                         Fraction(mid_hi[k], mid_den))
+            + h ** 3 / 24 * Interval(Fraction(err_lo[k], err_den),
+                                     Fraction(err_hi[k], err_den))
             + Interval(0, tail_hi))
+    return tuple(enclosures[a] for a in alpha_quarters)
 
 
 def wedge_kernel_constants(T: int = 64,
                            panels: int = 4096) -> Dict[str, Interval]:
     """The three kernel constants of the wedge contraction argument."""
-    i74 = inverse_power_integral(7, T, panels)
-    i94 = inverse_power_integral(9, T, panels)
-    i114 = inverse_power_integral(11, T, panels)
+    i74, i94, i114 = inverse_power_integral((7, 9, 11), T, panels)
     M = Fraction(196, 625) * (frac_pow(2, 5, 4) * i74 + Fraction(2, 5))
     N = Fraction(1, 18) + frac_pow(2, 1, 4) * i114
     L = Fraction(1, 28) + frac_pow(2, -5, 4) * i94

@@ -346,7 +346,13 @@ def asymptotic_y(
         raise ValueError(
             f"unknown region {region!r}; expected one of {ASYMPTOTIC_REGIONS}"
         )
-    point = frame_map(z, "z", precision_bits)
+    return _asymptotic_at(frame_map(z, "z", precision_bits), region,
+                          precision_bits)
+
+
+def _asymptotic_at(point: FramePoint, region: str,
+                   precision_bits: int) -> AsymptoticValue:
+    """:func:`asymptotic_y` at a point already mapped to every frame."""
     if point.x is None:
         raise PreconditionError("asymptotic representations require z != 0")
     with workprec(precision_bits + GUARD_BITS):
@@ -1111,9 +1117,10 @@ def evaluate_point(
             error_bound=data.y_value_radius,
             slope_error_bound=data.y_slope_radius,
         )
+    point = frame_map(zv, "z", precision_bits)
     for region in ASYMPTOTIC_REGIONS:
         try:
-            asym = asymptotic_y(zv, region, precision_bits)
+            asym = _asymptotic_at(point, region, precision_bits)
         except PreconditionError:
             continue
         return Evaluation(
@@ -1124,7 +1131,6 @@ def evaluate_point(
             rigorous=True,
             error_bound=asym.error,
         )
-    point = frame_map(zv, "z", precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         warning = None
         wedge = abs(mp.arg(point.t)) < mp.pi / 5 + _ARG_SLACK

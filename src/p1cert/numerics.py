@@ -13,9 +13,10 @@ Rounding lives here too, in two forms.  :func:`dyadic_floor`,
 rational endpoints outward before they are compared or printed.
 :class:`DyadicInterval` is an interval whose endpoints are Python-int
 mantissas times a shared power of two (Arb's design without the radius:
-F. Johansson, IEEE Trans. Comput. 66 (2017)); the hot loops that round
-every step anyway run on it and convert back to :class:`Interval`
-exactly, so every certified comparison stays an exact rational one.
+F. Johansson, IEEE Trans. Comput. 66 (2017)); the Maclaurin envelope's
+recurrence, which rounds every step anyway, runs on it and converts back
+to :class:`Interval` exactly, so every certified comparison stays an
+exact rational one.
 """
 
 from __future__ import annotations
@@ -276,13 +277,12 @@ def _enclose_point(x: Fraction, bits: int) -> "DyadicInterval":
 class DyadicInterval:
     """A closed interval [lo 2^exp, hi 2^exp] with int mantissas lo <= hi.
 
-    Sums, products, nonnegative integer powers and hulls are exact (dyadic
-    numbers are closed under them).  Rational scaling, the reciprocal and
-    the fourth root round outward to a requested number of significant
-    bits, and :meth:`round_out` bounds the mantissas; the precision is
-    always relative to the endpoint of larger magnitude.  Every result
-    contains the exact image of its operands, and :meth:`to_interval`
-    converts back without rounding.
+    Sums, products and hulls are exact (dyadic numbers are closed under
+    them); rational scaling rounds outward to a requested number of
+    significant bits, relative to the endpoint of larger magnitude.  Every
+    result contains the exact image of its operands, and
+    :meth:`to_interval` converts back without rounding.  The Maclaurin
+    envelope's recurrence runs on it.
     """
 
     __slots__ = ("lo", "hi", "exp")
@@ -330,23 +330,9 @@ class DyadicInterval:
         products = (a * c, a * d, b * c, b * d)
         return DyadicInterval(min(products), max(products), exp)
 
-    def __pow__(self, n: int) -> "DyadicInterval":
-        if self.lo < 0 or not isinstance(n, int) or n < 0:
-            raise ValueError("dyadic powers need a nonnegative interval "
-                             "and a nonnegative int exponent")
-        return DyadicInterval(self.lo ** n, self.hi ** n, self.exp * n)
-
     def hull(self, other: "DyadicInterval") -> "DyadicInterval":
         alo, ahi, blo, bhi, exp = self._aligned(other)
         return DyadicInterval(min(alo, blo), max(ahi, bhi), exp)
-
-    def round_out(self, bits: int) -> "DyadicInterval":
-        """Outward rounding to ``bits`` significant bits."""
-        shift = max(-self.lo, self.hi).bit_length() - bits
-        if shift <= 0:
-            return self
-        return DyadicInterval(self.lo >> shift, -(-self.hi >> shift),
-                              self.exp + shift)
 
     def scale(self, q, bits: int) -> "DyadicInterval":
         """q times the interval, rounded outward to ``bits`` bits."""
@@ -362,37 +348,6 @@ class DyadicInterval:
                                   self.exp - shift)
         den <<= -shift
         return DyadicInterval(lo // den, -(-hi // den), self.exp - shift)
-
-    def inverse(self, bits: int) -> "DyadicInterval":
-        """1/x over a positive interval, rounded outward to ``bits`` bits."""
-        if self.lo <= 0:
-            raise ZeroDivisionError("dyadic reciprocal needs lo > 0")
-        k = bits + self.hi.bit_length()
-        return DyadicInterval((1 << k) // self.hi, -(-(1 << k) // self.lo),
-                              -self.exp - k)
-
-    def fourth_root(self, bits: int) -> "DyadicInterval":
-        """x^(1/4) over a nonnegative interval, to ``bits`` bits outward.
-
-        The mantissas are shifted to about 4*bits bits on a grid whose
-        exponent is a multiple of 4; then isqrt(isqrt(m)) is the exact
-        floor of m^(1/4), and the upper end takes +1 unless its root is
-        exact.
-        """
-        if self.lo < 0:
-            raise ValueError("fourth root of an interval with negative part")
-        shift = 4 * bits - self.hi.bit_length()
-        shift += (self.exp - shift) % 4
-        if shift >= 0:
-            lo, hi = self.lo << shift, self.hi << shift
-        else:
-            lo, hi = self.lo >> -shift, -(-self.hi >> -shift)
-        root_lo = floor_root(lo, 4)
-        # ceil(hi^(1/4)); when hi <= lo + 1 it is at most root_lo + 1
-        root_hi = root_lo if hi - lo <= 1 else floor_root(hi, 4)
-        if root_hi ** 4 < hi:
-            root_hi += 1
-        return DyadicInterval(root_lo, root_hi, (self.exp - shift) // 4)
 
     def __repr__(self):
         return f"DyadicInterval({self.lo}, {self.hi}, {self.exp})"

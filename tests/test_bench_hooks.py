@@ -69,3 +69,24 @@ def test_install_then_uninstall_restores_every_original(tracer):
         assert set(current) == set(saved), owner
         for key, value in saved.items():
             assert current[key] is value, (owner, key)
+
+
+def test_one_certificate_pass_runs_the_hot_loops_through_hooked_names(
+        tracer, monkeypatch):
+    # The tracer's per-layer spans time the quadrature and the sup norms
+    # only if the hot loops still run through these module attributes.
+    counts = {}
+    for owner, attr in ((certificates, "inverse_power_integral"),
+                        (polybound, "sup_abs_partition")):
+        original = getattr(owner, attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            counts[_attr] = counts.get(_attr, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in tracer.program_modules():
+            if vars(module).get(attr) is original:
+                monkeypatch.setattr(module, attr, counted)
+    data.clear_cache()
+    certificates.run_all()
+    assert counts == {"inverse_power_integral": 1, "sup_abs_partition": 12}

@@ -114,30 +114,61 @@ class TestInversePowerIntegral:
         alpha = mpf(quarters) / 4
         oracle = Fraction(str(quad(
             lambda p: (1 + p ** 2) ** (-alpha), [-1, inf])))
-        iv = C.inverse_power_integral(quarters, T=64, panels=512)
+        (iv,) = C.inverse_power_integral((quarters,), T=64, panels=512)
         assert iv.lo <= oracle <= iv.hi
 
     @pytest.mark.parametrize("panels", [4096, 500])
     @pytest.mark.parametrize("quarters", [7, 9, 11])
     def test_kernel_grid_contains_mpmath_oracle(self, quarters, panels):
-        # 4096 panels: the certificate's dyadic grid, taken exactly;
-        # 500 panels: h/2 = 13/200 is not dyadic, so the grid is rounded
+        # 4096 panels: the certificate's grid, h/2 = 65/8192;
+        # 500 panels: h/2 = 13/200, not dyadic (the grid is exact for both)
         mp.dps = 40
         alpha = mpf(quarters) / 4
         oracle = Fraction(str(quad(
             lambda p: (1 + p ** 2) ** (-alpha), [-1, inf])))
-        iv = C.inverse_power_integral(quarters, T=64, panels=panels)
+        (iv,) = C.inverse_power_integral((quarters,), T=64, panels=panels)
         assert iv.lo <= oracle <= iv.hi
 
     def test_refinement_shrinks_and_stays_consistent(self):
-        coarse = C.inverse_power_integral(7, T=64, panels=128)
-        fine = C.inverse_power_integral(7, T=64, panels=512)
+        (coarse,) = C.inverse_power_integral((7,), T=64, panels=128)
+        (fine,) = C.inverse_power_integral((7,), T=64, panels=512)
         assert fine.width < coarse.width
         assert coarse.intersects(fine)
 
     def test_divergent_power_rejected(self):
         with pytest.raises(C.PreconditionError):
-            C.inverse_power_integral(2)
+            C.inverse_power_integral((2,))
+
+    def test_one_sweep_equals_one_exponent_at_a_time(self):
+        together = C.inverse_power_integral((7, 9, 11), T=64, panels=256)
+        alone = tuple(C.inverse_power_integral((q,), T=64, panels=256)[0]
+                      for q in (7, 9, 11))
+        assert together == alone
+        assert C.inverse_power_integral((11, 7), T=64, panels=256) \
+            == (alone[2], alone[0])
+
+    # The enclosures of the 128-bit floating dyadic kernel that the
+    # fixed-point sweep replaced, at the certificate's 4096 panels.
+    DYADIC_KERNEL_ENCLOSURES = {
+        7: ("1696116479822202445937558972868532148488958820365/"
+            "1096126227998177188652763624537212264741949407232",
+            "33922661399599884266692459951486315201775855998217/"
+            "21922524559963543773055272490744245294838988144640"),
+        9: ("365460315372427914869537534091687660628618432475/"
+            "274031556999544297163190906134303066185487351808",
+            "81863364744263198966332833085168329229577391027941/"
+            "61383068767897922564554762974083886825549166804992"),
+        11: ("10437026840936607057762442450238067922099839864955/"
+             "8769009823985417509222108996297698117935595257856",
+             "7827803838084966573672746639047982637652279257527/"
+             "6576757367989063131916581747223273588451696443392"),
+    }
+
+    def test_certificate_grid_lies_inside_the_dyadic_kernel_enclosures(self):
+        ivs = C.inverse_power_integral((7, 9, 11), T=64, panels=4096)
+        for quarters, iv in zip((7, 9, 11), ivs):
+            lo, hi = map(Fraction, self.DYADIC_KERNEL_ENCLOSURES[quarters])
+            assert lo < iv.lo <= iv.hi < hi
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ floating-point oracle.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from p1cert.numerics import Interval
+from p1cert.numerics import Interval, root_enclosure
 from p1cert.polybound import (
+    _piece_bound,
     poly,
     poly_add,
     poly_derivative,
@@ -139,6 +140,69 @@ class TestSupAbs:
         p = poly([1, -3, 0, 2, 0, -1])  # 1 - 3x + 2x^3 - x^5
         result = sup_abs(p, -2, 1)
         assert result.hi <= result.lo * (1 + F(1, 1000))
+
+
+def _fraction_piece_bound(p, lo, hi):
+    """The piece bound written in Fraction arithmetic throughout: the
+    reference that the integer kernel must reproduce exactly."""
+    zero = F(0)
+    mid = (lo + hi) / 2
+    r = (hi - lo) / 2
+    q = [F(a) for a in p]
+    for i in range(len(q)):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += mid * q[j + 1]
+    tail = sum((abs(c) * r**k for k, c in enumerate(q) if k >= 4), zero)
+    head = q[:4]
+    lows = [abs(poly_eval(q, -r)), abs(poly_eval(q, r))]
+    if q:
+        lows.append(abs(q[0]))
+    cands = [abs(poly_eval(head, -r)), abs(poly_eval(head, r))]
+    h1 = head[1] if len(head) > 1 else zero
+    h2 = head[2] if len(head) > 2 else zero
+    h3 = head[3] if len(head) > 3 else zero
+    crit = []
+    if h3 == 0:
+        if h2 != 0:
+            crit.append(Interval(-h1 / (2 * h2)))
+    else:
+        disc = 4 * h2 * h2 - 12 * h1 * h3
+        if disc == 0:
+            crit.append(Interval(-h2 / (3 * h3)))
+        elif disc > 0:
+            sq = root_enclosure(disc, 2)
+            for sgn in (1, -1):
+                crit.append((Interval(-2 * h2) + sgn * sq) / (6 * h3))
+    for enclosure in crit:
+        if enclosure.hi < -r or enclosure.lo > r:
+            continue
+        clamped = Interval(max(enclosure.lo, -r), min(enclosure.hi, r))
+        cands.append(abs(poly_eval(head, clamped)).hi)
+        lows.append(abs(poly_eval(q, clamped.mid)))
+    return max(lows), max(cands) + tail
+
+
+big_rationals = st.builds(
+    F, st.integers(-2**250, 2**250), st.integers(1, 2**250))
+piece_ends = st.fractions(min_value=-10, max_value=10,
+                          max_denominator=10**12)
+
+
+class TestPieceBound:
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(big_rationals, max_size=25),
+           ends=st.tuples(piece_ends, piece_ends).filter(
+               lambda e: e[0] != e[1]))
+    @example(coeffs=[F(0), F(1), F(0), F(-1)], ends=(F(-1), F(1)))
+    @example(coeffs=[F(0), F(0), F(0), F(1)], ends=(F(-1), F(1, 2)))
+    @example(coeffs=[F(1), F(-2), F(3)], ends=(F(0), F(1)))
+    @example(coeffs=[F(2), F(-3)], ends=(F(-1, 3), F(5, 7)))
+    @example(coeffs=[], ends=(F(0), F(1)))
+    def test_integer_kernel_equals_the_fraction_reference(self, coeffs,
+                                                          ends):
+        lo, hi = sorted(ends)
+        assert _piece_bound(coeffs, lo, hi) \
+            == _fraction_piece_bound(coeffs, lo, hi)
 
 
 class TestPartition:
