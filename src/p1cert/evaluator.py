@@ -619,11 +619,12 @@ class PoleNotFoundError(RuntimeError):
 class IntegrationResult:
     """Endpoint state of one integration run.
 
-    ``error_estimate`` sums, over the steps, the truncation tail and a
-    bound on the fixed-point kernel's rounding, and adds the rounding of
-    the result to the working precision.  It leaves out how earlier
-    errors grow along the path, so it is a heuristic accuracy indicator,
-    not a certified bound.  ``order`` is the Taylor order the steps used.
+    ``error_estimate`` sums, over the steps, the truncation tail of the
+    value, that of the slope times the rest of the leg, and a bound on
+    the fixed-point kernel's rounding, and adds the rounding of the
+    result to the working precision.  It leaves out how earlier errors
+    grow along the path, so it is a heuristic accuracy indicator, not a
+    certified bound.  ``order`` is the Taylor order the steps used.
     ``defect`` is the forward-backward round-trip discrepancy when
     requested.
     """
@@ -644,12 +645,19 @@ class IntegrationResult:
 #: super-linear exponent makes the accumulated defect scale like
 #: tol^(~2.4), so halving the tolerance reliably gains more than 4x; the
 #: floor keeps a step from resolving digits that rounding discards.
-#: While the floor binds the tolerance no longer sets the error, and the
-#: order is the one cheapest per unit length at eps (Jorba & Zou,
-#: Experimental Math. 14 (2005)):  ceil(-ln(eps)/2) + 1, about 57 at
-#: 160 bits.  Otherwise the order is 0.8 times the tolerance's decimal
-#: digits, rounded to even.  Both are clamped to the order window.
+#: The order depends on eps alone, so the order and the step read the
+#: same number.  Below 2^_ORDER_SWITCH_LOG2 it is the order cheapest per
+#: unit length at eps (Jorba & Zou, Experimental Math. 14 (2005)):
+#: ceil(-ln(eps)/2) + 1, clamped to the order window; that is 30 at tol
+#: 1e-10, 57 at the defaults and 64 at tol 1e-25 from 192 bits on.  At
+#: or above it (tol >= 2^-32, coarse tolerances) the order is MIN_ORDER.
 _LOCAL_EXPONENT = Fraction(5, 2)
+
+#: log2 of the per-step budget below which the order grows with it:
+#: 2^-(prec/2) at the default 160-bit working precision, and fixed, since
+#: a switch that moved with the precision would keep tol 1e-10 at
+#: MIN_ORDER, hundreds of steps a ray, from 192 bits on.
+_ORDER_SWITCH_LOG2 = -80
 
 _STEP_SAFETY = Fraction(4, 5)
 _MAX_STEP = Fraction(3, 4)
@@ -659,12 +667,22 @@ def _clamp_order(order: int) -> int:
     return int(min(MAX_ORDER, max(MIN_ORDER, order)))
 
 
+def _log2_budget(tol: mpf) -> float:
+    """log2 of the per-step budget max(tol^(5/2), 2^-prec) at mp.prec."""
+    return max(float(_LOCAL_EXPONENT) * float(mp.log(tol, 2)), -mp.prec)
+
+
 def _pick_order(tol: mpf) -> int:
-    floor = mpf(2) ** -mp.prec
-    if tol ** _to_mpf(_LOCAL_EXPONENT) < floor:
-        return _clamp_order(int(mp.ceil(-mp.ln(floor) / 2)) + 1)
-    digits = float(-mp.log10(tol))
-    return _clamp_order(2 * round(0.4 * digits))
+    """The Taylor order for the per-step budget at ``tol`` and mp.prec.
+
+    ceil(-ln(eps)/2) + 1 clamped to [MIN_ORDER, MAX_ORDER] while eps is
+    below 2^_ORDER_SWITCH_LOG2, MIN_ORDER otherwise; it never falls as
+    the precision rises or the tolerance shrinks.
+    """
+    log_budget = _log2_budget(tol)
+    if log_budget >= _ORDER_SWITCH_LOG2:
+        return MIN_ORDER
+    return _clamp_order(math.ceil(-log_budget * math.log(2) / 2) + 1)
 
 
 def _top_nonzero(re: Sequence[int], im: Sequence[int]) -> List[int]:
@@ -710,8 +728,7 @@ def _integrate_leg(
         raise PreconditionError("integration needs finite data and endpoints")
     prec = mp.prec
     bits = prec + _KERNEL_GUARD_BITS
-    # log2 of the per-step budget max(tol^(5/2), 2^-prec)
-    log_budget = max(float(_LOCAL_EXPONENT) * float(mp.log(tol, 2)), -prec)
+    log_budget = _log2_budget(tol)
     log_safety = math.log2(_STEP_SAFETY)
     log_max_step = math.log2(_MAX_STEP)
     # error_sum counts units of 2^error_exp, next to the per-step budget,
@@ -789,8 +806,13 @@ def _integrate_leg(
         sigma = (delta[0] << -e, delta[1] << -e)
         value, slope_scaled = _horner_fixed(re, im, sigma, bits)
         slope = (slope_scaled[0] << -e, slope_scaled[1] << -e)
+        # Each top term truncates the value by |c_k| step^k and the slope
+        # by k |c_k| step^(k-1); the slope's error moves the value over
+        # the rest of the leg, ``ahead`` steps of this length.
+        ahead = 2.0 ** (log_remaining - log_step) - 1
         for k, log_b in sizes:
-            error_sum += 2.0 ** (log_b + k * (log_step - e) - error_exp)
+            term = 2.0 ** (log_b + k * (log_step - e) - error_exp)
+            error_sum += term * (1 + k * ahead)
         error_sum += rounding
         t = (t[0] + delta[0], t[1] + delta[1])
         steps += 1
@@ -823,17 +845,17 @@ def integrate(
     coefficients so that the local truncation stays below
     eps = max(tol**(5/2), 2**-prec), prec being the working precision
     ``precision_bits`` plus :data:`GUARD_BITS`.  When ``order`` is not
-    given it is ceil(-ln(eps)/2) + 1 while the 2**-prec floor binds
-    (57 at the default precision), and otherwise follows the tolerance;
-    either way it is clamped to [:data:`MIN_ORDER`, :data:`MAX_ORDER`]
-    and reported as ``order``.  The steps run on a fixed-point kernel
-    with :data:`_KERNEL_GUARD_BITS` bits below the working precision, and
-    the result is rounded to the working precision once, at the end.  A
-    trajectory value exceeding :data:`BLOWUP_THRESHOLD` raises
-    :class:`PoleProximityError` carrying a double-pole location
-    estimate.  With ``report_defect`` the path is re-integrated in
-    reverse and the worst component of the round-trip discrepancy is
-    reported.
+    given it follows eps alone: ceil(-ln(eps)/2) + 1 while eps < 2**-80
+    (57 at the defaults, 64 at the default tol from 192 bits on), and
+    :data:`MIN_ORDER` at coarser budgets.  Either way it is clamped to
+    [:data:`MIN_ORDER`, :data:`MAX_ORDER`] and reported as ``order``.
+    The steps run on a fixed-point kernel with :data:`_KERNEL_GUARD_BITS`
+    bits below the working precision, and the result is rounded to the
+    working precision once, at the end.  A trajectory value exceeding
+    :data:`BLOWUP_THRESHOLD` raises :class:`PoleProximityError` carrying
+    a double-pole location estimate.  With ``report_defect`` the path is
+    re-integrated in reverse and the worst component of the round-trip
+    discrepancy is reported.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):

@@ -479,6 +479,14 @@ class TestPole:
                         for k in range(-4, 5) if k]
         assert pole_json["unbounded_directions"] == expected
 
+    def test_finer_precision_prints_the_same_distance(self, pole_json):
+        # at the scan's tol 1e-10 the Taylor order does not depend on the
+        # working precision, so the real ray takes the same steps
+        result = invoke("pole", "--precision-bits", "192", "--format", "json")
+        assert result.exit_code == 0
+        finer = json.loads(result.output)
+        assert finer["best"]["distance"] == pole_json["best"]["distance"]
+
     def test_note_flags_the_estimate_as_numerical(self, pole_json):
         assert "estimate" in pole_json["note"]
         assert "not a certified statement" in pole_json["note"]

@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
@@ -468,6 +468,37 @@ class TestIntegration:
         assert built == {run.order}
         assert run.order == 57  # ceil(80 ln 2) + 1
 
+    def test_finer_precision_keeps_the_step_count(self, monkeypatch):
+        # at 192 bits eps = tol^(5/2) = 1e-62.5, and the order follows it
+        # to the top of the window, which keeps the steps as few
+        run, built = self._orders_used(monkeypatch, precision_bits=192)
+        assert run.steps <= 20
+        assert built == {run.order}
+        assert run.order == ev.MAX_ORDER
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(ev.MIN_PRECISION_BITS, 1024),
+           st.integers(ev.MIN_PRECISION_BITS, 1024),
+           st.integers(1, 200), st.integers(1, 200))
+    @example(128, 192, 25, 25)
+    def test_order_never_falls_with_a_finer_budget(self, bits_a, bits_b,
+                                                    digits_a, digits_b):
+        # tol = 10^-digits: more bits or more digits never lower the order
+        orders = []
+        for pick in (min, max):
+            with workprec(pick(bits_a, bits_b) + ev.GUARD_BITS):
+                tol = mpf(10) ** -pick(digits_a, digits_b)
+                orders.append(ev._pick_order(tol))
+        assert ev.MIN_ORDER <= orders[0] <= orders[1] <= ev.MAX_ORDER
+
+    def test_order_at_the_scan_and_a_coarse_tolerance(self):
+        # eps = 1e-25 at pole's tol 1e-10 at any precision; eps >= 2^-80
+        # at tol 1e-8
+        for bits in (ev.DEFAULT_PRECISION_BITS, 192, 256):
+            with workprec(bits + ev.GUARD_BITS):
+                assert ev._pick_order(mpf(10) ** -10) == 30
+                assert ev._pick_order(mpf(10) ** -8) == ev.MIN_ORDER
+
     def test_explicit_order_is_honoured_under_the_floor(self, monkeypatch):
         run, built = self._orders_used(monkeypatch, order=20)
         assert run.order == 20
@@ -739,17 +770,32 @@ class TestOriginAndEvaluation:
         assert scan.best.direction == 0
         assert elapsed < 6.0, f"default pole scan took {elapsed:.2f}s (limit 6s)"
 
+    def test_finer_precision_at_z_5_within_1_s(self):
+        start = time.perf_counter()
+        outcome = ev.evaluate_point(5, precision_bits=192)
+        elapsed = time.perf_counter() - start
+        assert outcome.method == "integration"
+        assert elapsed < 1.0, f"z = 5 at 192 bits took {elapsed:.2f}s (limit 1s)"
+
     @pytest.mark.parametrize(
-        "t_polar",
-        [(mpf(1), mpf(0)), (mpf("2.2"), mpf("0.8"))],
-        ids=["disk", "outer"],
+        "t_polar, bits",
+        [
+            pytest.param((radius, turns), bits,
+                         id=cell if bits == 128 else f"{cell}-{bits}")
+            for bits in (128, 192, 256)
+            for cell, radius, turns in (
+                ("disk", mpf(1), mpf(0)), ("outer", mpf("2.2"), mpf("0.8"))
+            )
+        ],
     )
-    def test_error_estimate_covers_the_rounding(self, t_polar):
+    def test_error_estimate_covers_the_rounding(self, t_polar, bits):
         # the estimate may not claim more accuracy than the working
-        # precision delivers: compare with a 300-bit, tol 1e-60 run
+        # precision delivers: compare with a 300-bit, tol 1e-60 run.  At
+        # 192 and 256 bits the order is 64, where the truncation of the
+        # slope carried along the path outweighs that of the value.
         radius, turns = t_polar
         z = ev.frame_map(radius * mp.expjpi(turns), "t", precision_bits=300).z
-        outcome = ev.evaluate_point(z)
+        outcome = ev.evaluate_point(z, precision_bits=bits)
         reference = ev.evaluate_point(
             z, precision_bits=300, tol=Fraction(1, 10**60)
         )
