@@ -65,6 +65,7 @@ EXIT_PRECONDITION = 2
 _TEXT_DIGITS = 20
 _ERROR_DIGITS = 8
 _JSON_DIGITS = 25
+_SERIES_CSV_DIGITS = 24
 
 _SCOPES = ("all", "omegaI", "omega12", "omega4", "inner", "radius")
 
@@ -534,7 +535,10 @@ def _emit_series(fmt: str, order: int, coeffs) -> int:
         }
         click.echo(_json_text(payload))
     elif fmt == "csv":
-        click.echo(evaluator.series_csv(coeffs).rstrip("\n"))
+        click.echo(_csv_text(
+            ["k", "re_ck", "im_ck"],
+            [[k, *_parts(c, _SERIES_CSV_DIGITS)]
+             for k, c in enumerate(coeffs)]))
     else:
         lines = [f"p1cert series  order = {order}"]
         lines += _fingerprint_lines() + [""]

@@ -9,7 +9,7 @@ adaptive Taylor integrator for the equation in the rotated frame
 
     g'' = 6 g^2 + t,        g(t) = e^(2*pi*i/5) * y(-t * e^(i*pi/5)),
 
-pole-distance estimation, and CSV export helpers.
+and pole-distance estimation.
 
 Everything here is arbitrary-precision arithmetic: mpmath floating point
 (100-bit minimum working precision), and fixed point on Python integers
@@ -52,8 +52,11 @@ DEFAULT_TOL = Fraction(1, 10**25)
 #: A trajectory value of this magnitude is treated as a pole encounter.
 BLOWUP_THRESHOLD = 10**8
 
-#: Default search horizon (in |t|) for :func:`pole_estimate`.
-DEFAULT_HORIZON = 10
+#: Search horizon (in |t|) of :func:`pole_estimate`.
+POLE_HORIZON = 10
+
+#: Integrator tolerance of :func:`pole_estimate`.
+_POLE_TOL = Fraction(1, 10**10)
 
 #: Significant digits of the pole estimate in a past-the-pole warning.
 _WARNING_DIGITS = 15
@@ -62,14 +65,6 @@ _WARNING_DIGITS = 15
 MIN_ORDER, MAX_ORDER = 16, 64
 
 _MAX_STEPS = 500_000
-
-#: Canonical initial data for the rotated-frame equation: the value and
-#: slope of the certified quasi-solution at t = -17/10.  These are the
-#: exact rationals whose forward flow the interior certificate traps at
-#: the origin.
-INITIAL_TIME = inner.T0
-INITIAL_VALUE = inner.T0_VALUE
-INITIAL_SLOPE = inner.T0_SLOPE
 
 #: Asymptotic-region tokens accepted by :func:`asymptotic_y`:
 #: ``omegaI`` is the oscillatory ray arg x = pi/2 beyond the matching
@@ -81,12 +76,9 @@ __all__ = [
     "MIN_PRECISION_BITS",
     "DEFAULT_TOL",
     "BLOWUP_THRESHOLD",
-    "DEFAULT_HORIZON",
+    "POLE_HORIZON",
     "MIN_ORDER",
     "MAX_ORDER",
-    "INITIAL_TIME",
-    "INITIAL_VALUE",
-    "INITIAL_SLOPE",
     "ASYMPTOTIC_REGIONS",
     "PreconditionError",
     "PoleProximityError",
@@ -112,8 +104,6 @@ __all__ = [
     "pole_scan",
     "y_at_zero",
     "evaluate_point",
-    "series_csv",
-    "trajectory_csv",
 ]
 
 
@@ -625,8 +615,6 @@ class IntegrationResult:
     result to the working precision.  It leaves out how earlier errors
     grow along the path, so it is a heuristic accuracy indicator, not a
     certified bound.  ``order`` is the Taylor order the steps used.
-    ``defect`` is the forward-backward round-trip discrepancy when
-    requested.
     """
 
     value: mpc
@@ -635,8 +623,6 @@ class IntegrationResult:
     steps: int
     order: int
     error_estimate: mpf
-    defect: Optional[mpf] = None
-    trajectory: Optional[Tuple[Tuple[mpc, mpc], ...]] = None
 
 
 #: Local truncation budget per step is
@@ -648,7 +634,7 @@ class IntegrationResult:
 #: The order depends on eps alone, so the order and the step read the
 #: same number.  Below 2^_ORDER_SWITCH_LOG2 it is the order cheapest per
 #: unit length at eps (Jorba & Zou, Experimental Math. 14 (2005)):
-#: ceil(-ln(eps)/2) + 1, clamped to the order window; that is 30 at tol
+#: ceil(-ln(eps)/2) + 1, capped at MAX_ORDER; that is 30 at tol
 #: 1e-10, 57 at the defaults and 64 at tol 1e-25 from 192 bits on.  At
 #: or above it (tol >= 2^-32, coarse tolerances) the order is MIN_ORDER.
 _LOCAL_EXPONENT = Fraction(5, 2)
@@ -663,10 +649,6 @@ _STEP_SAFETY = Fraction(4, 5)
 _MAX_STEP = Fraction(3, 4)
 
 
-def _clamp_order(order: int) -> int:
-    return int(min(MAX_ORDER, max(MIN_ORDER, order)))
-
-
 def _log2_budget(tol: mpf) -> float:
     """log2 of the per-step budget max(tol^(5/2), 2^-prec) at mp.prec."""
     return max(float(_LOCAL_EXPONENT) * float(mp.log(tol, 2)), -mp.prec)
@@ -675,14 +657,15 @@ def _log2_budget(tol: mpf) -> float:
 def _pick_order(tol: mpf) -> int:
     """The Taylor order for the per-step budget at ``tol`` and mp.prec.
 
-    ceil(-ln(eps)/2) + 1 clamped to [MIN_ORDER, MAX_ORDER] while eps is
-    below 2^_ORDER_SWITCH_LOG2, MIN_ORDER otherwise; it never falls as
-    the precision rises or the tolerance shrinks.
+    ceil(-ln(eps)/2) + 1 capped at MAX_ORDER while eps is below
+    2^_ORDER_SWITCH_LOG2 (where it is at least 29, so above MIN_ORDER),
+    MIN_ORDER otherwise; it never falls as the precision rises or the
+    tolerance shrinks.
     """
     log_budget = _log2_budget(tol)
     if log_budget >= _ORDER_SWITCH_LOG2:
         return MIN_ORDER
-    return _clamp_order(math.ceil(-log_budget * math.log(2) / 2) + 1)
+    return min(MAX_ORDER, math.ceil(-log_budget * math.log(2) / 2) + 1)
 
 
 def _top_nonzero(re: Sequence[int], im: Sequence[int]) -> List[int]:
@@ -712,7 +695,6 @@ def _integrate_leg(
     t_to: mpc,
     tol: mpf,
     order: int,
-    collect: Optional[List[Tuple[mpc, mpc]]],
 ) -> Tuple[mpc, mpc, int, mpf]:
     """March from t_from to t_to along the straight segment.
 
@@ -737,8 +719,6 @@ def _integrate_leg(
     # Horner's and the recurrence's roundings: at most one unit of
     # 2^-bits per coefficient and per Horner stage, in each component.
     rounding = (4 * order + 4) * 2.0 ** (-bits - error_exp)
-    if collect is not None:
-        collect.append((t_from, g))
     value, slope = _to_fixed(g, bits), _to_fixed(g_prime, bits)
     t, target = _to_fixed(t_from, bits), _to_fixed(t_to, bits)
     span = (target[0] - t[0], target[1] - t[1])
@@ -817,8 +797,6 @@ def _integrate_leg(
         t = (t[0] + delta[0], t[1] + delta[1])
         steps += 1
         e = math.ceil(log_step)
-        if collect is not None:
-            collect.append((_from_fixed(t, bits), _from_fixed(value, bits)))
     if value[0] * value[0] + value[1] * value[1] > blowup2:
         raise _blowup(t, value, slope, steps, bits)
     # Rounding the result to the working precision costs 2^-prec |g|.
@@ -833,55 +811,41 @@ def integrate(
     t_start: Number,
     t_end: Number,
     tol: Number = DEFAULT_TOL,
-    order: Optional[int] = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    report_defect: bool = False,
-    keep_trajectory: bool = False,
 ) -> IntegrationResult:
     """Integrate  g'' = 6 g^2 + t  from t_start to t_end (straight path).
 
-    Adaptive Taylor marching: at each state the local series is built to
-    ``order`` and the step is sized from the growth of the top
-    coefficients so that the local truncation stays below
-    eps = max(tol**(5/2), 2**-prec), prec being the working precision
-    ``precision_bits`` plus :data:`GUARD_BITS`.  When ``order`` is not
-    given it follows eps alone: ceil(-ln(eps)/2) + 1 while eps < 2**-80
-    (57 at the defaults, 64 at the default tol from 192 bits on), and
-    :data:`MIN_ORDER` at coarser budgets.  Either way it is clamped to
-    [:data:`MIN_ORDER`, :data:`MAX_ORDER`] and reported as ``order``.
-    The steps run on a fixed-point kernel with :data:`_KERNEL_GUARD_BITS`
-    bits below the working precision, and the result is rounded to the
-    working precision once, at the end.  A trajectory value exceeding
-    :data:`BLOWUP_THRESHOLD` raises :class:`PoleProximityError` carrying
-    a double-pole location estimate.  With ``report_defect`` the path is
-    re-integrated in reverse and the worst component of the round-trip
-    discrepancy is reported.
+    Adaptive Taylor marching: at each state the local series is built and
+    the step is sized from the growth of its top coefficients so that the
+    local truncation stays below eps = max(tol**(5/2), 2**-prec), prec
+    being the working precision ``precision_bits`` plus
+    :data:`GUARD_BITS`.  The series order follows eps alone:
+    ceil(-ln(eps)/2) + 1, capped at :data:`MAX_ORDER`, while
+    eps < 2**-80 (57 at the defaults, 64 at the default tol from 192 bits
+    on), and :data:`MIN_ORDER` at coarser budgets; it is reported as
+    ``order``.  The steps run on a fixed-point kernel with
+    :data:`_KERNEL_GUARD_BITS` bits below the working precision, and the
+    result is rounded to the working precision once, at the end.  A
+    trajectory value exceeding :data:`BLOWUP_THRESHOLD` raises
+    :class:`PoleProximityError` carrying a double-pole location estimate.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         tol_m = _to_mpf(tol)
         if not 0 < tol_m < 1:
             raise PreconditionError(f"tolerance must be in (0, 1), got {tol!r}")
-        order_eff = _pick_order(tol_m) if order is None else _clamp_order(order)
-        g0 = _to_mpc(value)
-        gp0 = _to_mpc(slope)
-        ta = _to_mpc(t_start)
+        order = _pick_order(tol_m)
         tb = _to_mpc(t_end)
-        collect: Optional[List[Tuple[mpc, mpc]]] = [] if keep_trajectory else None
-        g, gp, steps, err = _integrate_leg(g0, gp0, ta, tb, tol_m, order_eff, collect)
-        defect = None
-        if report_defect:
-            gb, gpb, _, _ = _integrate_leg(g, gp, tb, ta, tol_m, order_eff, None)
-            defect = max(abs(gb - g0), abs(gpb - gp0))
+        g, gp, steps, err = _integrate_leg(
+            _to_mpc(value), _to_mpc(slope), _to_mpc(t_start), tb, tol_m, order
+        )
         return IntegrationResult(
             value=g,
             slope=gp,
             t_end=tb,
             steps=steps,
-            order=order_eff,
+            order=order,
             error_estimate=err,
-            defect=defect,
-            trajectory=tuple(collect) if collect is not None else None,
         )
 
 
@@ -920,32 +884,25 @@ class PoleScan:
 
 def pole_estimate(
     direction: Number = 0,
-    horizon: Number = DEFAULT_HORIZON,
-    tol: Number = Fraction(1, 10**10),
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> PoleEstimate:
     """Estimate the nearest pole of g along one ray from the origin.
 
     Integrates from the certified origin data (window centres) outward
-    along  t = r * e^(i*direction)  until the trajectory exceeds
-    :data:`BLOWUP_THRESHOLD`, then refines the pole location from the
-    double-pole local behaviour  g ~ (t - t_p)^(-2)  via
-    t_p = t + 2 g/g'.  Raises :class:`PoleNotFoundError` if the
-    trajectory stays bounded out to ``horizon``.
+    along  t = r * e^(i*direction)  at tolerance 1e-10 until the
+    trajectory exceeds :data:`BLOWUP_THRESHOLD`, then refines the pole
+    location from the double-pole local behaviour  g ~ (t - t_p)^(-2)
+    via  t_p = t + 2 g/g'.  Raises :class:`PoleNotFoundError` if the
+    trajectory stays bounded out to |t| = :data:`POLE_HORIZON`.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         theta = _to_mpf(direction)
-        horizon_m = _to_mpf(horizon)
-        if horizon_m <= 0:
-            raise PreconditionError("horizon must be positive")
-        tol_m = _to_mpf(tol)
-        target = horizon_m * mpc(mp.cos(theta), mp.sin(theta))
-        g0 = _to_mpc(inner.CENTER_VALUE)
-        gp0 = _to_mpc(inner.CENTER_SLOPE)
+        target = POLE_HORIZON * mpc(mp.cos(theta), mp.sin(theta))
         try:
-            _, _, steps, _ = _integrate_leg(
-                g0, gp0, mpc(0), target, tol_m, _pick_order(tol_m), None
+            run = integrate(
+                inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, target, _POLE_TOL,
+                precision_bits,
             )
         except PoleProximityError as blowup:
             location = blowup.estimate
@@ -959,16 +916,17 @@ def pole_estimate(
                 fit_residual=fit_residual,
                 steps=blowup.steps,
             )
-    raise PoleNotFoundError(direction, horizon, steps)
+    raise PoleNotFoundError(direction, POLE_HORIZON, run.steps)
 
 
 def pole_scan(
     directions: Optional[Sequence[Number]] = None,
-    horizon: Number = DEFAULT_HORIZON,
-    tol: Number = Fraction(1, 10**10),
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> PoleScan:
     """Scan rays from the origin and report the smallest pole distance.
+
+    Each ray is one :func:`pole_estimate` run: tolerance 1e-10, out to
+    |t| = :data:`POLE_HORIZON`.
 
     The default fan covers the sector |arg t| <= 4*pi/25, interior to
     the only wedge (|arg t| < pi/5) where the certificates leave room
@@ -1004,9 +962,7 @@ def pole_scan(
                 )
         else:
             try:
-                found = pole_estimate(
-                    direction, horizon, tol, precision_bits=precision_bits
-                )
+                found = pole_estimate(direction, precision_bits)
             except PoleNotFoundError:
                 found = None
         scanned[theta] = found
@@ -1015,7 +971,7 @@ def pole_scan(
         else:
             estimates.append(found)
     if not estimates:
-        raise PoleNotFoundError("every scanned direction", horizon)
+        raise PoleNotFoundError("every scanned direction", POLE_HORIZON)
     best = min(estimates, key=lambda e: e.distance)
     return PoleScan(
         best=best,
@@ -1203,47 +1159,3 @@ def evaluate_point(
         error_estimate=error_estimate,
         warning=warning,
     )
-
-
-# --------------------------------------------------------------------------
-# CSV export
-# --------------------------------------------------------------------------
-
-
-_CSV_DIGITS = 24
-
-
-def _csv_number(x: mpf) -> str:
-    return mp.nstr(x, _CSV_DIGITS)
-
-
-def _csv_complex_axis(t: mpc) -> str:
-    if t.imag == 0:
-        return _csv_number(t.real)
-    sign = "+" if t.imag > 0 else "-"
-    return f"{_csv_number(t.real)}{sign}{_csv_number(abs(t.imag))}i"
-
-
-def series_csv(coeffs: Sequence[Number]) -> str:
-    """Render Taylor coefficients as CSV rows  (k, Re c_k, Im c_k)."""
-    lines = ["k,re_ck,im_ck"]
-    for k, c in enumerate(coeffs):
-        cv = _to_mpc(c)
-        lines.append(f"{k},{_csv_number(cv.real)},{_csv_number(cv.imag)}")
-    return "\n".join(lines) + "\n"
-
-
-def trajectory_csv(trajectory: Sequence[Tuple[mpc, mpc]]) -> str:
-    """Render an integration trajectory as CSV rows  (t, Re g, Im g).
-
-    The t column is the real coordinate for paths on the real axis; a
-    point off the axis is rendered as  a+bi  in the same column.
-    """
-    lines = ["t,re_g,im_g"]
-    for t, g in trajectory:
-        tv = _to_mpc(t)
-        gv = _to_mpc(g)
-        lines.append(
-            f"{_csv_complex_axis(tv)},{_csv_number(gv.real)},{_csv_number(gv.imag)}"
-        )
-    return "\n".join(lines) + "\n"

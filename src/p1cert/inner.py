@@ -91,20 +91,22 @@ K1_BOUND = Fraction(17, 10) * (J2_BOUND * J1_BOUND + J1_BOUND * J2_BOUND)
 K2_BOUND = Fraction(17, 10) * (J2_PRIME_BOUND * J1_BOUND + J1_PRIME_BOUND * J2_BOUND)
 
 
-def defect_budget(radius: Fraction = BALL_RADIUS) -> Fraction:
-    """Bound for ``||R| + |A*delta' + B1*delta + 6*delta**2||`` on the ball."""
+def defect_budget() -> Fraction:
+    """Bound for ``||R| + |A*delta' + B1*delta + 6*delta**2||`` on the ball
+    of radius :data:`BALL_RADIUS`."""
     return (
         REMAINDER_BOUND
-        + 2 * A_BOUND * radius
-        + B1_BOUND * radius
-        + 6 * radius * radius
+        + 2 * A_BOUND * BALL_RADIUS
+        + B1_BOUND * BALL_RADIUS
+        + 6 * BALL_RADIUS * BALL_RADIUS
     )
 
 
-def contraction_factor(radius: Fraction = BALL_RADIUS) -> Fraction:
-    """Lipschitz constant of the fixed-point map on the ball."""
+def contraction_factor() -> Fraction:
+    """Lipschitz constant of the fixed-point map on the ball of radius
+    :data:`BALL_RADIUS`."""
     return max(K1_BOUND, K2_BOUND / 2) * (
-        2 * A_BOUND + B1_BOUND + 12 * radius
+        2 * A_BOUND + B1_BOUND + 12 * BALL_RADIUS
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 
 class PreconditionError(ValueError):
@@ -68,14 +68,6 @@ class CheckResult:
             "note": self.note,
         }
 
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{status}] {self.name}: {float(self.value):.6e} "
-            f"{self.comparison} {float(self.bound):.6e}"
-            + (f"  ({self.note})" if self.note else "")
-        )
-
 
 def check(
     name: str,
@@ -93,11 +85,3 @@ def check(
         note=note,
         lo=None if lo is None else Fraction(lo),
     )
-
-
-def all_passed(results: Iterable[CheckResult]) -> bool:
-    return all(r.passed for r in results)
-
-
-def failures(results: Iterable[CheckResult]) -> List[CheckResult]:
-    return [r for r in results if not r.passed]

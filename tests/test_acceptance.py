@@ -172,10 +172,10 @@ def test_criterion_4_integration_lands_in_certified_windows():
     """Integrating the interior equation from the certified initial
     data reaches the origin inside both rigorous windows, with
     forward-backward defect < 1e-20 at 100-bit precision."""
-    run = evaluator.integrate(
-        evaluator.INITIAL_VALUE, evaluator.INITIAL_SLOPE,
-        evaluator.INITIAL_TIME, 0,
-        tol=Fraction(1, 10**25), precision_bits=100, report_defect=True)
+    settings = {"tol": Fraction(1, 10**25), "precision_bits": 100}
+    run = evaluator.integrate(inner.T0_VALUE, inner.T0_SLOPE, inner.T0, 0,
+                              **settings)
+    back = evaluator.integrate(run.value, run.slope, 0, inner.T0, **settings)
 
     value_window = Interval(
         inner.CENTER_VALUE - inner.VALUE_WINDOW,
@@ -191,9 +191,10 @@ def test_criterion_4_integration_lands_in_certified_windows():
         assert low(value_window.lo) <= run.value.real <= low(value_window.hi)
         assert low(slope_window.lo) <= run.slope.real <= low(slope_window.hi)
         assert run.value.imag == 0 and run.slope.imag == 0
-        assert run.defect is not None
-        assert run.defect < mpf(10) ** -20, \
-            f"defect {mp.nstr(run.defect, 5)} >= 1e-20"
+        defect = max(abs(back.value - inner.T0_VALUE),
+                     abs(back.slope - inner.T0_SLOPE))
+        assert defect < mpf(10) ** -20, \
+            f"defect {mp.nstr(defect, 5)} >= 1e-20"
 
 
 def test_criterion_5_pole_distance_consistency():

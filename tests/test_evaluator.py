@@ -8,8 +8,6 @@ cross-frame agreements are frozen from stable high-precision runs
 freezing).
 """
 
-import csv
-import io
 import json
 import random
 import shutil
@@ -343,18 +341,32 @@ class TestFixedPointKernel:
 # ---------------------------------------------------------------------------
 
 
+def _round_trip_defect(value, slope, t_start, t_end, **kwargs):
+    """Integrate from t_start to t_end and back; return the forward run
+    and the worst component of the discrepancy with the starting data."""
+    run = ev.integrate(value, slope, t_start, t_end, **kwargs)
+    back = ev.integrate(run.value, run.slope, t_end, t_start, **kwargs)
+    return run, max(abs(back.value - value), abs(back.slope - slope))
+
+
 @pytest.fixture(scope="module")
-def landing_run():
-    """The canonical run: certified data at t = -17/10 marched to 0."""
-    return ev.integrate(
-        ev.INITIAL_VALUE,
-        ev.INITIAL_SLOPE,
-        ev.INITIAL_TIME,
-        0,
-        tol=Fraction(1, 10**25),
-        precision_bits=100,
-        report_defect=True,
-    )
+def landing():
+    """The canonical run: certified data at t = -17/10 marched to 0, and
+    its round-trip defect."""
+    with workprec(220):
+        return _round_trip_defect(
+            inner.T0_VALUE,
+            inner.T0_SLOPE,
+            inner.T0,
+            0,
+            tol=Fraction(1, 10**25),
+            precision_bits=100,
+        )
+
+
+@pytest.fixture(scope="module")
+def landing_run(landing):
+    return landing[0]
 
 
 class TestIntegration:
@@ -362,9 +374,9 @@ class TestIntegration:
         from p1cert.polybound import poly_eval
 
         system = inner.build_system()
-        assert poly_eval(system.g0, Fraction(0)) == ev.INITIAL_VALUE
-        assert poly_eval(system.g0_prime, Fraction(0)) == ev.INITIAL_SLOPE
-        assert ev.INITIAL_TIME == inner.T0
+        assert poly_eval(system.g0, Fraction(0)) == inner.T0_VALUE
+        assert poly_eval(system.g0_prime, Fraction(0)) == inner.T0_SLOPE
+        assert inner.T0 == Fraction(-17, 10)
 
     def test_landing_inside_certified_value_window(self, landing_run):
         lo = Fraction(-87, 469) - Fraction(1, 167)
@@ -383,10 +395,10 @@ class TestIntegration:
         assert abs(landing_run.value.real - mpf("-0.18550346617190674")) < mpf(10) ** -15
         assert abs(landing_run.slope.real - mpf("0.30593502943856533")) < mpf(10) ** -15
 
-    def test_forward_backward_defect_small(self, landing_run):
-        assert landing_run.defect is not None
-        assert landing_run.defect < mpf(10) ** -20   # the acceptance gate
-        assert landing_run.defect < 10 * mpf(10) ** -25  # within 10*tol
+    def test_forward_backward_defect_small(self, landing):
+        _, defect = landing
+        assert defect < mpf(10) ** -20   # the acceptance gate
+        assert defect < 10 * mpf(10) ** -25  # within 10*tol
 
     def test_real_data_stays_real(self, landing_run):
         assert landing_run.value.imag == 0
@@ -395,16 +407,15 @@ class TestIntegration:
     def test_halving_tolerance_quarters_the_defect(self):
         defects = []
         for tol in (Fraction(1, 10**8), Fraction(1, 2 * 10**8)):
-            run = ev.integrate(
-                ev.INITIAL_VALUE,
-                ev.INITIAL_SLOPE,
-                ev.INITIAL_TIME,
+            _, defect = _round_trip_defect(
+                inner.T0_VALUE,
+                inner.T0_SLOPE,
+                inner.T0,
                 0,
                 tol=tol,
                 precision_bits=160,
-                report_defect=True,
             )
-            defects.append(run.defect)
+            defects.append(defect)
         assert defects[0] / defects[1] >= 4
 
     def test_series_agrees_with_integration_at_unit_distance(self):
@@ -416,34 +427,11 @@ class TestIntegration:
             assert abs(series_slope - run.slope) < mpf(10) ** -10
 
     def test_zero_length_run(self):
-        run = ev.integrate(1, 2, mpf(1) / 2, mpf(1) / 2, report_defect=True)
+        run, defect = _round_trip_defect(1, 2, mpf(1) / 2, mpf(1) / 2)
         assert run.value == 1
         assert run.slope == 2
         assert run.steps == 0
-        assert run.defect == 0
-
-    def test_trajectory_endpoints(self):
-        run = ev.integrate(
-            ev.INITIAL_VALUE,
-            ev.INITIAL_SLOPE,
-            ev.INITIAL_TIME,
-            0,
-            tol=Fraction(1, 10**8),
-            keep_trajectory=True,
-        )
-        assert len(run.trajectory) == run.steps + 1
-        t_first, g_first = run.trajectory[0]
-        assert abs(t_first - mpf(-17) / 10) < mpf(10) ** -30
-        assert abs(g_first - mpf(-280) / 519) < mpf(10) ** -30
-        t_last, g_last = run.trajectory[-1]
-        assert abs(t_last) < mpf(10) ** -30
-        assert g_last == run.value
-
-    def test_order_is_clamped(self):
-        run_low = ev.integrate(0, 0, 0, mpf(1) / 10, order=5)
-        run_high = ev.integrate(0, 0, 0, mpf(1) / 10, order=99)
-        assert run_low.order == ev.MIN_ORDER
-        assert run_high.order == ev.MAX_ORDER
+        assert defect == 0
 
     @staticmethod
     def _orders_used(monkeypatch, **kwargs):
@@ -498,11 +486,6 @@ class TestIntegration:
             with workprec(bits + ev.GUARD_BITS):
                 assert ev._pick_order(mpf(10) ** -10) == 30
                 assert ev._pick_order(mpf(10) ** -8) == ev.MIN_ORDER
-
-    def test_explicit_order_is_honoured_under_the_floor(self, monkeypatch):
-        run, built = self._orders_used(monkeypatch, order=20)
-        assert run.order == 20
-        assert built == {20}
 
     def test_lacunary_series_still_sizes_the_step(self):
         # g = g' = 0 at t = 0: only c_k with k = 3 mod 5 are nonzero, so
@@ -559,31 +542,31 @@ class TestIntegration:
 
 class TestPoles:
     def test_real_axis_pole_distance(self):
-        est = ev.pole_estimate(0, tol=Fraction(1, 10**10))
+        est = ev.pole_estimate(0)
         # frozen: identical to 18 digits across tol 1e-8 / 1e-10 / 1e-14
         assert abs(est.distance - mpf("2.38237501041002158")) < mpf(10) ** -9
         assert est.fit_residual < mpf(10) ** -10
         assert abs(est.location.imag) < mpf(10) ** -20
 
     def test_distance_consistent_with_reported_radius_of_analyticity(self):
-        est = ev.pole_estimate(0, tol=Fraction(1, 10**8))
+        est = ev.pole_estimate(0)
         known = mpf("2.3841687")
         assert abs(est.distance - known) / known < mpf("0.05")
         assert est.distance > mpf(37) / 20
 
     def test_pole_free_direction_not_found_at_horizon(self):
         with pytest.raises(ev.PoleNotFoundError) as info:
-            ev.pole_estimate(mp.pi / 2, tol=Fraction(1, 10**8))
-        assert info.value.horizon == ev.DEFAULT_HORIZON
+            ev.pole_estimate(mp.pi / 2)
+        assert info.value.horizon == ev.POLE_HORIZON
 
     def test_ray_missing_the_pole_stays_bounded(self):
         # rays that do not pass through a pole remain bounded even
         # inside the wedge that may contain poles
         with pytest.raises(ev.PoleNotFoundError):
-            ev.pole_estimate(mp.pi / 25, tol=Fraction(1, 10**8))
+            ev.pole_estimate(mp.pi / 25)
 
     def test_scan_reports_real_axis_minimum(self):
-        scan = ev.pole_scan(tol=Fraction(1, 10**8))
+        scan = ev.pole_scan()
         assert scan.best.direction == 0
         assert abs(scan.best.distance - mpf("2.382375010410")) < mpf(10) ** -9
         assert len(scan.estimates) >= 1
@@ -592,9 +575,9 @@ class TestPoles:
         assert "estimate" in scan.note
 
     def test_steps_are_reported_on_both_outcomes(self):
-        est = ev.pole_estimate(0, tol=Fraction(1, 10**8))
+        est = ev.pole_estimate(0)
         with pytest.raises(ev.PoleNotFoundError) as info:
-            ev.pole_estimate(mp.pi / 2, tol=Fraction(1, 10**8))
+            ev.pole_estimate(mp.pi / 2)
         assert est.steps > 0
         assert info.value.steps > 0
 
@@ -628,7 +611,7 @@ class TestPoles:
 
     def test_scan_without_any_pole_raises(self):
         with pytest.raises(ev.PoleNotFoundError):
-            ev.pole_scan(directions=[mp.pi / 2, -mp.pi / 2], tol=Fraction(1, 10**8))
+            ev.pole_scan(directions=[mp.pi / 2, -mp.pi / 2])
 
 
 # ---------------------------------------------------------------------------
@@ -801,50 +784,3 @@ class TestOriginAndEvaluation:
         )
         assert outcome.method == reference.method == "integration"
         assert outcome.error_estimate >= abs(outcome.y - reference.y)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-class TestCsv:
-    def test_series_csv_shape_and_values(self):
-        coeffs = ev.taylor_coeffs(inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, 8)
-        text = ev.series_csv(coeffs)
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["k", "re_ck", "im_ck"]
-        assert len(rows) == 10
-        assert rows[1][0] == "0"
-        assert abs(float(rows[1][1]) - float(Fraction(-87, 469))) < 1e-15
-        assert float(rows[1][2]) == 0.0
-        assert abs(float(rows[2][1]) - float(Fraction(41, 134))) < 1e-15
-
-    def test_series_csv_deterministic(self):
-        coeffs = ev.taylor_coeffs(inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, 12)
-        assert ev.series_csv(coeffs) == ev.series_csv(coeffs)
-
-    def test_trajectory_csv_real_axis(self):
-        run = ev.integrate(
-            ev.INITIAL_VALUE,
-            ev.INITIAL_SLOPE,
-            ev.INITIAL_TIME,
-            0,
-            tol=Fraction(1, 10**8),
-            keep_trajectory=True,
-        )
-        text = ev.trajectory_csv(run.trajectory)
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["t", "re_g", "im_g"]
-        assert len(rows) == len(run.trajectory) + 1
-        assert abs(float(rows[1][0]) + 1.7) < 1e-15
-        assert abs(float(rows[1][1]) - float(Fraction(-280, 519))) < 1e-15
-        assert float(rows[-1][2]) == 0.0
-
-    def test_trajectory_csv_complex_axis_rendering(self):
-        point = (mpc(1, -2), mpc(3, 4))
-        text = ev.trajectory_csv([point])
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[1][0] == "1.0-2.0i"
-        assert rows[1][1] == "3.0"
-        assert rows[1][2] == "4.0"

@@ -13,7 +13,6 @@ import mpmath as mp
 import pytest
 
 from p1cert import data, formal
-from p1cert.result import all_passed, failures
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +38,8 @@ SUITES = [
 @pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.__name__)
 def test_suite_passes_exactly(suite):
     results = suite()
-    assert all_passed(results), [str(r) for r in failures(results)]
+    assert all(r.passed for r in results), \
+        [r.name for r in results if not r.passed]
 
 
 def test_expected_check_names_present():
@@ -200,7 +200,7 @@ def test_perturbed_r_coefficient_is_named(tmp_path, monkeypatch):
     monkeypatch.setenv(data.DATA_ENV_VAR, str(tmp_path))
     data.clear_cache()
     results = formal.verify_r_table()
-    bad = failures(results)
+    bad = [r for r in results if not r.passed]
     assert bad, "perturbed coefficient must fail the r suite"
     names = {r.name for r in bad}
     assert "r_defect_series_matches_table" in names
@@ -208,4 +208,5 @@ def test_perturbed_r_coefficient_is_named(tmp_path, monkeypatch):
     assert f"S^{k}" in match.note and f"e^(-{m}x)" in match.note
 
     q_ok = formal.verify_q_table()
-    assert all_passed(q_ok), "untouched families must keep passing"
+    failing = [r.name for r in q_ok if not r.passed]
+    assert not failing, f"untouched families must keep passing: {failing}"

@@ -6,7 +6,6 @@ import pytest
 
 from p1cert import inner
 from p1cert.polybound import poly_scale, sup_abs_partition
-from p1cert.result import all_passed, failures
 
 EXPECTED_CHECK_NAMES = [
     "remainder_sup",
@@ -54,7 +53,8 @@ def certificate():
 
 def test_all_checks_pass(certificate):
     assert [r.name for r in certificate] == EXPECTED_CHECK_NAMES
-    assert all_passed(certificate)
+    assert all(r.passed for r in certificate), \
+        [r.name for r in certificate if not r.passed]
 
 
 def test_certified_sups_match_frozen_values(certificate):
@@ -118,8 +118,8 @@ def test_perturbed_polynomial_fails_by_name():
     j1[2] += Fraction(1, 1000)
     system = inner.build_system(polynomial_overrides={"J1": tuple(j1)})
     results = inner.certify(system)
-    assert not all_passed(results)
-    failed = {r.name for r in failures(results)}
+    assert not all(r.passed for r in results)
+    failed = {r.name for r in results if not r.passed}
     assert "damping_sup" in failed
     assert "restoring_sup" in failed
 
@@ -130,7 +130,7 @@ def test_perturbed_center_polynomial_fails_remainder():
     g0[0] += Fraction(1, 1000)
     system = inner.build_system(polynomial_overrides={"g0": tuple(g0)})
     results = inner.certify(system)
-    failed = {r.name for r in failures(results)}
+    failed = {r.name for r in results if not r.passed}
     assert "remainder_sup" in failed
     assert "value_window" in failed
 
@@ -138,7 +138,7 @@ def test_perturbed_center_polynomial_fails_remainder():
 def test_widened_alpha_box_fails_corners():
     system = inner.build_system(alpha1=Fraction(1, 50))
     results = inner.certify(system)
-    failed = {r.name for r in failures(results)}
+    failed = {r.name for r in results if not r.passed}
     assert "corner_plus" in failed
     assert "corner_minus" in failed
     assert "value_window" in failed
@@ -154,7 +154,7 @@ def test_degenerate_wronskian_reports_instead_of_raising():
         polynomial_overrides={"J1": poly_scale(base.J1, Fraction(2))}
     )
     results = inner.certify(system)
-    failed = {r.name for r in failures(results)}
+    failed = {r.name for r in results if not r.passed}
     assert "wronskian_offset_sup" in failed
     assert "J1_over_W_sup" in failed
 
