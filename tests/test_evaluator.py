@@ -8,6 +8,8 @@ cross-frame agreements are frozen from stable high-precision runs
 freezing).
 """
 
+import csv
+import io
 import json
 import random
 import shutil
@@ -15,6 +17,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
@@ -23,6 +26,7 @@ from p1cert import data
 from p1cert import evaluator as ev
 from p1cert import inner
 from p1cert.certificates import PreconditionError
+from p1cert.cli import main
 from p1cert.numerics import Interval
 
 
@@ -784,3 +788,27 @@ class TestOriginAndEvaluation:
         )
         assert outcome.method == reference.method == "integration"
         assert outcome.error_estimate >= abs(outcome.y - reference.y)
+
+
+class TestCsv:
+    def test_series_csv_deterministic(self):
+        # two independent coefficient runs render to the same 24-digit rows,
+        # and the series command prints exactly those rows
+        def rows():
+            coeffs = ev.taylor_coeffs(
+                inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, 12
+            )
+            return [
+                [str(k), mp.nstr(c.real, 24), mp.nstr(c.imag, 24)]
+                for k, c in enumerate(coeffs)
+            ]
+
+        first, second = rows(), rows()
+        assert first == second
+        result = CliRunner().invoke(
+            main, ["series", "--order", "12", "--format", "csv"]
+        )
+        assert result.exit_code == 0
+        printed = list(csv.reader(io.StringIO(result.output)))
+        assert printed[0] == ["k", "re_ck", "im_ck"]
+        assert printed[1:] == first
