@@ -77,15 +77,6 @@ class CertificateReport:
     def failures(self) -> List[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "inequalities": [c.as_inequality() for c in self.checks],
-            "verdict": self.verdict,
-            "narrative": self.narrative,
-        }
-
 
 def _report(name: str, inputs: Mapping[str, object],
             checks: Sequence[CheckResult],

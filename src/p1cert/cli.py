@@ -30,25 +30,22 @@ fingerprints; schema shipped in ``docs/report_schema.json``), and
 invocations produce byte-identical output: nothing here depends on
 time, environment, or iteration-order accidents.
 
-``--tables``/``--partitions`` swap in replacement data files for a
-single run (the originals are never touched): the bundled directory is
-copied to a temporary one, the named file is replaced, and the data
-location override is pointed at the copy for the duration of the
-command.
+Every command builds its content once, for all three formats, and
+:func:`_emit` is the one place that picks a format and writes stdout.
+
+``--tables``/``--partitions`` replace one data file for a single run:
+the named file is read in place, the other files still come from the
+data directory, and no file is copied or changed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
-import shutil
-import os
-import tempfile
+import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
 from mpmath import mp, mpc, mpf, workprec
@@ -68,6 +65,9 @@ _JSON_DIGITS = 25
 _SERIES_CSV_DIGITS = 24
 
 _SCOPES = ("all", "omegaI", "omega12", "omega4", "inner", "radius")
+
+#: CSV output: a header row and the data rows.
+Table = Tuple[Sequence[str], Sequence[Sequence[object]]]
 
 
 # ---------------------------------------------------------------------------
@@ -129,61 +129,73 @@ def rho_option(command):
              "certificates are stated for rho >= 3).")(command)
 
 
-@contextlib.contextmanager
-def _data_overlay(tables: Optional[str],
-                  partitions: Optional[str]) -> Iterator[None]:
-    """Point the data loader at a patched copy of the data directory."""
-    if tables is None and partitions is None:
-        yield
-        return
-    source = data.data_dir()
-    with tempfile.TemporaryDirectory(prefix="p1cert-data-") as tmp:
-        workdir = Path(tmp)
-        for name in data.DATA_FILES:
-            shutil.copy(source / name, workdir / name)
-        if tables is not None:
-            shutil.copy(tables, workdir / "expansion_tables.json")
-        if partitions is not None:
-            shutil.copy(partitions, workdir / "inner_ode.json")
-        previous = os.environ.get(data.DATA_ENV_VAR)
-        os.environ[data.DATA_ENV_VAR] = str(workdir)
-        data.clear_cache()
-        try:
-            yield
-        finally:
-            if previous is None:
-                os.environ.pop(data.DATA_ENV_VAR, None)
-            else:
-                os.environ[data.DATA_ENV_VAR] = previous
-            data.clear_cache()
-
-
 def _run(body: Callable[[], int], tables: Optional[str] = None,
          partitions: Optional[str] = None) -> None:
-    """Run a command body over the data overlay and exit with its code.
+    """Run a command body over the replaced data files and exit with its
+    code.
 
     A violated precondition exits 2 and a pole scan that meets no blowup
     exits 1, each with its reason on stderr.
     """
+    replacements = {name: path for name, path in (
+        ("expansion_tables.json", tables), ("inner_ode.json", partitions))
+        if path is not None}
     try:
-        with _data_overlay(tables, partitions):
+        with data.replaced(replacements):
             code = body()
     except PreconditionError as exc:
-        click.echo(f"precondition violated: {exc}", err=True)
+        click.echo(f"precondition violated: {exc}", file=sys.stderr)
         code = EXIT_PRECONDITION
     except evaluator.PoleNotFoundError as exc:
-        click.echo(f"no blowup found: {exc}", err=True)
+        click.echo(f"no blowup found: {exc}", file=sys.stderr)
         code = EXIT_FAIL
     raise SystemExit(code)
 
 
 # ---------------------------------------------------------------------------
-# Rendering helpers
+# Output
 # ---------------------------------------------------------------------------
+
+
+def _emit(fmt: str, command: str, header: str, payload: Dict[str, object],
+          table: Table, lines: Sequence[str]) -> None:
+    """Write one command's output to stdout in format ``fmt``.
+
+    JSON is ``payload`` plus the command name and the data fingerprints.
+    CSV is ``table``, a header row and data rows, with no envelope.  Text
+    is ``header``, the fingerprint block, a blank line and ``lines``.
+
+    The stream is named explicitly: for ``file=None`` click keeps a
+    per-stream wrapper in a cache that holds on to the stream, so every
+    redirected in-process stdout would stay alive.
+    """
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(table[0])
+        writer.writerows(table[1])
+        text = buffer.getvalue().rstrip("\n")
+    else:
+        fingerprints = data.file_fingerprints()
+        if fmt == "json":
+            text = json.dumps(
+                dict(payload, command=command, fingerprints=fingerprints),
+                sort_keys=True, indent=2)
+        else:
+            text = "\n".join(
+                [header, "data fingerprints:"]
+                + [f"  {name}  sha256={digest}"
+                   for name, digest in sorted(fingerprints.items())]
+                + [""] + list(lines))
+    click.echo(text, file=sys.stdout)
 
 
 def _dec(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _nstr(x, digits: int = _TEXT_DIGITS) -> str:
@@ -212,11 +224,25 @@ def _opt_nstr(x, digits: int = _JSON_DIGITS) -> Optional[str]:
     return None if x is None else mp.nstr(x, digits)
 
 
-def _fingerprint_lines() -> List[str]:
-    lines = ["data fingerprints:"]
-    for name, digest in sorted(data.file_fingerprints().items()):
-        lines.append(f"  {name}  sha256={digest}")
-    return lines
+# ---------------------------------------------------------------------------
+# Certificate reports (verify, identities)
+# ---------------------------------------------------------------------------
+
+
+def _inequality(result: CheckResult) -> Dict[str, object]:
+    """A check's report row: the comparison with both sides as [lo, hi]
+    pairs, the left one the certified enclosure."""
+    lo = result.value if result.lo is None else result.lo
+    return {
+        "desc": result.name,
+        "lhs": [str(lo), str(result.value)],
+        "lhs_float": [float(lo), float(result.value)],
+        "rel": result.comparison,
+        "rhs": [str(result.bound), str(result.bound)],
+        "rhs_float": [float(result.bound), float(result.bound)],
+        "pass": result.passed,
+        "note": result.note,
+    }
 
 
 def _side_text(strings: Sequence[str], floats: Sequence[float]) -> str:
@@ -227,87 +253,45 @@ def _side_text(strings: Sequence[str], floats: Sequence[float]) -> str:
     return f"[{lo}, {hi}] ({_dec(flo)}, {_dec(fhi)})"
 
 
-def _check_text(result: CheckResult) -> str:
-    row = result.as_inequality()
-    status = "PASS" if row["pass"] else "FAIL"
-    line = (f"  [{status}] {row['desc']}: "
-            f"{_side_text(row['lhs'], row['lhs_float'])} {row['rel']} "
-            f"{_side_text(row['rhs'], row['rhs_float'])}")
-    if row["note"]:
-        line += f"  -- {row['note']}"
-    return line
-
-
-def _report_lines(report: CertificateReport) -> List[str]:
-    verdict = "PASS" if report.verdict else "FAIL"
-    lines = [f"== {report.name} ({verdict}) =="]
-    for key, value in report.inputs:
-        lines.append(f"  input {key} = {value}")
-    lines.extend(_check_text(c) for c in report.checks)
-    if report.narrative:
-        lines.append(f"  note: {report.narrative}")
-    return lines
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
-
-
-def _json_text(payload: Dict[str, object]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _inequality_rows(reports: Sequence[CertificateReport]) -> List[List[object]]:
-    rows: List[List[object]] = []
-    for report in reports:
-        for result in report.checks:
-            row = result.as_inequality()
-            rows.append([
-                report.name, row["desc"], row["lhs"][0], row["lhs"][1],
-                row["rel"], row["rhs"][0],
-                "true" if row["pass"] else "false", row["note"],
-            ])
-    return rows
-
-
-def _emit_reports(command: str, fmt: str, reports: Sequence[CertificateReport],
-                  summary: str, header: List[str],
+def _emit_reports(fmt: str, command: str, reports: Sequence[CertificateReport],
+                  summary: str, header: str,
                   extra: Optional[Dict[str, object]] = None) -> int:
+    """Emit certificate reports; each check's row is built once, by
+    :func:`_inequality`, and shown in all three formats."""
     verdict = all(r.verdict for r in reports)
-    if fmt == "json":
-        payload: Dict[str, object] = {
-            "command": command,
-            "fingerprints": data.file_fingerprints(),
-            "reports": [r.as_dict() for r in reports],
-            "summary": summary,
-            "verdict": verdict,
-        }
-        if extra:
-            payload.update(extra)
-        click.echo(_json_text(payload))
-    elif fmt == "csv":
-        click.echo(_csv_text(
-            ["report", "check", "lhs_lo", "lhs_hi", "rel", "rhs",
-             "pass", "note"],
-            _inequality_rows(reports)))
-    else:
-        lines = header + _fingerprint_lines() + [""]
-        for report in reports:
-            lines.extend(_report_lines(report))
-            lines.append("")
-        lines.append(f"summary: {summary}")
-        lines.append(f"verdict: {'PASS' if verdict else 'FAIL'}")
-        click.echo("\n".join(lines))
+    documents: List[Dict[str, object]] = []
+    rows: List[List[object]] = []
+    lines: List[str] = []
+    for report in reports:
+        lines.append(
+            f"== {report.name} ({'PASS' if report.verdict else 'FAIL'}) ==")
+        lines.extend(f"  input {key} = {value}" for key, value in report.inputs)
+        inequalities = [_inequality(c) for c in report.checks]
+        for row in inequalities:
+            rows.append([report.name, row["desc"], *row["lhs"], row["rel"],
+                         row["rhs"][0], _flag(row["pass"]), row["note"]])
+            line = (f"  [{'PASS' if row['pass'] else 'FAIL'}] {row['desc']}: "
+                    f"{_side_text(row['lhs'], row['lhs_float'])} {row['rel']} "
+                    f"{_side_text(row['rhs'], row['rhs_float'])}")
+            lines.append(f"{line}  -- {row['note']}" if row["note"] else line)
+        if report.narrative:
+            lines.append(f"  note: {report.narrative}")
+        lines.append("")
+        documents.append({
+            "name": report.name,
+            "inputs": dict(report.inputs),
+            "inequalities": inequalities,
+            "verdict": report.verdict,
+            "narrative": report.narrative,
+        })
+    lines += [f"summary: {summary}",
+              f"verdict: {'PASS' if verdict else 'FAIL'}"]
+    payload = dict(extra or {}, reports=documents, summary=summary,
+                   verdict=verdict)
+    columns = ["report", "check", "lhs_lo", "lhs_hi", "rel", "rhs", "pass",
+               "note"]
+    _emit(fmt, command, header, payload, (columns, rows), lines)
     return EXIT_PASS if verdict else EXIT_FAIL
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
 
 
 def _scope_reports(scope: str,
@@ -335,64 +319,47 @@ def _scope_reports(scope: str,
 # ---------------------------------------------------------------------------
 
 
-def _constants_rows(rho: Fraction):
+def _emit_constants(fmt: str, rho: Fraction) -> int:
     if rho < 3:
         raise PreconditionError(
             f"the sector constants are defined for rho >= 3, got {rho}")
     values = certificates.sector_point_values(rho)
-    rows = []
+    documents: List[Dict[str, object]] = []
+    rows: List[List[object]] = []
+    lines: List[str] = []
     for name, printed in data.reference_values().items():
         enclosure = values[name]
         window = truncation_window(printed)
-        rows.append((name, enclosure, printed, window,
-                     enclosure.intersects(window)))
-    return rows
-
-
-def _emit_constants(fmt: str, rho: Fraction, rows) -> int:
-    all_contained = all(contained for *_, contained in rows)
-    if fmt == "json":
-        payload = {
-            "command": "constants",
-            "fingerprints": data.file_fingerprints(),
-            "rho": str(rho),
-            "rows": [
-                {
-                    "name": name,
-                    "enclosure": [str(slim(enc).lo), str(slim(enc).hi)],
-                    "enclosure_float": [float(enc.lo), float(enc.hi)],
-                    "reference": printed,
-                    "window": [str(window.lo), str(window.hi)],
-                    "contained": contained,
-                }
-                for name, enc, printed, window, contained in rows
-            ],
-            "all_contained": all_contained,
-        }
-        click.echo(_json_text(payload))
-    elif fmt == "csv":
-        click.echo(_csv_text(
-            ["name", "enclosure_lo", "enclosure_hi", "enclosure_lo_float",
-             "enclosure_hi_float", "reference", "contained"],
-            [[name, str(slim(enc).lo), str(slim(enc).hi),
-              _dec(float(enc.lo)), _dec(float(enc.hi)), printed,
-              "true" if contained else "false"]
-             for name, enc, printed, window, contained in rows]))
-    else:
-        lines = [f"p1cert constants  rho = {rho}"] + _fingerprint_lines() + [""]
-        for name, enc, printed, window, contained in rows:
-            lines.append(f"== {name} ==")
-            slimmed = slim(enc)
-            lines.append(f"  enclosure: [{slimmed.lo}, {slimmed.hi}]")
-            lines.append(f"           ~ ({_dec(float(enc.lo))}, "
-                         f"{_dec(float(enc.hi))})")
-            lines.append(
-                f"  reference: {printed}  window [{window.lo}, {window.hi}]"
-                f"  contained: {'yes' if contained else 'no'}")
-        lines.append("")
-        lines.append("all reference windows met: "
-                     + ("yes" if all_contained else "no"))
-        click.echo("\n".join(lines))
+        contained = enclosure.intersects(window)
+        slimmed = slim(enclosure)
+        lo, hi = str(slimmed.lo), str(slimmed.hi)
+        flo, fhi = float(enclosure.lo), float(enclosure.hi)
+        documents.append({
+            "name": name,
+            "enclosure": [lo, hi],
+            "enclosure_float": [flo, fhi],
+            "reference": printed,
+            "window": [str(window.lo), str(window.hi)],
+            "contained": contained,
+        })
+        rows.append([name, lo, hi, _dec(flo), _dec(fhi), printed,
+                     _flag(contained)])
+        lines += [
+            f"== {name} ==",
+            f"  enclosure: [{lo}, {hi}]",
+            f"           ~ ({_dec(flo)}, {_dec(fhi)})",
+            f"  reference: {printed}  window [{window.lo}, {window.hi}]"
+            f"  contained: {'yes' if contained else 'no'}",
+        ]
+    all_contained = all(doc["contained"] for doc in documents)
+    lines += ["", "all reference windows met: "
+              + ("yes" if all_contained else "no")]
+    payload = {"rho": str(rho), "rows": documents,
+               "all_contained": all_contained}
+    columns = ["name", "enclosure_lo", "enclosure_hi", "enclosure_lo_float",
+               "enclosure_hi_float", "reference", "contained"]
+    _emit(fmt, "constants", f"p1cert constants  rho = {rho}", payload,
+          (columns, rows), lines)
     return EXIT_PASS
 
 
@@ -447,67 +414,57 @@ def _emit_eval(fmt: str, outcome, precision_bits: int) -> int:
     origin_payload: Optional[Dict[str, object]] = None
     if outcome.method == "origin-enclosure":
         origin_lines, origin_payload = _origin_block(precision_bits)
-    if fmt == "json":
-        payload = {
-            "command": "eval",
-            "fingerprints": data.file_fingerprints(),
-            "precision_bits": precision_bits,
-            "z": _complex_json(outcome.z),
-            "method": outcome.method,
-            "rigorous": outcome.rigorous,
-            "y": _complex_json(outcome.y),
-            "y_prime": _complex_json(outcome.y_prime),
-            "error_bound": _opt_nstr(outcome.error_bound),
-            "slope_error_bound": _opt_nstr(outcome.slope_error_bound),
-            "error_estimate": _opt_nstr(outcome.error_estimate),
-            "warning": outcome.warning,
-            "origin": origin_payload,
-        }
-        click.echo(_json_text(payload))
-    elif fmt == "csv":
-        z_re, z_im = _parts(outcome.z, _JSON_DIGITS)
-        y_re, y_im = ("", "")
-        if outcome.y is not None:
-            y_re, y_im = _parts(outcome.y, _JSON_DIGITS)
-        click.echo(_csv_text(
-            ["re_z", "im_z", "re_y", "im_y", "error_bound",
-             "error_estimate", "rigorous", "method"],
-            [[z_re, z_im, y_re, y_im,
-              _opt_nstr(outcome.error_bound) or "",
-              _opt_nstr(outcome.error_estimate) or "",
-              "true" if outcome.rigorous else "false", outcome.method]]))
+    payload = {
+        "precision_bits": precision_bits,
+        "z": _complex_json(outcome.z),
+        "method": outcome.method,
+        "rigorous": outcome.rigorous,
+        "y": _complex_json(outcome.y),
+        "y_prime": _complex_json(outcome.y_prime),
+        "error_bound": _opt_nstr(outcome.error_bound),
+        "slope_error_bound": _opt_nstr(outcome.slope_error_bound),
+        "error_estimate": _opt_nstr(outcome.error_estimate),
+        "warning": outcome.warning,
+        "origin": origin_payload,
+    }
+    y_parts = ("", "") if outcome.y is None else _parts(outcome.y, _JSON_DIGITS)
+    row = [*_parts(outcome.z, _JSON_DIGITS), *y_parts,
+           _opt_nstr(outcome.error_bound) or "",
+           _opt_nstr(outcome.error_estimate) or "",
+           _flag(outcome.rigorous), outcome.method]
+    columns = ["re_z", "im_z", "re_y", "im_y", "error_bound",
+               "error_estimate", "rigorous", "method"]
+
+    lines = [f"method: {outcome.method}    rigorous: "
+             + ("yes" if outcome.rigorous else "no")]
+    lines.extend(origin_lines)
+    if outcome.y is None:
+        lines.append("value: unavailable (trajectory never reached "
+                     "the target)")
     else:
-        lines = [f"p1cert eval  z = {_complex_text(outcome.z)}"
-                 f"  (precision {precision_bits} bits)"]
-        lines += _fingerprint_lines() + [""]
-        lines.append(f"method: {outcome.method}    rigorous: "
-                     + ("yes" if outcome.rigorous else "no"))
-        lines.extend(origin_lines)
-        if outcome.y is None:
-            lines.append("value: unavailable (trajectory never reached "
-                         "the target)")
+        lines.append(f"y(z)  = {_complex_text(outcome.y)}")
+    if outcome.y_prime is not None:
+        lines.append(f"y'(z) = {_complex_text(outcome.y_prime)}")
+    if outcome.error_bound is not None:
+        bound = _nstr(outcome.error_bound, _ERROR_DIGITS)
+        if outcome.method == "origin-enclosure":
+            lines.append(f"certified value radius: {inner.VALUE_WINDOW} "
+                         f"({bound})")
+            if outcome.slope_error_bound is not None:
+                lines.append(
+                    f"certified slope radius: {inner.SLOPE_WINDOW} "
+                    f"({_nstr(outcome.slope_error_bound, _ERROR_DIGITS)})")
         else:
-            lines.append(f"y(z)  = {_complex_text(outcome.y)}")
-        if outcome.y_prime is not None:
-            lines.append(f"y'(z) = {_complex_text(outcome.y_prime)}")
-        if outcome.error_bound is not None:
-            bound = _nstr(outcome.error_bound, _ERROR_DIGITS)
-            if outcome.method == "origin-enclosure":
-                lines.append(f"certified value radius: {inner.VALUE_WINDOW} "
-                             f"({bound})")
-                if outcome.slope_error_bound is not None:
-                    lines.append(
-                        f"certified slope radius: {inner.SLOPE_WINDOW} "
-                        f"({_nstr(outcome.slope_error_bound, _ERROR_DIGITS)})")
-            else:
-                lines.append(f"certified error bound: {bound}")
-        if outcome.error_estimate is not None:
-            lines.append("heuristic error estimate: "
-                         + _nstr(outcome.error_estimate, _ERROR_DIGITS)
-                         + "  (truncation and rounding sum, not a certificate)")
-        if outcome.warning:
-            lines.append(f"warning: {outcome.warning}")
-        click.echo("\n".join(lines))
+            lines.append(f"certified error bound: {bound}")
+    if outcome.error_estimate is not None:
+        lines.append("heuristic error estimate: "
+                     + _nstr(outcome.error_estimate, _ERROR_DIGITS)
+                     + "  (truncation and rounding sum, not a certificate)")
+    if outcome.warning:
+        lines.append(f"warning: {outcome.warning}")
+    header = (f"p1cert eval  z = {_complex_text(outcome.z)}"
+              f"  (precision {precision_bits} bits)")
+    _emit(fmt, "eval", header, payload, (columns, [row]), lines)
     return EXIT_PASS
 
 
@@ -516,37 +473,23 @@ def _emit_eval(fmt: str, outcome, precision_bits: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _emit_series(fmt: str, order: int, coeffs) -> int:
-    if fmt == "json":
-        payload = {
-            "command": "series",
-            "fingerprints": data.file_fingerprints(),
-            "order": order,
-            "center": {
-                "t": "0",
-                "g": str(inner.CENTER_VALUE),
-                "g_prime": str(inner.CENTER_SLOPE),
-            },
-            "coefficients": [
-                {"k": k, "re": _parts(c, _JSON_DIGITS)[0],
-                 "im": _parts(c, _JSON_DIGITS)[1]}
-                for k, c in enumerate(coeffs)
-            ],
-        }
-        click.echo(_json_text(payload))
-    elif fmt == "csv":
-        click.echo(_csv_text(
-            ["k", "re_ck", "im_ck"],
-            [[k, *_parts(c, _SERIES_CSV_DIGITS)]
-             for k, c in enumerate(coeffs)]))
-    else:
-        lines = [f"p1cert series  order = {order}"]
-        lines += _fingerprint_lines() + [""]
-        lines.append(f"center: t = 0, g = {inner.CENTER_VALUE}, "
-                     f"g' = {inner.CENTER_SLOPE}  (certified window centres)")
-        for k, c in enumerate(coeffs):
-            lines.append(f"  c_{k} = {_complex_text(c)}")
-        click.echo("\n".join(lines))
+def _emit_series(fmt: str, order: int, precision_bits: int) -> int:
+    g0, g1 = evaluator.integration_seed()
+    coeffs = evaluator.taylor_coeffs(g0, g1, 0, order, precision_bits)
+    payload = {
+        "order": order,
+        "center": {"t": "0", "g": str(g0), "g_prime": str(g1)},
+        "coefficients": [
+            {"k": k, "re": re_s, "im": im_s}
+            for k, (re_s, im_s) in enumerate(
+                _parts(c, _JSON_DIGITS) for c in coeffs)
+        ],
+    }
+    rows = [[k, *_parts(c, _SERIES_CSV_DIGITS)] for k, c in enumerate(coeffs)]
+    lines = [f"center: t = 0, g = {g0}, g' = {g1}  (certified window centres)"]
+    lines += [f"  c_{k} = {_complex_text(c)}" for k, c in enumerate(coeffs)]
+    _emit(fmt, "series", f"p1cert series  order = {order}", payload,
+          (["k", "re_ck", "im_ck"], rows), lines)
     return EXIT_PASS
 
 
@@ -560,45 +503,35 @@ def _estimate_payload(est) -> Dict[str, object]:
 
 
 def _emit_pole(fmt: str, scan) -> int:
-    if fmt == "json":
-        payload = {
-            "command": "pole",
-            "fingerprints": data.file_fingerprints(),
-            "best": _estimate_payload(scan.best),
-            "found": [_estimate_payload(e) for e in scan.estimates],
-            "unbounded_directions": [
-                _nstr(d, _JSON_DIGITS) for d in scan.unbounded_directions],
-            "note": scan.note,
-        }
-        click.echo(_json_text(payload))
-    elif fmt == "csv":
-        rows = [[_nstr(e.direction, _JSON_DIGITS), "pole",
-                 _nstr(e.distance, _JSON_DIGITS),
-                 *_parts(e.location, _JSON_DIGITS),
-                 _nstr(e.fit_residual, _ERROR_DIGITS)]
-                for e in scan.estimates]
-        rows += [[_nstr(d, _JSON_DIGITS), "unbounded", "", "", "", ""]
-                 for d in scan.unbounded_directions]
-        click.echo(_csv_text(
-            ["direction", "status", "distance", "re_location",
-             "im_location", "fit_residual"], rows))
-    else:
-        lines = ["p1cert pole"] + _fingerprint_lines() + [""]
-        for est in scan.estimates:
-            lines.append(
-                f"ray arg t = {_nstr(est.direction, 10)}: pole estimate at "
-                f"distance {_nstr(est.distance, _TEXT_DIGITS)} "
-                f"(location {_complex_text(est.location, 12)}, "
-                f"fit residual {_nstr(est.fit_residual, 4)})")
-        for d in scan.unbounded_directions:
-            lines.append(f"ray arg t = {_nstr(d, 10)}: no blowup within "
-                         f"the horizon")
-        lines.append("")
-        lines.append(f"minimum distance: "
-                     f"{_nstr(scan.best.distance, _TEXT_DIGITS)}  at "
-                     f"arg t = {_nstr(scan.best.direction, 10)}")
-        lines.append(f"note: {scan.note}")
-        click.echo("\n".join(lines))
+    payload = {
+        "best": _estimate_payload(scan.best),
+        "found": [_estimate_payload(e) for e in scan.estimates],
+        "unbounded_directions": [
+            _nstr(d, _JSON_DIGITS) for d in scan.unbounded_directions],
+        "note": scan.note,
+    }
+    rows = [[_nstr(e.direction, _JSON_DIGITS), "pole",
+             _nstr(e.distance, _JSON_DIGITS),
+             *_parts(e.location, _JSON_DIGITS),
+             _nstr(e.fit_residual, _ERROR_DIGITS)]
+            for e in scan.estimates]
+    rows += [[_nstr(d, _JSON_DIGITS), "unbounded", "", "", "", ""]
+             for d in scan.unbounded_directions]
+    columns = ["direction", "status", "distance", "re_location",
+               "im_location", "fit_residual"]
+    lines = [
+        f"ray arg t = {_nstr(est.direction, 10)}: pole estimate at "
+        f"distance {_nstr(est.distance, _TEXT_DIGITS)} "
+        f"(location {_complex_text(est.location, 12)}, "
+        f"fit residual {_nstr(est.fit_residual, 4)})"
+        for est in scan.estimates]
+    lines += [f"ray arg t = {_nstr(d, 10)}: no blowup within the horizon"
+              for d in scan.unbounded_directions]
+    lines += ["",
+              f"minimum distance: {_nstr(scan.best.distance, _TEXT_DIGITS)}"
+              f"  at arg t = {_nstr(scan.best.direction, 10)}",
+              f"note: {scan.note}"]
+    _emit(fmt, "pole", "p1cert pole", payload, (columns, rows), lines)
     return EXIT_PASS
 
 
@@ -630,8 +563,8 @@ def verify(scope: str, rho: Fraction, fmt: str,
     def body() -> int:
         reports, summary = _scope_reports(scope, rho)
         return _emit_reports(
-            "verify", fmt, reports, summary,
-            [f"p1cert verify  scope = {scope}  rho = {rho}"],
+            fmt, "verify", reports, summary,
+            f"p1cert verify  scope = {scope}  rho = {rho}",
             extra={"scope": scope, "rho": str(rho)})
 
     _run(body, tables, partitions)
@@ -652,8 +585,7 @@ def constants(rho: Fraction, fmt: str,
     containment column then reports.  Exit status: 0, or 2 when
     rho < 3.
     """
-    _run(lambda: _emit_constants(fmt, rho, _constants_rows(rho)),
-         tables, partitions)
+    _run(lambda: _emit_constants(fmt, rho), tables, partitions)
 
 
 @main.command()
@@ -671,8 +603,8 @@ def identities(fmt: str, partitions: Optional[str],
         summary = ("all shipped tables match their recomputations"
                    if report.verdict else
                    certificates.failure_summary([report]))
-        return _emit_reports("identities", fmt, [report], summary,
-                             ["p1cert identities"])
+        return _emit_reports(fmt, "identities", [report], summary,
+                             "p1cert identities")
 
     _run(body, tables, partitions)
 
@@ -716,8 +648,7 @@ def series(order: int, precision_bits: int, fmt: str) -> None:
     g'(0) = 41/134 (window centres); coefficients beyond the first two
     follow from the quadratic recurrence of  g'' = 6 g^2 + t.
     """
-    _run(lambda: _emit_series(fmt, order, evaluator.taylor_coeffs(
-        inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, order, precision_bits)))
+    _run(lambda: _emit_series(fmt, order, precision_bits))
 
 
 @main.command()

@@ -20,14 +20,18 @@ Three JSON files ship with the package:
 
 The directory can be overridden with the ``P1CERT_DATA_DIR`` environment
 variable (all three files must be present there), letting callers swap in
-perturbed data for fault-injection runs.  :func:`file_fingerprints` exposes
-SHA-256 digests of the active files so reports can pin the inputs they
-certified.  A file that does not parse to the shape described here
-raises :class:`~p1cert.result.PreconditionError` naming the file.
+perturbed data for fault-injection runs.  Inside a :func:`replaced` block,
+single files are read in place from other paths instead, and the rest
+still come from that directory.  :func:`file_fingerprints` exposes SHA-256
+digests of the active files so reports can pin the inputs they
+certified.  A file that does not parse to the shape described here, or
+that writes an exact value as a JSON float, raises
+:class:`~p1cert.result.PreconditionError` naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -35,9 +39,10 @@ import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
 
 from .functionals import PowerSum, QSqrt2, SPoly
+from .numerics import as_fraction
 from .polybound import Poly, poly
 from .result import PreconditionError
 
@@ -65,11 +70,14 @@ TABLE_SHAPE: Mapping[str, Tuple[int, int, int, int]] = {
 
 Table = Dict[int, Dict[Tuple[int, int], Fraction]]
 
-# Keyed by (directory, file name).  A file's bytes are read once; its
-# fingerprint and its parse both come from those bytes, so a digest always
-# describes what was parsed, even if the file changes on disk later.
-_bytes_cache: Dict[Tuple[str, str], bytes] = {}
-_parse_cache: Dict[Tuple[str, str], Any] = {}
+# Keyed by the path read.  A file's bytes are read once; its fingerprint
+# and its parse both come from those bytes, so a digest always describes
+# what was parsed, even if the file changes on disk later.
+_bytes_cache: Dict[Path, bytes] = {}
+_parse_cache: Dict[Path, Any] = {}
+
+# File name -> path read in its place, set by :func:`replaced`.
+_replacements: Dict[str, Path] = {}
 
 
 def data_dir() -> Path:
@@ -87,21 +95,48 @@ def clear_cache() -> None:
     _parse_cache.clear()
 
 
+@contextlib.contextmanager
+def replaced(files: Mapping[str, Union[str, Path]]) -> Iterator[None]:
+    """Read each data file named in ``files`` from the path it maps to,
+    for the body of the ``with`` block.
+
+    The replacement is read in place; the other files still come from
+    :func:`data_dir`.  The caches are cleared on entry, so a file
+    rewritten at the same path is read afresh, and on exit, when the
+    previous replacements return.
+    """
+    if not files:
+        yield
+        return
+    previous = dict(_replacements)
+    _replacements.update((name, Path(path)) for name, path in files.items())
+    clear_cache()
+    try:
+        yield
+    finally:
+        _replacements.clear()
+        _replacements.update(previous)
+        clear_cache()
+
+
+def _path(name: str) -> Path:
+    return _replacements.get(name) or data_dir() / name
+
+
 def _raw_bytes(name: str) -> bytes:
-    key = (str(data_dir()), name)
-    if key not in _bytes_cache:
-        path = data_dir() / name
+    path = _path(name)
+    if path not in _bytes_cache:
         if not path.is_file():
             raise FileNotFoundError(f"data file not found: {path}")
-        _bytes_cache[key] = path.read_bytes()
-    return _bytes_cache[key]
+        _bytes_cache[path] = path.read_bytes()
+    return _bytes_cache[path]
 
 
 def _load(name: str) -> Any:
-    key = (str(data_dir()), name)
-    if key not in _parse_cache:
-        _parse_cache[key] = json.loads(_raw_bytes(name).decode("utf-8"))
-    return _parse_cache[key]
+    path = _path(name)
+    if path not in _parse_cache:
+        _parse_cache[path] = json.loads(_raw_bytes(name).decode("utf-8"))
+    return _parse_cache[path]
 
 
 def _parses(name: str):
@@ -141,7 +176,7 @@ def expansion_tables() -> Dict[str, Table]:
             for row in rows:
                 if len(row) != 3:
                     raise ValueError(f"malformed row in {family}[{j}]: {row!r}")
-                k, m, coeff = int(row[0]), int(row[1]), Fraction(row[2])
+                k, m, coeff = int(row[0]), int(row[1]), as_fraction(row[2])
                 if k < 0:
                     raise ValueError(f"negative S power in {family}[{j}]: {row!r}")
                 if (k, m) in entries:
@@ -165,9 +200,9 @@ def constant_catalog() -> Dict[str, PowerSum]:
         for row in rows:
             if len(row) != 4:
                 raise ValueError(f"malformed row in constant {name}: {row!r}")
-            exponent = Fraction(row[0])
+            exponent = as_fraction(row[0])
             k = int(row[1])
-            coeff = QSqrt2(Fraction(row[2]), Fraction(row[3]))
+            coeff = QSqrt2(row[2], row[3])
             bucket = terms.setdefault(exponent, {})
             if k in bucket:
                 raise ValueError(f"duplicate term in constant {name}: {row!r}")
@@ -198,7 +233,7 @@ def inner_partitions() -> Dict[str, List[Fraction]]:
     raw = _load("inner_ode.json")["partitions"]
     out: Dict[str, List[Fraction]] = {}
     for name, magnitudes in raw.items():
-        points = sorted(-Fraction(v) for v in magnitudes)
+        points = sorted(-as_fraction(v) for v in magnitudes)
         if len(points) != len(set(points)):
             raise ValueError(f"partition {name!r} has repeated points")
         out[name] = points

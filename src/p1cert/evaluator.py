@@ -888,9 +888,9 @@ def pole_estimate(
 ) -> PoleEstimate:
     """Estimate the nearest pole of g along one ray from the origin.
 
-    Integrates from the certified origin data (window centres) outward
-    along  t = r * e^(i*direction)  at tolerance 1e-10 until the
-    trajectory exceeds :data:`BLOWUP_THRESHOLD`, then refines the pole
+    Integrates from :func:`integration_seed` outward along
+    t = r * e^(i*direction)  at tolerance 1e-10 until the trajectory
+    exceeds :data:`BLOWUP_THRESHOLD`, then refines the pole
     location from the double-pole local behaviour  g ~ (t - t_p)^(-2)
     via  t_p = t + 2 g/g'.  Raises :class:`PoleNotFoundError` if the
     trajectory stays bounded out to |t| = :data:`POLE_HORIZON`.
@@ -901,8 +901,7 @@ def pole_estimate(
         target = POLE_HORIZON * mpc(mp.cos(theta), mp.sin(theta))
         try:
             run = integrate(
-                inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, target, _POLE_TOL,
-                precision_bits,
+                *integration_seed(), 0, target, _POLE_TOL, precision_bits,
             )
         except PoleProximityError as blowup:
             location = blowup.estimate
@@ -934,15 +933,14 @@ def pole_scan(
     the certified statements; the scan reports what it finds and labels
     it as a numerical interpretation.
 
-    Every ray starts from the origin data g(0) = CENTER_VALUE,
-    g'(0) = CENTER_SLOPE, which are real, and  g'' = 6 g^2 + t  has real
-    coefficients, so  g(conj t) = conj g(t).  The ray at -theta is
-    therefore the mirror image of the ray at theta: once one of the two
-    has been integrated, the other reuses its result, unbounded staying
-    unbounded and a pole estimate passing to its conjugate location with
-    the same distance, fit residual and step count.  The default fan
-    integrates 5 of its 9 rays.  Every direction is reported, in the
-    order given.
+    Every ray starts from :func:`integration_seed`.  The mirroring below
+    needs that seed to be real: then, since  g'' = 6 g^2 + t  has real
+    coefficients,  g(conj t) = conj g(t), so the ray at -theta is the
+    mirror image of the ray at theta.  Once one of the two has been
+    integrated, the other reuses its result, unbounded staying unbounded
+    and a pole estimate passing to its conjugate location with the same
+    distance, fit residual and step count.  The default fan integrates 5
+    of its 9 rays.  Every direction is reported, in the order given.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
@@ -988,6 +986,17 @@ def pole_scan(
 # --------------------------------------------------------------------------
 # origin data and high-level evaluation
 # --------------------------------------------------------------------------
+
+
+def integration_seed() -> Tuple[Fraction, Fraction]:
+    """Exact origin data ``(g(0), g'(0))`` that :func:`evaluate_point`
+    integrates from, and the start of the ``series`` coefficients and of
+    every ray of the pole scan.
+
+    These are the centres of the certified origin windows, so the seed
+    lies within 1/167 and 1/108 of the solution's own values.
+    """
+    return inner.CENTER_VALUE, inner.CENTER_SLOPE
 
 
 @dataclass(frozen=True)
@@ -1119,8 +1128,7 @@ def evaluate_point(
             )
     try:
         run = integrate(
-            inner.CENTER_VALUE,
-            inner.CENTER_SLOPE,
+            *integration_seed(),
             0,
             point.t,
             tol=tol,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Optional
+
+from .numerics import as_fraction
 
 
 class PreconditionError(ValueError):
@@ -49,25 +51,6 @@ class CheckResult:
         """How far below the bound the certified value sits."""
         return self.bound - self.value
 
-    @property
-    def value_lo(self) -> Fraction:
-        """Lower end of the certified enclosure (defaults to ``value``)."""
-        return self.value if self.lo is None else self.lo
-
-    def as_inequality(self) -> Dict[str, object]:
-        """Report row: the comparison with both sides as [lo, hi] pairs."""
-        lo = self.value_lo
-        return {
-            "desc": self.name,
-            "lhs": [str(lo), str(self.value)],
-            "lhs_float": [float(lo), float(self.value)],
-            "rel": self.comparison,
-            "rhs": [str(self.bound), str(self.bound)],
-            "rhs_float": [float(self.bound), float(self.bound)],
-            "pass": self.passed,
-            "note": self.note,
-        }
-
 
 def check(
     name: str,
@@ -79,9 +62,9 @@ def check(
 ) -> CheckResult:
     return CheckResult(
         name=name,
-        value=Fraction(value),
-        bound=Fraction(bound),
+        value=as_fraction(value),
+        bound=as_fraction(bound),
         comparison=comparison,
         note=note,
-        lo=None if lo is None else Fraction(lo),
+        lo=None if lo is None else as_fraction(lo),
     )

@@ -414,16 +414,3 @@ class TestRunAll:
         assert not omega4.verdict
         assert [c.name for c in omega4.failures()] == ["rho_at_least_3"]
         assert statement.startswith("NOT CERTIFIED")
-
-    def test_report_serialization(self, all_reports):
-        reports, _ = all_reports
-        for report in reports.values():
-            blob = json.loads(json.dumps(report.as_dict()))
-            assert blob["name"] == report.name
-            assert isinstance(blob["verdict"], bool)
-            for row in blob["inequalities"]:
-                assert set(row) >= {"desc", "lhs", "lhs_float", "rel",
-                                    "rhs", "rhs_float", "pass", "note"}
-                assert len(row["lhs"]) == 2 and len(row["rhs"]) == 2
-                lo, hi = (Fraction(row["lhs"][0]), Fraction(row["lhs"][1]))
-                assert lo <= hi

@@ -2,13 +2,20 @@
 
 Covers the documented exit-code contract (0 pass / 1 failed inequality /
 2 precondition), the three output formats, byte-identical repeated
-invocations, data-file replacement via --tables/--partitions, and
-validation of every JSON envelope against the shipped schema.
+invocations, pinned output digests, data-file replacement via
+--tables/--partitions, and validation of every JSON envelope against the
+shipped schema.
 """
 
+import contextlib
 import csv
+import gc
+import hashlib
 import io
 import json
+import os
+import shutil
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -116,6 +123,17 @@ class TestVerify:
     def test_reports_embed_data_fingerprints(self, verify_all_json):
         assert verify_all_json["fingerprints"] == data.file_fingerprints()
 
+    def test_report_serialization(self, verify_all_json):
+        for report in verify_all_json["reports"]:
+            assert isinstance(report["name"], str)
+            assert isinstance(report["verdict"], bool)
+            for row in report["inequalities"]:
+                assert set(row) >= {"desc", "lhs", "lhs_float", "rel",
+                                    "rhs", "rhs_float", "pass", "note"}
+                assert len(row["lhs"]) == 2 and len(row["rhs"]) == 2
+                lo, hi = (Fraction(row["lhs"][0]), Fraction(row["lhs"][1]))
+                assert lo <= hi
+
     def test_omega4_rho_below_three_exits_2(self):
         result = invoke("verify", "--scope", "omega4", "--rho", "2")
         assert result.exit_code == 2
@@ -183,6 +201,118 @@ class TestVerify:
         result = invoke("verify", "--frobnicate")
         assert result.exit_code == 2
         assert "No such option" in result.output
+
+
+# ---------------------------------------------------------------------------
+# data-file replacement
+# ---------------------------------------------------------------------------
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture()
+def data_copy(tmp_path):
+    """A directory holding copies of the bundled data files."""
+    copy = tmp_path / "data"
+    copy.mkdir()
+    for name in data.DATA_FILES:
+        shutil.copy(data.data_dir() / name, copy / name)
+    return copy
+
+
+def _redumped(name, target):
+    """Same content as the bundled ``name``, different bytes."""
+    doc = json.loads((data.data_dir() / name).read_text())
+    target.write_text(json.dumps(doc, indent=1))
+    return target
+
+
+class TestReplacement:
+    def test_tables_run_leaves_environment_unchanged(self, tmp_path,
+                                                     monkeypatch):
+        replacement = _redumped("expansion_tables.json",
+                                tmp_path / "tables.json")
+        before = dict(os.environ)
+        seen = []
+        fingerprints = data.file_fingerprints
+
+        def recording():
+            seen.append(dict(os.environ))
+            return fingerprints()
+
+        monkeypatch.setattr(data, "file_fingerprints", recording)
+        result = invoke("identities", "--tables", str(replacement))
+        assert result.exit_code == 0
+        assert seen and all(env == before for env in seen)
+        assert dict(os.environ) == before
+
+    def test_partitions_keep_other_files_from_the_data_dir(self, tmp_path,
+                                                           monkeypatch):
+        copy = tmp_path / "data"
+        copy.mkdir()
+        for name in data.DATA_FILES:
+            _redumped(name, copy / name)
+        partitions = _redumped("inner_ode.json", tmp_path / "ode.json")
+        (copy / "inner_ode.json").write_text("not json")
+        monkeypatch.setenv(data.DATA_ENV_VAR, str(copy))
+        result = invoke("verify", "--scope", "inner", "--partitions",
+                        str(partitions), "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["fingerprints"] == {
+            "expansion_tables.json": _sha256(copy / "expansion_tables.json"),
+            "constant_catalog.json": _sha256(copy / "constant_catalog.json"),
+            "inner_ode.json": _sha256(partitions),
+        }
+
+    def test_rewritten_replacement_is_read_afresh(self, data_copy,
+                                                  monkeypatch,
+                                                  tampered_interior):
+        # The replacement is the active data directory's own file, read
+        # by the plain runs before and after it.
+        monkeypatch.setenv(data.DATA_ENV_VAR, str(data_copy))
+        path = data_copy / "inner_ode.json"
+        original = path.read_bytes()
+        args = ["verify", "--scope", "inner", "--format", "json"]
+        runs = [invoke(*args)]
+        path.write_bytes(Path(tampered_interior).read_bytes())
+        runs.append(invoke(*args, "--partitions", str(path)))
+        path.write_bytes(original)
+        runs.append(invoke(*args))
+        assert [run.exit_code for run in runs] == [0, 1, 0]
+        fingerprints = [json.loads(run.output)["fingerprints"]["inner_ode.json"]
+                        for run in runs]
+        assert fingerprints[0] == fingerprints[2] != fingerprints[1]
+
+    @pytest.mark.parametrize("name, edit, args", [
+        ("expansion_tables.json",
+         lambda doc: doc["tables"]["r"]["5"][0].__setitem__(2, -0.828125),
+         ["identities", "--tables"]),
+        ("constant_catalog.json",
+         lambda doc: doc["constants"]["E_M"][0].__setitem__(0, 1.5),
+         ["verify", "--scope", "omega4"]),
+        ("inner_ode.json",
+         lambda doc: doc["partitions"]["J1"].__setitem__(1, 0.5),
+         ["verify", "--scope", "inner", "--partitions"]),
+    ])
+    def test_float_in_data_file_exits_2_naming_it(self, data_copy,
+                                                  monkeypatch, name, edit,
+                                                  args):
+        # Each float is the exact binary value of the rational it
+        # replaces, so only the coercion rule can refuse it.
+        doc = json.loads((data_copy / name).read_text())
+        edit(doc)
+        (data_copy / name).write_text(json.dumps(doc))
+        if args[-1].startswith("--"):
+            args = args + [str(data_copy / name)]
+        else:
+            monkeypatch.setenv(data.DATA_ENV_VAR, str(data_copy))
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("precondition violated:")
+        assert name in result.stderr
+        assert "float" in result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +675,58 @@ class TestDeterminism:
         first = invoke("series", "--order", "12", "--format", "csv")
         second = invoke("series", "--order", "12", "--format", "csv")
         assert first.output == second.output
+
+
+# The certificate outputs use exact arithmetic only, so their bytes are
+# pinned.  An intended change of output re-pins these digests.
+GOLDEN_STDOUT_SHA256 = {
+    ("verify", "--scope", "all", "--format", "json"):
+        "e9a50561e841355fa09fad3aefd77a57173a213d217dd107b4c85d9d09834532",
+    ("verify", "--scope", "all", "--format", "text"):
+        "a132ff8105292333aaca05e11c298d6c5ce5b1f6acd852929deeac5ae3622209",
+    ("verify", "--scope", "all", "--format", "csv"):
+        "c55e2182a867628b6264d1190f3643bedac3e18bfc210f443293b1adaeee87a8",
+    ("constants", "--format", "json"):
+        "11cf0648b0319727ea55c0e4ac7c14aee5b776d4e3d5cfd5c4975878a9aaa90c",
+    ("identities",):
+        "e7c3ed8b7bd3565990d489221b92cda8ae8d9603fd1b9ccc406a831f65aa3924",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_STDOUT_SHA256),
+                         ids=" ".join)
+def test_stdout_matches_pinned_digest(args):
+    result = invoke(*args)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == GOLDEN_STDOUT_SHA256[args]
+
+
+def test_in_process_runs_do_not_keep_their_stdout():
+    # The way an embedding caller runs the command: stdout redirected to
+    # a fresh buffer per call.  Twenty calls may not grow the heap by as
+    # much as one output.
+    args = ["verify", "--scope", "omegaI", "--format", "json"]
+
+    def run() -> int:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            with pytest.raises(SystemExit):
+                main.main(args=args, standalone_mode=False)
+        return len(buffer.getvalue())
+
+    size = run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            run()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < size
 
 
 class TestHelp:

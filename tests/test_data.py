@@ -1,4 +1,5 @@
-"""Bundled data: shape invariants, frozen spot values, override mechanics."""
+"""Bundled data: shape invariants, frozen spot values, override and
+replacement mechanics."""
 
 import hashlib
 import json
@@ -233,3 +234,25 @@ def test_fingerprint_describes_the_parsed_bytes(tmp_path, monkeypatch):
     assert data.constant_catalog() == catalog
     assert data.file_fingerprints()["constant_catalog.json"] == \
         hashlib.sha256(parsed_bytes).hexdigest()
+
+
+def test_replaced_reads_in_place_and_restores_when_the_body_raises(tmp_path):
+    original = data.file_fingerprints()
+    outer = tmp_path / "outer.json"
+    inner = tmp_path / "inner.json"
+    doc = json.loads((data.data_dir() / "inner_ode.json").read_text())
+    outer.write_text(json.dumps(doc, indent=1))
+    inner.write_text(json.dumps(doc, indent=2))
+
+    def active() -> str:
+        return data.file_fingerprints()["inner_ode.json"]
+
+    with data.replaced({"inner_ode.json": outer}):
+        assert active() == hashlib.sha256(outer.read_bytes()).hexdigest()
+        with pytest.raises(RuntimeError):
+            with data.replaced({"inner_ode.json": str(inner)}):
+                assert active() == \
+                    hashlib.sha256(inner.read_bytes()).hexdigest()
+                raise RuntimeError("body failed")
+        assert active() == hashlib.sha256(outer.read_bytes()).hexdigest()
+    assert data.file_fingerprints() == original
