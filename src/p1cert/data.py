@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
 
 from .functionals import PowerSum, QSqrt2, SPoly
-from .numerics import as_fraction
+from .numerics import as_fraction, as_integer
 from .polybound import Poly, poly
 from .result import PreconditionError
 
@@ -176,7 +176,8 @@ def expansion_tables() -> Dict[str, Table]:
             for row in rows:
                 if len(row) != 3:
                     raise ValueError(f"malformed row in {family}[{j}]: {row!r}")
-                k, m, coeff = int(row[0]), int(row[1]), as_fraction(row[2])
+                k, m = as_integer(row[0]), as_integer(row[1])
+                coeff = as_fraction(row[2])
                 if k < 0:
                     raise ValueError(f"negative S power in {family}[{j}]: {row!r}")
                 if (k, m) in entries:
@@ -201,7 +202,7 @@ def constant_catalog() -> Dict[str, PowerSum]:
             if len(row) != 4:
                 raise ValueError(f"malformed row in constant {name}: {row!r}")
             exponent = as_fraction(row[0])
-            k = int(row[1])
+            k = as_integer(row[1])
             coeff = QSqrt2(row[2], row[3])
             bucket = terms.setdefault(exponent, {})
             if k in bucket:

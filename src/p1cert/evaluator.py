@@ -13,7 +13,11 @@ and pole-distance estimation.
 
 Everything here is arbitrary-precision arithmetic: mpmath floating point
 (100-bit minimum working precision), and fixed point on Python integers
-for the integrator's inner loop.  Apart from the asymptotic error formulas
+for the integrator's inner loop.  The constants the frame changes and the
+asymptotic values share -- the roots of unity, the certified ray radius,
+the Stokes constant and the layers of h0 -- are computed once per working
+precision (:func:`_constants`), with the same expressions as on first use,
+so they carry the same bits.  Apart from the asymptotic error formulas
 and the enclosure windows at the origin -- which are certified facts
 imported from the exact modules -- outputs are high-quality numerical
 estimates, not proofs; the exact certificates never depend on this
@@ -22,6 +26,7 @@ module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -140,7 +145,39 @@ def _to_mpc(value: Number) -> mpc:
 
 def _fifth_root_of_unity_power(numerator: int, denominator: int = 5) -> mpc:
     """e^(i*pi*numerator/denominator) at the current working precision."""
-    return mp.expjpi(mpf(numerator) / denominator)
+    return _constants(mp.prec).roots[numerator, denominator]
+
+
+@dataclass(frozen=True)
+class _Constants:
+    """The shared constants at one working precision."""
+
+    #: e^(i*pi*n/d) keyed by (n, d): the eighth roots e^(+-i*pi/4) of the
+    #: outer frame and every power of e^(i*pi/5) the rotations use.
+    roots: Dict[Tuple[int, int], mpc]
+    #: The certified ray radius (204/5)^(5/4)/30 in the x frame.
+    ray_radius: mpf
+    #: The Stokes constant  S = i * sqrt(6/(5*pi)).
+    stokes: mpc
+    #: The layers P_k of h0 (:func:`_h0_layers`) as mpf coefficients.
+    h0_layers: Tuple[Tuple[mpf, ...], ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _constants(prec: int) -> _Constants:
+    """The shared constants at ``prec`` bits, computed once per precision
+    (the 16 most recent precisions are kept)."""
+    with workprec(prec):
+        keys = [(n, 5) for n in range(-3, 9)] + [(1, 4), (-1, 4)]
+        return _Constants(
+            roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
+            ray_radius=(mpf(204) / 5) ** (mpf(5) / 4) / 30,
+            stokes=mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi)),
+            h0_layers=tuple(
+                tuple(_to_mpf(c) for c in layer)
+                for layer in _h0_layers(formal.h0_series())
+            ),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -265,31 +302,66 @@ def stokes_constant(precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
     """The exponential-correction coefficient  S = i * sqrt(6/(5*pi))."""
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        return mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi))
+        return _constants(mp.prec).stokes
+
+
+def _h0_layers(series: formal.FormalSeries) -> List[List[Fraction]]:
+    """Group a series  sum c * xi^k * x^(-l)  into its layers P_k.
+
+    ``series`` holds terms  c * S^k x^(-j/2) e^(-m*x)  that are monomials
+    in  xi = S e^(-x)/sqrt(x)  and 1/x: k == m, j >= k and j - k even,
+    with l = (j - k)/2.  Returns [P_0, P_1, ...], each P_k the ascending
+    coefficients of its polynomial in 1/x, so the series is
+    sum_k xi^k P_k(1/x).  Raises ValueError for any other term.
+    """
+    layers: List[List[Fraction]] = []
+    for (k, j, m), coeff in series.items():
+        if k != m or j < k or (j - k) % 2:
+            raise ValueError(
+                f"term S^{k} x^(-{j}/2) e^(-{m}x) is not a monomial in "
+                "xi = S e^(-x)/sqrt(x) and 1/x"
+            )
+        while len(layers) <= k:
+            layers.append([])
+        layer = layers[k]
+        power = (j - k) // 2
+        layer.extend([Fraction(0)] * (power + 1 - len(layer)))
+        layer[power] += coeff
+    return layers
+
+
+def _horner(coeffs: Sequence[mpf], u: mpc) -> Union[mpf, mpc]:
+    """sum c_l u^l for ascending ``coeffs``; 0 when there are none."""
+    total = mpf(0)
+    for c in reversed(coeffs):
+        total = total * u + c
+    return total
 
 
 def h0_value(x: Number, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
     """Evaluate the exponentially small quasi-solution correction h0(x).
 
-    The exact term structure (a polynomial in  xi = S e^(-x)/sqrt(x)
-    with inverse-power coefficients in x) is taken directly from the
-    symbolically verified series, so this evaluation cannot drift from
-    the table identities.
+    h0 is a polynomial in  xi = S e^(-x)/sqrt(x)  whose coefficients are
+    polynomials in 1/x.  Its layers P_k are grouped from the symbolically
+    verified series once per precision -- the grouping checks that every
+    term has that structure and raises otherwise -- so this evaluation
+    cannot drift from the table identities.  The value is the nested
+    Horner form  sum_k xi^k P_k(1/x):  one complex exp, one complex sqrt
+    and about a dozen complex products.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         xv = _to_mpc(x)
         if xv == 0:
             raise PreconditionError("h0 is undefined at x = 0")
-        s_const = stokes_constant(precision_bits)
-        total = mpc(0)
-        for (k, j, m), coeff in formal.h0_series().items():
-            term = _to_mpf(coeff) * s_const**k
-            term = term * xv ** (mpf(-j) / 2)
-            if m:
-                term = term * mp.exp(-m * xv)
-            total += term
-        return total
+        constants = _constants(mp.prec)
+        u = 1 / xv
+        xi = constants.stokes * mp.exp(-xv) / mp.sqrt(xv)
+        *lower, top = constants.h0_layers
+        total = _horner(top, u)
+        for layer in reversed(lower):
+            total = total * xi + _horner(layer, u)
+        return mpc(total)
 
 
 @dataclass(frozen=True)
@@ -336,55 +408,84 @@ def asymptotic_y(
         raise ValueError(
             f"unknown region {region!r}; expected one of {ASYMPTOTIC_REGIONS}"
         )
-    return _asymptotic_at(frame_map(z, "z", precision_bits), region,
-                          precision_bits)
+    point = frame_map(z, "z", precision_bits)
+    if point.x is None:
+        raise PreconditionError("asymptotic representations require z != 0")
+    with workprec(precision_bits + GUARD_BITS):
+        radius, angle = abs(point.x), mp.arg(point.x)
+        defect = _region_defect(region, radius, angle)
+        if defect == "radius":
+            kind, floor = (
+                ("ray", mp.nstr(_constants(mp.prec).ray_radius, 12))
+                if region == "omegaI" else ("wedge", "3")
+            )
+            raise PreconditionError(
+                f"|x| = {mp.nstr(radius, 12)} is below the certified {kind} "
+                f"radius {floor}"
+            )
+        if defect == "angle" and region == "omegaI":
+            raise PreconditionError(
+                "z is not on the oscillatory ray (arg x must be pi/2, "
+                f"got {mp.nstr(angle, 12)})"
+            )
+        if defect == "angle":
+            raise PreconditionError(
+                "arg x must lie in [-pi/2, -pi/4] for the wedge "
+                f"representation, got {mp.nstr(angle, 12)}"
+            )
+    return _asymptotic_at(point, region, precision_bits)
+
+
+def _region_defect(region: str, radius: mpf, angle: mpf) -> Optional[str]:
+    """Which condition of ``region`` the point x = radius * e^(i*angle)
+    breaks: ``"radius"``, ``"angle"``, or None when x lies in the region
+    (within the boundary slack).  Runs at the caller's working precision."""
+    if region == "omegaI":
+        min_radius = _constants(mp.prec).ray_radius
+        if radius < min_radius * (1 - _RADIUS_SLACK):
+            return "radius"
+        if abs(angle - mp.pi / 2) > _ARG_SLACK:
+            return "angle"
+        return None
+    if radius < 3 * (1 - _RADIUS_SLACK):
+        return "radius"
+    if not (-mp.pi / 2 - _ARG_SLACK <= angle <= -mp.pi / 4 + _ARG_SLACK):
+        return "angle"
+    return None
+
+
+def _asymptotic_region(point: FramePoint) -> Optional[str]:
+    """The asymptotic region holding ``point``, or None.
+
+    The ray sits at arg x = pi/2 and the wedge at arg x <= -pi/4 (both
+    within the slack), so the sign of arg x names the only candidate and
+    one test decides.  Runs at the caller's working precision.
+    """
+    angle = mp.arg(point.x)
+    region = "omegaI" if angle > 0 else "omega4"
+    return None if _region_defect(region, abs(point.x), angle) else region
 
 
 def _asymptotic_at(point: FramePoint, region: str,
                    precision_bits: int) -> AsymptoticValue:
-    """:func:`asymptotic_y` at a point already mapped to every frame."""
-    if point.x is None:
-        raise PreconditionError("asymptotic representations require z != 0")
+    """The asymptotic value at a point already known to lie in ``region``
+    and mapped to every frame."""
     with workprec(precision_bits + GUARD_BITS):
         x = point.x
-        zv = point.z
         radius = abs(x)
-        angle = mp.arg(x)
+        root = mp.sqrt(point.z / 6)
         if region == "omegaI":
-            min_radius = (mpf(204) / 5) ** (mpf(5) / 4) / 30
-            if radius < min_radius * (1 - _RADIUS_SLACK):
-                raise PreconditionError(
-                    f"|x| = {mp.nstr(radius, 12)} is below the certified ray "
-                    f"radius {mp.nstr(min_radius, 12)}"
-                )
-            if abs(angle - mp.pi / 2) > _ARG_SLACK:
-                raise PreconditionError(
-                    "z is not on the oscillatory ray (arg x must be pi/2, "
-                    f"got {mp.nstr(angle, 12)})"
-                )
-            value = mpc(0, 1) * mp.sqrt(zv / 6) * (1 - 4 / (25 * x * x))
+            value = mpc(0, 1) * root * (1 - 4 / (25 * x * x))
             error = (
-                abs(mp.sqrt(zv / (6 * x)))
+                abs(root) / mp.sqrt(radius)
                 * (mpf(41) / 40)
                 * (mpf(784) / 3125)
                 * radius ** (mpf(-5) / 2)
             )
         else:
-            if radius < 3 * (1 - _RADIUS_SLACK):
-                raise PreconditionError(
-                    f"|x| = {mp.nstr(radius, 12)} is below the certified "
-                    "wedge radius 3"
-                )
-            if not (-mp.pi / 2 - _ARG_SLACK <= angle <= -mp.pi / 4 + _ARG_SLACK):
-                raise PreconditionError(
-                    "arg x must lie in [-pi/2, -pi/4] for the wedge "
-                    f"representation, got {mp.nstr(angle, 12)}"
-                )
             correction = h0_value(x, precision_bits)
-            value = (
-                mpc(0, 1) * mp.sqrt(zv / 6) * (1 - 4 / (25 * x * x) + correction)
-            )
-            error = abs(mp.sqrt(zv / 6)) * 4 * radius**-3
+            value = mpc(0, 1) * root * (1 - 4 / (25 * x * x) + correction)
+            error = abs(root) * 4 * radius**-3
         return AsymptoticValue(value=value, error=error, region=region, point=point)
 
 
@@ -1105,11 +1206,10 @@ def evaluate_point(
             slope_error_bound=data.y_slope_radius,
         )
     point = frame_map(zv, "z", precision_bits)
-    for region in ASYMPTOTIC_REGIONS:
-        try:
-            asym = _asymptotic_at(point, region, precision_bits)
-        except PreconditionError:
-            continue
+    with workprec(precision_bits + GUARD_BITS):
+        region = _asymptotic_region(point)
+    if region is not None:
+        asym = _asymptotic_at(point, region, precision_bits)
         return Evaluation(
             z=zv,
             y=asym.value,

@@ -54,6 +54,14 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def as_integer(value) -> int:
+    """Exact int from an int; floats, bools and every other type are
+    refused, since truncating them would pass a wrong index as a valid one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{type(value).__name__} {value!r} is not an exact integer")
+    return value
+
+
 class Interval:
     """A closed interval [lo, hi] with exact rational endpoints.
 
@@ -462,6 +470,7 @@ __all__ = [
     "Interval",
     "DyadicInterval",
     "as_fraction",
+    "as_integer",
     "dyadic_floor",
     "dyadic_ceil",
     "slim",

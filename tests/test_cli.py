@@ -314,6 +314,34 @@ class TestReplacement:
         assert name in result.stderr
         assert "float" in result.stderr
 
+    @pytest.mark.parametrize("name, edit, args", [
+        ("expansion_tables.json",
+         lambda doc: doc["tables"]["r"]["5"][0].__setitem__(0, 2.9),
+         ["identities", "--tables"]),
+        ("expansion_tables.json",
+         lambda doc: doc["tables"]["r"]["5"][0].__setitem__(1, 2.9),
+         ["identities", "--tables"]),
+        ("constant_catalog.json",
+         lambda doc: doc["constants"]["E_M"][0].__setitem__(1, 3.9),
+         ["verify", "--scope", "omega4"]),
+    ], ids=["table-k", "table-m", "catalog-s-power"])
+    def test_non_integer_index_in_data_file_exits_2_naming_it(
+            self, data_copy, monkeypatch, name, edit, args):
+        # Each float truncates to the integer it replaces, so a reader
+        # that truncates would accept the file and pass.
+        doc = json.loads((data_copy / name).read_text())
+        edit(doc)
+        (data_copy / name).write_text(json.dumps(doc))
+        if args[-1].startswith("--"):
+            args = args + [str(data_copy / name)]
+        else:
+            monkeypatch.setenv(data.DATA_ENV_VAR, str(data_copy))
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("precondition violated:")
+        assert name in result.stderr
+        assert "not an exact integer" in result.stderr
+
 
 # ---------------------------------------------------------------------------
 # constants
@@ -700,6 +728,40 @@ def test_stdout_matches_pinned_digest(args):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert digest == GOLDEN_STDOUT_SHA256[args]
+
+
+_RAY_Z = "3.9947146479757611459<0.6283185307179586232"       # x = 10i
+_WEDGE_Z = "1.9192597481868873821<-1.570796326794896558"   # x = 4e^(-3pi i/8)
+
+# Closed-form eval outputs depend on floating-point values of the
+# asymptotic representations; their digests pin every digit printed.
+GOLDEN_EVAL_STDOUT_SHA256_PREFIX = {
+    ("1.7<0.6283185307", "json", None): "99b95d745405030f",
+    ("1.7<0.6283185307", "text", None): "4a44a1a8d1646fa9",
+    ("1.7<0.6283185307", "json", "256"): "8228b1a1dd649c71",
+    ("1.7<0.6283185307", "text", "256"): "a9731ab15aaf32a2",
+    (_RAY_Z, "json", None): "b532259e92502cc4",
+    (_RAY_Z, "text", None): "473b2bb2a90d2153",
+    (_RAY_Z, "json", "256"): "afad29a6d4fcaecd",
+    (_RAY_Z, "text", "256"): "137ef94855c92d91",
+    (_WEDGE_Z, "json", None): "01915806ae5368f8",
+    (_WEDGE_Z, "text", None): "84deca3668856f22",
+    (_WEDGE_Z, "json", "256"): "2b7274177052f68f",
+    (_WEDGE_Z, "text", "256"): "2c4f3dccc23db9c9",
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_EVAL_STDOUT_SHA256_PREFIX),
+                         ids=lambda key: " ".join(filter(None, key)))
+def test_closed_form_eval_matches_pinned_digest(key):
+    z, fmt, bits = key
+    args = ["eval", "--z", z, "--format", fmt]
+    if bits is not None:
+        args += ["--precision-bits", bits]
+    result = invoke(*args)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest.startswith(GOLDEN_EVAL_STDOUT_SHA256_PREFIX[key])
 
 
 def test_in_process_runs_do_not_keep_their_stdout():

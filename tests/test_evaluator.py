@@ -27,6 +27,7 @@ from p1cert import evaluator as ev
 from p1cert import inner
 from p1cert.certificates import PreconditionError
 from p1cert.cli import main
+from p1cert.formal import FormalSeries, h0_series
 from p1cert.numerics import Interval
 
 
@@ -147,22 +148,54 @@ class TestAsymptotics:
             assert abs(s**2 + mpf(6) / (5 * mp.pi)) < mpf(10) ** -35
 
     def test_h0_matches_closed_form(self):
-        # independent transcription of the closed form as the oracle
-        with workprec(200):
-            for x in (mpc(0, -3), 4 * mp.expjpi(mpf(-3) / 8), mpc(5, -5)):
-                s = mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi))
-                xi = s * mp.exp(-x) / mp.sqrt(x)
-                head = (
-                    xi
-                    + xi**2 / 6
-                    + xi**3 / 48
-                    + xi**4 / 432
-                    + 5 * xi**5 / 20736
-                )
-                layer1 = (-xi / 8 - 11 * xi**2 / 72 - 43 * xi**3 / 1152) / x
-                layer2 = 9 * xi / (128 * x**2)
-                expected = head + layer1 + layer2
-                assert abs(ev.h0_value(x) - expected) < mpf(10) ** -30
+        # independent transcription of the closed form as the oracle, on
+        # a grid over the wedge -pi/2 <= arg x <= -pi/4 that evaluate_point
+        # serves, at two working precisions
+        for bits in (128, 256):
+            for radius in (3, 7, 40):
+                for eighths in (-4, -3, -2):
+                    with workprec(max(200, bits + 80)):
+                        x = radius * mp.expjpi(mpf(eighths) / 8)
+                        s = mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi))
+                        xi = s * mp.exp(-x) / mp.sqrt(x)
+                        head = (
+                            xi
+                            + xi**2 / 6
+                            + xi**3 / 48
+                            + xi**4 / 432
+                            + 5 * xi**5 / 20736
+                        )
+                        layer1 = (-xi / 8 - 11 * xi**2 / 72
+                                  - 43 * xi**3 / 1152) / x
+                        layer2 = 9 * xi / (128 * x**2)
+                        expected = head + layer1 + layer2
+                        assert abs(expected) < 1
+                        assert (abs(ev.h0_value(x, bits) - expected)
+                                < mpf(2) ** -bits), (bits, radius, eighths)
+
+    @pytest.mark.parametrize("bits", [128, 200])
+    def test_h0_takes_one_exp_and_one_sqrt(self, monkeypatch, bits):
+        # The nested Horner form needs e^(-x) and sqrt(x) once each; a
+        # second sqrt is allowed for the Stokes constant on first use at
+        # a precision.
+        counts = {"exp": 0, "sqrt": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(mp, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(mp, name, counted)
+        ev.h0_value(4 * mp.expjpi(mpf(-3) / 8), bits)
+        assert counts["exp"] == 1
+        assert counts["sqrt"] <= 2
+
+    def test_h0_layers_refuse_a_term_outside_the_structure(self):
+        series = h0_series()
+        assert ev._h0_layers(series)[1] == [1, Fraction(-1, 8),
+                                            Fraction(9, 128)]
+        for key in [(1, 1, 0), (1, 0, 1), (1, 2, 1)]:
+            with pytest.raises(ValueError):
+                ev._h0_layers(series + FormalSeries({key: 1}))
 
     def test_ray_value_matches_certified_matching_data(self):
         z0 = _z0()
@@ -698,6 +731,40 @@ class TestOriginAndEvaluation:
         outcome = ev.evaluate_point(z)
         assert outcome.method == "asymptotic-omega4"
         assert outcome.rigorous
+
+    # Points just inside and just outside the slack of each region
+    # boundary, given in the x frame as (|x|, arg x), and the method
+    # evaluate_point must report (None: not an asymptotic method).
+    @pytest.mark.parametrize("radius, angle, method", [
+        (3 * (1 - mpf("5e-10")), -3 * mp.pi / 8, "asymptotic-omega4"),
+        (3 * (1 - mpf("2e-9")), -3 * mp.pi / 8, "integration"),
+        (5, mp.pi / 2 + mpf("5e-10"), "asymptotic-omegaI"),
+        (5, mp.pi / 2 - mpf("5e-10"), "asymptotic-omegaI"),
+        (5, mp.pi / 2 + mpf("2e-9"), None),
+        (5, mp.pi / 2 - mpf("2e-9"), None),
+        (5, -mp.pi / 4 + mpf("5e-10"), "asymptotic-omega4"),
+        (5, -mp.pi / 4 + mpf("2e-9"), None),
+    ], ids=["wedge-radius-in", "wedge-radius-out", "ray-above-in",
+            "ray-below-in", "ray-above-out", "ray-below-out",
+            "wedge-edge-in", "wedge-edge-out"])
+    def test_region_boundary_slack(self, radius, angle, method):
+        with workprec(200):
+            z = ev.frame_map(radius * mp.expj(angle), "x").z
+        outcome = ev.evaluate_point(z, tol=Fraction(1, 10**10))
+        if method is None:
+            assert not outcome.method.startswith("asymptotic-")
+        else:
+            assert outcome.method == method
+        accepted = []
+        for region in ev.ASYMPTOTIC_REGIONS:
+            try:
+                ev.asymptotic_y(z, region)
+            except PreconditionError:
+                continue
+            accepted.append(f"asymptotic-{region}")
+        expected = [outcome.method] if outcome.method.startswith(
+            "asymptotic-") else []
+        assert accepted == expected
 
     def test_evaluate_interior_uses_integration(self):
         outcome = ev.evaluate_point(mpc("0.3", "0.1"))
