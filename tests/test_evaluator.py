@@ -337,6 +337,50 @@ parts = st.floats(min_value=-2, max_value=2, allow_nan=False)
 points = st.builds(mpc, parts, parts)
 
 
+def _schoolbook_taylor(value, slope, center, count, e, bits):
+    """The kernel's recurrence as written: full Cauchy sums with four real
+    products per complex product, each coefficient one floor division."""
+    (vr, vi), (sr, si), (tr, ti) = value, slope, center
+    b1r, b1i = (sr << e, si << e) if e >= 0 else (sr >> -e, si >> -e)
+    shift = bits - 2 * e
+    b = [
+        (vr, vi),
+        (b1r, b1i),
+        ((6 * (vr * vr - vi * vi) + (tr << bits)) // (2 << shift),
+         (12 * vr * vi + (ti << bits)) // (2 << shift)),
+        ((12 * (vr * b1r - vi * b1i) + (1 << (2 * bits + e))) // (6 << shift),
+         12 * (vr * b1i + vi * b1r) // (6 << shift)),
+    ]
+    for k in range(2, count - 1):
+        pairs = [(b[j], b[k - j]) for j in range(k + 1)]
+        acc_r = sum(x[0] * y[0] - x[1] * y[1] for x, y in pairs)
+        acc_i = sum(x[0] * y[1] + x[1] * y[0] for x, y in pairs)
+        den = (k + 1) * (k + 2) << shift
+        b.append((6 * acc_r // den, 6 * acc_i // den))
+    return [r for r, _ in b], [i for _, i in b]
+
+
+def _schoolbook_horner(re, im, sigma, bits):
+    """G(sigma) and G'(sigma) by Horner with four products per multiply."""
+    xr, xi = sigma
+
+    def times_sigma(x):
+        return ((x[0] * xr - x[1] * xi) >> bits,
+                (x[0] * xi + x[1] * xr) >> bits)
+
+    n = len(re) - 1
+    g, d = (re[n], im[n]), (n * re[n], n * im[n])
+    for k in range(n - 1, -1, -1):
+        if k:
+            d = tuple(p + k * c for p, c in zip(times_sigma(d), (re[k], im[k])))
+        g = tuple(p + c for p, c in zip(times_sigma(g), (re[k], im[k])))
+    return g, d
+
+
+#: Shifted right by 299 - bits, fixed-point components of magnitude <= 2.
+mantissas = st.integers(-(1 << 300), 1 << 300)
+
+
 class TestFixedPointKernel:
     @settings(max_examples=40, deadline=None)
     @given(points, points, points, st.integers(-12, 2), st.integers(16, 64),
@@ -344,33 +388,58 @@ class TestFixedPointKernel:
     def test_kernel_agrees_with_the_mpc_recurrence(
         self, value, slope, center, e, order, sigma
     ):
-        prec = ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS
-        bits = prec + ev._KERNEL_GUARD_BITS
-        with workprec(bits + 64):
-            reference = ev.taylor_coeffs(
-                value, slope, center, order, precision_bits=bits
-            )
-            re, im = ev._taylor_fixed(
-                ev._to_fixed(value, bits), ev._to_fixed(slope, bits),
-                ev._to_fixed(center, bits), order, e, bits,
-            )
-            scaled = [ev._from_fixed(pair, bits) for pair in zip(re, im)]
-            rho = mpf(2) ** e
-            scale = max(mpf(1), *(abs(b) for b in scaled))
-            allowed = mpf(2) ** -prec * scale
-            assert len(scaled) == order + 1
-            for k, (b, c) in enumerate(zip(scaled, reference)):
-                assert abs(b * rho**-k - c) <= allowed * rho**-k
-            # Horner at |sigma| <= 1 gives G(sigma) = g(center + rho sigma)
-            # and G'(sigma) = rho g'(center + rho sigma).
-            sigma = sigma / max(1, abs(sigma))
-            value_at, slope_at = ev._horner_fixed(
-                re, im, ev._to_fixed(sigma, bits), bits
-            )
-            g, g_prime = ev.series_eval(reference, rho * sigma, precision_bits=bits)
-            assert abs(ev._from_fixed(value_at, bits) - g) <= allowed
-            slope_error = abs(ev._from_fixed(slope_at, bits) - rho * g_prime)
-            assert slope_error <= allowed * order
+        # at each width a leg can run at: 148 bits at tol 1e-10, 224 at
+        # the defaults and 272 at the default tol from 192 bits on
+        sigma = sigma / max(1, abs(sigma))
+        for bits in (148, 224, 272):
+            with workprec(bits + 64):
+                reference = ev.taylor_coeffs(
+                    value, slope, center, order, precision_bits=bits
+                )
+                re, im = ev._taylor_fixed(
+                    ev._to_fixed(value, bits), ev._to_fixed(slope, bits),
+                    ev._to_fixed(center, bits), order, e, bits,
+                )
+                scaled = [ev._from_fixed(pair, bits) for pair in zip(re, im)]
+                rho = mpf(2) ** e
+                scale = max(mpf(1), *(abs(b) for b in scaled))
+                allowed = mpf(2) ** -(bits - ev._KERNEL_GUARD_BITS) * scale
+                assert len(scaled) == order + 1
+                for k, (b, c) in enumerate(zip(scaled, reference)):
+                    assert abs(b * rho**-k - c) <= allowed * rho**-k
+                # Horner at |sigma| <= 1 gives G(sigma) = g(center + rho
+                # sigma) and G'(sigma) = rho g'(center + rho sigma).
+                value_at, slope_at = ev._horner_fixed(
+                    re, im, ev._to_fixed(sigma, bits), bits
+                )
+                g, g_prime = ev.series_eval(
+                    reference, rho * sigma, precision_bits=bits
+                )
+                assert abs(ev._from_fixed(value_at, bits) - g) <= allowed
+                slope_error = abs(ev._from_fixed(slope_at, bits) - rho * g_prime)
+                assert slope_error <= allowed * order
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(mantissas, min_size=8, max_size=8), st.booleans(),
+           st.integers(-12, 2), st.integers(4, 40),
+           st.sampled_from((148, 224, 272)))
+    @example([-(1 << 300)] * 8, True, -3, 30, 148)
+    @example([-(1 << 300), 1 << 300] * 4, False, 0, 40, 272)
+    def test_kernel_equals_the_four_product_schoolbook_form(
+        self, parts, real, e, order, bits
+    ):
+        # The three-product Cauchy square, the three-product Horner step
+        # and shifting before the small division are exact integer
+        # identities; real data (im = 0, as on the real ray) and negative
+        # components included.
+        parts = [x >> (299 - bits) for x in parts]
+        if real:
+            parts[1::2] = [0] * 4
+        value, slope, center, sigma = zip(parts[0::2], parts[1::2])
+        taylor = ev._taylor_fixed(value, slope, center, order, e, bits)
+        assert taylor == _schoolbook_taylor(value, slope, center, order, e, bits)
+        assert (ev._horner_fixed(*taylor, sigma, bits)
+                == _schoolbook_horner(*taylor, sigma, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +453,11 @@ def _round_trip_defect(value, slope, t_start, t_end, **kwargs):
     run = ev.integrate(value, slope, t_start, t_end, **kwargs)
     back = ev.integrate(run.value, run.slope, t_end, t_start, **kwargs)
     return run, max(abs(back.value - value), abs(back.slope - slope))
+
+
+def _centre_run(**kwargs):
+    """Integrate the centre data from t = 0 to 1."""
+    return ev.integrate(inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, 1, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -471,35 +545,51 @@ class TestIntegration:
         assert defect == 0
 
     @staticmethod
-    def _orders_used(monkeypatch, **kwargs):
-        """Run centre data from t = 0 to 1; return the run and the set of
-        series orders the steps built."""
+    def _kernel_calls(monkeypatch, run):
+        """Call ``run``; return its result and the set of (order, bits) of
+        the series the kernel built."""
         built = set()
         taylor = ev._taylor_fixed
 
         def recording(value, slope, center, count, e, bits):
-            built.add(count)
+            built.add((count, bits))
             return taylor(value, slope, center, count, e, bits)
 
         monkeypatch.setattr(ev, "_taylor_fixed", recording)
-        run = ev.integrate(inner.CENTER_VALUE, inner.CENTER_SLOPE, 0, 1, **kwargs)
-        return run, built
+        return run(), built
 
     def test_default_run_stops_at_working_precision(self, monkeypatch):
         # eps = max(tol^(5/2), 2^-160) = 2^-160 at the defaults; resolving
-        # tol^(5/2) = 1e-62.5 instead took 1457 order-20 steps
-        run, built = self._orders_used(monkeypatch)
+        # tol^(5/2) = 1e-62.5 instead took 1457 order-20 steps.  The kernel
+        # keeps 64 bits below eps.
+        run, built = self._kernel_calls(monkeypatch, _centre_run)
         assert run.steps <= 20
-        assert built == {run.order}
+        assert built == {(run.order, 224)}
         assert run.order == 57  # ceil(80 ln 2) + 1
 
     def test_finer_precision_keeps_the_step_count(self, monkeypatch):
         # at 192 bits eps = tol^(5/2) = 1e-62.5, and the order follows it
         # to the top of the window, which keeps the steps as few
-        run, built = self._orders_used(monkeypatch, precision_bits=192)
+        run, built = self._kernel_calls(
+            monkeypatch, lambda: _centre_run(precision_bits=192)
+        )
         assert run.steps <= 20
-        assert built == {run.order}
+        assert built == {(run.order, 272)}
         assert run.order == ev.MAX_ORDER
+
+    @pytest.mark.parametrize("run, used", [
+        pytest.param(lambda: ev.pole_estimate(0), (30, 148), id="pole"),
+        pytest.param(lambda: ev.pole_estimate(0, precision_bits=256),
+                     (30, 148), id="pole-256"),
+        pytest.param(lambda: _centre_run(tol=Fraction(1, 10**25),
+                                         precision_bits=256),
+                     (ev.MAX_ORDER, 272), id="tol-1e-25-256"),
+    ])
+    def test_kernel_width_follows_the_budget(self, monkeypatch, run, used):
+        # 64 bits below eps, not below 2^-prec: pole's tol 1e-10 gives
+        # eps = 1e-25 ~ 2^-83.05 at any precision, the default tol gives
+        # 2^-207.6 from 192 bits on
+        assert self._kernel_calls(monkeypatch, run)[1] == {used}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(ev.MIN_PRECISION_BITS, 1024),
@@ -558,6 +648,23 @@ class TestIntegration:
         for region in ev.ASYMPTOTIC_REGIONS:
             with pytest.raises(PreconditionError):
                 ev.asymptotic_y(z, region)
+
+    def test_step_collapse_is_judged_at_the_kernel_width(self, monkeypatch):
+        # A top coefficient c_n ~ 2^(160 n) asks for a step near 2^-163,
+        # below the 148-bit kernel's last bit at tol 1e-10.  Judged against
+        # the 544-bit working precision, it would pass as a step, round to
+        # zero length and repeat until the step limit.
+        taylor = ev._taylor_fixed
+
+        def inflated(value, slope, center, count, e, bits):
+            re, im = taylor(value, slope, center, count, e, bits)
+            re[count] += 1 << (bits + (160 + e) * count)  # b_n = c_n rho^n
+            return re, im
+
+        monkeypatch.setattr(ev, "_taylor_fixed", inflated)
+        monkeypatch.setattr(ev, "_MAX_STEPS", 10)
+        with pytest.raises(RuntimeError, match="step size collapsed"):
+            ev.integrate(0, 0, 0, 10, tol=Fraction(1, 10**10), precision_bits=512)
 
     def test_blowup_raises_pole_proximity(self):
         with pytest.raises(ev.PoleProximityError) as info:
