@@ -614,10 +614,9 @@ def _taylor_fixed(
     The one specialised copy of :func:`inner.maclaurin_extend`: it runs
     every integrator step, and the shared loop over a Gaussian-integer
     element class was 1.1-1.6x slower at order 16 and 1.5-2.2x at order
-    57 (five runs, 2-core Xeon, Python 3.11).  A complex Cauchy square
-    takes three real half-dots, not four, two of them by zero on real
-    data: a build at orders 30-64 was 12-17% faster on complex data and
-    as fast on real data (31 alternating pairs).
+    57 (five runs, 2-core Xeon, Python 3.11).  Three real half-dots per
+    complex Cauchy square (Gauss) instead of four did not lower the bench
+    ``pole`` pass time (10 alternating pairs).
     """
     (vr, vi), (sr, si), (tr, ti) = value, slope, center
     if e >= 0:
@@ -632,18 +631,14 @@ def _taylor_fixed(
     b3i = (12 * (vr * b1i + vi * b1r) >> shift) // 6
     re = [vr, b1r, b2r, b3r]
     im = [vi, b1i, b2i, b3i]
-    sm = [r + i for r, i in zip(re, im)]
-    df = [r - i for r, i in zip(re, im)]
     for k in range(2, count - 1):
         # The Cauchy square is symmetric in j <-> k - j: sum each pair
-        # once and add the middle square for even k.  A pair x y takes
-        # three products (Gauss): with p = Im y (Re x + Im x),
-        # Re(x y) = Re x (Re y + Im y) - p, Im(x y) = p + Im x (Re y - Im y).
+        # once and add the middle square for even k.
         half = (k + 1) // 2
-        lo, hi = slice(half), slice(k, k - half, -1)
-        p = sum(map(mul, im[hi], sm[lo]))
-        acc_r = 2 * (sum(map(mul, re[lo], sm[hi])) - p)
-        acc_i = 2 * (p + sum(map(mul, im[lo], df[hi])))
+        ra, ia = re[:half], im[:half]
+        rb, ib = re[k:k - half:-1], im[k:k - half:-1]
+        acc_r = 2 * (sum(map(mul, ra, rb)) - sum(map(mul, ia, ib)))
+        acc_i = 2 * (sum(map(mul, ra, ib)) + sum(map(mul, ia, rb)))
         if k % 2 == 0:
             mr, mi = re[k // 2], im[k // 2]
             acc_r += mr * mr - mi * mi
@@ -651,8 +646,6 @@ def _taylor_fixed(
         den = (k + 1) * (k + 2)
         re.append((6 * acc_r >> shift) // den)
         im.append((6 * acc_i >> shift) // den)
-        sm.append(re[-1] + im[-1])
-        df.append(re[-1] - im[-1])
     return re, im
 
 
@@ -661,21 +654,16 @@ def _horner_fixed(
 ) -> Tuple[Gaussian, Gaussian]:
     """G(sigma) and G'(sigma) of the scaled series, for |sigma| <= 1."""
     xr, xi = sigma
-    # g sigma in three products, as in _taylor_fixed: with p = gi (xr + xi),
-    # Re = xr (gr + gi) - p and Im = p + xi (gr - gi).
-    xs = xr + xi
     n = len(re) - 1
     gr, gi = re[n], im[n]
     dr, di = n * gr, n * gi
     for k in range(n - 1, 0, -1):
-        p, q = gi * xs, di * xs
-        gr, gi = (((xr * (gr + gi) - p) >> bits) + re[k],
-                  ((p + xi * (gr - gi)) >> bits) + im[k])
-        dr, di = (((xr * (dr + di) - q) >> bits) + k * re[k],
-                  ((q + xi * (dr - di)) >> bits) + k * im[k])
-    p = gi * xs
-    gr, gi = (((xr * (gr + gi) - p) >> bits) + re[0],
-              ((p + xi * (gr - gi)) >> bits) + im[0])
+        gr, gi = (((gr * xr - gi * xi) >> bits) + re[k],
+                  ((gr * xi + gi * xr) >> bits) + im[k])
+        dr, di = (((dr * xr - di * xi) >> bits) + k * re[k],
+                  ((dr * xi + di * xr) >> bits) + k * im[k])
+    gr, gi = (((gr * xr - gi * xi) >> bits) + re[0],
+              ((gr * xi + gi * xr) >> bits) + im[0])
     return (gr, gi), (dr, di)
 
 
@@ -827,7 +815,9 @@ def _integrate_leg(
         raise PreconditionError("integration needs finite data and endpoints")
     prec = mp.prec
     log_budget = _log2_budget(tol)
-    budget_bits = min(prec, math.ceil(-log_budget))
+    # At least -_ORDER_SWITCH_LOG2 bits, so that at coarse budgets the
+    # dust and step-collapse thresholds below stay far under real steps.
+    budget_bits = min(prec, max(math.ceil(-log_budget), -_ORDER_SWITCH_LOG2))
     bits = budget_bits + _KERNEL_GUARD_BITS
     log_safety = math.log2(_STEP_SAFETY)
     log_max_step = math.log2(_MAX_STEP)
@@ -943,8 +933,9 @@ def integrate(
     on), and :data:`MIN_ORDER` at coarser budgets; it is reported as
     ``order``.  The steps run on a fixed-point kernel with
     :data:`_KERNEL_GUARD_BITS` bits below eps (224 bits at the defaults,
-    148 at tol 1e-10 and 272 at the default tol from 192 bits on), and the
-    result is rounded to the working precision once, at the end.  A
+    148 at tol 1e-10, 272 at the default tol from 192 bits on, never
+    fewer than 144), and the result is rounded to the working precision
+    once, at the end.  A
     trajectory value exceeding :data:`BLOWUP_THRESHOLD` raises
     :class:`PoleProximityError` carrying a double-pole location estimate.
     """

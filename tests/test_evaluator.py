@@ -360,23 +360,6 @@ def _schoolbook_taylor(value, slope, center, count, e, bits):
     return [r for r, _ in b], [i for _, i in b]
 
 
-def _schoolbook_horner(re, im, sigma, bits):
-    """G(sigma) and G'(sigma) by Horner with four products per multiply."""
-    xr, xi = sigma
-
-    def times_sigma(x):
-        return ((x[0] * xr - x[1] * xi) >> bits,
-                (x[0] * xi + x[1] * xr) >> bits)
-
-    n = len(re) - 1
-    g, d = (re[n], im[n]), (n * re[n], n * im[n])
-    for k in range(n - 1, -1, -1):
-        if k:
-            d = tuple(p + k * c for p, c in zip(times_sigma(d), (re[k], im[k])))
-        g = tuple(p + c for p, c in zip(times_sigma(g), (re[k], im[k])))
-    return g, d
-
-
 #: Shifted right by 299 - bits, fixed-point components of magnitude <= 2.
 mantissas = st.integers(-(1 << 300), 1 << 300)
 
@@ -420,26 +403,23 @@ class TestFixedPointKernel:
                 assert slope_error <= allowed * order
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(mantissas, min_size=8, max_size=8), st.booleans(),
+    @given(st.lists(mantissas, min_size=6, max_size=6), st.booleans(),
            st.integers(-12, 2), st.integers(4, 40),
            st.sampled_from((148, 224, 272)))
-    @example([-(1 << 300)] * 8, True, -3, 30, 148)
-    @example([-(1 << 300), 1 << 300] * 4, False, 0, 40, 272)
+    @example([-(1 << 300)] * 6, True, -3, 30, 148)
+    @example([-(1 << 300), 1 << 300] * 3, False, 0, 40, 272)
     def test_kernel_equals_the_four_product_schoolbook_form(
         self, parts, real, e, order, bits
     ):
-        # The three-product Cauchy square, the three-product Horner step
-        # and shifting before the small division are exact integer
-        # identities; real data (im = 0, as on the real ray) and negative
-        # components included.
+        # The halved Cauchy square and shifting before the small division
+        # are exact integer identities; real data (im = 0, as on the real
+        # ray) and negative components included.
         parts = [x >> (299 - bits) for x in parts]
         if real:
-            parts[1::2] = [0] * 4
-        value, slope, center, sigma = zip(parts[0::2], parts[1::2])
+            parts[1::2] = [0] * 3
+        value, slope, center = zip(parts[0::2], parts[1::2])
         taylor = ev._taylor_fixed(value, slope, center, order, e, bits)
         assert taylor == _schoolbook_taylor(value, slope, center, order, e, bits)
-        assert (ev._horner_fixed(*taylor, sigma, bits)
-                == _schoolbook_horner(*taylor, sigma, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +564,36 @@ class TestIntegration:
         pytest.param(lambda: _centre_run(tol=Fraction(1, 10**25),
                                          precision_bits=256),
                      (ev.MAX_ORDER, 272), id="tol-1e-25-256"),
+        pytest.param(lambda: _centre_run(tol=Fraction(1, 10**4)),
+                     (ev.MIN_ORDER, 144), id="tol-1e-4"),
     ])
     def test_kernel_width_follows_the_budget(self, monkeypatch, run, used):
         # 64 bits below eps, not below 2^-prec: pole's tol 1e-10 gives
         # eps = 1e-25 ~ 2^-83.05 at any precision, the default tol gives
-        # 2^-207.6 from 192 bits on
+        # 2^-207.6 from 192 bits on; coarser budgets than 2^-80 keep 80
         assert self._kernel_calls(monkeypatch, run)[1] == {used}
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 2), Fraction(1, 10),
+                                     Fraction(1, 10**4)])
+    def test_coarse_tolerance_reaches_the_target(self, tol):
+        # eps = tol^(5/2) is 2^-2.5 at tol 1/2: the dust threshold must
+        # still sit far below the leg's length
+        run = ev.integrate(0, 0, 0, 1, tol=tol)
+        reference = ev.integrate(0, 0, 0, 1)
+        assert run.steps >= 1
+        bound = mpf(tol.numerator) / tol.denominator
+        assert abs(run.value - reference.value) < bound
+        assert abs(run.slope - reference.slope) < bound
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 2), Fraction(1, 10**2),
+                                     Fraction(1, 10**4)])
+    def test_coarse_tolerance_blowup_is_a_pole(self, tol):
+        # steps shrink towards the pole at 2.38 before |g| reaches
+        # BLOWUP_THRESHOLD; they must not be read as a collapse
+        value, slope = ev.integration_seed()
+        with pytest.raises(ev.PoleProximityError) as info:
+            ev.integrate(value, slope, 0, ev.POLE_HORIZON, tol=tol)
+        assert mpf("2.38") < abs(info.value.estimate) < mpf("2.39")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(ev.MIN_PRECISION_BITS, 1024),
