@@ -27,6 +27,7 @@ fractional powers, pi, and the modulus of the Stokes multiplier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -36,7 +37,6 @@ from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power, tail1,
                           tail2, tail3, tail4)
 from .numerics import (
     CERT_TOL,
-    DyadicInterval,
     Interval,
     as_fraction,
     floor_root,
@@ -774,26 +774,33 @@ def check_inner_interval(system=None) -> CertificateReport:
 # Maclaurin-envelope disk certificate
 # ---------------------------------------------------------------------------
 
-#: Significant bits kept by the Maclaurin envelope's dyadic run.
+#: Fraction bits of the Maclaurin envelope's fixed-point run.
 ENVELOPE_BITS = 64
 
 
 def maclaurin_enclosures(horizon: int = 256,
                          eps: Fraction = Fraction(1, 108)) -> List[Interval]:
-    """c_0..c_horizon: the exact windows c_0, c_1, then the recurrence on
-    :class:`DyadicInterval` rounded outward to ``ENVELOPE_BITS`` bits."""
+    """c_0..c_horizon: the exact windows c_0, c_1, then balls from the
+    integer kernel at rho = 2 and 2^-``ENVELOPE_BITS``, converted back to
+    exact intervals.  The window centres are the midpoints, and eps
+    rounded up plus one unit covers both eps and the centres' floor."""
     bits = ENVELOPE_BITS
     prefix = inner_interval.origin_windows(eps, eps)
-    run = inner_interval.maclaurin_extend(
-        [DyadicInterval.enclose(c, bits) for c in prefix], horizon,
-        lambda x, k: x.scale(Fraction(6, (k + 1) * (k + 2)), bits))
-    return prefix[:2] + [d.to_interval() for d in run[2:]]
+    value, slope = (math.floor(c.mid * 2 ** bits) for c in prefix[:2])
+    radius = math.ceil(eps * 2 ** bits) + 1
+    re, im = inner_interval.taylor_fixed(
+        (value, 0), (slope, 0), (0, 0), horizon, 1, bits)
+    radii = inner_interval.taylor_radii(re, im, radius, radius, 1, bits)
+    balls = [Interval(Fraction(m - r, 1 << (bits + k)),
+                      Fraction(m + r, 1 << (bits + k)))
+             for k, (m, r) in enumerate(zip(re, radii))]
+    return prefix[:2] + balls[2:]
 
 
 def taylor_envelope_run(horizon: int = 256,
                         eps: Fraction = Fraction(1, 108)
                         ) -> Tuple[Fraction, int]:
-    """Signed interval run of the Maclaurin recurrence against the
+    """The enclosures of :func:`maclaurin_enclosures` against the
     envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k)."""
     ratios = [max(abs(c.lo), abs(c.hi))
               / ((k + 1) * Fraction(20, 37) ** (k + 2))
@@ -814,9 +821,9 @@ def check_taylor_radius(horizon: int = 256,
     maximized over the window corners (the interior critical points sit at
     c0 = 0 or c1 = 0, which the windows exclude); base cases are exact
     rational comparisons; the induction step is the exact discrete
-    identity sum (j+1)(k-j+1) = (k+1)(k+2)(k+3)/6; and a signed interval
-    run with outward dyadic rounding re-confirms the envelope numerically
-    up to ``horizon``.
+    identity sum (j+1)(k-j+1) = (k+1)(k+2)(k+3)/6; and a run of rigorous
+    balls on the integer kernel re-confirms the envelope numerically up
+    to ``horizon``.
     """
     eps = Fraction(eps)
     inv = Fraction(20, 37)

@@ -30,12 +30,12 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf, workprec
 
 from . import data, formal, inner
+from .inner import Gaussian, taylor_fixed
 from .certificates import PreconditionError
 from .numerics import Interval
 
@@ -508,7 +508,8 @@ def taylor_coeffs(
     inhomogeneous term contributes  center/2  to c_2 and  1/6  to c_3
     (writing t = center + s); the rest is :func:`inner.maclaurin_extend`.
     Requires ``count`` >= 2.  This is the floating-point reference for
-    the integrator's fixed-point kernel (:func:`_taylor_fixed`).
+    the integer kernel :func:`inner.taylor_fixed` and for the balls that
+    :func:`inner.taylor_radii` makes of its coefficients.
     """
     _require_bits(precision_bits)
     if count < 2:
@@ -543,21 +544,12 @@ def series_eval(
 
 
 # --------------------------------------------------------------------------
-# fixed-point Taylor kernel
+# fixed-point Taylor steps
 # --------------------------------------------------------------------------
 #
-# The integrator runs on Gaussian integers: a complex x is held as the
-# pair (floor(Re x * 2^bits), floor(Im x * 2^bits)), with one exponent
-# 2^-bits shared by a whole leg (Johansson, IEEE Trans. Comput. 66 (2017),
-# without the radius).  A step of length at most rho = 2^e works with the
-# scaled series  G(sigma) = g(t + rho*sigma),  which solves
-# G'' = rho^2 (6 G^2 + t + rho*sigma).  Its coefficients b_k = c_k rho^k
-# follow  b_2 = rho^2 (3 b_0^2 + t/2),  b_3 = rho^2 (2 b_0 b_1 + rho/6)  and
-# b_{k+2} = 6 rho^2 sum_j b_j b_{k-j} / ((k+1)(k+2)),  so a coefficient
-# costs integer products, a shift and one integer division, and |sigma| <= 1
+# The integrator holds complex numbers as Gaussian integers at 2^-bits and
+# steps with the scaled series of :func:`inner.taylor_fixed`; |sigma| <= 1
 # keeps each Horner rounding at one unit of 2^-bits.
-
-Gaussian = Tuple[int, int]
 
 #: Fraction bits of the kernel below the per-step budget eps >= 2^-prec:
 #: a leg runs at 2^-bits with bits = min(prec, ceil(-log2 eps)) + this.
@@ -595,58 +587,6 @@ def _exp2_int(x: float) -> int:
     mantissa = int(math.ldexp(2.0 ** (x - whole), 53))
     shift = whole - 53
     return mantissa << shift if shift >= 0 else mantissa >> -shift
-
-
-def _taylor_fixed(
-    value: Gaussian,
-    slope: Gaussian,
-    center: Gaussian,
-    count: int,
-    e: int,
-    bits: int,
-) -> Tuple[List[int], List[int]]:
-    """Scaled coefficients b_0..b_count of  g'' = 6 g^2 + t  at ``center``.
-
-    Everything is fixed point at 2^-bits and rho = 2^e; returns the real
-    and the imaginary mantissas.  Requires ``count`` >= 3 and 2e < bits.
-    Each coefficient is rounded down once.
-
-    The one specialised copy of :func:`inner.maclaurin_extend`: it runs
-    every integrator step, and the shared loop over a Gaussian-integer
-    element class was 1.1-1.6x slower at order 16 and 1.5-2.2x at order
-    57 (five runs, 2-core Xeon, Python 3.11).  Three real half-dots per
-    complex Cauchy square (Gauss) instead of four did not lower the bench
-    ``pole`` pass time (10 alternating pairs).
-    """
-    (vr, vi), (sr, si), (tr, ti) = value, slope, center
-    if e >= 0:
-        b1r, b1i = sr << e, si << e
-    else:
-        b1r, b1i = sr >> -e, si >> -e
-    # floor(x / (d 2^shift)) = floor(floor(x / 2^shift) / d): shift first.
-    shift = bits - 2 * e
-    b2r = (6 * (vr * vr - vi * vi) + (tr << bits)) >> (shift + 1)
-    b2i = (12 * vr * vi + (ti << bits)) >> (shift + 1)
-    b3r = ((12 * (vr * b1r - vi * b1i) + (1 << (2 * bits + e))) >> shift) // 6
-    b3i = (12 * (vr * b1i + vi * b1r) >> shift) // 6
-    re = [vr, b1r, b2r, b3r]
-    im = [vi, b1i, b2i, b3i]
-    for k in range(2, count - 1):
-        # The Cauchy square is symmetric in j <-> k - j: sum each pair
-        # once and add the middle square for even k.
-        half = (k + 1) // 2
-        ra, ia = re[:half], im[:half]
-        rb, ib = re[k:k - half:-1], im[k:k - half:-1]
-        acc_r = 2 * (sum(map(mul, ra, rb)) - sum(map(mul, ia, ib)))
-        acc_i = 2 * (sum(map(mul, ra, ib)) + sum(map(mul, ia, rb)))
-        if k % 2 == 0:
-            mr, mi = re[k // 2], im[k // 2]
-            acc_r += mr * mr - mi * mi
-            acc_i += 2 * mr * mi
-        den = (k + 1) * (k + 2)
-        re.append((6 * acc_r >> shift) // den)
-        im.append((6 * acc_i >> shift) // den)
-    return re, im
 
 
 def _horner_fixed(
@@ -860,7 +800,7 @@ def _integrate_leg(
             e = e_cap
         log_scale = max(0.0, _log2_abs(value, bits), _log2_abs(slope, bits))
         while True:
-            re, im = _taylor_fixed(value, slope, t, order, e, bits)
+            re, im = taylor_fixed(value, slope, t, order, e, bits)
             top = _top_nonzero(re, im)
             # A zero top coefficient below the largest admissible rho may
             # have underflowed: it bounds nothing until rho is that large.

@@ -14,7 +14,9 @@ Everything quantitative reduces to a fixed list of sup-norm bounds for exact
 polynomials (certified here by partitioned cubic-head enclosures), followed
 by exact rational arithmetic: operator-norm products, a contraction factor,
 ball invariance, and windows for the values of ``g`` and ``g'`` at ``t = 0``
-that seed the disk's power series (:func:`maclaurin_extend`).
+that seed the disk's power series (:func:`maclaurin_extend`, whose integer
+kernel :func:`taylor_fixed` and ball radii :func:`taylor_radii` the
+integrator and the disk certificate share).
 
 All polynomials live in the shifted variable ``s = t + 17/10 in [0, 17/10]``.
 """
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from operator import mul
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from . import data
 from .numerics import Interval
@@ -365,3 +369,91 @@ def maclaurin_extend(prefix: Sequence, count: int, divide: Callable) -> List:
             conv = conv + coeffs[k // 2] * coeffs[k // 2]
         coeffs.append(divide(conv, k))
     return coeffs
+
+
+# --------------------------------------------------------------------------
+# the integer Taylor kernel
+# --------------------------------------------------------------------------
+#
+# A complex x is the Gaussian integer (floor(Re x 2^bits), floor(Im x 2^bits))
+# at one exponent 2^-bits.  A step of length at most rho = 2^e works with
+# G(sigma) = g(t + rho*sigma), whose coefficients b_k = c_k rho^k follow
+# b_2 = rho^2 (3 b_0^2 + t/2),  b_3 = rho^2 (2 b_0 b_1 + rho/6)  and
+# b_{k+2} = 6 rho^2 sum_j b_j b_{k-j} / ((k+1)(k+2)).  Radii make them balls
+# (van der Hoeven, "Ball arithmetic" (2010); Johansson, IEEE Trans. Comput.
+# 66 (2017)) in the norm |Re| + |Im|, which is submultiplicative.
+
+Gaussian = Tuple[int, int]
+
+
+def taylor_fixed(
+    value: Gaussian,
+    slope: Gaussian,
+    center: Gaussian,
+    count: int,
+    e: int,
+    bits: int,
+) -> Tuple[List[int], List[int]]:
+    """Scaled coefficients b_0..b_count of  g'' = 6 g^2 + t  at ``center``.
+
+    Everything is fixed point at 2^-bits and rho = 2^e; returns the real
+    and the imaginary mantissas.  Requires ``count`` >= 3 and 2e < bits.
+    Each coefficient is rounded down once.
+
+    The one integer form of :func:`maclaurin_extend`: the integrator runs
+    it every step, and the Maclaurin envelope adds :func:`taylor_radii`.
+    The shared loop over a Gaussian-integer class was 1.1-2.2x slower, and
+    a three-product (Gauss) square bought nothing (2-core Xeon, Py 3.11).
+    """
+    (vr, vi), (sr, si), (tr, ti) = value, slope, center
+    if e >= 0:
+        b1r, b1i = sr << e, si << e
+    else:
+        b1r, b1i = sr >> -e, si >> -e
+    # floor(x / (d 2^shift)) = floor(floor(x / 2^shift) / d): shift first.
+    shift = bits - 2 * e
+    b2r = (6 * (vr * vr - vi * vi) + (tr << bits)) >> (shift + 1)
+    b2i = (12 * vr * vi + (ti << bits)) >> (shift + 1)
+    b3r = ((12 * (vr * b1r - vi * b1i) + (1 << (2 * bits + e))) >> shift) // 6
+    b3i = (12 * (vr * b1i + vi * b1r) >> shift) // 6
+    re = [vr, b1r, b2r, b3r]
+    im = [vi, b1i, b2i, b3i]
+    for k in range(2, count - 1):
+        # The Cauchy square is symmetric in j <-> k - j: sum each pair
+        # once and add the middle square for even k.
+        half = (k + 1) // 2
+        ra, ia = re[:half], im[:half]
+        rb, ib = re[k:k - half:-1], im[k:k - half:-1]
+        acc_r = 2 * (sum(map(mul, ra, rb)) - sum(map(mul, ia, ib)))
+        acc_i = 2 * (sum(map(mul, ra, ib)) + sum(map(mul, ia, rb)))
+        if k % 2 == 0:
+            mr, mi = re[k // 2], im[k // 2]
+            acc_r += mr * mr - mi * mi
+            acc_i += 2 * mr * mi
+        den = (k + 1) * (k + 2)
+        re.append((6 * acc_r >> shift) // den)
+        im.append((6 * acc_i >> shift) // den)
+    return re, im
+
+
+def taylor_radii(re: Sequence[int], im: Sequence[int], r0: int, r1: int,
+                 e: int, bits: int) -> List[int]:
+    """Radii r_0..r_count for the coefficients ``re, im`` that
+    :func:`taylor_fixed` returns when its value and slope are known to
+    within ``r0`` and ``r1`` units of 2^-bits (the centre exactly).
+
+    The exact b_k lies within r_k units of (re_k, im_k) in |Re| + |Im|.
+    Each Cauchy-square product of balls adds 2 sum_j |b_j| r_{k-j} +
+    sum_j r_j r_{k-j}, with |b_j| <= |re_j| + |im_j|, and the kernel's one
+    floor per component adds under 2 more; b_2 and b_3 are the same sum
+    at k = 0 and 1.
+    """
+    mag = [abs(x) + abs(y) for x, y in zip(re, im)]
+    # b_1 = slope * rho is exact for e >= 0 and floored once otherwise
+    rad = [r0, r1 << e if e >= 0 else -(-r1 >> -e) + 2]
+    shift = bits - 2 * e
+    for k in range(len(re) - 2):
+        back = rad[k::-1]
+        num = 6 * (2 * sum(map(mul, mag, back)) + sum(map(mul, rad, back)))
+        rad.append(-(-num // ((k + 1) * (k + 2) << shift)) + 2)
+    return rad

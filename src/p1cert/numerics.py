@@ -8,15 +8,12 @@ exception: :func:`floor_root` takes exact integer n-th roots, with no
 floating point, and :func:`root_enclosure` rounds each endpoint outward on
 the dyadic grid finer than the one certificate width :data:`CERT_TOL`.
 
-Rounding lives here too, in two forms.  :func:`dyadic_floor`,
-:func:`dyadic_ceil`, :func:`slim` and :func:`slim_up` shorten large
-rational endpoints outward before they are compared or printed.
-:class:`DyadicInterval` is an interval whose endpoints are Python-int
-mantissas times a shared power of two (Arb's design without the radius:
-F. Johansson, IEEE Trans. Comput. 66 (2017)); the Maclaurin envelope's
-recurrence, which rounds every step anyway, runs on it and converts back
-to :class:`Interval` exactly, so every certified comparison stays an
-exact rational one.
+Rounding lives here too: :func:`dyadic_floor`, :func:`dyadic_ceil`,
+:func:`slim` and :func:`slim_up` shorten large rational endpoints outward
+before they are compared or printed.  The one computation that rounds at
+every step, the Maclaurin envelope, runs on the integer ball kernel of
+:mod:`p1cert.inner` and converts its balls back to :class:`Interval`
+exactly, so every certified comparison stays an exact rational one.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Tuple
 
 Rational = Fraction
 
@@ -224,19 +220,13 @@ def _coerce(value) -> Interval:
 
 # -- outward dyadic rounding ------------------------------------------------
 
-def _floor_mantissa(num: int, den: int, bits: int) -> Tuple[int, int]:
-    """(m, e) with m 2^e the largest dyadic of about ``bits`` significant
-    bits that is <= num/den (den > 0)."""
-    shift = num.bit_length() - den.bit_length() - bits
-    if shift >= 0:
-        return num // (den << shift), shift
-    return (num << -shift) // den, shift
-
-
 def dyadic_floor(x: Fraction, bits: int) -> Fraction:
     """The largest dyadic of about ``bits`` significant bits <= x."""
-    m, e = _floor_mantissa(x.numerator, x.denominator, bits)
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+    num, den = x.numerator, x.denominator
+    shift = num.bit_length() - den.bit_length() - bits
+    if shift >= 0:
+        return Fraction(num // (den << shift) << shift)
+    return Fraction((num << -shift) // den, 1 << -shift)
 
 
 def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
@@ -270,95 +260,6 @@ def slim(iv: Interval) -> Interval:
     if _oversized(hi):
         hi = dyadic_ceil(hi, SLIM_BITS)
     return Interval(lo, hi)
-
-
-def _enclose_point(x: Fraction, bits: int) -> "DyadicInterval":
-    """x exactly when it is dyadic, else its ``bits``-bit floor and ceil."""
-    num, den = x.numerator, x.denominator
-    if den & (den - 1) == 0:
-        return DyadicInterval(num, num, 1 - den.bit_length())
-    m, e = _floor_mantissa(num, den, bits)
-    # x is not on the grid 2^e, so its ceiling there is the floor plus one
-    return DyadicInterval(m, m + 1, e)
-
-
-class DyadicInterval:
-    """A closed interval [lo 2^exp, hi 2^exp] with int mantissas lo <= hi.
-
-    Sums, products and hulls are exact (dyadic numbers are closed under
-    them); rational scaling rounds outward to a requested number of
-    significant bits, relative to the endpoint of larger magnitude.  Every
-    result contains the exact image of its operands, and
-    :meth:`to_interval` converts back without rounding.  The Maclaurin
-    envelope's recurrence runs on it.
-    """
-
-    __slots__ = ("lo", "hi", "exp")
-
-    def __init__(self, lo: int, hi: int, exp: int):
-        if lo > hi:
-            raise ValueError(f"empty dyadic interval: lo={lo} > hi={hi}")
-        self.lo = lo
-        self.hi = hi
-        self.exp = exp
-
-    @classmethod
-    def enclose(cls, value, bits: int) -> "DyadicInterval":
-        """Outward enclosure of an Interval or an exact rational: exact
-        for dyadic endpoints, ``bits`` significant bits otherwise."""
-        if not isinstance(value, Interval):
-            return _enclose_point(as_fraction(value), bits)
-        return _enclose_point(value.lo, bits).hull(
-            _enclose_point(value.hi, bits))
-
-    def to_interval(self) -> Interval:
-        """The same interval with Fraction endpoints, exactly."""
-        if self.exp >= 0:
-            return Interval(self.lo << self.exp, self.hi << self.exp)
-        den = 1 << -self.exp
-        return Interval(Fraction(self.lo, den), Fraction(self.hi, den))
-
-    def _aligned(self, other: "DyadicInterval"):
-        """Both intervals' mantissas on the finer of the two grids."""
-        d = self.exp - other.exp
-        if d >= 0:
-            return (self.lo << d, self.hi << d, other.lo, other.hi,
-                    other.exp)
-        return (self.lo, self.hi, other.lo << -d, other.hi << -d, self.exp)
-
-    def __add__(self, other: "DyadicInterval") -> "DyadicInterval":
-        alo, ahi, blo, bhi, exp = self._aligned(other)
-        return DyadicInterval(alo + blo, ahi + bhi, exp)
-
-    def __mul__(self, other: "DyadicInterval") -> "DyadicInterval":
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        exp = self.exp + other.exp
-        if a >= 0 and c >= 0:
-            return DyadicInterval(a * c, b * d, exp)
-        products = (a * c, a * d, b * c, b * d)
-        return DyadicInterval(min(products), max(products), exp)
-
-    def hull(self, other: "DyadicInterval") -> "DyadicInterval":
-        alo, ahi, blo, bhi, exp = self._aligned(other)
-        return DyadicInterval(min(alo, blo), max(ahi, bhi), exp)
-
-    def scale(self, q, bits: int) -> "DyadicInterval":
-        """q times the interval, rounded outward to ``bits`` bits."""
-        q = as_fraction(q)
-        num, den = q.numerator, q.denominator
-        lo, hi = self.lo * num, self.hi * num
-        if num < 0:
-            lo, hi = hi, lo
-        shift = bits + den.bit_length() - max(-lo, hi).bit_length()
-        if shift >= 0:
-            return DyadicInterval((lo << shift) // den,
-                                  -((-hi << shift) // den),
-                                  self.exp - shift)
-        den <<= -shift
-        return DyadicInterval(lo // den, -(-hi // den), self.exp - shift)
-
-    def __repr__(self):
-        return f"DyadicInterval({self.lo}, {self.hi}, {self.exp})"
 
 
 def pi_enclosure() -> Interval:
@@ -468,7 +369,6 @@ def truncation_window(printed: str) -> Interval:
 __all__ = [
     "Rational",
     "Interval",
-    "DyadicInterval",
     "as_fraction",
     "as_integer",
     "dyadic_floor",

@@ -2,13 +2,17 @@
 quadrature refinement, and fault injection."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import inf, mp, mpf, quad
 
+import p1cert
 from p1cert import certificates as C
 from p1cert import data, inner
 from p1cert.functionals import PowerSum
@@ -383,6 +387,19 @@ class TestTaylorRadius:
         failing = {c.name for c in report.failures()}
         assert "c1_below_six_nineteenths" in failing
         assert "c2_window_below_eighth" in failing
+
+
+def test_certificates_load_neither_the_evaluator_nor_mpmath():
+    # The certificates stay exact and free of floating point; this is why
+    # the Taylor kernel they share with the integrator lives in inner.
+    src = os.path.dirname(os.path.dirname(p1cert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, p1cert.certificates; print(sorted(name for name in "
+            "('p1cert.evaluator', 'mpmath') if name in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 # ---------------------------------------------------------------------------

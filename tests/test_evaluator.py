@@ -10,6 +10,7 @@ freezing).
 
 import csv
 import io
+import itertools
 import json
 import random
 import shutil
@@ -362,6 +363,8 @@ def _schoolbook_taylor(value, slope, center, count, e, bits):
 
 #: Shifted right by 299 - bits, fixed-point components of magnitude <= 2.
 mantissas = st.integers(-(1 << 300), 1 << 300)
+#: Gaussian integers of magnitude <= 2 at 2^-148.
+gaussians = st.tuples(*[st.integers(-(1 << 149), 1 << 149)] * 2)
 
 
 class TestFixedPointKernel:
@@ -379,7 +382,7 @@ class TestFixedPointKernel:
                 reference = ev.taylor_coeffs(
                     value, slope, center, order, precision_bits=bits
                 )
-                re, im = ev._taylor_fixed(
+                re, im = ev.taylor_fixed(
                     ev._to_fixed(value, bits), ev._to_fixed(slope, bits),
                     ev._to_fixed(center, bits), order, e, bits,
                 )
@@ -418,8 +421,40 @@ class TestFixedPointKernel:
         if real:
             parts[1::2] = [0] * 3
         value, slope, center = zip(parts[0::2], parts[1::2])
-        taylor = ev._taylor_fixed(value, slope, center, order, e, bits)
+        taylor = ev.taylor_fixed(value, slope, center, order, e, bits)
         assert taylor == _schoolbook_taylor(value, slope, center, order, e, bits)
+
+    @settings(max_examples=20, deadline=None)
+    @given(gaussians, gaussians, gaussians, st.integers(-8, 2),
+           st.integers(3, 32), st.integers(0, 1 << 140),
+           st.integers(0, 1 << 140))
+    @example((3 << 147, -5 << 145), (-1 << 147, 1 << 149), (3 << 146, 1 << 147),
+             -3, 24, 0, 0)
+    @example((0, 0), (0, 0), (0, 0), 0, 8, 1 << 140, 1 << 140)
+    @example((0, 1), (0, 0), (0, 1), 0, 3, 0, 0)   # floors in re and im
+    @example((0, 0), (0, 1), (0, 0), -1, 3, 0, 0)  # b_1 = slope/2, floored
+    def test_radii_cover_every_point_of_the_input_balls(
+        self, value, slope, center, e, order, r0, r1
+    ):
+        # Complex data reach the |im| part of each radius; the offsets
+        # +-r and +-ir are the corners of the |re| + |im| input balls.
+        bits = 148
+        re, im = inner.taylor_fixed(value, slope, center, order, e, bits)
+        radii = inner.taylor_radii(re, im, r0, r1, e, bits)
+        assert len(radii) == order + 1
+        steps = (0, 1, -1, 1j, -1j)
+        with workprec(400):
+            unit = mpf(2) ** -bits
+            for dv, ds in itertools.product(steps, steps):
+                exact = ev.taylor_coeffs(
+                    ev._from_fixed(value, bits) + mpc(dv) * r0 * unit,
+                    ev._from_fixed(slope, bits) + mpc(ds) * r1 * unit,
+                    ev._from_fixed(center, bits), order, precision_bits=400,
+                )
+                for k, (c, mr, mi, r) in enumerate(zip(exact, re, im, radii)):
+                    b = c * mpf(2) ** (bits + e * k)
+                    gap = abs(b.real - mr) + abs(b.imag - mi)
+                    assert gap <= r + abs(b) * mpf(2) ** -300
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +564,13 @@ class TestIntegration:
         """Call ``run``; return its result and the set of (order, bits) of
         the series the kernel built."""
         built = set()
-        taylor = ev._taylor_fixed
+        taylor = ev.taylor_fixed
 
         def recording(value, slope, center, count, e, bits):
             built.add((count, bits))
             return taylor(value, slope, center, count, e, bits)
 
-        monkeypatch.setattr(ev, "_taylor_fixed", recording)
+        monkeypatch.setattr(ev, "taylor_fixed", recording)
         return run(), built
 
     def test_default_run_stops_at_working_precision(self, monkeypatch):
@@ -658,14 +693,14 @@ class TestIntegration:
         # below the 148-bit kernel's last bit at tol 1e-10.  Judged against
         # the 544-bit working precision, it would pass as a step, round to
         # zero length and repeat until the step limit.
-        taylor = ev._taylor_fixed
+        taylor = ev.taylor_fixed
 
         def inflated(value, slope, center, count, e, bits):
             re, im = taylor(value, slope, center, count, e, bits)
             re[count] += 1 << (bits + (160 + e) * count)  # b_n = c_n rho^n
             return re, im
 
-        monkeypatch.setattr(ev, "_taylor_fixed", inflated)
+        monkeypatch.setattr(ev, "taylor_fixed", inflated)
         monkeypatch.setattr(ev, "_MAX_STEPS", 10)
         with pytest.raises(RuntimeError, match="step size collapsed"):
             ev.integrate(0, 0, 0, 10, tol=Fraction(1, 10**10), precision_bits=512)

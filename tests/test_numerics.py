@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from p1cert import certificates
 from p1cert.numerics import (
     CERT_TOL,
-    DyadicInterval,
     Interval,
     dyadic_ceil,
     dyadic_floor,
@@ -262,41 +261,14 @@ def run_containment_samples(count: int, seed: int = 0) -> None:
             assert r.lo**k <= u.hi and r.hi**k >= u.lo
 
 
-# -- the dyadic kernel ----------------------------------------------------
-
-wide_rationals = st.fractions(
-    min_value=Fraction(-10**6), max_value=Fraction(10**6),
-    max_denominator=10**6,
-)
-kernel_bits = st.integers(min_value=4, max_value=140)
-
-
-@st.composite
-def dyadic_and_exact(draw):
-    """A DyadicInterval and the exact Interval it stands for."""
-    a, b = draw(wide_rationals), draw(wide_rationals)
-    d = DyadicInterval.enclose(Interval(min(a, b), max(a, b)),
-                               draw(kernel_bits))
-    return d, d.to_interval()
-
+# -- outward dyadic rounding ---------------------------------------------
 
 @settings(max_examples=300, deadline=None)
-@given(wide_rationals, wide_rationals, kernel_bits)
-def test_dyadic_enclose_is_outward_and_rounding_is_too(a, b, bits):
-    iv = Interval(min(a, b), max(a, b))
-    assert DyadicInterval.enclose(iv, bits).to_interval().contains_interval(iv)
+@given(st.fractions(min_value=Fraction(-10**6), max_value=Fraction(10**6),
+                    max_denominator=10**6),
+       st.integers(min_value=4, max_value=140))
+def test_dyadic_rounding_is_outward(a, bits):
     assert dyadic_floor(a, bits) <= a <= dyadic_ceil(a, bits)
-
-
-@settings(max_examples=300, deadline=None)
-@given(dyadic_and_exact(), dyadic_and_exact(), kernel_bits,
-       st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4))
-def test_dyadic_ops_enclose_the_exact_results(xd, yd, bits, q):
-    (x, u), (y, v) = xd, yd
-    assert (x + y).to_interval().contains_interval(u + v)
-    assert (x * y).to_interval().contains_interval(u * v)
-    assert x.scale(q, bits).to_interval().contains_interval(u * q)
-    assert x.hull(y).to_interval().contains_interval(u.hull(v))
 
 
 @settings(max_examples=300, deadline=None)
