@@ -617,14 +617,24 @@ def _lower_wedge(v: Mapping, recip) -> Dict[str, object]:
     }
 
 
-def _wedge_values(rho: Fraction, recip,
-                  leaves: Optional[Mapping[str, PowerSum]]
-                  ) -> Dict[str, Interval]:
-    """Leaf enclosures at rho and the lower-wedge formulas over them."""
+def _leaf_enclosures(rho: Fraction,
+                     leaves: Optional[Mapping[str, PowerSum]]
+                     ) -> Dict[str, Interval]:
+    """Every wedge leaf enclosed at rho, each once."""
     if leaves is None:
         leaves = _wedge_leaves(scalar_bounds(), route_constants())
-    at = {name: ps.enclosure(rho) for name, ps in leaves.items()}
+    return {name: ps.enclosure(rho) for name, ps in leaves.items()}
+
+
+def _wedge_values(at: Mapping[str, Interval], recip
+                  ) -> Dict[str, Interval]:
+    """Leaf enclosures at one rho and the lower-wedge formulas over them."""
     return {**at, **_lower_wedge(at, recip)}
+
+
+def _interval_recip(u: Interval) -> Interval:
+    """1/(1-u) by interval division."""
+    return (1 - u).inverse()
 
 
 def sector_majorants(rho: Fraction, c_hi: Fraction,
@@ -633,7 +643,8 @@ def sector_majorants(rho: Fraction, c_hi: Fraction,
     """Enclosures at rho of the majorants of the catalogued quantities:
     the lower-wedge formulas with 1/(1-u) bounded by the geometric
     1 + u + u^2 + u^3 + c_hi u^4, valid whenever 1/(1-u) <= c_hi."""
-    return _wedge_values(Fraction(rho), _geometric(c_hi), leaves)
+    return _wedge_values(_leaf_enclosures(Fraction(rho), leaves),
+                         _geometric(c_hi))
 
 
 def sector_point_values(rho: Fraction,
@@ -641,7 +652,8 @@ def sector_point_values(rho: Fraction,
                         ) -> Dict[str, Interval]:
     """Sharp enclosures of all catalogued quantities at one rho value,
     evaluating the two division terms by interval division."""
-    return _wedge_values(Fraction(rho), lambda u: (1 - u).inverse(), leaves)
+    return _wedge_values(_leaf_enclosures(Fraction(rho), leaves),
+                         _interval_recip)
 
 
 def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
@@ -682,7 +694,10 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
                  "exactly"))
 
     leaves = _wedge_leaves(scalar_bounds(), routes)
-    u_hi = (leaves["J_M"].enclosure(anchor) * frac_pow(anchor, -1, 2)).hi
+    # the point values and the majorants read the same leaf enclosures
+    at = _leaf_enclosures(rho, leaves)
+    j_anchor = at["J_M"] if rho == anchor else leaves["J_M"].enclosure(anchor)
+    u_hi = (j_anchor * frac_pow(anchor, -1, 2)).hi
     checks.append(check(
         "division_terms_valid", slim_up(u_hi), Fraction(1), "<",
         note="rho^(-1/2) J_M < 1 at the anchor, so the geometric majorant "
@@ -705,7 +720,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
                  "by +, x and integer powers"))
 
     if rho == 3:
-        points = sector_point_values(rho, leaves)
+        points = _wedge_values(at, _interval_recip)
         printed = reference_values()
         max_width = slim_up(max(points[name].width for name in printed))
         for name in sorted(printed):
@@ -715,7 +730,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
             "reference_enclosure_width", max_width, Fraction(1, 10**4), "<",
             note="widest enclosure among the printed reference values"))
 
-    majorants = sector_majorants(rho, c_hi, leaves)
+    majorants = _wedge_values(at, _geometric(c_hi))
     m_sum = slim(sum((majorants[f"M_{i}"] for i in range(2, 8)),
                      majorants["M_1"]))
     v_m = slim(majorants["V_M"])

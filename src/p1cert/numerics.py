@@ -102,7 +102,7 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return _ordered(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def is_positive(self) -> bool:
         return self.lo > 0
@@ -127,12 +127,12 @@ class Interval:
 
     def __add__(self, other):
         other = _coerce(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        return _ordered(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return _ordered(-self.hi, -self.lo)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -145,22 +145,25 @@ class Interval:
         if other.lo == other.hi:  # scalar fast path
             c = other.lo
             if c >= 0:
-                return Interval(self.lo * c, self.hi * c)
-            return Interval(self.hi * c, self.lo * c)
+                return _ordered(self.lo * c, self.hi * c)
+            return _ordered(self.hi * c, self.lo * c)
+        if self.lo >= 0 and other.lo >= 0:
+            # both nonnegative: these are the least and greatest products
+            return _ordered(self.lo * other.lo, self.hi * other.hi)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return Interval(min(products), max(products))
+        return _ordered(min(products), max(products))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Interval":
         if self.straddles_zero():
             raise ZeroDivisionError(f"interval {self} contains zero")
-        return Interval(1 / self.hi, 1 / self.lo)
+        return _ordered(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -177,18 +180,18 @@ class Interval:
         if n == 0:
             return Interval(1)
         if n % 2 == 1 or self.lo >= 0:
-            return Interval(self.lo**n, self.hi**n)
+            return _ordered(self.lo**n, self.hi**n)
         if self.hi <= 0:
-            return Interval(self.hi**n, self.lo**n)
+            return _ordered(self.hi**n, self.lo**n)
         # even power of a zero-straddling interval
-        return Interval(0, max(self.lo**n, self.hi**n))
+        return _ordered(_ZERO, max(self.lo**n, self.hi**n))
 
     def __abs__(self):
         if self.lo >= 0:
             return self
         if self.hi <= 0:
             return -self
-        return Interval(0, max(-self.lo, self.hi))
+        return _ordered(_ZERO, max(-self.lo, self.hi))
 
     # -- misc ---------------------------------------------------------------
 
@@ -210,6 +213,21 @@ class Interval:
 
     def __str__(self):
         return f"[{float(self.lo):.17g}, {float(self.hi):.17g}]"
+
+
+def _ordered(lo: Fraction, hi: Fraction) -> Interval:
+    """An Interval from Fraction endpoints whose order holds by
+    construction (sums, products, min and max), without the public
+    constructor's coercion and emptiness check."""
+    iv = _new_interval(Interval)
+    _set_slot(iv, "lo", lo)
+    _set_slot(iv, "hi", hi)
+    return iv
+
+
+_new_interval = object.__new__
+_set_slot = object.__setattr__
+_ZERO = Fraction(0)
 
 
 def _coerce(value) -> Interval:
@@ -288,15 +306,42 @@ def floor_root(m: int, n: int) -> int:
         x = y
 
 
+@functools.cache
+def grid_exponent(tol: Fraction = CERT_TOL) -> int:
+    """The smallest integer k with 2^-k <= ``tol``: the exponent of the
+    dyadic grid on which root brackets are rounded outward."""
+    # the smallest k with 2^-k <= tol is this estimate or the next one
+    k = tol.denominator.bit_length() - tol.numerator.bit_length()
+    if Fraction(2) ** -k > tol:
+        k += 1
+    return k
+
+
+def grid_root(num: int, den: int, n: int, k: int) -> tuple[int, int]:
+    """The outward bracket [a 2^-k, b 2^-k] of the n-th root of
+    num/den >= 0 on the grid 2^-k, as the pair (a, b).
+
+    ``a`` is the floor root of floor(num/den 2^(nk)) and ``b`` the
+    ceiling root of its ceiling, so b - a <= 1, and a root on the grid
+    gives a == b.  One integer root serves both ends: when a^n is not
+    exactly num/den 2^(nk), b is a + 1.
+    """
+    if k >= 0:
+        q, rem = divmod(num << (n * k), den)
+    else:
+        q, rem = divmod(num, den << (-n * k))
+    a = floor_root(q, n)
+    return a, a + (rem != 0 or a ** n != q)
+
+
 def root_enclosure(u, n: int, tol: Fraction = CERT_TOL) -> Interval:
     """Enclosure of the n-th root of a nonnegative interval or rational.
 
-    The root map is monotone, so each endpoint is rounded outward on the
-    grid 2^-k, k the smallest integer with 2^-k <= ``tol``: the lower end
-    is the floor root of floor(lo 2^(nk)), the upper end the ceiling root
-    of ceil(hi 2^(nk)).  Each bracket is at most 2^-k wide (the result can
-    be wider if the input interval is wide), and a root on the grid, such
-    as (81/16)^(1/4), comes back as a point.
+    The root map is monotone, so each endpoint is rounded outward by
+    :func:`grid_root` on the grid 2^-k of :func:`grid_exponent`.  Each
+    bracket is at most 2^-k wide (the result can be wider if the input
+    interval is wide), and a root on the grid, such as (81/16)^(1/4),
+    comes back as a point.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"root order must be a positive int, got {n!r}")
@@ -305,16 +350,10 @@ def root_enclosure(u, n: int, tol: Fraction = CERT_TOL) -> Interval:
         raise ValueError(f"n-th root of interval {u} with negative part")
     if n == 1:
         return u
-    # the smallest k with 2^-k <= tol is this estimate or the next one
-    k = tol.denominator.bit_length() - tol.numerator.bit_length()
-    if Fraction(2) ** -k > tol:
-        k += 1
-    scale = Fraction(2) ** (n * k)
-    top = math.ceil(u.hi * scale)
-    hi = floor_root(top, n)
-    if hi ** n < top:
-        hi += 1
-    lo = floor_root(math.floor(u.lo * scale), n)
+    k = grid_exponent(tol)
+    lo, hi = grid_root(u.lo.numerator, u.lo.denominator, n, k)
+    if u.hi != u.lo:
+        hi = grid_root(u.hi.numerator, u.hi.denominator, n, k)[1]
     return Interval(lo, hi) * Fraction(2) ** -k
 
 
@@ -378,6 +417,8 @@ __all__ = [
     "CERT_TOL",
     "pi_enclosure",
     "floor_root",
+    "grid_exponent",
+    "grid_root",
     "root_enclosure",
     "sqrt_enclosure",
     "sqrt2_enclosure",

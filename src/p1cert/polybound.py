@@ -14,10 +14,13 @@ The piece estimator runs on plain Python ints: it clears the
 denominators once per piece, writes the midpoint and the half-width over
 one common denominator, shifts by integer Horner steps and evaluates the
 polynomial at the piece ends and at the critical-point midpoints, and
-the l1 tail, through one integer Horner each.  Only those results, and
-the critical-point enclosures with their interval Horner bound, are
-``Fraction``s: the values are the same exact rationals as a ``Fraction``
-computation throughout, found without a gcd per operation.
+the l1 tail, through one integer Horner each.  Each critical-point
+enclosure is a pair of integer numerators over one denominator, with the
+square root bracketed by :func:`~p1cert.numerics.grid_root` on
+``root_enclosure``'s grid, and its interval Horner bound runs on integer
+numerators too.  Only the two results are ``Fraction``s: they are the
+same exact rationals as a ``Fraction`` computation throughout, found
+without a gcd per operation.
 
 The returned object is an :class:`~p1cert.numerics.Interval` that
 encloses the supremum itself: its ``lo`` is an exactly attained value
@@ -31,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .numerics import Interval, as_fraction, root_enclosure
+from .numerics import Interval, as_fraction, grid_exponent, grid_root
 
 Coefficient = Union[int, str, Fraction]
 Poly = Sequence[Fraction]
@@ -142,6 +145,27 @@ def taylor_shift(p: Poly, c: Coefficient) -> list[Fraction]:
 
 # -- supremum bounds ----------------------------------------------------------
 
+def _interval_horner(coeffs: Sequence[int], lo: int, hi: int,
+                     q: int) -> tuple[int, int, int]:
+    """Interval Horner bound of sum c_k x^k over x in [lo/q, hi/q]: the
+    ends (L, H) of the result over the denominator q^(n-1), returned as
+    (L, H, q^(n-1)).  Stage j is exact over q^j, so L and H are the
+    numerators of the same rationals as the Interval computation."""
+    low = high = coeffs[-1]
+    scale = 1
+    for c in reversed(coeffs[:-1]):
+        scale *= q
+        products = (low * lo, low * hi, high * lo, high * hi)
+        low = min(products) + c * scale
+        high = max(products) + c * scale
+    return low, high, scale
+
+
+def _point(num: int, den: int) -> tuple[int, int, int]:
+    """The point num/den as an enclosure (lo, hi, e) with e > 0."""
+    return (num, num, den) if den > 0 else (-num, -num, -den)
+
+
 def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
     """(attained value, certified bound) for sup |P| on one piece."""
     n = len(p)
@@ -152,7 +176,7 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
     lo_n = lo.numerator * (d // lo.denominator)
     hi_n = hi.numerator * (d // hi.denominator)
     cn, cd, rn = lo_n + hi_n, 2 * d, hi_n - lo_n
-    # Q(u) = P(c + u) = sum beta_k (cd u)^k / K; at u = +-r, cd u = +-rn
+    # Q(u) = P(c + u) = sum beta_k w^k / K in w = cd u; at u = +-r, w = +-rn
     beta, den = _cleared(p, cd)
     beta = _shift_int(beta, cn)
     K = den * cd ** (n - 1)
@@ -161,43 +185,52 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
                    abs(beta[0]))
     tail = rn ** 4 * _horner([abs(c) for c in beta[4:]], rn)
     endpoint = max(abs(_horner(head, rn)), abs(_horner(head, -rn)))
-    lower = Fraction(attained, K)
-    upper = Fraction(endpoint + tail, K)
 
     # critical points of the head h_0 + h_1 u + h_2 u^2 + h_3 u^3, where
-    # h_k = beta_k cd^k / K
+    # h_k = beta_k cd^k / K, as enclosures (lo, hi, e) of w: [lo/e, hi/e]
     b1, b2, b3 = (head + [0, 0, 0])[1:4]
-    crit: list[Interval] = []
+    crit: list[tuple[int, int, int]] = []
     if b3 == 0:
         if b2 != 0:
-            crit.append(Interval(Fraction(-b1, 2 * b2 * cd)))
+            crit.append(_point(-b1, 2 * b2))
         # b2 == b3 == 0: the head is affine, endpoint candidates suffice
     else:
         disc = 4 * b2 * b2 - 12 * b1 * b3
         if disc == 0:
-            crit.append(Interval(Fraction(-b2, 3 * b3 * cd)))
+            crit.append(_point(-b2, 3 * b3))
         elif disc > 0:
-            sq = root_enclosure(Fraction(cd ** 4 * disc, K * K), 2)
-            h2 = Fraction(b2 * cd * cd, K)
-            h3 = Fraction(b3 * cd ** 3, K)
-            for sgn in (1, -1):
-                crit.append((Interval(-2 * h2) + sgn * sq) / (6 * h3))
-    if not crit:
-        return lower, upper
-    r = Fraction(rn, cd)
-    for enclosure in crit:
-        if enclosure.hi < -r or enclosure.lo > r:
+            # u = (-2 h2 +- sqrt(cd^4 disc / K^2)) / (6 h3), with the root
+            # bracketed by [s_lo, s_hi] 2^-k, is w = (c0 +- s K) / e
+            k = grid_exponent()
+            s_lo, s_hi = grid_root(cd ** 4 * disc, K * K, 2, k)
+            c0 = -2 * b2 * cd * cd << k
+            e = 6 * b3 * cd * cd << k
+            for w_lo, w_hi in ((c0 + s_lo * K, c0 + s_hi * K),
+                               (c0 - s_hi * K, c0 - s_lo * K)):
+                crit.append((w_lo, w_hi, e) if e > 0 else (-w_hi, -w_lo, -e))
+    # the largest attained value and bound so far, as num/den pairs
+    low_n, low_d = attained, K
+    up_n, up_d = endpoint + tail, K
+    for w_lo, w_hi, e in crit:
+        edge = rn * e
+        if w_hi < -edge or w_lo > edge:
             continue
-        clamped = Interval(max(enclosure.lo, -r), min(enclosure.hi, r))
+        w_lo, w_hi = max(w_lo, -edge), min(w_hi, edge)
         # interval Horner in w = cd u: every step is the u-frame step
         # scaled by a positive constant, so the bound is the same
-        upper = max(upper,
-                    (abs(poly_eval(head, clamped * cd)).hi + tail) / K)
-        x = clamped.mid
-        lower = max(lower, Fraction(
-            abs(_horner(beta, cd * x.numerator, x.denominator)),
-            K * x.denominator ** (n - 1)))
-    return lower, upper
+        h_lo, h_hi, scale = _interval_horner(head, w_lo, w_hi, e)
+        cand_n, cand_d = max(-h_lo, h_hi) + tail * scale, K * scale
+        if cand_n * up_d > up_n * cand_d:
+            up_n, up_d = cand_n, cand_d
+        # |P| at the midpoint of the clamped enclosure
+        mid_n, mid_d = w_lo + w_hi, 2 * e
+        g = math.gcd(mid_n, mid_d)
+        mid_n, mid_d = mid_n // g, mid_d // g
+        cand_n = abs(_horner(beta, mid_n, mid_d))
+        cand_d = K * mid_d ** (n - 1)
+        if cand_n * low_d > low_n * cand_d:
+            low_n, low_d = cand_n, cand_d
+    return Fraction(low_n, low_d), Fraction(up_n, up_d)
 
 
 def sup_abs(p: Poly, lo, hi) -> Interval:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ import p1cert
 from p1cert import certificates as C
 from p1cert import data, inner
 from p1cert.functionals import PowerSum
-from p1cert.numerics import Interval, frac_pow, truncation_window
+from p1cert.numerics import (Interval, frac_pow, slim, slim_up,
+                             truncation_window)
 
 
 @pytest.fixture(autouse=True)
@@ -277,6 +279,44 @@ class TestSectorCertificate:
             flag / 2
         with pytest.raises(ValueError):
             flag ** -1
+
+    def test_each_leaf_is_enclosed_once(self, monkeypatch):
+        calls = Counter()
+        original = PowerSum.enclosure
+
+        def counted(self, *args, **kwargs):
+            calls[id(self)] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PowerSum, "enclosure", counted)
+        C.check_omega_4(3)
+        monkeypatch.undo()
+        leaves = C._wedge_leaves(C.scalar_bounds(), C.route_constants())
+        assert sorted(calls.values()) == [1] * len(leaves)
+
+    def test_checks_equal_those_from_the_public_helpers(self):
+        """Sharing one set of leaf enclosures changes no check: each one
+        equals the check built from sector_point_values and
+        sector_majorants called on their own."""
+        checks = _by_name(C.check_omega_4(3))
+        u3 = (C.scalar_bounds()["J_M"].enclosure(3)
+              * frac_pow(3, -1, 2)).hi
+        c_hi = 1 / (1 - u3)
+        points = C.sector_point_values(Fraction(3))
+        majorants = C.sector_majorants(Fraction(3), c_hi)
+        printed = data.reference_values()
+        for name, text in printed.items():
+            assert checks[f"reference_{name}"] == C._window_overlap(
+                f"reference_{name}", points[name], text), name
+        assert checks["reference_enclosure_width"].value == slim_up(
+            max(points[name].width for name in printed))
+        m_sum = slim(sum((majorants[f"M_{i}"] for i in range(2, 8)),
+                         majorants["M_1"]))
+        for name, enclosure in (("source_norm_at_most_2", m_sum),
+                                ("linear_bound", slim(majorants["V_M"])),
+                                ("quadratic_bound", slim(majorants["T_M"]))):
+            assert (checks[name].lo, checks[name].value) \
+                == (enclosure.lo, enclosure.hi), name
 
     def test_point_values_match_references(self):
         points = C.sector_point_values(Fraction(3))

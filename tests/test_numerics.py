@@ -22,6 +22,7 @@ from p1cert.numerics import (
     dyadic_floor,
     floor_root,
     frac_pow,
+    grid_root,
     pi_enclosure,
     root_enclosure,
     sqrt2_enclosure,
@@ -88,6 +89,10 @@ class TestInterval:
     def test_abs(self):
         assert abs(Interval(-3, 1)) == Interval(0, 3)
         assert abs(Interval(-3, -1)) == Interval(1, 3)
+
+    def test_public_constructor_still_checks_order(self):
+        with pytest.raises(ValueError):
+            Interval(2, 1)
 
     def test_certified_order(self):
         assert Interval(0, 1).strictly_below(Interval(2, 3))
@@ -227,6 +232,30 @@ def test_ops_contain_pointwise_results(ab, cd, n):
     assert x**n in u**n
     if not v.straddles_zero():
         assert x / y in u / v
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, rationals, rationals)
+def test_product_is_the_four_product_hull(a, b, c, d):
+    # mixed signs, with the nonnegative and scalar fast paths among them
+    u = Interval(min(a, b), max(a, b))
+    v = Interval(min(c, d), max(c, d))
+    products = [x * y for x in (u.lo, u.hi) for y in (v.lo, v.hi)]
+    for w in (u * v, v * u):
+        assert w == Interval(min(products), max(products))
+        assert type(w.lo) is Fraction and type(w.hi) is Fraction
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**300),
+       st.integers(min_value=1, max_value=2**100),
+       st.integers(2, 5), st.integers(-8, 90))
+def test_grid_root_is_the_outward_bracket(num, den, n, k):
+    a, b = grid_root(num, den, n, k)
+    scaled = Fraction(num, den) * Fraction(2) ** (n * k)
+    assert a ** n <= scaled <= b ** n
+    assert (a + 1) ** n > scaled and (b == 0 or (b - 1) ** n < scaled)
+    assert b - a <= 1
 
 
 def test_containment_bulk_random():

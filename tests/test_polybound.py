@@ -182,6 +182,11 @@ def _fraction_piece_bound(p, lo, hi):
     return max(lows), max(cands) + tail
 
 
+# the half-width of a piece centred at 0 whose end is the midpoint of the
+# root enclosure of x - x^3's critical point 1/sqrt(3): each critical
+# enclosure then straddles one end and is clamped there
+_CLAMP_R = root_enclosure(12, 2).mid / 6
+
 big_rationals = st.builds(
     F, st.integers(-2**250, 2**250), st.integers(1, 2**250))
 piece_ends = st.fractions(min_value=-10, max_value=10,
@@ -198,6 +203,17 @@ class TestPieceBound:
     @example(coeffs=[F(1), F(-2), F(3)], ends=(F(0), F(1)))
     @example(coeffs=[F(2), F(-3)], ends=(F(-1, 3), F(5, 7)))
     @example(coeffs=[], ends=(F(0), F(1)))
+    # critical-point corners: disc == 0 at u = 1/2, where |P| is largest,
+    # b3 < 0 with two interior critical points, both critical enclosures
+    # clamped at an end, both outside the piece, and b3 == 0 with b2 != 0
+    @example(coeffs=[F(15, 8), F(3, 4), F(-3, 2), F(1), F(-1, 2)],
+             ends=(F(-1), F(1)))
+    @example(coeffs=[F(1, 3), F(2), F(-1, 2), F(-5, 7)],
+             ends=(F(-2), F(3, 2)))
+    @example(coeffs=[F(0), F(1), F(0), F(-1)], ends=(-_CLAMP_R, _CLAMP_R))
+    @example(coeffs=[F(0), F(1), F(0), F(-1)], ends=(F(-1, 2), F(1, 2)))
+    @example(coeffs=[F(1, 2), F(-1), F(3), F(0), F(0), F(1, 9)],
+             ends=(F(-1), F(1)))
     def test_integer_kernel_equals_the_fraction_reference(self, coeffs,
                                                           ends):
         lo, hi = sorted(ends)
