@@ -502,8 +502,9 @@ def _estimate_payload(est) -> Dict[str, object]:
     }
 
 
-def _emit_pole(fmt: str, scan) -> int:
+def _emit_pole(fmt: str, scan, precision_bits: int) -> int:
     payload = {
+        "precision_bits": precision_bits,
         "best": _estimate_payload(scan.best),
         "found": [_estimate_payload(e) for e in scan.estimates],
         "unbounded_directions": [
@@ -531,7 +532,8 @@ def _emit_pole(fmt: str, scan) -> int:
               f"minimum distance: {_nstr(scan.best.distance, _TEXT_DIGITS)}"
               f"  at arg t = {_nstr(scan.best.direction, 10)}",
               f"note: {scan.note}"]
-    _emit(fmt, "pole", "p1cert pole", payload, (columns, rows), lines)
+    _emit(fmt, "pole", f"p1cert pole  (precision {precision_bits} bits)",
+          payload, (columns, rows), lines)
     return EXIT_PASS
 
 
@@ -662,7 +664,8 @@ def pole(precision_bits: int, fmt: str) -> None:
     numerical estimate, not a certified statement.
     """
     _run(lambda: _emit_pole(
-        fmt, evaluator.pole_scan(precision_bits=precision_bits)))
+        fmt, evaluator.pole_scan(precision_bits=precision_bits),
+        precision_bits))
 
 
 if __name__ == "__main__":  # pragma: no cover

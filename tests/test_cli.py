@@ -660,6 +660,15 @@ class TestPole:
             finer = json.loads(result.output)
             assert finer["best"]["distance"] == pole_json["best"]["distance"]
 
+    def test_report_says_its_precision(self, pole_json):
+        result = invoke("pole", "--precision-bits", "256", "--format", "json")
+        assert result.exit_code == 0
+        finer = json.loads(result.output)
+        validate(finer)
+        assert (pole_json["precision_bits"], finer["precision_bits"]) \
+            == (128, 256)
+        assert dict(finer, precision_bits=128) == pole_json
+
     def test_note_flags_the_estimate_as_numerical(self, pole_json):
         assert "estimate" in pole_json["note"]
         assert "not a certified statement" in pole_json["note"]
