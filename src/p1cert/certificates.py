@@ -882,8 +882,8 @@ def check_taylor_radius(horizon: int = 256,
                    "recurrence with no loss"),
         check("envelope_numeric_run", slim_up(run_worst), Fraction(1), "<",
               note=f"max_k |c_k| R0^(k+2)/(k+1) over k <= {horizon}, "
-                   f"attained at k = {run_k} (signed interval recurrence, "
-                   f"{ENVELOPE_BITS}-bit outward rounding)"),
+                   f"attained at k = {run_k} (ball run of the integer "
+                   f"Taylor kernel, {ENVELOPE_BITS} fraction bits)"),
     ]
     return _report(
         "taylor_radius",

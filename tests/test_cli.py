@@ -720,11 +720,11 @@ class TestDeterminism:
 # pinned.  An intended change of output re-pins these digests.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "json"):
-        "e9a50561e841355fa09fad3aefd77a57173a213d217dd107b4c85d9d09834532",
+        "46dd60b468f50e77c13b7adc0810ebe4bf3cd2ba09f4b733f164c191a53665e0",
     ("verify", "--scope", "all", "--format", "text"):
-        "a132ff8105292333aaca05e11c298d6c5ce5b1f6acd852929deeac5ae3622209",
+        "ca5593448985c7baaa7d6125e07a1c5c74421688524ee76f1081d68d80469663",
     ("verify", "--scope", "all", "--format", "csv"):
-        "c55e2182a867628b6264d1190f3643bedac3e18bfc210f443293b1adaeee87a8",
+        "91b7a28e9e857f32d81555ec0794451a528464042dacb1828f32e3dabced530d",
     ("constants", "--format", "json"):
         "11cf0648b0319727ea55c0e4ac7c14aee5b776d4e3d5cfd5c4975878a9aaa90c",
     ("identities",):
