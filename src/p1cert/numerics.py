@@ -24,6 +24,8 @@ from fractions import Fraction
 
 Rational = Fraction
 
+_ZERO = Fraction(0)
+
 #: Width of every root bracket inside a certificate.  Tight enough that
 #: every stated margin (the smallest is ~3e-9) dwarfs the enclosure width.
 CERT_TOL = Fraction(1, 10**24)
@@ -219,15 +221,10 @@ def _ordered(lo: Fraction, hi: Fraction) -> Interval:
     """An Interval from Fraction endpoints whose order holds by
     construction (sums, products, min and max), without the public
     constructor's coercion and emptiness check."""
-    iv = _new_interval(Interval)
-    _set_slot(iv, "lo", lo)
-    _set_slot(iv, "hi", hi)
+    iv = object.__new__(Interval)
+    object.__setattr__(iv, "lo", lo)
+    object.__setattr__(iv, "hi", hi)
     return iv
-
-
-_new_interval = object.__new__
-_set_slot = object.__setattr__
-_ZERO = Fraction(0)
 
 
 def _coerce(value) -> Interval:
@@ -306,7 +303,6 @@ def floor_root(m: int, n: int) -> int:
         x = y
 
 
-@functools.cache
 def grid_exponent(tol: Fraction = CERT_TOL) -> int:
     """The smallest integer k with 2^-k <= ``tol``: the exponent of the
     dyadic grid on which root brackets are rounded outward."""
