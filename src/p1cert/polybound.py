@@ -203,8 +203,8 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
             # bracketed by [s_lo, s_hi] 2^-k, is w = (c0 +- s K) / e
             k = grid_exponent()
             s_lo, s_hi = grid_root(cd ** 4 * disc, K * K, 2, k)
-            c0 = -2 * b2 * cd * cd << k
-            e = 6 * b3 * cd * cd << k
+            c0 = (-2 * b2 * cd * cd) << k
+            e = (6 * b3 * cd * cd) << k
             for w_lo, w_hi in ((c0 + s_lo * K, c0 + s_hi * K),
                                (c0 - s_hi * K, c0 - s_lo * K)):
                 crit.append((w_lo, w_hi, e) if e > 0 else (-w_hi, -w_lo, -e))
@@ -219,6 +219,7 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
         # interval Horner in w = cd u: every step is the u-frame step
         # scaled by a positive constant, so the bound is the same
         h_lo, h_hi, scale = _interval_horner(head, w_lo, w_hi, e)
+        # the upper end of |[h_lo, h_hi]| is max(-h_lo, h_hi)
         cand_n, cand_d = max(-h_lo, h_hi) + tail * scale, K * scale
         if cand_n * up_d > up_n * cand_d:
             up_n, up_d = cand_n, cand_d
