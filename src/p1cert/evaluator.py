@@ -30,13 +30,14 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from mpmath import mp, mpc, mpf, workprec
 
 from . import data, formal, inner
 from .inner import Gaussian, taylor_fixed
 from .certificates import PreconditionError
+from .fanout import fan_out
 from .numerics import Interval
 
 Number = Union[int, float, Fraction, mpf, mpc, complex]
@@ -968,6 +969,19 @@ def pole_estimate(
     raise PoleNotFoundError(direction, POLE_HORIZON, run.steps)
 
 
+def _ray(direction: Number, precision_bits: int) -> Optional[PoleEstimate]:
+    """:func:`pole_estimate` along one ray, or None if it finds no pole.
+
+    A job of :func:`pole_scan`'s fan-out: :class:`PoleNotFoundError`
+    cannot be rebuilt from its pickled arguments, so it does not leave
+    the job.
+    """
+    try:
+        return pole_estimate(direction, precision_bits)
+    except PoleNotFoundError:
+        return None
+
+
 def pole_scan(
     directions: Optional[Sequence[Number]] = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -989,8 +1003,14 @@ def pole_scan(
     mirror image of the ray at theta.  Once one of the two has been
     integrated, the other reuses its result, unbounded staying unbounded
     and a pole estimate passing to its conjugate location with the same
-    distance, fit residual and step count.  The default fan integrates 5
-    of its 9 rays.  Every direction is reported, in the order given.
+    distance, fit residual and step count.  A direction given twice is
+    integrated once.  The default fan integrates 5 of its 9 rays.
+
+    The rays to integrate are decided first and then run through
+    :func:`p1cert.fanout.fan_out`, one job per ray, on every CPU the
+    process may use.  Each ray's run is the same in whichever process
+    makes it, so the scan does not depend on the CPU count.  Every
+    direction is reported, in the order given.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
@@ -998,10 +1018,19 @@ def pole_scan(
             directions = [mp.pi * k / 25 for k in range(-4, 5)]
         thetas = [_to_mpf(theta) for theta in directions]
         mirrors = [-theta for theta in thetas]
+    # A direction reuses its mirror image's run if that comes earlier.
+    seen: Set[mpf] = set()
+    rays: Dict[mpf, Number] = {}
+    for direction, theta, mirror in zip(directions, thetas, mirrors):
+        if mirror not in seen:
+            rays.setdefault(theta, direction)
+        seen.add(theta)
+    runs = dict(zip(rays, fan_out(
+        _ray, [(direction, precision_bits) for direction in rays.values()])))
     scanned: Dict[mpf, Optional[PoleEstimate]] = {}
     estimates: List[PoleEstimate] = []
     unbounded: List[mpf] = []
-    for direction, theta, mirror in zip(directions, thetas, mirrors):
+    for theta, mirror in zip(thetas, mirrors):
         if mirror in scanned:
             found = scanned[mirror]
             if found is not None:
@@ -1009,10 +1038,7 @@ def pole_scan(
                     found, location=found.location.conjugate(), direction=theta
                 )
         else:
-            try:
-                found = pole_estimate(direction, precision_bits)
-            except PoleNotFoundError:
-                found = None
+            found = runs[theta]
         scanned[theta] = found
         if found is None:
             unbounded.append(theta)

@@ -15,7 +15,7 @@ from mpmath import inf, mp, mpf, quad
 
 import p1cert
 from p1cert import certificates as C
-from p1cert import data, inner
+from p1cert import data, fanout, inner
 from p1cert.functionals import PowerSum
 from p1cert.numerics import (Interval, frac_pow, slim, slim_up,
                              truncation_window)
@@ -152,6 +152,35 @@ class TestInversePowerIntegral:
         assert together == alone
         assert C.inverse_power_integral((11, 7), T=64, panels=256) \
             == (alone[2], alone[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(panels=st.sampled_from([1, 2, 3, 7, 64]),
+           cuts=st.lists(st.floats(0, 1), max_size=6),
+           exps=st.sampled_from([[7], [7, 9, 11], [9, 14]]))
+    @example(panels=1, cuts=[0.0, 1.0, 1.0, 0.5], exps=[7, 9, 11])
+    @example(panels=3, cuts=[0.4, 0.7], exps=[7, 9, 11])
+    @example(panels=3, cuts=[0.0, 0.2, 0.5, 0.9, 1.0], exps=[7])
+    def test_chunk_sums_add_up_to_the_one_chunk_sums(self, panels, cuts,
+                                                     exps):
+        # Any split of range(panels) into contiguous chunks, empty ones
+        # included (more chunks than panels), sums to the same ints.
+        edges = [0] + sorted(int(c * panels) for c in cuts) + [panels]
+        whole = C._panel_sums(exps, 64, panels, 0, panels)
+        parts = [C._panel_sums(exps, 64, panels, first, last)
+                 for first, last in zip(edges, edges[1:])]
+        added = tuple([sum(column) for column in zip(*per_chunk)]
+                      for per_chunk in zip(*parts))
+        assert added == tuple(whole)
+
+    @pytest.mark.parametrize("panels", [1, 3, 256])
+    def test_enclosures_do_not_depend_on_the_cpu_count(self, monkeypatch,
+                                                       panels):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        serial = C.inverse_power_integral((7, 9, 11), T=64, panels=panels)
+        for cpus in (2, 3, 8):
+            monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+            assert C.inverse_power_integral(
+                (7, 9, 11), T=64, panels=panels) == serial
 
     # The enclosures of the 128-bit floating dyadic kernel that the
     # fixed-point sweep replaced, at the certificate's 4096 panels.

@@ -741,6 +741,26 @@ def test_stdout_matches_pinned_digest(args):
     assert digest == GOLDEN_STDOUT_SHA256[args]
 
 
+# The pole scan is numerical, but each ray's run is a fixed sequence of
+# integer and mpmath operations, so its output is pinned too: at the
+# default 128 bits it must not depend on how many CPUs run the rays.
+GOLDEN_POLE_STDOUT_SHA256 = {
+    ("pole", "--format", "json"):
+        "fc2e11d0ec6168248677c9729bf32fa24c89df853ae83e1814fe0ea11dc1a2ed",
+    ("pole", "--format", "text"):
+        "b091ab24c3aa03f0b42d8c7886c0e186ca9a8fd0006b0451dadb850824e6aced",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_POLE_STDOUT_SHA256),
+                         ids=" ".join)
+def test_pole_stdout_matches_pinned_digest(args):
+    result = invoke(*args)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == GOLDEN_POLE_STDOUT_SHA256[args]
+
+
 _RAY_Z = "3.9947146479757611459<0.6283185307179586232"       # x = 10i
 _WEDGE_Z = "1.9192597481868873821<-1.570796326794896558"   # x = 4e^(-3pi i/8)
 

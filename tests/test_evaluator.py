@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import random
 import shutil
 import time
@@ -25,6 +26,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from p1cert import data
 from p1cert import evaluator as ev
+from p1cert import fanout
 from p1cert import inner
 from p1cert.certificates import PreconditionError
 from p1cert.cli import main
@@ -779,6 +781,9 @@ class TestPoles:
         assert mirrored.steps == direct.steps
 
     def test_default_fan_integrates_five_rays(self, monkeypatch):
+        # One CPU keeps every ray in this process, where the counter
+        # sees it; a forked worker's calls would not reach the list.
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
         legs = []
         leg = ev._integrate_leg
 
@@ -791,6 +796,47 @@ class TestPoles:
             scan = ev.pole_scan()
         assert len(legs) == 5
         assert len(scan.estimates) + len(scan.unbounded_directions) == 9
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_default_fan_hands_five_rays_to_the_fan_out(self, monkeypatch,
+                                                          cpus):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+        handed = []
+
+        def serial(fn, jobs):
+            handed.extend(jobs)
+            return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(ev, "fan_out", serial)
+        with workprec(53):
+            ev.pole_scan()
+        assert [float(job[0]) for job in handed] == [
+            float(mp.pi * k / 25) for k in range(-4, 1)]
+
+    @pytest.mark.parametrize("directions, rays", [
+        (None, 5), ([1e-6, -1e-6], 1),
+        ([0, 0, mp.pi / 25, -mp.pi / 25, mp.pi / 25], 2)])
+    def test_fanned_out_scan_equals_the_one_cpu_scan(self, monkeypatch,
+                                                     directions, rays):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        serial = ev.pole_scan(directions)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        fanned = ev.pole_scan(directions)
+        assert len(forks) == min(rays, 3) - 1
+        # Dataclass equality compares every field, and mpf/mpc compare
+        # exactly.
+        assert fanned.best == serial.best
+        assert fanned.estimates == serial.estimates
+        assert fanned.unbounded_directions == serial.unbounded_directions
+        assert fanned.note == serial.note
 
     def test_scan_without_any_pole_raises(self):
         with pytest.raises(ev.PoleNotFoundError):
