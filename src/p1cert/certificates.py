@@ -348,7 +348,9 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int = 64,
     The panels are split into one contiguous chunk per usable CPU (at
     most one chunk per panel), whose sums (:func:`_panel_sums`) run
     through :func:`p1cert.fanout.fan_out` and are added exactly, so the
-    enclosures do not depend on the CPU count.
+    enclosures do not depend on the CPU count.  Called inside a job of
+    another fan-out, as :func:`run_all` calls it, the worker is pinned to
+    one CPU and the chunks run in-process.
     """
     if any(a <= 2 for a in alpha_quarters):
         raise PreconditionError("integral diverges unless a > 2")
@@ -953,13 +955,17 @@ REGION_STATEMENT = (
 )
 
 
+def _ray_jobs() -> List[tuple]:
+    return [
+        (check_omega_I, 1, Fraction(3, 20)),
+        (check_omega_I, x0_abs(), Fraction(1, 40)),
+        (check_z0_bounds,),
+    ]
+
+
 def ray_reports() -> List[CertificateReport]:
     """The ray at rho = 1 and at |x0|, and the matching bounds at z0."""
-    return [
-        check_omega_I(1, Fraction(3, 20)),
-        check_omega_I(x0_abs(), Fraction(1, 40)),
-        check_z0_bounds(),
-    ]
+    return [report(*args) for report, *args in _ray_jobs()]
 
 
 def failure_summary(reports: Sequence[CertificateReport]) -> str:
@@ -969,26 +975,41 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
         for r in reports if not r.verdict)
 
 
+def _omega_4_report(rho: Fraction) -> CertificateReport:
+    """The lower-wedge report at ``rho``, or its failed precondition."""
+    if rho >= 3:
+        return check_omega_4(rho)
+    return _report(
+        "omega_4", {"rho": rho},
+        [check("rho_at_least_3", Fraction(3), rho, "<=",
+               note="precondition violated: the lower-wedge "
+                    "certificate is stated for rho >= 3")],
+    )
+
+
 def run_all(rho: Fraction = Fraction(3),
             horizon: int = 256) -> Tuple[List[CertificateReport], str]:
     """Run every certificate; returns (reports sorted by name, region
-    statement when all pass, otherwise a failure summary)."""
+    statement when all pass, otherwise a failure summary).
+
+    The eight reports are independent jobs of one
+    :func:`p1cert.fanout.fan_out`, so they run side by side on every
+    usable CPU, and each report is the same whichever process makes it.
+    A fault in the data raises the exception of the earliest job that
+    meets it, as the serial loop over the same list would.  The three
+    short ray jobs come first and ``omega_12``, the longest, next, so
+    that on two CPUs its worker takes no other job.  Inside a job, the
+    wedge quadrature of ``omega_12`` runs in-process.
+    """
     rho = Fraction(rho)
-    reports = ray_reports() + [
-        check_omega_12(),
-        check_inner_interval(),
-        check_taylor_radius(horizon),
-        check_symbolic_tables(),
+    jobs = _ray_jobs() + [
+        (check_omega_12,),
+        (check_inner_interval,),
+        (check_taylor_radius, horizon),
+        (check_symbolic_tables,),
+        (_omega_4_report, rho),
     ]
-    if rho >= 3:
-        reports.append(check_omega_4(rho))
-    else:
-        reports.append(_report(
-            "omega_4", {"rho": rho},
-            [check("rho_at_least_3", Fraction(3), rho, "<=",
-                   note="precondition violated: the lower-wedge "
-                        "certificate is stated for rho >= 3")],
-        ))
+    reports = fanout.fan_out(lambda report, *args: report(*args), jobs)
     reports.sort(key=lambda r: r.name)
     if all(r.verdict for r in reports):
         return reports, REGION_STATEMENT

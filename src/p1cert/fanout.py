@@ -1,26 +1,30 @@
 """Run independent jobs on every CPU the process may use.
 
 :func:`fan_out` is ``[fn(*job) for job in jobs]``, computed in job order
-by the calling process and by ``os.fork()`` children, one share of the
-jobs each.  The children inherit ``fn`` and the jobs from the fork, so
-only their results travel, pickled, back through a pipe.  A job's result
-is whatever it computes, whichever process computes it, so a caller whose
-jobs are independent gets the same values as from the serial loop.
-Forking, not spawning, is what makes the split pay: a spawned worker
-starts a new interpreter and imports the package again, which takes
-about as long as the pole scan it would share.
+by the calling process and by ``os.fork()`` children.  The jobs are
+handed out one at a time: each worker takes the next job index from a
+shared ticket pipe whenever it finishes a job, so a long job does not
+hold back the jobs queued behind it.  The children inherit ``fn``, the
+jobs and the tickets from the fork, so only their results travel,
+pickled, back through a pipe of their own.  A job's result is whatever
+it computes, whichever process computes it, so a caller whose jobs are
+independent gets the same values as from the serial loop.  Forking, not
+spawning, is what makes the split pay: a spawned worker starts a new
+interpreter and imports the package again, which takes about as long as
+the pole scan it would share.
 
 Each worker is pinned to one CPU of the process's affinity mask while
-it runs its share, the calling process to the first, which gets its own
-mask back before :func:`fan_out` returns.  Unpinned, a freshly forked
-child was seen to stay on its parent's CPU for its first 100 ms or more
-(Linux 6.18 on a 2-vCPU VM), and the shares of a pole scan ran one
-after the other.
+it runs jobs, the calling process to the first, which gets its own mask
+back before :func:`fan_out` returns.  Unpinned, a freshly forked child
+was seen to stay on its parent's CPU for its first 100 ms or more
+(Linux 6.18 on a 2-vCPU VM), and the workers ran one after the other.
 
 The serial loop runs instead, in the calling process, when only one
-worker would be used, when the platform has no ``os.fork``, or when the
-process runs more than one thread: a fork copies only the forking thread,
-and a lock another thread held stays held in the child.
+worker would be used, when the platform has no ``os.fork``, when the
+process runs more than one thread (a fork copies only the forking
+thread, and a lock another thread held stays held in the child), when
+the ticket pipe cannot hold every ticket without blocking, or inside a
+job of another :func:`fan_out`, so that a worker never forks again.
 """
 
 from __future__ import annotations
@@ -28,9 +32,16 @@ from __future__ import annotations
 import os
 import signal
 import threading
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["usable_cpus", "fan_out"]
+
+#: Bytes per job index in the ticket pipe.
+_TICKET = 4
+
+#: True in a process while it runs the jobs of a :func:`fan_out` (set
+#: before the children fork, so they inherit it).
+_in_worker = False
 
 
 def _affinity() -> Optional[Set[int]]:
@@ -55,22 +66,78 @@ def usable_cpus() -> int:
     return len(_affinity() or ()) or os.cpu_count() or 1
 
 
-def _run_share(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
-               share: range) -> tuple:
-    """(True, results) of the share's jobs, or (False, (index, exception))
-    for its first failing job; the later jobs of the share do not run."""
-    results = []
-    for index in share:
+def _queue_tickets(count: int) -> Optional[int]:
+    """The read end of a pipe holding the job indices 0 .. count-1 in
+    increasing order, its write end closed; None when the system refuses
+    the pipe or the pipe cannot hold every ticket without blocking."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    records = b"".join(index.to_bytes(_TICKET, "little")
+                       for index in range(count))
+    try:
+        os.set_blocking(write_fd, False)
+        written = os.write(write_fd, records)
+    except BlockingIOError:
+        written = 0
+    finally:
+        os.close(write_fd)
+    if written == len(records):
+        return read_fd
+    os.close(read_fd)
+    return None
+
+
+def _tickets(read_fd: int) -> Iterator[int]:
+    """Job indices taken from the ticket pipe, one read each, until it is
+    empty.  Linux reads a pipe under its lock, so a record is never split
+    between two workers; a short read raises rather than be misparsed."""
+    while True:
+        record = os.read(read_fd, _TICKET)
+        if not record:
+            return
+        if len(record) != _TICKET:
+            raise RuntimeError(
+                f"read {len(record)} of {_TICKET} bytes of a job ticket")
+        yield int.from_bytes(record, "little")
+
+
+def _work(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
+          tickets: int) -> bytes:
+    """Run jobs by ticket until the tickets run out or a job fails.
+
+    Returns the pickled list of ``(index, failed, pickled outcome)``, one
+    entry per job run, whose outcome is the job's result or, for the last
+    entry only, the exception it raised.  A result or an exception that
+    does not survive a pickle round trip fails its job with a
+    :class:`RuntimeError` naming it, in whichever process it ran.
+    """
+    import pickle
+    sent = []
+    for index in _tickets(tickets):
         try:
-            results.append(fn(*jobs[index]))
+            outcome, failed = fn(*jobs[index]), False
         except Exception as exc:
-            return False, (index, exc)
-    return True, results
+            outcome, failed = exc, True
+        try:
+            blob = pickle.dumps(outcome)
+            # An exception whose class cannot rebuild itself from its
+            # pickled arguments fails only when it is loaded.
+            pickle.loads(blob)
+        except Exception as exc:
+            what = repr(outcome) if failed else f"the result of job {index}"
+            blob, failed = pickle.dumps(RuntimeError(
+                f"a worker process cannot send back {what}: {exc!r}")), True
+        sent.append((index, failed, blob))
+        if failed:
+            break
+    return pickle.dumps(sent)
 
 
 def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
-           share: range, cpus: Optional[Set[int]], write_fd: int) -> None:
-    """Run one share in a forked child, send its outcome and exit.
+           tickets: int, cpus: Optional[Set[int]], write_fd: int) -> None:
+    """Run jobs by ticket in a forked child, send its outcome and exit.
 
     The child always leaves through ``os._exit``: it never flushes the
     stdio buffers it shares with the parent, runs no atexit hook and
@@ -78,20 +145,9 @@ def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
     """
     status = 1
     try:
-        import pickle
         if cpus:
             _pin(cpus)
-        ok, payload = _run_share(fn, jobs, share)
-        try:
-            # An exception whose class cannot rebuild itself from its
-            # pickled arguments would fail only in the parent.
-            blob = pickle.dumps((ok, payload))
-            pickle.loads(blob)
-        except Exception as exc:
-            index, what = ((share[0], "the results of its jobs") if ok
-                           else (payload[0], repr(payload[1])))
-            blob = pickle.dumps((False, (index, RuntimeError(
-                f"a worker process cannot send back {what}: {exc!r}"))))
+        blob = _work(fn, jobs, tickets)
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(blob)
         status = 0
@@ -100,10 +156,10 @@ def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
 
 
 def _fork_worker(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
-                 share: range, cpus: Optional[Set[int]]
+                 tickets: int, cpus: Optional[Set[int]]
                  ) -> Optional[Tuple[int, int]]:
-    """Fork a child that runs ``share`` on ``cpus``: its pid and the read
-    end of its pipe, or None when the system refuses the pipe or the
+    """Fork a child that runs jobs by ticket on ``cpus``: its pid and the
+    read end of its pipe, or None when the system refuses the pipe or the
     process."""
     try:
         read_fd, write_fd = os.pipe()
@@ -117,7 +173,7 @@ def _fork_worker(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
         return None
     if pid == 0:
         os.close(read_fd)
-        _child(fn, jobs, share, cpus, write_fd)
+        _child(fn, jobs, tickets, cpus, write_fd)
     os.close(write_fd)
     return pid, read_fd
 
@@ -135,62 +191,76 @@ def fan_out(fn: Callable[..., Any],
             jobs: Sequence[Sequence[Any]]) -> List[Any]:
     """``[fn(*job) for job in jobs]``, on up to :func:`usable_cpus` CPUs.
 
-    With w = min(len(jobs), usable_cpus()) workers, job i belongs to
-    share i mod w.  The calling process runs share 0 and one forked child
-    runs each other share; a share whose child the system refuses runs
-    in the calling process too.  Share w runs pinned to the CPU of index
-    w mod n in the sorted affinity mask of n CPUs.  The jobs must be
-    independent of each other and of the order they run in, and their
-    results picklable.
+    With w = min(len(jobs), usable_cpus()) workers, the calling process
+    and w - 1 forked children take job indices from a ticket pipe in
+    increasing order, one at a time, each whenever it finishes a job,
+    until none is left or one of its own jobs fails.  Worker k runs
+    pinned to the CPU of index k mod n in the sorted affinity mask of n
+    CPUs, the calling process being worker 0; a worker whose fork the
+    system refuses is left out, and the others take its jobs.  Results
+    come back in job order.  The jobs must be independent of each other
+    and of the order they run in, and their results picklable.  Inside a
+    job, :func:`fan_out` runs the serial loop and forks no grandchild.
 
     If jobs fail, the exception of the earliest failing job is raised,
-    as the serial loop would raise it.  A child's exception arrives
-    unpickled, with its type and message; one that cannot be pickled
-    becomes a :class:`RuntimeError` naming it.  Every child is reaped
-    before this returns or raises, also when this process is interrupted.
+    as the serial loop would raise it: tickets go out in order and a
+    worker stops only after a failure of its own, so every earlier job
+    has run.  Results and exceptions make a pickle round trip in every
+    worker, the calling process included, so an exception arrives with
+    its type and message, and a result or an exception that cannot be
+    pickled becomes a :class:`RuntimeError` naming it, whichever worker
+    ran its job.  Every child is reaped before this returns or raises,
+    also when this process is interrupted.
     """
+    global _in_worker
     jobs = list(jobs)
     workers = min(len(jobs), usable_cpus())
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if (workers <= 1 or _in_worker or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [fn(*job) for job in jobs]
+    tickets = _queue_tickets(len(jobs))
+    if tickets is None:
         return [fn(*job) for job in jobs]
     import pickle
-    shares = [range(w, len(jobs), workers) for w in range(workers)]
     mask = _affinity()
     cpus = [{cpu} for cpu in sorted(mask)] if mask else [None]
-    local = shares[:1]
-    children: List[Tuple[range, int, int]] = []   # (share, pid, read end)
+    children: List[Tuple[int, int]] = []   # (pid, read end)
     drained = 0   # children whose pipe has been read to its end
+    _in_worker = True
     try:
-        for share in shares[1:]:
-            worker = _fork_worker(fn, jobs, share,
-                                  cpus[share.start % len(cpus)])
-            if worker is None:
-                local.append(share)
-            else:
-                children.append((share, *worker))
+        for worker in range(1, workers):
+            child = _fork_worker(fn, jobs, tickets,
+                                 cpus[worker % len(cpus)])
+            if child is not None:
+                children.append(child)
         if mask:
             _pin(cpus[0])
-        outcomes = [(share, _run_share(fn, jobs, share)) for share in local]
-        for share, pid, read_fd in children:
+        blobs = [_work(fn, jobs, tickets)]
+        for pid, read_fd in children:
             blob = _read_to_end(read_fd)
             drained += 1
             if not blob:
                 raise RuntimeError(
                     f"worker process {pid} ended without sending its results")
-            outcomes.append((share, pickle.loads(blob)))
+            blobs.append(blob)
     finally:
+        _in_worker = False
+        os.close(tickets)
         if mask:
             _pin(mask)
-        for number, (_, pid, read_fd) in enumerate(children):
+        for number, (pid, read_fd) in enumerate(children):
             os.close(read_fd)
             if number >= drained:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failures = [payload for _, (ok, payload) in outcomes if not ok]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
     results: List[Any] = [None] * len(jobs)
-    for share, (_, values) in outcomes:
-        for index, value in zip(share, values):
-            results[index] = value
+    failures = []
+    for blob in blobs:
+        for index, failed, outcome in pickle.loads(blob):
+            if failed:
+                failures.append((index, outcome))
+            else:
+                results[index] = pickle.loads(outcome)
+    if failures:
+        raise pickle.loads(min(failures)[1])
     return results

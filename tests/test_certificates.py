@@ -10,12 +10,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from mpmath import inf, mp, mpf, quad
 
 import p1cert
 from p1cert import certificates as C
 from p1cert import data, fanout, inner
+from p1cert.cli import main
 from p1cert.functionals import PowerSum
 from p1cert.numerics import (Interval, frac_pow, slim, slim_up,
                              truncation_window)
@@ -500,3 +502,54 @@ class TestRunAll:
         assert not omega4.verdict
         assert [c.name for c in omega4.failures()] == ["rho_at_least_3"]
         assert statement.startswith("NOT CERTIFIED")
+
+    @pytest.mark.parametrize("rho", [Fraction(3), Fraction(2)])
+    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, rho):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        serial = C.run_all(rho)
+        for count in (2, 3, 8):
+            monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+            assert C.run_all(rho) == serial, count
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_perturbed_catalog_fails_by_name(self, tmp_path, monkeypatch,
+                                             count):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+        path = tmp_path / "constant_catalog.json"
+        blob = json.loads((data.data_dir() / path.name).read_text())
+        row = blob["constants"]["E_M"][0]
+        row[2] = str(Fraction(row[2]) + Fraction(1, 1000))
+        path.write_text(json.dumps(blob))
+        with data.replaced({path.name: path}):
+            reports, summary = C.run_all()
+            result = CliRunner().invoke(main, ["verify", "--scope", "all"])
+        omega4 = next(r for r in reports if r.name == "omega_4")
+        failing = [c.name for c in omega4.failures()]
+        assert "catalog_E_M" in failing
+        assert summary.startswith("NOT CERTIFIED")
+        assert f"omega_4: {failing}" in summary
+        assert result.exit_code == 1
+
+    @pytest.mark.parametrize("defect", ["not_json", "short_row"])
+    def test_malformed_tables_fail_as_the_serial_loop_does(
+            self, tmp_path, monkeypatch, defect):
+        text = (data.data_dir() / "expansion_tables.json").read_text()
+        if defect == "not_json":
+            text = text[:len(text) // 2]
+        else:
+            doc = json.loads(text)
+            del doc["tables"]["r"]["5"][0][2]
+            text = json.dumps(doc)
+        path = tmp_path / "tables.json"
+        path.write_text(text)
+        outcomes = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+            result = CliRunner().invoke(
+                main, ["verify", "--scope", "all", "--tables", str(path)])
+            outcomes.append((result.exit_code, result.stdout, result.stderr))
+        assert outcomes[0][0] == 2
+        assert "precondition violated: malformed data file" in outcomes[0][2]
+        assert outcomes[1:] == outcomes[:1] * 2

@@ -54,22 +54,35 @@ def test_usable_cpus_is_positive():
     assert fanout.usable_cpus() >= 1
 
 
+def _logged(log):
+    """A job that appends its argument to the file ``log`` in whichever
+    process runs it."""
+    def job(x):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{x}\n".encode())
+        finally:
+            os.close(fd)
+        return _square_with_pid(x)
+    return job
+
+
+def _runs(log):
+    return sorted(int(line) for line in log.read_text().split())
+
+
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("n_jobs", [1, 2, 3, 4, 5])
-def test_results_equal_the_in_process_map_in_order(workers, count, n_jobs):
+def test_results_equal_the_in_process_map_in_order(workers, tmp_path, count,
+                                                   n_jobs):
     workers(count)
+    log = tmp_path / "runs"
     jobs = [(x,) for x in range(n_jobs)]
-    results = fanout.fan_out(_square_with_pid, jobs)
+    results = fanout.fan_out(_logged(log), jobs)
     assert [value for value, _ in results] == [x * x for x in range(n_jobs)]
-    # Job i runs in share i mod w; share 0 in this process, every other
-    # share in a worker of its own.
-    used = min(count, n_jobs)
-    pids = [pid for _, pid in results]
-    assert all(pid == os.getpid() for pid in pids[::used])
-    for share in range(1, used):
-        assert len(set(pids[share::used])) == 1
-        assert pids[share] != os.getpid()
-    assert len(set(pids)) == used
+    # Each job runs exactly once, in one of at most w processes.
+    assert _runs(log) == list(range(n_jobs))
+    assert len({pid for _, pid in results}) <= min(count, n_jobs)
     _assert_no_child_left()
 
 
@@ -91,7 +104,7 @@ def test_earliest_failing_job_raises_its_exception(workers, count, bad,
 
 def test_exception_that_cannot_be_sent_back_becomes_runtime_error(workers):
     workers(2)
-    # Job 0 succeeds in this process; job 1 fails in the worker.
+    # Job 0 succeeds; job 1 fails, in whichever process takes it.
     def job(x):
         return _raise_unpicklable(x) if x else x
 
@@ -100,11 +113,34 @@ def test_exception_that_cannot_be_sent_back_becomes_runtime_error(workers):
     _assert_no_child_left()
 
 
-def test_exception_in_this_process_keeps_its_object(workers):
-    workers(2)
-    with pytest.raises(_Unpicklable, match="^0 and more$"):
-        fanout.fan_out(_raise_unpicklable, [(0,), (1,)])
-    _assert_no_child_left()
+def _unsendable_at(bad, kind):
+    def job(x):
+        if x != bad:
+            return x
+        if kind == "result":
+            return (y for y in ())
+        raise _Unpicklable(x, "more")
+    return job
+
+
+@pytest.mark.parametrize("kind", ["result", "exception"])
+@pytest.mark.parametrize("bad", range(4))
+def test_unsendable_outcome_is_the_same_on_any_worker_count(workers, bad,
+                                                            kind):
+    # Every worker, this process included, sends its outcomes through a
+    # pickle round trip, so where the job ran does not matter.
+    messages = []
+    for count in (2, 3):
+        workers(count)
+        with pytest.raises(RuntimeError) as raised:
+            fanout.fan_out(_unsendable_at(bad, kind),
+                           [(x,) for x in range(4)])
+        messages.append(str(raised.value))
+        _assert_no_child_left()
+    assert messages[0] == messages[1]
+    what = (f"the result of job {bad}" if kind == "result"
+            else f"_Unpicklable('{bad} and more')")
+    assert messages[0].startswith(f"a worker process cannot send back {what}")
 
 
 def test_interrupt_in_this_process_reaps_the_workers(workers):
@@ -169,7 +205,57 @@ def test_without_fork_jobs_run_in_process(workers, monkeypatch):
     assert results == [(x * x, os.getpid()) for x in range(4)]
 
 
-def test_a_refused_fork_runs_the_share_in_process(workers, monkeypatch):
+def test_a_fan_out_inside_a_job_never_forks(workers, monkeypatch):
+    workers(3)
+    fork = os.fork
+    in_job = []
+
+    def fork_outside_jobs():
+        if in_job:
+            raise AssertionError("os.fork was called inside a job")
+        return fork()
+
+    parent = os.getpid()
+
+    def job(x):
+        in_job.append(x)
+        inner = fanout.fan_out(_square_with_pid, [(y,) for y in range(3)])
+        if os.getpid() != parent:
+            time.sleep(0.05)   # leave jobs for this process to take
+        return x, inner, os.getpid()
+
+    monkeypatch.setattr(os, "fork", fork_outside_jobs)
+    results = fanout.fan_out(job, [(x,) for x in range(6)])
+    for x, (value, inner, pid) in enumerate(results):
+        assert value == x
+        assert inner == [(y * y, pid) for y in range(3)]
+    assert parent in {pid for _, _, pid in results}
+    _assert_no_child_left()
+
+
+def test_jobs_beyond_the_ticket_pipe_run_in_process(workers, monkeypatch):
+    workers(2)
+    _forbid_fork(monkeypatch)
+    # 4 bytes a ticket: 1 MiB, more than a pipe holds by default.
+    jobs = [(x,) for x in range(1 << 18)]
+    assert fanout.fan_out(abs, jobs) == [x for x, in jobs]
+
+
+def test_a_short_ticket_read_raises():
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, (7).to_bytes(4, "little") + b"\0\0")
+        os.close(write_fd)
+        tickets = fanout._tickets(read_fd)
+        assert next(tickets) == 7
+        with pytest.raises(RuntimeError, match="read 2 of 4 bytes"):
+            next(tickets)
+    finally:
+        os.close(read_fd)
+
+
+def test_after_a_refused_fork_the_other_workers_take_every_job(
+        workers, monkeypatch, tmp_path):
     workers(3)
     fork = os.fork
     calls = []
@@ -181,18 +267,19 @@ def test_a_refused_fork_runs_the_share_in_process(workers, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", refuse_once)
-    results = fanout.fan_out(_square_with_pid, [(x,) for x in range(6)])
+    log = tmp_path / "runs"
+    results = fanout.fan_out(_logged(log), [(x,) for x in range(6)])
     assert [value for value, _ in results] == [x * x for x in range(6)]
-    pids = [pid for _, pid in results]
-    # Share 1's fork was refused, share 2's was not.
-    assert pids[0::3] == pids[1::3] == [os.getpid()] * 2
-    assert pids[2] == pids[5] != os.getpid()
+    assert _runs(log) == list(range(6))
+    assert len(calls) == 2
+    # This process and the one child that forked.
+    assert len({pid for _, pid in results}) <= 2
     _assert_no_child_left()
 
 
 def test_results_that_cannot_be_sent_back_raise(workers):
     workers(2)
-    with pytest.raises(RuntimeError, match="results of its jobs"):
+    with pytest.raises(RuntimeError, match="the result of job 0"):
         fanout.fan_out(lambda x: (lambda: x), [(0,), (1,)])
     _assert_no_child_left()
 
@@ -200,13 +287,19 @@ def test_results_that_cannot_be_sent_back_raise(workers):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                     reason="no affinity call on this platform")
 @pytest.mark.parametrize("count", [2, 3])
-def test_each_share_runs_pinned_and_the_mask_comes_back(workers, count):
+def test_each_job_runs_pinned_and_the_mask_comes_back(workers, count):
     workers(count)
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
-    masks = fanout.fan_out(lambda x: os.sched_getaffinity(0),
-                           [(x,) for x in range(2 * count)])
-    assert masks == [{cpus[i % count % len(cpus)]} for i in range(2 * count)]
+    runs = fanout.fan_out(
+        lambda x: (tuple(os.sched_getaffinity(0)), os.getpid()),
+        [(x,) for x in range(2 * count)])
+    for pinned, pid in runs:
+        assert len(pinned) == 1 and set(pinned) <= mask
+        if pid == os.getpid():
+            assert pinned == (cpus[0],)
+    # A worker stays on its CPU from one job to the next.
+    assert len({pid for _, pid in runs}) == len(set(runs))
     assert os.sched_getaffinity(0) == mask
     _assert_no_child_left()
 
