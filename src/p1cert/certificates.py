@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .data import constant_catalog, expansion_tables, reference_values
+from .data import (constant_catalog, expansion_tables, read_ahead,
+                   reference_values)
 from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power, tail1,
                           tail2, tail3, tail4)
 from .numerics import (
@@ -999,9 +1000,12 @@ def run_all(rho: Fraction = Fraction(3),
     meets it, as the serial loop over the same list would.  The three
     short ray jobs come first and ``omega_12``, the longest, next, so
     that on two CPUs its worker takes no other job.  Inside a job, the
-    wedge quadrature of ``omega_12`` runs in-process.
+    wedge quadrature of ``omega_12`` runs in-process.  Every data file
+    is read before the workers fork, so each report parses the bytes that
+    :func:`p1cert.data.file_fingerprints` digests in this process.
     """
     rho = Fraction(rho)
+    read_ahead()
     jobs = _ray_jobs() + [
         (check_omega_12,),
         (check_inner_interval,),

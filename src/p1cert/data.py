@@ -153,6 +153,21 @@ def _parses(name: str):
     return wrap
 
 
+def read_ahead() -> None:
+    """Read the bytes of every data file into the cache now.
+
+    Processes forked afterwards inherit the cache, so they parse these
+    bytes and :func:`file_fingerprints` in this process digests the same
+    ones.  A file that cannot be read is left for the parser that needs
+    it to report.
+    """
+    for name in DATA_FILES:
+        try:
+            _raw_bytes(name)
+        except OSError:
+            pass
+
+
 def file_fingerprints() -> Dict[str, str]:
     """SHA-256 hex digest of the bytes of every data file in use: the
     same bytes the parsers read."""

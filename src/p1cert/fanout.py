@@ -104,14 +104,16 @@ def _tickets(read_fd: int) -> Iterator[int]:
 
 
 def _work(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
-          tickets: int) -> bytes:
+          tickets: int) -> List[Tuple[int, bool, bytes]]:
     """Run jobs by ticket until the tickets run out or a job fails.
 
-    Returns the pickled list of ``(index, failed, pickled outcome)``, one
-    entry per job run, whose outcome is the job's result or, for the last
-    entry only, the exception it raised.  A result or an exception that
-    does not survive a pickle round trip fails its job with a
-    :class:`RuntimeError` naming it, in whichever process it ran.
+    Returns ``(index, failed, pickled outcome)``, one entry per job run,
+    whose outcome is the job's result or, for the last entry only, the
+    exception it raised.  A result or an exception that does not survive
+    a pickle round trip fails its job with a :class:`RuntimeError` naming
+    it, in whichever process it ran.  A failure empties the ticket pipe,
+    so no worker starts a later job; every ticket left in it has a higher
+    index than the failing job, so the earliest failure stays the same.
     """
     import pickle
     sent = []
@@ -131,8 +133,10 @@ def _work(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
                 f"a worker process cannot send back {what}: {exc!r}")), True
         sent.append((index, failed, blob))
         if failed:
+            for _ in _tickets(tickets):
+                pass
             break
-    return pickle.dumps(sent)
+    return sent
 
 
 def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
@@ -143,11 +147,12 @@ def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
     stdio buffers it shares with the parent, runs no atexit hook and
     never returns into the caller.
     """
+    import pickle
     status = 1
     try:
         if cpus:
             _pin(cpus)
-        blob = _work(fn, jobs, tickets)
+        blob = pickle.dumps(_work(fn, jobs, tickets))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(blob)
         status = 0
@@ -203,9 +208,9 @@ def fan_out(fn: Callable[..., Any],
     job, :func:`fan_out` runs the serial loop and forks no grandchild.
 
     If jobs fail, the exception of the earliest failing job is raised,
-    as the serial loop would raise it: tickets go out in order and a
-    worker stops only after a failure of its own, so every earlier job
-    has run.  Results and exceptions make a pickle round trip in every
+    as the serial loop would raise it: tickets go out in order, so every
+    earlier job was taken before it and has run.  A failure empties the
+    ticket pipe, so no worker starts a later job.  Results and exceptions make a pickle round trip in every
     worker, the calling process included, so an exception arrives with
     its type and message, and a result or an exception that cannot be
     pickled becomes a :class:`RuntimeError` naming it, whichever worker
@@ -235,7 +240,8 @@ def fan_out(fn: Callable[..., Any],
                 children.append(child)
         if mask:
             _pin(cpus[0])
-        blobs = [_work(fn, jobs, tickets)]
+        outcomes = _work(fn, jobs, tickets)
+        blobs = []
         for pid, read_fd in children:
             blob = _read_to_end(read_fd)
             drained += 1
@@ -253,14 +259,15 @@ def fan_out(fn: Callable[..., Any],
             if number >= drained:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    for blob in blobs:
+        outcomes.extend(pickle.loads(blob))
     results: List[Any] = [None] * len(jobs)
     failures = []
-    for blob in blobs:
-        for index, failed, outcome in pickle.loads(blob):
-            if failed:
-                failures.append((index, outcome))
-            else:
-                results[index] = pickle.loads(outcome)
+    for index, failed, outcome in outcomes:
+        if failed:
+            failures.append((index, outcome))
+        else:
+            results[index] = pickle.loads(outcome)
     if failures:
         raise pickle.loads(min(failures)[1])
     return results

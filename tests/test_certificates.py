@@ -1,11 +1,13 @@
 """Certificate suites: frozen oracle values, must-fail instances,
 quadrature refinement, and fault injection."""
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -553,3 +555,42 @@ class TestRunAll:
         assert outcomes[0][0] == 2
         assert "precondition violated: malformed data file" in outcomes[0][2]
         assert outcomes[1:] == outcomes[:1] * 2
+
+    def test_fingerprint_is_of_the_bytes_the_reports_parsed(
+            self, tmp_path, monkeypatch):
+        # On two CPUs the calling process takes no job until a child has
+        # run inner_interval, which rewrites its data file once parsed.
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        path = tmp_path / "inner_ode.json"
+        parsed = (data.data_dir() / path.name).read_bytes()
+        path.write_bytes(parsed)
+        marker = tmp_path / "rewritten_by"
+        parent = os.getpid()
+        check_inner_interval, work = C.check_inner_interval, fanout._work
+
+        def rewrite_after_parsing():
+            report = check_inner_interval()
+            path.write_bytes(parsed + b"\n")
+            marker.write_text(str(os.getpid()))
+            return report
+
+        def work_after_the_rewrite(*args):
+            deadline = time.monotonic() + 60
+            while (os.getpid() == parent and not marker.exists()
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            return work(*args)
+
+        monkeypatch.setattr(C, "check_inner_interval", rewrite_after_parsing)
+        monkeypatch.setattr(fanout, "_work", work_after_the_rewrite)
+        result = CliRunner().invoke(main, [
+            "verify", "--scope", "all", "--partitions", str(path),
+            "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert int(marker.read_text()) != parent
+        assert path.read_bytes() != parsed
+        fingerprints = json.loads(result.stdout)["fingerprints"]
+        assert (fingerprints["inner_ode.json"]
+                == hashlib.sha256(parsed).hexdigest())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -86,6 +86,39 @@ def test_results_equal_the_in_process_map_in_order(workers, tmp_path, count,
     _assert_no_child_left()
 
 
+def test_a_forked_worker_runs_jobs(workers, tmp_path):
+    workers(2)
+    marker = tmp_path / "job_1_ran_in"
+
+    # Job 1 cannot run in the worker that waits in job 0, so the other
+    # worker takes it.
+    def job(x):
+        if x == 0:
+            deadline = time.monotonic() + 60
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        else:
+            marker.write_text(str(os.getpid()))
+        return os.getpid()
+
+    pids = fanout.fan_out(job, [(0,), (1,)])
+    assert int(marker.read_text()) == pids[1]
+    assert pids[0] != pids[1]
+    assert os.getpid() in pids
+    _assert_no_child_left()
+
+
+def test_a_failure_empties_the_ticket_pipe():
+    tickets = fanout._queue_tickets(6)
+    try:
+        ran = fanout._work(_fail_at({2}), [(x,) for x in range(6)], tickets)
+        assert [(index, failed) for index, failed, _ in ran] == [
+            (0, False), (1, False), (2, True)]
+        assert os.read(tickets, 4) == b""
+    finally:
+        os.close(tickets)
+
+
 def test_no_jobs_give_no_results(workers):
     workers(2)
     assert fanout.fan_out(_square_with_pid, []) == []
