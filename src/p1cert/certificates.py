@@ -257,20 +257,37 @@ def check_z0_bounds() -> CertificateReport:
 QUADRATURE_BITS = 128
 
 
-def _panel_sums(exps: Sequence[int], T: int, panels: int, first: int,
-                last: int) -> Tuple[List[int], ...]:
-    """The exact int sums of :func:`inverse_power_integral` over the
-    panels ``first <= i < last``: (mid_lo, mid_hi, err_lo, err_hi), one
-    entry per exponent of the ascending list ``exps``.
+def inverse_power_integral(alpha_quarters: Sequence[int], T: int = 64,
+                           panels: int = 4096) -> Tuple[Interval, ...]:
+    """Enclosures of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp,  one
+    per entry a of ``alpha_quarters``, from one sweep of the grid.
 
-    Every term is an exact integer fixed by its panel alone, so the sums
-    over the chunks of any split of ``range(panels)`` add up to the sums
-    over the whole grid.
+    Composite midpoint rule on [-1, T] with the exact per-panel error
+    h^3/24 * f''(xi) enclosed through the sign-aware product
+
+        f''(p) = (1+p^2)^(-(a+8)/4) * ((a^2+2a)/4 * p^2 - a/2),
+
+    whose first factor is decreasing and second increasing in |p|; the
+    tail beyond T is enclosed by [0, T^(1-a/2) * 2/(a-2)].
+
+    The sweep runs on plain ints.  The half-step grid point
+    p = -1 + j h/2 is m/D with D = 2 panels and m = j (T+1) - D, so
+    u = 1 + p^2 = (D^2 + m^2)/D^2 is exact for any panel count.  At each
+    grid point the floor and the ceiling of 2^B u^(-1/4), with
+    B = ``QUADRATURE_BITS`` fractional bits, come from one exact integer
+    fourth root; every power u^(-n/4) is then the n-th power of the
+    floor (lower end) or of the ceiling (upper end), and the midpoint
+    and error sums are accumulated exactly, with no rounding per step.
     """
+    if any(a <= 2 for a in alpha_quarters):
+        raise PreconditionError("integral diverges unless a > 2")
+    if T < 1 or panels < 1:
+        raise PreconditionError("need T >= 1 and panels >= 1")
     B = QUADRATURE_BITS
     D = 2 * panels
     D2 = D * D
     top = D2 << 4 * B
+    exps = sorted(set(alpha_quarters))
     edge_exps = [a + 8 for a in exps]
 
     def root_bounds(j: int) -> Tuple[int, int, int]:
@@ -297,9 +314,9 @@ def _panel_sums(exps: Sequence[int], T: int, panels: int, first: int,
     err_lo, err_hi = [0] * len(exps), [0] * len(exps)
     ones = [1 << n * B for n in edge_exps]
     quad = [(a * a + 2 * a, 2 * a * D2) for a in exps]
-    m_left, g_lo, g_hi = root_bounds(2 * first)
+    m_left, g_lo, g_hi = root_bounds(0)
     left_lo, left_hi = powers(g_lo, edge_exps), powers(g_hi, edge_exps)
-    for i in range(first, last):
+    for i in range(panels):
         _, c_lo, c_hi = root_bounds(2 * i + 1)
         m_right, g_lo, g_hi = root_bounds(2 * i + 2)
         right_lo = powers(g_lo, edge_exps)
@@ -321,53 +338,6 @@ def _panel_sums(exps: Sequence[int], T: int, panels: int, first: int,
             err_lo[k] += f2_lo * (f1_hi if f2_lo < 0 else f1_lo)
             err_hi[k] += f2_hi * (f1_lo if f2_hi < 0 else f1_hi)
         m_left, left_lo, left_hi = m_right, right_lo, right_hi
-    return mid_lo, mid_hi, err_lo, err_hi
-
-
-def inverse_power_integral(alpha_quarters: Sequence[int], T: int = 64,
-                           panels: int = 4096) -> Tuple[Interval, ...]:
-    """Enclosures of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp,  one
-    per entry a of ``alpha_quarters``, from one sweep of the grid.
-
-    Composite midpoint rule on [-1, T] with the exact per-panel error
-    h^3/24 * f''(xi) enclosed through the sign-aware product
-
-        f''(p) = (1+p^2)^(-(a+8)/4) * ((a^2+2a)/4 * p^2 - a/2),
-
-    whose first factor is decreasing and second increasing in |p|; the
-    tail beyond T is enclosed by [0, T^(1-a/2) * 2/(a-2)].
-
-    The sweep runs on plain ints.  The half-step grid point
-    p = -1 + j h/2 is m/D with D = 2 panels and m = j (T+1) - D, so
-    u = 1 + p^2 = (D^2 + m^2)/D^2 is exact for any panel count.  At each
-    grid point the floor and the ceiling of 2^B u^(-1/4), with
-    B = ``QUADRATURE_BITS`` fractional bits, come from one exact integer
-    fourth root; every power u^(-n/4) is then the n-th power of the
-    floor (lower end) or of the ceiling (upper end), and the midpoint
-    and error sums are accumulated exactly, with no rounding per step.
-
-    The panels are split into one contiguous chunk per usable CPU (at
-    most one chunk per panel), whose sums (:func:`_panel_sums`) run
-    through :func:`p1cert.fanout.fan_out` and are added exactly, so the
-    enclosures do not depend on the CPU count.  Called inside a job of
-    another fan-out, as :func:`run_all` calls it, the worker is pinned to
-    one CPU and the chunks run in-process.
-    """
-    if any(a <= 2 for a in alpha_quarters):
-        raise PreconditionError("integral diverges unless a > 2")
-    if T < 1 or panels < 1:
-        raise PreconditionError("need T >= 1 and panels >= 1")
-    B = QUADRATURE_BITS
-    D2 = (2 * panels) ** 2
-    exps = sorted(set(alpha_quarters))
-    chunks = min(fanout.usable_cpus(), panels)
-    edges = [panels * c // chunks for c in range(chunks + 1)]
-    chunk_sums = fanout.fan_out(
-        _panel_sums, [(exps, T, panels, first, last)
-                      for first, last in zip(edges, edges[1:])])
-    mid_lo, mid_hi, err_lo, err_hi = (
-        [sum(column) for column in zip(*per_chunk)]
-        for per_chunk in zip(*chunk_sums))
     h = Fraction(T + 1, panels)
     enclosures = {}
     for k, a in enumerate(exps):
@@ -999,9 +969,8 @@ def run_all(rho: Fraction = Fraction(3),
     A fault in the data raises the exception of the earliest job that
     meets it, as the serial loop over the same list would.  The three
     short ray jobs come first and ``omega_12``, the longest, next, so
-    that on two CPUs its worker takes no other job.  Inside a job, the
-    wedge quadrature of ``omega_12`` runs in-process.  Every data file
-    is read before the workers fork, so each report parses the bytes that
+    that on two CPUs its worker takes no other job.  Every data file is
+    read before the workers fork, so each report parses the bytes that
     :func:`p1cert.data.file_fingerprints` digests in this process.
     """
     rho = Fraction(rho)

@@ -99,8 +99,6 @@ __all__ = [
     "frame_map",
     "g_from_y",
     "y_from_g",
-    "fivefold_map",
-    "stokes_constant",
     "h0_value",
     "asymptotic_y",
     "taylor_coeffs",
@@ -169,7 +167,7 @@ def _constants(prec: int) -> _Constants:
     """The shared constants at ``prec`` bits, computed once per precision
     (the 16 most recent precisions are kept)."""
     with workprec(prec):
-        keys = [(n, 5) for n in range(-3, 9)] + [(1, 4), (-1, 4)]
+        keys = [(n, 5) for n in range(-3, 4)] + [(1, 4), (-1, 4)]
         return _Constants(
             roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
             ray_radius=(mpf(204) / 5) ** (mpf(5) / 4) / 30,
@@ -274,36 +272,9 @@ def y_from_g(
         return y, y_prime
 
 
-def fivefold_map(
-    z: Number,
-    k: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> Tuple[mpc, mpc]:
-    """The five-fold symmetry of  y'' = 6 y^2 + z  as a rotation formula.
-
-    Returns ``(omega * z, omega**2)`` with omega = e^(2*pi*i*k/5): if y
-    solves the equation then so does  z |-> omega**2 * y(omega * z),
-    and the five choices of k exhaust the rotated family.  This is the
-    only bridge to the other distinguished solutions provided here.
-    """
-    _require_bits(precision_bits)
-    if not isinstance(k, int):
-        raise TypeError("the symmetry index k must be an integer")
-    with workprec(precision_bits + GUARD_BITS):
-        omega = _fifth_root_of_unity_power(2 * (k % 5))
-        return omega * _to_mpc(z), omega * omega
-
-
 # --------------------------------------------------------------------------
 # asymptotic values with certified error bounds
 # --------------------------------------------------------------------------
-
-
-def stokes_constant(precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
-    """The exponential-correction coefficient  S = i * sqrt(6/(5*pi))."""
-    _require_bits(precision_bits)
-    with workprec(precision_bits + GUARD_BITS):
-        return _constants(mp.prec).stokes
 
 
 def _h0_layers(series: formal.FormalSeries) -> List[List[Fraction]]:

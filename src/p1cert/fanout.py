@@ -13,18 +13,11 @@ spawning, is what makes the split pay: a spawned worker starts a new
 interpreter and imports the package again, which takes about as long as
 the pole scan it would share.
 
-Each worker is pinned to one CPU of the process's affinity mask while
-it runs jobs, the calling process to the first, which gets its own mask
-back before :func:`fan_out` returns.  Unpinned, a freshly forked child
-was seen to stay on its parent's CPU for its first 100 ms or more
-(Linux 6.18 on a 2-vCPU VM), and the workers ran one after the other.
-
 The serial loop runs instead, in the calling process, when only one
 worker would be used, when the platform has no ``os.fork``, when the
 process runs more than one thread (a fork copies only the forking
-thread, and a lock another thread held stays held in the child), when
-the ticket pipe cannot hold every ticket without blocking, or inside a
-job of another :func:`fan_out`, so that a worker never forks again.
+thread, and a lock another thread held stays held in the child), or
+when the ticket pipe cannot hold every ticket without blocking.
 """
 
 from __future__ import annotations
@@ -32,38 +25,18 @@ from __future__ import annotations
 import os
 import signal
 import threading
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["usable_cpus", "fan_out"]
 
 #: Bytes per job index in the ticket pipe.
 _TICKET = 4
 
-#: True in a process while it runs the jobs of a :func:`fan_out` (set
-#: before the children fork, so they inherit it).
-_in_worker = False
-
-
-def _affinity() -> Optional[Set[int]]:
-    """The CPUs this process may run on, or None where the platform has
-    no affinity call."""
-    if not hasattr(os, "sched_getaffinity"):
-        return None
-    return os.sched_getaffinity(0)
-
-
-def _pin(cpus: Set[int]) -> None:
-    """Run this process on ``cpus`` only; where the system refuses, it
-    runs where it did."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
 
 def usable_cpus() -> int:
     """The number of CPUs this process may run on (at least 1)."""
-    return len(_affinity() or ()) or os.cpu_count() or 1
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return len(mask) or os.cpu_count() or 1
 
 
 def _queue_tickets(count: int) -> Optional[int]:
@@ -140,7 +113,7 @@ def _work(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
 
 
 def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
-           tickets: int, cpus: Optional[Set[int]], write_fd: int) -> None:
+           tickets: int, write_fd: int) -> None:
     """Run jobs by ticket in a forked child, send its outcome and exit.
 
     The child always leaves through ``os._exit``: it never flushes the
@@ -150,8 +123,6 @@ def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
     import pickle
     status = 1
     try:
-        if cpus:
-            _pin(cpus)
         blob = pickle.dumps(_work(fn, jobs, tickets))
         with os.fdopen(write_fd, "wb") as pipe:
             pipe.write(blob)
@@ -161,11 +132,9 @@ def _child(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
 
 
 def _fork_worker(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
-                 tickets: int, cpus: Optional[Set[int]]
-                 ) -> Optional[Tuple[int, int]]:
-    """Fork a child that runs jobs by ticket on ``cpus``: its pid and the
-    read end of its pipe, or None when the system refuses the pipe or the
-    process."""
+                 tickets: int) -> Optional[Tuple[int, int]]:
+    """Fork a child that runs jobs by ticket: its pid and the read end of
+    its pipe, or None when the system refuses the pipe or the process."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -178,7 +147,7 @@ def _fork_worker(fn: Callable[..., Any], jobs: Sequence[Sequence[Any]],
         return None
     if pid == 0:
         os.close(read_fd)
-        _child(fn, jobs, tickets, cpus, write_fd)
+        _child(fn, jobs, tickets, write_fd)
     os.close(write_fd)
     return pid, read_fd
 
@@ -199,47 +168,39 @@ def fan_out(fn: Callable[..., Any],
     With w = min(len(jobs), usable_cpus()) workers, the calling process
     and w - 1 forked children take job indices from a ticket pipe in
     increasing order, one at a time, each whenever it finishes a job,
-    until none is left or one of its own jobs fails.  Worker k runs
-    pinned to the CPU of index k mod n in the sorted affinity mask of n
-    CPUs, the calling process being worker 0; a worker whose fork the
-    system refuses is left out, and the others take its jobs.  Results
-    come back in job order.  The jobs must be independent of each other
-    and of the order they run in, and their results picklable.  Inside a
-    job, :func:`fan_out` runs the serial loop and forks no grandchild.
+    until none is left or one of its own jobs fails.  A worker whose fork
+    the system refuses is left out, and the others take its jobs.
+    Results come back in job order.  The jobs must be independent of
+    each other and of the order they run in, and their results
+    picklable.
 
     If jobs fail, the exception of the earliest failing job is raised,
     as the serial loop would raise it: tickets go out in order, so every
     earlier job was taken before it and has run.  A failure empties the
-    ticket pipe, so no worker starts a later job.  Results and exceptions make a pickle round trip in every
-    worker, the calling process included, so an exception arrives with
-    its type and message, and a result or an exception that cannot be
-    pickled becomes a :class:`RuntimeError` naming it, whichever worker
-    ran its job.  Every child is reaped before this returns or raises,
-    also when this process is interrupted.
+    ticket pipe, so no worker starts a later job.  Results and exceptions
+    make a pickle round trip in every worker, the calling process
+    included, so an exception arrives with its type and message, and a
+    result or an exception that cannot be pickled becomes a
+    :class:`RuntimeError` naming it, whichever worker ran its job.  Every
+    child is reaped before this returns or raises, also when this process
+    is interrupted.
     """
-    global _in_worker
     jobs = list(jobs)
     workers = min(len(jobs), usable_cpus())
-    if (workers <= 1 or _in_worker or not hasattr(os, "fork")
+    if (workers <= 1 or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return [fn(*job) for job in jobs]
     tickets = _queue_tickets(len(jobs))
     if tickets is None:
         return [fn(*job) for job in jobs]
     import pickle
-    mask = _affinity()
-    cpus = [{cpu} for cpu in sorted(mask)] if mask else [None]
     children: List[Tuple[int, int]] = []   # (pid, read end)
     drained = 0   # children whose pipe has been read to its end
-    _in_worker = True
     try:
-        for worker in range(1, workers):
-            child = _fork_worker(fn, jobs, tickets,
-                                 cpus[worker % len(cpus)])
+        for _ in range(1, workers):
+            child = _fork_worker(fn, jobs, tickets)
             if child is not None:
                 children.append(child)
-        if mask:
-            _pin(cpus[0])
         outcomes = _work(fn, jobs, tickets)
         blobs = []
         for pid, read_fd in children:
@@ -250,10 +211,7 @@ def fan_out(fn: Callable[..., Any],
                     f"worker process {pid} ended without sending its results")
             blobs.append(blob)
     finally:
-        _in_worker = False
         os.close(tickets)
-        if mask:
-            _pin(mask)
         for number, (pid, read_fd) in enumerate(children):
             os.close(read_fd)
             if number >= drained:

@@ -157,35 +157,6 @@ class TestInversePowerIntegral:
         assert C.inverse_power_integral((11, 7), T=64, panels=256) \
             == (alone[2], alone[0])
 
-    @settings(max_examples=40, deadline=None)
-    @given(panels=st.sampled_from([1, 2, 3, 7, 64]),
-           cuts=st.lists(st.floats(0, 1), max_size=6),
-           exps=st.sampled_from([[7], [7, 9, 11], [9, 14]]))
-    @example(panels=1, cuts=[0.0, 1.0, 1.0, 0.5], exps=[7, 9, 11])
-    @example(panels=3, cuts=[0.4, 0.7], exps=[7, 9, 11])
-    @example(panels=3, cuts=[0.0, 0.2, 0.5, 0.9, 1.0], exps=[7])
-    def test_chunk_sums_add_up_to_the_one_chunk_sums(self, panels, cuts,
-                                                     exps):
-        # Any split of range(panels) into contiguous chunks, empty ones
-        # included (more chunks than panels), sums to the same ints.
-        edges = [0] + sorted(int(c * panels) for c in cuts) + [panels]
-        whole = C._panel_sums(exps, 64, panels, 0, panels)
-        parts = [C._panel_sums(exps, 64, panels, first, last)
-                 for first, last in zip(edges, edges[1:])]
-        added = tuple([sum(column) for column in zip(*per_chunk)]
-                      for per_chunk in zip(*parts))
-        assert added == tuple(whole)
-
-    @pytest.mark.parametrize("panels", [1, 3, 256])
-    def test_enclosures_do_not_depend_on_the_cpu_count(self, monkeypatch,
-                                                       panels):
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
-        serial = C.inverse_power_integral((7, 9, 11), T=64, panels=panels)
-        for cpus in (2, 3, 8):
-            monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
-            assert C.inverse_power_integral(
-                (7, 9, 11), T=64, panels=panels) == serial
-
     # The enclosures of the 128-bit floating dyadic kernel that the
     # fixed-point sweep replaced, at the certificate's 4096 panels.
     DYADIC_KERNEL_ENCLOSURES = {
@@ -512,6 +483,32 @@ class TestRunAll:
         for count in (2, 3, 8):
             monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
             assert C.run_all(rho) == serial, count
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_only_the_calling_process_forks(self, tmp_path, monkeypatch,
+                                            count):
+        # The forked workers inherit the logging fork, so the log counts
+        # every fork of the process tree, a fork inside a job included.
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        serial = C.run_all()
+        log = tmp_path / "forks"
+        log.touch()
+        fork = os.fork
+
+        def logged_fork():
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+            try:
+                os.write(fd, f"{os.getpid()}\n".encode())
+            finally:
+                os.close(fd)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+        assert C.run_all() == serial
+        assert log.read_text().split() == [str(os.getpid())] * (count - 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -122,20 +122,6 @@ class TestFrames:
         assert abs(back[0] - y) < mpf(10) ** -30
         assert abs(back[1] - y_prime) < mpf(10) ** -30
 
-    def test_fivefold_map_is_rotation_by_fifth_roots(self):
-        z, pref = ev.fivefold_map(1, 0)
-        assert abs(z - 1) < mpf(10) ** -30
-        assert abs(pref - 1) < mpf(10) ** -30
-        with workprec(200):
-            omega = mp.expjpi(mpf(2) / 5)
-        z1, pref1 = ev.fivefold_map(2.0, 1)
-        assert abs(z1 - 2 * omega) < mpf(10) ** -30
-        assert abs(pref1 - omega**2) < mpf(10) ** -30
-        # k is cyclic mod 5
-        z6, pref6 = ev.fivefold_map(2.0, 6)
-        assert abs(z6 - z1) < mpf(10) ** -30
-        assert abs(pref6 - pref1) < mpf(10) ** -30
-
 
 # ---------------------------------------------------------------------------
 # asymptotic values
@@ -143,13 +129,6 @@ class TestFrames:
 
 
 class TestAsymptotics:
-    def test_stokes_constant(self):
-        s = ev.stokes_constant()
-        assert s.real == 0
-        assert abs(s.imag - mpf("0.61803874")) < mpf(10) ** -7
-        with workprec(200):
-            assert abs(s**2 + mpf(6) / (5 * mp.pi)) < mpf(10) ** -35
-
     def test_h0_matches_closed_form(self):
         # independent transcription of the closed form as the oracle, on
         # a grid over the wedge -pi/2 <= arg x <= -pi/4 that evaluate_point

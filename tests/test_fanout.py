@@ -238,34 +238,6 @@ def test_without_fork_jobs_run_in_process(workers, monkeypatch):
     assert results == [(x * x, os.getpid()) for x in range(4)]
 
 
-def test_a_fan_out_inside_a_job_never_forks(workers, monkeypatch):
-    workers(3)
-    fork = os.fork
-    in_job = []
-
-    def fork_outside_jobs():
-        if in_job:
-            raise AssertionError("os.fork was called inside a job")
-        return fork()
-
-    parent = os.getpid()
-
-    def job(x):
-        in_job.append(x)
-        inner = fanout.fan_out(_square_with_pid, [(y,) for y in range(3)])
-        if os.getpid() != parent:
-            time.sleep(0.05)   # leave jobs for this process to take
-        return x, inner, os.getpid()
-
-    monkeypatch.setattr(os, "fork", fork_outside_jobs)
-    results = fanout.fan_out(job, [(x,) for x in range(6)])
-    for x, (value, inner, pid) in enumerate(results):
-        assert value == x
-        assert inner == [(y * y, pid) for y in range(3)]
-    assert parent in {pid for _, _, pid in results}
-    _assert_no_child_left()
-
-
 def test_jobs_beyond_the_ticket_pipe_run_in_process(workers, monkeypatch):
     workers(2)
     _forbid_fork(monkeypatch)
@@ -314,36 +286,4 @@ def test_results_that_cannot_be_sent_back_raise(workers):
     workers(2)
     with pytest.raises(RuntimeError, match="the result of job 0"):
         fanout.fan_out(lambda x: (lambda: x), [(0,), (1,)])
-    _assert_no_child_left()
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                    reason="no affinity call on this platform")
-@pytest.mark.parametrize("count", [2, 3])
-def test_each_job_runs_pinned_and_the_mask_comes_back(workers, count):
-    workers(count)
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
-    runs = fanout.fan_out(
-        lambda x: (tuple(os.sched_getaffinity(0)), os.getpid()),
-        [(x,) for x in range(2 * count)])
-    for pinned, pid in runs:
-        assert len(pinned) == 1 and set(pinned) <= mask
-        if pid == os.getpid():
-            assert pinned == (cpus[0],)
-    # A worker stays on its CPU from one job to the next.
-    assert len({pid for _, pid in runs}) == len(set(runs))
-    assert os.sched_getaffinity(0) == mask
-    _assert_no_child_left()
-
-
-def test_a_refused_pin_leaves_the_results_alone(workers, monkeypatch):
-    workers(2)
-
-    def refuse(pid, cpus):
-        raise PermissionError("affinity refused")
-
-    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
-    results = fanout.fan_out(_square_with_pid, [(x,) for x in range(4)])
-    assert [value for value, _ in results] == [0, 1, 4, 9]
     _assert_no_child_left()
