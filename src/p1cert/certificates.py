@@ -914,9 +914,10 @@ def check_symbolic_tables() -> CertificateReport:
 REGION_STATEMENT = (
     "Certified region: {z != 0: arg z in [-3pi/5, pi]} union "
     "{|z| < 37/20}.  Assembly: the ray, wedge and lower-wedge "
-    "certificates cover the outer sector |z| >= 17/10 (the quintic "
-    "symmetry y(z) -> conj(y(conj(z))) supplies arg z in [-3pi/5, -pi/5) "
-    "from the certified half, a reflection step taken as prose, not "
+    "certificates cover the outer sector |z| >= 17/10 (they certify "
+    "arg z in [-3pi/5, pi/5]; the reflection across the ray, "
+    "y(z) = w^-2 conj(y(w conj(z))) with w = e^(2pi i/5), supplies "
+    "arg z in (pi/5, pi], a reflection step taken as prose, not "
     "machine-checked); the matching bounds at z0 = (17/10) e^(i pi/5) "
     "hand certified initial data to the inner-interval certificate, "
     "which transports it along t in [-17/10, 0]; the Maclaurin envelope "

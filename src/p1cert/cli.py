@@ -36,6 +36,10 @@ Every command builds its content once, for all three formats, and
 ``--tables``/``--partitions`` replace one data file for a single run:
 the named file is read in place, the other files still come from the
 data directory, and no file is copied or changed.
+
+The evaluator and mpmath are imported by ``eval``, ``series`` and
+``pole`` when they run, so ``verify``, ``constants`` and ``identities``
+load neither.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import click
-from mpmath import mp, mpc, mpf, workprec
 
-from . import certificates, data, evaluator, inner
+from . import certificates, data, inner
 from .certificates import CertificateReport, PreconditionError
 from .numerics import slim, truncation_window
 from .result import CheckResult
@@ -65,6 +68,10 @@ _JSON_DIGITS = 25
 _SERIES_CSV_DIGITS = 24
 
 _SCOPES = ("all", "omegaI", "omega12", "omega4", "inner", "radius")
+
+#: The default of ``--precision-bits``: evaluator.DEFAULT_PRECISION_BITS,
+#: restated so that the option needs no evaluator at import time.
+DEFAULT_PRECISION_BITS = 128
 
 #: CSV output: a header row and the data rows.
 Table = Tuple[Sequence[str], Sequence[Sequence[object]]]
@@ -118,7 +125,7 @@ def data_options(command):
 def precision_option(command):
     return click.option(
         "--precision-bits", type=int,
-        default=evaluator.DEFAULT_PRECISION_BITS, show_default=True,
+        default=DEFAULT_PRECISION_BITS, show_default=True,
         help="Working precision in bits (minimum 100).")(command)
 
 
@@ -134,8 +141,7 @@ def _run(body: Callable[[], int], tables: Optional[str] = None,
     """Run a command body over the replaced data files and exit with its
     code.
 
-    A violated precondition exits 2 and a pole scan that meets no blowup
-    exits 1, each with its reason on stderr.
+    A violated precondition exits 2, with its reason on stderr.
     """
     replacements = {name: path for name, path in (
         ("expansion_tables.json", tables), ("inner_ode.json", partitions))
@@ -146,9 +152,6 @@ def _run(body: Callable[[], int], tables: Optional[str] = None,
     except PreconditionError as exc:
         click.echo(f"precondition violated: {exc}", file=sys.stderr)
         code = EXIT_PRECONDITION
-    except evaluator.PoleNotFoundError as exc:
-        click.echo(f"no blowup found: {exc}", file=sys.stderr)
-        code = EXIT_FAIL
     raise SystemExit(code)
 
 
@@ -199,21 +202,22 @@ def _flag(value: bool) -> str:
 
 
 def _nstr(x, digits: int = _TEXT_DIGITS) -> str:
+    from mpmath import mp
     # Never reconstruct through mpf(): that would re-round the stored
     # high-precision value at the ambient (default 53-bit) precision.
     return mp.nstr(x, digits)
 
 
-def _parts(value: mpc, digits: int = _TEXT_DIGITS) -> Tuple[str, str]:
-    return mp.nstr(value.real, digits), mp.nstr(value.imag, digits)
+def _parts(value, digits: int = _TEXT_DIGITS) -> Tuple[str, str]:
+    return _nstr(value.real, digits), _nstr(value.imag, digits)
 
 
-def _complex_text(value: mpc, digits: int = _TEXT_DIGITS) -> str:
+def _complex_text(value, digits: int = _TEXT_DIGITS) -> str:
     re_s, im_s = _parts(value, digits)
     return f"{re_s} + {im_s} i"
 
 
-def _complex_json(value: Optional[mpc]) -> Optional[Dict[str, str]]:
+def _complex_json(value) -> Optional[Dict[str, str]]:
     if value is None:
         return None
     re_s, im_s = _parts(value, _JSON_DIGITS)
@@ -221,7 +225,7 @@ def _complex_json(value: Optional[mpc]) -> Optional[Dict[str, str]]:
 
 
 def _opt_nstr(x, digits: int = _JSON_DIGITS) -> Optional[str]:
-    return None if x is None else mp.nstr(x, digits)
+    return None if x is None else _nstr(x, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +372,12 @@ def _emit_constants(fmt: str, rho: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_z(text: str, precision_bits: int) -> mpc:
-    """Parse ``re,im``, polar ``r<theta`` (radians), or a bare real."""
+def _parse_z(text: str, precision_bits: int):
+    """Parse ``re,im``, polar ``r<theta`` (radians), or a bare real, as
+    an mpc."""
+    from mpmath import mp, mpc, mpf, workprec
+
+    from . import evaluator
     cleaned = text.strip()
     with workprec(precision_bits + evaluator.GUARD_BITS):
         try:
@@ -387,6 +395,7 @@ def _parse_z(text: str, precision_bits: int) -> mpc:
 
 
 def _origin_block(precision_bits: int) -> Tuple[List[str], Dict[str, object]]:
+    from . import evaluator
     origin = evaluator.y_at_zero(precision_bits)
     vw, sw = origin.value_window, origin.slope_window
     lines = [
@@ -474,6 +483,7 @@ def _emit_eval(fmt: str, outcome, precision_bits: int) -> int:
 
 
 def _emit_series(fmt: str, order: int, precision_bits: int) -> int:
+    from . import evaluator
     g0, g1 = evaluator.integration_seed()
     coeffs = evaluator.taylor_coeffs(g0, g1, 0, order, precision_bits)
     payload = {
@@ -629,6 +639,7 @@ def eval_command(z_text: str, precision_bits: int, fmt: str,
     carry an explicit warning.
     """
     def body() -> int:
+        from . import evaluator
         z = _parse_z(z_text, precision_bits)
         outcome = evaluator.evaluate_point(z, precision_bits=precision_bits)
         return _emit_eval(fmt, outcome, precision_bits)
@@ -661,11 +672,20 @@ def pole(precision_bits: int, fmt: str) -> None:
 
     Scans a fan of directions inside the one sector that can contain
     poles, integrating outward until blowup.  The reported minimum is a
-    numerical estimate, not a certified statement.
+    numerical estimate, not a certified statement.  Exit status: 0, 1
+    with the reason on stderr when no ray meets a blowup, or 2 below the
+    minimum precision.
     """
-    _run(lambda: _emit_pole(
-        fmt, evaluator.pole_scan(precision_bits=precision_bits),
-        precision_bits))
+    def body() -> int:
+        from . import evaluator
+        try:
+            scan = evaluator.pole_scan(precision_bits=precision_bits)
+        except evaluator.PoleNotFoundError as exc:
+            click.echo(f"no blowup found: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+        return _emit_pole(fmt, scan, precision_bits)
+
+    _run(body)
 
 
 if __name__ == "__main__":  # pragma: no cover

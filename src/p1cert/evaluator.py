@@ -13,20 +13,22 @@ and pole-distance estimation.
 
 Everything here is arbitrary-precision arithmetic: mpmath floating point
 (100-bit minimum working precision), and fixed point on Python integers
-for the integrator's inner loop.  The constants the frame changes and the
-asymptotic values share -- the roots of unity, the certified ray radius,
-the Stokes constant and the layers of h0 -- are computed once per working
-precision (:func:`_constants`), with the same expressions as on first use,
-so they carry the same bits.  Apart from the asymptotic error formulas
-and the enclosure windows at the origin -- which are certified facts
-imported from the exact modules -- outputs are high-quality numerical
-estimates, not proofs; the exact certificates never depend on this
-module.
+for the integrator's inner loop and the closed forms' Horner sums.  The
+constants the frame changes and the asymptotic values share -- the roots
+of unity, the certified ray radius, the modulus of the Stokes constant
+and the fixed-point layers of the closed forms -- are computed once per
+working precision (:func:`_constants`), with the same expressions as on
+first use, so they carry the same bits.  Apart from the asymptotic error
+formulas and the enclosure windows at the origin -- which are certified
+facts imported from the exact modules -- outputs are high-quality
+numerical estimates, not proofs; the exact certificates never depend on
+this module.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -142,9 +144,44 @@ def _to_mpc(value: Number) -> mpc:
     return mpc(_to_mpf(value))
 
 
+def _finite_mpc(value: Number) -> mpc:
+    """``value`` as an mpc at the working precision; raises unless finite."""
+    w = _to_mpc(value)
+    if not mp.isfinite(w):
+        raise PreconditionError(f"the point must be finite, got {w}")
+    return w
+
+
+def _fixed(x: mpf, bits: int) -> int:
+    sign, man, exp, _ = x._mpf_
+    if sign:
+        man = -man
+    shift = exp + bits
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _to_fixed(x: mpc, bits: int) -> Gaussian:
+    return _fixed(x.real, bits), _fixed(x.imag, bits)
+
+
+def _real(x: int, bits: int) -> mpf:
+    return mpf((x, -bits))
+
+
+def _from_fixed(x: Gaussian, bits: int) -> mpc:
+    return mpc(_real(x[0], bits), _real(x[1], bits))
+
+
 def _fifth_root_of_unity_power(numerator: int, denominator: int = 5) -> mpc:
     """e^(i*pi*numerator/denominator) at the current working precision."""
     return _constants(mp.prec).roots[numerator, denominator]
+
+
+#: Slack of the asymptotic regions' tests (:func:`_region_defect`): an
+#: angle may pass its bound by _ARG_SLACK, a radius fall short of its
+#: floor by the fraction _RADIUS_SLACK.
+_ARG_SLACK = 1e-9
+_RADIUS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,26 +193,53 @@ class _Constants:
     roots: Dict[Tuple[int, int], mpc]
     #: The certified ray radius (204/5)^(5/4)/30 in the x frame.
     ray_radius: mpf
-    #: The Stokes constant  S = i * sqrt(6/(5*pi)).
-    stokes: mpc
-    #: The layers P_k of h0 (:func:`_h0_layers`) as mpf coefficients.
-    h0_layers: Tuple[Tuple[mpf, ...], ...]
+    #: The rest are fixed point at 2^-prec.  pi itself:
+    pi: int
+    #: Per asymptotic region, the floor of |x| and the lowest and highest
+    #: unwrapped arg x, the slack included.
+    windows: Dict[str, Tuple[int, int, int]]
+    #: |S| = sqrt(6/(5*pi)), the modulus of the Stokes constant S = i|S|.
+    stokes_modulus: int
+    #: The ray's ball radius (41/40)*(784/3125) in the weighted norm.
+    ray_ball: int
+    #: Layers, each the ascending coefficients of a polynomial in 1/x, of
+    #: sum_k xi^k L_k(1/x)  for h0 alone (:func:`_h0_layers`), for the
+    #: ray's bracket 1 - 4/(25 x^2), and for the wedge's bracket
+    #: 1 - 4/(25 x^2) + h0.
+    h0_layers: Tuple[Tuple[int, ...], ...]
+    ray_layers: Tuple[Tuple[int, ...], ...]
+    wedge_layers: Tuple[Tuple[int, ...], ...]
 
 
 @functools.lru_cache(maxsize=16)
 def _constants(prec: int) -> _Constants:
     """The shared constants at ``prec`` bits, computed once per precision
     (the 16 most recent precisions are kept)."""
+    scale = 1 << prec
+    h0 = [[round(c * scale) for c in layer]
+          for layer in _h0_layers(formal.h0_series())]
+    lead = [scale, 0, -round(Fraction(4, 25) * scale)]
+    first = [a + b for a, b in itertools.zip_longest(lead, h0[0], fillvalue=0)]
     with workprec(prec):
         keys = [(n, 5) for n in range(-3, 4)] + [(1, 4), (-1, 4)]
+        ray_radius = (mpf(204) / 5) ** (mpf(5) / 4) / 30
+        slack, floor = mpf(_ARG_SLACK), 1 - mpf(_RADIUS_SLACK)
+        windows = {
+            "omegaI": (ray_radius * floor, mp.pi / 2 - slack,
+                       mp.pi / 2 + slack),
+            "omega4": (3 * floor, -mp.pi / 2 - slack, -mp.pi / 4 + slack),
+        }
         return _Constants(
             roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
-            ray_radius=(mpf(204) / 5) ** (mpf(5) / 4) / 30,
-            stokes=mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi)),
-            h0_layers=tuple(
-                tuple(_to_mpf(c) for c in layer)
-                for layer in _h0_layers(formal.h0_series())
-            ),
+            ray_radius=ray_radius,
+            pi=_fixed(+mp.pi, prec),
+            windows={region: tuple(_fixed(v, prec) for v in window)
+                     for region, window in windows.items()},
+            stokes_modulus=_fixed(mp.sqrt(mpf(6) / (5 * mp.pi)), prec),
+            ray_ball=round(Fraction(41, 40) * Fraction(784, 3125) * scale),
+            h0_layers=tuple(map(tuple, h0)),
+            ray_layers=(tuple(lead),),
+            wedge_layers=(tuple(first),) + tuple(map(tuple, h0[1:])),
         )
 
 
@@ -227,9 +291,7 @@ def frame_map(
     if frame not in ("z", "t", "x"):
         raise ValueError(f"unknown frame {frame!r}; expected 'z', 't' or 'x'")
     with workprec(precision_bits + GUARD_BITS):
-        w = _to_mpc(value)
-        if not mp.isfinite(w):
-            raise PreconditionError(f"the point must be finite, got {w}")
+        w = _finite_mpc(value)
         if frame == "z":
             z = w
         elif frame == "t":
@@ -302,11 +364,62 @@ def _h0_layers(series: formal.FormalSeries) -> List[List[Fraction]]:
     return layers
 
 
-def _horner(coeffs: Sequence[mpf], u: mpc) -> Union[mpf, mpc]:
-    """sum c_l u^l for ascending ``coeffs``; 0 when there are none."""
-    total = mpf(0)
-    for c in reversed(coeffs):
-        total = total * u + c
+def _poly_fixed(coeffs: Sequence[int], u: Gaussian, bits: int) -> Gaussian:
+    """sum c_l u^l for real ascending ``coeffs``, all at 2^-bits; 0 when
+    there are none."""
+    if not coeffs:
+        return 0, 0
+    ur, ui = u
+    gr, gi = coeffs[-1], 0
+    for c in coeffs[-2::-1]:
+        gr, gi = ((gr * ur - gi * ui) >> bits) + c, (gr * ui + gi * ur) >> bits
+    return gr, gi
+
+
+def _cos_sin(angle: int, bits: int) -> Gaussian:
+    """e^(i*angle) for an angle at 2^-bits, at 2^-bits."""
+    cos, sin = mp.cos_sin(_real(angle, bits))
+    return _fixed(cos, bits), _fixed(sin, bits)
+
+
+def _layer_sum(layers: Sequence[Sequence[int]], radius: int, angle: int,
+               bits: int) -> Gaussian:
+    """sum_k xi^k L_k(1/x) at x = radius * e^(i*angle), all at 2^-bits.
+
+    ``layers`` are layers of :class:`_Constants`.  The sum is a nested
+    Horner form on Gaussian integers, with 1/x = e^(-i*angle)/radius and
+
+        xi = S e^(-x)/sqrt(x)
+           = i|S| e^(-Re x) radius^(-1/2) e^(-i(Im x + angle/2)),
+
+    the principal root for angle in (-pi, pi].  It takes one cos_sin,
+    and one real exp and a second cos_sin when there is a layer above
+    L_0.  With |1/x| <= 1 and |xi| <= 1, as everywhere in the wedge, each
+    stage rounds by at most one unit of 2^-bits.  Raises
+    :class:`PreconditionError` when Re x < -bits, where xi would not fit
+    fixed point.  Runs at the caller's working precision.
+    """
+    cos, sin = _cos_sin(angle, bits)
+    inverse = (1 << 2 * bits) // radius
+    u = (cos * inverse) >> bits, -((sin * inverse) >> bits)
+    *lower, top = layers
+    total = _poly_fixed(top, u, bits)
+    if lower:
+        re_x, im_x = (radius * cos) >> bits, (radius * sin) >> bits
+        if re_x < -(bits << bits):
+            raise PreconditionError(
+                f"Re x = {mp.nstr(_real(re_x, bits), 12)} is below -{bits}, "
+                "where xi = S e^(-x)/sqrt(x) leaves the fixed-point range")
+        modulus = (_constants(bits).stokes_modulus
+                   * _fixed(mp.exp(_real(-re_x, bits)), bits)
+                   // math.isqrt(radius << bits))
+        # i e^(-i psi) = sin psi + i cos psi, with psi = Im x + angle/2.
+        psi_cos, psi_sin = _cos_sin(im_x + angle // 2, bits)
+        xi_re, xi_im = (modulus * psi_sin) >> bits, (modulus * psi_cos) >> bits
+        for layer in reversed(lower):
+            (tr, ti), (lr, li) = total, _poly_fixed(layer, u, bits)
+            total = (((tr * xi_re - ti * xi_im) >> bits) + lr,
+                     ((tr * xi_im + ti * xi_re) >> bits) + li)
     return total
 
 
@@ -316,24 +429,31 @@ def h0_value(x: Number, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
     h0 is a polynomial in  xi = S e^(-x)/sqrt(x)  whose coefficients are
     polynomials in 1/x.  Its layers P_k are grouped from the symbolically
     verified series once per precision -- the grouping checks that every
-    term has that structure and raises otherwise -- so this evaluation
-    cannot drift from the table identities.  The value is the nested
-    Horner form  sum_k xi^k P_k(1/x):  one complex exp, one complex sqrt
-    and about a dozen complex products.
+    term has that structure and raises otherwise -- and rounded to
+    integers at 2^-prec, so this evaluation cannot drift from the table
+    identities.  The value is the nested Horner form
+    sum_k xi^k P_k(1/x)  on Gaussian integers at 2^-prec (prec the working
+    precision, guard bits included), the kernel that the closed forms of
+    :func:`asymptotic_y` and :func:`evaluate_point` share: from |x| and
+    arg x, one real exp and two cos_sin pairs, then integer products and
+    one integer square root.  Its error is a few units of 2^-prec where
+    |1/x| <= 1 and |xi| <= 1, as in the omega_4 wedge; it is absolute, so
+    a value far below 2^-prec keeps no relative accuracy.  Raises
+    :class:`PreconditionError` for |x| < 2^-prec, x = 0 included, and
+    for Re x < -prec.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        xv = _to_mpc(x)
-        if xv == 0:
-            raise PreconditionError("h0 is undefined at x = 0")
-        constants = _constants(mp.prec)
-        u = 1 / xv
-        xi = constants.stokes * mp.exp(-xv) / mp.sqrt(xv)
-        *lower, top = constants.h0_layers
-        total = _horner(top, u)
-        for layer in reversed(lower):
-            total = total * xi + _horner(layer, u)
-        return mpc(total)
+        xv = _finite_mpc(x)
+        bits = mp.prec
+        radius = _fixed(abs(xv), bits)
+        if radius == 0:
+            raise PreconditionError(
+                f"h0 is undefined at x = 0 and out of fixed-point range for "
+                f"|x| < 2^-{bits}")
+        total = _layer_sum(_constants(bits).h0_layers, radius,
+                           _fixed(mp.arg(xv), bits), bits)
+        return _from_fixed(total, bits)
 
 
 @dataclass(frozen=True)
@@ -344,10 +464,6 @@ class AsymptoticValue:
     error: mpf
     region: str
     point: FramePoint
-
-
-_ARG_SLACK = 1e-9
-_RADIUS_SLACK = 1e-9
 
 
 def asymptotic_y(
@@ -372,6 +488,14 @@ def asymptotic_y(
       |G| <= 4*|x|^(-5/2), giving the error
       |sqrt(z/6)| * 4 * |x|^(-3).
 
+    Both come from one polar pass on integers at 2^-prec
+    (:func:`_outer_polar`, :func:`_closed_form`): r = |z| and
+    theta = arg z once each, |x| = (24 r)^(5/4)/30 and
+    arg x = pi/4 + 5 theta/4 without wrapping, the bracket by the kernel
+    of :func:`h0_value`, and its product with i*sqrt(z/6).  The error is
+    sqrt(r/6) times the ball radius times |x|^(-3), the same quantity as
+    above.  On the negative real axis arg x is 3pi/2, in neither region.
+
     Raises :class:`PreconditionError` when z lies outside the requested
     region (small floating slack is allowed at the boundary).
     """
@@ -380,85 +504,124 @@ def asymptotic_y(
         raise ValueError(
             f"unknown region {region!r}; expected one of {ASYMPTOTIC_REGIONS}"
         )
-    point = frame_map(z, "z", precision_bits)
-    if point.x is None:
-        raise PreconditionError("asymptotic representations require z != 0")
     with workprec(precision_bits + GUARD_BITS):
-        radius, angle = abs(point.x), mp.arg(point.x)
+        zv = _finite_mpc(z)
+        if zv == 0:
+            raise PreconditionError("asymptotic representations require z != 0")
+        bits = mp.prec
+        z_fixed, r, radius, angle = _outer_polar(zv, bits)
         defect = _region_defect(region, radius, angle)
         if defect == "radius":
             kind, floor = (
-                ("ray", mp.nstr(_constants(mp.prec).ray_radius, 12))
+                ("ray", mp.nstr(_constants(bits).ray_radius, 12))
                 if region == "omegaI" else ("wedge", "3")
             )
             raise PreconditionError(
-                f"|x| = {mp.nstr(radius, 12)} is below the certified {kind} "
-                f"radius {floor}"
+                f"|x| = {mp.nstr(_real(radius, bits), 12)} is below the "
+                f"certified {kind} radius {floor}"
             )
         if defect == "angle" and region == "omegaI":
             raise PreconditionError(
                 "z is not on the oscillatory ray (arg x must be pi/2, "
-                f"got {mp.nstr(angle, 12)})"
+                f"got {mp.nstr(_real(angle, bits), 12)})"
             )
         if defect == "angle":
             raise PreconditionError(
                 "arg x must lie in [-pi/2, -pi/4] for the wedge "
-                f"representation, got {mp.nstr(angle, 12)}"
+                f"representation, got {mp.nstr(_real(angle, bits), 12)}"
             )
-    return _asymptotic_at(point, region, precision_bits)
+        value, error = _closed_form(z_fixed, r, radius, angle, region, bits)
+        point = FramePoint(
+            z=zv, t=-zv * _fifth_root_of_unity_power(-1),
+            x=_real(radius, bits) * mp.expj(_real(angle, bits)))
+        return AsymptoticValue(value=value, error=error, region=region,
+                               point=point)
 
 
-def _region_defect(region: str, radius: mpf, angle: mpf) -> Optional[str]:
+def _outer_polar(z: mpc, bits: int) -> Tuple[Gaussian, int, int, int]:
+    """z, r = |z|, and |x| and arg x of the outer-frame image, at 2^-bits.
+
+    x = (e^(i*pi/4)/30) (24 z)^(5/4) on the principal branch, whose
+    argument 5 theta/4 (theta = arg z) lies in (-5pi/4, 5pi/4], so
+    |x| = (24 r)^(5/4)/30 and arg x = pi/4 + 5 theta/4 in (-pi, 3pi/2],
+    left unwrapped.  r and |x| are integer square roots; theta is the one
+    mpmath call.  Runs at the caller's working precision.
+    """
+    zr, zi = _to_fixed(z, bits)
+    r = math.isqrt(zr * zr + zi * zi)
+    q = 24 * r
+    radius = q * math.isqrt(math.isqrt(q << bits) << bits) // (30 << bits)
+    angle = (_constants(bits).pi + 5 * _fixed(mp.arg(z), bits)) // 4
+    return (zr, zi), r, radius, angle
+
+
+def _region_defect(region: str, radius: int, angle: int) -> Optional[str]:
     """Which condition of ``region`` the point x = radius * e^(i*angle)
     breaks: ``"radius"``, ``"angle"``, or None when x lies in the region
-    (within the boundary slack).  Runs at the caller's working precision."""
-    if region == "omegaI":
-        min_radius = _constants(mp.prec).ray_radius
-        if radius < min_radius * (1 - _RADIUS_SLACK):
-            return "radius"
-        if abs(angle - mp.pi / 2) > _ARG_SLACK:
-            return "angle"
-        return None
-    if radius < 3 * (1 - _RADIUS_SLACK):
+    (within the boundary slack).  ``radius`` and the unwrapped ``angle``
+    are those of :func:`_outer_polar`.  Runs at the caller's working
+    precision."""
+    floor, lowest, highest = _constants(mp.prec).windows[region]
+    if radius < floor:
         return "radius"
-    if not (-mp.pi / 2 - _ARG_SLACK <= angle <= -mp.pi / 4 + _ARG_SLACK):
+    if not lowest <= angle <= highest:
         return "angle"
     return None
 
 
-def _asymptotic_region(point: FramePoint) -> Optional[str]:
-    """The asymptotic region holding ``point``, or None.
+def _asymptotic_region(radius: int, angle: int) -> Optional[str]:
+    """The asymptotic region holding x = radius * e^(i*angle), or None.
 
-    The ray sits at arg x = pi/2 and the wedge at arg x <= -pi/4 (both
-    within the slack), so the sign of arg x names the only candidate and
-    one test decides.  Runs at the caller's working precision.
+    The ray sits at arg x = pi/2 and the wedge at -pi/2 <= arg x <= -pi/4
+    (both within the slack), so with ``angle`` unwrapped, in
+    (-pi, 3pi/2], the test 0 < angle < pi names the only candidate and one
+    test decides.  Angles in [pi, 3pi/2] (arg z in [3pi/5, pi]) lie in
+    neither.  Runs at the caller's working precision.
     """
-    angle = mp.arg(point.x)
-    region = "omegaI" if angle > 0 else "omega4"
-    return None if _region_defect(region, abs(point.x), angle) else region
+    region = "omegaI" if 0 < angle < _constants(mp.prec).pi else "omega4"
+    return None if _region_defect(region, radius, angle) else region
 
 
-def _asymptotic_at(point: FramePoint, region: str,
-                   precision_bits: int) -> AsymptoticValue:
-    """The asymptotic value at a point already known to lie in ``region``
-    and mapped to every frame."""
-    with workprec(precision_bits + GUARD_BITS):
-        x = point.x
-        radius = abs(x)
-        root = mp.sqrt(point.z / 6)
-        if region == "omegaI":
-            value = mpc(0, 1) * root * (1 - 4 / (25 * x * x))
-            error = (
-                abs(root) / mp.sqrt(radius)
-                * (mpf(41) / 40)
-                * (mpf(784) / 3125)
-                * radius ** (mpf(-5) / 2)
-            )
-        else:
-            correction = h0_value(x, precision_bits)
-            value = mpc(0, 1) * root * (1 - 4 / (25 * x * x) + correction)
-            error = abs(root) * 4 * radius**-3
-        return AsymptoticValue(value=value, error=error, region=region, point=point)
+def _root(z: Gaussian, r: int, bits: int) -> Gaussian:
+    """sqrt(z/6) on the principal branch, from z and r = |z| at 2^-bits.
+
+    The part of larger size is sqrt((r +- Re z)/12), the other
+    Im z / (12 * it), so that neither subtraction cancels.
+    """
+    zr, zi = z
+    if zr >= 0:
+        re = math.isqrt(((r + zr) << bits) // 12)
+        return re, (zi << bits) // (12 * re)
+    im = math.isqrt(((r - zr) << bits) // 12)
+    return (abs(zi) << bits) // (12 * im), im if zi >= 0 else -im
+
+
+def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
+                 bits: int) -> Tuple[mpc, mpf]:
+    """The value and certified error of ``region``'s closed form at z,
+    given with r = |z| and its outer-frame image radius * e^(i*angle),
+    all at 2^-bits, the image known to lie in the region.
+
+    The bracket 1 - 4/(25 x^2), plus h0(x) in the wedge, is one
+    :func:`_layer_sum`; it is multiplied by i*sqrt(z/6) on integers and
+    converted back once.  The error is s * (41/40)(784/3125) * |x|^(-3)
+    on the ray and s * 4 * |x|^(-3) in the wedge, s = sqrt(r/6).  Runs at
+    the caller's working precision.
+    """
+    constants = _constants(bits)
+    ray = region == "omegaI"
+    layers = constants.ray_layers if ray else constants.wedge_layers
+    br, bi = _layer_sum(layers, radius, angle, bits)
+    rr, ri = _root(z, r, bits)
+    value = (-((rr * bi + ri * br) >> bits), (rr * br - ri * bi) >> bits)
+    s = math.isqrt((r << bits) // 6)
+    ball = constants.ray_ball if ray else 4 << bits
+    # s * ball / radius^3 is (s * ball << shift) // radius^3 at
+    # 2^(bits - shift); the shift keeps more than bits significant bits.
+    cube = radius ** 3
+    shift = cube.bit_length()
+    error = mpf((((s * ball) << shift) // cube, bits - shift))
+    return _from_fixed(value, bits), error
 
 
 # --------------------------------------------------------------------------
@@ -529,22 +692,6 @@ def series_eval(
 #: 57) and the step is read from it, so it needs bits of its own below
 #: eps; bits further down buy nothing, as each step truncates at eps.
 _KERNEL_GUARD_BITS = 64
-
-
-def _fixed(x: mpf, bits: int) -> int:
-    sign, man, exp, _ = x._mpf_
-    if sign:
-        man = -man
-    shift = exp + bits
-    return man << shift if shift >= 0 else man >> -shift
-
-
-def _to_fixed(x: mpc, bits: int) -> Gaussian:
-    return _fixed(x.real, bits), _fixed(x.imag, bits)
-
-
-def _from_fixed(x: Gaussian, bits: int) -> mpc:
-    return mpc(mpf((x[0], -bits)), mpf((x[1], -bits)))
 
 
 def _log2_abs(x: Gaussian, bits: int) -> float:
@@ -1136,10 +1283,18 @@ def evaluate_point(
     origin window centres (flagged non-rigorous).  A trajectory that
     blows up before reaching the target returns no value but carries
     the pole-location estimate in the warning.
+
+    Away from the origin one polar pass on integers at 2^-prec decides:
+    r = |z| and theta = arg z, computed once, give |x| = (24 r)^(5/4)/30
+    and the unwrapped arg x = pi/4 + 5 theta/4, and these the region.  A
+    closed-form point goes on to the bracket and its product with
+    i*sqrt(z/6), as in :func:`asymptotic_y`, with no complex power and
+    no t.  An integration point turns z into t with one rotation.  The
+    negative real axis, arg x = 3pi/2, is integration.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        zv = _to_mpc(z)
+        zv = _finite_mpc(z)
     if zv == 0:
         data = y_at_zero(precision_bits)
         return Evaluation(
@@ -1151,23 +1306,25 @@ def evaluate_point(
             error_bound=data.y_value_radius,
             slope_error_bound=data.y_slope_radius,
         )
-    point = frame_map(zv, "z", precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        region = _asymptotic_region(point)
-    if region is not None:
-        asym = _asymptotic_at(point, region, precision_bits)
-        return Evaluation(
-            z=zv,
-            y=asym.value,
-            y_prime=None,
-            method=f"asymptotic-{region}",
-            rigorous=True,
-            error_bound=asym.error,
-        )
-    with workprec(precision_bits + GUARD_BITS):
+        bits = mp.prec
+        z_fixed, r, radius, angle = _outer_polar(zv, bits)
+        region = _asymptotic_region(radius, angle)
+        if region is not None:
+            value, error = _closed_form(z_fixed, r, radius, angle, region,
+                                        bits)
+            return Evaluation(
+                z=zv,
+                y=value,
+                y_prime=None,
+                method=f"asymptotic-{region}",
+                rigorous=True,
+                error_bound=error,
+            )
+        t = -zv * _fifth_root_of_unity_power(-1)
         warning = None
-        wedge = abs(mp.arg(point.t)) < mp.pi / 5 + _ARG_SLACK
-        if wedge and abs(point.t) > mpf(37) / 20:
+        wedge = abs(mp.arg(t)) < mp.pi / 5 + _ARG_SLACK
+        if wedge and abs(t) > mpf(37) / 20:
             warning = (
                 "target lies outside the certified disk in the only sector "
                 "that can contain poles; treat the value as an estimate"
@@ -1176,7 +1333,7 @@ def evaluate_point(
         run = integrate(
             *integration_seed(),
             0,
-            point.t,
+            t,
             tol=tol,
             precision_bits=precision_bits,
         )
@@ -1202,7 +1359,7 @@ def evaluate_point(
         # 3 units of 2^-prec |t|, hence g by |g'| times that; turning g
         # back into y costs 2 units of 2^-prec |g|.
         error_estimate = run.error_estimate + mpf(2) ** -mp.prec * (
-            3 * abs(point.t) * abs(run.slope) + 2 * abs(run.value)
+            3 * abs(t) * abs(run.slope) + 2 * abs(run.value)
         )
     return Evaluation(
         z=zv,

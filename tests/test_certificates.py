@@ -446,6 +446,30 @@ def test_certificates_load_neither_the_evaluator_nor_mpmath():
     assert out == "[]\n"
 
 
+def test_cli_verify_loads_neither_the_evaluator_nor_mpmath():
+    # The command line imports the evaluator and mpmath only in eval,
+    # series and pole, so a verify process is spared their import time.
+    src = os.path.dirname(os.path.dirname(p1cert.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import p1cert.cli",
+        "with contextlib.redirect_stdout(io.StringIO()) as out:",
+        "    try:",
+        "        p1cert.cli.main.main(args=['verify', '--scope', 'omegaI'],",
+        "                             standalone_mode=False)",
+        "    except SystemExit as done:",
+        "        assert done.code == 0, done.code",
+        "assert 'verdict: PASS' in out.getvalue()",
+        "print(sorted(name for name in ('p1cert.evaluator', 'mpmath')",
+        "             if name in sys.modules))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # Whole-suite assembly
 # ---------------------------------------------------------------------------
@@ -463,6 +487,32 @@ class TestRunAll:
         assert statement.startswith("Certified region")
         assert "arg z in [-3pi/5, pi]" in statement
         assert "|z| < 37/20" in statement
+
+    def test_statement_names_the_reflection_across_the_ray(self):
+        statement = C.REGION_STATEMENT
+        assert "they certify arg z in [-3pi/5, pi/5]" in statement
+        assert "y(z) = w^-2 conj(y(w conj(z))) with w = e^(2pi i/5)" in statement
+        assert "supplies arg z in (pi/5, pi]" in statement
+        assert "taken as prose, not machine-checked" in statement
+        assert "conj(y(conj(z)))" not in statement
+
+    def test_reflection_maps_the_certified_arcs_onto_the_rest(self):
+        # arg(w conj z) = 2pi/5 - arg z, in units of pi; the pieces the
+        # certificates cover directly: the lower wedge [-3/5, -2/5], the
+        # wedge [-2/5, 1/5] and the ray 1/5
+        def reflect(theta):
+            return Fraction(2, 5) - theta
+
+        lower, ray, top = Fraction(-3, 5), Fraction(1, 5), Fraction(1)
+        assert (reflect(ray), reflect(lower)) == (ray, top)
+        assert reflect(reflect(lower)) == lower
+        # an orientation-reversing affine map: the image of [lo, hi] is
+        # [reflect(hi), reflect(lo)], so [-3/5, 1/5] goes onto [1/5, 1],
+        # and with the certified arc the whole [-3/5, 1] is covered
+        for k in range(0, 41):
+            theta = lower + (ray - lower) * Fraction(k, 40)
+            assert ray <= reflect(theta) <= top
+            assert reflect(theta) == ray + (ray - theta)
 
     def test_reports_sorted_by_name(self, all_reports):
         reports, _ = all_reports

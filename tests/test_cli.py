@@ -24,7 +24,7 @@ import pytest
 from click.testing import CliRunner
 from mpmath import mp, workprec
 
-from p1cert import data, evaluator
+from p1cert import cli, data, evaluator
 from p1cert.cli import main
 
 SCHEMA = json.loads(
@@ -678,6 +678,9 @@ class TestPole:
         assert result.exit_code == 2
         assert result.stderr.startswith("precondition violated:")
 
+    def test_default_precision_is_the_evaluators(self):
+        assert cli.DEFAULT_PRECISION_BITS == evaluator.DEFAULT_PRECISION_BITS
+
     def test_no_blowup_exits_1(self, monkeypatch):
         def no_pole(**kwargs):
             raise evaluator.PoleNotFoundError(0, 10)
@@ -720,9 +723,9 @@ class TestDeterminism:
 # pinned.  An intended change of output re-pins these digests.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "json"):
-        "46dd60b468f50e77c13b7adc0810ebe4bf3cd2ba09f4b733f164c191a53665e0",
+        "bbb76df506b638efd1fd6164a11e39a98eeaa62566e2d9e72e1dc889f4544d26",
     ("verify", "--scope", "all", "--format", "text"):
-        "ca5593448985c7baaa7d6125e07a1c5c74421688524ee76f1081d68d80469663",
+        "e335b8af98c5bc49772b7fbe54607cd404d16273a3d9db39d7779b0c4323c5c0",
     ("verify", "--scope", "all", "--format", "csv"):
         "91b7a28e9e857f32d81555ec0794451a528464042dacb1828f32e3dabced530d",
     ("constants", "--format", "json"):

@@ -53,6 +53,16 @@ def _x0_abs():
         return (mpf(204) / 5) ** (mpf(5) / 4) / 30
 
 
+def _h0_reference(x):
+    """h0(x) as its direct xi-series, at the caller's precision."""
+    s = mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi))
+    xi = s * mp.exp(-x) / mp.sqrt(x)
+    head = xi + xi**2 / 6 + xi**3 / 48 + xi**4 / 432 + 5 * xi**5 / 20736
+    layer1 = (-xi / 8 - 11 * xi**2 / 72 - 43 * xi**3 / 1152) / x
+    layer2 = 9 * xi / (128 * x**2)
+    return head + layer1 + layer2
+
+
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
@@ -138,19 +148,7 @@ class TestAsymptotics:
                 for eighths in (-4, -3, -2):
                     with workprec(max(200, bits + 80)):
                         x = radius * mp.expjpi(mpf(eighths) / 8)
-                        s = mpc(0, 1) * mp.sqrt(mpf(6) / (5 * mp.pi))
-                        xi = s * mp.exp(-x) / mp.sqrt(x)
-                        head = (
-                            xi
-                            + xi**2 / 6
-                            + xi**3 / 48
-                            + xi**4 / 432
-                            + 5 * xi**5 / 20736
-                        )
-                        layer1 = (-xi / 8 - 11 * xi**2 / 72
-                                  - 43 * xi**3 / 1152) / x
-                        layer2 = 9 * xi / (128 * x**2)
-                        expected = head + layer1 + layer2
+                        expected = _h0_reference(x)
                         assert abs(expected) < 1
                         assert (abs(ev.h0_value(x, bits) - expected)
                                 < mpf(2) ** -bits), (bits, radius, eighths)
@@ -170,6 +168,13 @@ class TestAsymptotics:
         ev.h0_value(4 * mp.expjpi(mpf(-3) / 8), bits)
         assert counts["exp"] == 1
         assert counts["sqrt"] <= 2
+
+    def test_h0_refuses_what_fixed_point_cannot_hold(self):
+        # |x| below 2^-prec has no fixed-point radius, and e^(-x) for
+        # Re x < -prec would need an integer longer than the precision
+        for x in (0, mpf(2) ** -200, -1000, mpc(-10**9, 1)):
+            with pytest.raises(PreconditionError):
+                ev.h0_value(x)
 
     def test_h0_layers_refuse_a_term_outside_the_structure(self):
         series = h0_series()
@@ -251,6 +256,132 @@ class TestAsymptotics:
         )
         y_int, _ = ev.y_from_g(run.value, run.slope)
         assert abs(asym.value - y_int) < asym.error
+
+    @pytest.mark.parametrize("z", [-3, -5, -10])
+    def test_negative_real_axis_is_no_closed_form(self, z):
+        # arg z = pi puts x at arg 3pi/2, in neither region; wrapped to
+        # -pi/2 it would pass for the wedge's edge, on the wrong sheet
+        outcome = ev.evaluate_point(z, tol=Fraction(1, 10**10))
+        assert not outcome.method.startswith("asymptotic-")
+        assert not outcome.rigorous
+        assert outcome.error_bound is None
+
+    def test_closed_forms_refuse_the_negative_real_axis(self):
+        for region in ev.ASYMPTOTIC_REGIONS:
+            with pytest.raises(PreconditionError):
+                ev.asymptotic_y(-5, region)
+
+    def test_upper_arc_lies_outside_both_regions(self):
+        # exactly, in units of pi: arg x = 1/4 + (5/4) arg z takes
+        # arg z in (3/5, 1] onto (1, 3/2], apart from the ray at 1/2 and
+        # the wedge [-1/2, -1/4] -- and it is not to be wrapped by 2
+        def arg_x(theta):
+            return Fraction(1, 4) + Fraction(5, 4) * theta
+
+        assert arg_x(Fraction(3, 5)) == 1
+        assert arg_x(Fraction(1)) == Fraction(3, 2)
+        assert arg_x(Fraction(-3, 5)) == Fraction(-1, 2)
+        assert arg_x(Fraction(1, 5)) == Fraction(1, 2)
+        for k in range(1, 41):
+            theta = Fraction(3, 5) + Fraction(2, 5) * Fraction(k, 40)
+            angle = arg_x(theta)
+            assert 1 < angle <= Fraction(3, 2)
+            assert angle != Fraction(1, 2)
+            assert not Fraction(-1, 2) <= angle <= Fraction(-1, 4)
+            with workprec(160):
+                z = 10 * mp.expjpi(mpf(theta.numerator) / theta.denominator)
+                _, _, radius, computed = ev._outer_polar(z, 160)
+                assert abs(mpf((computed, -160)) / mp.pi
+                           - mpf(angle.numerator) / angle.denominator
+                           ) < mpf(10) ** -40
+                assert ev._asymptotic_region(radius, computed) is None
+
+
+def _closed_form_grid():
+    """(|x|, arg x, region) over both regions, slack edges included."""
+    inside = mpf("5e-10")
+    ray_radius = _x0_abs()
+    grid = [(radius, mp.pi / 2 + nudge, "omegaI")
+            for radius in (ray_radius * (1 - inside), ray_radius, 5, 13, 40)
+            for nudge in (-inside, 0, inside)]
+    grid += [(radius, angle, "omega4")
+             for radius in (3 * (1 - inside), 3, 4, 9, 40)
+             for angle in (-mp.pi / 2 - inside, -mp.pi / 2, -3 * mp.pi / 8,
+                           -mp.pi / 3, -mp.pi / 4, -mp.pi / 4 + inside)]
+    return grid
+
+
+class TestClosedFormKernel:
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_closed_forms_match_an_independent_reference(self, bits):
+        # the reference builds x by the complex power, takes the complex
+        # square root and sums h0's xi-series directly
+        for radius, angle, region in _closed_form_grid():
+            with workprec(bits + 80):
+                z = ev.frame_map(radius * mp.expj(angle), "x",
+                                 precision_bits=bits + 80).z
+                x = mp.expjpi(mpf(1) / 4) / 30 * (24 * z) ** (mpf(5) / 4)
+                bracket = 1 - 4 / (25 * x * x)
+                if region == "omega4":
+                    bracket += _h0_reference(x)
+                reference = mpc(0, 1) * mp.sqrt(z / 6) * bracket
+            outcome = ev.evaluate_point(z, precision_bits=bits)
+            assert outcome.method == f"asymptotic-{region}", (radius, angle)
+            asym = ev.asymptotic_y(z, region, precision_bits=bits)
+            for value in (outcome.y, asym.value):
+                assert (abs(value - reference)
+                        < mpf(2) ** -(bits - 4) * abs(reference)), (
+                            bits, radius, angle)
+            assert asym.error == outcome.error_bound
+
+    @pytest.mark.parametrize("x", [mpc(0, 10), 4 * mp.expjpi(mpf(-3) / 8)],
+                             ids=["ray", "wedge"])
+    def test_closed_form_takes_no_log_and_no_complex_power(self, monkeypatch,
+                                                           x):
+        with workprec(200):
+            z = ev.frame_map(x, "x").z
+        ev.evaluate_point(z)  # the constants at this precision
+        counts = {"log": 0, "pow": 0}
+
+        def counted_log(*args, _original=mp.log, **kwargs):
+            counts["log"] += 1
+            return _original(*args, **kwargs)
+
+        def counted_pow(self, other, _original=mpc.__pow__):
+            counts["pow"] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(mp, "log", counted_log)
+        monkeypatch.setattr(mpc, "__pow__", counted_pow)
+        outcome = ev.evaluate_point(z)
+        assert outcome.method.startswith("asymptotic-")
+        assert counts == {"log": 0, "pow": 0}
+
+
+class TestReflection:
+    """The reflection across the ray, which supplies arg z in (pi/5, pi]
+    from the certified [-3pi/5, pi/5]: y(z) = w^-2 conj(y(w conj z)),
+    w = e^(2 pi i/5).  It holds for any solution with real data on the
+    real t axis, the window-centre seed included."""
+
+    @pytest.mark.parametrize("z", [mpc(3, 1), mpc(2, "-1.5"), mpc(-1, 2)],
+                             ids=["3+i", "2-1.5i", "-1+2i"])
+    def test_mirror_identity_through_integration(self, z):
+        with workprec(200):
+            w = mp.expjpi(mpf(2) / 5)
+            mirror = w * z.conjugate()
+        here, there = ev.evaluate_point(z), ev.evaluate_point(mirror)
+        assert here.method == there.method == "integration"
+        with workprec(200):
+            image = there.y.conjugate() / (w * w)
+        assert abs(here.y - image) <= here.error_estimate + there.error_estimate
+
+    @pytest.mark.parametrize("z", [mpc(3, 1), mpc(2, "-1.5")],
+                             ids=["3+i", "2-1.5i"])
+    def test_plain_conjugation_is_no_symmetry(self, z):
+        here = ev.evaluate_point(z)
+        there = ev.evaluate_point(z.conjugate())
+        assert abs(here.y - there.y.conjugate()) > 1
 
 
 # ---------------------------------------------------------------------------
