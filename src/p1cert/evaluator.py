@@ -32,15 +32,15 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpc, mpf, workprec
 
 from . import data, formal, inner
 from .inner import Gaussian, taylor_fixed
-from .certificates import PreconditionError
 from .fanout import fan_out
 from .numerics import Interval
+from .result import PreconditionError
 
 Number = Union[int, float, Fraction, mpf, mpc, complex]
 
@@ -89,7 +89,6 @@ __all__ = [
     "MAX_ORDER",
     "ASYMPTOTIC_REGIONS",
     "PreconditionError",
-    "PoleProximityError",
     "PoleNotFoundError",
     "FramePoint",
     "AsymptoticValue",
@@ -104,7 +103,6 @@ __all__ = [
     "h0_value",
     "asymptotic_y",
     "taylor_coeffs",
-    "series_eval",
     "integrate",
     "pole_estimate",
     "pole_scan",
@@ -200,7 +198,8 @@ class _Constants:
     windows: Dict[str, Tuple[int, int, int]]
     #: |S| = sqrt(6/(5*pi)), the modulus of the Stokes constant S = i|S|.
     stokes_modulus: int
-    #: The ray's ball radius (41/40)*(784/3125) in the weighted norm.
+    #: The ray's ball radius (41/40)*(784/3125) in the weighted norm,
+    #: rounded up.
     ray_ball: int
     #: Layers, each the ascending coefficients of a polynomial in 1/x, of
     #: sum_k xi^k L_k(1/x)  for h0 alone (:func:`_h0_layers`), for the
@@ -236,7 +235,7 @@ def _constants(prec: int) -> _Constants:
             windows={region: tuple(_fixed(v, prec) for v in window)
                      for region, window in windows.items()},
             stokes_modulus=_fixed(mp.sqrt(mpf(6) / (5 * mp.pi)), prec),
-            ray_ball=round(Fraction(41, 40) * Fraction(784, 3125) * scale),
+            ray_ball=math.ceil(Fraction(41, 40) * Fraction(784, 3125) * scale),
             h0_layers=tuple(map(tuple, h0)),
             ray_layers=(tuple(lead),),
             wedge_layers=(tuple(first),) + tuple(map(tuple, h0[1:])),
@@ -463,7 +462,6 @@ class AsymptoticValue:
     value: mpc
     error: mpf
     region: str
-    point: FramePoint
 
 
 def asymptotic_y(
@@ -531,11 +529,7 @@ def asymptotic_y(
                 f"representation, got {mp.nstr(_real(angle, bits), 12)}"
             )
         value, error = _closed_form(z_fixed, r, radius, angle, region, bits)
-        point = FramePoint(
-            z=zv, t=-zv * _fifth_root_of_unity_power(-1),
-            x=_real(radius, bits) * mp.expj(_real(angle, bits)))
-        return AsymptoticValue(value=value, error=error, region=region,
-                               point=point)
+        return AsymptoticValue(value=value, error=error, region=region)
 
 
 def _outer_polar(z: mpc, bits: int) -> Tuple[Gaussian, int, int, int]:
@@ -605,8 +599,9 @@ def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
     The bracket 1 - 4/(25 x^2), plus h0(x) in the wedge, is one
     :func:`_layer_sum`; it is multiplied by i*sqrt(z/6) on integers and
     converted back once.  The error is s * (41/40)(784/3125) * |x|^(-3)
-    on the ray and s * 4 * |x|^(-3) in the wedge, s = sqrt(r/6).  Runs at
-    the caller's working precision.
+    on the ray and s * 4 * |x|^(-3) in the wedge, s = sqrt(r/6), rounded
+    up, plus a bound on the value's own rounding.  Runs at the caller's
+    working precision.
     """
     constants = _constants(bits)
     ray = region == "omegaI"
@@ -614,18 +609,34 @@ def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
     br, bi = _layer_sum(layers, radius, angle, bits)
     rr, ri = _root(z, r, bits)
     value = (-((rr * bi + ri * br) >> bits), (rr * br - ri * bi) >> bits)
-    s = math.isqrt((r << bits) // 6)
+    one = 1 << bits
+    s = math.isqrt(-(-(r << bits) // 6) - 1) + 1  # sqrt(r/6), rounded up
     ball = constants.ray_ball if ray else 4 << bits
-    # s * ball / radius^3 is (s * ball << shift) // radius^3 at
-    # 2^(bits - shift); the shift keeps more than bits significant bits.
     cube = radius ** 3
-    shift = cube.bit_length()
-    error = mpf((((s * ball) << shift) // cube, bits - shift))
+    # The value's own rounding.  Horner and the product round by under a
+    # unit of 2^-bits per stage and component, and what they read -- z, r,
+    # |x|, arg x, 1/x, sqrt(z/6) and xi -- is off by a few units, relative.
+    # Only xi's phase Im x + arg x/2 is off by more, |x| times the error
+    # of arg x, and |xi| <= |S|/sqrt|x| in the wedge scales that down.
+    # All of it stays below 32 (s + 1)(|x| + 8) units, which also covers
+    # the few relative units by which rounding r moves the term itself.
+    rounding = 32 * (s + one) * (radius + 8 * one) * cube
+    # s * ball / |x|^3 and that rounding over one denominator.
+    error = _ceil_mpf(((s * ball) << 4 * bits) + rounding, cube << 3 * bits,
+                      bits)
     return _from_fixed(value, bits), error
 
 
+def _ceil_mpf(num: int, den: int, bits: int) -> mpf:
+    """num/den for positive ints with num/den < 2^(bits - 2), rounded up
+    to an mpf of at most ``bits`` significant bits, so exact at any
+    working precision of ``bits`` or more."""
+    shift = bits + den.bit_length() - num.bit_length() - 1
+    return mpf((-(-(num << shift) // den), -shift))
+
+
 # --------------------------------------------------------------------------
-# Taylor coefficients and series evaluation
+# Taylor coefficients
 # --------------------------------------------------------------------------
 
 
@@ -657,25 +668,6 @@ def taylor_coeffs(
         return inner.maclaurin_extend(
             prefix, count, lambda x, k: 6 * x / ((k + 1) * (k + 2))
         )[:count + 1]
-
-
-def series_eval(
-    coeffs: Sequence[Number],
-    displacement: Number,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> Tuple[mpc, mpc]:
-    """Evaluate a Taylor polynomial and its derivative at ``displacement``."""
-    _require_bits(precision_bits)
-    with workprec(precision_bits + GUARD_BITS):
-        s = _to_mpc(displacement)
-        cs = [_to_mpc(c) for c in coeffs]
-        g = mpc(0)
-        for ck in reversed(cs):
-            g = g * s + ck
-        g_prime = mpc(0)
-        for k in range(len(cs) - 1, 0, -1):
-            g_prime = g_prime * s + k * cs[k]
-        return g, g_prime
 
 
 # --------------------------------------------------------------------------
@@ -731,26 +723,6 @@ def _horner_fixed(
 # --------------------------------------------------------------------------
 
 
-class PoleProximityError(RuntimeError):
-    """The trajectory blew up: a double pole of the solution is near.
-
-    Carries the last state, the number of steps taken to reach it and the
-    double-pole location estimate ``t + 2 g/g'`` implied by the local
-    behaviour g ~ (t - t_p)^(-2).
-    """
-
-    def __init__(self, t_last: mpc, value: mpc, slope: mpc, steps: int):
-        self.t_last = t_last
-        self.value = value
-        self.slope = slope
-        self.steps = steps
-        self.estimate = t_last + 2 * value / slope
-        super().__init__(
-            f"trajectory magnitude exceeded {BLOWUP_THRESHOLD:.0e} at "
-            f"t = {t_last}; double-pole estimate t_p ~= {self.estimate}"
-        )
-
-
 class PoleNotFoundError(RuntimeError):
     """No blowup was met within the search horizon.
 
@@ -771,6 +743,10 @@ class PoleNotFoundError(RuntimeError):
 class IntegrationResult:
     """Endpoint state of one integration run.
 
+    ``t_end`` is where the run stopped: the target, unless the trajectory
+    blew up first.  Then ``pole`` is the double-pole location estimate
+    t + 2 g/g' at that point, from the local behaviour
+    g ~ (t - t_p)^(-2); it is None when the run reached its target.
     ``error_estimate`` sums, over the steps, the truncation tail of the
     value, that of the slope times the rest of the leg, and a bound on
     the fixed-point kernel's rounding, :data:`_KERNEL_GUARD_BITS` bits
@@ -786,6 +762,7 @@ class IntegrationResult:
     steps: int
     order: int
     error_estimate: mpf
+    pole: Optional[mpc] = None
 
 
 #: Local truncation budget per step is
@@ -842,15 +819,6 @@ def _top_nonzero(re: Sequence[int], im: Sequence[int]) -> List[int]:
     return top
 
 
-def _blowup(
-    t: Gaussian, value: Gaussian, slope: Gaussian, steps: int, bits: int
-) -> PoleProximityError:
-    return PoleProximityError(
-        _from_fixed(t, bits), _from_fixed(value, bits), _from_fixed(slope, bits),
-        steps,
-    )
-
-
 def _integrate_leg(
     g: mpc,
     g_prime: mpc,
@@ -858,7 +826,7 @@ def _integrate_leg(
     t_to: mpc,
     tol: mpf,
     order: int,
-) -> Tuple[mpc, mpc, int, mpf]:
+) -> IntegrationResult:
     """March from t_from to t_to along the straight segment.
 
     Assumes an mpmath working precision is already in force.  The state
@@ -866,8 +834,8 @@ def _integrate_leg(
     that precision) plus :data:`_KERNEL_GUARD_BITS` and rounded back to
     the working precision once, at the end.
     Each step's scale rho = 2^e comes from the previous step and grows,
-    with the series rebuilt, when the step would exceed it.  Raises
-    :class:`PoleProximityError` on blowup.
+    with the series rebuilt, when the step would exceed it.  Stops early,
+    with the pole estimate, once |g| exceeds :data:`BLOWUP_THRESHOLD`.
     """
     # The fixed-point conversion would read inf and nan as 0.
     if not all(mp.isfinite(x) for x in (g, g_prime, t_from, t_to)):
@@ -891,7 +859,7 @@ def _integrate_leg(
     span = (target[0] - t[0], target[1] - t[1])
     span2 = span[0] * span[0] + span[1] * span[1]
     if span2 == 0:
-        return g, g_prime, 0, mpf(0)
+        return IntegrationResult(g, g_prime, t_to, 0, order, mpf(0))
     distance = math.isqrt(span2)
     direction = ((span[0] << bits) // distance, (span[1] << bits) // distance)
     # Once the remaining distance is pure accumulation dust, stop.
@@ -903,10 +871,9 @@ def _integrate_leg(
     while True:
         gap = (target[0] - t[0], target[1] - t[1])
         gap2 = gap[0] * gap[0] + gap[1] * gap[1]
-        if gap2 <= dust2:
+        blown = value[0] * value[0] + value[1] * value[1] > blowup2
+        if gap2 <= dust2 or blown:
             break
-        if value[0] * value[0] + value[1] * value[1] > blowup2:
-            raise _blowup(t, value, slope, steps, bits)
         if steps >= _MAX_STEPS:
             raise RuntimeError(
                 f"integration exceeded {_MAX_STEPS} steps "
@@ -964,12 +931,15 @@ def _integrate_leg(
         t = (t[0] + delta[0], t[1] + delta[1])
         steps += 1
         e = math.ceil(log_step)
-    if value[0] * value[0] + value[1] * value[1] > blowup2:
-        raise _blowup(t, value, slope, steps, bits)
     # Rounding the result to the working precision costs 2^-prec |g|.
     error_sum += 2.0 ** (_log2_abs(value, bits) - prec - error_exp)
     g, g_prime = _from_fixed(value, bits), _from_fixed(slope, bits)
-    return g, g_prime, steps, mp.ldexp(mpf(error_sum), error_exp)
+    t_end, pole = t_to, None
+    if blown:
+        t_end = _from_fixed(t, bits)
+        pole = t_end + 2 * g / g_prime
+    return IntegrationResult(g, g_prime, t_end, steps, order,
+                             mp.ldexp(mpf(error_sum), error_exp), pole)
 
 
 def integrate(
@@ -994,27 +964,20 @@ def integrate(
     :data:`_KERNEL_GUARD_BITS` bits below eps (224 bits at the defaults,
     148 at tol 1e-10, 272 at the default tol from 192 bits on, never
     fewer than 144), and the result is rounded to the working precision
-    once, at the end.  A
-    trajectory value exceeding :data:`BLOWUP_THRESHOLD` raises
-    :class:`PoleProximityError` carrying a double-pole location estimate.
+    once, at the end.  A trajectory value exceeding
+    :data:`BLOWUP_THRESHOLD` ends the run where it is: ``t_end`` is that
+    point and ``pole`` the double-pole location estimate there.  Raises
+    :class:`PreconditionError` for bad input and RuntimeError when the
+    step size collapses or the run exceeds its step limit.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         tol_m = _to_mpf(tol)
         if not 0 < tol_m < 1:
             raise PreconditionError(f"tolerance must be in (0, 1), got {tol!r}")
-        order = _pick_order(tol_m)
-        tb = _to_mpc(t_end)
-        g, gp, steps, err = _integrate_leg(
-            _to_mpc(value), _to_mpc(slope), _to_mpc(t_start), tb, tol_m, order
-        )
-        return IntegrationResult(
-            value=g,
-            slope=gp,
-            t_end=tb,
-            steps=steps,
-            order=order,
-            error_estimate=err,
+        return _integrate_leg(
+            _to_mpc(value), _to_mpc(slope), _to_mpc(t_start), _to_mpc(t_end),
+            tol_m, _pick_order(tol_m),
         )
 
 
@@ -1059,32 +1022,30 @@ def pole_estimate(
 
     Integrates from :func:`integration_seed` outward along
     t = r * e^(i*direction)  at tolerance 1e-10 until the trajectory
-    exceeds :data:`BLOWUP_THRESHOLD`, then refines the pole
-    location from the double-pole local behaviour  g ~ (t - t_p)^(-2)
-    via  t_p = t + 2 g/g'.  Raises :class:`PoleNotFoundError` if the
+    exceeds :data:`BLOWUP_THRESHOLD`, and reads the run's pole location,
+    from the double-pole local behaviour  g ~ (t - t_p)^(-2)  via
+    t_p = t + 2 g/g'.  Raises :class:`PoleNotFoundError` if the
     trajectory stays bounded out to |t| = :data:`POLE_HORIZON`.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         theta = _to_mpf(direction)
         target = POLE_HORIZON * mpc(mp.cos(theta), mp.sin(theta))
-        try:
-            run = integrate(
-                *integration_seed(), 0, target, _POLE_TOL, precision_bits,
-            )
-        except PoleProximityError as blowup:
-            location = blowup.estimate
-            radius_from_value = abs(blowup.value) ** (mpf(-1) / 2)
-            radius_from_ratio = abs(blowup.t_last - location)
-            fit_residual = abs(radius_from_value - radius_from_ratio) / radius_from_ratio
-            return PoleEstimate(
-                distance=abs(location),
-                location=location,
-                direction=theta,
-                fit_residual=fit_residual,
-                steps=blowup.steps,
-            )
-    raise PoleNotFoundError(direction, POLE_HORIZON, run.steps)
+        run = integrate(
+            *integration_seed(), 0, target, _POLE_TOL, precision_bits,
+        )
+        if run.pole is None:
+            raise PoleNotFoundError(direction, POLE_HORIZON, run.steps)
+        radius_from_value = abs(run.value) ** (mpf(-1) / 2)
+        radius_from_ratio = abs(run.t_end - run.pole)
+        return PoleEstimate(
+            distance=abs(run.pole),
+            location=run.pole,
+            direction=theta,
+            fit_residual=(abs(radius_from_value - radius_from_ratio)
+                          / radius_from_ratio),
+            steps=run.steps,
+        )
 
 
 def _ray(direction: Number, precision_bits: int) -> Optional[PoleEstimate]:
@@ -1100,68 +1061,42 @@ def _ray(direction: Number, precision_bits: int) -> Optional[PoleEstimate]:
         return None
 
 
-def pole_scan(
-    directions: Optional[Sequence[Number]] = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> PoleScan:
+def pole_scan(precision_bits: int = DEFAULT_PRECISION_BITS) -> PoleScan:
     """Scan rays from the origin and report the smallest pole distance.
 
     Each ray is one :func:`pole_estimate` run: tolerance 1e-10, out to
     |t| = :data:`POLE_HORIZON`.
 
-    The default fan covers the sector |arg t| <= 4*pi/25, interior to
-    the only wedge (|arg t| < pi/5) where the certificates leave room
-    for poles.  Which direction attains the minimum is not specified by
-    the certified statements; the scan reports what it finds and labels
-    it as a numerical interpretation.
+    The fan is the nine directions pi*k/25, k = -4..4, which cover the
+    sector |arg t| <= 4*pi/25, interior to the only wedge (|arg t| < pi/5)
+    where the certificates leave room for poles.  Which direction attains
+    the minimum is not specified by the certified statements; the scan
+    reports what it finds and labels it as a numerical interpretation.
 
     Every ray starts from :func:`integration_seed`.  The mirroring below
     needs that seed to be real: then, since  g'' = 6 g^2 + t  has real
     coefficients,  g(conj t) = conj g(t), so the ray at -theta is the
-    mirror image of the ray at theta.  Once one of the two has been
-    integrated, the other reuses its result, unbounded staying unbounded
-    and a pole estimate passing to its conjugate location with the same
-    distance, fit residual and step count.  A direction given twice is
-    integrated once.  The default fan integrates 5 of its 9 rays.
+    mirror image of the ray at theta.  The five rays with k <= 0 are
+    integrated, and each ray with k > 0 reuses the run at -k, unbounded
+    staying unbounded and a pole estimate passing to its conjugate
+    location with the same distance, fit residual and step count.
 
-    The rays to integrate are decided first and then run through
-    :func:`p1cert.fanout.fan_out`, one job per ray, on every CPU the
-    process may use.  Each ray's run is the same in whichever process
-    makes it, so the scan does not depend on the CPU count.  Every
-    direction is reported, in the order given.
+    The five rays run through :func:`p1cert.fanout.fan_out`, one job per
+    ray, on every CPU the process may use.  Each ray's run is the same in
+    whichever process makes it, so the scan does not depend on the CPU
+    count.  Every direction is reported, in the order of k.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        if directions is None:
-            directions = [mp.pi * k / 25 for k in range(-4, 5)]
-        thetas = [_to_mpf(theta) for theta in directions]
-        mirrors = [-theta for theta in thetas]
-    # A direction reuses its mirror image's run if that comes earlier.
-    seen: Set[mpf] = set()
-    rays: Dict[mpf, Number] = {}
-    for direction, theta, mirror in zip(directions, thetas, mirrors):
-        if mirror not in seen:
-            rays.setdefault(theta, direction)
-        seen.add(theta)
-    runs = dict(zip(rays, fan_out(
-        _ray, [(direction, precision_bits) for direction in rays.values()])))
-    scanned: Dict[mpf, Optional[PoleEstimate]] = {}
-    estimates: List[PoleEstimate] = []
-    unbounded: List[mpf] = []
-    for theta, mirror in zip(thetas, mirrors):
-        if mirror in scanned:
-            found = scanned[mirror]
-            if found is not None:
-                found = replace(
-                    found, location=found.location.conjugate(), direction=theta
-                )
-        else:
-            found = runs[theta]
-        scanned[theta] = found
-        if found is None:
-            unbounded.append(theta)
-        else:
-            estimates.append(found)
+        fan = [mp.pi * k / 25 for k in range(-4, 5)]
+    runs = fan_out(_ray, [(theta, precision_bits) for theta in fan[:5]])
+    runs += [
+        None if found is None else replace(
+            found, location=found.location.conjugate(), direction=theta)
+        for found, theta in zip(runs[3::-1], fan[5:])
+    ]
+    estimates = [found for found in runs if found is not None]
+    unbounded = [theta for theta, found in zip(fan, runs) if found is None]
     if not estimates:
         raise PoleNotFoundError("every scanned direction", POLE_HORIZON)
     best = min(estimates, key=lambda e: e.distance)
@@ -1323,24 +1258,23 @@ def evaluate_point(
             )
         t = -zv * _fifth_root_of_unity_power(-1)
         warning = None
-        wedge = abs(mp.arg(t)) < mp.pi / 5 + _ARG_SLACK
-        if wedge and abs(t) > mpf(37) / 20:
+        # |arg t| < pi/5 is arg x < -pi/2, and |t| = |z| = r.
+        if 2 * angle < -_constants(bits).pi and 20 * r > 37 << bits:
             warning = (
                 "target lies outside the certified disk in the only sector "
                 "that can contain poles; treat the value as an estimate"
             )
-    try:
-        run = integrate(
-            *integration_seed(),
-            0,
-            t,
-            tol=tol,
-            precision_bits=precision_bits,
-        )
-    except PoleProximityError as blowup:
+    run = integrate(
+        *integration_seed(),
+        0,
+        t,
+        tol=tol,
+        precision_bits=precision_bits,
+    )
+    if run.pole is not None:
         # A fixed digit count, with any part below that many digits of
         # |t_p| chopped, keeps rounding noise out of the text.
-        estimate = mp.chop(blowup.estimate, tol=mpf(10) ** -_WARNING_DIGITS)
+        estimate = mp.chop(run.pole, tol=mpf(10) ** -_WARNING_DIGITS)
         return Evaluation(
             z=zv,
             y=None,
