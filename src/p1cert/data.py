@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import os
 from fractions import Fraction
@@ -45,6 +44,17 @@ from .functionals import PowerSum, QSqrt2, SPoly
 from .numerics import as_fraction, as_integer
 from .polybound import Poly, poly
 from .result import PreconditionError
+
+# The interpreter's own SHA-256 (_sha2 from CPython 3.12, _sha256 before).
+# Importing hashlib maps OpenSSL, 3.6 MB of resident memory in a process
+# that digests three small files and nothing else.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 DATA_ENV_VAR = "P1CERT_DATA_DIR"
 
@@ -172,7 +182,7 @@ def file_fingerprints() -> Dict[str, str]:
     """SHA-256 hex digest of the bytes of every data file in use: the
     same bytes the parsers read."""
     return {
-        name: hashlib.sha256(_raw_bytes(name)).hexdigest() for name in DATA_FILES
+        name: sha256(_raw_bytes(name)).hexdigest() for name in DATA_FILES
     }
 
 

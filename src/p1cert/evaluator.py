@@ -753,7 +753,12 @@ class IntegrationResult:
     below the per-step budget, and adds the rounding of the result to the
     working precision.  It leaves out how earlier errors grow along the
     path, so it is a heuristic accuracy indicator, not a certified bound.
-    ``order`` is the Taylor order the steps used.
+    ``steps`` counts the steps taken and ``order`` is the Taylor order of
+    the marching steps.  A run from :func:`integration_seed` (those of
+    :func:`evaluate_point` and :func:`pole_estimate`) starts with one step
+    of the cached Maclaurin series at the origin, of order
+    :data:`ORIGIN_ORDER`: it counts as one step, and its terms enter
+    ``error_estimate`` as a marching step's do.
     """
 
     value: mpc
@@ -819,6 +824,26 @@ def _top_nonzero(re: Sequence[int], im: Sequence[int]) -> List[int]:
     return top
 
 
+def _kernel_bits(log_budget: float) -> Tuple[int, int]:
+    """The bits of the per-step budget 2^log_budget at mp.prec, and the
+    fraction bits of the kernel, :data:`_KERNEL_GUARD_BITS` more."""
+    # At least -_ORDER_SWITCH_LOG2 bits, so that at coarse budgets the
+    # dust and step-collapse thresholds of :func:`_integrate_leg` stay far
+    # under real steps.
+    budget_bits = min(mp.prec, max(math.ceil(-log_budget), -_ORDER_SWITCH_LOG2))
+    return budget_bits, budget_bits + _KERNEL_GUARD_BITS
+
+
+def _log_step(sizes: Sequence[Tuple[int, float]], e: int, log_room: float,
+              log_cap: float) -> float:
+    """log2 of the step: at most 2^log_cap, and so that
+    |c_k| step^k <= 2^log_room for each (k, log2 |b_k|) in ``sizes``,
+    c_k = b_k / rho^k with rho = 2^e, times :data:`_STEP_SAFETY`."""
+    log_safety = math.log2(_STEP_SAFETY)
+    return min([log_cap] + [log_safety + e + (log_room - log_b) / k
+                            for k, log_b in sizes])
+
+
 def _integrate_leg(
     g: mpc,
     g_prime: mpc,
@@ -826,6 +851,7 @@ def _integrate_leg(
     t_to: mpc,
     tol: mpf,
     order: int,
+    series: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
 ) -> IntegrationResult:
     """March from t_from to t_to along the straight segment.
 
@@ -836,24 +862,24 @@ def _integrate_leg(
     Each step's scale rho = 2^e comes from the previous step and grows,
     with the series rebuilt, when the step would exceed it.  Stops early,
     with the pole estimate, once |g| exceeds :data:`BLOWUP_THRESHOLD`.
+
+    ``series``, when given, is the scaled series of the solution at
+    t_from with rho = 2, at the kernel's fraction bits
+    (:func:`_origin_series`).  The first step evaluates it in place of a
+    series of ``order``, as far as the same step rule allows without the
+    :data:`_MAX_STEP` cap, and counts as one step.
     """
     # The fixed-point conversion would read inf and nan as 0.
     if not all(mp.isfinite(x) for x in (g, g_prime, t_from, t_to)):
         raise PreconditionError("integration needs finite data and endpoints")
     prec = mp.prec
     log_budget = _log2_budget(tol)
-    # At least -_ORDER_SWITCH_LOG2 bits, so that at coarse budgets the
-    # dust and step-collapse thresholds below stay far under real steps.
-    budget_bits = min(prec, max(math.ceil(-log_budget), -_ORDER_SWITCH_LOG2))
-    bits = budget_bits + _KERNEL_GUARD_BITS
-    log_safety = math.log2(_STEP_SAFETY)
+    budget_bits, bits = _kernel_bits(log_budget)
     log_max_step = math.log2(_MAX_STEP)
     # error_sum counts units of 2^error_exp, next to the per-step budget,
     # so that it stays a modest float at any precision.
     error_exp = math.floor(log_budget)
-    # Horner's and the recurrence's roundings: at most one unit of
-    # 2^-bits per coefficient and per Horner stage, in each component.
-    rounding = (4 * order + 4) * 2.0 ** (-bits - error_exp)
+    unit = 2.0 ** (-bits - error_exp)
     value, slope = _to_fixed(g, bits), _to_fixed(g_prime, bits)
     t, target = _to_fixed(t_from, bits), _to_fixed(t_to, bits)
     span = (target[0] - t[0], target[1] - t[1])
@@ -880,30 +906,36 @@ def _integrate_leg(
                 f"(t = {_from_fixed(t, bits)}, target {t_to})"
             )
         log_remaining = 0.5 * math.log2(gap2) - bits
-        log_cap = min(log_remaining, log_max_step)
-        e_cap = math.ceil(log_cap)
-        if e is None:
-            e = e_cap
-        log_scale = max(0.0, _log2_abs(value, bits), _log2_abs(slope, bits))
-        while True:
-            re, im = taylor_fixed(value, slope, t, order, e, bits)
-            top = _top_nonzero(re, im)
-            # A zero top coefficient below the largest admissible rho may
-            # have underflowed: it bounds nothing until rho is that large.
-            if e < e_cap and (not top or top[0] < order):
+        log_room = log_budget + max(
+            0.0, _log2_abs(value, bits), _log2_abs(slope, bits))
+        if series is not None:
+            re, im = series
+            series, e = None, 1
+            sizes = [(k, _log2_abs((re[k], im[k]), bits))
+                     for k in _top_nonzero(re, im)]
+            # Capped by rho, where |sigma| <= 1, not by _MAX_STEP.
+            log_step = _log_step(sizes, e, log_room, min(log_remaining, e))
+        else:
+            log_cap = min(log_remaining, log_max_step)
+            e_cap = math.ceil(log_cap)
+            if e is None:
                 e = e_cap
-                continue
-            # Size the step so that |c_k| step^k <= eps * scale for the
-            # last two nonzero coefficients, c_k = b_k / rho^k.
-            sizes = [(k, _log2_abs((re[k], im[k]), bits)) for k in top]
-            log_step = min(
-                [log_cap]
-                + [log_safety + e + (log_budget + log_scale - log_b) / k
-                   for k, log_b in sizes]
-            )
-            if log_step <= e:
-                break
-            e = math.ceil(log_step)
+            while True:
+                re, im = taylor_fixed(value, slope, t, order, e, bits)
+                top = _top_nonzero(re, im)
+                # A zero top coefficient below the largest admissible rho
+                # may have underflowed: it bounds nothing until rho is that
+                # large.
+                if e < e_cap and (not top or top[0] < order):
+                    e = e_cap
+                    continue
+                # Size the step so that |c_k| step^k <= eps * scale for
+                # the last two nonzero coefficients.
+                sizes = [(k, _log2_abs((re[k], im[k]), bits)) for k in top]
+                log_step = _log_step(sizes, e, log_room, log_cap)
+                if log_step <= e:
+                    break
+                e = math.ceil(log_step)
         if log_step < log_remaining - budget_bits // 2:
             raise RuntimeError(
                 f"step size collapsed at t = {_from_fixed(t, bits)} "
@@ -916,10 +948,6 @@ def _integrate_leg(
             length = _exp2_int(log_step + bits)
             delta = ((length * direction[0]) >> bits,
                      (length * direction[1]) >> bits)
-        # sigma = delta / rho, exactly: e <= 0 since rho <= 1.
-        sigma = (delta[0] << -e, delta[1] << -e)
-        value, slope_scaled = _horner_fixed(re, im, sigma, bits)
-        slope = (slope_scaled[0] << -e, slope_scaled[1] << -e)
         # Each top term truncates the value by |c_k| step^k and the slope
         # by k |c_k| step^(k-1); the slope's error moves the value over
         # the rest of the leg, ``ahead`` steps of this length.
@@ -927,10 +955,25 @@ def _integrate_leg(
         for k, log_b in sizes:
             term = 2.0 ** (log_b + k * (log_step - e) - error_exp)
             error_sum += term * (1 + k * ahead)
-        error_sum += rounding
+        # Horner's and the recurrence's roundings: at most one unit of
+        # 2^-bits per coefficient and per Horner stage, in each component.
+        error_sum += 4 * len(re) * unit
+        # Horner reads sigma = delta / rho exactly: delta shifted up for
+        # rho <= 1, delta itself at 2^-(bits + e) for rho = 2^e > 1.
+        if e <= 0:
+            value, (sr, si) = _horner_fixed(
+                re, im, (delta[0] << -e, delta[1] << -e), bits)
+            slope = (sr << -e, si << -e)
+        else:
+            value, (sr, si) = _horner_fixed(re, im, delta, bits + e)
+            slope = (sr >> e, si >> e)
+            # Dividing G' by rho rounds the slope by a unit or less in
+            # each component, and the value over the rest of the leg.
+            error_sum += 2 * (1 + ahead * 2.0 ** log_step) * unit
         t = (t[0] + delta[0], t[1] + delta[1])
         steps += 1
-        e = math.ceil(log_step)
+        # At most 0: a marching step never exceeds _MAX_STEP < 1.
+        e = min(math.ceil(log_step), 0)
     # Rounding the result to the working precision costs 2^-prec |g|.
     error_sum += 2.0 ** (_log2_abs(value, bits) - prec - error_exp)
     g, g_prime = _from_fixed(value, bits), _from_fixed(slope, bits)
@@ -972,13 +1015,71 @@ def integrate(
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        tol_m = _to_mpf(tol)
-        if not 0 < tol_m < 1:
-            raise PreconditionError(f"tolerance must be in (0, 1), got {tol!r}")
+        tol_m = _tolerance(tol)
         return _integrate_leg(
             _to_mpc(value), _to_mpc(slope), _to_mpc(t_start), _to_mpc(t_end),
             tol_m, _pick_order(tol_m),
         )
+
+
+def _tolerance(tol: Number) -> mpf:
+    """``tol`` at the working precision; raises unless in (0, 1)."""
+    tol_m = _to_mpf(tol)
+    if not 0 < tol_m < 1:
+        raise PreconditionError(f"tolerance must be in (0, 1), got {tol!r}")
+    return tol_m
+
+
+#: Order of the cached Maclaurin series at the seed (:func:`_origin_series`),
+#: whose one step starts every run from :func:`integration_seed`.  Its
+#: reach, the length of that step, grows with the order, and the one-time
+#: build like its square.  A sweep (2-core Xeon, Python 3.11; the five
+#: disk and outer points of bench seed 7 at the defaults, orders
+#: interleaved, best of 40; they took 23 ms before the cached step):
+#:
+#:     order                      192   256   320   400   480   640
+#:     reach, default budget     1.05  1.22  1.33  1.43  1.50  1.59
+#:     reach, pole's budget      1.38  1.50  1.57  1.63  1.67  1.72
+#:     build at 224 bits (ms)     3.2   5.4   9.6  13.1  17.9  31.4
+#:     five points (ms)          11.5   9.8   9.3   9.8   8.0   8.7
+#:
+#: Past 320 the gain is one disk cell falling inside the reach, bought
+#: with twice the build that a one-shot ``eval`` pays in full.
+ORIGIN_ORDER = 320
+
+
+@functools.lru_cache(maxsize=16)
+def _origin_series(bits: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The Maclaurin series of the solution through
+    :func:`integration_seed` at t = 0, of order :data:`ORIGIN_ORDER` and
+    scaled by rho = 2, as :func:`inner.taylor_fixed` makes it at 2^-bits:
+    real and imaginary mantissas, built once per kernel width.  The seed
+    is real, so every imaginary mantissa is 0."""
+    value, slope = (math.floor(q * 2**bits) for q in integration_seed())
+    re, im = taylor_fixed((value, 0), (slope, 0), (0, 0), ORIGIN_ORDER, 1,
+                          bits)
+    return tuple(re), tuple(im)
+
+
+def _seed_series(tol: mpf) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """:func:`_origin_series` at the kernel width of a run at ``tol`` and
+    the working precision in force."""
+    return _origin_series(_kernel_bits(_log2_budget(tol))[1])
+
+
+def _integrate_from_seed(t: mpc, tol: mpf) -> IntegrationResult:
+    """:func:`integrate` from :func:`integration_seed` at t = 0 to ``t``,
+    at the working precision in force.
+
+    The first step evaluates the cached Maclaurin series at the origin
+    (:func:`_seed_series`) as far as its reach, sized, bounded and counted
+    in ``error_estimate`` as a marching step; the steps of
+    :func:`integrate` cover whatever distance is left.  ``steps`` counts
+    the cached step as one and ``order`` is the marching order.
+    """
+    g, g_prime = map(_to_mpc, integration_seed())
+    return _integrate_leg(g, g_prime, mpc(0), t, tol, _pick_order(tol),
+                          _seed_series(tol))
 
 
 # --------------------------------------------------------------------------
@@ -1024,16 +1125,16 @@ def pole_estimate(
     t = r * e^(i*direction)  at tolerance 1e-10 until the trajectory
     exceeds :data:`BLOWUP_THRESHOLD`, and reads the run's pole location,
     from the double-pole local behaviour  g ~ (t - t_p)^(-2)  via
-    t_p = t + 2 g/g'.  Raises :class:`PoleNotFoundError` if the
+    t_p = t + 2 g/g'.  The run's first step is the cached Maclaurin
+    series at the origin (1.57 long at the default precision), and
+    ``steps`` counts it as one.  Raises :class:`PoleNotFoundError` if the
     trajectory stays bounded out to |t| = :data:`POLE_HORIZON`.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         theta = _to_mpf(direction)
         target = POLE_HORIZON * mpc(mp.cos(theta), mp.sin(theta))
-        run = integrate(
-            *integration_seed(), 0, target, _POLE_TOL, precision_bits,
-        )
+        run = _integrate_from_seed(target, _to_mpf(_POLE_TOL))
         if run.pole is None:
             raise PoleNotFoundError(direction, POLE_HORIZON, run.steps)
         radius_from_value = abs(run.value) ** (mpf(-1) / 2)
@@ -1082,13 +1183,17 @@ def pole_scan(precision_bits: int = DEFAULT_PRECISION_BITS) -> PoleScan:
     location with the same distance, fit residual and step count.
 
     The five rays run through :func:`p1cert.fanout.fan_out`, one job per
-    ray, on every CPU the process may use.  Each ray's run is the same in
-    whichever process makes it, so the scan does not depend on the CPU
-    count.  Every direction is reported, in the order of k.
+    ray, on every CPU the process may use.  The cached Maclaurin series
+    the rays start with is built before, so forked workers inherit it.
+    Each ray's run is the same in whichever process makes it, so the
+    scan does not depend on the CPU count.  Every direction is reported,
+    in the order of k.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         fan = [mp.pi * k / 25 for k in range(-4, 5)]
+        # Built here, the series is inherited by every forked worker.
+        _seed_series(_to_mpf(_POLE_TOL))
     runs = fan_out(_ray, [(theta, precision_bits) for theta in fan[:5]])
     runs += [
         None if found is None else replace(
@@ -1226,6 +1331,12 @@ def evaluate_point(
     i*sqrt(z/6), as in :func:`asymptotic_y`, with no complex power and
     no t.  An integration point turns z into t with one rotation.  The
     negative real axis, arg x = 3pi/2, is integration.
+
+    Integration starts with one step of the Maclaurin series of order
+    :data:`ORIGIN_ORDER` at the origin, built once per kernel width and
+    cached.  At the defaults it reaches |t| = 1.33, so about half of the
+    certified disk |t| < 37/20, by area, takes that one step; farther
+    points march on from there as :func:`integrate` does.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
@@ -1264,13 +1375,7 @@ def evaluate_point(
                 "target lies outside the certified disk in the only sector "
                 "that can contain poles; treat the value as an estimate"
             )
-    run = integrate(
-        *integration_seed(),
-        0,
-        t,
-        tol=tol,
-        precision_bits=precision_bits,
-    )
+        run = _integrate_from_seed(t, _tolerance(tol))
     if run.pole is not None:
         # A fixed digit count, with any part below that many digits of
         # |t_p| chopped, keeps rounding noise out of the text.

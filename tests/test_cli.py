@@ -749,9 +749,9 @@ def test_stdout_matches_pinned_digest(args):
 # default 128 bits it must not depend on how many CPUs run the rays.
 GOLDEN_POLE_STDOUT_SHA256 = {
     ("pole", "--format", "json"):
-        "fc2e11d0ec6168248677c9729bf32fa24c89df853ae83e1814fe0ea11dc1a2ed",
+        "2e2146de744e74b2bb0c58626e523f4aeccb9005c5ee698059158bef25783c1d",
     ("pole", "--format", "text"):
-        "b091ab24c3aa03f0b42d8c7886c0e186ca9a8fd0006b0451dadb850824e6aced",
+        "a66ad838a2667ab2d6266100015232aea87811c3940cffddc64a586eb8e55f21",
 }
 
 

@@ -630,6 +630,41 @@ def landing_run(landing):
 
 
 class TestIntegration:
+    def test_origin_series_is_the_kernels_own_output(self):
+        # the cached series is taylor_fixed at the origin from the exact
+        # seed; the seed is real, so is every coefficient, which is the
+        # fact pole_scan's mirroring rests on
+        bits = 224
+        ev._origin_series.cache_clear()
+        re, im = ev._origin_series(bits)
+        value, slope = ((q.numerator << bits) // q.denominator
+                        for q in ev.integration_seed())
+        assert [list(re), list(im)] == list(inner.taylor_fixed(
+            (value, 0), (slope, 0), (0, 0), ev.ORIGIN_ORDER, 1, bits))
+        assert len(re) == ev.ORIGIN_ORDER + 1
+        assert not any(im)
+        hits = ev._origin_series.cache_info().hits
+        assert ev._origin_series(bits) == (re, im)
+        assert ev._origin_series.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("radius, turns, steps", [
+        ("1", "0", 1), ("1.4", "-0.75", 2), ("2.2", "0.8", 5)])
+    def test_seeded_runs_start_with_the_cached_step(self, radius, turns,
+                                                    steps):
+        # one cached step covers a disk point within its reach; past it
+        # the march goes on from there, and the values are the plain
+        # marcher's
+        with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
+            t = mpf(radius) * mp.expjpi(mpf(turns))
+            run = ev._integrate_from_seed(t, ev._tolerance(ev.DEFAULT_TOL))
+        plain = ev.integrate(*ev.integration_seed(), 0, t)
+        assert run.steps == steps < plain.steps
+        assert run.order == plain.order == 57
+        assert run.pole is None
+        assert abs(run.value - plain.value) < mpf(10) ** -45
+        assert abs(run.slope - plain.slope) < mpf(10) ** -45
+        assert 0 < run.error_estimate < mpf(10) ** -45
+
     def test_initial_data_matches_quasi_solution(self):
         from p1cert.polybound import poly_eval
 
@@ -697,7 +732,8 @@ class TestIntegration:
     @staticmethod
     def _kernel_calls(monkeypatch, run):
         """Call ``run``; return its result and the set of (order, bits) of
-        the series the kernel built."""
+        the series the kernel built, the cached origin series included."""
+        ev._origin_series.cache_clear()
         built = set()
         taylor = ev.taylor_fixed
 
@@ -728,20 +764,22 @@ class TestIntegration:
         assert run.order == ev.MAX_ORDER
 
     @pytest.mark.parametrize("run, used", [
-        pytest.param(lambda: ev.pole_estimate(0), (30, 148), id="pole"),
+        pytest.param(lambda: ev.pole_estimate(0),
+                     {(30, 148), (ev.ORIGIN_ORDER, 148)}, id="pole"),
         pytest.param(lambda: ev.pole_estimate(0, precision_bits=256),
-                     (30, 148), id="pole-256"),
+                     {(30, 148), (ev.ORIGIN_ORDER, 148)}, id="pole-256"),
         pytest.param(lambda: _centre_run(tol=Fraction(1, 10**25),
                                          precision_bits=256),
-                     (ev.MAX_ORDER, 272), id="tol-1e-25-256"),
+                     {(ev.MAX_ORDER, 272)}, id="tol-1e-25-256"),
         pytest.param(lambda: _centre_run(tol=Fraction(1, 10**4)),
-                     (ev.MIN_ORDER, 144), id="tol-1e-4"),
+                     {(ev.MIN_ORDER, 144)}, id="tol-1e-4"),
     ])
     def test_kernel_width_follows_the_budget(self, monkeypatch, run, used):
         # 64 bits below eps, not below 2^-prec: pole's tol 1e-10 gives
         # eps = 1e-25 ~ 2^-83.05 at any precision, the default tol gives
-        # 2^-207.6 from 192 bits on; coarser budgets than 2^-80 keep 80
-        assert self._kernel_calls(monkeypatch, run)[1] == {used}
+        # 2^-207.6 from 192 bits on; coarser budgets than 2^-80 keep 80.
+        # A pole ray's cached origin series is built at the same width.
+        assert self._kernel_calls(monkeypatch, run)[1] == used
 
     @pytest.mark.parametrize("tol", [Fraction(1, 2), Fraction(1, 10),
                                      Fraction(1, 10**4)])
@@ -987,6 +1025,25 @@ class TestPoles:
         assert fanned.unbounded_directions == serial.unbounded_directions
         assert fanned.note == serial.note
 
+    def test_scan_builds_the_origin_series_before_the_fan_out(
+            self, monkeypatch):
+        # forked workers inherit the series only if the calling process
+        # has it when the fan-out starts
+        with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
+            bits = ev._kernel_bits(ev._log2_budget(ev._to_mpf(ev._POLE_TOL)))[1]
+        ev._origin_series.cache_clear()
+        hits = []
+
+        def serial(fn, jobs):
+            before = ev._origin_series.cache_info().hits
+            ev._origin_series(bits)
+            hits.append(ev._origin_series.cache_info().hits - before)
+            return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(ev, "fan_out", serial)
+        ev.pole_scan()
+        assert hits == [1]
+
     def test_scan_without_any_pole_raises(self, monkeypatch):
         monkeypatch.setattr(ev, "_ray", lambda direction, precision_bits: None)
         with pytest.raises(ev.PoleNotFoundError):
@@ -1191,23 +1248,27 @@ class TestOriginAndEvaluation:
                          id=cell if bits == 128 else f"{cell}-{bits}")
             for bits in (128, 192, 256)
             for cell, radius, turns in (
-                ("disk", mpf(1), mpf(0)), ("outer", mpf("2.2"), mpf("0.8"))
+                ("disk", mpf(1), mpf(0)), ("outer", mpf("2.2"), mpf("0.8")),
+                ("disk-far", mpf("1.4"), mpf("-0.75")),
             )
         ],
     )
     def test_error_estimate_covers_the_rounding(self, t_polar, bits):
         # the estimate may not claim more accuracy than the working
-        # precision delivers: compare with a 300-bit, tol 1e-60 run.  At
-        # 192 and 256 bits the order is 64, where the truncation of the
-        # slope carried along the path outweighs that of the value.
+        # precision delivers: compare with a 300-bit, tol 1e-60 run of
+        # the plain marcher, which shares no step with evaluate_point's
+        # cached one.  At 192 and 256 bits the order is 64, where the
+        # truncation of the slope carried along the path outweighs that
+        # of the value.  The far disk cell lies just past the reach of
+        # the cached step at the defaults.
         radius, turns = t_polar
-        z = ev.frame_map(radius * mp.expjpi(turns), "t", precision_bits=300).z
-        outcome = ev.evaluate_point(z, precision_bits=bits)
-        reference = ev.evaluate_point(
-            z, precision_bits=300, tol=Fraction(1, 10**60)
-        )
-        assert outcome.method == reference.method == "integration"
-        assert outcome.error_estimate >= abs(outcome.y - reference.y)
+        point = ev.frame_map(radius * mp.expjpi(turns), "t", precision_bits=300)
+        outcome = ev.evaluate_point(point.z, precision_bits=bits)
+        run = ev.integrate(*ev.integration_seed(), 0, point.t,
+                           tol=Fraction(1, 10**60), precision_bits=300)
+        reference = ev.y_from_g(run.value, run.slope, precision_bits=300)[0]
+        assert outcome.method == "integration"
+        assert outcome.error_estimate >= abs(outcome.y - reference)
 
 
 class TestCsv:
