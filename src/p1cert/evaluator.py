@@ -15,8 +15,8 @@ Everything here is arbitrary-precision arithmetic: mpmath floating point
 (100-bit minimum working precision), and fixed point on Python integers
 for the integrator's inner loop and the closed forms' Horner sums.  The
 constants the frame changes and the asymptotic values share -- the roots
-of unity, the certified ray radius, the modulus of the Stokes constant
-and the fixed-point layers of the closed forms -- are computed once per
+of unity, the modulus of the Stokes constant and the table of the
+asymptotic regions, with their fixed-point layers -- are computed once per
 working precision (:func:`_constants`), with the same expressions as on
 first use, so they carry the same bits.  Apart from the asymptotic error
 formulas and the enclosure windows at the origin -- which are certified
@@ -175,11 +175,25 @@ def _fifth_root_of_unity_power(numerator: int, denominator: int = 5) -> mpc:
     return _constants(mp.prec).roots[numerator, denominator]
 
 
-#: Slack of the asymptotic regions' tests (:func:`_region_defect`): an
-#: angle may pass its bound by _ARG_SLACK, a radius fall short of its
-#: floor by the fraction _RADIUS_SLACK.
-_ARG_SLACK = 1e-9
-_RADIUS_SLACK = 1e-9
+#: Slack of the asymptotic regions' test (:func:`_asymptotic_region`): a
+#: radius may fall short of its floor by the fraction _SLACK, and an
+#: angle pass an edge by _SLACK radians.
+_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class _Region:
+    """One row of :attr:`_Constants.regions`, at 2^-prec: the floor of
+    |x|, the lowest and highest unwrapped arg x, exact; the layers of the
+    bracket, each the ascending coefficients of a polynomial in 1/x of
+    sum_k xi^k L_k(1/x) (:func:`_layer_sum`); the certificate's ball
+    radius, rounded up."""
+
+    floor: int
+    lowest: int
+    highest: int
+    layers: Tuple[Tuple[int, ...], ...]
+    ball: int
 
 
 @dataclass(frozen=True)
@@ -189,25 +203,15 @@ class _Constants:
     #: e^(i*pi*n/d) keyed by (n, d): the eighth roots e^(+-i*pi/4) of the
     #: outer frame and every power of e^(i*pi/5) the rotations use.
     roots: Dict[Tuple[int, int], mpc]
-    #: The certified ray radius (204/5)^(5/4)/30 in the x frame.
-    ray_radius: mpf
     #: The rest are fixed point at 2^-prec.  pi itself:
     pi: int
-    #: Per asymptotic region, the floor of |x| and the lowest and highest
-    #: unwrapped arg x, the slack included.
-    windows: Dict[str, Tuple[int, int, int]]
+    #: The rows of :data:`ASYMPTOTIC_REGIONS`, and :data:`_SLACK`.
+    regions: Dict[str, _Region]
+    slack: int
     #: |S| = sqrt(6/(5*pi)), the modulus of the Stokes constant S = i|S|.
     stokes_modulus: int
-    #: The ray's ball radius (41/40)*(784/3125) in the weighted norm,
-    #: rounded up.
-    ray_ball: int
-    #: Layers, each the ascending coefficients of a polynomial in 1/x, of
-    #: sum_k xi^k L_k(1/x)  for h0 alone (:func:`_h0_layers`), for the
-    #: ray's bracket 1 - 4/(25 x^2), and for the wedge's bracket
-    #: 1 - 4/(25 x^2) + h0.
+    #: The layers of h0 alone (:func:`_h0_layers`).
     h0_layers: Tuple[Tuple[int, ...], ...]
-    ray_layers: Tuple[Tuple[int, ...], ...]
-    wedge_layers: Tuple[Tuple[int, ...], ...]
 
 
 @functools.lru_cache(maxsize=16)
@@ -215,30 +219,33 @@ def _constants(prec: int) -> _Constants:
     """The shared constants at ``prec`` bits, computed once per precision
     (the 16 most recent precisions are kept)."""
     scale = 1 << prec
-    h0 = [[round(c * scale) for c in layer]
+    h0 = [tuple(round(c * scale) for c in layer)
           for layer in _h0_layers(formal.h0_series())]
-    lead = [scale, 0, -round(Fraction(4, 25) * scale)]
-    first = [a + b for a, b in itertools.zip_longest(lead, h0[0], fillvalue=0)]
+    lead = (scale, 0, -round(Fraction(4, 25) * scale))
+    first = tuple(a + b for a, b in
+                  itertools.zip_longest(lead, h0[0], fillvalue=0))
     with workprec(prec):
         keys = [(n, 5) for n in range(-3, 4)] + [(1, 4), (-1, 4)]
-        ray_radius = (mpf(204) / 5) ** (mpf(5) / 4) / 30
-        slack, floor = mpf(_ARG_SLACK), 1 - mpf(_RADIUS_SLACK)
-        windows = {
-            "omegaI": (ray_radius * floor, mp.pi / 2 - slack,
-                       mp.pi / 2 + slack),
-            "omega4": (3 * floor, -mp.pi / 2 - slack, -mp.pi / 4 + slack),
-        }
+        ray = _fixed(mp.pi / 2, prec)
         return _Constants(
             roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
-            ray_radius=ray_radius,
             pi=_fixed(+mp.pi, prec),
-            windows={region: tuple(_fixed(v, prec) for v in window)
-                     for region, window in windows.items()},
+            # The ray |x| >= (204/5)^(5/4)/30 at arg x = pi/2, its bracket
+            # 1 - 4/(25 x^2) and ball (41/40)(784/3125) in the weighted
+            # norm; the wedge |x| >= 3, -pi/2 <= arg x <= -pi/4, its
+            # bracket 1 - 4/(25 x^2) + h0 and ball 4.
+            regions={
+                "omegaI": _Region(
+                    _fixed((mpf(204) / 5) ** (mpf(5) / 4) / 30, prec), ray,
+                    ray, (lead,),
+                    math.ceil(Fraction(41, 40) * Fraction(784, 3125) * scale)),
+                "omega4": _Region(
+                    3 * scale, _fixed(-mp.pi / 2, prec),
+                    _fixed(-mp.pi / 4, prec), (first, *h0[1:]), 4 * scale),
+            },
+            slack=_fixed(mpf(_SLACK), prec),
             stokes_modulus=_fixed(mp.sqrt(mpf(6) / (5 * mp.pi)), prec),
-            ray_ball=math.ceil(Fraction(41, 40) * Fraction(784, 3125) * scale),
-            h0_layers=tuple(map(tuple, h0)),
-            ray_layers=(tuple(lead),),
-            wedge_layers=(tuple(first),) + tuple(map(tuple, h0[1:])),
+            h0_layers=tuple(h0),
         )
 
 
@@ -494,8 +501,13 @@ def asymptotic_y(
     sqrt(r/6) times the ball radius times |x|^(-3), the same quantity as
     above.  On the negative real axis arg x is 3pi/2, in neither region.
 
-    Raises :class:`PreconditionError` when z lies outside the requested
-    region (small floating slack is allowed at the boundary).
+    Raises :class:`PreconditionError`, naming the region's floor and arg x
+    edges, unless :func:`_asymptotic_region` places z in the requested
+    region.  Its test allows a slack of 10^-9: |x| may fall short of the
+    floor by that fraction, and arg x pass an exact edge by that many
+    radians while the overshoot times |x| is at most 1/2.  No binary
+    point lies exactly on the ray, so for ray points the slack is not a
+    proof; a transfer term |y'| |z - z_ray| to the ray would make it one.
     """
     _require_bits(precision_bits)
     if region not in ASYMPTOTIC_REGIONS:
@@ -508,26 +520,15 @@ def asymptotic_y(
             raise PreconditionError("asymptotic representations require z != 0")
         bits = mp.prec
         z_fixed, r, radius, angle = _outer_polar(zv, bits)
-        defect = _region_defect(region, radius, angle)
-        if defect == "radius":
-            kind, floor = (
-                ("ray", mp.nstr(_constants(bits).ray_radius, 12))
-                if region == "omegaI" else ("wedge", "3")
-            )
+        if _asymptotic_region(radius, angle) != region:
+            row = _constants(bits).regions[region]
+            floor, lowest, highest, x_abs, arg_x = (
+                mp.nstr(_real(v, bits), 12) for v in
+                (row.floor, row.lowest, row.highest, radius, angle))
             raise PreconditionError(
-                f"|x| = {mp.nstr(_real(radius, bits), 12)} is below the "
-                f"certified {kind} radius {floor}"
-            )
-        if defect == "angle" and region == "omegaI":
-            raise PreconditionError(
-                "z is not on the oscillatory ray (arg x must be pi/2, "
-                f"got {mp.nstr(_real(angle, bits), 12)})"
-            )
-        if defect == "angle":
-            raise PreconditionError(
-                "arg x must lie in [-pi/2, -pi/4] for the wedge "
-                f"representation, got {mp.nstr(_real(angle, bits), 12)}"
-            )
+                f"{region} requires |x| >= {floor} and {lowest} <= arg x "
+                f"<= {highest}, up to the boundary slack; got |x| = {x_abs} "
+                f"and arg x = {arg_x}")
         value, error = _closed_form(z_fixed, r, radius, angle, region, bits)
         return AsymptoticValue(value=value, error=error, region=region)
 
@@ -549,31 +550,28 @@ def _outer_polar(z: mpc, bits: int) -> Tuple[Gaussian, int, int, int]:
     return (zr, zi), r, radius, angle
 
 
-def _region_defect(region: str, radius: int, angle: int) -> Optional[str]:
-    """Which condition of ``region`` the point x = radius * e^(i*angle)
-    breaks: ``"radius"``, ``"angle"``, or None when x lies in the region
-    (within the boundary slack).  ``radius`` and the unwrapped ``angle``
-    are those of :func:`_outer_polar`.  Runs at the caller's working
-    precision."""
-    floor, lowest, highest = _constants(mp.prec).windows[region]
-    if radius < floor:
-        return "radius"
-    if not lowest <= angle <= highest:
-        return "angle"
-    return None
-
-
 def _asymptotic_region(radius: int, angle: int) -> Optional[str]:
     """The asymptotic region holding x = radius * e^(i*angle), or None.
 
-    The ray sits at arg x = pi/2 and the wedge at -pi/2 <= arg x <= -pi/4
-    (both within the slack), so with ``angle`` unwrapped, in
-    (-pi, 3pi/2], the test 0 < angle < pi names the only candidate and one
-    test decides.  Angles in [pi, 3pi/2] (arg z in [3pi/5, pi]) lie in
-    neither.  Runs at the caller's working precision.
+    The ray sits at arg x = pi/2 and the wedge at -pi/2 <= arg x <= -pi/4,
+    so with ``angle`` unwrapped, in (-pi, 3pi/2], the test 0 < angle < pi
+    names the only candidate and its row of :attr:`_Constants.regions`
+    decides.  Angles in [pi, 3pi/2] (arg z in [3pi/5, pi]) lie in
+    neither.  Within the slack, |x| may fall short of the floor by the
+    fraction _SLACK, and arg x overshoot an edge by up to _SLACK while
+    the overshoot times |x| is at most 1/2; past the wedge's edges that
+    keeps Re x >= -1/2 and |xi| < 1, as :func:`_layer_sum` assumes.  Runs
+    at the caller's working precision.
     """
-    region = "omegaI" if 0 < angle < _constants(mp.prec).pi else "omega4"
-    return None if _region_defect(region, radius, angle) else region
+    bits = mp.prec
+    constants = _constants(bits)
+    region = "omegaI" if 0 < angle < constants.pi else "omega4"
+    row, slack = constants.regions[region], constants.slack
+    over = max(row.lowest - angle, angle - row.highest, 0)
+    if (radius << bits < row.floor * ((1 << bits) - slack) or over > slack
+            or 2 * over * radius > 1 << 2 * bits):
+        return None
+    return region
 
 
 def _root(z: Gaussian, r: int, bits: int) -> Gaussian:
@@ -603,27 +601,25 @@ def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
     up, plus a bound on the value's own rounding.  Runs at the caller's
     working precision.
     """
-    constants = _constants(bits)
-    ray = region == "omegaI"
-    layers = constants.ray_layers if ray else constants.wedge_layers
-    br, bi = _layer_sum(layers, radius, angle, bits)
+    row = _constants(bits).regions[region]
+    br, bi = _layer_sum(row.layers, radius, angle, bits)
     rr, ri = _root(z, r, bits)
     value = (-((rr * bi + ri * br) >> bits), (rr * br - ri * bi) >> bits)
     one = 1 << bits
     s = math.isqrt(-(-(r << bits) // 6) - 1) + 1  # sqrt(r/6), rounded up
-    ball = constants.ray_ball if ray else 4 << bits
     cube = radius ** 3
     # The value's own rounding.  Horner and the product round by under a
     # unit of 2^-bits per stage and component, and what they read -- z, r,
     # |x|, arg x, 1/x, sqrt(z/6) and xi -- is off by a few units, relative.
     # Only xi's phase Im x + arg x/2 is off by more, |x| times the error
-    # of arg x, and |xi| <= |S|/sqrt|x| in the wedge scales that down.
+    # of arg x, and |xi| <= 2|S|/sqrt|x| in the wedge, where Re x >= -1/2,
+    # scales that down.
     # All of it stays below 32 (s + 1)(|x| + 8) units, which also covers
     # the few relative units by which rounding r moves the term itself.
     rounding = 32 * (s + one) * (radius + 8 * one) * cube
     # s * ball / |x|^3 and that rounding over one denominator.
-    error = _ceil_mpf(((s * ball) << 4 * bits) + rounding, cube << 3 * bits,
-                      bits)
+    error = _ceil_mpf(((s * row.ball) << 4 * bits) + rounding,
+                      cube << 3 * bits, bits)
     return _from_fixed(value, bits), error
 
 
@@ -665,9 +661,7 @@ def taylor_coeffs(
     with workprec(precision_bits + GUARD_BITS):
         c0, c1 = _to_mpc(value), _to_mpc(slope)
         prefix = [c0, c1, 3 * c0 * c0 + _to_mpc(center) / 2, 2 * c0 * c1 + mpf(1) / 6]
-        return inner.maclaurin_extend(
-            prefix, count, lambda x, k: 6 * x / ((k + 1) * (k + 2))
-        )[:count + 1]
+        return inner.maclaurin_extend(prefix, count)[:count + 1]
 
 
 # --------------------------------------------------------------------------

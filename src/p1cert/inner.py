@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import data
 from .numerics import Interval
@@ -352,13 +351,13 @@ def certify(system: Optional[InnerSystem] = None) -> List[CheckResult]:
     return results
 
 
-def maclaurin_extend(prefix: Sequence, count: int, divide: Callable) -> List:
+def maclaurin_extend(prefix: Sequence, count: int) -> List:
     """Extend Taylor coefficients c_0..c_3 of ``g'' = 6*g**2 + t`` (they
     carry the term t) to c_0..c_count by the Cauchy square
-    ``(k+1)(k+2) c_{k+2} = 6 * sum_{j<=k} c_j c_{k-j}``, with ``divide(x, k)``
-    returning ``6*x/((k+1)*(k+2))`` and all else ``+`` and ``*``.  Each
-    symmetric pair is formed once and doubled, plus the middle square for
-    even k: the full sum exactly, in interval arithmetic too."""
+    ``(k+1)(k+2) c_{k+2} = 6 * sum_{j<=k} c_j c_{k-j}``, with ``+``, ``*``
+    and one division by the int (k+1)(k+2).  Each symmetric pair is
+    formed once and doubled, plus the middle square for even k: the full
+    sum exactly, in interval arithmetic too."""
     coeffs = list(prefix)
     for k in range(2, count - 1):
         pairs = coeffs[0] * coeffs[k]
@@ -367,7 +366,7 @@ def maclaurin_extend(prefix: Sequence, count: int, divide: Callable) -> List:
         conv = pairs + pairs
         if k % 2 == 0:
             conv = conv + coeffs[k // 2] * coeffs[k // 2]
-        coeffs.append(divide(conv, k))
+        coeffs.append(6 * conv / ((k + 1) * (k + 2)))
     return coeffs
 
 

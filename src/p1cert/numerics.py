@@ -103,9 +103,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def hull(self, other: "Interval") -> "Interval":
-        return _ordered(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def is_positive(self) -> bool:
         return self.lo > 0
 

@@ -406,9 +406,8 @@ class TestTaylorRadius:
         # rounds outward, so it encloses every coefficient, and its worst
         # envelope ratio is the exact run's to 64-bit rounding
         horizon = 64
-        exact = inner.maclaurin_extend(
-            inner.origin_windows(eps, eps), horizon,
-            lambda x, k: x * Fraction(6, (k + 1) * (k + 2)))
+        exact = inner.maclaurin_extend(inner.origin_windows(eps, eps),
+                                       horizon)
         run = C.maclaurin_enclosures(horizon, eps=eps)
         assert len(run) == len(exact) == horizon + 1
         for c, d in zip(exact, run):

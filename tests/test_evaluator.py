@@ -9,11 +9,13 @@ freezing).
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -316,7 +318,67 @@ def _closed_form_grid():
     return grid
 
 
+#: SHA-256 of repr((method, y, error_bound, rigorous)) of evaluate_point
+#: over _closed_form_pin_points() at 128 and then 256 bits, printed at
+#: 400 bits, so that no change to how a region is decided moves an output.
+CLOSED_FORM_PIN_SHA256 = (
+    "0d59ff19bc91283eba250edb00a4dd64c679daf94fe97adc3605f64a7f128ca0")
+
+
+def _closed_form_pin_points():
+    """z of ray points i*r and of wedge points at interior angles, at both
+    exact edges and just inside the slack past each edge, with |x| from
+    each region's floor up to 40."""
+    inside = mpf("5e-10")
+    with workprec(200):
+        points = [ev.frame_map(mpc(0, radius), "x", precision_bits=200).z
+                  for radius in (_x0_abs(), 4, 7, 13, 25, 40)]
+        for radius in (3, 4, 7, 13, 25, 40):
+            for angle in (-mp.pi / 2 - inside, -mp.pi / 2, -7 * mp.pi / 16,
+                          -3 * mp.pi / 8, -mp.pi / 3, -mp.pi / 4,
+                          -mp.pi / 4 + inside):
+                points.append(ev.frame_map(radius * mp.expj(angle), "x",
+                                           precision_bits=200).z)
+    return points
+
+
 class TestClosedFormKernel:
+    def test_closed_form_outputs_are_pinned(self):
+        digest = hashlib.sha256()
+        points = _closed_form_pin_points()
+        for bits in (128, 256):
+            for z in points:
+                outcome = ev.evaluate_point(z, precision_bits=bits)
+                assert outcome.method.startswith("asymptotic-"), z
+                with workprec(400):
+                    digest.update(repr((outcome.method, outcome.y,
+                                        outcome.error_bound,
+                                        outcome.rigorous)).encode())
+        assert digest.hexdigest() == CLOSED_FORM_PIN_SHA256
+
+    @pytest.mark.parametrize("radius, region", [
+        (40, "omega4"), (10**6, "omega4"), (mpf("7.5e10"), None),
+        (10**12, None)])
+    def test_overshoot_past_an_edge_times_x_is_at_most_one_half(
+            self, radius, region):
+        # arg x = -pi/2 - 5e-10 is within the slack of the wedge's edge,
+        # but at |x| = 7.5e10 Re x = -37.5, where the closed form's value
+        # misses a 400-bit one by far more than its bound, and at 1e12
+        # xi leaves the fixed-point range.  The rejected points are not
+        # given to evaluate_point: they would integrate toward |t| ~ 1e9.
+        with workprec(200):
+            z = ev.frame_map(radius * mp.expj(-mp.pi / 2 - mpf("5e-10")),
+                             "x", precision_bits=200).z
+        with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
+            _, _, x_abs, angle = ev._outer_polar(z, mp.prec)
+            assert ev._asymptotic_region(x_abs, angle) == region
+        if region is None:
+            with pytest.raises(PreconditionError, match=re.escape(
+                    "omega4 requires |x| >= 3.0 and -1.57079632679 <= arg x")):
+                ev.asymptotic_y(z, "omega4")
+        else:
+            assert ev.asymptotic_y(z, "omega4").region == region
+
     @pytest.mark.parametrize("bits", [128, 256])
     def test_closed_forms_match_an_independent_reference(self, bits):
         # the reference builds x by the complex power, takes the complex
