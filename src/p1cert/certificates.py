@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .data import (constant_catalog, expansion_tables, read_ahead,
                    reference_values)
@@ -638,13 +639,25 @@ def _interval_recip(u: Interval) -> Interval:
     return (1 - u).inverse()
 
 
+def _lower_wedge_rho(rho: Union[Fraction, int, str]) -> Fraction:
+    """``rho`` as a Fraction, or :class:`PreconditionError` below 3: the
+    lower-wedge certificate and its sector constants are stated for
+    rho >= 3 only."""
+    rho = Fraction(rho)
+    if rho < 3:
+        raise PreconditionError(
+            f"the lower-wedge certificate is stated for rho >= 3, "
+            f"got rho = {rho}")
+    return rho
+
+
 def sector_majorants(rho: Fraction, c_hi: Fraction,
                      leaves: Optional[Mapping[str, PowerSum]] = None
                      ) -> Dict[str, Interval]:
     """Enclosures at rho of the majorants of the catalogued quantities:
     the lower-wedge formulas with 1/(1-u) bounded by the geometric
     1 + u + u^2 + u^3 + c_hi u^4, valid whenever 1/(1-u) <= c_hi."""
-    return _wedge_values(_leaf_enclosures(Fraction(rho), leaves),
+    return _wedge_values(_leaf_enclosures(_lower_wedge_rho(rho), leaves),
                          _geometric(c_hi))
 
 
@@ -653,7 +666,7 @@ def sector_point_values(rho: Fraction,
                         ) -> Dict[str, Interval]:
     """Sharp enclosures of all catalogued quantities at one rho value,
     evaluating the two division terms by interval division."""
-    return _wedge_values(_leaf_enclosures(Fraction(rho), leaves),
+    return _wedge_values(_leaf_enclosures(_lower_wedge_rho(rho), leaves),
                          _interval_recip)
 
 
@@ -678,10 +691,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
     1/(1-u) replaced by the geometric bound 1 + u + u^2 + u^3 + c u^4
     (c = 1/(1-u(3))), so the value at rho bounds it on all of [rho, oo).
     """
-    rho = Fraction(rho)
-    if rho < 3:
-        raise PreconditionError(
-            f"lower-wedge certificate requires rho >= 3, got {rho}")
+    rho = _lower_wedge_rho(rho)
     anchor = Fraction(3)
     checks: List[CheckResult] = []
 
@@ -770,9 +780,9 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
 # Inner-interval certificate (re-export as a report)
 # ---------------------------------------------------------------------------
 
-def check_inner_interval(system=None) -> CertificateReport:
+def check_inner_interval() -> CertificateReport:
     """The quasi-solution certificate on the segment t in [-17/10, 0]."""
-    results = inner_interval.certify(system)
+    results = inner_interval.certify()
     return _report(
         "inner_interval",
         {"alpha1": inner_interval.ALPHA1, "alpha2": inner_interval.ALPHA2,
@@ -927,17 +937,11 @@ REGION_STATEMENT = (
 )
 
 
-def _ray_jobs() -> List[tuple]:
-    return [
-        (check_omega_I, 1, Fraction(3, 20)),
-        (check_omega_I, x0_abs(), Fraction(1, 40)),
-        (check_z0_bounds,),
-    ]
-
-
 def ray_reports() -> List[CertificateReport]:
     """The ray at rho = 1 and at |x0|, and the matching bounds at z0."""
-    return [report(*args) for report, *args in _ray_jobs()]
+    return [check_omega_I(1, Fraction(3, 20)),
+            check_omega_I(x0_abs(), Fraction(1, 40)),
+            check_z0_bounds()]
 
 
 def failure_summary(reports: Sequence[CertificateReport]) -> str:
@@ -947,47 +951,65 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
         for r in reports if not r.verdict)
 
 
-def _omega_4_report(rho: Fraction) -> CertificateReport:
-    """The lower-wedge report at ``rho``, or its failed precondition."""
-    if rho >= 3:
-        return check_omega_4(rho)
-    return _report(
-        "omega_4", {"rho": rho},
-        [check("rho_at_least_3", Fraction(3), rho, "<=",
-               note="precondition violated: the lower-wedge "
-                    "certificate is stated for rho >= 3")],
-    )
+#: The jobs of :func:`run_scope`: each maps rho to a list of reports, and
+#: only ``omega4`` reads it.  A job looks its report function up when it
+#: runs, so it calls whatever the module attribute holds at that time.
+_JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
+    "omegaI": lambda rho: ray_reports(),
+    "omega12": lambda rho: [check_omega_12()],
+    "inner": lambda rho: [check_inner_interval()],
+    "radius": lambda rho: [check_taylor_radius()],
+    "tables": lambda rho: [check_symbolic_tables()],
+    "omega4": lambda rho: [check_omega_4(rho)],
+}
+
+#: The jobs each ``verify`` scope runs.  ``all`` runs every job: the three
+#: short ray reports as one job first and ``omega_12``, the longest, next,
+#: so that on two CPUs its worker takes no other job.
+SCOPES: Dict[str, Tuple[str, ...]] = {
+    "all": tuple(_JOBS),
+    **{scope: (scope,)
+       for scope in ("omegaI", "omega12", "omega4", "inner", "radius")},
+}
 
 
-def run_all(rho: Fraction = Fraction(3),
-            horizon: int = 256) -> Tuple[List[CertificateReport], str]:
-    """Run every certificate; returns (reports sorted by name, region
-    statement when all pass, otherwise a failure summary).
+def run_scope(scope: str, rho: Union[Fraction, int, str] = Fraction(3)
+              ) -> Tuple[List[CertificateReport], str]:
+    """Run the jobs of ``SCOPES[scope]``; returns (reports sorted by name,
+    summary).
 
-    The eight reports are independent jobs of one
-    :func:`p1cert.fanout.fan_out`, so they run side by side on every
-    usable CPU, and each report is the same whichever process makes it.
-    A fault in the data raises the exception of the earliest job that
-    meets it, as the serial loop over the same list would.  The three
-    short ray jobs come first and ``omega_12``, the longest, next, so
-    that on two CPUs its worker takes no other job.  Every data file is
-    read before the workers fork, so each report parses the bytes that
-    :func:`p1cert.data.file_fingerprints` digests in this process.
+    The summary is :data:`REGION_STATEMENT` when every report of ``all``
+    passes, says that the scope holds when every report of another scope
+    passes, and is :func:`failure_summary` otherwise.  A scope with the
+    lower wedge raises :class:`PreconditionError` for rho < 3 before any
+    report runs.
+
+    The jobs run side by side in one :func:`p1cert.fanout.fan_out`, so a
+    single-job scope never forks, and each report is the same whichever
+    process makes it.  A fault in the data raises the exception of the
+    earliest job that meets it, as the serial loop would.  Every data
+    file is read before the workers fork, so each report parses the bytes
+    that :func:`p1cert.data.file_fingerprints` digests in this process.
     """
-    rho = Fraction(rho)
+    jobs = SCOPES[scope]
+    if "omega4" in jobs:
+        rho = _lower_wedge_rho(rho)
     read_ahead()
-    jobs = _ray_jobs() + [
-        (check_omega_12,),
-        (check_inner_interval,),
-        (check_taylor_radius, horizon),
-        (check_symbolic_tables,),
-        (_omega_4_report, rho),
-    ]
-    reports = fanout.fan_out(lambda report, *args: report(*args), jobs)
-    reports.sort(key=lambda r: r.name)
-    if all(r.verdict for r in reports):
+    parts = fanout.fan_out(lambda job: _JOBS[job](rho),
+                           [(job,) for job in jobs])
+    reports = sorted((r for part in parts for r in part),
+                     key=lambda r: r.name)
+    if not all(r.verdict for r in reports):
+        return reports, failure_summary(reports)
+    if scope == "all":
         return reports, REGION_STATEMENT
-    return reports, failure_summary(reports)
+    return reports, f"scope '{scope}': every certified inequality holds"
+
+
+def run_all(rho: Union[Fraction, int, str] = Fraction(3)
+            ) -> Tuple[List[CertificateReport], str]:
+    """Every certificate: :func:`run_scope` of ``all``."""
+    return run_scope("all", rho)
 
 
 __all__ = [
@@ -1016,5 +1038,7 @@ __all__ = [
     "REGION_STATEMENT",
     "ray_reports",
     "failure_summary",
+    "SCOPES",
+    "run_scope",
     "run_all",
 ]

@@ -67,8 +67,6 @@ _ERROR_DIGITS = 8
 _JSON_DIGITS = 25
 _SERIES_CSV_DIGITS = 24
 
-_SCOPES = ("all", "omegaI", "omega12", "omega4", "inner", "radius")
-
 #: The default of ``--precision-bits``: evaluator.DEFAULT_PRECISION_BITS,
 #: restated so that the option needs no evaluator at import time.
 DEFAULT_PRECISION_BITS = 128
@@ -298,35 +296,12 @@ def _emit_reports(fmt: str, command: str, reports: Sequence[CertificateReport],
     return EXIT_PASS if verdict else EXIT_FAIL
 
 
-def _scope_reports(scope: str,
-                   rho: Fraction) -> Tuple[List[CertificateReport], str]:
-    if scope in ("all", "omega4") and rho < 3:
-        raise PreconditionError(
-            f"the lower-wedge certificate is stated for rho >= 3, "
-            f"got rho = {rho}")
-    if scope == "all":
-        return certificates.run_all(rho)
-    reports = {
-        "omegaI": certificates.ray_reports,
-        "omega12": lambda: [certificates.check_omega_12()],
-        "omega4": lambda: [certificates.check_omega_4(rho)],
-        "inner": lambda: [certificates.check_inner_interval()],
-        "radius": lambda: [certificates.check_taylor_radius()],
-    }[scope]()
-    if all(r.verdict for r in reports):
-        return reports, f"scope '{scope}': every certified inequality holds"
-    return reports, certificates.failure_summary(reports)
-
-
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
 
 
 def _emit_constants(fmt: str, rho: Fraction) -> int:
-    if rho < 3:
-        raise PreconditionError(
-            f"the sector constants are defined for rho >= 3, got {rho}")
     values = certificates.sector_point_values(rho)
     documents: List[Dict[str, object]] = []
     rows: List[List[object]] = []
@@ -559,8 +534,8 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--scope", type=click.Choice(_SCOPES), default="all",
-              show_default=True,
+@click.option("--scope", type=click.Choice(tuple(certificates.SCOPES)),
+              default="all", show_default=True,
               help="Which certificate family to run.")
 @rho_option
 @format_option
@@ -573,7 +548,7 @@ def verify(scope: str, rho: Fraction, fmt: str,
     fails, 2 when the request violates a stated precondition.
     """
     def body() -> int:
-        reports, summary = _scope_reports(scope, rho)
+        reports, summary = certificates.run_scope(scope, rho)
         return _emit_reports(
             fmt, "verify", reports, summary,
             f"p1cert verify  scope = {scope}  rho = {rho}",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from . import data
 from .numerics import Interval
@@ -120,8 +120,6 @@ class InnerSystem:
     g0: Poly
     J1: Poly
     J2: Poly
-    alpha1: Fraction
-    alpha2: Fraction
     partitions: Mapping[str, List[Fraction]]
 
     @property
@@ -173,43 +171,29 @@ class InnerSystem:
         return poly_add(twelve_g0_w, b_num)
 
     def corner(self, sign: int, derivative: bool = False) -> Poly:
-        """alpha1*J1 + sign*alpha2*J2 (or the derivative combination)."""
+        """ALPHA1*J1 + sign*ALPHA2*J2 (or the derivative combination)."""
         p1 = self.J1_prime if derivative else self.J1
         p2 = self.J2_prime if derivative else self.J2
         return poly_add(
-            poly_scale(p1, self.alpha1), poly_scale(p2, sign * self.alpha2)
+            poly_scale(p1, ALPHA1), poly_scale(p2, sign * ALPHA2)
         )
 
 
-def build_system(
-    polynomial_overrides: Optional[Mapping[str, Poly]] = None,
-    alpha1: Fraction = ALPHA1,
-    alpha2: Fraction = ALPHA2,
-) -> InnerSystem:
-    polys: Dict[str, Poly] = dict(data.inner_polynomials())
-    if polynomial_overrides:
-        unknown = set(polynomial_overrides) - set(polys)
-        if unknown:
-            raise ValueError(f"unknown polynomial overrides: {sorted(unknown)}")
-        polys.update(polynomial_overrides)
-    raw_partitions = data.inner_partitions()
-    partitions = {
-        name: [pt + S_END for pt in points]
-        for name, points in raw_partitions.items()
-    }
+def build_system() -> InnerSystem:
+    """The polynomials and partitions of the data file ``inner_ode.json``."""
+    polys = data.inner_polynomials()
     return InnerSystem(
         g0=polys["g0"],
         J1=polys["J1"],
         J2=polys["J2"],
-        alpha1=Fraction(alpha1),
-        alpha2=Fraction(alpha2),
-        partitions=partitions,
+        partitions={name: [pt + S_END for pt in points]
+                    for name, points in data.inner_partitions().items()},
     )
 
 
-def certify(system: Optional[InnerSystem] = None) -> List[CheckResult]:
+def certify() -> List[CheckResult]:
     """Run the full certified chain; every line is an exact comparison."""
-    sys_ = system if system is not None else build_system()
+    sys_ = build_system()
     parts = sys_.partitions
     results: List[CheckResult] = []
 
@@ -321,8 +305,8 @@ def certify(system: Optional[InnerSystem] = None) -> List[CheckResult]:
 
     value_window = (
         abs(g0_end - CENTER_VALUE)
-        + sys_.alpha1 * j1_end
-        + sys_.alpha2 * j2_end
+        + ALPHA1 * j1_end
+        + ALPHA2 * j2_end
         + DEFECT_VALUE_BOUND
     )
     results.append(
@@ -335,8 +319,8 @@ def certify(system: Optional[InnerSystem] = None) -> List[CheckResult]:
     )
     slope_window = (
         abs(g0p_end - CENTER_SLOPE)
-        + sys_.alpha1 * j1p_end
-        + sys_.alpha2 * j2p_end
+        + ALPHA1 * j1p_end
+        + ALPHA2 * j2p_end
         + DEFECT_SLOPE_BOUND
     )
     results.append(

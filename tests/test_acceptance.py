@@ -368,8 +368,9 @@ def test_criterion_7_fault_injection(tmp_path, monkeypatch):
         restore()
 
     # (c) first kernel step bound widened to 1/50
-    system = inner.build_system(alpha1=Fraction(1, 50))
-    report = C.check_inner_interval(system)
+    with monkeypatch.context() as patch:
+        patch.setattr(inner, "ALPHA1", Fraction(1, 50))
+        report = C.check_inner_interval()
     assert not report.verdict
     failing = {c.name for c in report.failures()}
     assert "value_window" in failing

@@ -361,12 +361,24 @@ class TestInnerWrapper:
         assert report.verdict
         assert len(report.checks) == 21
 
-    def test_widened_alpha1_fails_by_name(self):
-        system = inner.build_system(alpha1=Fraction(1, 50))
-        report = C.check_inner_interval(system)
+    def test_widened_alpha1_fails_by_name(self, monkeypatch):
+        monkeypatch.setattr(inner, "ALPHA1", Fraction(1, 50))
+        report = C.check_inner_interval()
         assert not report.verdict
         failing = {c.name for c in report.failures()}
         assert "value_window" in failing
+
+    def test_inputs_state_the_alpha_box_certified(self, monkeypatch):
+        # The inputs block and the checks read the same ALPHA1.
+        monkeypatch.setattr(inner, "ALPHA1", Fraction(1, 50))
+        report = C.check_inner_interval()
+        assert dict(report.inputs)["alpha1"] == "1/50"
+        failing = {c.name for c in report.failures()}
+        assert failing >= {"value_window", "corner_plus", "corner_minus",
+                           "corner_prime_plus", "corner_prime_minus"}
+        result = CliRunner().invoke(main, ["verify", "--scope", "inner"])
+        assert result.exit_code == 1
+        assert "  input alpha1 = 1/50\n" in result.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +530,18 @@ class TestRunAll:
         names = list(reports)
         assert names == sorted(names)
 
-    def test_precondition_violation_reported_not_raised(self):
-        reports, statement = C.run_all(rho=Fraction(2))
-        omega4 = next(r for r in reports if r.name == "omega_4")
-        assert not omega4.verdict
-        assert [c.name for c in omega4.failures()] == ["rho_at_least_3"]
-        assert statement.startswith("NOT CERTIFIED")
+    def test_precondition_violation_raised_before_any_report(
+            self, monkeypatch):
+        def no_job(*args):
+            raise AssertionError("a job ran")
 
-    @pytest.mark.parametrize("rho", [Fraction(3), Fraction(2)])
+        monkeypatch.setattr(fanout, "fan_out", no_job)
+        with pytest.raises(C.PreconditionError, match="rho >= 3"):
+            C.run_all(rho=Fraction(2))
+        with pytest.raises(C.PreconditionError, match="rho >= 3"):
+            C.run_scope("omega4", Fraction(2))
+
+    @pytest.mark.parametrize("rho", [Fraction(3), Fraction(7, 2)])
     def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, rho):
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
         serial = C.run_all(rho)
@@ -535,13 +551,12 @@ class TestRunAll:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_only_the_calling_process_forks(self, tmp_path, monkeypatch,
-                                            count):
-        # The forked workers inherit the logging fork, so the log counts
-        # every fork of the process tree, a fork inside a job included.
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
-        serial = C.run_all()
+    @staticmethod
+    def log_forks(tmp_path, monkeypatch):
+        """Make every os.fork append the forking pid to a log; returns
+        a function that reads the pids logged so far.  The forked workers
+        inherit the logging fork, so the log counts every fork of the
+        process tree, a fork inside a job included."""
         log = tmp_path / "forks"
         log.touch()
         fork = os.fork
@@ -555,9 +570,28 @@ class TestRunAll:
             return fork()
 
         monkeypatch.setattr(os, "fork", logged_fork)
+        return lambda: log.read_text().split()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_only_the_calling_process_forks(self, tmp_path, monkeypatch,
+                                            count):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        serial = C.run_all()
+        forks = self.log_forks(tmp_path, monkeypatch)
         monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
         assert C.run_all() == serial
-        assert log.read_text().split() == [str(os.getpid())] * (count - 1)
+        assert forks() == [str(os.getpid())] * (count - 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("scope", list(C.SCOPES))
+    def test_only_scope_all_forks(self, tmp_path, monkeypatch, scope):
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        serial = C.run_scope(scope)
+        forks = self.log_forks(tmp_path, monkeypatch)
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        assert C.run_scope(scope) == serial
+        assert forks() == [str(os.getpid())] * (scope == "all")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

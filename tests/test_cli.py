@@ -728,6 +728,18 @@ GOLDEN_STDOUT_SHA256 = {
         "e335b8af98c5bc49772b7fbe54607cd404d16273a3d9db39d7779b0c4323c5c0",
     ("verify", "--scope", "all", "--format", "csv"):
         "91b7a28e9e857f32d81555ec0794451a528464042dacb1828f32e3dabced530d",
+    ("verify", "--scope", "omegaI", "--format", "json"):
+        "eb0d9e7a697d52de6be839c98a7fa348908faeb63ad6942c454ec63aed18ef78",
+    ("verify", "--scope", "omega12", "--format", "json"):
+        "54f55dc85483d35b79eefec1009e94cd8884061568fd9630f456a6e7992e3ccb",
+    ("verify", "--scope", "omega4", "--format", "json"):
+        "d9f2292b97b6ff0419db2ac7894c7a4d92bf09b21ba600f38e31494b6eb0b83f",
+    ("verify", "--scope", "omega4", "--rho", "7/2", "--format", "json"):
+        "00d1f4e6fc3a985b624a054ab274531c7f5ca4bedd73041e9dc70357c4c85d4f",
+    ("verify", "--scope", "inner", "--format", "json"):
+        "bb4773d6b5772523be78661ec1907b79b5ef1ea509955af58283b718ab5b70f6",
+    ("verify", "--scope", "radius", "--format", "json"):
+        "1b1adb511aa2488df8d7f8749277b45f7ca06a787b2c1531be9ff150f4bfd98c",
     ("constants", "--format", "json"):
         "11cf0648b0319727ea55c0e4ac7c14aee5b776d4e3d5cfd5c4975878a9aaa90c",
     ("identities",):

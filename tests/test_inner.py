@@ -1,11 +1,12 @@
 """Disk-segment certificate: sup-norm chain, fixed point, fault injection."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from p1cert import inner
-from p1cert.polybound import poly_scale, sup_abs_partition
+from p1cert import data, inner
+from p1cert.polybound import sup_abs_partition
 
 EXPECTED_CHECK_NAMES = [
     "remainder_sup",
@@ -107,37 +108,50 @@ def test_remainder_enclosure_is_tight():
     assert enc.hi < inner.REMAINDER_BOUND
 
 
-def test_perturbed_polynomial_fails_by_name():
+def certify_tampered(tmp_path, tamper):
+    """inner.certify() over a copy of inner_ode.json whose polynomials
+    ``tamper`` edits in place, read as ``--partitions`` reads it."""
+    path = tmp_path / "inner_ode.json"
+    blob = json.loads((data.data_dir() / path.name).read_text())
+    polys = {name: [Fraction(c) for c in coeffs]
+             for name, coeffs in blob["polynomials"].items()}
+    tamper(polys)
+    blob["polynomials"] = {name: [str(c) for c in coeffs]
+                           for name, coeffs in polys.items()}
+    path.write_text(json.dumps(blob))
+    with data.replaced({path.name: path}):
+        return inner.certify()
+
+
+def test_perturbed_polynomial_fails_by_name(tmp_path):
     """A 1e-3 bump in one coefficient must break named sup-norm checks.
 
     The bump enters the linearized coefficients through second derivatives,
     so the tight damping/restoring budgets are the ones that blow.
     """
-    base = inner.build_system()
-    j1 = list(base.J1)
-    j1[2] += Fraction(1, 1000)
-    system = inner.build_system(polynomial_overrides={"J1": tuple(j1)})
-    results = inner.certify(system)
+    def bump(polys):
+        polys["J1"][2] += Fraction(1, 1000)
+
+    results = certify_tampered(tmp_path, bump)
     assert not all(r.passed for r in results)
     failed = {r.name for r in results if not r.passed}
     assert "damping_sup" in failed
     assert "restoring_sup" in failed
 
 
-def test_perturbed_center_polynomial_fails_remainder():
-    base = inner.build_system()
-    g0 = list(base.g0)
-    g0[0] += Fraction(1, 1000)
-    system = inner.build_system(polynomial_overrides={"g0": tuple(g0)})
-    results = inner.certify(system)
+def test_perturbed_center_polynomial_fails_remainder(tmp_path):
+    def bump(polys):
+        polys["g0"][0] += Fraction(1, 1000)
+
+    results = certify_tampered(tmp_path, bump)
     failed = {r.name for r in results if not r.passed}
     assert "remainder_sup" in failed
     assert "value_window" in failed
 
 
-def test_widened_alpha_box_fails_corners():
-    system = inner.build_system(alpha1=Fraction(1, 50))
-    results = inner.certify(system)
+def test_widened_alpha_box_fails_corners(monkeypatch):
+    monkeypatch.setattr(inner, "ALPHA1", Fraction(1, 50))
+    results = inner.certify()
     failed = {r.name for r in results if not r.passed}
     assert "corner_plus" in failed
     assert "corner_minus" in failed
@@ -148,17 +162,11 @@ def test_widened_alpha_box_fails_corners():
     assert "wronskian_offset_sup" in passed
 
 
-def test_degenerate_wronskian_reports_instead_of_raising():
-    base = inner.build_system()
-    system = inner.build_system(
-        polynomial_overrides={"J1": poly_scale(base.J1, Fraction(2))}
-    )
-    results = inner.certify(system)
+def test_degenerate_wronskian_reports_instead_of_raising(tmp_path):
+    def double_j1(polys):
+        polys["J1"] = [2 * c for c in polys["J1"]]
+
+    results = certify_tampered(tmp_path, double_j1)
     failed = {r.name for r in results if not r.passed}
     assert "wronskian_offset_sup" in failed
     assert "J1_over_W_sup" in failed
-
-
-def test_unknown_override_rejected():
-    with pytest.raises(ValueError):
-        inner.build_system(polynomial_overrides={"nope": (Fraction(1),)})
