@@ -23,6 +23,11 @@ coordinate x:
 Everything compared here is an exact ``Fraction`` endpoint; the only
 approximate objects are outward-rounded enclosures of square roots,
 fractional powers, pi, and the modulus of the Stokes multiplier.
+
+The thresholds that the evaluator's closed forms rely on -- the ray's
+matching point, eps and ||H0||, the lower wedge's floor and ball, and the
+disk radius R0 -- come from the rows of :mod:`p1cert.regions`, which the
+evaluator reads too.
 """
 
 from __future__ import annotations
@@ -50,12 +55,13 @@ from .numerics import (
     truncation_window,
 )
 from .result import CheckResult, PreconditionError, check
+from .regions import DISK_RADIUS, OMEGA_4, OMEGA_I
 from . import fanout, formal
 from . import inner as inner_interval
 
 #: Norm bound carried by the quasi-solution on the imaginary-axis ray:
 #: sup of |x^(5/2) H0(x)| there.
-H0_NORM = Fraction(784, 3125)
+H0_NORM = OMEGA_I.h0_norm
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ def _window_overlap(name: str, enclosure: Interval, printed: str,
 def x0_abs() -> Interval:
     """|x0| = (204/5)^(5/4) / 30, the outer-frame image of the matching
     point z0 = (17/10) e^(i pi/5) on the oscillatory ray."""
-    return frac_pow(Fraction(204, 5), 5, 4) * Fraction(1, 30)
+    return frac_pow(24 * OMEGA_I.z0_abs, 5, 4) * Fraction(1, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +190,14 @@ def check_z0_bounds() -> CertificateReport:
     corrections stay inside the budgets alpha1 = 1/290, alpha2 = 1/152
     used by the inner-interval certificate.
     """
-    eps = Fraction(1, 40)
+    eps, z0 = OMEGA_I.eps, OMEGA_I.z0_abs
     A = x0_abs()
     inv_A = A.inverse()
     inv_A2 = (A ** 2).inverse()
 
     one_eps = 1 + eps
     map_value, contraction = _ray_sides(inv_A, inv_A2, one_eps)
-    h_norm = one_eps * H0_NORM
+    h_norm = OMEGA_I.ball
     h_at = h_norm * frac_pow(A, -5, 2)
     inv_A72 = frac_pow(A, -7, 2)
     h_prime_at = (Fraction(h_norm, 14) * inv_A72
@@ -199,18 +205,18 @@ def check_z0_bounds() -> CertificateReport:
                   + Fraction(392, 625) * inv_A72)
 
     # |y - y0|(z0) <= sqrt(|z0| / (6 |x0|)) * |H(x0)|
-    value_err = slim(sqrt_enclosure(Fraction(17, 60) * inv_A) * h_at)
+    value_err = slim(sqrt_enclosure(z0 / 6 * inv_A) * h_at)
     # |y' - y0'|(z0) <= sqrt(|z0|/6) / (|z0| sqrt(|x0|))
     #                   * (|H(x0)|/8 + (5/4)|x0| |H'(x0)|)
-    slope_pref = (sqrt_enclosure(Fraction(17, 60)) * Fraction(10, 17)
+    slope_pref = (sqrt_enclosure(z0 / 6) * (1 / z0)
                   * sqrt_enclosure(A).inverse())
     slope_err = slim(slope_pref * (Fraction(1, 8) * h_at
                                    + Fraction(5, 4) * A * h_prime_at))
 
     # Rotated asymptotic data at z0 (both exactly real):
-    c1 = slim(-(sqrt_enclosure(Fraction(17, 60))
+    c1 = slim(-(sqrt_enclosure(z0 / 6)
                 * (1 + Fraction(4, 25) * inv_A2)))
-    c2 = slim(sqrt_enclosure(Fraction(60, 17))
+    c2 = slim(sqrt_enclosure(6 / z0)
               * (Fraction(1, 12) - Fraction(4, 75) * inv_A2))
     d1 = abs(c1 - inner_interval.T0_VALUE)
     d2 = abs(c2 - inner_interval.T0_SLOPE)
@@ -219,7 +225,7 @@ def check_z0_bounds() -> CertificateReport:
 
     checks = [
         check("ray_instance_maps_into_itself", map_value.hi, eps, "<=",
-              lo=map_value.lo, note="the rho=|x0|, eps=1/40 ray instance"),
+              lo=map_value.lo, note=f"the rho=|x0|, eps={eps} ray instance"),
         check("ray_instance_contraction", contraction.hi, Fraction(1), "<",
               lo=contraction.lo),
         _window_overlap("x0_modulus_reference", A, "3.437"),
@@ -240,7 +246,7 @@ def check_z0_bounds() -> CertificateReport:
     ]
     return _report(
         "z0_bounds",
-        {"z0": "(17/10)e^(i pi/5)", "rho": _short(A), "eps": eps},
+        {"z0": f"({z0})e^(i pi/5)", "rho": _short(A), "eps": eps},
         checks,
         narrative=(
             "certified |H(x0)| <= "
@@ -396,7 +402,7 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
     contraction = slim(l_bound * inv_rho0
                        + 2 * n_bound * inv_rho0_sq * m_bound * (1 + eps))
     sqrt2 = sqrt2_enclosure()
-    vertical_quadratic = Fraction(784, 3125) * sqrt2
+    vertical_quadratic = H0_NORM * sqrt2
     vertical_linear = Fraction(1, 14) * sqrt2
     checks = [
         check("wedge_quadratic_constant", M.hi, m_bound, "<=",
@@ -644,10 +650,10 @@ def _lower_wedge_rho(rho: Union[Fraction, int, str]) -> Fraction:
     lower-wedge certificate and its sector constants are stated for
     rho >= 3 only."""
     rho = Fraction(rho)
-    if rho < 3:
+    if rho < OMEGA_4.floor:
         raise PreconditionError(
-            f"the lower-wedge certificate is stated for rho >= 3, "
-            f"got rho = {rho}")
+            f"the lower-wedge certificate is stated for rho >= "
+            f"{OMEGA_4.floor}, got rho = {rho}")
     return rho
 
 
@@ -670,7 +676,7 @@ def sector_point_values(rho: Fraction,
                          _interval_recip)
 
 
-def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
+def check_omega_4(rho: Union[Fraction, int, str] = OMEGA_4.floor
                   ) -> CertificateReport:
     """Ball-invariance and contraction in the lower wedge, |x| >= rho >= 3.
 
@@ -692,7 +698,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
     (c = 1/(1-u(3))), so the value at rho bounds it on all of [rho, oo).
     """
     rho = _lower_wedge_rho(rho)
-    anchor = Fraction(3)
+    anchor, ball = OMEGA_4.floor, OMEGA_4.ball
     checks: List[CheckResult] = []
 
     routes = route_constants()
@@ -712,7 +718,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
     checks.append(check(
         "division_terms_valid", slim_up(u_hi), Fraction(1), "<",
         note="rho^(-1/2) J_M < 1 at the anchor, so the geometric majorant "
-             "and interval division apply for all rho >= 3"))
+             f"and interval division apply for all rho >= {anchor}"))
     if u_hi >= 1:
         raise PreconditionError(
             f"division terms need rho^(-1/2) J_M < 1; got {float(u_hi)}")
@@ -730,7 +736,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
                  "nonnegative coefficients and exponents, combined only "
                  "by +, x and integer powers"))
 
-    if rho == 3:
+    if rho == anchor:
         points = _wedge_values(at, _interval_recip)
         printed = reference_values()
         max_width = slim_up(max(points[name].width for name in printed))
@@ -742,6 +748,9 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
             note="widest enclosure among the printed reference values"))
 
     majorants = _wedge_values(at, _geometric(c_hi))
+    # the fixed-point map on the ball of radius ``ball`` at the targets
+    image = 2 + ball * Fraction(1, 4) + ball ** 2 * Fraction(1, 25)
+    factor = Fraction(1, 4) + 2 * ball * Fraction(1, 25)
     m_sum = slim(sum((majorants[f"M_{i}"] for i in range(2, 8)),
                      majorants["M_1"]))
     v_m = slim(majorants["V_M"])
@@ -754,14 +763,11 @@ def check_omega_4(rho: Union[Fraction, int, str] = Fraction(3)
         check("quadratic_bound", t_m.hi, Fraction(18, 467), "<=", lo=t_m.lo),
         check("quadratic_bound_25th", Fraction(18, 467), Fraction(1, 25),
               "<"),
-        check("ball_maps_into_itself",
-              Fraction(2) + 4 * Fraction(1, 4) + 16 * Fraction(1, 25),
-              Fraction(4), "<",
-              note="source 2 + linear 4/4 + quadratic 16/25 on the "
-                   "radius-4 ball"),
-        check("contraction_factor",
-              Fraction(1, 4) + 2 * 4 * Fraction(1, 25), Fraction(3, 4),
-              "<=", note="1/4 + 8/25 = 57/100"),
+        check("ball_maps_into_itself", image, ball, "<",
+              note=f"source 2 + linear {ball}/4 + quadratic {ball ** 2}/25 "
+                   f"on the radius-{ball} ball"),
+        check("contraction_factor", factor, Fraction(3, 4), "<=",
+              note=f"1/4 + {2 * ball}/25 = {factor}"),
     ])
     return _report(
         "omega_4",
@@ -790,8 +796,10 @@ def check_inner_interval() -> CertificateReport:
         results,
         narrative=(
             "value/slope windows at t=0: "
-            f"|g(0) + 87/469| < {inner_interval.VALUE_WINDOW}, "
-            f"|g'(0) - 41/134| < {inner_interval.SLOPE_WINDOW}"
+            f"|g(0) + {-inner_interval.CENTER_VALUE}| < "
+            f"{inner_interval.VALUE_WINDOW}, "
+            f"|g'(0) - {inner_interval.CENTER_SLOPE}| < "
+            f"{inner_interval.SLOPE_WINDOW}"
         ),
     )
 
@@ -829,7 +837,7 @@ def taylor_envelope_run(horizon: int = 256,
     """The enclosures of :func:`maclaurin_enclosures` against the
     envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k)."""
     ratios = [max(abs(c.lo), abs(c.hi))
-              / ((k + 1) * Fraction(20, 37) ** (k + 2))
+              / ((k + 1) * (1 / DISK_RADIUS) ** (k + 2))
               for k, c in enumerate(maclaurin_enclosures(horizon, eps))]
     worst = max(ratios)
     return worst, ratios.index(worst)
@@ -852,7 +860,7 @@ def check_taylor_radius(horizon: int = 256,
     to ``horizon``.
     """
     eps = Fraction(eps)
-    inv = Fraction(20, 37)
+    inv = 1 / DISK_RADIUS
     c0, c1, c2, c3 = inner_interval.origin_windows(eps, eps)
     corner_c2 = {3 * v ** 2 for v in (c0.lo, c0.hi)}
     corner_c3 = {2 * v * w + Fraction(1, 6)
@@ -899,9 +907,10 @@ def check_taylor_radius(horizon: int = 256,
     return _report(
         "taylor_radius",
         {"a": -inner_interval.CENTER_VALUE, "b": inner_interval.CENTER_SLOPE,
-         "eps": eps, "R0": Fraction(37, 20), "horizon": horizon},
+         "eps": eps, "R0": DISK_RADIUS, "horizon": horizon},
         checks,
-        narrative="the solution is analytic and bounded on |t| < 37/20",
+        narrative=f"the solution is analytic and bounded on |t| < "
+                  f"{DISK_RADIUS}",
     )
 
 
@@ -940,7 +949,7 @@ REGION_STATEMENT = (
 def ray_reports() -> List[CertificateReport]:
     """The ray at rho = 1 and at |x0|, and the matching bounds at z0."""
     return [check_omega_I(1, Fraction(3, 20)),
-            check_omega_I(x0_abs(), Fraction(1, 40)),
+            check_omega_I(x0_abs(), OMEGA_I.eps),
             check_z0_bounds()]
 
 
@@ -973,7 +982,7 @@ SCOPES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def run_scope(scope: str, rho: Union[Fraction, int, str] = Fraction(3)
+def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
               ) -> Tuple[List[CertificateReport], str]:
     """Run the jobs of ``SCOPES[scope]``; returns (reports sorted by name,
     summary).
@@ -1006,7 +1015,7 @@ def run_scope(scope: str, rho: Union[Fraction, int, str] = Fraction(3)
     return reports, f"scope '{scope}': every certified inequality holds"
 
 
-def run_all(rho: Union[Fraction, int, str] = Fraction(3)
+def run_all(rho: Union[Fraction, int, str] = OMEGA_4.floor
             ) -> Tuple[List[CertificateReport], str]:
     """Every certificate: :func:`run_scope` of ``all``."""
     return run_scope("all", rho)

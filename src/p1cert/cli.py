@@ -56,6 +56,7 @@ import click
 from . import certificates, data, inner
 from .certificates import CertificateReport, PreconditionError
 from .numerics import slim, truncation_window
+from .regions import OMEGA_4
 from .result import CheckResult
 
 EXIT_PASS = 0
@@ -129,7 +130,8 @@ def precision_option(command):
 
 def rho_option(command):
     return click.option(
-        "--rho", type=RATIONAL, default=Fraction(3), show_default="3",
+        "--rho", type=RATIONAL, default=OMEGA_4.floor,
+        show_default=str(OMEGA_4.floor),
         help="Radius parameter of the lower wedge (rational; the wedge "
              "certificates are stated for rho >= 3).")(command)
 

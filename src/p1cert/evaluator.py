@@ -39,7 +39,8 @@ from mpmath import mp, mpc, mpf, workprec
 from . import data, formal, inner
 from .inner import Gaussian, taylor_fixed
 from .fanout import fan_out
-from .numerics import Interval
+from .numerics import Interval, grid_root
+from .regions import DISK_RADIUS, OMEGA_4, OMEGA_I
 from .result import PreconditionError
 
 Number = Union[int, float, Fraction, mpf, mpc, complex]
@@ -184,10 +185,10 @@ _SLACK = 1e-9
 @dataclass(frozen=True)
 class _Region:
     """One row of :attr:`_Constants.regions`, at 2^-prec: the floor of
-    |x|, the lowest and highest unwrapped arg x, exact; the layers of the
-    bracket, each the ascending coefficients of a polynomial in 1/x of
-    sum_k xi^k L_k(1/x) (:func:`_layer_sum`); the certificate's ball
-    radius, rounded up."""
+    |x|, rounded up; the lowest and highest unwrapped arg x, exact; the
+    layers of the bracket, each the ascending coefficients of a polynomial
+    in 1/x of sum_k xi^k L_k(1/x) (:func:`_layer_sum`); the certificate's
+    ball radius, rounded up."""
 
     floor: int
     lowest: int
@@ -224,24 +225,29 @@ def _constants(prec: int) -> _Constants:
     lead = (scale, 0, -round(Fraction(4, 25) * scale))
     first = tuple(a + b for a, b in
                   itertools.zip_longest(lead, h0[0], fillvalue=0))
+    # |x0| = (24 |z0|)^(5/4)/30 rounded up: the fourth root of
+    # (24 |z0|)^5/30^4 by integer roots, so the floor never lies below it.
+    x0_fourth = (24 * OMEGA_I.z0_abs) ** 5 / 30 ** 4
+    ray_floor = grid_root(x0_fourth.numerator, x0_fourth.denominator, 4,
+                          prec)[1]
     with workprec(prec):
         keys = [(n, 5) for n in range(-3, 4)] + [(1, 4), (-1, 4)]
         ray = _fixed(mp.pi / 2, prec)
         return _Constants(
             roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
             pi=_fixed(+mp.pi, prec),
-            # The ray |x| >= (204/5)^(5/4)/30 at arg x = pi/2, its bracket
-            # 1 - 4/(25 x^2) and ball (41/40)(784/3125) in the weighted
-            # norm; the wedge |x| >= 3, -pi/2 <= arg x <= -pi/4, its
-            # bracket 1 - 4/(25 x^2) + h0 and ball 4.
+            # The ray at arg x = pi/2 with its bracket 1 - 4/(25 x^2); the
+            # wedge -pi/2 <= arg x <= -pi/4 with its bracket
+            # 1 - 4/(25 x^2) + h0.  Floors and balls are the rows of
+            # p1cert.regions, rounded up.
             regions={
                 "omegaI": _Region(
-                    _fixed((mpf(204) / 5) ** (mpf(5) / 4) / 30, prec), ray,
-                    ray, (lead,),
-                    math.ceil(Fraction(41, 40) * Fraction(784, 3125) * scale)),
+                    ray_floor, ray, ray, (lead,),
+                    math.ceil(OMEGA_I.ball * scale)),
                 "omega4": _Region(
-                    3 * scale, _fixed(-mp.pi / 2, prec),
-                    _fixed(-mp.pi / 4, prec), (first, *h0[1:]), 4 * scale),
+                    math.ceil(OMEGA_4.floor * scale),
+                    _fixed(-mp.pi / 2, prec), _fixed(-mp.pi / 4, prec),
+                    (first, *h0[1:]), math.ceil(OMEGA_4.ball * scale)),
             },
             slack=_fixed(mpf(_SLACK), prec),
             stokes_modulus=_fixed(mp.sqrt(mpf(6) / (5 * mp.pi)), prec),
@@ -1364,7 +1370,8 @@ def evaluate_point(
         t = -zv * _fifth_root_of_unity_power(-1)
         warning = None
         # |arg t| < pi/5 is arg x < -pi/2, and |t| = |z| = r.
-        if 2 * angle < -_constants(bits).pi and 20 * r > 37 << bits:
+        if (2 * angle < -_constants(bits).pi and r * DISK_RADIUS.denominator
+                > DISK_RADIUS.numerator << bits):
             warning = (
                 "target lies outside the certified disk in the only sector "
                 "that can contain poles; treat the value as an estimate"

@@ -1250,6 +1250,19 @@ class TestOriginAndEvaluation:
         assert outcome.warning is not None
         assert outcome.y is not None
 
+    @pytest.mark.parametrize("offset, warns", [(-1, False), (1, True)],
+                             ids=["inside", "outside"])
+    def test_disk_warning_starts_at_the_disk_radius(self, offset, warns):
+        # t = 37/20 -+ 1e-20 on the real t axis, in the pole sector
+        t = mpf(37) / 20 + offset * mpf(10) ** -20
+        z = ev.frame_map(t, "t", precision_bits=200).z
+        outcome = ev.evaluate_point(z)
+        assert outcome.method == "integration"
+        assert outcome.y is not None
+        assert (outcome.warning is not None) == warns
+        if warns:
+            assert "outside the certified disk" in outcome.warning
+
     @pytest.mark.parametrize("z, warns", [
         (mpc("-2.5", "-0.01"), True), (mpc("-2.5", "0.01"), False),
     ])
