@@ -27,7 +27,7 @@ fractional powers, pi, and the modulus of the Stokes multiplier.
 The thresholds that the evaluator's closed forms rely on -- the ray's
 matching point, eps and ||H0||, the lower wedge's floor and ball, and the
 disk radius R0 -- come from the rows of :mod:`p1cert.regions`, which the
-evaluator reads too.
+evaluator reads too; :data:`REGION_STATEMENT` is formatted from them.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .data import (constant_catalog, expansion_tables, read_ahead,
                    reference_values)
@@ -55,7 +54,7 @@ from .numerics import (
     truncation_window,
 )
 from .result import CheckResult, PreconditionError, check
-from .regions import DISK_RADIUS, OMEGA_4, OMEGA_I
+from .regions import CLOSED_FORMS, DISK_RADIUS, OMEGA_4, OMEGA_I, arg_z
 from . import fanout, formal
 from . import inner as inner_interval
 
@@ -125,6 +124,16 @@ def x0_abs() -> Interval:
     return frac_pow(24 * OMEGA_I.z0_abs, 5, 4) * Fraction(1, 30)
 
 
+def _times_pi(k: Fraction) -> str:
+    """k pi as the reports print it: pi, pi/5, -3pi/5."""
+    text = {1: "pi", -1: "-pi"}.get(k.numerator, f"{k.numerator}pi")
+    return text if k.denominator == 1 else f"{text}/{k.denominator}"
+
+
+#: The phase of the matching point z0 = |z0| e^(i pi/5): the ray's arg z.
+_Z0_PHASE = f"e^(i {_times_pi(arg_z(OMEGA_I.lowest))})"
+
+
 # ---------------------------------------------------------------------------
 # Imaginary-axis ray certificate
 # ---------------------------------------------------------------------------
@@ -142,10 +151,10 @@ def check_omega_I(rho: Union[Fraction, int, Interval] = 1,
 
     giving a solution with ||H|| <= (1+eps) ||H0||.
     """
-    rho_iv = rho if isinstance(rho, Interval) else Interval(Fraction(rho))
+    rho_iv = rho if isinstance(rho, Interval) else Interval(as_fraction(rho))
     if not rho_iv.is_positive():
         raise PreconditionError(f"ray certificate needs rho > 0, got {rho}")
-    eps = Fraction(eps)
+    eps = as_fraction(eps)
     one_eps = 1 + eps
     map_value, contraction = map(slim, _ray_sides(
         rho_iv.inverse(), (rho_iv ** 2).inverse(), one_eps))
@@ -218,10 +227,13 @@ def check_z0_bounds() -> CertificateReport:
                 * (1 + Fraction(4, 25) * inv_A2)))
     c2 = slim(sqrt_enclosure(6 / z0)
               * (Fraction(1, 12) - Fraction(4, 75) * inv_A2))
-    d1 = abs(c1 - inner_interval.T0_VALUE)
-    d2 = abs(c2 - inner_interval.T0_SLOPE)
-    value_budget = slim(Fraction(3, 890) + d1)
-    slope_budget = slim(Fraction(29, 4468) + d2)
+    # the matching errors' bounds; with the distance of C1, C2 from the
+    # inner interval's data at t0 they must fit its alpha box
+    value_bound, slope_bound = Fraction(3, 890), Fraction(29, 4468)
+    t0_value, t0_slope = inner_interval.T0_VALUE, inner_interval.T0_SLOPE
+    alpha1, alpha2 = inner_interval.ALPHA1, inner_interval.ALPHA2
+    value_budget = slim(value_bound + abs(c1 - t0_value))
+    slope_budget = slim(slope_bound + abs(c2 - t0_slope))
 
     checks = [
         check("ray_instance_maps_into_itself", map_value.hi, eps, "<=",
@@ -229,24 +241,24 @@ def check_z0_bounds() -> CertificateReport:
         check("ray_instance_contraction", contraction.hi, Fraction(1), "<",
               lo=contraction.lo),
         _window_overlap("x0_modulus_reference", A, "3.437"),
-        check("matching_error_value", value_err.hi, Fraction(3, 890), "<=",
+        check("matching_error_value", value_err.hi, value_bound, "<=",
               lo=value_err.lo, note="|y - y0|(z0)"),
-        check("matching_error_slope", slope_err.hi, Fraction(29, 4468), "<=",
+        check("matching_error_slope", slope_err.hi, slope_bound, "<=",
               lo=slope_err.lo, note="|y' - y0'|(z0)"),
         _window_overlap("C1_reference", c1, "-0.5394994",
                         note="rotated value of y0(z0)"),
         _window_overlap("C2_reference", c2, "0.148075",
                         note="rotated value of y0'(z0)"),
-        check("value_correction_within_budget", value_budget.hi,
-              inner_interval.ALPHA1, "<", lo=value_budget.lo,
-              note="3/890 + |C1 + 280/519| < alpha1 = 1/290"),
-        check("slope_correction_within_budget", slope_budget.hi,
-              inner_interval.ALPHA2, "<", lo=slope_budget.lo,
-              note="29/4468 + |C2 - 150/1013| < alpha2 = 1/152"),
+        check("value_correction_within_budget", value_budget.hi, alpha1,
+              "<", lo=value_budget.lo,
+              note=f"{value_bound} + |C1 + {-t0_value}| < alpha1 = {alpha1}"),
+        check("slope_correction_within_budget", slope_budget.hi, alpha2,
+              "<", lo=slope_budget.lo,
+              note=f"{slope_bound} + |C2 - {t0_slope}| < alpha2 = {alpha2}"),
     ]
     return _report(
         "z0_bounds",
-        {"z0": f"({z0})e^(i pi/5)", "rho": _short(A), "eps": eps},
+        {"z0": f"({z0}){_Z0_PHASE}", "rho": _short(A), "eps": eps},
         checks,
         narrative=(
             "certified |H(x0)| <= "
@@ -386,7 +398,7 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
     certify the correction on both subregions; the vertical-contour
     variants of the source bounds are dominated by M and L.
     """
-    eps = Fraction(eps)
+    eps = as_fraction(eps)
     constants = wedge_kernel_constants(T, panels)
     M, N, L = constants["M"], constants["N"], constants["L"]
     # The contraction step consumes the certified constant bounds, not the
@@ -412,7 +424,7 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
         check("wedge_linear_constant", L.hi, l_bound, "<=",
               lo=L.lo, note="L = 1/28 + 2^(-5/4) I_{9/4}"),
         check("vertical_quadratic_dominated", vertical_quadratic.hi, M.lo,
-              "<", note="(784/3125) sqrt(2) < M"),
+              "<", note=f"({H0_NORM}) sqrt(2) < M"),
         check("vertical_linear_dominated", vertical_linear.hi, L.lo, "<",
               note="sqrt(2)/14 < L"),
         check("wedge_ball_maps_into_itself", map_value.hi, eps, "<=",
@@ -625,12 +637,9 @@ def _lower_wedge(v: Mapping, recip) -> Dict[str, object]:
     }
 
 
-def _leaf_enclosures(rho: Fraction,
-                     leaves: Optional[Mapping[str, PowerSum]]
+def _leaf_enclosures(rho: Fraction, leaves: Mapping[str, PowerSum]
                      ) -> Dict[str, Interval]:
     """Every wedge leaf enclosed at rho, each once."""
-    if leaves is None:
-        leaves = _wedge_leaves(scalar_bounds(), route_constants())
     return {name: ps.enclosure(rho) for name, ps in leaves.items()}
 
 
@@ -649,7 +658,7 @@ def _lower_wedge_rho(rho: Union[Fraction, int, str]) -> Fraction:
     """``rho`` as a Fraction, or :class:`PreconditionError` below 3: the
     lower-wedge certificate and its sector constants are stated for
     rho >= 3 only."""
-    rho = Fraction(rho)
+    rho = as_fraction(rho)
     if rho < OMEGA_4.floor:
         raise PreconditionError(
             f"the lower-wedge certificate is stated for rho >= "
@@ -657,23 +666,24 @@ def _lower_wedge_rho(rho: Union[Fraction, int, str]) -> Fraction:
     return rho
 
 
-def sector_majorants(rho: Fraction, c_hi: Fraction,
-                     leaves: Optional[Mapping[str, PowerSum]] = None
-                     ) -> Dict[str, Interval]:
+def _sector_values(rho: Fraction, recip) -> Dict[str, Interval]:
+    """The lower-wedge formulas at rho over the shipped leaves."""
+    rho = _lower_wedge_rho(rho)
+    leaves = _wedge_leaves(scalar_bounds(), route_constants())
+    return _wedge_values(_leaf_enclosures(rho, leaves), recip)
+
+
+def sector_majorants(rho: Fraction, c_hi: Fraction) -> Dict[str, Interval]:
     """Enclosures at rho of the majorants of the catalogued quantities:
     the lower-wedge formulas with 1/(1-u) bounded by the geometric
     1 + u + u^2 + u^3 + c_hi u^4, valid whenever 1/(1-u) <= c_hi."""
-    return _wedge_values(_leaf_enclosures(_lower_wedge_rho(rho), leaves),
-                         _geometric(c_hi))
+    return _sector_values(rho, _geometric(c_hi))
 
 
-def sector_point_values(rho: Fraction,
-                        leaves: Optional[Mapping[str, PowerSum]] = None
-                        ) -> Dict[str, Interval]:
+def sector_point_values(rho: Fraction) -> Dict[str, Interval]:
     """Sharp enclosures of all catalogued quantities at one rho value,
     evaluating the two division terms by interval division."""
-    return _wedge_values(_leaf_enclosures(_lower_wedge_rho(rho), leaves),
-                         _interval_recip)
+    return _sector_values(rho, _interval_recip)
 
 
 def check_omega_4(rho: Union[Fraction, int, str] = OMEGA_4.floor
@@ -818,7 +828,7 @@ def maclaurin_enclosures(horizon: int = 256,
     integer kernel at rho = 2 and 2^-``ENVELOPE_BITS``, converted back to
     exact intervals.  The window centres are the midpoints, and eps
     rounded up plus one unit covers both eps and the centres' floor."""
-    bits = ENVELOPE_BITS
+    bits, eps = ENVELOPE_BITS, as_fraction(eps)
     prefix = inner_interval.origin_windows(eps, eps)
     value, slope = (math.floor(c.mid * 2 ** bits) for c in prefix[:2])
     radius = math.ceil(eps * 2 ** bits) + 1
@@ -859,7 +869,7 @@ def check_taylor_radius(horizon: int = 256,
     balls on the integer kernel re-confirms the envelope numerically up
     to ``horizon``.
     """
-    eps = Fraction(eps)
+    eps = as_fraction(eps)
     inv = 1 / DISK_RADIUS
     c0, c1, c2, c3 = inner_interval.origin_windows(eps, eps)
     corner_c2 = {3 * v ** 2 for v in (c0.lo, c0.hi)}
@@ -930,20 +940,31 @@ def check_symbolic_tables() -> CertificateReport:
 # Everything
 # ---------------------------------------------------------------------------
 
-REGION_STATEMENT = (
-    "Certified region: {z != 0: arg z in [-3pi/5, pi]} union "
-    "{|z| < 37/20}.  Assembly: the ray, wedge and lower-wedge "
-    "certificates cover the outer sector |z| >= 17/10 (they certify "
-    "arg z in [-3pi/5, pi/5]; the reflection across the ray, "
-    "y(z) = w^-2 conj(y(w conj(z))) with w = e^(2pi i/5), supplies "
-    "arg z in (pi/5, pi], a reflection step taken as prose, not "
-    "machine-checked); the matching bounds at z0 = (17/10) e^(i pi/5) "
-    "hand certified initial data to the inner-interval certificate, "
-    "which transports it along t in [-17/10, 0]; the Maclaurin envelope "
-    "then covers the disk |z| < 37/20.  The identification of the "
-    "constructed solution with the tritronquee rests on classical "
-    "asymptotic theory (assumption, reported not checked)."
-)
+def _region_statement() -> str:
+    """The certified region and its assembly, stated from the rows: the
+    certificates reach from the lowest edge of the closed-form rows up to
+    the ray, and the reflection across the ray doubles that."""
+    low = arg_z(min(row.lowest for row in CLOSED_FORMS))
+    ray = arg_z(OMEGA_I.lowest)
+    low, ray, top = (_times_pi(k) for k in (low, ray, 2 * ray - low))
+    return (
+        f"Certified region: {{z != 0: arg z in [{low}, {top}]}} union "
+        f"{{|z| < {DISK_RADIUS}}}.  Assembly: the ray, wedge and lower-wedge "
+        f"certificates cover the outer sector |z| >= {OMEGA_I.z0_abs} (they "
+        f"certify arg z in [{low}, {ray}]; the reflection across the ray, "
+        "y(z) = w^-2 conj(y(w conj(z))) with w = e^(2pi i/5), supplies "
+        f"arg z in ({ray}, {top}], a reflection step taken as prose, not "
+        f"machine-checked); the matching bounds at z0 = ({OMEGA_I.z0_abs}) "
+        f"{_Z0_PHASE} hand certified initial data to the inner-interval "
+        "certificate, which transports it along t in "
+        f"[{inner_interval.T0}, 0]; the Maclaurin envelope then covers the "
+        f"disk |z| < {DISK_RADIUS}.  The identification of the constructed "
+        "solution with the tritronquee rests on classical asymptotic theory "
+        "(assumption, reported not checked)."
+    )
+
+
+REGION_STATEMENT = _region_statement()
 
 
 def ray_reports() -> List[CertificateReport]:

@@ -133,7 +133,7 @@ def rho_option(command):
         "--rho", type=RATIONAL, default=OMEGA_4.floor,
         show_default=str(OMEGA_4.floor),
         help="Radius parameter of the lower wedge (rational; the wedge "
-             "certificates are stated for rho >= 3).")(command)
+             f"certificates are stated for rho >= {OMEGA_4.floor}).")(command)
 
 
 def _run(body: Callable[[], int], tables: Optional[str] = None,

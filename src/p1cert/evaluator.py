@@ -40,7 +40,7 @@ from . import data, formal, inner
 from .inner import Gaussian, taylor_fixed
 from .fanout import fan_out
 from .numerics import Interval, grid_root
-from .regions import DISK_RADIUS, OMEGA_4, OMEGA_I
+from .regions import CLOSED_FORMS, DISK_RADIUS
 from .result import PreconditionError
 
 Number = Union[int, float, Fraction, mpf, mpc, complex]
@@ -75,10 +75,9 @@ MIN_ORDER, MAX_ORDER = 16, 64
 
 _MAX_STEPS = 500_000
 
-#: Asymptotic-region tokens accepted by :func:`asymptotic_y`:
-#: ``omegaI`` is the oscillatory ray arg x = pi/2 beyond the matching
-#: radius, ``omega4`` the wedge -pi/2 <= arg x <= -pi/4 beyond radius 3.
-ASYMPTOTIC_REGIONS = ("omegaI", "omega4")
+#: Asymptotic-region tokens accepted by :func:`asymptotic_y`: the names
+#: of the closed-form rows of :mod:`p1cert.regions`, in priority order.
+ASYMPTOTIC_REGIONS = tuple(row.name for row in CLOSED_FORMS)
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -185,7 +184,7 @@ _SLACK = 1e-9
 @dataclass(frozen=True)
 class _Region:
     """One row of :attr:`_Constants.regions`, at 2^-prec: the floor of
-    |x|, rounded up; the lowest and highest unwrapped arg x, exact; the
+    |x|, rounded up; the lowest and highest unwrapped arg x; the
     layers of the bracket, each the ascending coefficients of a polynomial
     in 1/x of sum_k xi^k L_k(1/x) (:func:`_layer_sum`); the certificate's
     ball radius, rounded up."""
@@ -225,30 +224,26 @@ def _constants(prec: int) -> _Constants:
     lead = (scale, 0, -round(Fraction(4, 25) * scale))
     first = tuple(a + b for a, b in
                   itertools.zip_longest(lead, h0[0], fillvalue=0))
-    # |x0| = (24 |z0|)^(5/4)/30 rounded up: the fourth root of
-    # (24 |z0|)^5/30^4 by integer roots, so the floor never lies below it.
-    x0_fourth = (24 * OMEGA_I.z0_abs) ** 5 / 30 ** 4
-    ray_floor = grid_root(x0_fourth.numerator, x0_fourth.denominator, 4,
-                          prec)[1]
     with workprec(prec):
         keys = [(n, 5) for n in range(-3, 4)] + [(1, 4), (-1, 4)]
-        ray = _fixed(mp.pi / 2, prec)
+        pi = _fixed(+mp.pi, prec)
         return _Constants(
             roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
-            pi=_fixed(+mp.pi, prec),
-            # The ray at arg x = pi/2 with its bracket 1 - 4/(25 x^2); the
-            # wedge -pi/2 <= arg x <= -pi/4 with its bracket
-            # 1 - 4/(25 x^2) + h0.  Floors and balls are the rows of
-            # p1cert.regions, rounded up.
+            pi=pi,
+            # The closed-form rows of p1cert.regions, in their order: the
+            # floor, an integer fourth root of its exact fourth power, and
+            # the ball rounded up; the edges pi times the row's, exact for
+            # multiples of pi/4; the bracket 1 - 4/(25 x^2), plus h0 where
+            # the row's kind adds it.
             regions={
-                "omegaI": _Region(
-                    ray_floor, ray, ray, (lead,),
-                    math.ceil(OMEGA_I.ball * scale)),
-                "omega4": _Region(
-                    math.ceil(OMEGA_4.floor * scale),
-                    _fixed(-mp.pi / 2, prec), _fixed(-mp.pi / 4, prec),
-                    (first, *h0[1:]), math.ceil(OMEGA_4.ball * scale)),
-            },
+                row.name: _Region(
+                    grid_root(row.floor_fourth.numerator,
+                              row.floor_fourth.denominator, 4, prec)[1],
+                    pi * row.lowest.numerator // row.lowest.denominator,
+                    pi * row.highest.numerator // row.highest.denominator,
+                    (first, *h0[1:]) if row.adds_h0 else (lead,),
+                    math.ceil(row.ball * scale))
+                for row in CLOSED_FORMS},
             slack=_fixed(mpf(_SLACK), prec),
             stokes_modulus=_fixed(mp.sqrt(mpf(6) / (5 * mp.pi)), prec),
             h0_layers=tuple(h0),
@@ -484,28 +479,20 @@ def asymptotic_y(
 ) -> AsymptoticValue:
     """Evaluate y(z) from a certified asymptotic representation.
 
-    ``region`` selects which contraction certificate supplies the error
-    bound:
-
-    * ``"omegaI"`` -- the oscillatory ray arg x = pi/2 with
-      |x| >= (204/5)^(5/4)/30 (~= 3.437).  Value
-      i*sqrt(z/6) * (1 - 4/(25 x^2)); the fixed-point ball of radius
-      (41/40)*(784/3125) in the weighted norm gives the error
-      |sqrt(z/(6x))| * (41/40)*(784/3125) * |x|^(-5/2).
-    * ``"omega4"`` -- the wedge -pi/2 <= arg x <= -pi/4 with |x| >= 3.
-      Value  i*sqrt(z/6) * (1 - 4/(25 x^2) + h0(x)), where h0 is the
-      exponentially small quasi-solution; the sector certificate traps
-      the full correction as  h0 + G/sqrt(x)  with
-      |G| <= 4*|x|^(-5/2), giving the error
-      |sqrt(z/6)| * 4 * |x|^(-3).
+    ``region`` names the row of :data:`p1cert.regions.CLOSED_FORMS`
+    whose certificate supplies the error bound: the oscillatory ray
+    ``"omegaI"``, value i*sqrt(z/6) * (1 - 4/(25 x^2)), or the lower wedge
+    ``"omega4"``, which adds the exponentially small quasi-solution h0(x)
+    inside the bracket.  The row's ball B bounds the correction in the
+    weighted norm sup |x^(5/2) H(x)|, which gives the error
+    |sqrt(z/6)| * B * |x|^(-3).
 
     Both come from one polar pass on integers at 2^-prec
     (:func:`_outer_polar`, :func:`_closed_form`): r = |z| and
     theta = arg z once each, |x| = (24 r)^(5/4)/30 and
     arg x = pi/4 + 5 theta/4 without wrapping, the bracket by the kernel
-    of :func:`h0_value`, and its product with i*sqrt(z/6).  The error is
-    sqrt(r/6) times the ball radius times |x|^(-3), the same quantity as
-    above.  On the negative real axis arg x is 3pi/2, in neither region.
+    of :func:`h0_value`, and its product with i*sqrt(z/6).  On the
+    negative real axis arg x is 3pi/2, in neither region.
 
     Raises :class:`PreconditionError`, naming the region's floor and arg x
     edges, unless :func:`_asymptotic_region` places z in the requested
@@ -557,27 +544,26 @@ def _outer_polar(z: mpc, bits: int) -> Tuple[Gaussian, int, int, int]:
 
 
 def _asymptotic_region(radius: int, angle: int) -> Optional[str]:
-    """The asymptotic region holding x = radius * e^(i*angle), or None.
+    """The first asymptotic region holding x = radius * e^(i*angle), or
+    None.
 
-    The ray sits at arg x = pi/2 and the wedge at -pi/2 <= arg x <= -pi/4,
-    so with ``angle`` unwrapped, in (-pi, 3pi/2], the test 0 < angle < pi
-    names the only candidate and its row of :attr:`_Constants.regions`
-    decides.  Angles in [pi, 3pi/2] (arg z in [3pi/5, pi]) lie in
-    neither.  Within the slack, |x| may fall short of the floor by the
-    fraction _SLACK, and arg x overshoot an edge by up to _SLACK while
-    the overshoot times |x| is at most 1/2; past the wedge's edges that
-    keeps Re x >= -1/2 and |xi| < 1, as :func:`_layer_sum` assumes.  Runs
-    at the caller's working precision.
+    ``angle`` is unwrapped, in (-pi, 3pi/2], and the rows of
+    :attr:`_Constants.regions` are tried in the priority order of
+    :data:`p1cert.regions.CLOSED_FORMS`.  Within the slack, |x| may fall
+    short of a floor by the fraction _SLACK, and arg x overshoot an edge
+    by up to _SLACK while the overshoot times |x| is at most 1/2; past
+    the wedge's edges that keeps Re x >= -1/2 and |xi| < 1, as
+    :func:`_layer_sum` assumes.  Runs at the caller's working precision.
     """
     bits = mp.prec
     constants = _constants(bits)
-    region = "omegaI" if 0 < angle < constants.pi else "omega4"
-    row, slack = constants.regions[region], constants.slack
-    over = max(row.lowest - angle, angle - row.highest, 0)
-    if (radius << bits < row.floor * ((1 << bits) - slack) or over > slack
-            or 2 * over * radius > 1 << 2 * bits):
-        return None
-    return region
+    slack = constants.slack
+    for region, row in constants.regions.items():
+        over = max(row.lowest - angle, angle - row.highest, 0)
+        if (over <= slack and 2 * over * radius <= 1 << 2 * bits
+                and radius << bits >= row.floor * ((1 << bits) - slack)):
+            return region
+    return None
 
 
 def _root(z: Gaussian, r: int, bits: int) -> Gaussian:
@@ -602,10 +588,9 @@ def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
 
     The bracket 1 - 4/(25 x^2), plus h0(x) in the wedge, is one
     :func:`_layer_sum`; it is multiplied by i*sqrt(z/6) on integers and
-    converted back once.  The error is s * (41/40)(784/3125) * |x|^(-3)
-    on the ray and s * 4 * |x|^(-3) in the wedge, s = sqrt(r/6), rounded
-    up, plus a bound on the value's own rounding.  Runs at the caller's
-    working precision.
+    converted back once.  The error is s * ball * |x|^(-3), s = sqrt(r/6)
+    rounded up, plus a bound on the value's own rounding.  Runs at the
+    caller's working precision.
     """
     row = _constants(bits).regions[region]
     br, bi = _layer_sum(row.layers, radius, angle, bits)
@@ -1369,8 +1354,10 @@ def evaluate_point(
             )
         t = -zv * _fifth_root_of_unity_power(-1)
         warning = None
-        # |arg t| < pi/5 is arg x < -pi/2, and |t| = |z| = r.
-        if (2 * angle < -_constants(bits).pi and r * DISK_RADIUS.denominator
+        # |arg t| < pi/5 is arg x below the certified sector's lowest
+        # edge, the lowest of the rows', and |t| = |z| = r.
+        lowest = min(row.lowest for row in _constants(bits).regions.values())
+        if (angle < lowest and r * DISK_RADIUS.denominator
                 > DISK_RADIUS.numerator << bits):
             warning = (
                 "target lies outside the certified disk in the only sector "

@@ -1,11 +1,12 @@
 """Certified contraction argument on the segment [-17/10, 0].
 
 The disk part of the pole-free region is controlled by the initial value
-problem ``g'' = 6*g**2 + t`` with data at ``t0 = -17/10`` matched to the
-solution coming in from the far field.  A degree-7 polynomial ``g0``
-approximates the solution, a pair ``(J1, J2)`` approximates a fundamental
-system of the linearization ``f'' = 12*g0*f``, and the difference
-``delta = g - g0`` solves a fixed-point equation
+problem ``g'' = 6*g**2 + t`` with data at ``t0 = -|z0| = -17/10`` (the ray
+row :data:`p1cert.regions.OMEGA_I`) matched to the solution coming in from
+the far field.  A degree-7 polynomial ``g0`` approximates the solution, a
+pair ``(J1, J2)`` approximates a fundamental system of the linearization
+``f'' = 12*g0*f``, and the difference ``delta = g - g0`` solves a
+fixed-point equation
 
     delta = a1*J1 + a2*J2 - K[R] + K[A*delta' + B1*delta + 6*delta**2]
 
@@ -18,7 +19,7 @@ that seed the disk's power series (:func:`maclaurin_extend`, whose integer
 kernel :func:`taylor_fixed` and ball radii :func:`taylor_radii` the
 integrator and the disk certificate share).
 
-All polynomials live in the shifted variable ``s = t + 17/10 in [0, 17/10]``.
+All polynomials live in the shifted variable ``s = t - t0 in [0, -t0]``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,15 @@ from .polybound import (
     ratio_sup_bound,
     sup_abs_partition,
 )
+from .regions import OMEGA_I
 from .result import CheckResult, check
 
-T0 = Fraction(-17, 10)
+# t0 = -|z0|: the segment starts at the rotated matching point, where the
+# ray certificate hands over its data
+T0 = -OMEGA_I.z0_abs
 # g0(t0), g0'(t0): the ray certificate's rotated data at z0, handed over here
 T0_VALUE = Fraction(-280, 519)
 T0_SLOPE = Fraction(150, 1013)
-S_END = Fraction(17, 10)
 
 # admissible window for the free constants multiplying J1, J2
 ALPHA1 = Fraction(1, 290)
@@ -89,9 +92,9 @@ def origin_windows(value_radius: Fraction = VALUE_WINDOW,
 
 
 # crude integral-operator norms: |kernel| <= sum of sup-norm products, times
-# the interval length 17/10
-K1_BOUND = Fraction(17, 10) * (J2_BOUND * J1_BOUND + J1_BOUND * J2_BOUND)
-K2_BOUND = Fraction(17, 10) * (J2_PRIME_BOUND * J1_BOUND + J1_PRIME_BOUND * J2_BOUND)
+# the interval length -t0
+K1_BOUND = -T0 * (J2_BOUND * J1_BOUND + J1_BOUND * J2_BOUND)
+K2_BOUND = -T0 * (J2_PRIME_BOUND * J1_BOUND + J1_PRIME_BOUND * J2_BOUND)
 
 
 def defect_budget() -> Fraction:
@@ -115,7 +118,7 @@ def contraction_factor() -> Fraction:
 
 @dataclass(frozen=True)
 class InnerSystem:
-    """Exact polynomials and certification partitions, in s = t + 17/10."""
+    """Exact polynomials and certification partitions, in s = t - t0."""
 
     g0: Poly
     J1: Poly
@@ -136,7 +139,7 @@ class InnerSystem:
 
     @property
     def remainder(self) -> Poly:
-        """R = 6*g0**2 + t - g0'' (t = s - 17/10); the defect of g0."""
+        """R = 6*g0**2 + t - g0'' (t = s + t0); the defect of g0."""
         six_g0_sq = poly_scale(poly_mul(self.g0, self.g0), Fraction(6))
         t_poly = poly([T0, Fraction(1)])
         g0_pp = poly_derivative(self.g0_prime)
@@ -186,7 +189,7 @@ def build_system() -> InnerSystem:
         g0=polys["g0"],
         J1=polys["J1"],
         J2=polys["J2"],
-        partitions={name: [pt + S_END for pt in points]
+        partitions={name: [pt - T0 for pt in points]
                     for name, points in data.inner_partitions().items()},
     )
 
@@ -224,113 +227,54 @@ def certify() -> List[CheckResult]:
             return Fraction(10**6)
         return ratio_sup_bound(numerator_sup, w_off.hi)
 
-    results.append(check(
-        "J1_over_W_sup", ratio(j1_sup.hi), J1_BOUND, "<=",
-        note="shares the 6/5 target with J1_sup; this quotient is the binding one",
-    ))
-    results.append(check(
-        "J2_over_W_sup", ratio(j2_sup.hi), J2_BOUND, "<=",
-        note="shares the 3/7 target with J2_sup; this quotient is the binding one",
-    ))
+    for name, numerator, bound in (("J1", j1_sup, J1_BOUND),
+                                   ("J2", j2_sup, J2_BOUND)):
+        results.append(check(
+            f"{name}_over_W_sup", ratio(numerator.hi), bound, "<=",
+            note=f"shares the {bound} target with {name}_sup; this "
+                 "quotient is the binding one"))
 
     a_sup = sup(sys_.damping_numerator, "A")
     results.append(check("damping_sup", ratio(a_sup.hi), A_BOUND))
     b1_sup = sup(sys_.restoring_numerator, "B1")
     results.append(check("restoring_sup", ratio(b1_sup.hi), B1_BOUND))
 
-    corner_specs = [
-        ("corner_plus", sys_.corner(+1), "corner_plus", CORNER_BOUND),
-        ("corner_minus", sys_.corner(-1), "corner_minus", CORNER_BOUND),
-        (
-            "corner_prime_plus",
-            sys_.corner(+1, derivative=True),
-            "corner_prime_plus",
-            CORNER_PRIME_BOUND,
-        ),
-        (
-            "corner_prime_minus",
-            sys_.corner(-1, derivative=True),
-            "corner_prime_minus",
-            CORNER_PRIME_BOUND,
-        ),
-    ]
-    for name, p, partition, bound in corner_specs:
-        results.append(check(name, sup(p, partition).hi, bound))
+    # each corner's partition is named after its check
+    for prime, bound in (("", CORNER_BOUND), ("prime_", CORNER_PRIME_BOUND)):
+        for sign, side in ((+1, "plus"), (-1, "minus")):
+            name = f"corner_{prime}{side}"
+            corner = sys_.corner(sign, derivative=bool(prime))
+            results.append(check(name, sup(corner, name).hi, bound))
 
     # --- exact fixed-point chain (inputs are the stated bounds above) ------
     beta = defect_budget()
-    results.append(
-        check(
-            "integral_defect_value",
-            K1_BOUND * beta,
-            DEFECT_VALUE_BOUND,
-            note="operator norm x defect budget",
-        )
-    )
-    results.append(
-        check(
-            "integral_defect_slope",
-            K2_BOUND * beta,
-            DEFECT_SLOPE_BOUND,
-            note="operator norm x defect budget",
-        )
-    )
-    results.append(
-        check("contraction_factor", contraction_factor(), CONTRACTION_BOUND)
-    )
-    results.append(
-        check(
-            "ball_invariance_value",
-            CORNER_BOUND + DEFECT_VALUE_BOUND,
-            BALL_RADIUS,
-            "<=",
-        )
-    )
-    results.append(
-        check(
-            "ball_invariance_slope",
-            (CORNER_PRIME_BOUND + DEFECT_SLOPE_BOUND) / 2,
-            BALL_RADIUS,
-            "<=",
-        )
-    )
+    results.extend([
+        check("integral_defect_value", K1_BOUND * beta, DEFECT_VALUE_BOUND,
+              note="operator norm x defect budget"),
+        check("integral_defect_slope", K2_BOUND * beta, DEFECT_SLOPE_BOUND,
+              note="operator norm x defect budget"),
+        check("contraction_factor", contraction_factor(), CONTRACTION_BOUND),
+        check("ball_invariance_value", CORNER_BOUND + DEFECT_VALUE_BOUND,
+              BALL_RADIUS, "<="),
+        check("ball_invariance_slope",
+              (CORNER_PRIME_BOUND + DEFECT_SLOPE_BOUND) / 2, BALL_RADIUS,
+              "<="),
+    ])
 
-    # --- endpoint windows at t = 0 (s = 17/10), all exact rationals --------
-    g0_end = poly_eval(sys_.g0, S_END)
-    g0p_end = poly_eval(sys_.g0_prime, S_END)
-    j1_end = abs(poly_eval(sys_.J1, S_END))
-    j2_end = abs(poly_eval(sys_.J2, S_END))
-    j1p_end = abs(poly_eval(sys_.J1_prime, S_END))
-    j2p_end = abs(poly_eval(sys_.J2_prime, S_END))
-
-    value_window = (
-        abs(g0_end - CENTER_VALUE)
-        + ALPHA1 * j1_end
-        + ALPHA2 * j2_end
-        + DEFECT_VALUE_BOUND
-    )
-    results.append(
-        check(
-            "value_window",
-            value_window,
-            VALUE_WINDOW,
-            note=f"|g(0) - ({CENTER_VALUE})| bound",
-        )
-    )
-    slope_window = (
-        abs(g0p_end - CENTER_SLOPE)
-        + ALPHA1 * j1p_end
-        + ALPHA2 * j2p_end
-        + DEFECT_SLOPE_BOUND
-    )
-    results.append(
-        check(
-            "slope_window",
-            slope_window,
-            SLOPE_WINDOW,
-            note=f"|g'(0) - {CENTER_SLOPE}| bound",
-        )
-    )
+    # --- endpoint windows at t = 0 (s = -t0), all exact rationals ----------
+    g0_end, g0p_end, j1_end, j2_end, j1p_end, j2p_end = (
+        poly_eval(p, -T0) for p in (sys_.g0, sys_.g0_prime, sys_.J1,
+                                    sys_.J2, sys_.J1_prime, sys_.J2_prime))
+    value_window = (abs(g0_end - CENTER_VALUE) + ALPHA1 * abs(j1_end)
+                    + ALPHA2 * abs(j2_end) + DEFECT_VALUE_BOUND)
+    slope_window = (abs(g0p_end - CENTER_SLOPE) + ALPHA1 * abs(j1p_end)
+                    + ALPHA2 * abs(j2p_end) + DEFECT_SLOPE_BOUND)
+    results.extend([
+        check("value_window", value_window, VALUE_WINDOW,
+              note=f"|g(0) - ({CENTER_VALUE})| bound"),
+        check("slope_window", slope_window, SLOPE_WINDOW,
+              note=f"|g'(0) - {CENTER_SLOPE}| bound"),
+    ])
 
     return results
 

@@ -674,3 +674,32 @@ class TestRunAll:
                 == hashlib.sha256(parsed).hexdigest())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+#: Entry points that take an exact rational, each called with one float
+#: argument.  Fraction(1.5) would silently be 3/2 and Fraction(0.15) the
+#: binary expansion 5404319552844595/36028797018963968.
+FLOAT_CALLS = {
+    "check_omega_I rho": lambda: C.check_omega_I(1.5),
+    "check_omega_I eps": lambda: C.check_omega_I(1, 0.15),
+    "_lower_wedge_rho": lambda: C._lower_wedge_rho(3.1),
+    "check_omega_12 eps": lambda: C.check_omega_12(1.5),
+    "check_taylor_radius eps": lambda: C.check_taylor_radius(eps=0.01),
+    "taylor_envelope_run eps": lambda: C.taylor_envelope_run(eps=0.01),
+    "maclaurin_enclosures eps": lambda: C.maclaurin_enclosures(eps=0.01),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+def test_a_float_argument_is_refused(name):
+    with pytest.raises(TypeError, match="not an exact value"):
+        FLOAT_CALLS[name]()
+
+
+@pytest.mark.parametrize("value", [Fraction(7, 2), "7/2"])
+def test_a_fraction_or_a_rational_string_is_accepted(value):
+    assert C._lower_wedge_rho(value) == Fraction(7, 2)
+    assert (C.check_omega_I(value).inputs
+            == C.check_omega_I(Fraction(7, 2)).inputs)
+    assert (C.check_omega_I(1, value).inputs
+            == C.check_omega_I(1, Fraction(7, 2)).inputs)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from p1cert import data
+from p1cert import data, inner
 from p1cert.numerics import truncation_window
 from p1cert.polybound import poly_derivative, poly_eval
 
@@ -117,7 +117,8 @@ def test_reference_values_parse_as_truncation_windows():
 # inner ODE data
 # ---------------------------------------------------------------------------
 
-S_END = Fraction(17, 10)
+# the right endpoint t = 0 in s = t - t0, t0 = -|z0| from the ray row
+S_END = -inner.T0
 
 # frozen endpoint values (computed exactly from the stored coefficients,
 # printed here to 10 places as regression pins)
@@ -154,8 +155,8 @@ def test_inner_polynomial_endpoint_matches_disk_center_targets():
     """g0 at the right endpoint sits close to the stated center values."""
     polys = data.inner_polynomials()
     g0 = polys["g0"]
-    val = poly_eval(g0, S_END) + Fraction(87, 469)
-    der = poly_eval(poly_derivative(g0), S_END) - Fraction(41, 134)
+    val = poly_eval(g0, S_END) - inner.CENTER_VALUE
+    der = poly_eval(poly_derivative(g0), S_END) - inner.CENTER_SLOPE
     assert abs(val) < Fraction(1, 10**6)
     assert abs(der) < Fraction(4, 10**5)
     assert val > 0
