@@ -39,8 +39,8 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .data import (constant_catalog, expansion_tables, read_ahead,
                    reference_values)
-from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power, tail1,
-                          tail2, tail3, tail4)
+from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power,
+                          majorant, tail1, tail2, tail3, tail4)
 from .numerics import (
     CERT_TOL,
     Interval,
@@ -482,13 +482,9 @@ def route_constants() -> Dict[str, PowerSum]:
                             for j in (5, 6)})
     m_g40 = PowerSum({Fraction(j - 5, 2): abs_sums_by_s_power(p[j])
                       for j in range(5, 9)})
-    log_free_factor = PowerSum({
-        Fraction(0): SPoly.constant(_HALF),
-        _HALF: SPoly.s_power(1, Fraction(2, 3)),
-    })
     m_g41 = (PowerSum({Fraction(j - 7, 2): tail1(j, ut[j])
                        for j in range(7, 11)})
-             + log_free_factor
+             + _z2_head_majorant()
              * PowerSum({Fraction(j - 7, 2): tail1(j, tt[j])
                          for j in (7, 8, 9)}))
     m_g5 = PowerSum({Fraction(j - 7, 2): tail3(j, r[j]) for j in (7, 8, 9)})
@@ -502,42 +498,31 @@ def route_constants() -> Dict[str, PowerSum]:
     }
 
 
+def _z2_head_majorant() -> PowerSum:
+    """Bound on the head e^(-2x) (z20 + z21) of the second-kind factor."""
+    return majorant(formal.FormalSeries.term(1, m=2)
+                    * (formal.z20_series() + formal.z21_series()))
+
+
 def scalar_bounds() -> Dict[str, PowerSum]:
-    """Division-free scalar bound functions of rho (coefficients in |S|)."""
-    j_m = PowerSum({
-        Fraction(0): SPoly.s_power(1, Fraction(3, 16)),
-        _HALF: (SPoly.constant(Fraction(19, 24))
-                + SPoly.s_power(2, Fraction(1, 36))),
-        Fraction(1): (SPoly.s_power(1, Fraction(5, 16))
-                      + SPoly.s_power(3, Fraction(25, 6912))),
-    })
-    s_third = PowerSum({Fraction(0): SPoly.s_power(1, Fraction(1, 3))})
-    rho_half = PowerSum.monomial(1, _HALF)
-    big_j = s_third * (PowerSum.constant(1) + rho_half * j_m)
-    y1 = PowerSum.constant(1) + rho_half * big_j
-    y1r = s_third * j_m
-    y_head = PowerSum.constant(1) + rho_half * s_third
-    return {"j_m": j_m, "J_M": big_j, "Y_1M": y1, "Y_1RM": y1r,
-            "Y_head": y_head}
+    """Division-free scalar bound functions of rho (coefficients in |S|):
+    majorants of ring elements that the symbolic table suite checks."""
+    return {"j_m": majorant(formal.small_j_series()),
+            "J_M": majorant(formal.j_factorization()),
+            "Y_1M": majorant(formal.y1_series()),
+            "Y_1RM": majorant(formal.j_prefactor() * formal.small_j_series()),
+            "Y_head": majorant(formal.y10_series() + formal.y11_series())}
 
 
 def z2_remainder_division_free(j_m: PowerSum, e_m: PowerSum) -> PowerSum:
     """All of the |x z_{2,R}| bound except its two division terms, from
     the scalar bound ``j_m`` and the route constant ``e_m`` (E_M)."""
-    rho_half = PowerSum.monomial(1, _HALF)
-    rho_one = PowerSum.monomial(1, Fraction(1))
-    explicit = PowerSum({
-        Fraction(0): SPoly.s_power(2, Fraction(23, 72)),
-        _HALF: (SPoly.s_power(3, Fraction(23, 216))
-                + SPoly.s_power(1, QSqrt2(Fraction(7, 36), Fraction(7, 36)))
-                + SPoly.s_power(3, Fraction(8, 27))),
-        Fraction(1): (SPoly.s_power(2, Fraction(361, 3456))
-                      + SPoly.s_power(4, Fraction(577, 41472))),
-    })
-    cubic_tail = (PowerSum({Fraction(0): SPoly.s_power(3, Fraction(4, 9))})
-                  * j_m
-                  * (PowerSum.constant(1) + rho_half * j_m
-                     + rho_one * j_m * j_m * Fraction(1, 3)))
+    explicit = majorant(formal.z2R0_series(), shift=2) + PowerSum({
+        _HALF: (SPoly.s_power(1, QSqrt2(Fraction(7, 36), Fraction(7, 36)))
+                + SPoly.s_power(3, Fraction(8, 27)))})
+    u = PowerSum.monomial(1, _HALF) * j_m
+    cubic_tail = (PowerSum.constant(SPoly.s_power(3, Fraction(4, 9))) * j_m
+                  * (1 + u + u * u * Fraction(1, 3)))
     return explicit + e_m + cubic_tail
 
 
@@ -549,6 +534,7 @@ def _wedge_leaves(scalars: Mapping[str, PowerSum],
         **routes,
         "z_2R_free": z2_remainder_division_free(scalars["j_m"],
                                                 routes["E_M"]),
+        "z_2head": _z2_head_majorant(),
         "rho^-1/2": PowerSum.monomial(1, _HALF),
         "rho^-1": PowerSum.monomial(1, Fraction(1)),
         "|S|": PowerSum.constant(SPoly.s_power(1)),
@@ -602,9 +588,9 @@ def z2_remainder_majorant(v: Mapping, recip):
 
 
 def _lower_wedge(v: Mapping, recip) -> Dict[str, object]:
-    """The lower-wedge formulas, written once: z_2RM, z_2M, the seven
-    source bounds M_1..M_7, and the linear and quadratic operator bounds
-    V_M, T_M.
+    """``v`` and the lower-wedge formulas over it, written once: z_2RM,
+    z_2M, the seven source bounds M_1..M_7, and the linear and quadratic
+    operator bounds V_M, T_M.
 
     ``v`` maps each name of :func:`_wedge_leaves` to a value: an Interval
     at one rho, or a :class:`_Monotone` flag.  ``recip(u)`` bounds
@@ -613,12 +599,12 @@ def _lower_wedge(v: Mapping, recip) -> Dict[str, object]:
     """
     y1, y1r, inv_rho = v["Y_1M"], v["Y_1RM"], v["rho^-1"]
     z2r = z2_remainder_majorant(v, recip)
-    z2 = (Fraction(1, 2) + Fraction(2, 3) * v["|S|"] * v["rho^-1/2"]
-          + z2r * inv_rho)
+    z2 = v["z_2head"] + z2r * inv_rho
     s2 = v["|S|"] ** 2
     s2_524 = Fraction(5, 24) * s2
     sqrt2p1 = v["sqrt2+1"]
     return {
+        **v,
         "z_2RM": z2r,
         "z_2M": z2,
         "M_1": y1 * y1 * z2 * v["M_G1"],
@@ -643,12 +629,6 @@ def _leaf_enclosures(rho: Fraction, leaves: Mapping[str, PowerSum]
     return {name: ps.enclosure(rho) for name, ps in leaves.items()}
 
 
-def _wedge_values(at: Mapping[str, Interval], recip
-                  ) -> Dict[str, Interval]:
-    """Leaf enclosures at one rho and the lower-wedge formulas over them."""
-    return {**at, **_lower_wedge(at, recip)}
-
-
 def _interval_recip(u: Interval) -> Interval:
     """1/(1-u) by interval division."""
     return (1 - u).inverse()
@@ -670,7 +650,7 @@ def _sector_values(rho: Fraction, recip) -> Dict[str, Interval]:
     """The lower-wedge formulas at rho over the shipped leaves."""
     rho = _lower_wedge_rho(rho)
     leaves = _wedge_leaves(scalar_bounds(), route_constants())
-    return _wedge_values(_leaf_enclosures(rho, leaves), recip)
+    return _lower_wedge(_leaf_enclosures(rho, leaves), recip)
 
 
 def sector_majorants(rho: Fraction, c_hi: Fraction) -> Dict[str, Interval]:
@@ -747,7 +727,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = OMEGA_4.floor
                  "by +, x and integer powers"))
 
     if rho == anchor:
-        points = _wedge_values(at, _interval_recip)
+        points = _lower_wedge(at, _interval_recip)
         printed = reference_values()
         max_width = slim_up(max(points[name].width for name in printed))
         for name in sorted(printed):
@@ -757,7 +737,7 @@ def check_omega_4(rho: Union[Fraction, int, str] = OMEGA_4.floor
             "reference_enclosure_width", max_width, Fraction(1, 10**4), "<",
             note="widest enclosure among the printed reference values"))
 
-    majorants = _wedge_values(at, _geometric(c_hi))
+    majorants = _lower_wedge(at, _geometric(c_hi))
     # the fixed-point map on the ball of radius ``ball`` at the targets
     image = 2 + ball * Fraction(1, 4) + ball ** 2 * Fraction(1, 25)
     factor = Fraction(1, 4) + 2 * ball * Fraction(1, 25)

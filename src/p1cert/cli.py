@@ -618,13 +618,22 @@ def eval_command(z_text: str, precision_bits: int, fmt: str,
     def body() -> int:
         from . import evaluator
         z = _parse_z(z_text, precision_bits)
-        outcome = evaluator.evaluate_point(z, precision_bits=precision_bits)
+        try:
+            outcome = evaluator.evaluate_point(z, precision_bits=precision_bits)
+        except RuntimeError as exc:
+            click.echo(f"integration failed: {exc}", file=sys.stderr)
+            return EXIT_FAIL
         return _emit_eval(fmt, outcome, precision_bits)
 
     _run(body, tables, partitions)
 
 
-@main.command()
+@main.command(help=(
+    "Maclaurin coefficients of the interior-frame solution at t = 0.\n\n"
+    f"Seeded from the certified origin data g(0) = {inner.CENTER_VALUE}, "
+    f"g'(0) = {inner.CENTER_SLOPE} (window centres); coefficients beyond "
+    "the first two follow from the quadratic recurrence of  "
+    "g'' = 6 g^2 + t."))
 @click.option("--order", type=click.IntRange(min=2), default=8,
               show_default=True,
               help="Highest coefficient index to print (at least 2; the "
@@ -632,12 +641,6 @@ def eval_command(z_text: str, precision_bits: int, fmt: str,
 @precision_option
 @format_option
 def series(order: int, precision_bits: int, fmt: str) -> None:
-    """Maclaurin coefficients of the interior-frame solution at t = 0.
-
-    Seeded from the certified origin data g(0) = -87/469,
-    g'(0) = 41/134 (window centres); coefficients beyond the first two
-    follow from the quadratic recurrence of  g'' = 6 g^2 + t.
-    """
     _run(lambda: _emit_series(fmt, order, precision_bits))
 
 

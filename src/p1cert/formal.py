@@ -290,6 +290,17 @@ def small_j_series() -> FormalSeries:
     })
 
 
+def j_prefactor() -> FormalSeries:
+    """The prefactor  S e^(-x) / 3  of the factorization of J."""
+    return FormalSeries.term(Fraction(1, 3), k=1, m=1)
+
+
+def j_factorization() -> FormalSeries:
+    """J as the factorization  (S e^(-x)/3)(1 + j(x)/sqrt(x))."""
+    return j_prefactor() * (FormalSeries.one()
+                            + FormalSeries.term(1, j=1) * small_j_series())
+
+
 def y1_series() -> FormalSeries:
     """First-kind solution  y1 = e^(-x) (1 + J(x)/sqrt(x))."""
     e_minus_x = FormalSeries.term(1, m=1)
@@ -533,9 +544,7 @@ def verify_auxiliary_identities():
         (c) the discrete comparison identity of
         :func:`convolution_identity_defect`.
     """
-    factored = (FormalSeries.term(Fraction(1, 3), k=1, m=1)
-                * (FormalSeries.one()
-                   + FormalSeries.term(1, j=1) * small_j_series()))
+    factored = j_factorization()
     results = [
         _series_match("j_factorization_matches", factored,
                       capital_j_series()),
@@ -559,7 +568,7 @@ def verify_auxiliary_identities():
 
 __all__ += [
     "xi_unit", "h0_series", "capital_j_series", "small_j_series",
-    "y1_series", "y10_series", "y11_series",
+    "j_prefactor", "j_factorization", "y1_series", "y10_series", "y11_series",
     "z20_series", "z21_series", "z2R0_series",
     "series_from_table",
     "verify_r_table", "verify_q_table", "verify_E_table",

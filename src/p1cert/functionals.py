@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Tuple, Union
 
-from .formal import MonomialSum
+from .formal import FormalSeries, MonomialSum
 from .numerics import (
     Interval,
     as_fraction,
@@ -241,7 +241,9 @@ class PowerSum(MonomialSum):
 
 # -- the weighted tail functionals ---------------------------------------------
 
-def _family(entries: Mapping[FamilyKey, Scalar]) -> dict[FamilyKey, Fraction]:
+def _family(entries: Mapping[FamilyKey, Scalar], m_min: int,
+            name: str) -> dict[FamilyKey, Fraction]:
+    """The nonzero entries as Fractions; ``name`` needs every m >= m_min."""
     out: dict[FamilyKey, Fraction] = {}
     for (k, m), c in entries.items():
         if not (isinstance(k, int) and isinstance(m, int)) or k < 0:
@@ -249,15 +251,11 @@ def _family(entries: Mapping[FamilyKey, Scalar]) -> dict[FamilyKey, Fraction]:
         c = as_fraction(c)
         if c != 0:
             out[(k, m)] = c
-    return out
-
-
-def _require_m_at_least(family: Mapping[FamilyKey, Fraction], m_min: int, name: str):
-    for (_, m) in family:
+    for (_, m) in out:
         if m < m_min:
             raise ValueError(
-                f"{name} needs every exponential order m >= {m_min}, found m = {m}"
-            )
+                f"{name} needs every exponential order m >= {m_min}, found m = {m}")
+    return out
 
 
 def abs_sums_by_s_power(family: Mapping[FamilyKey, Fraction],
@@ -266,12 +264,24 @@ def abs_sums_by_s_power(family: Mapping[FamilyKey, Fraction],
     return SPoly((k, abs(c) * weight_of_m(m)) for (k, m), c in family.items())
 
 
+def majorant(series: FormalSeries, shift: int = 0) -> PowerSum:
+    """sum |c| |S|^k rho^(-(j - shift)/2) over the terms c S^k x^(-j/2)
+    e^(-m x) of ``series``: a bound on |x^(shift/2) series| wherever
+    |x| >= rho and Re x >= 0, which needs every m >= 0 and j >= shift."""
+    families = {j: _family(series.x_slice(j), 0, "majorant")
+                for j in series.j_values()}
+    if families and min(families) < shift:
+        raise ValueError(f"majorant needs every half-power j >= {shift}, "
+                         f"found j = {min(families)}")
+    return PowerSum({Fraction(j - shift, 2): abs_sums_by_s_power(family)
+                     for j, family in families.items()})
+
+
 def tail1(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
     """2/(j-2) * sum |p_m| over the family; needs j > 2 and m >= 0."""
     if j <= 2:
         raise ValueError(f"tail1 needs j > 2, got j = {j}")
-    family = _family(entries)
-    _require_m_at_least(family, 0, "tail1")
+    family = _family(entries, 0, "tail1")
     w = Fraction(2, j - 2)
     return abs_sums_by_s_power(family, lambda m: w)
 
@@ -280,8 +290,7 @@ def tail2(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
     """sum (2/m) |p_m| over the family; needs j > 0 and m >= 1."""
     if j <= 0:
         raise ValueError(f"tail2 needs j > 0, got j = {j}")
-    family = _family(entries)
-    _require_m_at_least(family, 1, "tail2")
+    family = _family(entries, 1, "tail2")
     return abs_sums_by_s_power(family, lambda m: Fraction(2, m))
 
 
@@ -289,8 +298,7 @@ def tail3(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
     """2/(j-3) * sum |p_m| over the family; needs j > 3 and m >= 0."""
     if j <= 3:
         raise ValueError(f"tail3 needs j > 3, got j = {j}")
-    family = _family(entries)
-    _require_m_at_least(family, 0, "tail3")
+    family = _family(entries, 0, "tail3")
     w = Fraction(2, j - 3)
     return abs_sums_by_s_power(family, lambda m: w)
 
@@ -299,8 +307,7 @@ def tail4(j: int, entries: Mapping[FamilyKey, Scalar]) -> SPoly:
     """sum (j^2+2j-2)/(j(j-1)m) |p_m| over the family; needs j > 1, m >= 1."""
     if j <= 1:
         raise ValueError(f"tail4 needs j > 1, got j = {j}")
-    family = _family(entries)
-    _require_m_at_least(family, 1, "tail4")
+    family = _family(entries, 1, "tail4")
     w = Fraction(j * j + 2 * j - 2, j * (j - 1))
     return abs_sums_by_s_power(family, lambda m: w / m)
 
@@ -310,6 +317,7 @@ __all__ = [
     "SPoly",
     "PowerSum",
     "abs_sums_by_s_power",
+    "majorant",
     "tail1",
     "tail2",
     "tail3",

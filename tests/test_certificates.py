@@ -18,9 +18,10 @@ from mpmath import inf, mp, mpf, quad
 
 import p1cert
 from p1cert import certificates as C
-from p1cert import data, fanout, inner
+from p1cert import data, fanout, formal, inner
 from p1cert.cli import main
-from p1cert.functionals import PowerSum
+from p1cert.formal import FormalSeries
+from p1cert.functionals import PowerSum, QSqrt2, SPoly, majorant
 from p1cert.numerics import (Interval, frac_pow, slim, slim_up,
                              truncation_window)
 
@@ -353,6 +354,98 @@ class TestSectorCertificate:
 # ---------------------------------------------------------------------------
 # Inner-interval wrapper and fault injection
 # ---------------------------------------------------------------------------
+
+def _ring_value(series, x):
+    """The ring element at the point x, with S = i sqrt(6/(5 pi))."""
+    s = mp.j * mp.sqrt(6 / (5 * mp.pi))
+    return mp.fsum(mpf(c.numerator) / c.denominator * s ** k
+                   * x ** (mpf(-j) / 2) * mp.exp(-m * x)
+                   for (k, j, m), c in series.items())
+
+
+def _wedge_leaf_series():
+    """(name, leaf, ring element, shift) for each lower-wedge leaf read
+    from the ring; the leaf bounds |x^(shift/2) element| there."""
+    scalars = C.scalar_bounds()
+    small_j = formal.small_j_series()
+    z2_head = (FormalSeries.term(1, m=2)
+               * (formal.z20_series() + formal.z21_series()))
+    return [
+        ("j_m", scalars["j_m"], small_j, 0),
+        ("J_M", scalars["J_M"], formal.capital_j_series(), 0),
+        ("Y_1M", scalars["Y_1M"], formal.y1_series(), 0),
+        ("Y_1RM", scalars["Y_1RM"], formal.j_prefactor() * small_j, 0),
+        ("Y_head", scalars["Y_head"],
+         formal.y10_series() + formal.y11_series(), 0),
+        ("z_2head", C._z2_head_majorant(), z2_head, 0),
+        ("z2R0", majorant(formal.z2R0_series(), shift=2),
+         formal.z2R0_series(), 2),
+    ]
+
+
+class TestWedgeLeavesFromTheRing:
+    """The omega_4 leaves are majorants of the ring elements that the
+    symbolic table suite checks, so there is one copy of each series."""
+
+    def test_each_leaf_bounds_its_series_on_the_wedge(self):
+        with mp.workdps(40):
+            for name, leaf, series, shift in _wedge_leaf_series():
+                for rho in (Fraction(3), Fraction(7, 2), Fraction(10),
+                            Fraction(40)):
+                    hi = leaf.enclosure(rho).hi
+                    bound = mpf(hi.numerator) / hi.denominator
+                    for i in range(7):
+                        arg = -mp.pi / 2 + mp.pi / 4 * i / 6
+                        x = mpf(rho.numerator) / rho.denominator \
+                            * mp.expj(arg)
+                        value = abs(x ** (mpf(shift) / 2)
+                                    * _ring_value(series, x))
+                        # slack for rounding at 40 digits
+                        assert value <= bound * (1 + mpf(10) ** -30), \
+                            (name, rho, i)
+
+    def test_leaves_equal_the_hand_built_sums(self):
+        """The oracle: each leaf as a PowerSum typed out by hand."""
+        half, s = Fraction(1, 2), SPoly.s_power
+        j_m = PowerSum({
+            Fraction(0): s(1, Fraction(3, 16)),
+            half: SPoly.constant(Fraction(19, 24)) + s(2, Fraction(1, 36)),
+            Fraction(1): s(1, Fraction(5, 16)) + s(3, Fraction(25, 6912)),
+        })
+        s_third = PowerSum.constant(s(1, Fraction(1, 3)))
+        rho_half = PowerSum.monomial(1, half)
+        big_j = s_third * (1 + rho_half * j_m)
+        assert C.scalar_bounds() == {
+            "j_m": j_m, "J_M": big_j, "Y_1M": 1 + rho_half * big_j,
+            "Y_1RM": s_third * j_m, "Y_head": 1 + rho_half * s_third}
+        assert C._z2_head_majorant() == PowerSum({
+            Fraction(0): SPoly.constant(half),
+            half: s(1, Fraction(2, 3))})
+        # with j_m and E_M zero only the explicit terms remain
+        assert C.z2_remainder_division_free(PowerSum(), PowerSum()) \
+            == PowerSum({
+                Fraction(0): s(2, Fraction(23, 72)),
+                half: (s(3, Fraction(23, 216))
+                       + s(1, QSqrt2(Fraction(7, 36), Fraction(7, 36)))
+                       + s(3, Fraction(8, 27))),
+                Fraction(1): (s(2, Fraction(361, 3456))
+                              + s(4, Fraction(577, 41472))),
+            })
+
+    def test_a_series_edit_moves_the_leaf_and_fails_the_identity(
+            self, monkeypatch):
+        original = formal.small_j_series
+        before = C.scalar_bounds()["j_m"]
+
+        def bent():
+            return original() + FormalSeries.term(
+                Fraction(1, 10**3), k=3, j=2, m=3)
+
+        monkeypatch.setattr(formal, "small_j_series", bent)
+        assert C.scalar_bounds()["j_m"] != before
+        failing = [c.name for c in C.check_symbolic_tables().failures()]
+        assert failing == ["j_factorization_matches"]
+
 
 class TestInnerWrapper:
     def test_wraps_passing_certificate(self, all_reports):

@@ -556,6 +556,13 @@ class TestEval:
                 assert "precondition violated:" in result.output
                 assert "rigorous" not in result.output
 
+    def test_unreachable_point_exits_1_with_the_reason(self):
+        result = invoke("eval", "--z", "1e40")
+        assert result.exit_code == 1
+        assert result.stderr.startswith(
+            "integration failed: step size collapsed")
+        assert result.stdout == ""
+
     def test_precision_below_minimum_exits_2(self):
         result = invoke("eval", "--z", "0", "--precision-bits", "64")
         assert result.exit_code == 2

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from p1cert.formal import FormalSeries
 from p1cert.numerics import Interval, truncation_window
-from p1cert.functionals import PowerSum, QSqrt2, SPoly, tail1, tail2, tail3, tail4
+from p1cert.functionals import (PowerSum, QSqrt2, SPoly, majorant, tail1,
+                                tail2, tail3, tail4)
 
 F = Fraction
 
@@ -197,3 +198,29 @@ class TestTails:
         scaled = {key: scale * c for key, c in entries.items()}
         for func, j in ((tail1, 7), (tail2, 5), (tail3, 8), (tail4, 6)):
             assert func(j, scaled) == abs(scale) * func(j, entries)
+
+
+class TestMajorant:
+    def test_sums_absolute_values_by_half_power(self):
+        series = FormalSeries({(1, 0, 1): F(-3, 16), (0, 1, 0): F(19, 24),
+                               (2, 1, 2): F(-1, 36), (3, 4, 0): F(2)})
+        assert majorant(series) == PowerSum({
+            F(0): SPoly.s_power(1, F(3, 16)),
+            F(1, 2): SPoly({0: F(19, 24), 2: F(1, 36)}),
+            F(2): SPoly.s_power(3, 2),
+        })
+
+    def test_shift_lowers_every_exponent(self):
+        series = FormalSeries({(2, 2, 0): F(-23, 72), (3, 3, 1): F(5)})
+        assert majorant(series, shift=2) == PowerSum({
+            F(0): SPoly.s_power(2, F(23, 72)),
+            F(1, 2): SPoly.s_power(3, 5),
+        })
+
+    def test_growing_exponential_rejected(self):
+        with pytest.raises(ValueError, match="m >= 0"):
+            majorant(FormalSeries.term(1, k=1, j=2, m=-1))
+
+    def test_half_power_below_the_shift_rejected(self):
+        with pytest.raises(ValueError, match="j >= 2"):
+            majorant(FormalSeries.term(1, j=1, m=1), shift=2)
