@@ -182,6 +182,11 @@ def _ray_sides(inv_rho: Interval, inv_rho2: Interval, one_eps: Fraction):
             + Fraction(2 * one_eps * H0_NORM, 9) * inv_rho2)
 
 
+def _outer_source() -> Fraction:
+    """c of the source c/x^4 of P-I at the outer bracket (formal)."""
+    return -formal.outer_equation(formal.outer_bracket()).coefficient(0, 8, 0)
+
+
 def _short(value: Union[Interval, Fraction]) -> str:
     if isinstance(value, Interval):
         if value.width == 0:
@@ -211,7 +216,7 @@ def check_z0_bounds() -> CertificateReport:
     inv_A72 = frac_pow(A, -7, 2)
     h_prime_at = (Fraction(h_norm, 14) * inv_A72
                   + Fraction(h_norm ** 2, 9) * frac_pow(A, -9, 2)
-                  + Fraction(392, 625) * inv_A72)
+                  + _outer_source() * inv_A72)
 
     # |y - y0|(z0) <= sqrt(|z0| / (6 |x0|)) * |H(x0)|
     value_err = slim(sqrt_enclosure(z0 / 6 * inv_A) * h_at)
@@ -222,11 +227,11 @@ def check_z0_bounds() -> CertificateReport:
     slope_err = slim(slope_pref * (Fraction(1, 8) * h_at
                                    + Fraction(5, 4) * A * h_prime_at))
 
-    # Rotated asymptotic data at z0 (both exactly real):
-    c1 = slim(-(sqrt_enclosure(z0 / 6)
-                * (1 + Fraction(4, 25) * inv_A2)))
-    c2 = slim(sqrt_enclosure(6 / z0)
-              * (Fraction(1, 12) - Fraction(4, 75) * inv_A2))
+    # Rotated asymptotic data at z0 (both exactly real): the bracket
+    # B = 1 + b/x^2 and the slope's B + (5/2) x B' = 1 - 4b/x^2 at x0^2 = -A^2
+    b = formal.outer_bracket().coefficient(0, 4, 0)
+    c1 = slim(-(sqrt_enclosure(z0 / 6) * (1 - b * inv_A2)))
+    c2 = slim(sqrt_enclosure(6 / z0) * (Fraction(1, 12) + b / 3 * inv_A2))
     # the matching errors' bounds; with the distance of C1, C2 from the
     # inner interval's data at t0 they must fit its alpha box
     value_bound, slope_bound = Fraction(3, 890), Fraction(29, 4468)
@@ -466,7 +471,7 @@ def route_constants() -> Dict[str, PowerSum]:
                     tables["p"])
 
     r7_tilde = dict(r[7])
-    r7_tilde[(0, 0)] = r7_tilde.get((0, 0), Fraction(0)) + Fraction(392, 625)
+    r7_tilde[(0, 0)] = r7_tilde.get((0, 0), Fraction(0)) + _outer_source()
 
     e_m = PowerSum({Fraction(j - 2, 2): tail2(j, E[j]) for j in range(5, 9)})
     m_q = PowerSum({Fraction(j - 7, 2): tail1(j, q[j - 5])

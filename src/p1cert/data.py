@@ -161,7 +161,7 @@ def _parses(name: str):
         def parsed():
             try:
                 return parse()
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise PreconditionError(
                     f"malformed data file {name}: {exc}") from exc
         return parsed

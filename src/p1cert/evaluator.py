@@ -28,7 +28,6 @@ this module.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -219,11 +218,12 @@ def _constants(prec: int) -> _Constants:
     """The shared constants at ``prec`` bits, computed once per precision
     (the 16 most recent precisions are kept)."""
     scale = 1 << prec
-    h0 = [tuple(round(c * scale) for c in layer)
-          for layer in _h0_layers(formal.h0_series())]
-    lead = (scale, 0, -round(Fraction(4, 25) * scale))
-    first = tuple(a + b for a, b in
-                  itertools.zip_longest(lead, h0[0], fillvalue=0))
+
+    def layers(series):
+        return tuple(tuple(round(c * scale) for c in layer)
+                     for layer in _h0_layers(series))
+
+    bracket, h0 = formal.outer_bracket(), formal.h0_series()
     with workprec(prec):
         keys = [(n, 5) for n in range(-3, 4)] + [(1, 4), (-1, 4)]
         pi = _fixed(+mp.pi, prec)
@@ -233,20 +233,20 @@ def _constants(prec: int) -> _Constants:
             # The closed-form rows of p1cert.regions, in their order: the
             # floor, an integer fourth root of its exact fourth power, and
             # the ball rounded up; the edges pi times the row's, exact for
-            # multiples of pi/4; the bracket 1 - 4/(25 x^2), plus h0 where
-            # the row's kind adds it.
+            # multiples of pi/4; formal's bracket, plus h0 where the row's
+            # kind adds it.
             regions={
                 row.name: _Region(
                     grid_root(row.floor_fourth.numerator,
                               row.floor_fourth.denominator, 4, prec)[1],
                     pi * row.lowest.numerator // row.lowest.denominator,
                     pi * row.highest.numerator // row.highest.denominator,
-                    (first, *h0[1:]) if row.adds_h0 else (lead,),
+                    layers(bracket + h0 if row.adds_h0 else bracket),
                     math.ceil(row.ball * scale))
                 for row in CLOSED_FORMS},
             slack=_fixed(mpf(_SLACK), prec),
             stokes_modulus=_fixed(mp.sqrt(mpf(6) / (5 * mp.pi)), prec),
-            h0_layers=tuple(h0),
+            h0_layers=layers(h0),
         )
 
 

@@ -235,6 +235,25 @@ class FormalSeries(MonomialSum):
 __all__ = ["MonomialSum", "FormalSeries", "Key"]
 
 
+#: The x^(-2) coefficient of :func:`outer_equation`, its one typed constant.
+_X2 = Fraction(4, 25)
+
+
+def outer_equation(B: FormalSeries) -> FormalSeries:
+    """E[B] = B'' + B'/x - (4/25) B/x^2 - (B^2 - 1)/2: in the outer frame x,
+    y = i sqrt(z/6) B(x) has  y'' - 6y^2 - z = i sqrt(z/6) (dx/dz)^2 E[B]."""
+    inv_x = FormalSeries.term(1, j=2)
+    return (B.ddx().ddx() + inv_x * B.ddx() - _X2 * inv_x * inv_x * B
+            - (B * B - 1) * Fraction(1, 2))
+
+
+def outer_bracket() -> FormalSeries:
+    """1 + b/x^2 with b the x^(-2) coefficient of E[1], which
+    E[1 + b/x^2] = E[1] - b/x^2 + O(x^(-4)) cancels."""
+    b = outer_equation(FormalSeries.one()).coefficient(0, 4, 0)
+    return 1 + FormalSeries.term(b, j=4)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form ring elements for the identity suite
 # ---------------------------------------------------------------------------
@@ -404,19 +423,14 @@ def _coefficient_equals(name: str, computed: FormalSeries, key, expected):
 def verify_r_table():
     """Defect of the quasi-solution h0 against the shipped r tables.
 
-    Computes  sqrt(x) * (h0'' + h0'/x - h0 - h0^2/2 - 392/(625 x^4))
-    exactly in the ring and requires term-wise equality with the table
-    series sum_{j=5..9} x^(-j/2) r_j.
+    Computes  sqrt(x) * E[bracket + h0]  (:func:`outer_equation`) exactly
+    in the ring and requires term-wise equality with the table series
+    sum_{j=5..9} x^(-j/2) r_j.
     """
     from .data import expansion_tables
 
-    h0 = h0_series()
     sqrt_x = FormalSeries.term(1, j=-1)
-    inv_x = FormalSeries.term(1, j=2)
-    defect = (h0.ddx().ddx() + inv_x * h0.ddx() - h0
-              - h0 * h0 * Fraction(1, 2)
-              - FormalSeries.term(Fraction(392, 625), j=8))
-    computed = sqrt_x * defect
+    computed = sqrt_x * outer_equation(outer_bracket() + h0_series())
     expected = series_from_table(expansion_tables()["r"])
     return [
         _series_match("r_defect_series_matches_table", computed, expected),
@@ -567,6 +581,7 @@ def verify_auxiliary_identities():
 
 
 __all__ += [
+    "outer_equation", "outer_bracket",
     "xi_unit", "h0_series", "capital_j_series", "small_j_series",
     "j_prefactor", "j_factorization", "y1_series", "y10_series", "y11_series",
     "z20_series", "z21_series", "z2R0_series",

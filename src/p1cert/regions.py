@@ -25,8 +25,8 @@ class Region:
     """A closed-form region: arg x from ``lowest`` pi to ``highest`` pi,
     unwrapped in (-pi, 3pi/2], and |x| at least a floor, whose exact
     fourth power is ``floor_fourth``.  ``name`` is the evaluator's token;
-    ``adds_h0`` says whether the closed form's bracket 1 - 4/(25 x^2)
-    adds the exponentially small quasi-solution h0(x)."""
+    ``adds_h0`` says whether the closed form's bracket (formal's
+    ``outer_bracket``) adds the exponentially small quasi-solution h0(x)."""
 
     name: str
     lowest: Fraction

@@ -229,6 +229,20 @@ def _redumped(name, target):
     return target
 
 
+def _invoke_edited(data_copy, monkeypatch, name, edit, args):
+    """Run ``args`` after ``edit`` rewrote the data file ``name`` in
+    ``data_copy``: as the value of ``args``' trailing option, or else as
+    the file of the data directory."""
+    doc = json.loads((data_copy / name).read_text())
+    edit(doc)
+    (data_copy / name).write_text(json.dumps(doc))
+    if args[-1].startswith("--"):
+        args = args + [str(data_copy / name)]
+    else:
+        monkeypatch.setenv(data.DATA_ENV_VAR, str(data_copy))
+    return invoke(*args)
+
+
 class TestReplacement:
     def test_tables_run_leaves_environment_unchanged(self, tmp_path,
                                                      monkeypatch):
@@ -287,6 +301,37 @@ class TestReplacement:
 
     @pytest.mark.parametrize("name, edit, args", [
         ("expansion_tables.json",
+         lambda doc: doc["tables"].__setitem__(
+             "r", list(doc["tables"]["r"].values())),
+         ["verify", "--scope", "all", "--tables"]),
+        ("expansion_tables.json",
+         lambda doc: doc.__setitem__("tables", list(doc["tables"].values())),
+         ["verify", "--scope", "all", "--tables"]),
+        ("inner_ode.json",
+         lambda doc: doc.__setitem__(
+             "partitions", list(doc["partitions"].values())),
+         ["verify", "--scope", "inner", "--partitions"]),
+        ("inner_ode.json",
+         lambda doc: doc.__setitem__(
+             "polynomials", list(doc["polynomials"].values())),
+         ["verify", "--scope", "inner", "--partitions"]),
+        ("constant_catalog.json",
+         lambda doc: doc.__setitem__(
+             "constants", list(doc["constants"].values())),
+         ["verify", "--scope", "omega4"]),
+    ], ids=["table-family", "tables", "partitions", "polynomials",
+            "constants"])
+    def test_section_of_the_wrong_type_exits_2_naming_the_file(
+            self, data_copy, monkeypatch, name, edit, args):
+        # A list where a mapping belongs fails on its first .items()
+        result = _invoke_edited(data_copy, monkeypatch, name, edit, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            f"precondition violated: malformed data file {name}")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("name, edit, args", [
+        ("expansion_tables.json",
          lambda doc: doc["tables"]["r"]["5"][0].__setitem__(2, -0.828125),
          ["identities", "--tables"]),
         ("constant_catalog.json",
@@ -301,14 +346,7 @@ class TestReplacement:
                                                   args):
         # Each float is the exact binary value of the rational it
         # replaces, so only the coercion rule can refuse it.
-        doc = json.loads((data_copy / name).read_text())
-        edit(doc)
-        (data_copy / name).write_text(json.dumps(doc))
-        if args[-1].startswith("--"):
-            args = args + [str(data_copy / name)]
-        else:
-            monkeypatch.setenv(data.DATA_ENV_VAR, str(data_copy))
-        result = invoke(*args)
+        result = _invoke_edited(data_copy, monkeypatch, name, edit, args)
         assert result.exit_code == 2
         assert result.stderr.startswith("precondition violated:")
         assert name in result.stderr
@@ -329,14 +367,7 @@ class TestReplacement:
             self, data_copy, monkeypatch, name, edit, args):
         # Each float truncates to the integer it replaces, so a reader
         # that truncates would accept the file and pass.
-        doc = json.loads((data_copy / name).read_text())
-        edit(doc)
-        (data_copy / name).write_text(json.dumps(doc))
-        if args[-1].startswith("--"):
-            args = args + [str(data_copy / name)]
-        else:
-            monkeypatch.setenv(data.DATA_ENV_VAR, str(data_copy))
-        result = invoke(*args)
+        result = _invoke_edited(data_copy, monkeypatch, name, edit, args)
         assert result.exit_code == 2
         assert result.stderr.startswith("precondition violated:")
         assert name in result.stderr

@@ -184,6 +184,69 @@ def test_product_identities_numeric_oracle(x, S):
 
 
 # ---------------------------------------------------------------------------
+# P-I in the outer frame: the one reduction the closed forms start from
+# ---------------------------------------------------------------------------
+
+#: The oracle: the bracket 1 - 4/(25 x^2) and the source -392/(625 x^4)
+#: that P-I leaves at it.
+BRACKET = 1 - formal.FormalSeries.term(Fraction(4, 25), j=4)
+SOURCE = formal.FormalSeries.term(Fraction(-392, 625), j=8)
+
+
+def test_outer_bracket_and_source_exactly():
+    assert formal.outer_bracket() == BRACKET
+    assert formal.outer_equation(formal.outer_bracket()) == SOURCE
+
+
+@pytest.mark.parametrize("z", [mp.mpc(2, 1), mp.mpc(5, -3),
+                               mp.mpc("0.7", "0.2")], ids=str)
+def test_outer_equation_is_painleve_one(z):
+    # y = i sqrt(z/6) B(x(z)) against P-I's defect y'' - 6 y^2 - z, with
+    # y'' by mpmath's finite differences
+    B = formal.outer_bracket() + formal.FormalSeries.term(Fraction(3, 7), j=6)
+    E = formal.outer_equation(B)
+    with mp.workprec(200):
+        def x_of(z):
+            return mp.expjpi(mp.mpf(1) / 4) / 30 * (24 * z) ** (mp.mpf(5) / 4)
+
+        def y(z):
+            return 1j * mp.sqrt(z / 6) * eval_series(B, x_of(z), 0)
+
+        x = x_of(z)
+        lhs = mp.diff(y, z, 2) - 6 * y(z) ** 2 - z
+        rhs = (1j * mp.sqrt(z / 6) * (5 * x / (4 * z)) ** 2
+               * eval_series(E, x, 0))
+        assert abs(lhs - rhs) < mp.mpf("1e-50") * abs(rhs)
+
+
+def test_outer_reduction_has_one_copy(monkeypatch):
+    # Moving the operator's one constant moves every reader of the
+    # bracket and the source: the source becomes -39/50
+    from p1cert import certificates, evaluator
+
+    monkeypatch.setattr(formal, "_X2", Fraction(1, 5))
+    assert formal.outer_equation(formal.outer_bracket()) == \
+        formal.FormalSeries.term(Fraction(-39, 50), j=8)
+
+    def failing(report):
+        return {c.name for c in report.failures()}
+
+    assert "r_defect_series_matches_table" in failing(
+        certificates.check_symbolic_tables())
+    assert failing(certificates.check_z0_bounds()) >= {
+        "C1_reference", "C2_reference", "matching_error_slope"}
+    assert "catalog_M_G1" in failing(certificates.check_omega_4())
+    evaluator._constants.cache_clear()
+    try:
+        prec = 128
+        layer0 = evaluator._constants(prec).regions["omegaI"].layers[0]
+        assert layer0 == (1 << prec, 0, -round(Fraction(1 << prec, 5)))
+    finally:
+        monkeypatch.undo()
+        evaluator._constants.cache_clear()
+
+
+# ---------------------------------------------------------------------------
 # Fault injection: a single perturbed table coefficient is caught and named
 # ---------------------------------------------------------------------------
 
