@@ -138,8 +138,8 @@ _Z0_PHASE = f"e^(i {_times_pi(arg_z(OMEGA_I.lowest))})"
 # Imaginary-axis ray certificate
 # ---------------------------------------------------------------------------
 
-def check_omega_I(rho: Union[Fraction, int, Interval] = 1,
-                  eps: Fraction = Fraction(3, 20)) -> CertificateReport:
+def check_omega_I(rho: Union[Fraction, int, Interval],
+                  eps: Fraction) -> CertificateReport:
     """Ball-invariance and contraction on the imaginary-axis ray.
 
     With ||H0|| <= 784/3125 in the weighted sup norm ||H|| =
@@ -279,10 +279,16 @@ def check_z0_bounds() -> CertificateReport:
 
 #: Fractional bits of the wedge quadrature's fixed-point grid values.
 QUADRATURE_BITS = 128
+#: The wedge quadrature's grid: the midpoint rule on [-1, WEDGE_T] in
+#: WEDGE_PANELS panels, and the tail beyond WEDGE_T.
+WEDGE_T = 64
+WEDGE_PANELS = 4096
+#: eps of the wedge ball: the correction lies within (1 + eps) M.
+WEDGE_EPS = Fraction(3, 2)
 
 
-def inverse_power_integral(alpha_quarters: Sequence[int], T: int = 64,
-                           panels: int = 4096) -> Tuple[Interval, ...]:
+def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
+                           panels: int) -> Tuple[Interval, ...]:
     """Enclosures of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp,  one
     per entry a of ``alpha_quarters``, from one sweep of the grid.
 
@@ -378,18 +384,17 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int = 64,
     return tuple(enclosures[a] for a in alpha_quarters)
 
 
-def wedge_kernel_constants(T: int = 64,
-                           panels: int = 4096) -> Dict[str, Interval]:
+def wedge_kernel_constants() -> Dict[str, Interval]:
     """The three kernel constants of the wedge contraction argument."""
-    i74, i94, i114 = inverse_power_integral((7, 9, 11), T, panels)
+    i74, i94, i114 = inverse_power_integral((7, 9, 11), WEDGE_T,
+                                            WEDGE_PANELS)
     M = Fraction(196, 625) * (frac_pow(2, 5, 4) * i74 + Fraction(2, 5))
     N = Fraction(1, 18) + frac_pow(2, 1, 4) * i114
     L = Fraction(1, 28) + frac_pow(2, -5, 4) * i94
     return {"M": slim(M), "N": slim(N), "L": slim(L)}
 
 
-def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
-                   panels: int = 4096) -> CertificateReport:
+def check_omega_12() -> CertificateReport:
     """Contraction on the upper wedge and the adjacent strip.
 
     The integral-equation kernel there is controlled by three constants
@@ -400,11 +405,12 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
         L/rho0 (1+eps) + N M (1+eps)^2 / rho0^2  <=  eps
         L/rho0         + 2 N M (1+eps) / rho0^2  <   1
 
-    certify the correction on both subregions; the vertical-contour
-    variants of the source bounds are dominated by M and L.
+    certify the correction on both subregions, eps = ``WEDGE_EPS``, in
+    the ball of radius (1 + eps) M; the vertical-contour variants of the
+    source bounds are dominated by M and L.
     """
-    eps = as_fraction(eps)
-    constants = wedge_kernel_constants(T, panels)
+    eps = WEDGE_EPS
+    constants = wedge_kernel_constants()
     M, N, L = constants["M"], constants["N"], constants["L"]
     # The contraction step consumes the certified constant bounds, not the
     # raw quadrature enclosures, so it stays valid verbatim whenever the
@@ -439,13 +445,15 @@ def check_omega_12(eps: Fraction = Fraction(3, 2), T: int = 64,
         check("wedge_contraction_below_one", contraction.hi, Fraction(1),
               "<", lo=contraction.lo,
               note="L/rho0 + 2 N M (1+eps)/rho0^2 < 1"),
-        check("wedge_ball_radius", (Fraction(5, 2) * M).hi,
-              Fraction(16, 5), "<=",
-              note="solution ball radius (5/2)M (<= 16/5 follows from M)"),
+        check("wedge_ball_radius", ((1 + eps) * M).hi,
+              (1 + eps) * m_bound, "<=",
+              note=f"solution ball radius ({1 + eps})M "
+                   f"(<= {(1 + eps) * m_bound} follows from M)"),
     ]
     return _report(
         "omega_12",
-        {"rho0": _short(rho0), "eps": eps, "T": T, "panels": panels},
+        {"rho0": _short(rho0), "eps": eps, "T": WEDGE_T,
+         "panels": WEDGE_PANELS},
         checks,
     )
 
@@ -805,10 +813,11 @@ def check_inner_interval() -> CertificateReport:
 
 #: Fraction bits of the Maclaurin envelope's fixed-point run.
 ENVELOPE_BITS = 64
+#: The last Maclaurin coefficient the envelope's run encloses.
+ENVELOPE_HORIZON = 256
 
 
-def maclaurin_enclosures(horizon: int = 256,
-                         eps: Fraction = Fraction(1, 108)) -> List[Interval]:
+def maclaurin_enclosures(horizon: int, eps: Fraction) -> List[Interval]:
     """c_0..c_horizon: the exact windows c_0, c_1, then balls from the
     integer kernel at rho = 2 and 2^-``ENVELOPE_BITS``, converted back to
     exact intervals.  The window centres are the midpoints, and eps
@@ -826,9 +835,7 @@ def maclaurin_enclosures(horizon: int = 256,
     return prefix[:2] + balls[2:]
 
 
-def taylor_envelope_run(horizon: int = 256,
-                        eps: Fraction = Fraction(1, 108)
-                        ) -> Tuple[Fraction, int]:
+def taylor_envelope_run(horizon: int, eps: Fraction) -> Tuple[Fraction, int]:
     """The enclosures of :func:`maclaurin_enclosures` against the
     envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k)."""
     ratios = [max(abs(c.lo), abs(c.hi))
@@ -838,23 +845,21 @@ def taylor_envelope_run(horizon: int = 256,
     return worst, ratios.index(worst)
 
 
-def check_taylor_radius(horizon: int = 256,
-                        eps: Fraction = Fraction(1, 108)
-                        ) -> CertificateReport:
+def check_taylor_radius() -> CertificateReport:
     """Maclaurin coefficients of the solution around t = 0 obey the
     envelope |c_k| < (k+1)/R0^(k+2) with R0 = 37/20, so the series
     converges and stays bounded on |t| < 37/20.
 
-    Inputs are the certified value/slope windows at t = 0 (widened to the
-    common half-width 1/108); c2 = 3 c0^2 and c3 = 2 c0 c1 + 1/6 are
+    Inputs are the certified value/slope windows at t = 0, widened to the
+    larger of their radii, eps; c2 = 3 c0^2 and c3 = 2 c0 c1 + 1/6 are
     maximized over the window corners (the interior critical points sit at
     c0 = 0 or c1 = 0, which the windows exclude); base cases are exact
     rational comparisons; the induction step is the exact discrete
     identity sum (j+1)(k-j+1) = (k+1)(k+2)(k+3)/6; and a run of rigorous
     balls on the integer kernel re-confirms the envelope numerically up
-    to ``horizon``.
+    to ``ENVELOPE_HORIZON``.
     """
-    eps = as_fraction(eps)
+    eps = max(inner_interval.VALUE_WINDOW, inner_interval.SLOPE_WINDOW)
     inv = 1 / DISK_RADIUS
     c0, c1, c2, c3 = inner_interval.origin_windows(eps, eps)
     corner_c2 = {3 * v ** 2 for v in (c0.lo, c0.hi)}
@@ -863,7 +868,7 @@ def check_taylor_radius(horizon: int = 256,
     corners_match = (min(corner_c2) == c2.lo and max(corner_c2) == c2.hi
                      and min(corner_c3) == c3.lo and max(corner_c3) == c3.hi)
 
-    run_worst, run_k = taylor_envelope_run(horizon, eps=eps)
+    run_worst, run_k = taylor_envelope_run(ENVELOPE_HORIZON, eps)
 
     checks = [
         check("c0_interior_excludes_zero", Fraction(0), -c0.hi, "<",
@@ -895,14 +900,14 @@ def check_taylor_radius(horizon: int = 256,
                    "with it, the envelope propagates through the "
                    "recurrence with no loss"),
         check("envelope_numeric_run", slim_up(run_worst), Fraction(1), "<",
-              note=f"max_k |c_k| R0^(k+2)/(k+1) over k <= {horizon}, "
+              note=f"max_k |c_k| R0^(k+2)/(k+1) over k <= {ENVELOPE_HORIZON}, "
                    f"attained at k = {run_k} (ball run of the integer "
                    f"Taylor kernel, {ENVELOPE_BITS} fraction bits)"),
     ]
     return _report(
         "taylor_radius",
         {"a": -inner_interval.CENTER_VALUE, "b": inner_interval.CENTER_SLOPE,
-         "eps": eps, "R0": DISK_RADIUS, "horizon": horizon},
+         "eps": eps, "R0": DISK_RADIUS, "horizon": ENVELOPE_HORIZON},
         checks,
         narrative=f"the solution is analytic and bounded on |t| < "
                   f"{DISK_RADIUS}",

@@ -33,9 +33,11 @@ time, environment, or iteration-order accidents.
 Every command builds its content once, for all three formats, and
 :func:`_emit` is the one place that picks a format and writes stdout.
 
-``--tables``/``--partitions`` replace one data file for a single run:
-the named file is read in place, the other files still come from the
-data directory, and no file is copied or changed.
+``--tables`` (``verify``, ``constants``, ``identities``) and
+``--partitions`` (``verify``, ``eval``) replace one data file for a
+single run: the named file is read in place, the other files still come
+from the data directory, and no file is copied or changed.  A command
+takes only the options for files it reads.
 
 The evaluator and mpmath are imported by ``eval``, ``series`` and
 ``pole`` when they run, so ``verify``, ``constants`` and ``identities``
@@ -106,19 +108,21 @@ def format_option(command):
         help="Output format.")(command)
 
 
-def data_options(command):
-    command = click.option(
+def tables_option(command):
+    return click.option(
         "--tables", type=click.Path(exists=True, dir_okay=False),
         default=None,
         help="Replacement expansion-tables file used for this run only.",
     )(command)
-    command = click.option(
+
+
+def partitions_option(command):
+    return click.option(
         "--partitions", type=click.Path(exists=True, dir_okay=False),
         default=None,
         help="Replacement interior-data file (polynomials and "
              "certification partitions) used for this run only.",
     )(command)
-    return command
 
 
 def precision_option(command):
@@ -541,7 +545,8 @@ def main() -> None:
               help="Which certificate family to run.")
 @rho_option
 @format_option
-@data_options
+@partitions_option
+@tables_option
 def verify(scope: str, rho: Fraction, fmt: str,
            partitions: Optional[str], tables: Optional[str]) -> None:
     """Run the machine-checked certificate suites.
@@ -562,9 +567,8 @@ def verify(scope: str, rho: Fraction, fmt: str,
 @main.command()
 @rho_option
 @format_option
-@data_options
-def constants(rho: Fraction, fmt: str,
-              partitions: Optional[str], tables: Optional[str]) -> None:
+@tables_option
+def constants(rho: Fraction, fmt: str, tables: Optional[str]) -> None:
     """Enclose the catalogued sector constants at radius RHO.
 
     Prints each constant's validated enclosure beside the shipped
@@ -574,14 +578,13 @@ def constants(rho: Fraction, fmt: str,
     containment column then reports.  Exit status: 0, or 2 when
     rho < 3.
     """
-    _run(lambda: _emit_constants(fmt, rho), tables, partitions)
+    _run(lambda: _emit_constants(fmt, rho), tables)
 
 
 @main.command()
 @format_option
-@data_options
-def identities(fmt: str, partitions: Optional[str],
-               tables: Optional[str]) -> None:
+@tables_option
+def identities(fmt: str, tables: Optional[str]) -> None:
     """Check the shipped expansion tables against recomputed ones.
 
     Every comparison is an exact identity between rational polynomial
@@ -595,7 +598,7 @@ def identities(fmt: str, partitions: Optional[str],
         return _emit_reports(fmt, "identities", [report], summary,
                              "p1cert identities")
 
-    _run(body, tables, partitions)
+    _run(body, tables)
 
 
 @main.command(name="eval")
@@ -604,9 +607,9 @@ def identities(fmt: str, partitions: Optional[str],
                    "(theta in radians), or a bare real number.")
 @precision_option
 @format_option
-@data_options
+@partitions_option
 def eval_command(z_text: str, precision_bits: int, fmt: str,
-                 partitions: Optional[str], tables: Optional[str]) -> None:
+                 partitions: Optional[str]) -> None:
     """Evaluate the distinguished solution at one point.
 
     Method preference: certified origin window at z = 0; certified
@@ -625,7 +628,7 @@ def eval_command(z_text: str, precision_bits: int, fmt: str,
             return EXIT_FAIL
         return _emit_eval(fmt, outcome, precision_bits)
 
-    _run(body, tables, partitions)
+    _run(body, partitions=partitions)
 
 
 @main.command(help=(

@@ -161,7 +161,8 @@ def _parses(name: str):
         def parsed():
             try:
                 return parse()
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError,
+                    ZeroDivisionError) as exc:
                 raise PreconditionError(
                     f"malformed data file {name}: {exc}") from exc
         return parsed

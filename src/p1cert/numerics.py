@@ -112,16 +112,6 @@ class Interval:
     def straddles_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    # Certified order relations: true only when the relation holds for
-    # every pair of points drawn from the two intervals.
-    def strictly_below(self, other) -> bool:
-        other = _coerce(other)
-        return self.hi < other.lo
-
-    def below(self, other) -> bool:
-        other = _coerce(other)
-        return self.hi <= other.lo
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

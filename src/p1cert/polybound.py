@@ -131,18 +131,6 @@ def _horner(coeffs: Sequence[int], num: int, den: int = 1) -> int:
     return acc
 
 
-def taylor_shift(p: Poly, c: Coefficient) -> list[Fraction]:
-    """Coefficients of P(c + u) as a polynomial in u (exact)."""
-    c = as_fraction(c)
-    n = len(p)
-    if n == 0:
-        return []
-    b, den = _cleared(poly(p), c.denominator)
-    b = _shift_int(b, c.numerator)
-    return [Fraction(b[k], den * c.denominator ** (n - 1 - k))
-            for k in range(n)]
-
-
 # -- supremum bounds ----------------------------------------------------------
 
 def _interval_horner(coeffs: Sequence[int], lo: int, hi: int,
@@ -321,7 +309,6 @@ __all__ = [
     "poly_mul",
     "poly_derivative",
     "poly_eval",
-    "taylor_shift",
     "sup_abs",
     "sup_abs_partition",
     "ratio_sup_bound",

@@ -148,7 +148,7 @@ class TestInversePowerIntegral:
 
     def test_divergent_power_rejected(self):
         with pytest.raises(C.PreconditionError):
-            C.inverse_power_integral((2,))
+            C.inverse_power_integral((2,), T=64, panels=128)
 
     def test_one_sweep_equals_one_exponent_at_a_time(self):
         together = C.inverse_power_integral((7, 9, 11), T=64, panels=256)
@@ -203,11 +203,19 @@ class TestWedgeCertificate:
         assert abs(float(checks["wedge_contraction_below_one"].value)
                    - 0.9714338764) < 1e-9
 
-    def test_small_ball_fails_by_name(self):
-        report = C.check_omega_12(eps=Fraction(1, 10), panels=128)
+    def test_small_ball_fails_by_name(self, monkeypatch):
+        # the ball and its radius row both read the one eps
+        monkeypatch.setattr(C, "WEDGE_EPS", Fraction(1, 10))
+        report = C.check_omega_12()
         assert not report.verdict
         assert "wedge_ball_maps_into_itself" in [
             c.name for c in report.failures()]
+        radius = _by_name(report)["wedge_ball_radius"]
+        M = C.wedge_kernel_constants()["M"]
+        assert radius.value == (Fraction(11, 10) * M).hi
+        assert radius.bound == Fraction(11, 10) * Fraction(32, 25)
+        assert radius.note.startswith("solution ball radius (11/10)M ")
+        assert ("eps", "1/10") in report.inputs
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +505,7 @@ class TestTaylorRadius:
         assert k1.bound - k1.value == Fraction(82, 962407)
 
     def test_envelope_run_frozen(self):
-        worst, worst_k = C.taylor_envelope_run(256)
+        worst, worst_k = C.taylor_envelope_run(256, Fraction(1, 108))
         assert worst_k == 1
         assert abs(float(worst) - 0.99795716) < 1e-7
         assert worst < 1
@@ -529,8 +537,11 @@ class TestTaylorRadius:
             # (41/134 + 1/108) / (2 (20/37)^3) = 115539493/115776000
             assert worst == Fraction(115539493, 115776000)
 
-    def test_wider_windows_fail_by_name(self):
-        report = C.check_taylor_radius(eps=Fraction(1, 20))
+    def test_wider_windows_fail_by_name(self, monkeypatch):
+        # the envelope's windows cover the inner certificate's windows
+        monkeypatch.setattr(inner, "SLOPE_WINDOW", Fraction(1, 20))
+        report = C.check_taylor_radius()
+        assert ("eps", "1/20") in report.inputs
         assert not report.verdict
         failing = {c.name for c in report.failures()}
         assert "c1_below_six_nineteenths" in failing
@@ -773,13 +784,12 @@ class TestRunAll:
 #: argument.  Fraction(1.5) would silently be 3/2 and Fraction(0.15) the
 #: binary expansion 5404319552844595/36028797018963968.
 FLOAT_CALLS = {
-    "check_omega_I rho": lambda: C.check_omega_I(1.5),
+    "check_omega_I rho": lambda: C.check_omega_I(1.5, Fraction(3, 20)),
     "check_omega_I eps": lambda: C.check_omega_I(1, 0.15),
     "_lower_wedge_rho": lambda: C._lower_wedge_rho(3.1),
-    "check_omega_12 eps": lambda: C.check_omega_12(1.5),
-    "check_taylor_radius eps": lambda: C.check_taylor_radius(eps=0.01),
-    "taylor_envelope_run eps": lambda: C.taylor_envelope_run(eps=0.01),
-    "maclaurin_enclosures eps": lambda: C.maclaurin_enclosures(eps=0.01),
+    "taylor_envelope_run eps": lambda: C.taylor_envelope_run(64, eps=0.01),
+    "maclaurin_enclosures eps":
+        lambda: C.maclaurin_enclosures(64, eps=0.01),
 }
 
 
@@ -792,7 +802,7 @@ def test_a_float_argument_is_refused(name):
 @pytest.mark.parametrize("value", [Fraction(7, 2), "7/2"])
 def test_a_fraction_or_a_rational_string_is_accepted(value):
     assert C._lower_wedge_rho(value) == Fraction(7, 2)
-    assert (C.check_omega_I(value).inputs
-            == C.check_omega_I(Fraction(7, 2)).inputs)
+    assert (C.check_omega_I(value, Fraction(3, 20)).inputs
+            == C.check_omega_I(Fraction(7, 2), Fraction(3, 20)).inputs)
     assert (C.check_omega_I(1, value).inputs
             == C.check_omega_I(1, Fraction(7, 2)).inputs)

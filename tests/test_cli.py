@@ -354,6 +354,47 @@ class TestReplacement:
 
     @pytest.mark.parametrize("name, edit, args", [
         ("expansion_tables.json",
+         lambda doc: doc["tables"]["r"]["5"][0].__setitem__(2, "1/0"),
+         ["identities", "--tables"]),
+        ("constant_catalog.json",
+         lambda doc: doc["constants"]["E_M"][0].__setitem__(2, "1/0"),
+         ["verify", "--scope", "omega4"]),
+        ("inner_ode.json",
+         lambda doc: doc["partitions"]["J1"].__setitem__(1, "1/0"),
+         ["verify", "--scope", "inner", "--partitions"]),
+    ], ids=["table-row", "catalog-row", "partition"])
+    def test_zero_denominator_in_data_file_exits_2_naming_it(
+            self, data_copy, monkeypatch, name, edit, args):
+        result = _invoke_edited(data_copy, monkeypatch, name, edit, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            f"precondition violated: malformed data file {name}")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--z", "5", "--tables"],
+        ["constants", "--partitions"],
+        ["identities", "--partitions"],
+    ], ids=["eval-tables", "constants-partitions", "identities-partitions"])
+    def test_option_for_a_file_the_command_never_reads_is_refused(
+            self, args):
+        # its file would be fingerprinted as read although nothing parses it
+        path = data.data_dir() / "constant_catalog.json"
+        result = invoke(*args, str(path))
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
+        assert result.stdout == ""
+
+    def test_eval_at_the_origin_reads_the_partitions(self, tampered_interior):
+        result = invoke("eval", "--z", "0", "--partitions", tampered_interior)
+        assert result.exit_code == 2
+        assert result.stderr == ("precondition violated: the interior "
+                                 "certificate failed; no enclosure at the "
+                                 "origin\n")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("name, edit, args", [
+        ("expansion_tables.json",
          lambda doc: doc["tables"]["r"]["5"][0].__setitem__(0, 2.9),
          ["identities", "--tables"]),
         ("expansion_tables.json",

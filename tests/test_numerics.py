@@ -94,11 +94,6 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(2, 1)
 
-    def test_certified_order(self):
-        assert Interval(0, 1).strictly_below(Interval(2, 3))
-        assert not Interval(0, 2).strictly_below(Interval(2, 3))
-        assert Interval(0, 2).below(Interval(2, 3))
-
 
 class TestPi:
     def test_stored_bracket_matches_machin_oracle(self):

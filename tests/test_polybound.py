@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from p1cert.numerics import Interval, root_enclosure
 from p1cert.polybound import (
+    _cleared,
     _piece_bound,
+    _shift_int,
     poly,
     poly_add,
     poly_derivative,
@@ -26,7 +28,6 @@ from p1cert.polybound import (
     ratio_sup_bound,
     sup_abs,
     sup_abs_partition,
-    taylor_shift,
 )
 
 F = Fraction
@@ -70,10 +71,6 @@ class TestArithmetic:
         assert poly_derivative(poly([5, -2, 0, 1])) == [F(-2), F(0), F(3)]
         assert poly_derivative(poly([7])) == []
 
-    def test_taylor_shift_binomial(self):
-        # (1 + u)^3 = 1 + 3u + 3u^2 + u^3
-        assert taylor_shift(poly([0, 0, 0, 1]), 1) == [F(1), F(3), F(3), F(1)]
-
     @settings(max_examples=150, deadline=None)
     @given(
         coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=7),
@@ -81,10 +78,16 @@ class TestArithmetic:
         u_num=st.integers(-12, 12),
     )
     def test_taylor_shift_eval_consistency(self, coeffs, c_num, u_num):
+        # _piece_bound's shift: sum b_k w^k = L 4^(n-1) P(w/4), shifted
+        # by c_num, is L 4^(n-1) P(c + u) at w = 4u
         p = poly(coeffs)
         c = F(c_num, 4)
         u = F(u_num, 8)
-        assert poly_eval(taylor_shift(p, c), u) == poly_eval(p, c + u)
+        b, den = _cleared(p, 4)
+        shifted = _shift_int(b, c_num)
+        scale = den * 4 ** (len(p) - 1)
+        assert poly_eval([F(b_k, scale) for b_k in shifted], 4 * u) \
+            == poly_eval(p, c + u)
 
 
 class TestSupAbs:
