@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
-from .data import (constant_catalog, expansion_tables, read_ahead,
-                   reference_values)
+from .data import (constant_catalog, expansion_tables, mark_parsed,
+                   parsed_files, read_ahead, reference_values)
 from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power,
                           majorant, tail1, tail2, tail3, tail4)
 from .numerics import (
@@ -1009,15 +1009,18 @@ def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
     process makes it.  A fault in the data raises the exception of the
     earliest job that meets it, as the serial loop would.  Every data
     file is read before the workers fork, so each report parses the bytes
-    that :func:`p1cert.data.file_fingerprints` digests in this process.
+    that :func:`p1cert.data.file_fingerprints` digests in this process,
+    and each job returns the names of the files parsed with its reports.
     """
     jobs = SCOPES[scope]
     if "omega4" in jobs:
         rho = _lower_wedge_rho(rho)
     read_ahead()
-    parts = fanout.fan_out(lambda job: _JOBS[job](rho),
+    parts = fanout.fan_out(lambda job: (_JOBS[job](rho), parsed_files()),
                            [(job,) for job in jobs])
-    reports = sorted((r for part in parts for r in part),
+    for _, names in parts:
+        mark_parsed(names)
+    reports = sorted((r for part, _ in parts for r in part),
                      key=lambda r: r.name)
     if not all(r.verdict for r in reports):
         return reports, failure_summary(reports)

@@ -21,7 +21,8 @@ Six commands, all reading the same bundled data files:
     Maclaurin coefficients of the interior-frame solution seeded from
     the certified origin data.
 ``pole``
-    Nearest-pole distance estimate along rays from the origin.
+    Nearest-pole estimate from the origin series, refined by one
+    integration.
 
 Formats: ``text`` (exact rationals printed beside decimal
 approximations), ``json`` (stable key order, embeds data-file
@@ -168,7 +169,8 @@ def _emit(fmt: str, command: str, header: str, payload: Dict[str, object],
           table: Table, lines: Sequence[str]) -> None:
     """Write one command's output to stdout in format ``fmt``.
 
-    JSON is ``payload`` plus the command name and the data fingerprints.
+    JSON is ``payload`` plus the command name and the data fingerprints:
+    the digest of each file the run parsed, and null for the others.
     CSV is ``table``, a header row and data rows, with no envelope.  Text
     is ``header``, the fingerprint block, a blank line and ``lines``.
 
@@ -183,7 +185,8 @@ def _emit(fmt: str, command: str, header: str, payload: Dict[str, object],
         writer.writerows(table[1])
         text = buffer.getvalue().rstrip("\n")
     else:
-        fingerprints = data.file_fingerprints()
+        read = data.file_fingerprints(data.parsed_files())
+        fingerprints = {name: read.get(name) for name in data.DATA_FILES}
         if fmt == "json":
             text = json.dumps(
                 dict(payload, command=command, fingerprints=fingerprints),
@@ -191,7 +194,8 @@ def _emit(fmt: str, command: str, header: str, payload: Dict[str, object],
         else:
             text = "\n".join(
                 [header, "data fingerprints:"]
-                + [f"  {name}  sha256={digest}"
+                + [f"  {name}  " + (f"sha256={digest}" if digest else
+                                    "not read")
                    for name, digest in sorted(fingerprints.items())]
                 + [""] + list(lines))
     click.echo(text, file=sys.stdout)
@@ -484,45 +488,42 @@ def _emit_series(fmt: str, order: int, precision_bits: int) -> int:
     return EXIT_PASS
 
 
-def _estimate_payload(est) -> Dict[str, object]:
-    return {
-        "direction": _nstr(est.direction, _JSON_DIGITS),
-        "distance": _nstr(est.distance, _JSON_DIGITS),
-        "location": _complex_json(est.location),
-        "fit_residual": _nstr(est.fit_residual, _ERROR_DIGITS),
-    }
-
-
 def _emit_pole(fmt: str, scan, precision_bits: int) -> int:
+    best = scan.best
     payload = {
         "precision_bits": precision_bits,
-        "best": _estimate_payload(scan.best),
-        "found": [_estimate_payload(e) for e in scan.estimates],
-        "unbounded_directions": [
-            _nstr(d, _JSON_DIGITS) for d in scan.unbounded_directions],
+        "best": {
+            "direction": _nstr(best.direction, _JSON_DIGITS),
+            "distance": _nstr(best.distance, _JSON_DIGITS),
+            "location": _complex_json(best.location),
+            "steps": best.steps,
+        },
+        "series_estimate": {
+            "location": _complex_json(scan.series_estimate),
+            "order": scan.series_order,
+            "gap": _nstr(scan.gap, _ERROR_DIGITS),
+        },
         "note": scan.note,
     }
-    rows = [[_nstr(e.direction, _JSON_DIGITS), "pole",
-             _nstr(e.distance, _JSON_DIGITS),
-             *_parts(e.location, _JSON_DIGITS),
-             _nstr(e.fit_residual, _ERROR_DIGITS)]
-            for e in scan.estimates]
-    rows += [[_nstr(d, _JSON_DIGITS), "unbounded", "", "", "", ""]
-             for d in scan.unbounded_directions]
-    columns = ["direction", "status", "distance", "re_location",
-               "im_location", "fit_residual"]
+    columns = ["direction", "distance", "re_location", "im_location",
+               "steps", "re_series_estimate", "im_series_estimate",
+               "series_order", "gap"]
+    rows = [[_nstr(best.direction, _JSON_DIGITS),
+             _nstr(best.distance, _JSON_DIGITS),
+             *_parts(best.location, _JSON_DIGITS), best.steps,
+             *_parts(scan.series_estimate, _JSON_DIGITS), scan.series_order,
+             _nstr(scan.gap, _ERROR_DIGITS)]]
     lines = [
-        f"ray arg t = {_nstr(est.direction, 10)}: pole estimate at "
-        f"distance {_nstr(est.distance, _TEXT_DIGITS)} "
-        f"(location {_complex_text(est.location, 12)}, "
-        f"fit residual {_nstr(est.fit_residual, 4)})"
-        for est in scan.estimates]
-    lines += [f"ray arg t = {_nstr(d, 10)}: no blowup within the horizon"
-              for d in scan.unbounded_directions]
-    lines += ["",
-              f"minimum distance: {_nstr(scan.best.distance, _TEXT_DIGITS)}"
-              f"  at arg t = {_nstr(scan.best.direction, 10)}",
-              f"note: {scan.note}"]
+        f"series estimate: {_complex_text(scan.series_estimate)}  "
+        f"(ratio of the origin coefficients of orders "
+        f"{scan.series_order - 1} and {scan.series_order})",
+        f"refined along arg t = {_nstr(best.direction, 10)}: location "
+        f"{_complex_text(best.location)}  ({best.steps} integration steps)",
+        f"gap: {_nstr(scan.gap, 4)}",
+        "",
+        f"nearest pole distance: {_nstr(best.distance, _TEXT_DIGITS)}",
+        f"note: {scan.note}",
+    ]
     _emit(fmt, "pole", f"p1cert pole  (precision {precision_bits} bits)",
           payload, (columns, rows), lines)
     return EXIT_PASS
@@ -651,13 +652,13 @@ def series(order: int, precision_bits: int, fmt: str) -> None:
 @precision_option
 @format_option
 def pole(precision_bits: int, fmt: str) -> None:
-    """Estimate the nearest pole distance along rays from the origin.
+    """Estimate the nearest pole of the solution from the origin.
 
-    Scans a fan of directions inside the one sector that can contain
-    poles, integrating outward until blowup.  The reported minimum is a
-    numerical estimate, not a certified statement.  Exit status: 0, 1
-    with the reason on stderr when no ray meets a blowup, or 2 below the
-    minimum precision.
+    Reads the estimate off the origin series by the ratio of its top two
+    coefficients, and refines it by one integration towards it, until
+    blowup.  Both are numerical estimates, not certified statements.
+    Exit status: 0, 1 with the reason on stderr when the integration
+    meets no blowup, or 2 below the minimum precision.
     """
     def body() -> int:
         from . import evaluator

@@ -23,10 +23,11 @@ variable (all three files must be present there), letting callers swap in
 perturbed data for fault-injection runs.  Inside a :func:`replaced` block,
 single files are read in place from other paths instead, and the rest
 still come from that directory.  :func:`file_fingerprints` exposes SHA-256
-digests of the active files so reports can pin the inputs they
-certified.  A file that does not parse to the shape described here, or
-that writes an exact value as a JSON float, raises
-:class:`~p1cert.result.PreconditionError` naming the file.
+digests of the active files, and :func:`parsed_files` names the files a
+run parsed, so reports can pin the inputs they certified.  A file that
+does not parse to the shape described here, or that writes an exact
+value as a JSON float (or a reference value as anything but a decimal),
+raises :class:`~p1cert.result.PreconditionError` naming the file.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Set,
+                    Tuple, Union)
 
 from .functionals import PowerSum, QSqrt2, SPoly
-from .numerics import as_fraction, as_integer
+from .numerics import as_fraction, as_integer, truncation_window
 from .polybound import Poly, poly
 from .result import PreconditionError
 
@@ -89,6 +91,10 @@ _parse_cache: Dict[Path, Any] = {}
 # File name -> path read in its place, set by :func:`replaced`.
 _replacements: Dict[str, Path] = {}
 
+# Names of the files parsed in this run: the innermost :func:`replaced`
+# block, or since import outside one.
+_parsed: Set[str] = set()
+
 
 #: The data directory inside the package, resolved once: resolving it
 #: took about 30 us on every lookup of a data file.
@@ -113,25 +119,30 @@ def clear_cache() -> None:
 @contextlib.contextmanager
 def replaced(files: Mapping[str, Union[str, Path]]) -> Iterator[None]:
     """Read each data file named in ``files`` from the path it maps to,
-    for the body of the ``with`` block.
+    for the body of the ``with`` block, which is one run: it starts with
+    no file parsed (:func:`parsed_files`).
 
     The replacement is read in place; the other files still come from
-    :func:`data_dir`.  The caches are cleared on entry, so a file
-    rewritten at the same path is read afresh, and on exit, when the
-    previous replacements return.
+    :func:`data_dir`.  With any replacement the caches are cleared on
+    entry, so a file rewritten at the same path is read afresh, and on
+    exit, when the previous replacements return.  The record of parsed
+    files returns on exit too.
     """
-    if not files:
-        yield
-        return
-    previous = dict(_replacements)
-    _replacements.update((name, Path(path)) for name, path in files.items())
-    clear_cache()
+    previous, parsed = dict(_replacements), set(_parsed)
+    _parsed.clear()
+    if files:
+        _replacements.update((name, Path(path))
+                             for name, path in files.items())
+        clear_cache()
     try:
         yield
     finally:
-        _replacements.clear()
-        _replacements.update(previous)
-        clear_cache()
+        _parsed.clear()
+        _parsed.update(parsed)
+        if files:
+            _replacements.clear()
+            _replacements.update(previous)
+            clear_cache()
 
 
 def _path(name: str) -> Path:
@@ -155,18 +166,33 @@ def _load(name: str) -> Any:
 
 
 def _parses(name: str):
-    """Report a malformed data file ``name`` as a violated precondition."""
+    """Report a malformed data file ``name`` as a violated precondition,
+    and record a well-formed one as parsed in this run."""
     def wrap(parse):
         @functools.wraps(parse)
         def parsed():
             try:
-                return parse()
+                result = parse()
             except (AttributeError, KeyError, TypeError, ValueError,
                     ZeroDivisionError) as exc:
                 raise PreconditionError(
                     f"malformed data file {name}: {exc}") from exc
+            _parsed.add(name)
+            return result
         return parsed
     return wrap
+
+
+def parsed_files() -> Tuple[str, ...]:
+    """The data files parsed in this run, in :data:`DATA_FILES` order."""
+    return tuple(name for name in DATA_FILES if name in _parsed)
+
+
+def mark_parsed(names: Iterable[str]) -> None:
+    """Record ``names`` as parsed in this run: by a forked worker, or into
+    a result kept from an earlier run under the digest of the same
+    bytes."""
+    _parsed.update(names)
 
 
 def read_ahead() -> None:
@@ -184,12 +210,10 @@ def read_ahead() -> None:
             pass
 
 
-def file_fingerprints() -> Dict[str, str]:
-    """SHA-256 hex digest of the bytes of every data file in use: the
-    same bytes the parsers read."""
-    return {
-        name: sha256(_raw_bytes(name)).hexdigest() for name in DATA_FILES
-    }
+def file_fingerprints(names: Iterable[str] = DATA_FILES) -> Dict[str, str]:
+    """SHA-256 hex digest of the bytes of each named data file in use
+    (all of them by default): the same bytes the parsers read."""
+    return {name: sha256(_raw_bytes(name)).hexdigest() for name in names}
 
 
 @_parses("expansion_tables.json")
@@ -249,6 +273,8 @@ def constant_catalog() -> Dict[str, PowerSum]:
 def reference_values() -> Dict[str, str]:
     """Printed decimal truncations of assembled quantities at rho = 3."""
     raw = _load("constant_catalog.json")["reference_values"]["values"]
+    for printed in raw.values():
+        truncation_window(printed)
     return dict(raw)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +37,6 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import data, formal, inner
 from .inner import Gaussian, taylor_fixed
-from .fanout import fan_out
 from .numerics import Interval, grid_root
 from .regions import CLOSED_FORMS, DISK_RADIUS
 from .result import PreconditionError
@@ -712,7 +711,7 @@ class PoleNotFoundError(RuntimeError):
     """No blowup was met within the search horizon.
 
     ``steps`` is the number of integrator steps taken along the ray, or
-    None when the error stands for more than one ray.
+    None when not known.
     """
 
     def __init__(self, direction, horizon, steps: Optional[int] = None):
@@ -1076,27 +1075,25 @@ def _integrate_from_seed(t: mpc, tol: mpf) -> IntegrationResult:
 class PoleEstimate:
     """A refined double-pole location found along one ray from t = 0.
 
-    ``fit_residual`` compares the blowup radius implied by |g|^(-1/2)
-    with the one implied by 2g/g'; both follow from the local model
-    g ~ (t - t_p)^(-2), so a small residual indicates the fit quality
-    (heuristically, not rigorously).  ``steps`` is the number of
-    integrator steps taken along the ray.
+    ``steps`` is the number of integrator steps taken along the ray.
     """
 
     distance: mpf
     location: mpc
     direction: mpf
-    fit_residual: mpf
     steps: int
 
 
 @dataclass(frozen=True)
 class PoleScan:
-    """Minimum pole distance over a fan of directions from the origin."""
+    """The nearest pole from the origin: ``series_estimate``, read off the
+    origin series of order ``series_order``, and ``best``, its refinement
+    by one integration, ``gap`` apart."""
 
     best: PoleEstimate
-    estimates: Tuple[PoleEstimate, ...]
-    unbounded_directions: Tuple[mpf, ...]
+    series_estimate: mpc
+    series_order: int
+    gap: mpf
     note: str
 
 
@@ -1122,84 +1119,50 @@ def pole_estimate(
         run = _integrate_from_seed(target, _to_mpf(_POLE_TOL))
         if run.pole is None:
             raise PoleNotFoundError(direction, POLE_HORIZON, run.steps)
-        radius_from_value = abs(run.value) ** (mpf(-1) / 2)
-        radius_from_ratio = abs(run.t_end - run.pole)
         return PoleEstimate(
             distance=abs(run.pole),
             location=run.pole,
             direction=theta,
-            fit_residual=(abs(radius_from_value - radius_from_ratio)
-                          / radius_from_ratio),
             steps=run.steps,
         )
 
 
-def _ray(direction: Number, precision_bits: int) -> Optional[PoleEstimate]:
-    """:func:`pole_estimate` along one ray, or None if it finds no pole.
-
-    A job of :func:`pole_scan`'s fan-out: :class:`PoleNotFoundError`
-    cannot be rebuilt from its pickled arguments, so it does not leave
-    the job.
-    """
-    try:
-        return pole_estimate(direction, precision_bits)
-    except PoleNotFoundError:
-        return None
-
-
 def pole_scan(precision_bits: int = DEFAULT_PRECISION_BITS) -> PoleScan:
-    """Scan rays from the origin and report the smallest pole distance.
+    """Estimate the nearest pole of g from the origin.
 
-    Each ray is one :func:`pole_estimate` run: tolerance 1e-10, out to
-    |t| = :data:`POLE_HORIZON`.
+    The estimate comes from the cached Maclaurin series at the seed
+    (:func:`_origin_series`, at :func:`pole_estimate`'s tolerance) by the
+    ratio of Domb and Sykes (Proc. R. Soc. A 240 (1957)).  A double pole
+    at p, g ~ (t - p)^(-2), has the coefficients (k + 1) p^(-k-2), so the
+    top two, of orders n - 1 and n, give p ~ (c_(n-1)/c_n)(n + 1)/n.
+    The farther singularities, the edge poles at |t| = 4.28, enter the
+    ratio like (|p|/4.28)^n, which at n = :data:`ORIGIN_ORDER` lies far
+    below the fixed-point rounding of c_n.  The mantissas are exact
+    integers, so the estimate is exact up to one division.  The seed is
+    real, so are the coefficients and the estimate, and its direction,
+    0 or pi, is the same at every precision.
 
-    The fan is the nine directions pi*k/25, k = -4..4, which cover the
-    sector |arg t| <= 4*pi/25, interior to the only wedge (|arg t| < pi/5)
-    where the certificates leave room for poles.  Which direction attains
-    the minimum is not specified by the certified statements; the scan
-    reports what it finds and labels it as a numerical interpretation.
-
-    Every ray starts from :func:`integration_seed`.  The mirroring below
-    needs that seed to be real: then, since  g'' = 6 g^2 + t  has real
-    coefficients,  g(conj t) = conj g(t), so the ray at -theta is the
-    mirror image of the ray at theta.  The five rays with k <= 0 are
-    integrated, and each ray with k > 0 reuses the run at -k, unbounded
-    staying unbounded and a pole estimate passing to its conjugate
-    location with the same distance, fit residual and step count.
-
-    The five rays run through :func:`p1cert.fanout.fan_out`, one job per
-    ray, on every CPU the process may use.  The cached Maclaurin series
-    the rays start with is built before, so forked workers inherit it.
-    Each ray's run is the same in whichever process makes it, so the
-    scan does not depend on the CPU count.  Every direction is reported,
-    in the order of k.
+    One :func:`pole_estimate` run along that direction refines the
+    estimate; ``gap`` is the distance between the two.  Nothing forks.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        fan = [mp.pi * k / 25 for k in range(-4, 5)]
-        # Built here, the series is inherited by every forked worker.
-        _seed_series(_to_mpf(_POLE_TOL))
-    runs = fan_out(_ray, [(theta, precision_bits) for theta in fan[:5]])
-    runs += [
-        None if found is None else replace(
-            found, location=found.location.conjugate(), direction=theta)
-        for found, theta in zip(runs[3::-1], fan[5:])
-    ]
-    estimates = [found for found in runs if found is not None]
-    unbounded = [theta for theta, found in zip(fan, runs) if found is None]
-    if not estimates:
-        raise PoleNotFoundError("every scanned direction", POLE_HORIZON)
-    best = min(estimates, key=lambda e: e.distance)
-    return PoleScan(
-        best=best,
-        estimates=tuple(estimates),
-        unbounded_directions=tuple(unbounded),
-        note=(
-            "minimum over sampled directions from the origin; the location "
-            "of the nearest pole is a numerical estimate, not a certified "
-            "statement"
-        ),
-    )
+        re = _seed_series(_to_mpf(_POLE_TOL))[0]
+        n = len(re) - 1
+        # The series is scaled by rho = 2, so c_(n-1)/c_n = 2 re[n-1]/re[n].
+        estimate = mpf(2 * (n + 1) * re[n - 1]) / (n * re[n])
+        best = pole_estimate(mp.arg(estimate), precision_bits)
+        return PoleScan(
+            best=best,
+            series_estimate=mpc(estimate),
+            series_order=n,
+            gap=abs(best.location - estimate),
+            note=(
+                "nearest singularity of the origin series, refined by one "
+                "integration towards it; the location of the nearest pole is "
+                "a numerical estimate, not a certified statement"
+            ),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -1210,7 +1173,7 @@ def pole_scan(precision_bits: int = DEFAULT_PRECISION_BITS) -> PoleScan:
 def integration_seed() -> Tuple[Fraction, Fraction]:
     """Exact origin data ``(g(0), g'(0))`` that :func:`evaluate_point`
     integrates from, and the start of the ``series`` coefficients and of
-    every ray of the pole scan.
+    the pole estimate.
 
     These are the centres of the certified origin windows, so the seed
     lies within 1/167 and 1/108 of the solution's own values.
@@ -1242,9 +1205,12 @@ _INNER_CERTIFIED: Dict[str, bool] = {}
 
 
 def _inner_certified() -> bool:
-    digest = data.file_fingerprints()["inner_ode.json"]
+    name = "inner_ode.json"
+    digest = data.file_fingerprints((name,))[name]
     if digest not in _INNER_CERTIFIED:
         _INNER_CERTIFIED[digest] = all(c.passed for c in inner.certify())
+    # A kept verdict was parsed from these same bytes.
+    data.mark_parsed((name,))
     return _INNER_CERTIFIED[digest]
 
 

@@ -8,10 +8,11 @@ hold back the jobs queued behind it.  The children inherit ``fn``, the
 jobs and the tickets from the fork, so only their results travel,
 pickled, back through a pipe of their own.  A job's result is whatever
 it computes, whichever process computes it, so a caller whose jobs are
-independent gets the same values as from the serial loop.  Forking, not
-spawning, is what makes the split pay: a spawned worker starts a new
-interpreter and imports the package again, which takes about as long as
-the pole scan it would share.
+independent gets the same values as from the serial loop.  Its one
+caller is :func:`p1cert.certificates.run_scope`.  Forking, not spawning,
+is what makes the split pay: a spawned worker starts a new interpreter
+and imports the package again, which takes about as long as the
+certificate run it would share.
 
 The serial loop runs instead, in the calling process, when only one
 worker would be used, when the platform has no ``os.fork``, when the

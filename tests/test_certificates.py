@@ -688,6 +688,15 @@ class TestRunAll:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("count", [1, 2, 8])
+    def test_files_parsed_by_forked_jobs_are_recorded(self, monkeypatch,
+                                                      count):
+        # the calling process takes the ray reports, which parse no file
+        monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+        with data.replaced({}):
+            C.run_all()
+            assert data.parsed_files() == data.DATA_FILES
+
     @pytest.mark.parametrize("scope", list(C.SCOPES))
     def test_only_scope_all_forks(self, tmp_path, monkeypatch, scope):
         monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)

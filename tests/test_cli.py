@@ -252,9 +252,9 @@ class TestReplacement:
         seen = []
         fingerprints = data.file_fingerprints
 
-        def recording():
+        def recording(*args):
             seen.append(dict(os.environ))
-            return fingerprints()
+            return fingerprints(*args)
 
         monkeypatch.setattr(data, "file_fingerprints", recording)
         result = invoke("identities", "--tables", str(replacement))
@@ -271,7 +271,7 @@ class TestReplacement:
         partitions = _redumped("inner_ode.json", tmp_path / "ode.json")
         (copy / "inner_ode.json").write_text("not json")
         monkeypatch.setenv(data.DATA_ENV_VAR, str(copy))
-        result = invoke("verify", "--scope", "inner", "--partitions",
+        result = invoke("verify", "--scope", "all", "--partitions",
                         str(partitions), "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["fingerprints"] == {
@@ -362,7 +362,11 @@ class TestReplacement:
         ("inner_ode.json",
          lambda doc: doc["partitions"]["J1"].__setitem__(1, "1/0"),
          ["verify", "--scope", "inner", "--partitions"]),
-    ], ids=["table-row", "catalog-row", "partition"])
+        ("constant_catalog.json",
+         lambda doc: doc["reference_values"]["values"].__setitem__(
+             "J_M", "14179/50000"),
+         ["verify", "--scope", "omega4"]),
+    ], ids=["table-row", "catalog-row", "partition", "reference-value"])
     def test_zero_denominator_in_data_file_exits_2_naming_it(
             self, data_copy, monkeypatch, name, edit, args):
         result = _invoke_edited(data_copy, monkeypatch, name, edit, args)
@@ -384,6 +388,39 @@ class TestReplacement:
         assert result.exit_code == 2
         assert "No such option" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("args, read", [
+        (["pole"], ()),
+        (["series"], ()),
+        (["eval", "--z", "5"], ()),
+        (["eval", "--z", "0"], ("inner_ode.json",)),
+        (["verify", "--scope", "omega12"], ()),
+        (["verify", "--scope", "inner"], ("inner_ode.json",)),
+        (["identities"], ("expansion_tables.json",)),
+        (["constants"], ("expansion_tables.json", "constant_catalog.json")),
+    ], ids=" ".join)
+    def test_fingerprints_name_only_the_files_the_run_parsed(self, args,
+                                                             read):
+        for fmt in ("json", "text"):
+            result = invoke(*args, "--format", fmt)
+            assert result.exit_code == 0
+            if fmt == "json":
+                assert json.loads(result.stdout)["fingerprints"] == {
+                    name: digest if name in read else None
+                    for name, digest in data.file_fingerprints().items()}
+            else:
+                block = result.stdout.split("\n\n")[0]
+                assert block.count("not read") == 3 - len(read)
+
+    def test_an_unread_replacement_is_not_fingerprinted(self, tmp_path):
+        # eval away from the origin never parses the partitions
+        path = tmp_path / "ode.json"
+        path.write_text("not json")
+        result = invoke("eval", "--z", "5", "--partitions", str(path),
+                        "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["fingerprints"]["inner_ode.json"] \
+            is None
 
     def test_eval_at_the_origin_reads_the_partitions(self, tampered_interior):
         result = invoke("eval", "--z", "0", "--partitions", tampered_interior)
@@ -719,15 +756,17 @@ class TestPole:
         assert doc["best"]["distance"].startswith("2.3823750104100215")
 
     def test_real_axis_attains_the_minimum(self, pole_json):
-        assert float(pole_json["best"]["direction"]) == 0.0
-        assert len(pole_json["unbounded_directions"]) == 8
+        # the origin series is real, so is the estimate it gives
+        assert pole_json["best"]["direction"] == "0.0"
+        assert pole_json["series_estimate"]["location"]["im"] == "0.0"
+        assert pole_json["best"]["location"]["im"] == "0.0"
 
-    def test_unbounded_directions_keep_every_printed_digit(self, pole_json):
-        # the fan is pi k/25, k = -4..4, and only k = 0 meets a pole
-        with workprec(200):
-            expected = [mp.nstr(mp.pi * k / 25, 25)
-                        for k in range(-4, 5) if k]
-        assert pole_json["unbounded_directions"] == expected
+    def test_series_estimate_keeps_every_printed_digit(self, pole_json):
+        estimate = pole_json["series_estimate"]
+        assert estimate["location"]["re"] == "2.382375010410021582408825"
+        assert estimate["order"] == evaluator.ORIGIN_ORDER
+        assert Fraction(estimate["gap"]) < Fraction(1, 10**15)
+        assert pole_json["best"]["steps"] > 0
 
     def test_finer_precision_prints_the_same_distance(self, pole_json):
         # at the scan's tol 1e-10 neither the Taylor order nor the kernel's
@@ -761,10 +800,11 @@ class TestPole:
         assert cli.DEFAULT_PRECISION_BITS == evaluator.DEFAULT_PRECISION_BITS
 
     def test_no_blowup_exits_1(self, monkeypatch):
-        def no_pole(**kwargs):
-            raise evaluator.PoleNotFoundError(0, 10)
+        # the refining run is the one integration that can miss the pole
+        def no_pole(direction, precision_bits):
+            raise evaluator.PoleNotFoundError(direction, 10, 3)
 
-        monkeypatch.setattr(evaluator, "pole_scan", no_pole)
+        monkeypatch.setattr(evaluator, "pole_estimate", no_pole)
         result = invoke("pole")
         assert result.exit_code == 1
         assert result.stderr.startswith("no blowup found:")
@@ -808,21 +848,21 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "csv"):
         "91b7a28e9e857f32d81555ec0794451a528464042dacb1828f32e3dabced530d",
     ("verify", "--scope", "omegaI", "--format", "json"):
-        "eb0d9e7a697d52de6be839c98a7fa348908faeb63ad6942c454ec63aed18ef78",
+        "20262f6ddfd7476743b130c06e4522b726e4d953b578e68f5c51466e1a58c194",
     ("verify", "--scope", "omega12", "--format", "json"):
-        "54f55dc85483d35b79eefec1009e94cd8884061568fd9630f456a6e7992e3ccb",
+        "20dcc709c24af76a832ac94cc7474f49119be0a675e67d947c204e7712e6a8a8",
     ("verify", "--scope", "omega4", "--format", "json"):
-        "d9f2292b97b6ff0419db2ac7894c7a4d92bf09b21ba600f38e31494b6eb0b83f",
+        "4ebf85fe3d449d8ecabaecd0eb683eec4e22a359d38fa088c18fc489c9eddbbe",
     ("verify", "--scope", "omega4", "--rho", "7/2", "--format", "json"):
-        "00d1f4e6fc3a985b624a054ab274531c7f5ca4bedd73041e9dc70357c4c85d4f",
+        "e3608197a1a1aae7cd3f6426e5c5985189e7cc029cfed9039e0d72a373eafe38",
     ("verify", "--scope", "inner", "--format", "json"):
-        "bb4773d6b5772523be78661ec1907b79b5ef1ea509955af58283b718ab5b70f6",
+        "a10d3a61fdb29db132f044794bd614e99cf0f54c215db188cc27fb41eeb45198",
     ("verify", "--scope", "radius", "--format", "json"):
-        "1b1adb511aa2488df8d7f8749277b45f7ca06a787b2c1531be9ff150f4bfd98c",
+        "5bb0748c0a75532b79cf8f993710d0da622a876a88eec951287406fe68a3f1d4",
     ("constants", "--format", "json"):
-        "11cf0648b0319727ea55c0e4ac7c14aee5b776d4e3d5cfd5c4975878a9aaa90c",
+        "443fce94bf698368be505ec857d1e4e3f4dea08be85e31082cc8f94c7fdbd151",
     ("identities",):
-        "e7c3ed8b7bd3565990d489221b92cda8ae8d9603fd1b9ccc406a831f65aa3924",
+        "640664b7619bb57bc3dfef6ccb58663deca4ea217edb991be3e8e5cf8e76d569",
 }
 
 
@@ -835,14 +875,14 @@ def test_stdout_matches_pinned_digest(args):
     assert digest == GOLDEN_STDOUT_SHA256[args]
 
 
-# The pole scan is numerical, but each ray's run is a fixed sequence of
-# integer and mpmath operations, so its output is pinned too: at the
-# default 128 bits it must not depend on how many CPUs run the rays.
+# The pole estimate is numerical, but the series ratio and the refining
+# run are a fixed sequence of integer and mpmath operations, so its
+# output is pinned too.
 GOLDEN_POLE_STDOUT_SHA256 = {
     ("pole", "--format", "json"):
-        "2e2146de744e74b2bb0c58626e523f4aeccb9005c5ee698059158bef25783c1d",
+        "70ff82972d0d08ab496230f5ed97c9fa9c5a47759d3fe1c83e74d65fc3a2b204",
     ("pole", "--format", "text"):
-        "a66ad838a2667ab2d6266100015232aea87811c3940cffddc64a586eb8e55f21",
+        "f6705a24327043577b562f786a43afaea511e057b4d77f7264b46384b5c56bc3",
 }
 
 
@@ -861,18 +901,18 @@ _WEDGE_Z = "1.9192597481868873821<-1.570796326794896558"   # x = 4e^(-3pi i/8)
 # Closed-form eval outputs depend on floating-point values of the
 # asymptotic representations; their digests pin every digit printed.
 GOLDEN_EVAL_STDOUT_SHA256_PREFIX = {
-    ("1.7<0.6283185307", "json", None): "99b95d745405030f",
-    ("1.7<0.6283185307", "text", None): "4a44a1a8d1646fa9",
-    ("1.7<0.6283185307", "json", "256"): "8228b1a1dd649c71",
-    ("1.7<0.6283185307", "text", "256"): "a9731ab15aaf32a2",
-    (_RAY_Z, "json", None): "b532259e92502cc4",
-    (_RAY_Z, "text", None): "473b2bb2a90d2153",
-    (_RAY_Z, "json", "256"): "afad29a6d4fcaecd",
-    (_RAY_Z, "text", "256"): "137ef94855c92d91",
-    (_WEDGE_Z, "json", None): "01915806ae5368f8",
-    (_WEDGE_Z, "text", None): "84deca3668856f22",
-    (_WEDGE_Z, "json", "256"): "2b7274177052f68f",
-    (_WEDGE_Z, "text", "256"): "2c4f3dccc23db9c9",
+    ("1.7<0.6283185307", "json", None): "f58e15980fb0a45c",
+    ("1.7<0.6283185307", "text", None): "3fcfcc50d340b7b7",
+    ("1.7<0.6283185307", "json", "256"): "4f0bd0a3fe781272",
+    ("1.7<0.6283185307", "text", "256"): "fb8fe2e96034d3db",
+    (_RAY_Z, "json", None): "ddf49beaebd4455a",
+    (_RAY_Z, "text", None): "08bea7abd8ae7eaa",
+    (_RAY_Z, "json", "256"): "e9ae05698203c9c5",
+    (_RAY_Z, "text", "256"): "839849e057ac1b7a",
+    (_WEDGE_Z, "json", None): "f2d250fcc820b2c3",
+    (_WEDGE_Z, "text", None): "ec2fd322188921cc",
+    (_WEDGE_Z, "json", "256"): "bc3ed7d448a373fe",
+    (_WEDGE_Z, "text", "256"): "4b15bc2192085d7d",
 }
 
 

@@ -257,3 +257,25 @@ def test_replaced_reads_in_place_and_restores_when_the_body_raises(tmp_path):
                 raise RuntimeError("body failed")
         assert active() == hashlib.sha256(outer.read_bytes()).hexdigest()
     assert data.file_fingerprints() == original
+
+
+def test_a_replaced_block_records_the_files_it_parses():
+    data.mark_parsed(["inner_ode.json"])
+    before = data.parsed_files()
+    with data.replaced({}):
+        assert data.parsed_files() == ()
+        data.constant_catalog()
+        data.expansion_tables()
+        # in DATA_FILES order, whatever the order of parsing
+        assert data.parsed_files() == ("expansion_tables.json",
+                                       "constant_catalog.json")
+    assert data.parsed_files() == before
+
+
+def test_a_malformed_file_is_not_recorded_as_parsed(tmp_path):
+    path = tmp_path / "ode.json"
+    path.write_text("{}")
+    with data.replaced({"inner_ode.json": path}):
+        with pytest.raises(data.PreconditionError):
+            data.inner_polynomials()
+        assert data.parsed_files() == ()

@@ -20,7 +20,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -694,8 +693,8 @@ def landing_run(landing):
 class TestIntegration:
     def test_origin_series_is_the_kernels_own_output(self):
         # the cached series is taylor_fixed at the origin from the exact
-        # seed; the seed is real, so is every coefficient, which is the
-        # fact pole_scan's mirroring rests on
+        # seed; the seed is real, so is every coefficient, and so is
+        # pole_scan's ratio estimate
         bits = 224
         ev._origin_series.cache_clear()
         re, im = ev._origin_series(bits)
@@ -970,8 +969,10 @@ class TestPoles:
         est = ev.pole_estimate(0)
         # frozen: identical to 18 digits across tol 1e-8 / 1e-10 / 1e-14
         assert abs(est.distance - mpf("2.38237501041002158")) < mpf(10) ** -9
-        assert est.fit_residual < mpf(10) ** -10
         assert abs(est.location.imag) < mpf(10) ** -20
+        # the double-pole fit agrees with the origin series' estimate
+        assert abs(est.location - ev.pole_scan().series_estimate) \
+            < mpf(10) ** -15
 
     def test_distance_consistent_with_reported_radius_of_analyticity(self):
         est = ev.pole_estimate(0)
@@ -994,10 +995,23 @@ class TestPoles:
         scan = ev.pole_scan()
         assert scan.best.direction == 0
         assert abs(scan.best.distance - mpf("2.382375010410")) < mpf(10) ** -9
-        assert len(scan.estimates) >= 1
-        assert len(scan.unbounded_directions) >= 7
-        assert "interpretation" not in scan.note or scan.note  # note present
+        assert scan.series_estimate.imag == 0
+        assert scan.series_order == ev.ORIGIN_ORDER
         assert "estimate" in scan.note
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_series_estimate_is_within_1e_15_of_the_refined_pole(self, bits):
+        scan = ev.pole_scan(bits)
+        with workprec(bits):
+            gap = abs(scan.best.location - scan.series_estimate)
+        assert gap == scan.gap < mpf(10) ** -15
+
+    def test_refined_distance_is_the_same_at_every_precision(self):
+        # at tol 1e-10 neither the kernel width nor the series depends on
+        # the working precision, so neither does the refining run
+        printed = {mp.nstr(ev.pole_scan(bits).best.distance, 25)
+                   for bits in (128, 192, 256)}
+        assert printed == {"2.382375010410021582405839"}
 
     def test_steps_are_reported_on_both_outcomes(self):
         est = ev.pole_estimate(0)
@@ -1007,7 +1021,7 @@ class TestPoles:
         assert info.value.steps > 0
 
     def test_ray_below_the_axis_is_the_mirror_image_of_the_one_above(self):
-        # the symmetry the scan's mirroring rests on, on two rays that
+        # g(conj t) = conj g(t) for the real origin data, on two rays that
         # both meet the pole near t = 2.38
         above, below = ev.pole_estimate(1e-6), ev.pole_estimate(-1e-6)
         assert above.location.imag > 0
@@ -1015,28 +1029,7 @@ class TestPoles:
         assert abs(below.distance - above.distance) < mpf(10) ** -30
         assert below.steps == above.steps
 
-    def test_mirrored_ray_equals_the_direct_one(self, monkeypatch):
-        # g(conj t) = conj g(t) for the real origin data: the ray at
-        # k = 1 is the conjugate of the one at k = -1
-        with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
-            below = -mp.pi / 25
-            location = mpc("2.5", "-0.25")
-        found = ev.PoleEstimate(distance=abs(location), location=location,
-                                direction=below, fit_residual=mpf("1e-12"),
-                                steps=7)
-        monkeypatch.setattr(ev, "_ray", lambda direction, precision_bits:
-                            found if direction == below else None)
-        scan = ev.pole_scan()
-        assert [e.direction for e in scan.estimates] == [below, -below]
-        assert len(scan.unbounded_directions) == 7
-        assert scan.estimates[1] == replace(
-            found, location=location.conjugate(), direction=-below)
-        assert scan.best == found
-
-    def test_default_fan_integrates_five_rays(self, monkeypatch):
-        # One CPU keeps every ray in this process, where the counter
-        # sees it; a forked worker's calls would not reach the list.
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    def test_scan_integrates_one_ray(self, monkeypatch):
         legs = []
         leg = ev._integrate_leg
 
@@ -1047,67 +1040,37 @@ class TestPoles:
         monkeypatch.setattr(ev, "_integrate_leg", counting)
         with workprec(53):  # the ambient precision of the command line
             scan = ev.pole_scan()
-        assert len(legs) == 5
-        assert len(scan.estimates) + len(scan.unbounded_directions) == 9
+        assert len(legs) == 1
+        assert scan.best.steps > 0
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_default_fan_hands_five_rays_to_the_fan_out(self, monkeypatch,
-                                                          cpus):
+    def test_scan_never_forks(self, monkeypatch, cpus):
+        def no_fork():
+            raise AssertionError("the pole scan forked")
+
         monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
-        handed = []
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert ev.pole_scan().best.direction == 0
 
-        def serial(fn, jobs):
-            handed.extend(jobs)
-            return [fn(*job) for job in jobs]
-
-        monkeypatch.setattr(ev, "fan_out", serial)
-        with workprec(53):
-            ev.pole_scan()
-        assert [float(job[0]) for job in handed] == [
-            float(mp.pi * k / 25) for k in range(-4, 1)]
-
-    def test_fanned_out_scan_equals_the_one_cpu_scan(self, monkeypatch):
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
-        serial = ev.pole_scan()
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            forks.append(None)
-            return fork()
-
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 3)
-        monkeypatch.setattr(os, "fork", counting_fork)
-        fanned = ev.pole_scan()
-        assert len(forks) == 2
-        # Dataclass equality compares every field, and mpf/mpc compare
-        # exactly.
-        assert fanned.best == serial.best
-        assert fanned.estimates == serial.estimates
-        assert fanned.unbounded_directions == serial.unbounded_directions
-        assert fanned.note == serial.note
-
-    def test_scan_builds_the_origin_series_before_the_fan_out(
-            self, monkeypatch):
-        # forked workers inherit the series only if the calling process
-        # has it when the fan-out starts
+    def test_scan_reads_the_estimate_off_the_cached_origin_series(self):
+        # one build serves the ratio and the refining run's first step
         with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
             bits = ev._kernel_bits(ev._log2_budget(ev._to_mpf(ev._POLE_TOL)))[1]
         ev._origin_series.cache_clear()
-        hits = []
-
-        def serial(fn, jobs):
-            before = ev._origin_series.cache_info().hits
-            ev._origin_series(bits)
-            hits.append(ev._origin_series.cache_info().hits - before)
-            return [fn(*job) for job in jobs]
-
-        monkeypatch.setattr(ev, "fan_out", serial)
-        ev.pole_scan()
-        assert hits == [1]
+        scan = ev.pole_scan()
+        info = ev._origin_series.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        re = ev._origin_series(bits)[0]
+        n = ev.ORIGIN_ORDER
+        with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
+            ratio = mpf(2 * (n + 1) * re[n - 1]) / (n * re[n])
+        assert scan.series_estimate == ratio
 
     def test_scan_without_any_pole_raises(self, monkeypatch):
-        monkeypatch.setattr(ev, "_ray", lambda direction, precision_bits: None)
+        def no_pole(direction, precision_bits):
+            raise ev.PoleNotFoundError(direction, ev.POLE_HORIZON, 3)
+
+        monkeypatch.setattr(ev, "pole_estimate", no_pole)
         with pytest.raises(ev.PoleNotFoundError):
             ev.pole_scan()
 
