@@ -33,6 +33,8 @@ evaluator reads too; :data:`REGION_STATEMENT` is formatted from them.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
@@ -55,7 +57,7 @@ from .numerics import (
 )
 from .result import CheckResult, PreconditionError, check
 from .regions import CLOSED_FORMS, DISK_RADIUS, OMEGA_4, OMEGA_I, arg_z
-from . import fanout, formal
+from . import formal
 from . import inner as inner_interval
 
 #: Norm bound carried by the quasi-solution on the imaginary-axis ray:
@@ -993,6 +995,65 @@ SCOPES: Dict[str, Tuple[str, ...]] = {
 }
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (at least 1)."""
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return len(mask) or os.cpu_count() or 1
+
+
+def _run_job(job: str, rho: Fraction
+             ) -> Tuple[List[CertificateReport], Tuple[str, ...]]:
+    """The reports of ``_JOBS[job]`` and the data files parsed so far."""
+    return _JOBS[job](rho), parsed_files()
+
+
+def _map_jobs(jobs: Sequence[str], rho: Fraction
+              ) -> List[Tuple[List[CertificateReport], Tuple[str, ...]]]:
+    """``[_run_job(job, rho) for job in jobs]``, on one forked worker per
+    usable CPU, up to one per job.
+
+    The serial loop runs in this process when one worker would do, when
+    the platform has no ``os.fork``, or when the process runs a second
+    thread: a fork copies only the forking thread, and a lock another
+    thread held stays held in the child.  Otherwise a fork-context
+    :class:`~concurrent.futures.ProcessPoolExecutor` forks every worker
+    before it starts a thread of its own, and this process only waits.
+    Forking, not spawning, is what makes the split pay: the workers
+    inherit the imported package and the data already read, where a
+    spawned worker would import the package again, which takes about as
+    long as the reports it would share.  Only the job name and rho go out
+    and the reports come back, pickled.  ``map`` yields the results in
+    job order and raises the exception of the earliest failing job, as
+    the serial loop would; an exception that cannot be rebuilt here
+    breaks the pool, which raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  After a
+    refused fork the workers already forked are killed and the serial
+    loop runs.  Every worker is joined before this returns or raises.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if (workers <= 1 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [_run_job(job, rho) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        try:
+            # the first job submitted forks every worker
+            results = pool.map(_run_job, jobs, [rho] * len(jobs))
+        except OSError:
+            # The pool has no thread yet to stop the workers it forked,
+            # which would wait for jobs forever.
+            for worker in multiprocessing.active_children():
+                worker.kill()
+                worker.join()
+            return [_run_job(job, rho) for job in jobs]
+        return list(results)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
               ) -> Tuple[List[CertificateReport], str]:
     """Run the jobs of ``SCOPES[scope]``; returns (reports sorted by name,
@@ -1004,8 +1065,8 @@ def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
     lower wedge raises :class:`PreconditionError` for rho < 3 before any
     report runs.
 
-    The jobs run side by side in one :func:`p1cert.fanout.fan_out`, so a
-    single-job scope never forks, and each report is the same whichever
+    The jobs run side by side in forked workers (:func:`_map_jobs`), so
+    a single-job scope never forks, and each report is the same whichever
     process makes it.  A fault in the data raises the exception of the
     earliest job that meets it, as the serial loop would.  Every data
     file is read before the workers fork, so each report parses the bytes
@@ -1016,8 +1077,7 @@ def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
     if "omega4" in jobs:
         rho = _lower_wedge_rho(rho)
     read_ahead()
-    parts = fanout.fan_out(lambda job: (_JOBS[job](rho), parsed_files()),
-                           [(job,) for job in jobs])
+    parts = _map_jobs(jobs, rho)
     for _, names in parts:
         mark_parsed(names)
     reports = sorted((r for part, _ in parts for r in part),

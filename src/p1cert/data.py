@@ -165,6 +165,12 @@ def _load(name: str) -> Any:
     return _parse_cache[path]
 
 
+def malformed(name: str, reason: object) -> PreconditionError:
+    """The violated precondition of a data file ``name`` that does not
+    hold what its reader needs, for ``reason``."""
+    return PreconditionError(f"malformed data file {name}: {reason}")
+
+
 def _parses(name: str):
     """Report a malformed data file ``name`` as a violated precondition,
     and record a well-formed one as parsed in this run."""
@@ -175,8 +181,7 @@ def _parses(name: str):
                 result = parse()
             except (AttributeError, KeyError, TypeError, ValueError,
                     ZeroDivisionError) as exc:
-                raise PreconditionError(
-                    f"malformed data file {name}: {exc}") from exc
+                raise malformed(name, exc) from exc
             _parsed.add(name)
             return result
         return parsed

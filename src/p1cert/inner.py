@@ -183,8 +183,13 @@ class InnerSystem:
 
 
 def build_system() -> InnerSystem:
-    """The polynomials and partitions of the data file ``inner_ode.json``."""
+    """The polynomials and partitions of the data file ``inner_ode.json``;
+    :class:`~p1cert.result.PreconditionError` when a polynomial is
+    missing."""
     polys = data.inner_polynomials()
+    missing = [name for name in ("g0", "J1", "J2") if name not in polys]
+    if missing:
+        raise data.malformed("inner_ode.json", f"no polynomial {missing}")
     return InnerSystem(
         g0=polys["g0"],
         J1=polys["J1"],
@@ -195,13 +200,23 @@ def build_system() -> InnerSystem:
 
 
 def certify() -> List[CheckResult]:
-    """Run the full certified chain; every line is an exact comparison."""
+    """Run the full certified chain; every line is an exact comparison.
+
+    A sup norm bounds a polynomial on the whole segment only if its
+    partition spans it, so a partition that is missing or does not run
+    from t0 to 0 raises :class:`~p1cert.result.PreconditionError`.
+    """
     sys_ = build_system()
     parts = sys_.partitions
     results: List[CheckResult] = []
 
     def sup(p: Poly, partition: str):
-        return sup_abs_partition(p, parts[partition])
+        points = parts.get(partition, [])
+        if points[:1] != [0] or points[-1:] != [-T0]:
+            raise data.malformed(
+                "inner_ode.json",
+                f"partition {partition!r} does not run from t = {T0} to 0")
+        return sup_abs_partition(p, points)
 
     # --- certified polynomial sup norms ------------------------------------
     r_sup = sup(sys_.remainder, "remainder")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from p1cert import (certificates, cli, data, evaluator,  # noqa: F401
-                    fanout, formal, functionals, inner, numerics, polybound)
+                    formal, functionals, inner, numerics, polybound)
 from p1cert.functionals import PowerSum
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -77,7 +77,7 @@ def test_one_certificate_pass_runs_the_hot_loops_through_hooked_names(
     # only if the hot loops still run through these module attributes.
     # On one CPU every report runs in this process, where the counter
     # can see it; a forked worker's calls would not be counted.
-    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(certificates, "_usable_cpus", lambda: 1)
     counts = {}
     for owner, attr in ((certificates, "inverse_power_integral"),
                         (polybound, "sup_abs_partition")):

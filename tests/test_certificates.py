@@ -1,12 +1,15 @@
 """Certificate suites: frozen oracle values, must-fail instances,
 quadrature refinement, and fault injection."""
 
+import contextlib
 import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +21,7 @@ from mpmath import inf, mp, mpf, quad
 
 import p1cert
 from p1cert import certificates as C
-from p1cert import data, fanout, formal, inner
+from p1cert import data, formal, inner
 from p1cert.cli import main
 from p1cert.formal import FormalSeries
 from p1cert.functionals import PowerSum, QSqrt2, SPoly, majorant
@@ -639,7 +642,7 @@ class TestRunAll:
         def no_job(*args):
             raise AssertionError("a job ran")
 
-        monkeypatch.setattr(fanout, "fan_out", no_job)
+        monkeypatch.setattr(C, "_map_jobs", no_job)
         with pytest.raises(C.PreconditionError, match="rho >= 3"):
             C.run_all(rho=Fraction(2))
         with pytest.raises(C.PreconditionError, match="rho >= 3"):
@@ -647,10 +650,10 @@ class TestRunAll:
 
     @pytest.mark.parametrize("rho", [Fraction(3), Fraction(7, 2)])
     def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, rho):
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
         serial = C.run_all(rho)
         for count in (2, 3, 8):
-            monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+            monkeypatch.setattr(C, "_usable_cpus", lambda: count)
             assert C.run_all(rho) == serial, count
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -676,42 +679,43 @@ class TestRunAll:
         monkeypatch.setattr(os, "fork", logged_fork)
         return lambda: log.read_text().split()
 
-    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("count", [2, 3, 8])
     def test_only_the_calling_process_forks(self, tmp_path, monkeypatch,
                                             count):
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        # one worker per usable CPU, up to one per job
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
         serial = C.run_all()
         forks = self.log_forks(tmp_path, monkeypatch)
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
         assert C.run_all() == serial
-        assert forks() == [str(os.getpid())] * (count - 1)
+        assert forks() == [str(os.getpid())] * min(6, count)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("count", [1, 2, 8])
     def test_files_parsed_by_forked_jobs_are_recorded(self, monkeypatch,
                                                       count):
-        # the calling process takes the ray reports, which parse no file
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+        # on more than one CPU every job runs in a forked worker
+        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
         with data.replaced({}):
             C.run_all()
             assert data.parsed_files() == data.DATA_FILES
 
     @pytest.mark.parametrize("scope", list(C.SCOPES))
     def test_only_scope_all_forks(self, tmp_path, monkeypatch, scope):
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
         serial = C.run_scope(scope)
         forks = self.log_forks(tmp_path, monkeypatch)
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
         assert C.run_scope(scope) == serial
-        assert forks() == [str(os.getpid())] * (scope == "all")
+        assert forks() == [str(os.getpid())] * (2 if scope == "all" else 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_perturbed_catalog_fails_by_name(self, tmp_path, monkeypatch,
                                              count):
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
         path = tmp_path / "constant_catalog.json"
         blob = json.loads((data.data_dir() / path.name).read_text())
         row = blob["constants"]["E_M"][0]
@@ -741,7 +745,7 @@ class TestRunAll:
         path.write_text(text)
         outcomes = []
         for count in (1, 2, 3):
-            monkeypatch.setattr(fanout, "usable_cpus", lambda: count)
+            monkeypatch.setattr(C, "_usable_cpus", lambda: count)
             result = CliRunner().invoke(
                 main, ["verify", "--scope", "all", "--tables", str(path)])
             outcomes.append((result.exit_code, result.stdout, result.stderr))
@@ -751,15 +755,15 @@ class TestRunAll:
 
     def test_fingerprint_is_of_the_bytes_the_reports_parsed(
             self, tmp_path, monkeypatch):
-        # On two CPUs the calling process takes no job until a child has
-        # run inner_interval, which rewrites its data file once parsed.
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+        # On two CPUs a forked worker runs inner_interval, which rewrites
+        # its data file once parsed; the calling process runs no job.
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
         path = tmp_path / "inner_ode.json"
         parsed = (data.data_dir() / path.name).read_bytes()
         path.write_bytes(parsed)
         marker = tmp_path / "rewritten_by"
         parent = os.getpid()
-        check_inner_interval, work = C.check_inner_interval, fanout._work
+        check_inner_interval = C.check_inner_interval
 
         def rewrite_after_parsing():
             report = check_inner_interval()
@@ -767,15 +771,7 @@ class TestRunAll:
             marker.write_text(str(os.getpid()))
             return report
 
-        def work_after_the_rewrite(*args):
-            deadline = time.monotonic() + 60
-            while (os.getpid() == parent and not marker.exists()
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            return work(*args)
-
         monkeypatch.setattr(C, "check_inner_interval", rewrite_after_parsing)
-        monkeypatch.setattr(fanout, "_work", work_after_the_rewrite)
         result = CliRunner().invoke(main, [
             "verify", "--scope", "all", "--partitions", str(path),
             "--format", "json"])
@@ -787,6 +783,268 @@ class TestRunAll:
                 == hashlib.sha256(parsed).hexdigest())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    # The jobs below stand in for the reports: each replaces the entries of
+    # C._JOBS, which the forked workers inherit, and run_scope maps them.
+
+    @staticmethod
+    def fake_jobs(monkeypatch, job, count=None):
+        """Make the first ``count`` jobs of ``all`` (all six by default)
+        the scope ``fake``, job i running ``job(i)``."""
+        names = C.SCOPES["all"][:count]
+        for index, name in enumerate(names):
+            monkeypatch.setitem(C._JOBS, name,
+                                lambda rho, index=index: job(index))
+        monkeypatch.setitem(C.SCOPES, "fake", names)
+
+    def test_usable_cpus_is_positive(self):
+        assert C._usable_cpus() >= 1
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3, 4, 5])
+    def test_results_equal_the_in_process_map_in_order(
+            self, monkeypatch, tmp_path, count, n_jobs):
+        log = tmp_path / "runs"
+        self.fake_jobs(monkeypatch, _logged(log), n_jobs)
+        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
+        reports, _ = C.run_scope("fake")
+        assert [r.name for r in reports] == [f"job {x}"
+                                             for x in range(n_jobs)]
+        # Each job runs exactly once, in one of at most w processes, and
+        # in this process only when the loop is serial.
+        assert _runs(log) == list(range(n_jobs))
+        pids = {_pid_of(r) for r in reports}
+        assert len(pids) <= min(count, n_jobs)
+        assert (os.getpid() in pids) == (min(count, n_jobs) == 1)
+        _assert_no_child_left()
+
+    def test_a_forked_worker_runs_jobs(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
+        marker = tmp_path / "job_1_ran_in"
+
+        # Job 1 cannot run in the worker that waits in job 0, so the other
+        # worker takes it.
+        def job(x):
+            if x == 0:
+                deadline = time.monotonic() + 60
+                while not marker.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            else:
+                marker.write_text(str(os.getpid()))
+            return _pid_report(x)
+
+        self.fake_jobs(monkeypatch, job, 2)
+        pids = [_pid_of(r) for r in C.run_scope("fake")[0]]
+        assert int(marker.read_text()) == pids[1]
+        assert pids[0] != pids[1]
+        assert os.getpid() not in pids
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("bad, first", [
+        ({3}, 3), ({4, 1}, 1), ({2, 3}, 2), ({0, 5}, 0), ({5}, 5)])
+    def test_earliest_failing_job_raises_its_exception(
+            self, monkeypatch, count, bad, first):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
+        self.fake_jobs(monkeypatch, _fail_at(bad))
+        with pytest.raises(ValueError, match=f"^job {first} failed$"):
+            C.run_scope("fake")
+        _assert_no_child_left()
+
+    def test_an_exception_that_cannot_be_rebuilt_breaks_the_pool(
+            self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
+        monkeypatch.setitem(C._JOBS, "inner", _raise_unpicklable)
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            C.run_all()
+        assert time.monotonic() - start < 20
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["result", "exception"])
+    @pytest.mark.parametrize("bad", range(4))
+    def test_unsendable_outcome_is_the_same_on_any_worker_count(
+            self, monkeypatch, bad, kind):
+        # Every job runs in a forked worker, so which one ran it does not
+        # matter: a result that cannot be pickled fails its job, and an
+        # exception that cannot be rebuilt here breaks the pool.
+        self.fake_jobs(monkeypatch, _unsendable_at(bad, kind), 4)
+        outcomes = []
+        for count in (2, 3):
+            monkeypatch.setattr(C, "_usable_cpus", lambda: count)
+            with pytest.raises(Exception) as raised:
+                C.run_scope("fake")
+            outcomes.append((type(raised.value), str(raised.value)))
+            _assert_no_child_left()
+        assert outcomes[0] == outcomes[1]
+        failure, message = outcomes[0]
+        if kind == "exception":
+            assert failure.__name__ == "BrokenProcessPool"
+        else:
+            assert "cannot pickle 'generator' object" in message
+
+    def test_results_that_cannot_be_sent_back_raise(self, monkeypatch):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
+        self.fake_jobs(monkeypatch, lambda x: [lambda: x], 2)
+        with pytest.raises(Exception, match="pickle"):
+            C.run_scope("fake")
+        _assert_no_child_left()
+
+    def test_interrupt_while_waiting_reaps_the_workers(self, monkeypatch):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
+
+        def job(x):
+            time.sleep(0.5)
+            return _pid_report(x)
+
+        self.fake_jobs(monkeypatch, job)
+        parent = os.getpid()
+        # The timer runs in this process only; a forked child inherits no
+        # timer, so SIGINT reaches this process alone while it waits.
+        previous = signal.signal(
+            signal.SIGALRM, lambda *_: os.kill(parent, signal.SIGINT))
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                C.run_scope("fake")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        _assert_no_child_left()
+
+    def test_after_a_refused_fork_the_jobs_run_in_this_process(
+            self, monkeypatch):
+        # Without the kill, a worker forked before the refusal waits for
+        # jobs forever, and the interpreter waits for it at exit.
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
+        self.fake_jobs(monkeypatch, _pid_report)
+        fork = os.fork
+        for refused in (1, 2, 3):
+            calls = []
+
+            def refuse(refused=refused, calls=calls):
+                calls.append(None)
+                if len(calls) == refused:
+                    raise BlockingIOError("fork refused")
+                return fork()
+
+            monkeypatch.setattr(os, "fork", refuse)
+            reports, _ = C.run_scope("fake")
+            assert len(calls) == refused
+            assert [(r.name, _pid_of(r)) for r in reports] == [
+                (f"job {x}", os.getpid()) for x in range(6)]
+            _assert_no_child_left()
+
+    def test_unflushed_output_is_written_once(self, monkeypatch, capfd):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
+        self.fake_jobs(monkeypatch, _pid_report)
+        # Block-buffered, as stdout is when it goes to a pipe or a file: the
+        # line is still in this process's buffer when the workers fork.
+        with open(os.dup(1), "w", buffering=1 << 16) as stdout:
+            with contextlib.redirect_stdout(stdout):
+                print("written before the fork")
+                C.run_scope("fake")
+        out, _ = capfd.readouterr()
+        assert out.count("written before the fork") == 1
+
+    def run_in_process(self, monkeypatch):
+        """run_scope on fake jobs, asserting that no worker was forked."""
+        def fork():
+            raise AssertionError("os.fork was called")
+
+        if hasattr(os, "fork"):
+            monkeypatch.setattr(os, "fork", fork)
+        self.fake_jobs(monkeypatch, _pid_report, 4)
+        reports, _ = C.run_scope("fake")
+        assert [(r.name, _pid_of(r)) for r in reports] == [
+            (f"job {x}", os.getpid()) for x in range(4)]
+
+    def test_one_usable_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
+        self.run_in_process(monkeypatch)
+
+    def test_a_second_thread_prevents_forking(self, monkeypatch):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(10,))
+        thread.start()
+        try:
+            self.run_in_process(monkeypatch)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_without_fork_jobs_run_in_process(self, monkeypatch):
+        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
+        monkeypatch.delattr(os, "fork")
+        self.run_in_process(monkeypatch)
+
+
+def _pid_report(x):
+    """A passing job result: one report named after job x, whose input
+    names the process that made it."""
+    return [C.CertificateReport(f"job {x}", (("pid", str(os.getpid())),),
+                                ())]
+
+
+def _pid_of(report):
+    return int(dict(report.inputs)["pid"])
+
+
+def _logged(log):
+    """A job that appends its index to the file ``log`` in whichever
+    process runs it."""
+    def job(x):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{x}\n".encode())
+        finally:
+            os.close(fd)
+        return _pid_report(x)
+    return job
+
+
+def _runs(log):
+    return sorted(int(line) for line in log.read_text().split())
+
+
+def _fail_at(bad):
+    def job(x):
+        if x in bad:
+            raise ValueError(f"job {x} failed")
+        return _pid_report(x)
+    return job
+
+
+class _Unpicklable(Exception):
+    """Rebuilding from its pickled args fails, like PoleNotFoundError."""
+
+    def __init__(self, x, y):
+        super().__init__(f"{x} and {y}")
+
+
+def _raise_unpicklable(x):
+    raise _Unpicklable(x, "more")
+
+
+def _unsendable_at(bad, kind):
+    def job(x):
+        if x != bad:
+            return _pid_report(x)
+        if kind == "result":
+            return (y for y in ())
+        raise _Unpicklable(x, "more")
+    return job
+
+
+def _assert_no_child_left():
+    """No child process is left, and no thread of the pool either, which
+    would keep a later run from forking."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == 1
 
 
 #: Entry points that take an exact rational, each called with one float

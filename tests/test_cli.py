@@ -330,6 +330,28 @@ class TestReplacement:
             f"precondition violated: malformed data file {name}")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.__setitem__("partitions", {
+            name: ["1/100", "0"] for name in doc["partitions"]}),
+        lambda doc: doc["partitions"].__setitem__("J1", ["0"]),
+        lambda doc: doc["partitions"].__delitem__("J1"),
+        lambda doc: doc["polynomials"].__delitem__("J2"),
+    ], ids=["short-span", "one-point", "no-partition", "no-polynomial"])
+    def test_interior_data_that_cannot_cover_the_segment_exits_2(
+            self, data_copy, edit):
+        # A sup norm over [-1/100, 0] bounds nothing on the rest of
+        # [inner.T0, 0], so it must not certify the disk.
+        path = data_copy / "inner_ode.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        for args in (["verify", "--scope", "all"], ["eval", "--z", "0"]):
+            result = invoke(*args, "--partitions", str(path))
+            assert result.exit_code == 2, args
+            assert result.stderr.startswith(
+                "precondition violated: malformed data file inner_ode.json")
+            assert result.stdout == ""
+
     @pytest.mark.parametrize("name, edit, args", [
         ("expansion_tables.json",
          lambda doc: doc["tables"]["r"]["5"][0].__setitem__(2, -0.828125),

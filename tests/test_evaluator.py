@@ -28,9 +28,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
-from p1cert import data
+from p1cert import certificates, data
 from p1cert import evaluator as ev
-from p1cert import fanout
 from p1cert import inner
 from p1cert.certificates import PreconditionError
 from p1cert.cli import main
@@ -1048,7 +1047,7 @@ class TestPoles:
         def no_fork():
             raise AssertionError("the pole scan forked")
 
-        monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(certificates, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", no_fork)
         assert ev.pole_scan().best.direction == 0
 
