@@ -825,8 +825,8 @@ def maclaurin_enclosures(horizon: int, eps: Fraction) -> List[Interval]:
     exact intervals.  The window centres are the midpoints, and eps
     rounded up plus one unit covers both eps and the centres' floor."""
     bits, eps = ENVELOPE_BITS, as_fraction(eps)
-    prefix = inner_interval.origin_windows(eps, eps)
-    value, slope = (math.floor(c.mid * 2 ** bits) for c in prefix[:2])
+    windows = inner_interval.origin_windows(eps, eps)[:2]
+    value, slope = (math.floor(c.mid * 2 ** bits) for c in windows)
     radius = math.ceil(eps * 2 ** bits) + 1
     re, im = inner_interval.taylor_fixed(
         (value, 0), (slope, 0), (0, 0), horizon, 1, bits)
@@ -834,7 +834,7 @@ def maclaurin_enclosures(horizon: int, eps: Fraction) -> List[Interval]:
     balls = [Interval(Fraction(m - r, 1 << (bits + k)),
                       Fraction(m + r, 1 << (bits + k)))
              for k, (m, r) in enumerate(zip(re, radii))]
-    return prefix[:2] + balls[2:]
+    return windows + balls[2:]
 
 
 def taylor_envelope_run(horizon: int, eps: Fraction) -> Tuple[Fraction, int]:
@@ -853,9 +853,9 @@ def check_taylor_radius() -> CertificateReport:
     converges and stays bounded on |t| < 37/20.
 
     Inputs are the certified value/slope windows at t = 0, widened to the
-    larger of their radii, eps; c2 = 3 c0^2 and c3 = 2 c0 c1 + 1/6 are
-    maximized over the window corners (the interior critical points sit at
-    c0 = 0 or c1 = 0, which the windows exclude); base cases are exact
+    larger of their radii, eps; c2 and c3 of :func:`inner.maclaurin_extend`
+    are extremal at the window corners (the interior critical points sit
+    at c0 = 0 or c1 = 0, which the windows exclude); base cases are exact
     rational comparisons; the induction step is the exact discrete
     identity sum (j+1)(k-j+1) = (k+1)(k+2)(k+3)/6; and a run of rigorous
     balls on the integer kernel re-confirms the envelope numerically up
@@ -864,11 +864,10 @@ def check_taylor_radius() -> CertificateReport:
     eps = max(inner_interval.VALUE_WINDOW, inner_interval.SLOPE_WINDOW)
     inv = 1 / DISK_RADIUS
     c0, c1, c2, c3 = inner_interval.origin_windows(eps, eps)
-    corner_c2 = {3 * v ** 2 for v in (c0.lo, c0.hi)}
-    corner_c3 = {2 * v * w + Fraction(1, 6)
-                 for v in (c0.lo, c0.hi) for w in (c1.lo, c1.hi)}
-    corners_match = (min(corner_c2) == c2.lo and max(corner_c2) == c2.hi
-                     and min(corner_c3) == c3.lo and max(corner_c3) == c3.hi)
+    corners = [inner_interval.maclaurin_extend(v, w, 0, 3)[2:]
+               for v in (c0.lo, c0.hi) for w in (c1.lo, c1.hi)]
+    corners_match = all((min(vs), max(vs)) == (c.lo, c.hi)
+                        for vs, c in zip(zip(*corners), (c2, c3)))
 
     run_worst, run_k = taylor_envelope_run(ENVELOPE_HORIZON, eps)
 

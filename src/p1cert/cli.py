@@ -379,10 +379,8 @@ def _parse_z(text: str, precision_bits: int):
                 f"or a real number; got {text!r}") from exc
 
 
-def _origin_block(precision_bits: int) -> Tuple[List[str], Dict[str, object]]:
-    from . import evaluator
-    origin = evaluator.y_at_zero(precision_bits)
-    vw, sw = origin.value_window, origin.slope_window
+def _origin_block() -> Tuple[List[str], Dict[str, object]]:
+    vw, sw = inner.origin_windows()[:2]
     lines = [
         "interior-frame enclosure (exact rationals):",
         f"  g(0)  in [{vw.lo}, {vw.hi}]"
@@ -407,7 +405,7 @@ def _emit_eval(fmt: str, outcome, precision_bits: int) -> int:
     origin_lines: List[str] = []
     origin_payload: Optional[Dict[str, object]] = None
     if outcome.method == "origin-enclosure":
-        origin_lines, origin_payload = _origin_block(precision_bits)
+        origin_lines, origin_payload = _origin_block()
     payload = {
         "precision_bits": precision_bits,
         "z": _complex_json(outcome.z),

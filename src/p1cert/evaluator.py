@@ -636,9 +636,9 @@ def taylor_coeffs(
     """Taylor coefficients of the solution of  g'' = 6 g^2 + t  at ``center``.
 
     Given g(center) = ``value`` and g'(center) = ``slope``, returns
-    [c_0, ..., c_count] with g(center + s) = sum c_k s^k.  The
-    inhomogeneous term contributes  center/2  to c_2 and  1/6  to c_3
-    (writing t = center + s); the rest is :func:`inner.maclaurin_extend`.
+    [c_0, ..., c_count] with g(center + s) = sum c_k s^k, by
+    :func:`inner.maclaurin_extend`: the recurrence (k+1)(k+2) c_{k+2} =
+    6 sum_j c_j c_{k-j} + f_k with the forcing f_0 = center, f_1 = 1.
     Requires ``count`` >= 2.  This is the floating-point reference for
     the integer kernel :func:`inner.taylor_fixed` and for the balls that
     :func:`inner.taylor_radii` makes of its coefficients.
@@ -649,9 +649,8 @@ def taylor_coeffs(
             "count must be at least 2 (the first forced coefficient)"
         )
     with workprec(precision_bits + GUARD_BITS):
-        c0, c1 = _to_mpc(value), _to_mpc(slope)
-        prefix = [c0, c1, 3 * c0 * c0 + _to_mpc(center) / 2, 2 * c0 * c1 + mpf(1) / 6]
-        return inner.maclaurin_extend(prefix, count)[:count + 1]
+        return inner.maclaurin_extend(_to_mpc(value), _to_mpc(slope),
+                                      _to_mpc(center), count)
 
 
 # --------------------------------------------------------------------------

@@ -15,9 +15,12 @@ Everything quantitative reduces to a fixed list of sup-norm bounds for exact
 polynomials (certified here by partitioned cubic-head enclosures), followed
 by exact rational arithmetic: operator-norm products, a contraction factor,
 ball invariance, and windows for the values of ``g`` and ``g'`` at ``t = 0``
-that seed the disk's power series (:func:`maclaurin_extend`, whose integer
-kernel :func:`taylor_fixed` and ball radii :func:`taylor_radii` the
-integrator and the disk certificate share).
+that seed the disk's power series.  Its coefficients in ``t = center + s``
+follow one recurrence, ``(k+1)(k+2) c_{k+2} = 6 sum_{j<=k} c_j c_{k-j} + f_k``
+with the forcing ``f_0 = center``, ``f_1 = 1`` and ``f_k = 0`` after:
+:func:`maclaurin_extend` for any element type, and its integer kernel
+:func:`taylor_fixed`, whose ball radii :func:`taylor_radii` the integrator
+and the disk certificate share.
 
 All polynomials live in the shifted variable ``s = t - t0 in [0, -t0]``.
 """
@@ -85,10 +88,12 @@ SLOPE_WINDOW = Fraction(1, 108)
 def origin_windows(value_radius: Fraction = VALUE_WINDOW,
                    slope_radius: Fraction = SLOPE_WINDOW) -> List[Interval]:
     """Windows for Taylor coefficients c_0..c_3 at t = 0: g(0) and g'(0)
-    within the given radii of the centres, c_2 = 3c_0^2, c_3 = 2c_0c_1 + 1/6."""
+    within the given radii of the centres, c_2 and c_3 by
+    :func:`maclaurin_extend` (whose ``c_0 * c_0`` is wider than ``c_0 ** 2``
+    if c_0 straddles 0, still valid; the certified windows exclude 0)."""
     c0 = Interval(CENTER_VALUE - value_radius, CENTER_VALUE + value_radius)
     c1 = Interval(CENTER_SLOPE - slope_radius, CENTER_SLOPE + slope_radius)
-    return [c0, c1, 3 * c0 ** 2, 2 * c0 * c1 + Fraction(1, 6)]
+    return maclaurin_extend(c0, c1, 0, 3)
 
 
 # crude integral-operator norms: |kernel| <= sum of sup-norm products, times
@@ -294,22 +299,23 @@ def certify() -> List[CheckResult]:
     return results
 
 
-def maclaurin_extend(prefix: Sequence, count: int) -> List:
-    """Extend Taylor coefficients c_0..c_3 of ``g'' = 6*g**2 + t`` (they
-    carry the term t) to c_0..c_count by the Cauchy square
-    ``(k+1)(k+2) c_{k+2} = 6 * sum_{j<=k} c_j c_{k-j}``, with ``+``, ``*``
-    and one division by the int (k+1)(k+2).  Each symmetric pair is
-    formed once and doubled, plus the middle square for even k: the full
-    sum exactly, in interval arithmetic too."""
-    coeffs = list(prefix)
-    for k in range(2, count - 1):
-        pairs = coeffs[0] * coeffs[k]
-        for j in range(1, (k + 1) // 2):
+def maclaurin_extend(value, slope, center, count: int) -> List:
+    """c_0..c_count of ``g'' = 6*g**2 + t`` with ``g = value``, ``g' =
+    slope`` at ``t = center``, by the module's one forced recurrence with
+    ``+``, ``*`` and one division by the int (k+1)(k+2): on ``Fraction``,
+    ``Interval`` and ``mpc`` alike.  Each symmetric pair is formed once
+    and doubled, plus the middle square for even k: the full sum exactly,
+    in interval arithmetic too."""
+    coeffs, forcing = [value, slope], (center, 1)
+    for k in range(count - 1):
+        pairs = 0
+        for j in range((k + 1) // 2):
             pairs = pairs + coeffs[j] * coeffs[k - j]
         conv = pairs + pairs
         if k % 2 == 0:
             conv = conv + coeffs[k // 2] * coeffs[k // 2]
-        coeffs.append(6 * conv / ((k + 1) * (k + 2)))
+        forced = 6 * conv + forcing[k] if k < 2 else 6 * conv
+        coeffs.append(forced / ((k + 1) * (k + 2)))
     return coeffs
 
 
@@ -319,11 +325,11 @@ def maclaurin_extend(prefix: Sequence, count: int) -> List:
 #
 # A complex x is the Gaussian integer (floor(Re x 2^bits), floor(Im x 2^bits))
 # at one exponent 2^-bits.  A step of length at most rho = 2^e works with
-# G(sigma) = g(t + rho*sigma), whose coefficients b_k = c_k rho^k follow
-# b_2 = rho^2 (3 b_0^2 + t/2),  b_3 = rho^2 (2 b_0 b_1 + rho/6)  and
-# b_{k+2} = 6 rho^2 sum_j b_j b_{k-j} / ((k+1)(k+2)).  Radii make them balls
-# (van der Hoeven, "Ball arithmetic" (2010); Johansson, IEEE Trans. Comput.
-# 66 (2017)) in the norm |Re| + |Im|, which is submultiplicative.
+# G(sigma) = g(t + rho*sigma), whose b_k = c_k rho^k follow the module's
+# recurrence scaled: b_{k+2} = rho^2 (6 sum_j b_j b_{k-j} + rho^k f_k) /
+# ((k+1)(k+2)), a forcing of t at k = 0 and rho at k = 1.  Radii make them
+# balls (van der Hoeven, "Ball arithmetic" (2010); Johansson, IEEE Trans.
+# Comput. 66 (2017)) in the norm |Re| + |Im|, which is submultiplicative.
 
 Gaussian = Tuple[int, int]
 
@@ -339,28 +345,24 @@ def taylor_fixed(
     """Scaled coefficients b_0..b_count of  g'' = 6 g^2 + t  at ``center``.
 
     Everything is fixed point at 2^-bits and rho = 2^e; returns the real
-    and the imaginary mantissas.  Requires ``count`` >= 3 and 2e < bits.
+    and the imaginary mantissas.  Requires ``count`` >= 1 and 2e < bits.
     Each coefficient is rounded down once.
 
-    The one integer form of :func:`maclaurin_extend`: the integrator runs
-    it every step, and the Maclaurin envelope adds :func:`taylor_radii`.
-    The shared loop over a Gaussian-integer class was 1.1-2.2x slower, and
-    a three-product (Gauss) square bought nothing (2-core Xeon, Py 3.11).
+    The one integer form of :func:`maclaurin_extend`, forcing included (at
+    2^-2bits), run every integrator step; the Maclaurin envelope adds
+    :func:`taylor_radii`.  A loop over a Gaussian-integer class was 1.1-2.2x
+    slower, and a Gauss square bought nothing (2-core Xeon, Py 3.11).
     """
     (vr, vi), (sr, si), (tr, ti) = value, slope, center
     if e >= 0:
         b1r, b1i = sr << e, si << e
     else:
         b1r, b1i = sr >> -e, si >> -e
+    forcing = ((tr << bits, ti << bits), (1 << (2 * bits + e), 0))
     # floor(x / (d 2^shift)) = floor(floor(x / 2^shift) / d): shift first.
     shift = bits - 2 * e
-    b2r = (6 * (vr * vr - vi * vi) + (tr << bits)) >> (shift + 1)
-    b2i = (12 * vr * vi + (ti << bits)) >> (shift + 1)
-    b3r = ((12 * (vr * b1r - vi * b1i) + (1 << (2 * bits + e))) >> shift) // 6
-    b3i = (12 * (vr * b1i + vi * b1r) >> shift) // 6
-    re = [vr, b1r, b2r, b3r]
-    im = [vi, b1i, b2i, b3i]
-    for k in range(2, count - 1):
+    re, im = [vr, b1r], [vi, b1i]
+    for k in range(count - 1):
         # The Cauchy square is symmetric in j <-> k - j: sum each pair
         # once and add the middle square for even k.
         half = (k + 1) // 2
@@ -372,9 +374,10 @@ def taylor_fixed(
             mr, mi = re[k // 2], im[k // 2]
             acc_r += mr * mr - mi * mi
             acc_i += 2 * mr * mi
+        fr, fi = forcing[k] if k < 2 else (0, 0)
         den = (k + 1) * (k + 2)
-        re.append((6 * acc_r >> shift) // den)
-        im.append((6 * acc_i >> shift) // den)
+        re.append(((6 * acc_r + fr) >> shift) // den)
+        im.append(((6 * acc_i + fi) >> shift) // den)
     return re, im
 
 
@@ -387,8 +390,7 @@ def taylor_radii(re: Sequence[int], im: Sequence[int], r0: int, r1: int,
     The exact b_k lies within r_k units of (re_k, im_k) in |Re| + |Im|.
     Each Cauchy-square product of balls adds 2 sum_j |b_j| r_{k-j} +
     sum_j r_j r_{k-j}, with |b_j| <= |re_j| + |im_j|, and the kernel's one
-    floor per component adds under 2 more; b_2 and b_3 are the same sum
-    at k = 0 and 1.
+    floor per component adds under 2 more; the forcing is exact.
     """
     mag = [abs(x) + abs(y) for x, y in zip(re, im)]
     # b_1 = slope * rho is exact for e >= 0 and floored once otherwise

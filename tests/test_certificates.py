@@ -522,8 +522,8 @@ class TestTaylorRadius:
         # rounds outward, so it encloses every coefficient, and its worst
         # envelope ratio is the exact run's to 64-bit rounding
         horizon = 64
-        exact = inner.maclaurin_extend(inner.origin_windows(eps, eps),
-                                       horizon)
+        exact = inner.maclaurin_extend(*inner.origin_windows(eps, eps)[:2],
+                                       0, horizon)
         run = C.maclaurin_enclosures(horizon, eps=eps)
         assert len(run) == len(exact) == horizon + 1
         for c, d in zip(exact, run):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from p1cert import data, inner
+from p1cert import certificates, data, inner
 from p1cert.polybound import sup_abs_partition
 
 EXPECTED_CHECK_NAMES = [
@@ -170,3 +170,49 @@ def test_degenerate_wronskian_reports_instead_of_raising(tmp_path):
     failed = {r.name for r in results if not r.passed}
     assert "wronskian_offset_sup" in failed
     assert "J1_over_W_sup" in failed
+
+
+# --------------------------------------------------------------------------
+# the Maclaurin recurrence and its integer kernel
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("center", [Fraction(0), Fraction(3, 2),
+                                    Fraction(-17, 10)])
+def test_maclaurin_series_solves_the_forced_equation(center):
+    # g'' - 6 g^2 - (center + s) vanishes through s^(count - 2), with the
+    # square summed in full rather than by pairs
+    count = 12
+    c = inner.maclaurin_extend(Fraction(-2, 7), Fraction(5, 3), center, count)
+    assert len(c) == count + 1
+    forcing = [center, Fraction(1)] + [Fraction(0)] * count
+    for k in range(count - 1):
+        square = sum(c[j] * c[k - j] for j in range(k + 1))
+        assert (k + 1) * (k + 2) * c[k + 2] - 6 * square - forcing[k] == 0
+
+
+@pytest.mark.parametrize("e", [-3, 0, 1])
+def test_kernel_mantissas_lie_within_their_radii_of_the_exact_series(e):
+    # exact data at a nonzero real centre: every floor of the kernel,
+    # forcing included, stays inside the radius taylor_radii gives it
+    bits, count = 64, 24
+    value, slope, center = (-3 << 61) // 7, (5 << 62) // 9, 11 << 60
+    re, im = inner.taylor_fixed((value, 0), (slope, 0), (center, 0), count,
+                                e, bits)
+    radii = inner.taylor_radii(re, im, 0, 0, e, bits)
+    exact = inner.maclaurin_extend(
+        *(Fraction(x, 1 << bits) for x in (value, slope, center)), count)
+    for k, (c, mr, mi, r) in enumerate(zip(exact, re, im, radii)):
+        b = c * Fraction(2) ** (bits + e * k)
+        assert abs(b - mr) + abs(mi) <= r, k
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_every_kernel_returns_count_plus_one_coefficients(count):
+    assert len(inner.maclaurin_extend(Fraction(1), Fraction(2), Fraction(3),
+                                      count)) == count + 1
+    re, im = inner.taylor_fixed((1 << 60, 0), (1 << 59, 0), (0, 0), count,
+                                1, 64)
+    assert len(re) == len(im) == count + 1
+    assert len(certificates.maclaurin_enclosures(count, Fraction(1, 108))) \
+        == count + 1
