@@ -289,27 +289,68 @@ WEDGE_PANELS = 4096
 WEDGE_EPS = Fraction(3, 2)
 
 
+def _derivative_numerator(a: int, n: int) -> List[Fraction]:
+    """The coefficients, lowest power first, of the polynomial Q_n with
+    d^n/dp^n (1 + p^2)^(-a/4) = (1 + p^2)^(-a/4 - n) Q_n(p)."""
+    q = [Fraction(1)]
+    for k in range(n):
+        # Q_{k+1} = Q_k' (1 + p^2) - 2 (a/4 + k) p Q_k
+        nxt = [Fraction(0)] * (len(q) + 1)
+        for i, c in enumerate(q):
+            if i:
+                nxt[i - 1] += i * c
+                nxt[i + 1] += i * c
+            nxt[i + 1] -= 2 * (Fraction(a, 4) + k) * c
+        q = nxt
+    return q
+
+
+def _fourth_derivative_constant(a: int) -> Fraction:
+    """K with |d^4/dp^4 (1 + p^2)^(-a/4)| <= K (1 + p^2)^(-(a+8)/4)."""
+    # Q_4 = c0 + c2 p^2 + c4 p^4 <= K (1 + 2 p^2 + p^4) = K (1 + p^2)^2
+    c0, _, c2, _, c4 = _derivative_numerator(a, 4)
+    return max(abs(c0), abs(c2) / 2, abs(c4))
+
+
 def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
                            panels: int) -> Tuple[Interval, ...]:
     """Enclosures of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp,  one
     per entry a of ``alpha_quarters``, from one sweep of the grid.
 
-    Composite midpoint rule on [-1, T] with the exact per-panel error
-    h^3/24 * f''(xi) enclosed through the sign-aware product
+    Taylor-corrected midpoint rule on [-1, T] in panels of width h: on
+    the panel with midpoint m, Taylor's theorem with the Lagrange
+    remainder gives
 
-        f''(p) = (1+p^2)^(-(a+8)/4) * ((a^2+2a)/4 * p^2 - a/2),
+        integral = h f(m) + h^3/24 f''(m) + r,
+        |r| <= h^5/1920 sup_panel |f''''|,
 
-    whose first factor is decreasing and second increasing in |p|; the
-    tail beyond T is enclosed by [0, T^(1-a/2) * 2/(a-2)].
+    since the odd terms cancel.  The derivatives of f = w^(-a/4),
+    w = 1 + p^2, are f^(n) = w^(-a/4-n) Q_n(p) with Q_0 = 1 and
+    Q_{n+1} = Q_n' w - 2(a/4 + n) p Q_n, so
+
+        f''(p) = w^(-(a+8)/4) * ((a^2+2a)/4 * p^2 - a/2),
+
+    and the even Q_4 = c0 + c2 p^2 + c4 p^4 gives |f''''| <= K
+    w^(-(a+8)/4) with K = max(|c0|, |c2|/2, |c4|).  The sup of
+    w^(-(a+8)/4) over a panel is at most its value at the neighbouring
+    midpoint nearer p = 0, except on the at most three panels that hold
+    p = 0 or border the one that does, where it is at most 1.  A
+    midpoint neighbours at most two panels, so the remainders sum to at
+    most h^5/1920 K (2S + 3), with S an upper end of the sum of
+    w^(-(a+8)/4) over the midpoints.  The tail beyond T is enclosed by
+    [0, T^(1-a/2) * 2/(a-2)].
 
     The sweep runs on plain ints.  The half-step grid point
     p = -1 + j h/2 is m/D with D = 2 panels and m = j (T+1) - D, so
     u = 1 + p^2 = (D^2 + m^2)/D^2 is exact for any panel count.  At each
-    grid point the floor and the ceiling of 2^B u^(-1/4), with
-    B = ``QUADRATURE_BITS`` fractional bits, come from one exact integer
-    fourth root; every power u^(-n/4) is then the n-th power of the
-    floor (lower end) or of the ceiling (upper end), and the midpoint
-    and error sums are accumulated exactly, with no rounding per step.
+    midpoint one exact integer fourth root gives g = floor(2^B u^(-1/4)),
+    with B = ``QUADRATURE_BITS`` fractional bits, and g^n/2^(nB) is a
+    lower end of u^(-n/4); the sums of g^a, of the signed f'' products
+    and of g^(a+8) are accumulated exactly, with no rounding per step.
+    The ceiling of 2^B u^(-1/4) is at most g + 1, and (g + 1)^n <=
+    g^n (1 + 2n/g) for n <= g (e^x <= 1 + 2x on [0, 1]), so each upper
+    end is the lower sum times the one factor 1 + 2n/g_min, where g_min
+    is the smallest midpoint root.
     """
     if any(a <= 2 for a in alpha_quarters):
         raise PreconditionError("integral diverges unless a > 2")
@@ -320,69 +361,60 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
     D2 = D * D
     top = D2 << 4 * B
     exps = sorted(set(alpha_quarters))
-    edge_exps = [a + 8 for a in exps]
+    # the powers of g each panel needs, ascending, and the steps to them
+    ns = sorted(set(exps) | {a + 8 for a in exps})
+    steps = [n - done for done, n in zip([0] + ns, ns)]
 
-    def root_bounds(j: int) -> Tuple[int, int, int]:
-        """(m, floor, ceil) of 2^B u^(-1/4) at grid point j."""
-        m = j * (T + 1) - D
-        q, rem = divmod(top, D2 + m * m)
-        g = floor_root(q, 4)
-        return m, g, g if rem == 0 and g ** 4 == q else g + 1
-
-    def powers(g: int, ns: List[int]) -> List[int]:
-        """g^n for each n of the ascending list ns, by multiplying up."""
-        out, acc, done = [], 1, 0
-        for n in ns:
-            acc *= g ** (n - done)
-            done = n
-            out.append(acc)
-        return out
-
-    # Exact int sums per exponent a: midpoint values on the scale 2^(aB),
-    # error products on the scale 4 D^2 2^((a+8)B).  On that scale the
-    # first factor is ``ones`` at p = 0, and 4 D^2 times the second
-    # factor is (a^2+2a) m^2 - 2a D^2.
-    mid_lo, mid_hi = [0] * len(exps), [0] * len(exps)
-    err_lo, err_hi = [0] * len(exps), [0] * len(exps)
-    ones = [1 << n * B for n in edge_exps]
-    quad = [(a * a + 2 * a, 2 * a * D2) for a in exps]
-    m_left, g_lo, g_hi = root_bounds(0)
-    left_lo, left_hi = powers(g_lo, edge_exps), powers(g_hi, edge_exps)
+    # Exact int sums per exponent a: midpoint values g^a on the scale
+    # 2^(aB), the powers g^(a+8), and the f'' products of each sign on
+    # the scale 4 D^2 2^((a+8)B), where 4 D^2 Q_2(m/D) is
+    # (a^2+2a) m^2 - 2a D^2.
+    rows = [(ns.index(a), ns.index(a + 8), a * a + 2 * a, 2 * a * D2)
+            for a in exps]
+    values, sups = [0] * len(exps), [0] * len(exps)
+    curv_pos, curv_neg = [0] * len(exps), [0] * len(exps)
+    g_min = top
     for i in range(panels):
-        _, c_lo, c_hi = root_bounds(2 * i + 1)
-        m_right, g_lo, g_hi = root_bounds(2 * i + 2)
-        right_lo = powers(g_lo, edge_exps)
-        right_hi = powers(g_hi, edge_exps)
-        # |p| ranges over the panel edges, extended to |p| = 0, where the
-        # first factor (decreasing in |p|) is 1, on the panel with p = 0
-        straddles = m_left < 0 < m_right
-        m_min = 0 if straddles else min(abs(m_left), abs(m_right))
-        m_max = max(abs(m_left), abs(m_right))
-        for k, (f_lo, f_hi) in enumerate(zip(powers(c_lo, exps),
-                                             powers(c_hi, exps))):
-            mid_lo[k] += f_lo
-            mid_hi[k] += f_hi
-            f1_lo = min(left_lo[k], right_lo[k])
-            f1_hi = ones[k] if straddles else max(left_hi[k], right_hi[k])
-            coeff, offset = quad[k]
-            f2_lo = coeff * m_min * m_min - offset
-            f2_hi = coeff * m_max * m_max - offset
-            err_lo[k] += f2_lo * (f1_hi if f2_lo < 0 else f1_lo)
-            err_hi[k] += f2_hi * (f1_lo if f2_hi < 0 else f1_hi)
-        m_left, left_lo, left_hi = m_right, right_lo, right_hi
+        m = (2 * i + 1) * (T + 1) - D
+        g = floor_root(top // (D2 + m * m), 4)
+        g_min = min(g_min, g)
+        power, acc = [], 1
+        for step in steps:
+            acc *= g ** step
+            power.append(acc)
+        m2 = m * m
+        for k, (at_a, at_outer, coeff, offset) in enumerate(rows):
+            values[k] += power[at_a]
+            outer = power[at_outer]
+            sups[k] += outer
+            second = coeff * m2 - offset
+            if second < 0:
+                curv_neg[k] += second * outer
+            else:
+                curv_pos[k] += second * outer
+    if ns[-1] > g_min:
+        raise PreconditionError(
+            f"T = {T} is too large for {B}-bit roots: the smallest root "
+            f"{g_min} is below the power {ns[-1]}")
     h = Fraction(T + 1, panels)
     enclosures = {}
     for k, a in enumerate(exps):
+        n = a + 8
         mid_den = 1 << a * B
-        err_den = 4 * D2 << (a + 8) * B
+        curv_den = 4 * D2 << n * B
+        up_a, up_n = 1 + Fraction(2 * a, g_min), 1 + Fraction(2 * n, g_min)
+        mid = Fraction(values[k], mid_den)
+        curv = Interval(Fraction(curv_pos[k], curv_den)
+                        + up_n * Fraction(curv_neg[k], curv_den),
+                        up_n * Fraction(curv_pos[k], curv_den)
+                        + Fraction(curv_neg[k], curv_den))
+        S = up_n * Fraction(sups[k], 1 << n * B)
+        R = h ** 5 / 1920 * _fourth_derivative_constant(a) * (2 * S + 3)
         # T^(1-a/2) = (sqrt T)^(2-a)
         tail_hi = Fraction(2, a - 2) * frac_pow(T, 2 - a, 2).hi
-        enclosures[a] = (
-            h * Interval(Fraction(mid_lo[k], mid_den),
-                         Fraction(mid_hi[k], mid_den))
-            + h ** 3 / 24 * Interval(Fraction(err_lo[k], err_den),
-                                     Fraction(err_hi[k], err_den))
-            + Interval(0, tail_hi))
+        enclosures[a] = (h * Interval(mid, up_a * mid)
+                         + h ** 3 / 24 * curv
+                         + Interval(-R, R + tail_hi))
     return tuple(enclosures[a] for a in alpha_quarters)
 
 
@@ -975,18 +1007,22 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
 #: The jobs of :func:`run_scope`: each maps rho to a list of reports, and
 #: only ``omega4`` reads it.  A job looks its report function up when it
 #: runs, so it calls whatever the module attribute holds at that time.
+#: They are listed longest first.  Serial times on a 2-core Xeon
+#: (Python 3.11.7, mpmath 1.3.0, no gmpy2): omega12 42-50 ms, inner
+#: 36-54, omega4 28-39, radius 17-27, tables 7-12 and omegaI 2-3 ms.
 _JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
-    "omegaI": lambda rho: ray_reports(),
     "omega12": lambda rho: [check_omega_12()],
     "inner": lambda rho: [check_inner_interval()],
+    "omega4": lambda rho: [check_omega_4(rho)],
     "radius": lambda rho: [check_taylor_radius()],
     "tables": lambda rho: [check_symbolic_tables()],
-    "omega4": lambda rho: [check_omega_4(rho)],
+    "omegaI": lambda rho: ray_reports(),
 }
 
-#: The jobs each ``verify`` scope runs.  ``all`` runs every job: the three
-#: short ray reports as one job first and ``omega_12``, the longest, next,
-#: so that on two CPUs its worker takes no other job.
+#: The jobs each ``verify`` scope runs.  ``all`` runs every job in the
+#: order of ``_JOBS``: the workers take them longest first, so on two
+#: CPUs the two longest start at once, and the short ones fill in
+#: behind whichever worker frees first.
 SCOPES: Dict[str, Tuple[str, ...]] = {
     "all": tuple(_JOBS),
     **{scope: (scope,)

@@ -184,6 +184,76 @@ class TestInversePowerIntegral:
             lo, hi = map(Fraction, self.DYADIC_KERNEL_ENCLOSURES[quarters])
             assert lo < iv.lo <= iv.hi < hi
 
+    # The enclosures of the per-panel error bracket (h^3/24 f''(xi) over
+    # each whole panel, from roots at every panel edge and midpoint) that
+    # the Taylor-corrected rule replaced, at the certificate's 4096 panels.
+    # Each end is rounded inward to 128 bits, so each pinned interval lies
+    # inside the bracket's exact enclosure.
+    PANEL_BRACKET_ENCLOSURES = {
+        7: ("526543855611918632542577563744203548193/"
+            "340282366920938463463374607431768211456",
+            "131637251468685316956805608357482570147/"
+            "85070591730234615865843651857942052864"),
+        9: ("226907627888289537820677915024066756103/"
+            "170141183460469231731687303715884105728",
+            "226908332203313084558530669296737783829/"
+            "170141183460469231731687303715884105728"),
+        11: ("405009946201330635144159603329921297571/"
+             "340282366920938463463374607431768211456",
+             "202505845113061538526807669525551675903/"
+             "170141183460469231731687303715884105728"),
+    }
+
+    def test_certificate_grid_lies_inside_the_panel_bracket_enclosures(self):
+        ivs = C.inverse_power_integral((7, 9, 11), T=64, panels=4096)
+        for quarters, iv in zip((7, 9, 11), ivs):
+            lo, hi = map(Fraction, self.PANEL_BRACKET_ENCLOSURES[quarters])
+            assert lo < iv.lo <= iv.hi < hi
+            # the tail bound, the same for both rules, dominates a = 7
+            if quarters != 7:
+                assert iv.width < (hi - lo) / 10
+
+    @pytest.mark.parametrize("quarters", [3, 5, 7, 9, 11, 13])
+    def test_second_derivative_factor_from_the_recurrence(self, quarters):
+        a = quarters
+        assert C._derivative_numerator(a, 0) == [1]
+        assert C._derivative_numerator(a, 2) == [
+            Fraction(-a, 2), 0, Fraction(a * a + 2 * a, 4)]
+
+    @pytest.mark.parametrize("quarters", [3, 5, 7, 9, 11, 13])
+    def test_fourth_derivative_constant_bounds_f4(self, quarters):
+        mp.dps = 40
+        alpha = mpf(quarters) / 4
+        K = C._fourth_derivative_constant(quarters)
+        assert C._derivative_numerator(quarters, 4)[1::2] == [0, 0]
+        for j in range(200):
+            p = mpf(-1) + mpf(65) * j / 199
+            f4 = mp.diff(lambda x: (1 + x ** 2) ** (-alpha), p, 4)
+            envelope = (mpf(K.numerator) / K.denominator
+                        * (1 + p ** 2) ** (-(alpha + 2)))
+            assert abs(f4) <= envelope * (1 + mpf(10) ** -20), (j, p)
+
+    @pytest.mark.parametrize("T", [1, 8, 64])
+    @pytest.mark.parametrize("panels", [1, 2, 4, 16, 64, 500, 512, 4096])
+    def test_contains_closed_form_at_any_grid(self, panels, T):
+        # integral_{-1}^{inf} (1+p^2)^(-s) dp
+        #   = 2F1(1/2, s; 3/2; -1) + sqrt(pi) Gamma(s - 1/2) / (2 Gamma(s))
+        mp.dps = 40
+        quarters = (3, 7, 9, 11, 13)
+        ivs = C.inverse_power_integral(quarters, T=T, panels=panels)
+        for q, iv in zip(quarters, ivs):
+            s = mpf(q) / 4
+            exact = (mp.hyp2f1(mpf(1) / 2, s, mpf(3) / 2, -1)
+                     + mp.sqrt(mp.pi) * mp.gamma(s - mpf(1) / 2)
+                     / (2 * mp.gamma(s)))
+            assert iv.lo <= Fraction(str(exact)) <= iv.hi, (q, iv)
+
+    def test_grid_too_wide_for_the_root_bits_rejected(self):
+        # at |p| ~ 2^256 the midpoint root 2^128 u^(-1/4) is about 1, below
+        # the power g^(7+8) the rule needs
+        with pytest.raises(C.PreconditionError, match="too large"):
+            C.inverse_power_integral((7,), T=2 ** 256, panels=1)
+
 
 # ---------------------------------------------------------------------------
 # Wedge certificate
@@ -196,11 +266,11 @@ class TestWedgeCertificate:
         assert report.verdict
         checks = _by_name(report)
         assert abs(float(checks["wedge_quadratic_constant"].value)
-                   - 1.2795917137) < 1e-8
+                   - 1.2795906309) < 1e-8
         assert abs(float(checks["wedge_linear_growth_constant"].value)
-                   - 1.4709764839) < 1e-8
+                   - 1.4709735319) < 1e-8
         assert abs(float(checks["wedge_linear_constant"].value)
-                   - 0.5964439082) < 1e-8
+                   - 0.5964430820) < 1e-8
         assert abs(float(checks["wedge_ball_maps_into_itself"].value)
                    - 1.4324936357) < 1e-9
         assert abs(float(checks["wedge_contraction_below_one"].value)
@@ -219,6 +289,29 @@ class TestWedgeCertificate:
         assert radius.bound == Fraction(11, 10) * Fraction(32, 25)
         assert radius.note.startswith("solution ball radius (11/10)M ")
         assert ("eps", "1/10") in report.inputs
+
+
+# ---------------------------------------------------------------------------
+# The tightest margins of the whole certificate
+# ---------------------------------------------------------------------------
+
+# Floors on the relative margin (bound - value)/|bound| of the four
+# tightest checks of verify --scope all; a change to the numerics that
+# loosens one of them fails here before it fails a check.
+MARGIN_FLOORS = {
+    ("z0_bounds", "matching_error_slope"): 4.7e-7,
+    ("z0_bounds", "matching_error_value"): 1.0e-5,
+    ("omega_12", "wedge_linear_growth_constant"): 2.7e-5,
+    ("omega_4", "quadratic_bound"): 1.4e-4,
+}
+
+
+@pytest.mark.parametrize("report, name", list(MARGIN_FLOORS))
+def test_tightest_margins_keep_their_floors(all_reports, report, name):
+    reports, _ = all_reports
+    found = _by_name(reports[report])[name]
+    assert found.passed
+    assert found.margin / abs(found.bound) >= MARGIN_FLOORS[report, name]
 
 
 # ---------------------------------------------------------------------------

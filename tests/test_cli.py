@@ -864,15 +864,15 @@ class TestDeterminism:
 # pinned.  An intended change of output re-pins these digests.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "json"):
-        "bbb76df506b638efd1fd6164a11e39a98eeaa62566e2d9e72e1dc889f4544d26",
+        "f4c5498a5d7c3275173e229fee97c38260b0097f82b46cfd3b0e79cae52a70fc",
     ("verify", "--scope", "all", "--format", "text"):
-        "e335b8af98c5bc49772b7fbe54607cd404d16273a3d9db39d7779b0c4323c5c0",
+        "169efb59ad124b680a0b4733ed954a39ed9a83cf995e62d62ff3bdaac36896fc",
     ("verify", "--scope", "all", "--format", "csv"):
-        "91b7a28e9e857f32d81555ec0794451a528464042dacb1828f32e3dabced530d",
+        "3a2dcb94d17890ae49181835794fb55914e2f266a685d8eef0d4876cf304dbb0",
     ("verify", "--scope", "omegaI", "--format", "json"):
         "20262f6ddfd7476743b130c06e4522b726e4d953b578e68f5c51466e1a58c194",
     ("verify", "--scope", "omega12", "--format", "json"):
-        "20dcc709c24af76a832ac94cc7474f49119be0a675e67d947c204e7712e6a8a8",
+        "f56dcd6b0389a65905d8ce0fc9f72267340b24ebb312b5490cac7dd88969047c",
     ("verify", "--scope", "omega4", "--format", "json"):
         "4ebf85fe3d449d8ecabaecd0eb683eec4e22a359d38fa088c18fc489c9eddbbe",
     ("verify", "--scope", "omega4", "--rho", "7/2", "--format", "json"):
