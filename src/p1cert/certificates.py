@@ -307,7 +307,7 @@ def _derivative_numerator(a: int, n: int) -> List[Fraction]:
 
 def _fourth_derivative_constant(a: int) -> Fraction:
     """K with |d^4/dp^4 (1 + p^2)^(-a/4)| <= K (1 + p^2)^(-(a+8)/4)."""
-    # Q_4 = c0 + c2 p^2 + c4 p^4 <= K (1 + 2 p^2 + p^4) = K (1 + p^2)^2
+    # Q_4 is even, and |c0 + c2 p^2 + c4 p^4| <= K (1 + 2 p^2 + p^4)
     c0, _, c2, _, c4 = _derivative_numerator(a, 4)
     return max(abs(c0), abs(c2) / 2, abs(c4))
 
@@ -333,8 +333,9 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
     and the even Q_4 = c0 + c2 p^2 + c4 p^4 gives |f''''| <= K
     w^(-(a+8)/4) with K = max(|c0|, |c2|/2, |c4|).  The sup of
     w^(-(a+8)/4) over a panel is at most its value at the neighbouring
-    midpoint nearer p = 0, except on the at most three panels that hold
-    p = 0 or border the one that does, where it is at most 1.  A
+    midpoint nearer p = 0 when that neighbour lies on one side of p = 0;
+    on the at most three other panels (the one that holds p = 0 and its
+    two neighbours, or the two that meet there) it is at most 1.  A
     midpoint neighbours at most two panels, so the remainders sum to at
     most h^5/1920 K (2S + 3), with S an upper end of the sum of
     w^(-(a+8)/4) over the midpoints.  The tail beyond T is enclosed by
@@ -400,20 +401,17 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
     enclosures = {}
     for k, a in enumerate(exps):
         n = a + 8
-        mid_den = 1 << a * B
-        curv_den = 4 * D2 << n * B
         up_a, up_n = 1 + Fraction(2 * a, g_min), 1 + Fraction(2 * n, g_min)
-        mid = Fraction(values[k], mid_den)
-        curv = Interval(Fraction(curv_pos[k], curv_den)
-                        + up_n * Fraction(curv_neg[k], curv_den),
-                        up_n * Fraction(curv_pos[k], curv_den)
-                        + Fraction(curv_neg[k], curv_den))
+        mid = Fraction(values[k], 1 << a * B)
+        pos = Fraction(curv_pos[k], 4 * D2 << n * B)
+        neg = Fraction(curv_neg[k], 4 * D2 << n * B)
         S = up_n * Fraction(sups[k], 1 << n * B)
         R = h ** 5 / 1920 * _fourth_derivative_constant(a) * (2 * S + 3)
         # T^(1-a/2) = (sqrt T)^(2-a)
         tail_hi = Fraction(2, a - 2) * frac_pow(T, 2 - a, 2).hi
         enclosures[a] = (h * Interval(mid, up_a * mid)
-                         + h ** 3 / 24 * curv
+                         + h ** 3 / 24 * Interval(pos + up_n * neg,
+                                                  up_n * pos + neg)
                          + Interval(-R, R + tail_hi))
     return tuple(enclosures[a] for a in alpha_quarters)
 

@@ -233,27 +233,42 @@ class TestInversePowerIntegral:
                         * (1 + p ** 2) ** (-(alpha + 2)))
             assert abs(f4) <= envelope * (1 + mpf(10) ** -20), (j, p)
 
+    @staticmethod
+    def closed_form(quarters):
+        """integral_{-1}^{inf} (1+p^2)^(-s) dp, s = quarters/4, as
+        2F1(1/2, s; 3/2; -1) + sqrt(pi) Gamma(s - 1/2) / (2 Gamma(s))."""
+        mp.dps = 40
+        s = mpf(quarters) / 4
+        return Fraction(str(mp.hyp2f1(mpf(1) / 2, s, mpf(3) / 2, -1)
+                            + mp.sqrt(mp.pi) * mp.gamma(s - mpf(1) / 2)
+                            / (2 * mp.gamma(s))))
+
     @pytest.mark.parametrize("T", [1, 8, 64])
     @pytest.mark.parametrize("panels", [1, 2, 4, 16, 64, 500, 512, 4096])
     def test_contains_closed_form_at_any_grid(self, panels, T):
-        # integral_{-1}^{inf} (1+p^2)^(-s) dp
-        #   = 2F1(1/2, s; 3/2; -1) + sqrt(pi) Gamma(s - 1/2) / (2 Gamma(s))
-        mp.dps = 40
         quarters = (3, 7, 9, 11, 13)
         ivs = C.inverse_power_integral(quarters, T=T, panels=panels)
         for q, iv in zip(quarters, ivs):
-            s = mpf(q) / 4
-            exact = (mp.hyp2f1(mpf(1) / 2, s, mpf(3) / 2, -1)
-                     + mp.sqrt(mp.pi) * mp.gamma(s - mpf(1) / 2)
-                     / (2 * mp.gamma(s)))
-            assert iv.lo <= Fraction(str(exact)) <= iv.hi, (q, iv)
+            assert iv.lo <= self.closed_form(q) <= iv.hi, (q, iv)
 
-    def test_grid_too_wide_for_the_root_bits_rejected(self):
-        # at |p| ~ 2^256 the midpoint root 2^128 u^(-1/4) is about 1, below
-        # the power g^(7+8) the rule needs
+    @pytest.mark.parametrize("bits", [8, 12])
+    @pytest.mark.parametrize("T, panels", [(8, 64), (64, 512)])
+    def test_contains_closed_form_with_coarse_roots(self, monkeypatch, bits,
+                                                    T, panels):
+        # with few fractional bits the ceiling roots matter, and only the
+        # factor 1 + 2n/g_min keeps the upper ends above the integral
+        monkeypatch.setattr(C, "QUADRATURE_BITS", bits)
+        quarters = (3, 7, 9, 11, 13)
+        ivs = C.inverse_power_integral(quarters, T=T, panels=panels)
+        for q, iv in zip(quarters, ivs):
+            assert iv.lo <= self.closed_form(q) <= iv.hi, (q, iv)
+
+    def test_roots_too_coarse_for_the_powers_rejected(self, monkeypatch):
+        # at 6 bits the root 2^6 u^(-1/4) near p = 64 is 7, below the
+        # power g^(7+8) the rule needs
+        monkeypatch.setattr(C, "QUADRATURE_BITS", 6)
         with pytest.raises(C.PreconditionError, match="too large"):
-            C.inverse_power_integral((7,), T=2 ** 256, panels=1)
-
+            C.inverse_power_integral((7,), T=64, panels=512)
 
 # ---------------------------------------------------------------------------
 # Wedge certificate
