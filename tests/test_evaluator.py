@@ -553,11 +553,31 @@ def _schoolbook_taylor(value, slope, center, count, e, bits):
         acc_i = sum(x[0] * y[1] + x[1] * y[0] for x, y in pairs)
         den = (k + 1) * (k + 2) << shift
         b.append((6 * acc_r // den, 6 * acc_i // den))
+    b = b[:count + 1]
     return [r for r, _ in b], [i for _, i in b]
+
+
+def _schoolbook_horner(re, im, sigma, bits):
+    """Horner's rule for G(sigma) and G'(sigma) as written: each stage one
+    Gaussian product of four real products, each component floored once."""
+    def stage(acc, coefficient):
+        (ar, ai), (xr, xi), (cr, ci) = acc, sigma, coefficient
+        return (((ar * xr - ai * xi) >> bits) + cr,
+                ((ar * xi + ai * xr) >> bits) + ci)
+
+    n = len(re) - 1
+    g, d = (re[n], im[n]), (n * re[n], n * im[n])
+    for k in range(n - 1, 0, -1):
+        g = stage(g, (re[k], im[k]))
+        d = stage(d, (k * re[k], k * im[k]))
+    return stage(g, (re[0], im[0])), d
 
 
 #: Shifted right by 299 - bits, fixed-point components of magnitude <= 2.
 mantissas = st.integers(-(1 << 300), 1 << 300)
+#: Real mantissas near the seed at the origin (value -3/16, slope 5/16,
+#: centre 0) and a real delta, at 2^-299.
+_ORIGIN_LIKE = [-(3 << 295), 0, 5 << 295, 0, 0, 0, 1 << 298, 0]
 #: Gaussian integers of magnitude <= 2 at 2^-148.
 gaussians = st.tuples(*[st.integers(-(1 << 149), 1 << 149)] * 2)
 
@@ -601,22 +621,53 @@ class TestFixedPointKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(mantissas, min_size=6, max_size=6), st.booleans(),
-           st.integers(-12, 2), st.integers(4, 40),
+           st.integers(-12, 2), st.integers(1, 40),
            st.sampled_from((148, 224, 272)))
     @example([-(1 << 300)] * 6, True, -3, 30, 148)
     @example([-(1 << 300), 1 << 300] * 3, False, 0, 40, 272)
+    @example(_ORIGIN_LIKE[:6], True, 1, ev.ORIGIN_ORDER, 224)
     def test_kernel_equals_the_four_product_schoolbook_form(
         self, parts, real, e, order, bits
     ):
         # The halved Cauchy square and shifting before the small division
         # are exact integer identities; real data (im = 0, as on the real
-        # ray) and negative components included.
+        # ray, and at the origin series' shape) take the real recurrence,
+        # and negative components are included.
         parts = [x >> (299 - bits) for x in parts]
         if real:
             parts[1::2] = [0] * 3
         value, slope, center = zip(parts[0::2], parts[1::2])
         taylor = ev.taylor_fixed(value, slope, center, order, e, bits)
         assert taylor == _schoolbook_taylor(value, slope, center, order, e, bits)
+        if real:
+            assert taylor[1] == [0] * (order + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(mantissas, min_size=8, max_size=8), st.booleans(),
+           st.integers(-12, 2), st.integers(1, 40),
+           st.sampled_from((148, 224, 272)))
+    @example(_ORIGIN_LIKE, True, 1, ev.ORIGIN_ORDER, 224)
+    @example([-(1 << 300), 1 << 300] * 4, False, -2, 30, 148)
+    def test_horner_equals_the_four_product_schoolbook_form(
+        self, parts, real, e, order, bits
+    ):
+        # Real series at a real sigma take real Horner.  sigma = delta /
+        # rho is read as the integrator reads it: delta shifted up at
+        # 2^-bits for rho = 2^e <= 1, delta at 2^-(bits + e) for rho > 1.
+        parts = [x >> (299 - bits) for x in parts]
+        if real:
+            parts[1::2] = [0] * 4
+        value, slope, center, (dr, di) = zip(parts[0::2], parts[1::2])
+        re, im = ev.taylor_fixed(value, slope, center, order, e, bits)
+        dr, di = dr >> (2 - e), di >> (2 - e)   # |delta| < rho
+        if e <= 0:
+            sigma, width = (dr << -e, di << -e), bits
+        else:
+            sigma, width = (dr, di), bits + e
+        horner = ev._horner_fixed(re, im, sigma, width)
+        assert horner == _schoolbook_horner(re, im, sigma, width)
+        if real:
+            assert horner[0][1] == horner[1][1] == 0
 
     @settings(max_examples=20, deadline=None)
     @given(gaussians, gaussians, gaussians, st.integers(-8, 2),
