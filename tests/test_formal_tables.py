@@ -205,7 +205,6 @@ def test_n_term_outer_bracket_cancels_through_its_last_term(terms):
     # and B_N extends B_(N-1) by one x^(-2N) term.
     B = formal.outer_bracket(terms)
     assert min(formal.outer_equation(B).j_values()) >= 4 * terms + 4
-    assert B.j_values() == list(range(0, 4 * terms + 1, 4))
     assert B - formal.outer_bracket(terms - 1) == formal.FormalSeries.term(
         B.coefficient(0, 4 * terms, 0), j=4 * terms)
 
