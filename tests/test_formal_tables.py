@@ -195,18 +195,7 @@ SOURCE = formal.FormalSeries.term(Fraction(-392, 625), j=8)
 
 def test_outer_bracket_and_source_exactly():
     assert formal.outer_bracket() == BRACKET
-    assert formal.outer_bracket(terms=1) == BRACKET
     assert formal.outer_equation(formal.outer_bracket()) == SOURCE
-
-
-@pytest.mark.parametrize("terms", [2, 7, 12])
-def test_n_term_outer_bracket_cancels_through_its_last_term(terms):
-    # E[B_N] = O(x^-(2N+2)): no term below x^(-2N-2), i.e. j < 4N + 4,
-    # and B_N extends B_(N-1) by one x^(-2N) term.
-    B = formal.outer_bracket(terms)
-    assert min(formal.outer_equation(B).j_values()) >= 4 * terms + 4
-    assert B - formal.outer_bracket(terms - 1) == formal.FormalSeries.term(
-        B.coefficient(0, 4 * terms, 0), j=4 * terms)
 
 
 @pytest.mark.parametrize("z", [mp.mpc(2, 1), mp.mpc(5, -3),
