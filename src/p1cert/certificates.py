@@ -331,13 +331,17 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
         f''(p) = w^(-(a+8)/4) * ((a^2+2a)/4 * p^2 - a/2),
 
     and the even Q_4 = c0 + c2 p^2 + c4 p^4 gives |f''''| <= K
-    w^(-(a+8)/4) with K = max(|c0|, |c2|/2, |c4|).  The sup of
-    w^(-(a+8)/4) over a panel is at most its value at the neighbouring
-    midpoint nearer p = 0 when that neighbour lies on one side of p = 0;
-    on the at most three other panels (the one that holds p = 0 and its
-    two neighbours, or the two that meet there) it is at most 1.  A
-    midpoint neighbours at most two panels, so the remainders sum to at
-    most h^5/1920 K (2S + 3), with S an upper end of the sum of
+    w^(-(a+8)/4) with K = max(|c0|, |c2|/2, |c4|).  The weight
+    w^(-(a+8)/4) is even and falls with |p|, so its sup over a panel in
+    p >= 0 is its value at the panel's left end.  If the left neighbour
+    lies in p >= 0 too, its midpoint lies between 0 and that end and
+    bounds the sup; in p <= 0 the right neighbour serves alike.  Each
+    side maps a panel to its neighbour nearer 0, so distinct panels use
+    distinct midpoints, and the two sides use disjoint ones, in p > 0
+    and in p < 0.  At most three panels are left over, and there the
+    weight is at most 1: the one that holds p = 0 inside, the first
+    panel in p >= 0 and the last in p <= 0.  So the remainders sum to at
+    most h^5/1920 K (S + 3), with S an upper end of the sum of
     w^(-(a+8)/4) over the midpoints.  The tail beyond T is enclosed by
     [0, T^(1-a/2) * 2/(a-2)].
 
@@ -406,7 +410,7 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
         pos = Fraction(curv_pos[k], 4 * D2 << n * B)
         neg = Fraction(curv_neg[k], 4 * D2 << n * B)
         S = up_n * Fraction(sups[k], 1 << n * B)
-        R = h ** 5 / 1920 * _fourth_derivative_constant(a) * (2 * S + 3)
+        R = h ** 5 / 1920 * _fourth_derivative_constant(a) * (S + 3)
         # T^(1-a/2) = (sqrt T)^(2-a)
         tail_hi = Fraction(2, a - 2) * frac_pow(T, 2 - a, 2).hi
         enclosures[a] = (h * Interval(mid, up_a * mid)

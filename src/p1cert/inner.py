@@ -20,7 +20,9 @@ follow one recurrence, ``(k+1)(k+2) c_{k+2} = 6 sum_{j<=k} c_j c_{k-j} + f_k``
 with the forcing ``f_0 = center``, ``f_1 = 1`` and ``f_k = 0`` after:
 :func:`maclaurin_extend` for any element type, and its integer kernel
 :func:`taylor_fixed`, whose ball radii :func:`taylor_radii` the integrator
-and the disk certificate share.
+and the disk certificate share.  The same equation at a double pole, with
+``t = p + u`` split the same way, gives the Laurent coefficients of
+:func:`laurent_fixed`, which the pole estimate fits.
 
 All polynomials live in the shifted variable ``s = t - t0 in [0, -t0]``.
 """
@@ -419,3 +421,74 @@ def taylor_radii(re: Sequence[int], im: Sequence[int], r0: int, r1: int,
         num = 6 * (2 * sum(map(mul, mag, back)) + sum(map(mul, rad, back)))
         rad.append(-(-num // ((k + 1) * (k + 2) << shift)) + 2)
     return rad
+
+
+def laurent_fixed(
+    pole: Gaussian,
+    h: Gaussian,
+    radius: int,
+    floor: int,
+    bits: int,
+) -> Tuple[Tuple[List[int], List[int]], ...]:
+    """Laurent coefficients of  g'' = 6 g^2 + t  at a double pole, and
+    their derivatives in the pole and in the free constant.
+
+    Near a double pole p, g = sum_k a_k u^(k-2) with u = t - p.  The
+    module's recurrence, with the forcing split as t = p + u, reads
+
+        (k-6)(k+1) a_k = 6 sum_{i=1}^{k-1} a_i a_{k-i} + [k=4] p + [k=5],
+
+    so a_0 = 1, a_1 = a_2 = a_3 = 0, a_4 = -p/10 and a_5 = -1/6; at k = 6
+    both sides vanish and a_6 = ``h`` is free.  Differentiating it gives
+    d_k = da_k/dp, with (k-6)(k+1) d_k = 12 sum_i a_i d_{k-i} + [k=4] and
+    d_6 = 0, and e_k = da_k/dh, the same without the forcing and e_6 = 1.
+
+    Fixed point at 2^-bits in Gaussian mantissas, as in
+    :func:`taylor_fixed`; each coefficient is rounded down once.  Terms
+    are added until the last two, |a_k| ``radius``^(k-2) with |a_k| <=
+    |Re| + |Im| and ``radius`` >= |u|, are below ``floor`` units.  A
+    ``radius`` of at most 2^(bits-1) (|u| <= 1/2) ends that within
+    ``bits`` terms, where radius^(k-2) vanishes in fixed point.  Returns
+    (a, d, e), each as its real and imaginary mantissas; real p and h
+    take real sums, and the imaginary mantissas are then all 0.
+    """
+    real = not (pole[1] or h[1])
+
+    def dot(xr, xi, yr, yi):
+        if real:
+            return sum(map(mul, xr, yr)), 0
+        return (sum(map(mul, xr, yr)) - sum(map(mul, xi, yi)),
+                sum(map(mul, xr, yi)) + sum(map(mul, xi, yr)))
+
+    one = 1 << bits
+    # a, d and e, each as real and imaginary mantissas, through k = 3
+    series = [([c, 0, 0, 0], [0] * 4) for c in (one, 0, 0)]
+    # their forcing at 2^-2bits, and their values at k = 6
+    forcing = {4: ((pole[0] << bits, pole[1] << bits), (one << bits, 0),
+                   (0, 0)),
+               5: ((one << bits, 0), (0, 0), (0, 0))}
+    free = (h, (0, 0), (one, 0))
+    power = (radius * radius) >> bits  # radius^(k-2) at k = 4
+    k, small = 3, 0
+    # a_7 = 0, as each pair in its sum holds one of a_1..a_3; so the last
+    # two terms are read from a_8 and a_9 on.
+    while k < 9 or small < 2:
+        k += 1
+        ar, ai = series[0]
+        # a_1..a_3 and d_1..d_3 vanish: only i = 4..k-4 contributes.
+        rev_r, rev_i = ar[k - 4:3:-1], ai[k - 4:3:-1]
+        fs = forcing.get(k, ((0, 0),) * 3)
+        for weight, (xr, xi), (fr, fi), (cr, ci) in zip(
+                (6, 12, 12), series, fs, free):
+            if k != 6:
+                sr, si = dot(xr[4:k - 3], xi[4:k - 3], rev_r, rev_i)
+                den = (k - 6) * (k + 1)
+                cr = ((weight * sr + fr) >> bits) // den
+                ci = ((weight * si + fi) >> bits) // den
+            xr.append(cr)
+            xi.append(ci)
+        if k > 4:
+            power = (power * radius) >> bits
+        term = ((abs(ar[k]) + abs(ai[k])) * power) >> bits
+        small = small + 1 if term < floor else 0
+    return tuple(series)

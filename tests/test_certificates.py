@@ -281,11 +281,11 @@ class TestWedgeCertificate:
         assert report.verdict
         checks = _by_name(report)
         assert abs(float(checks["wedge_quadratic_constant"].value)
-                   - 1.2795906309) < 1e-8
+                   - 1.2795906170) < 1e-8
         assert abs(float(checks["wedge_linear_growth_constant"].value)
-                   - 1.4709735319) < 1e-8
+                   - 1.4709734534) < 1e-8
         assert abs(float(checks["wedge_linear_constant"].value)
-                   - 0.5964430820) < 1e-8
+                   - 0.5964430663) < 1e-8
         assert abs(float(checks["wedge_ball_maps_into_itself"].value)
                    - 1.4324936357) < 1e-9
         assert abs(float(checks["wedge_contraction_below_one"].value)

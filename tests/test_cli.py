@@ -864,15 +864,15 @@ class TestDeterminism:
 # pinned.  An intended change of output re-pins these digests.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "json"):
-        "f4c5498a5d7c3275173e229fee97c38260b0097f82b46cfd3b0e79cae52a70fc",
+        "9fb7cf00240356a2b713378abbc921839d2c60e0ff9f7a7ab3b8ddd19fd7a0f6",
     ("verify", "--scope", "all", "--format", "text"):
-        "169efb59ad124b680a0b4733ed954a39ed9a83cf995e62d62ff3bdaac36896fc",
+        "9f75665cf69bd0209cd4eb7ed3327222007fa2f8cc105e68d067d94bec7432db",
     ("verify", "--scope", "all", "--format", "csv"):
-        "3a2dcb94d17890ae49181835794fb55914e2f266a685d8eef0d4876cf304dbb0",
+        "6d74beff89c79e2ecb702f63689db159cff8038ae12c838025ebf500eef48390",
     ("verify", "--scope", "omegaI", "--format", "json"):
         "20262f6ddfd7476743b130c06e4522b726e4d953b578e68f5c51466e1a58c194",
     ("verify", "--scope", "omega12", "--format", "json"):
-        "f56dcd6b0389a65905d8ce0fc9f72267340b24ebb312b5490cac7dd88969047c",
+        "b1049b1c82deb3e7530daea178b9d0a277ee99bcab42c4fcfc29528993418c7a",
     ("verify", "--scope", "omega4", "--format", "json"):
         "4ebf85fe3d449d8ecabaecd0eb683eec4e22a359d38fa088c18fc489c9eddbbe",
     ("verify", "--scope", "omega4", "--rho", "7/2", "--format", "json"):
@@ -897,16 +897,16 @@ def test_stdout_matches_pinned_digest(args):
     assert digest == GOLDEN_STDOUT_SHA256[args]
 
 
-# The pole estimate is numerical, but the series ratio and the refining
-# run are a fixed sequence of integer and mpmath operations, so its
-# output is pinned too, also at 256 bits, where the kernel runs wider.
+# The pole estimate is numerical, but the series ratio, the refining
+# run and its Laurent fit are a fixed sequence of integer and mpmath
+# operations, so its output is pinned too, also at 256 bits.
 GOLDEN_POLE_STDOUT_SHA256 = {
     ("pole", "--format", "json"):
-        "70ff82972d0d08ab496230f5ed97c9fa9c5a47759d3fe1c83e74d65fc3a2b204",
+        "8d51a6947061547209563eddd3874ae2289db7b790845ebe1286af1c4e063e87",
     ("pole", "--format", "text"):
-        "f6705a24327043577b562f786a43afaea511e057b4d77f7264b46384b5c56bc3",
+        "fb59825ed2ee2b2613c32e052dc419c3d50129ebd2a980c165737ecbf3a4d4e4",
     ("pole", "--precision-bits", "256", "--format", "json"):
-        "fe65b44b07053385a207e695b579dd7ed838be38a589a60b02258c6ef7cb6b63",
+        "4038c5c8e8bdd9fff32caff429110f5648702d952823eaf1677d9c3717cb019e",
 }
 
 

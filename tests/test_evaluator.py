@@ -1048,18 +1048,82 @@ class TestPoles:
         assert "estimate" in scan.note
 
     @pytest.mark.parametrize("bits", [128, 256])
-    def test_series_estimate_is_within_1e_15_of_the_refined_pole(self, bits):
+    def test_series_estimate_is_within_1e_20_of_the_refined_pole(self, bits):
+        # two independent readings of one pole: the Domb-Sykes ratio of
+        # the order-320 origin series, and the Laurent fit 1/8 from it
         scan = ev.pole_scan(bits)
         with workprec(bits):
             gap = abs(scan.best.location - scan.series_estimate)
-        assert gap == scan.gap < mpf(10) ** -15
+        assert gap == scan.gap < mpf(10) ** -20
 
     def test_refined_distance_is_the_same_at_every_precision(self):
         # at tol 1e-10 neither the kernel width nor the series depends on
-        # the working precision, so neither does the refining run
+        # the working precision, so neither do the run and the fit
         printed = {mp.nstr(ev.pole_scan(bits).best.distance, 25)
                    for bits in (128, 192, 256)}
-        assert printed == {"2.382375010410021582405839"}
+        assert printed == {"2.382375010410021582408694"}
+
+    def test_refining_run_stops_at_the_fit_threshold(self):
+        # the run stops once |g| passes 64, about 1/8 short of the pole,
+        # in 19 steps where running on to 1e8 took 74
+        best = ev.pole_scan().best
+        assert best.steps <= 20
+        with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
+            run = ev._integrate_from_seed(
+                mpc(ev.POLE_HORIZON), ev._to_mpf(ev._POLE_TOL),
+                ev._POLE_FIT_THRESHOLD)
+            assert run.steps == best.steps
+            assert ev._POLE_FIT_THRESHOLD < abs(run.value) < 80
+            assert mpf(1) / 10 < best.distance - run.t_end.real < mpf(1) / 8
+
+    @pytest.mark.parametrize("p0, h0", [
+        (Fraction(12, 5), Fraction(-1, 16)),
+        (Fraction(-3, 7), Fraction(5, 2)),
+        ((Fraction(7, 4), Fraction(5, 4)), (Fraction(1, 7), Fraction(-2, 7))),
+    ])
+    def test_laurent_fit_recovers_the_pole_of_its_data(self, p0, h0):
+        # (t, g, g') at u = t - p0 = -1/8, summed in mpmath at 512 bits
+        # from the series of (p0, h0); fitted at a tolerance whose budget
+        # is 2^-prec, the fit returns p0 to a few units of 2^-prec
+        def number(x):
+            return mpc(*map(ev._to_mpf, x)) if isinstance(x, tuple) \
+                else ev._to_mpc(x)
+
+        prec, wide = ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS, 512
+        with workprec(prec):
+            p0, h0 = number(p0), number(h0)
+        with workprec(wide):
+            u = mpf(-1) / 8
+            series = inner.laurent_fixed(
+                ev._to_fixed(p0, wide), ev._to_fixed(h0, wide),
+                1 << (wide - 3), 1, wide)[0]
+            coeffs = [mpc(mpf((re, -wide)), mpf((im, -wide)))
+                      for re, im in zip(*series)]
+            g = sum(c * u ** (k - 2) for k, c in enumerate(coeffs))
+            slope = sum((k - 2) * c * u ** (k - 3)
+                        for k, c in enumerate(coeffs))
+        with workprec(prec):
+            t = p0 + u
+            run = ev.IntegrationResult(+g, +slope, t, 0, 0, mpf(0),
+                                       t + 2 * g / slope)
+            p = ev._laurent_fit(run, ev._to_mpf(Fraction(1, 10**40)))
+            assert abs(p - p0) <= mpf(2) ** (4 - prec)
+
+    def test_laurent_fit_never_returns_an_unconverged_pole(self, monkeypatch):
+        with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
+            tol = ev._to_mpf(ev._POLE_TOL)
+            run = ev._integrate_from_seed(mpc(ev.POLE_HORIZON), tol,
+                                          ev._POLE_FIT_THRESHOLD)
+            # one iteration cannot meet the budget from t + 2 g/g'
+            monkeypatch.setattr(ev, "_FIT_ITERATIONS", 1)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                ev._laurent_fit(run, tol)
+            # data half a unit from any pole of their own
+            monkeypatch.setattr(ev, "_FIT_ITERATIONS", 8)
+            far = ev.IntegrationResult(run.value, run.slope, run.t_end, 0, 0,
+                                       mpf(0), run.t_end + 1)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                ev._laurent_fit(far, tol)
 
     def test_steps_are_reported_on_both_outcomes(self):
         est = ev.pole_estimate(0)
@@ -1071,8 +1135,10 @@ class TestPoles:
     def test_ray_below_the_axis_is_the_mirror_image_of_the_one_above(self):
         # g(conj t) = conj g(t) for the real origin data, on two rays that
         # both meet the pole near t = 2.38
+        # the rays pass 2.4e-6 from the real pole, and the fit puts it on
+        # the axis
         above, below = ev.pole_estimate(1e-6), ev.pole_estimate(-1e-6)
-        assert above.location.imag > 0
+        assert abs(above.location.imag) < mpf(10) ** -20
         assert abs(below.location - above.location.conjugate()) < mpf(10) ** -30
         assert abs(below.distance - above.distance) < mpf(10) ** -30
         assert below.steps == above.steps

@@ -216,3 +216,55 @@ def test_every_kernel_returns_count_plus_one_coefficients(count):
     assert len(re) == len(im) == count + 1
     assert len(certificates.maclaurin_enclosures(count, Fraction(1, 108))) \
         == count + 1
+
+
+# --------------------------------------------------------------------------
+# the Laurent recurrence at a double pole
+# --------------------------------------------------------------------------
+
+
+def _gaussian_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+@pytest.mark.parametrize("pole, h", [
+    ((Fraction(12, 5), 0), (Fraction(-1, 16), 0)),
+    ((Fraction(-3, 7), 0), (Fraction(5, 2), 0)),
+    ((Fraction(7, 4), Fraction(5, 4)), (Fraction(1, 7), Fraction(-2, 7))),
+])
+def test_laurent_series_leaves_only_its_floors_in_the_equation(pole, h):
+    # With a_k = m_k 2^-bits and t = p + u, the truncated series
+    # g = sum_{k<=N} a_k u^(k-2) leaves in g'' - 6 g^2 - t, at u^(j-4),
+    # (j-2)(j-3) a_j - 6 sum_{i=0}^{j} a_i a_{j-i} - [j=4] p - [j=5].
+    # Summed in full, in exact Gaussian integers at 2^-2bits, that is 0
+    # through j = 3 and at the free j = 6, and otherwise only a_j's one
+    # floor: under |(j-6)(j+1)| + 1 units of 2^-bits, for every j <= N,
+    # i.e. below u^(N-3).  The series of d/dp and d/dh leave the same in
+    # the differentiated equation, 12 sum a_i d_{j-i} in place of the
+    # square and the forcing [j=4] of t's derivative in p.
+    bits = 96
+    one = 1 << bits
+    p, hh = (tuple(x.numerator * one // x.denominator for x in z)
+             for z in (pole, h))
+    a, d, e = (list(zip(*s))
+               for s in inner.laurent_fixed(p, hh, one >> 3, 1, bits))
+    n = len(a) - 1
+    assert n >= 9 and len(d) == len(e) == n + 1
+    assert a[:4] == [(one, 0), (0, 0), (0, 0), (0, 0)]
+    assert (a[6], d[6], e[6]) == (hh, (0, 0), (one, 0))
+    for coeffs, weight, forcing in (
+            (a, 6, {4: (p[0] << bits, p[1] << bits), 5: (one << bits, 0)}),
+            (d, 12, {4: (one << bits, 0)}),
+            (e, 12, {})):
+        for j in range(n + 1):
+            total = [0, 0]
+            for i in range(j + 1):
+                x = _gaussian_mul(a[i], coeffs[j - i])
+                total = [total[0] + x[0], total[1] + x[1]]
+            lead = (j - 2) * (j - 3)
+            defect = [lead * c * one - weight * s - f
+                      for c, s, f in zip(coeffs[j], total,
+                                         forcing.get(j, (0, 0)))]
+            allowed = (0 if j <= 3 or j == 6
+                       else (abs((j - 6) * (j + 1)) + 1) * one)
+            assert all(abs(x) <= allowed for x in defect), (weight, j, defect)
