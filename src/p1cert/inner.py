@@ -468,7 +468,7 @@ def laurent_fixed(
                    (0, 0)),
                5: ((one << bits, 0), (0, 0), (0, 0))}
     free = (h, (0, 0), (one, 0))
-    power = (radius * radius) >> bits  # radius^(k-2) at k = 4
+    power = radius  # radius^(k-2) at 2^-bits
     k, small = 3, 0
     # a_7 = 0, as each pair in its sum holds one of a_1..a_3; so the last
     # two terms are read from a_8 and a_9 on.
@@ -477,18 +477,18 @@ def laurent_fixed(
         ar, ai = series[0]
         # a_1..a_3 and d_1..d_3 vanish: only i = 4..k-4 contributes.
         rev_r, rev_i = ar[k - 4:3:-1], ai[k - 4:3:-1]
-        fs = forcing.get(k, ((0, 0),) * 3)
-        for weight, (xr, xi), (fr, fi), (cr, ci) in zip(
-                (6, 12, 12), series, fs, free):
-            if k != 6:
+        for weight, (xr, xi), (fr, fi), at_six in zip(
+                (6, 12, 12), series, forcing.get(k, ((0, 0),) * 3), free):
+            if k == 6:
+                cr, ci = at_six
+            else:
                 sr, si = dot(xr[4:k - 3], xi[4:k - 3], rev_r, rev_i)
                 den = (k - 6) * (k + 1)
                 cr = ((weight * sr + fr) >> bits) // den
                 ci = ((weight * si + fi) >> bits) // den
             xr.append(cr)
             xi.append(ci)
-        if k > 4:
-            power = (power * radius) >> bits
+        power = (power * radius) >> bits
         term = ((abs(ar[k]) + abs(ai[k])) * power) >> bits
         small = small + 1 if term < floor else 0
     return tuple(series)

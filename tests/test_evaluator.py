@@ -1114,16 +1114,15 @@ class TestPoles:
             tol = ev._to_mpf(ev._POLE_TOL)
             run = ev._integrate_from_seed(mpc(ev.POLE_HORIZON), tol,
                                           ev._POLE_FIT_THRESHOLD)
-            # one iteration cannot meet the budget from t + 2 g/g'
-            monkeypatch.setattr(ev, "_FIT_ITERATIONS", 1)
-            with pytest.raises(RuntimeError, match="did not converge"):
-                ev._laurent_fit(run, tol)
-            # data half a unit from any pole of their own
-            monkeypatch.setattr(ev, "_FIT_ITERATIONS", 8)
+            # a start a unit from t leaves the pole's neighbourhood
             far = ev.IntegrationResult(run.value, run.slope, run.t_end, 0, 0,
                                        mpf(0), run.t_end + 1)
             with pytest.raises(RuntimeError, match="did not converge"):
                 ev._laurent_fit(far, tol)
+            # one iteration cannot meet the budget from t + 2 g/g'
+            monkeypatch.setattr(ev, "_FIT_ITERATIONS", 1)
+            with pytest.raises(RuntimeError, match="did not converge"):
+                ev._laurent_fit(run, tol)
 
     def test_steps_are_reported_on_both_outcomes(self):
         est = ev.pole_estimate(0)
@@ -1134,8 +1133,7 @@ class TestPoles:
 
     def test_ray_below_the_axis_is_the_mirror_image_of_the_one_above(self):
         # g(conj t) = conj g(t) for the real origin data, on two rays that
-        # both meet the pole near t = 2.38
-        # the rays pass 2.4e-6 from the real pole, and the fit puts it on
+        # pass 2.4e-6 from the real pole near t = 2.38; the fit puts it on
         # the axis
         above, below = ev.pole_estimate(1e-6), ev.pole_estimate(-1e-6)
         assert abs(above.location.imag) < mpf(10) ** -20
