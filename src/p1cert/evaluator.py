@@ -37,8 +37,8 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import data, formal, inner
 from .inner import Gaussian, taylor_fixed
-from .numerics import Interval, grid_root
-from .regions import CLOSED_FORMS, DISK_RADIUS
+from .numerics import Interval
+from .regions import CLOSED_FORMS, DISK_RADIUS, OMEGA_4
 from .result import PreconditionError
 
 Number = Union[int, float, Fraction, mpf, mpc, complex]
@@ -173,27 +173,6 @@ def _fifth_root_of_unity_power(numerator: int, denominator: int = 5) -> mpc:
     return _constants(mp.prec).roots[numerator, denominator]
 
 
-#: Slack of the asymptotic regions' test (:func:`_asymptotic_region`): a
-#: radius may fall short of its floor by the fraction _SLACK, and an
-#: angle pass an edge by _SLACK radians.
-_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class _Region:
-    """One row of :attr:`_Constants.regions`, at 2^-prec: the floor of
-    |x|, rounded up; the lowest and highest unwrapped arg x; the
-    layers of the bracket, each the ascending coefficients of a polynomial
-    in 1/x of sum_k xi^k L_k(1/x) (:func:`_layer_sum`); the certificate's
-    ball radius, rounded up."""
-
-    floor: int
-    lowest: int
-    highest: int
-    layers: Tuple[Tuple[int, ...], ...]
-    ball: int
-
-
 @dataclass(frozen=True)
 class _Constants:
     """The shared constants at one working precision."""
@@ -203,9 +182,10 @@ class _Constants:
     roots: Dict[Tuple[int, int], mpc]
     #: The rest are fixed point at 2^-prec.  pi itself:
     pi: int
-    #: The rows of :data:`ASYMPTOTIC_REGIONS`, and :data:`_SLACK`.
-    regions: Dict[str, _Region]
-    slack: int
+    #: Per row of :data:`ASYMPTOTIC_REGIONS`: the layers of its bracket,
+    #: each the ascending coefficients of a polynomial in 1/x of
+    #: sum_k xi^k L_k(1/x) (:func:`_layer_sum`), and its ball, rounded up.
+    regions: Dict[str, Tuple[Tuple[Tuple[int, ...], ...], int]]
     #: |S| = sqrt(6/(5*pi)), the modulus of the Stokes constant S = i|S|.
     stokes_modulus: int
     #: The layers of h0 alone (:func:`_h0_layers`).
@@ -229,21 +209,12 @@ def _constants(prec: int) -> _Constants:
         return _Constants(
             roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
             pi=pi,
-            # The closed-form rows of p1cert.regions, in their order: the
-            # floor, an integer fourth root of its exact fourth power, and
-            # the ball rounded up; the edges pi times the row's, exact for
-            # multiples of pi/4; formal's bracket, plus h0 where the row's
-            # kind adds it.
+            # Per row of p1cert.regions: formal's bracket, plus h0 where
+            # the row's kind adds it, and the ball rounded up.
             regions={
-                row.name: _Region(
-                    grid_root(row.floor_fourth.numerator,
-                              row.floor_fourth.denominator, 4, prec)[1],
-                    pi * row.lowest.numerator // row.lowest.denominator,
-                    pi * row.highest.numerator // row.highest.denominator,
-                    layers(bracket + h0 if row.adds_h0 else bracket),
-                    math.ceil(row.ball * scale))
+                row.name: (layers(bracket + h0 if row.adds_h0 else bracket),
+                           math.ceil(row.ball * scale))
                 for row in CLOSED_FORMS},
-            slack=_fixed(mpf(_SLACK), prec),
             stokes_modulus=_fixed(mp.sqrt(mpf(6) / (5 * mp.pi)), prec),
             h0_layers=layers(h0),
         )
@@ -493,13 +464,10 @@ def asymptotic_y(
     of :func:`h0_value`, and its product with i*sqrt(z/6).  On the
     negative real axis arg x is 3pi/2, in neither region.
 
-    Raises :class:`PreconditionError`, naming the region's floor and arg x
-    edges, unless :func:`_asymptotic_region` places z in the requested
-    region.  Its test allows a slack of 10^-9: |x| may fall short of the
-    floor by that fraction, and arg x pass an exact edge by that many
-    radians while the overshoot times |x| is at most 1/2.  No binary
-    point lies exactly on the ray, so for ray points the slack is not a
-    proof; a transfer term |y'| |z - z_ray| to the ray would make it one.
+    Raises :class:`PreconditionError`, stating the region, unless its
+    row of :mod:`p1cert.regions` holds z: exactly in the wedge, and
+    within :attr:`p1cert.regions.Ray.TOLERANCE` of the ray, which is not
+    a proof.
     """
     _require_bits(precision_bits)
     if region not in ASYMPTOTIC_REGIONS:
@@ -512,15 +480,13 @@ def asymptotic_y(
             raise PreconditionError("asymptotic representations require z != 0")
         bits = mp.prec
         z_fixed, r, radius, angle = _outer_polar(zv, bits)
-        if _asymptotic_region(radius, angle) != region:
-            row = _constants(bits).regions[region]
-            floor, lowest, highest, x_abs, arg_x = (
-                mp.nstr(_real(v, bits), 12) for v in
-                (row.floor, row.lowest, row.highest, radius, angle))
+        row = CLOSED_FORMS[ASYMPTOTIC_REGIONS.index(region)]
+        if not row.holds(*z_fixed, bits):
             raise PreconditionError(
-                f"{region} requires |x| >= {floor} and {lowest} <= arg x "
-                f"<= {highest}, up to the boundary slack; got |x| = {x_abs} "
-                f"and arg x = {arg_x}")
+                f"{region} requires |x|^4 >= {row.floor_fourth} and "
+                f"{row.lowest} <= arg x/pi <= {row.highest}; got |x| = "
+                f"{mp.nstr(_real(radius, bits), 12)} and arg x = "
+                f"{mp.nstr(_real(angle, bits), 12)}")
         value, error = _closed_form(z_fixed, r, radius, angle, region, bits)
         return AsymptoticValue(value=value, error=error, region=region)
 
@@ -540,29 +506,6 @@ def _outer_polar(z: mpc, bits: int) -> Tuple[Gaussian, int, int, int]:
     radius = q * math.isqrt(math.isqrt(q << bits) << bits) // (30 << bits)
     angle = (_constants(bits).pi + 5 * _fixed(mp.arg(z), bits)) // 4
     return (zr, zi), r, radius, angle
-
-
-def _asymptotic_region(radius: int, angle: int) -> Optional[str]:
-    """The first asymptotic region holding x = radius * e^(i*angle), or
-    None.
-
-    ``angle`` is unwrapped, in (-pi, 3pi/2], and the rows of
-    :attr:`_Constants.regions` are tried in the priority order of
-    :data:`p1cert.regions.CLOSED_FORMS`.  Within the slack, |x| may fall
-    short of a floor by the fraction _SLACK, and arg x overshoot an edge
-    by up to _SLACK while the overshoot times |x| is at most 1/2; past
-    the wedge's edges that keeps Re x >= -1/2 and |xi| < 1, as
-    :func:`_layer_sum` assumes.  Runs at the caller's working precision.
-    """
-    bits = mp.prec
-    constants = _constants(bits)
-    slack = constants.slack
-    for region, row in constants.regions.items():
-        over = max(row.lowest - angle, angle - row.highest, 0)
-        if (over <= slack and 2 * over * radius <= 1 << 2 * bits
-                and radius << bits >= row.floor * ((1 << bits) - slack)):
-            return region
-    return None
 
 
 def _root(z: Gaussian, r: int, bits: int) -> Gaussian:
@@ -591,8 +534,8 @@ def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
     rounded up, plus a bound on the value's own rounding.  Runs at the
     caller's working precision.
     """
-    row = _constants(bits).regions[region]
-    br, bi = _layer_sum(row.layers, radius, angle, bits)
+    layers, ball = _constants(bits).regions[region]
+    br, bi = _layer_sum(layers, radius, angle, bits)
     rr, ri = _root(z, r, bits)
     value = (-((rr * bi + ri * br) >> bits), (rr * br - ri * bi) >> bits)
     one = 1 << bits
@@ -608,7 +551,7 @@ def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
     # the few relative units by which rounding r moves the term itself.
     rounding = 32 * (s + one) * (radius + 8 * one) * cube
     # s * ball / |x|^3 and that rounding over one denominator.
-    error = _ceil_mpf(((s * row.ball) << 4 * bits) + rounding,
+    error = _ceil_mpf(((s * ball) << 4 * bits) + rounding,
                       cube << 3 * bits, bits)
     return _from_fixed(value, bits), error
 
@@ -1389,12 +1332,12 @@ def evaluate_point(
     the pole-location estimate in the warning.
 
     Away from the origin one polar pass on integers at 2^-prec decides:
-    r = |z| and theta = arg z, computed once, give |x| = (24 r)^(5/4)/30
-    and the unwrapped arg x = pi/4 + 5 theta/4, and these the region.  A
-    closed-form point goes on to the bracket and its product with
-    i*sqrt(z/6), as in :func:`asymptotic_y`, with no complex power and
-    no t.  An integration point turns z into t with one rotation.  The
-    negative real axis, arg x = 3pi/2, is integration.
+    the rows' ``holds`` read z at 2^-prec, and r = |z| and theta = arg z,
+    once each, give |x| = (24 r)^(5/4)/30 and the unwrapped
+    arg x = pi/4 + 5 theta/4.  A closed-form point goes on to the bracket
+    and its product with i*sqrt(z/6), as in :func:`asymptotic_y`, with no
+    complex power and no t.  An integration point turns z into t with one
+    rotation.  The negative real axis, arg x = 3pi/2, is integration.
 
     Integration starts with one step of the Maclaurin series of order
     :data:`ORIGIN_ORDER` at the origin, built once per kernel width and
@@ -1419,24 +1362,24 @@ def evaluate_point(
     with workprec(precision_bits + GUARD_BITS):
         bits = mp.prec
         z_fixed, r, radius, angle = _outer_polar(zv, bits)
-        region = _asymptotic_region(radius, angle)
-        if region is not None:
-            value, error = _closed_form(z_fixed, r, radius, angle, region,
+        row = next((w for w in CLOSED_FORMS if w.holds(*z_fixed, bits)), None)
+        if row is not None:
+            value, error = _closed_form(z_fixed, r, radius, angle, row.name,
                                         bits)
             return Evaluation(
                 z=zv,
                 y=value,
                 y_prime=None,
-                method=f"asymptotic-{region}",
+                method=f"asymptotic-{row.name}",
                 rigorous=True,
                 error_bound=error,
             )
         t = -zv * _fifth_root_of_unity_power(-1)
         warning = None
-        # |arg t| < pi/5 is arg x below the certified sector's lowest
-        # edge, the lowest of the rows', and |t| = |z| = r.
-        lowest = min(row.lowest for row in _constants(bits).regions.values())
-        if (angle < lowest and r * DISK_RADIUS.denominator
+        # |arg t| < pi/5 is -pi < arg z < -3pi/5, below the sector's lowest
+        # edge: Re z, Im z < 0 and z outside the wedge.  |t| = |z| = r.
+        if (z_fixed[0] < 0 and z_fixed[1] < 0 and not OMEGA_4.within(*z_fixed)
+                and r * DISK_RADIUS.denominator
                 > DISK_RADIUS.numerator << bits):
             warning = (
                 "target lies outside the certified disk in the only sector "

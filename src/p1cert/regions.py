@@ -7,7 +7,8 @@ labels a closed-form value rigorous on that region and takes that ball
 as its error bound.  Both read the numbers that tie the two sides together
 from the rows below, so a row moves the proof and the label at once.
 :data:`CLOSED_FORMS` orders the rows: the first row that holds a point
-wins.
+wins.  A row's ``holds`` decides that for z = (zr + i zi) 2^-bits on
+the integers zr and zi.
 
 Standard library only: importing this module loads neither side, nor
 mpmath.
@@ -15,9 +16,15 @@ mpmath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Tuple
+from typing import ClassVar, Dict, Tuple
+
+
+#: cos(pi/5) = (1 + sqrt 5)/4 and sin(pi/5) = sqrt(10 - 2 sqrt 5)/4 at 2^-96.
+_COS, _SIN = ((1 << 96) + math.isqrt(5 << 192) >> 2,
+              math.isqrt((10 << 192) - (math.isqrt(5 << 192) << 97)) >> 2)
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,24 @@ class Region:
     lowest: Fraction
     highest: Fraction
     adds_h0: ClassVar[bool] = False
+    #: How far outside the region ``holds`` admits a point.
+    TOLERANCE: ClassVar[Fraction] = Fraction(0)
+    #: Per precision, the least norm that ``holds`` admits.
+    _least: Dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def least_norm(self, bits: int) -> int:
+        """Once per precision, the least n = zr^2 + zi^2 with (576 n)^5 >=
+        (30^4 f)^2 2^(10 bits), |x|^4 >= f = floor_fourth (1 - TOLERANCE)^4."""
+        if bits not in self._least:
+            f = self.floor_fourth * (1 - self.TOLERANCE) ** 4
+            bound = -(-((30**4 * f.numerator) ** 2 << 10 * bits)
+                      // (576**5 * f.denominator ** 2))
+            n = 1 << -(-bound.bit_length() // 5)
+            while (m := (4 * n + bound // n**4) // 5) < n:
+                n = m
+            self._least[bits] = n if n**5 >= bound else n + 1
+        return self._least[bits]
 
 
 @dataclass(frozen=True)
@@ -49,6 +74,11 @@ class Ray(Region):
     z0_abs: Fraction
     eps: Fraction
     h0_norm: Fraction
+    #: arg x may miss pi/2 by this many radians while the miss times |x|
+    #: is at most 1/2, and |x| fall short of the floor by this fraction.
+    #: That is not a proof; a transfer term |y'| |z - z_ray| to the ray
+    #: would make it one.
+    TOLERANCE: ClassVar[Fraction] = Fraction(1, 10**9)
 
     @property
     def ball(self) -> Fraction:
@@ -58,6 +88,20 @@ class Ray(Region):
     @property
     def floor_fourth(self) -> Fraction:
         return (24 * self.z0_abs) ** 5 / 30 ** 4
+
+    def holds(self, zr: int, zi: int, bits: int) -> bool:
+        """Whether z lies within TOLERANCE of the ray arg z = pi/5, where
+        zr, zi > 0.  The miss m of arg x, 5/4 of arg z's, is read as the
+        sine a/|z|, a = Im(z e^(-i pi/5)) with e^(i pi/5) at 2^-96, and
+        m |x| <= 1/2 as (m |x|)^8 <= 1/256, |x|^4 = (24 |z|)^5/30^4."""
+        if zr <= 0 or zi <= 0:
+            return False
+        n, tol = zr * zr + zi * zi, self.TOLERANCE
+        a2 = (zi * _COS - zr * _SIN) ** 2
+        return (n >= self.least_norm(bits) and 25 * tol.denominator**2 * a2
+                <= 16 * tol.numerator**2 * n << 192
+                and (4 * a2.bit_length() + n.bit_length() <= 10 * bits + 750
+                     or 147456 * a2**4 * n <= 1 << 10 * bits + 768))
 
 
 @dataclass(frozen=True)
@@ -76,6 +120,19 @@ class Wedge(Region):
     @property
     def floor_fourth(self) -> Fraction:
         return self.floor ** 4
+
+    @staticmethod
+    def within(zr: int, zi: int, least: int = 0) -> bool:
+        """-3pi/5 <= arg z <= -2pi/5 and zr^2 + zi^2 >= ``least``, exactly:
+        within -3pi/4 < arg z < -pi/4 (zi < 0, u = zr^2 < v = zi^2), that is
+        Im(z^5) = zi (5 u^2 - 10 u v + v^2) <= 0, or 5 (v - u)^2 >= 4 v^2."""
+        u, v = zr * zr, zi * zi
+        return (zi < 0 and u < v and u + v >= least
+                and 5 * (v - u) ** 2 >= 4 * v * v)
+
+    def holds(self, zr: int, zi: int, bits: int) -> bool:
+        """Whether z lies in the closed wedge, decided exactly."""
+        return self.within(zr, zi, self.least_norm(bits))
 
 
 def arg_z(arg_x: Fraction) -> Fraction:

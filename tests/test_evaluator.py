@@ -35,6 +35,7 @@ from p1cert.certificates import PreconditionError
 from p1cert.cli import main
 from p1cert.formal import FormalSeries, h0_series
 from p1cert.numerics import Interval
+from p1cert.regions import CLOSED_FORMS
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +55,14 @@ def _z0():
 def _x0_abs():
     with workprec(200):
         return (mpf(204) / 5) ** (mpf(5) / 4) / 30
+
+
+def _wedge_corner():
+    """x 2^-100 inside the wedge's corner |x| = 3, arg x = -pi/2, where
+    the exact region test would decide a rounded point either way."""
+    with workprec(220):
+        inside = mpf(2) ** -100
+        return 3 * (1 + inside) * mp.expj(-mp.pi / 2 * (1 - inside))
 
 
 def _h0_reference(x):
@@ -229,9 +238,9 @@ class TestAsymptotics:
             ev.asymptotic_y(z_off, "omega4")
 
     def test_wedge_corner_agrees_with_integration(self):
-        # continue the certified data from the origin to the z of x = -3i
-        # and compare with the asymptotic representation there
-        point = ev.frame_map(mpc(0, -3), "x")
+        # continue the certified data from the origin to the z of x at the
+        # wedge's corner and compare with the asymptotic representation
+        point = ev.frame_map(_wedge_corner(), "x")
         asym = ev.asymptotic_y(point.z, "omega4")
         run = ev.integrate(
             inner.CENTER_VALUE,
@@ -295,24 +304,26 @@ class TestAsymptotics:
             assert not Fraction(-1, 2) <= angle <= Fraction(-1, 4)
             with workprec(160):
                 z = 10 * mp.expjpi(mpf(theta.numerator) / theta.denominator)
-                _, _, radius, computed = ev._outer_polar(z, 160)
+                z_fixed, _, _, computed = ev._outer_polar(z, 160)
                 assert abs(mpf((computed, -160)) / mp.pi
                            - mpf(angle.numerator) / angle.denominator
                            ) < mpf(10) ** -40
-                assert ev._asymptotic_region(radius, computed) is None
+                assert not any(row.holds(*z_fixed, 160)
+                               for row in CLOSED_FORMS)
 
 
 def _closed_form_grid():
-    """(|x|, arg x, region) over both regions, slack edges included."""
-    inside = mpf("5e-10")
+    """(|x|, arg x, region) over both regions: the ray within its
+    tolerance, the wedge from 2^-100 inside its floor and edges."""
+    near, inside = mpf("5e-10"), mpf(2) ** -100
     ray_radius = _x0_abs()
     grid = [(radius, mp.pi / 2 + nudge, "omegaI")
-            for radius in (ray_radius * (1 - inside), ray_radius, 5, 13, 40)
-            for nudge in (-inside, 0, inside)]
+            for radius in (ray_radius * (1 - near), ray_radius, 5, 13, 40)
+            for nudge in (-near, 0, near)]
     grid += [(radius, angle, "omega4")
-             for radius in (3 * (1 - inside), 3, 4, 9, 40)
-             for angle in (-mp.pi / 2 - inside, -mp.pi / 2, -3 * mp.pi / 8,
-                           -mp.pi / 3, -mp.pi / 4, -mp.pi / 4 + inside)]
+             for radius in (3 * (1 + inside), 4, 9, 40)
+             for angle in (-mp.pi / 2 * (1 - inside), -3 * mp.pi / 8,
+                           -mp.pi / 3, -mp.pi / 4 * (1 + inside))]
     return grid
 
 
@@ -320,23 +331,54 @@ def _closed_form_grid():
 #: over _closed_form_pin_points() at 128 and then 256 bits, printed at
 #: 400 bits, so that no change to how a region is decided moves an output.
 CLOSED_FORM_PIN_SHA256 = (
-    "0d59ff19bc91283eba250edb00a4dd64c679daf94fe97adc3605f64a7f128ca0")
+    "04ab9d56941c15f8810e8e68113e88cd746b7f39b3c55a8bb829ac3d21f19793")
 
 
 def _closed_form_pin_points():
-    """z of ray points i*r and of wedge points at interior angles, at both
-    exact edges and just inside the slack past each edge, with |x| from
-    each region's floor up to 40."""
-    inside = mpf("5e-10")
+    """z of ray points i*r and of wedge points at interior angles and
+    2^-100 inside each edge, with |x| from each region's floor (2^-100
+    above it in the wedge) up to 40."""
     with workprec(200):
+        inside = mpf(2) ** -100
         points = [ev.frame_map(mpc(0, radius), "x", precision_bits=200).z
                   for radius in (_x0_abs(), 4, 7, 13, 25, 40)]
-        for radius in (3, 4, 7, 13, 25, 40):
-            for angle in (-mp.pi / 2 - inside, -mp.pi / 2, -7 * mp.pi / 16,
-                          -3 * mp.pi / 8, -mp.pi / 3, -mp.pi / 4,
-                          -mp.pi / 4 + inside):
+        for radius in (3 * (1 + inside), 4, 7, 13, 25, 40):
+            for angle in (-mp.pi / 2 * (1 - inside), -7 * mp.pi / 16,
+                          -3 * mp.pi / 8, -mp.pi / 3,
+                          -mp.pi / 4 * (1 + inside)):
                 points.append(ev.frame_map(radius * mp.expj(angle), "x",
                                            precision_bits=200).z)
+    return points
+
+
+def _boundary_points():
+    """Points just inside and just outside each region's boundary, in the
+    x frame as (|x|, arg x), with the working precision and the method
+    evaluate_point must report (None: not an asymptotic method).  The
+    wedge is decided exactly; the ray admits its tolerance, 1e-9."""
+    with workprec(220):
+        inside = mpf(2) ** -100
+        past, out = mpf("5e-10"), mpf("2e-9")
+        points = [
+            (3 * (1 - mpf("1e-12")), -3 * mp.pi / 8, 128, "integration"),
+            (3 * (1 - past), -3 * mp.pi / 8, 128, "integration"),
+            (3 * (1 - out), -3 * mp.pi / 8, 128, "integration"),
+            # z = 3 e^(i(-3pi/5 - 4e-10)), so |x| = 72^(5/4)/30
+            (mpf(72) ** (mpf(5) / 4) / 30, -mp.pi / 2 - past, 128,
+             "integration"),
+            (5, -mp.pi / 4 + past, 128, None),
+            (5, -mp.pi / 4 + out, 128, None),
+            (5, mp.pi / 2 + past, 128, "asymptotic-omegaI"),
+            (5, mp.pi / 2 - past, 128, "asymptotic-omegaI"),
+            (5, mp.pi / 2 + out, 128, None),
+            (5, mp.pi / 2 - out, 128, None)]
+        for bits in (128, 256):
+            points += [(3 * (1 + inside), -3 * mp.pi / 8, bits,
+                        "asymptotic-omega4"),
+                       (5, -mp.pi / 2 * (1 - inside), bits,
+                        "asymptotic-omega4"),
+                       (5, -mp.pi / 4 * (1 + inside), bits,
+                        "asymptotic-omega4")]
     return points
 
 
@@ -354,28 +396,24 @@ class TestClosedFormKernel:
                                         outcome.rigorous)).encode())
         assert digest.hexdigest() == CLOSED_FORM_PIN_SHA256
 
-    @pytest.mark.parametrize("radius, region", [
-        (40, "omega4"), (10**6, "omega4"), (mpf("7.5e10"), None),
-        (10**12, None)])
-    def test_overshoot_past_an_edge_times_x_is_at_most_one_half(
-            self, radius, region):
-        # arg x = -pi/2 - 5e-10 is within the slack of the wedge's edge,
-        # but at |x| = 7.5e10 Re x = -37.5, where the closed form's value
-        # misses a 400-bit one by far more than its bound, and at 1e12
-        # xi leaves the fixed-point range.  The rejected points are not
-        # given to evaluate_point: they would integrate toward |t| ~ 1e9.
+    @pytest.mark.parametrize("radius", [3, 40, 10**6, mpf("7.5e10")])
+    def test_a_point_past_the_wedges_edge_is_refused_at_every_radius(
+            self, radius):
+        # arg x = -pi/2 - 5e-10 lies outside the wedge at every |x|.  The
+        # points are not given to evaluate_point: it would integrate from
+        # the origin toward |t| ~ 1e8.
         with workprec(200):
             z = ev.frame_map(radius * mp.expj(-mp.pi / 2 - mpf("5e-10")),
                              "x", precision_bits=200).z
         with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
-            _, _, x_abs, angle = ev._outer_polar(z, mp.prec)
-            assert ev._asymptotic_region(x_abs, angle) == region
-        if region is None:
+            z_fixed, _, _, _ = ev._outer_polar(z, mp.prec)
+            assert not any(row.holds(*z_fixed, mp.prec)
+                           for row in CLOSED_FORMS)
+        for region in ev.ASYMPTOTIC_REGIONS:
             with pytest.raises(PreconditionError, match=re.escape(
-                    "omega4 requires |x| >= 3.0 and -1.57079632679 <= arg x")):
-                ev.asymptotic_y(z, "omega4")
-        else:
-            assert ev.asymptotic_y(z, "omega4").region == region
+                    "omega4 requires |x|^4 >= 81 and -1/2 <= arg x/pi <= -1/4"
+                    if region == "omega4" else "omegaI requires |x|^4 >= ")):
+                ev.asymptotic_y(z, region)
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_closed_forms_match_an_independent_reference(self, bits):
@@ -406,7 +444,8 @@ class TestClosedFormKernel:
         far = [(radius, angle, region)
                for radius in (mpf(10) ** 4, mpf(10) ** 8)
                for angle, region in ((mp.pi / 2, "omegaI"),
-                                     (-mp.pi / 2, "omega4"),
+                                     (-mp.pi / 2 * (1 - mpf(2) ** -100),
+                                      "omega4"),
                                      (-mp.pi / 3, "omega4"))]
         for radius, angle, region in _closed_form_grid() + far:
             with workprec(400):
@@ -1263,38 +1302,35 @@ class TestOriginAndEvaluation:
         assert outcome.error_bound < mpf(3) / 890
 
     def test_evaluate_picks_wedge_asymptotics(self):
-        z = ev.frame_map(mpc(0, -3), "x").z
+        z = ev.frame_map(_wedge_corner(), "x").z
         outcome = ev.evaluate_point(z)
         assert outcome.method == "asymptotic-omega4"
         assert outcome.rigorous
 
-    # Points just inside and just outside the slack of each region
-    # boundary, given in the x frame as (|x|, arg x), and the method
-    # evaluate_point must report (None: not an asymptotic method).
-    @pytest.mark.parametrize("radius, angle, method", [
-        (3 * (1 - mpf("5e-10")), -3 * mp.pi / 8, "asymptotic-omega4"),
-        (3 * (1 - mpf("2e-9")), -3 * mp.pi / 8, "integration"),
-        (5, mp.pi / 2 + mpf("5e-10"), "asymptotic-omegaI"),
-        (5, mp.pi / 2 - mpf("5e-10"), "asymptotic-omegaI"),
-        (5, mp.pi / 2 + mpf("2e-9"), None),
-        (5, mp.pi / 2 - mpf("2e-9"), None),
-        (5, -mp.pi / 4 + mpf("5e-10"), "asymptotic-omega4"),
-        (5, -mp.pi / 4 + mpf("2e-9"), None),
-    ], ids=["wedge-radius-in", "wedge-radius-out", "ray-above-in",
-            "ray-below-in", "ray-above-out", "ray-below-out",
-            "wedge-edge-in", "wedge-edge-out"])
-    def test_region_boundary_slack(self, radius, angle, method):
+    @pytest.mark.parametrize(
+        "radius, angle, bits, method", _boundary_points(),
+        ids=["wedge-radius-short-1e-12", "wedge-radius-short-5e-10",
+             "wedge-radius-short-2e-9", "wedge-lower-edge-past-5e-10",
+             "wedge-upper-edge-past-5e-10", "wedge-upper-edge-past-2e-9",
+             "ray-above-in", "ray-below-in", "ray-above-out",
+             "ray-below-out"] + [
+                 f"wedge-{where}-in-2^-100-at-{bits}"
+                 for bits in (128, 256)
+                 for where in ("floor", "lower-edge", "upper-edge")])
+    def test_region_boundary(self, radius, angle, bits, method):
         with workprec(200):
             z = ev.frame_map(radius * mp.expj(angle), "x").z
-        outcome = ev.evaluate_point(z, tol=Fraction(1, 10**10))
+        outcome = ev.evaluate_point(z, precision_bits=bits,
+                                    tol=Fraction(1, 10**10))
         if method is None:
             assert not outcome.method.startswith("asymptotic-")
         else:
             assert outcome.method == method
+        assert outcome.rigorous == (method or "").startswith("asymptotic-")
         accepted = []
         for region in ev.ASYMPTOTIC_REGIONS:
             try:
-                ev.asymptotic_y(z, region)
+                ev.asymptotic_y(z, region, precision_bits=bits)
             except PreconditionError:
                 continue
             accepted.append(f"asymptotic-{region}")

@@ -239,7 +239,7 @@ def test_outer_reduction_has_one_copy(monkeypatch):
     evaluator._constants.cache_clear()
     try:
         prec = 128
-        layer0 = evaluator._constants(prec).regions["omegaI"].layers[0]
+        layer0 = evaluator._constants(prec).regions["omegaI"][0][0]
         assert layer0 == (1 << prec, 0, -round(Fraction(1 << prec, 5)))
     finally:
         monkeypatch.undo()
