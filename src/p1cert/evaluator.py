@@ -545,8 +545,8 @@ def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
     # unit of 2^-bits per stage and component, and what they read -- z, r,
     # |x|, arg x, 1/x, sqrt(z/6) and xi -- is off by a few units, relative.
     # Only xi's phase Im x + arg x/2 is off by more, |x| times the error
-    # of arg x, and |xi| <= 2|S|/sqrt|x| in the wedge, where Re x >= -1/2,
-    # scales that down.
+    # of arg x, and |xi| <= 2|S|/sqrt|x| scales that down: Re x >= 0 in
+    # the wedge, and >= -1/2 within the ray's tolerance.
     # All of it stays below 32 (s + 1)(|x| + 8) units, which also covers
     # the few relative units by which rounding r moves the term itself.
     rounding = 32 * (s + one) * (radius + 8 * one) * cube

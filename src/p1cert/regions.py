@@ -11,7 +11,8 @@ wins.  A row's ``holds`` decides that for z = (zr + i zi) 2^-bits on
 the integers zr and zi.
 
 Standard library only: importing this module loads neither side, nor
-mpmath.
+mpmath; it takes one integer root from :mod:`p1cert.numerics`, which is
+standard library only too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Dict, Tuple
+
+from .numerics import grid_root
 
 
 #: cos(pi/5) = (1 + sqrt 5)/4 and sin(pi/5) = sqrt(10 - 2 sqrt 5)/4 at 2^-96.
@@ -50,12 +53,9 @@ class Region:
         (30^4 f)^2 2^(10 bits), |x|^4 >= f = floor_fourth (1 - TOLERANCE)^4."""
         if bits not in self._least:
             f = self.floor_fourth * (1 - self.TOLERANCE) ** 4
-            bound = -(-((30**4 * f.numerator) ** 2 << 10 * bits)
-                      // (576**5 * f.denominator ** 2))
-            n = 1 << -(-bound.bit_length() // 5)
-            while (m := (4 * n + bound // n**4) // 5) < n:
-                n = m
-            self._least[bits] = n if n**5 >= bound else n + 1
+            self._least[bits] = grid_root((30**4 * f.numerator) ** 2,
+                                          576**5 * f.denominator ** 2,
+                                          5, 2 * bits)[1]
         return self._least[bits]
 
 
@@ -76,8 +76,9 @@ class Ray(Region):
     h0_norm: Fraction
     #: arg x may miss pi/2 by this many radians while the miss times |x|
     #: is at most 1/2, and |x| fall short of the floor by this fraction.
-    #: That is not a proof; a transfer term |y'| |z - z_ray| to the ray
-    #: would make it one.
+    #: The 1/2 keeps Re x >= -1/2 and |xi| < 1, as the evaluator's layer
+    #: sum and its rounding bound assume.  That is not a proof; a transfer
+    #: term |y'| |z - z_ray| to the ray would make it one.
     TOLERANCE: ClassVar[Fraction] = Fraction(1, 10**9)
 
     @property
@@ -100,8 +101,7 @@ class Ray(Region):
         a2 = (zi * _COS - zr * _SIN) ** 2
         return (n >= self.least_norm(bits) and 25 * tol.denominator**2 * a2
                 <= 16 * tol.numerator**2 * n << 192
-                and (4 * a2.bit_length() + n.bit_length() <= 10 * bits + 750
-                     or 147456 * a2**4 * n <= 1 << 10 * bits + 768))
+                and 147456 * a2**4 * n <= 1 << 10 * bits + 768)
 
 
 @dataclass(frozen=True)

@@ -183,13 +183,16 @@ def test_the_ray_admits_its_named_tolerance_and_no_more(bits):
 
 def test_the_first_row_that_holds_a_point_wins(monkeypatch):
     # A row with the wedge's geometry ahead of the wedge takes its points.
-    # The evaluator's tables built from the swapped rows are dropped after.
+    # Each order is evaluated with tables built from its own rows, which
+    # are dropped after.
     twin = dataclasses.replace(OMEGA_4, name="omegaI")
     z = ev.frame_map(5 * mp.expjpi(mpf(-3) / 8), "x").z
     try:
         monkeypatch.setattr(ev, "CLOSED_FORMS", (twin, OMEGA_4))
+        ev._constants.cache_clear()
         assert ev.evaluate_point(z).method == "asymptotic-omegaI"
         monkeypatch.setattr(ev, "CLOSED_FORMS", (OMEGA_4, twin))
+        ev._constants.cache_clear()
         assert ev.evaluate_point(z).method == "asymptotic-omega4"
     finally:
         ev._constants.cache_clear()
