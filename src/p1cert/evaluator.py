@@ -180,8 +180,10 @@ class _Constants:
     #: e^(i*pi*n/d) keyed by (n, d): the eighth roots e^(+-i*pi/4) of the
     #: outer frame and every power of e^(i*pi/5) the rotations use.
     roots: Dict[Tuple[int, int], mpc]
-    #: The rest are fixed point at 2^-prec.  pi itself:
-    pi: int
+    #: The rest are fixed point at 2^-prec.  cos(pi/4) = sin(pi/4), the
+    #: parts of e^(i*pi/4) that turn (24 z)^(5/4)/30 into x
+    #: (:func:`_outer_polar`):
+    eighth: int
     #: Per row of :data:`ASYMPTOTIC_REGIONS`: the layers of its bracket,
     #: each the ascending coefficients of a polynomial in 1/x of
     #: sum_k xi^k L_k(1/x) (:func:`_layer_sum`), and its ball, rounded up.
@@ -205,10 +207,9 @@ def _constants(prec: int) -> _Constants:
     bracket, h0 = formal.outer_bracket(), formal.h0_series()
     with workprec(prec):
         keys = [(n, 5) for n in range(-3, 4)] + [(1, 4), (-1, 4)]
-        pi = _fixed(+mp.pi, prec)
         return _Constants(
             roots={(n, d): mp.expjpi(mpf(n) / d) for n, d in keys},
-            pi=pi,
+            eighth=math.isqrt(1 << 2 * prec - 1),
             # Per row of p1cert.regions: formal's bracket, plus h0 where
             # the row's kind adds it, and the ball rounded up.
             regions={
@@ -353,46 +354,61 @@ def _poly_fixed(coeffs: Sequence[int], u: Gaussian, bits: int) -> Gaussian:
     return gr, gi
 
 
-def _cos_sin(angle: int, bits: int) -> Gaussian:
-    """e^(i*angle) for an angle at 2^-bits, at 2^-bits."""
-    cos, sin = mp.cos_sin(_real(angle, bits))
-    return _fixed(cos, bits), _fixed(sin, bits)
+def _sqrt(w: Gaussian, modulus: int, divisor: int, bits: int) -> Gaussian:
+    """sqrt(w/divisor) on the principal branch, from w and modulus = |w|
+    at 2^-bits, for a positive integer ``divisor``.
+
+    The part of larger size is sqrt((|w| +- Re w)/(2 divisor)), the other
+    Im w / (2 divisor * it), so that neither subtraction cancels.  On the
+    negative real axis, the branch cut, the root is +i sqrt(|w|/divisor),
+    as mpmath's.
+    """
+    wr, wi = w
+    if wr >= 0:
+        re = math.isqrt(((modulus + wr) << bits) // (2 * divisor))
+        return re, (wi << bits) // (2 * divisor * re)
+    im = math.isqrt(((modulus - wr) << bits) // (2 * divisor))
+    return (abs(wi) << bits) // (2 * divisor * im), im if wi >= 0 else -im
 
 
-def _layer_sum(layers: Sequence[Sequence[int]], radius: int, angle: int,
+def _layer_sum(layers: Sequence[Sequence[int]], x: Gaussian,
                bits: int) -> Gaussian:
-    """sum_k xi^k L_k(1/x) at x = radius * e^(i*angle), all at 2^-bits.
+    """sum_k xi^k L_k(1/x) at x, all at 2^-bits.
 
     ``layers`` are layers of :class:`_Constants`.  The sum is a nested
-    Horner form on Gaussian integers, with 1/x = e^(-i*angle)/radius and
+    Horner form on Gaussian integers, with 1/x = conj(x)/|x|^2 and
 
         xi = S e^(-x)/sqrt(x)
-           = i|S| e^(-Re x) radius^(-1/2) e^(-i(Im x + angle/2)),
+           = i|S| e^(-Re x) (cos Im x - i sin Im x) conj(sqrt x)/|x|,
 
-    the principal root for angle in (-pi, pi].  It takes one cos_sin,
-    and one real exp and a second cos_sin when there is a layer above
-    L_0.  With |1/x| <= 1 and |xi| <= 1, as everywhere in the wedge, each
-    stage rounds by at most one unit of 2^-bits.  Raises
+    sqrt x the principal root (:func:`_sqrt`).  L_0 alone takes no
+    mpmath call; a layer above it takes one real exp and one cos_sin.
+    With |1/x| <= 1 and |xi| <= 1, as everywhere in the wedge, each stage
+    rounds by at most one unit of 2^-bits.  Raises
     :class:`PreconditionError` when Re x < -bits, where xi would not fit
     fixed point.  Runs at the caller's working precision.
     """
-    cos, sin = _cos_sin(angle, bits)
-    inverse = (1 << 2 * bits) // radius
-    u = (cos * inverse) >> bits, -((sin * inverse) >> bits)
+    re_x, im_x = x
+    norm = re_x * re_x + im_x * im_x
+    u = (re_x << 2 * bits) // norm, (-im_x << 2 * bits) // norm
     *lower, top = layers
     total = _poly_fixed(top, u, bits)
     if lower:
-        re_x, im_x = (radius * cos) >> bits, (radius * sin) >> bits
         if re_x < -(bits << bits):
             raise PreconditionError(
                 f"Re x = {mp.nstr(_real(re_x, bits), 12)} is below -{bits}, "
                 "where xi = S e^(-x)/sqrt(x) leaves the fixed-point range")
-        modulus = (_constants(bits).stokes_modulus
-                   * _fixed(mp.exp(_real(-re_x, bits)), bits)
-                   // math.isqrt(radius << bits))
-        # i e^(-i psi) = sin psi + i cos psi, with psi = Im x + angle/2.
-        psi_cos, psi_sin = _cos_sin(im_x + angle // 2, bits)
-        xi_re, xi_im = (modulus * psi_sin) >> bits, (modulus * psi_cos) >> bits
+        modulus = math.isqrt(norm)
+        root_re, root_im = _sqrt(x, modulus, 1, bits)
+        cos, sin = (_fixed(v, bits) for v in mp.cos_sin(_real(im_x, bits)))
+        scale = (_constants(bits).stokes_modulus
+                 * _fixed(mp.exp(_real(-re_x, bits)), bits))
+        # (cos - i sin)(root_re - i root_im) = a - i b, and i(a - i b) is
+        # b + i a; scale * (b + i a) is at 2^-4bits and |x| at 2^-bits.
+        a = cos * root_re - sin * root_im
+        b = cos * root_im + sin * root_re
+        den = modulus << 2 * bits
+        xi_re, xi_im = scale * b // den, scale * a // den
         for layer in reversed(lower):
             (tr, ti), (lr, li) = total, _poly_fixed(layer, u, bits)
             total = (((tr * xi_re - ti * xi_im) >> bits) + lr,
@@ -411,25 +427,25 @@ def h0_value(x: Number, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
     identities.  The value is the nested Horner form
     sum_k xi^k P_k(1/x)  on Gaussian integers at 2^-prec (prec the working
     precision, guard bits included), the kernel that the closed forms of
-    :func:`asymptotic_y` and :func:`evaluate_point` share: from |x| and
-    arg x, one real exp and two cos_sin pairs, then integer products and
-    one integer square root.  Its error is a few units of 2^-prec where
-    |1/x| <= 1 and |xi| <= 1, as in the omega_4 wedge; it is absolute, so
-    a value far below 2^-prec keeps no relative accuracy.  Raises
-    :class:`PreconditionError` for |x| < 2^-prec, x = 0 included, and
-    for Re x < -prec.
+    :func:`asymptotic_y` and :func:`evaluate_point` share: from x at
+    2^-prec, one real exp and one cos_sin, then integer products and
+    square roots, sqrt x on mpmath's principal branch.  Its error is a
+    few units of 2^-prec where |1/x| <= 1 and |xi| <= 1, as in the
+    omega_4 wedge; it is absolute, so a value far below 2^-prec keeps no
+    relative accuracy.  Raises :class:`PreconditionError` for
+    |x| < 2^-prec or x reading 0 at 2^-prec, x = 0 included, and for
+    Re x < -prec.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         xv = _finite_mpc(x)
         bits = mp.prec
-        radius = _fixed(abs(xv), bits)
-        if radius == 0:
+        x_fixed = _to_fixed(xv, bits)
+        if x_fixed == (0, 0) or _fixed(abs(xv), bits) == 0:
             raise PreconditionError(
                 f"h0 is undefined at x = 0 and out of fixed-point range for "
                 f"|x| < 2^-{bits}")
-        total = _layer_sum(_constants(bits).h0_layers, radius,
-                           _fixed(mp.arg(xv), bits), bits)
+        total = _layer_sum(_constants(bits).h0_layers, x_fixed, bits)
         return _from_fixed(total, bits)
 
 
@@ -457,17 +473,16 @@ def asymptotic_y(
     weighted norm sup |x^(5/2) H(x)|, which gives the error
     |sqrt(z/6)| * B * |x|^(-3).
 
-    Both come from one polar pass on integers at 2^-prec
-    (:func:`_outer_polar`, :func:`_closed_form`): r = |z| and
-    theta = arg z once each, |x| = (24 r)^(5/4)/30 and
-    arg x = pi/4 + 5 theta/4 without wrapping, the bracket by the kernel
-    of :func:`h0_value`, and its product with i*sqrt(z/6).  On the
-    negative real axis arg x is 3pi/2, in neither region.
+    Both come from z's integers at 2^-prec (:func:`_outer_polar`,
+    :func:`_closed_form`): r = |z|, sqrt(z/6) and the outer image x by
+    integer square roots, the bracket by the kernel of :func:`h0_value`,
+    and its product with i*sqrt(z/6).
 
     Raises :class:`PreconditionError`, stating the region, unless its
     row of :mod:`p1cert.regions` holds z: exactly in the wedge, and
     within :attr:`p1cert.regions.Ray.TOLERANCE` of the ray, which is not
-    a proof.
+    a proof.  The message gives |x| and arg x = pi/4 + 5 arg z/4,
+    unwrapped, so 3pi/2 on the negative real axis.
     """
     _require_bits(precision_bits)
     if region not in ASYMPTOTIC_REGIONS:
@@ -479,74 +494,70 @@ def asymptotic_y(
         if zv == 0:
             raise PreconditionError("asymptotic representations require z != 0")
         bits = mp.prec
-        z_fixed, r, radius, angle = _outer_polar(zv, bits)
+        z_fixed = _to_fixed(zv, bits)
         row = CLOSED_FORMS[ASYMPTOTIC_REGIONS.index(region)]
         if not row.holds(*z_fixed, bits):
+            # z may read 0 at 2^-bits, where it has no x.
+            radius = _outer_polar(z_fixed, bits)[3] if any(z_fixed) else 0
+            angle = (_fixed(+mp.pi, bits) + 5 * _fixed(mp.arg(zv), bits)) // 4
             raise PreconditionError(
                 f"{region} requires |x|^4 >= {row.floor_fourth} and "
                 f"{row.lowest} <= arg x/pi <= {row.highest}; got |x| = "
                 f"{mp.nstr(_real(radius, bits), 12)} and arg x = "
                 f"{mp.nstr(_real(angle, bits), 12)}")
-        value, error = _closed_form(z_fixed, r, radius, angle, region, bits)
+        value, error = _closed_form(z_fixed, region, bits)
         return AsymptoticValue(value=value, error=error, region=region)
 
 
-def _outer_polar(z: mpc, bits: int) -> Tuple[Gaussian, int, int, int]:
-    """z, r = |z|, and |x| and arg x of the outer-frame image, at 2^-bits.
+def _outer_polar(z: Gaussian, bits: int) -> Tuple[int, Gaussian, Gaussian,
+                                                   int]:
+    """r = |z|, sqrt(z/6), the outer-frame image x of z and |x|, all at
+    2^-bits from z at 2^-bits, z != 0, with no mpmath call.
 
-    x = (e^(i*pi/4)/30) (24 z)^(5/4) on the principal branch, whose
-    argument 5 theta/4 (theta = arg z) lies in (-5pi/4, 5pi/4], so
-    |x| = (24 r)^(5/4)/30 and arg x = pi/4 + 5 theta/4 in (-pi, 3pi/2],
-    left unwrapped.  r and |x| are integer square roots; theta is the one
-    mpmath call.  Runs at the caller's working precision.
-    """
-    zr, zi = _to_fixed(z, bits)
-    r = math.isqrt(zr * zr + zi * zi)
-    q = 24 * r
-    radius = q * math.isqrt(math.isqrt(q << bits) << bits) // (30 << bits)
-    angle = (_constants(bits).pi + 5 * _fixed(mp.arg(z), bits)) // 4
-    return (zr, zi), r, radius, angle
-
-
-def _root(z: Gaussian, r: int, bits: int) -> Gaussian:
-    """sqrt(z/6) on the principal branch, from z and r = |z| at 2^-bits.
-
-    The part of larger size is sqrt((r +- Re z)/12), the other
-    Im z / (12 * it), so that neither subtraction cancels.
+    x = (e^(i*pi/4)/30) (24 z)^(5/4) = e^(i*pi/4) (4z/5) (24 z)^(1/4) on
+    the principal branch, whose fourth root is the principal square root
+    of sqrt(24 z) = 12 sqrt(z/6) (:func:`_sqrt`, twice).  |x| =
+    (24 r)^(5/4)/30 comes from nested integer square roots of 24 r.
     """
     zr, zi = z
-    if zr >= 0:
-        re = math.isqrt(((r + zr) << bits) // 12)
-        return re, (zi << bits) // (12 * re)
-    im = math.isqrt(((r - zr) << bits) // 12)
-    return (abs(zi) << bits) // (12 * im), im if zi >= 0 else -im
+    r = math.isqrt(zr * zr + zi * zi)
+    q = 24 * r
+    half = math.isqrt(q << bits)  # |sqrt(24 z)|
+    root = _sqrt(z, r, 6, bits)
+    fr, fi = _sqrt((12 * root[0], 12 * root[1]), half, 1, bits)
+    # 4 z (24 z)^(1/4) at 2^-2bits, times e^(i*pi/4) = cos(pi/4) (1 + i).
+    p_re, p_im = 4 * (zr * fr - zi * fi), 4 * (zr * fi + zi * fr)
+    eighth, den = _constants(bits).eighth, 5 << 2 * bits
+    x = (p_re - p_im) * eighth // den, (p_re + p_im) * eighth // den
+    radius = q * math.isqrt(half << bits) // (30 << bits)
+    return r, root, x, radius
 
 
-def _closed_form(z: Gaussian, r: int, radius: int, angle: int, region: str,
-                 bits: int) -> Tuple[mpc, mpf]:
-    """The value and certified error of ``region``'s closed form at z,
-    given with r = |z| and its outer-frame image radius * e^(i*angle),
-    all at 2^-bits, the image known to lie in the region.
+def _closed_form(z: Gaussian, region: str, bits: int) -> Tuple[mpc, mpf]:
+    """The value and certified error of ``region``'s closed form at z at
+    2^-bits, whose outer-frame image is known to lie in the region.
 
     The bracket 1 - 4/(25 x^2), plus h0(x) in the wedge, is one
-    :func:`_layer_sum`; it is multiplied by i*sqrt(z/6) on integers and
-    converted back once.  The error is s * ball * |x|^(-3), s = sqrt(r/6)
-    rounded up, plus a bound on the value's own rounding.  Runs at the
-    caller's working precision.
+    :func:`_layer_sum` at the x of :func:`_outer_polar`; it is multiplied
+    by i*sqrt(z/6) on integers and converted back once.  The error is
+    s * ball * |x|^(-3), s = sqrt(r/6) rounded up, plus a bound on the
+    value's own rounding.  Runs at the caller's working precision.
     """
+    r, (rr, ri), x, radius = _outer_polar(z, bits)
     layers, ball = _constants(bits).regions[region]
-    br, bi = _layer_sum(layers, radius, angle, bits)
-    rr, ri = _root(z, r, bits)
+    br, bi = _layer_sum(layers, x, bits)
     value = (-((rr * bi + ri * br) >> bits), (rr * br - ri * bi) >> bits)
     one = 1 << bits
     s = math.isqrt(-(-(r << bits) // 6) - 1) + 1  # sqrt(r/6), rounded up
     cube = radius ** 3
-    # The value's own rounding.  Horner and the product round by under a
-    # unit of 2^-bits per stage and component, and what they read -- z, r,
-    # |x|, arg x, 1/x, sqrt(z/6) and xi -- is off by a few units, relative.
-    # Only xi's phase Im x + arg x/2 is off by more, |x| times the error
-    # of arg x, and |xi| <= 2|S|/sqrt|x| scales that down: Re x >= 0 in
-    # the wedge, and >= -1/2 within the ray's tolerance.
+    # The value's own rounding.  Horner and the products round by under a
+    # unit of 2^-bits per stage and component.  r, |x| and sqrt(z/6) are
+    # off by a few units, relative, and x, 1/x and sqrt x by at most 9:
+    # x reads sqrt(z/6) (|z| >= 3/2 in both rows), its square root and
+    # cos(pi/4).  So Im x is off by 8|x| + 1 units, and so are xi's phase
+    # and, through Re x, its modulus, relative: with |xi| <= |S|/sqrt|x|
+    # (Re x >= 0 in the wedge) xi moves by under 20 sqrt|x| units, and
+    # the bracket by twice that.  The ray's bracket has no xi.
     # All of it stays below 32 (s + 1)(|x| + 8) units, which also covers
     # the few relative units by which rounding r moves the term itself.
     rounding = 32 * (s + one) * (radius + 8 * one) * cube
@@ -1331,13 +1342,12 @@ def evaluate_point(
     blows up before reaching the target returns no value but carries
     the pole-location estimate in the warning.
 
-    Away from the origin one polar pass on integers at 2^-prec decides:
-    the rows' ``holds`` read z at 2^-prec, and r = |z| and theta = arg z,
-    once each, give |x| = (24 r)^(5/4)/30 and the unwrapped
-    arg x = pi/4 + 5 theta/4.  A closed-form point goes on to the bracket
-    and its product with i*sqrt(z/6), as in :func:`asymptotic_y`, with no
-    complex power and no t.  An integration point turns z into t with one
-    rotation.  The negative real axis, arg x = 3pi/2, is integration.
+    Away from the origin the rows' ``holds`` decide on z's integers at
+    2^-prec.  A closed-form point goes on to its outer image x, the
+    bracket and its product with i*sqrt(z/6), all from integer square
+    roots as in :func:`asymptotic_y`, with no complex power, no arg z and
+    no t.  An integration point turns z into t with one rotation.  The
+    negative real axis, arg x = 3pi/2 unwrapped, is integration.
 
     Integration starts with one step of the Maclaurin series of order
     :data:`ORIGIN_ORDER` at the origin, built once per kernel width and
@@ -1361,11 +1371,10 @@ def evaluate_point(
         )
     with workprec(precision_bits + GUARD_BITS):
         bits = mp.prec
-        z_fixed, r, radius, angle = _outer_polar(zv, bits)
-        row = next((w for w in CLOSED_FORMS if w.holds(*z_fixed, bits)), None)
+        z_fixed = zr, zi = _to_fixed(zv, bits)
+        row = next((w for w in CLOSED_FORMS if w.holds(zr, zi, bits)), None)
         if row is not None:
-            value, error = _closed_form(z_fixed, r, radius, angle, row.name,
-                                        bits)
+            value, error = _closed_form(z_fixed, row.name, bits)
             return Evaluation(
                 z=zv,
                 y=value,
@@ -1378,8 +1387,8 @@ def evaluate_point(
         warning = None
         # |arg t| < pi/5 is -pi < arg z < -3pi/5, below the sector's lowest
         # edge: Re z, Im z < 0 and z outside the wedge.  |t| = |z| = r.
-        if (z_fixed[0] < 0 and z_fixed[1] < 0 and not OMEGA_4.within(*z_fixed)
-                and r * DISK_RADIUS.denominator
+        if (zr < 0 and zi < 0 and not OMEGA_4.within(zr, zi)
+                and math.isqrt(zr * zr + zi * zi) * DISK_RADIUS.denominator
                 > DISK_RADIUS.numerator << bits):
             warning = (
                 "target lies outside the certified disk in the only sector "

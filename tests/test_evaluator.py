@@ -13,6 +13,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -181,6 +182,16 @@ class TestAsymptotics:
         assert counts["exp"] == 1
         assert counts["sqrt"] <= 2
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_h0_keeps_the_principal_branch_on_the_cut(self, bits):
+        # arg x = pi, where sqrt(x) = +i, and 2^-100 above it; the other
+        # branch would flip xi and miss by far more than the tolerance
+        for x in (mpc(-1, 0), mp.expj(mp.pi - mpf(2) ** -100)):
+            with workprec(bits + 80):
+                expected = _h0_reference(x)
+            assert (abs(ev.h0_value(x, bits) - expected)
+                    < mpf(2) ** -(bits - 8) * abs(expected)), (bits, x)
+
     def test_h0_refuses_what_fixed_point_cannot_hold(self):
         # |x| below 2^-prec has no fixed-point radius, and e^(-x) for
         # Re x < -prec would need an integer longer than the precision
@@ -225,6 +236,10 @@ class TestAsymptotics:
             ev.asymptotic_y(2.0, "omegaI")
         with pytest.raises(PreconditionError):  # origin
             ev.asymptotic_y(0, "omegaI")
+        for region in ev.ASYMPTOTIC_REGIONS:  # z reads 0 or -2^-prec i
+            for z in (mpf(2) ** -300, mpc(0, -mpf(2) ** -300)):
+                with pytest.raises(PreconditionError):
+                    ev.asymptotic_y(z, region)
         with pytest.raises(ValueError):
             ev.asymptotic_y(_z0(), "omega2")
 
@@ -304,10 +319,12 @@ class TestAsymptotics:
             assert not Fraction(-1, 2) <= angle <= Fraction(-1, 4)
             with workprec(160):
                 z = 10 * mp.expjpi(mpf(theta.numerator) / theta.denominator)
-                z_fixed, _, _, computed = ev._outer_polar(z, 160)
-                assert abs(mpf((computed, -160)) / mp.pi
-                           - mpf(angle.numerator) / angle.denominator
-                           ) < mpf(10) ** -40
+                z_fixed = ev._to_fixed(z, 160)
+                _, _, x, _ = ev._outer_polar(z_fixed, 160)
+                reference = (mp.expjpi(mpf(1) / 4) / 30
+                             * (24 * z) ** (mpf(5) / 4))
+                assert (abs(ev._from_fixed(x, 160) - reference)
+                        < mpf(2) ** -150 * abs(reference))
                 assert not any(row.holds(*z_fixed, 160)
                                for row in CLOSED_FORMS)
 
@@ -331,7 +348,7 @@ def _closed_form_grid():
 #: over _closed_form_pin_points() at 128 and then 256 bits, printed at
 #: 400 bits, so that no change to how a region is decided moves an output.
 CLOSED_FORM_PIN_SHA256 = (
-    "04ab9d56941c15f8810e8e68113e88cd746b7f39b3c55a8bb829ac3d21f19793")
+    "cbe0ed2a2fe6096ffd7db5108598651b4cead87c22e46e9856a721a1f75ee83a")
 
 
 def _closed_form_pin_points():
@@ -406,7 +423,7 @@ class TestClosedFormKernel:
             z = ev.frame_map(radius * mp.expj(-mp.pi / 2 - mpf("5e-10")),
                              "x", precision_bits=200).z
         with workprec(ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS):
-            z_fixed, _, _, _ = ev._outer_polar(z, mp.prec)
+            z_fixed = ev._to_fixed(z, mp.prec)
             assert not any(row.holds(*z_fixed, mp.prec)
                            for row in CLOSED_FORMS)
         for region in ev.ASYMPTOTIC_REGIONS:
@@ -467,24 +484,57 @@ class TestClosedFormKernel:
                              ids=["ray", "wedge"])
     def test_closed_form_takes_no_log_and_no_complex_power(self, monkeypatch,
                                                            x):
+        # x comes from z's integers, with no arg z: the ray's bracket takes
+        # no mpmath call, and the wedge's xi, like h0_value, takes one exp
+        # and one cos_sin
         with workprec(200):
             z = ev.frame_map(x, "x").z
         ev.evaluate_point(z)  # the constants at this precision
-        counts = {"log": 0, "pow": 0}
-
-        def counted_log(*args, _original=mp.log, **kwargs):
-            counts["log"] += 1
-            return _original(*args, **kwargs)
+        names = ("log", "arg", "atan2", "cos_sin", "exp")
+        counts = dict.fromkeys(names + ("pow",), 0)
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(mp, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(mp, name, counted)
 
         def counted_pow(self, other, _original=mpc.__pow__):
             counts["pow"] += 1
             return _original(self, other)
 
-        monkeypatch.setattr(mp, "log", counted_log)
         monkeypatch.setattr(mpc, "__pow__", counted_pow)
         outcome = ev.evaluate_point(z)
+        calls = 0 if outcome.method == "asymptotic-omegaI" else 1
         assert outcome.method.startswith("asymptotic-")
-        assert counts == {"log": 0, "pow": 0}
+        assert counts == {"log": 0, "arg": 0, "atan2": 0, "cos_sin": calls,
+                          "exp": calls, "pow": 0}
+        counts.update(dict.fromkeys(counts, 0))
+        ev.h0_value(x)
+        assert counts == {"log": 0, "arg": 0, "atan2": 0, "cos_sin": 1,
+                          "exp": 1, "pow": 0}
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_integer_square_root_is_mpmaths_principal_branch(self, bits):
+        # each quadrant, both axes, and the negative real axis, the branch
+        # cut, where the root is +i sqrt|w|; 2^-100 below it, -i sqrt|w|
+        tiny = mpf(2) ** -100
+        points = [mpc(3, 2), mpc(-3, 2), mpc(-3, -2), mpc(3, -2),
+                  mpc(5, 0), mpc(0, 5), mpc(0, -5), mpc(-5, 0),
+                  mpc(-5, tiny), mpc(-5, -tiny), mpc("-1e6", 3),
+                  mpc("0.001", "-0.002")]
+        for w in points:
+            for divisor in (1, 6):
+                with workprec(bits):
+                    fixed = ev._to_fixed(w, bits)
+                    modulus = math.isqrt(fixed[0] ** 2 + fixed[1] ** 2)
+                    root = ev._from_fixed(
+                        ev._sqrt(fixed, modulus, divisor, bits), bits)
+                with workprec(bits + 80):
+                    expected = mp.sqrt(w / divisor)
+                    assert (abs(root - expected)
+                            < mpf(2) ** -(bits - 12) * abs(expected)), (
+                                bits, w, divisor)
 
 
 class TestReflection:
