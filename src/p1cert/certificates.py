@@ -33,6 +33,7 @@ evaluator reads too; :data:`REGION_STATEMENT` is formatted from them.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -312,6 +313,90 @@ def _fourth_derivative_constant(a: int) -> Fraction:
     return max(abs(c0), abs(c2) / 2, abs(c4))
 
 
+def _midpoint_sums(exps: Sequence[int], T: int, panels: int
+                   ) -> Dict[int, Tuple[Interval, Interval, Fraction]]:
+    """For each a of the ascending ``exps``, over the midpoints p of the
+    panels of [-1, T], with u = 1 + p^2: enclosures of the sums of
+    u^(-a/4) and of Q_2(p) u^(-(a+8)/4), and an upper end of the sum of
+    u^(-(a+8)/4), on plain ints: one list over the midpoints per power.
+
+    The midpoint p = -1 + (2i+1) h/2 is m/D with D = 2 panels and
+    m = (2i+1)(T+1) - D, so u = (D^2 + m^2)/D^2 is exact for any panel
+    count.  One exact integer fourth root gives g = floor(2^B u^(-1/4)),
+    with B = ``QUADRATURE_BITS`` fractional bits; g <= 2^B since u >= 1.
+
+    The powers are fixed-point floors at 2^-B along one fixed chain:
+    q_1 = g, q_2 = floor(q_1 q_1 / 2^B) and q_n = floor(q_(n-2) q_2 /
+    2^B), so q_n depends on g and n alone.  Write E_n = g^n / 2^((n-1)B),
+    the exact power on the same scale, and e_n = E_n - q_n.  Then
+
+        0 <= e_n <= n - 1.
+
+    By induction: e_1 = 0, and if q = floor(q_k q_j / 2^B) with e_k and
+    e_j in range, then E_(k+j) = E_k E_j / 2^B, and
+
+        E_k E_j - q_k q_j = e_k E_j + e_j q_k <= (e_k + e_j) 2^B,
+
+    since q_k <= E_k = 2^B (g/2^B)^k <= 2^B; the floor takes off less
+    than one more unit, so 0 <= e_(k+j) < e_k + e_j + 1 <= k + j - 1.
+    So q_n / 2^B is a lower end of (g/2^B)^n, and therefore of u^(-n/4),
+    and (q_n + n - 1) / 2^B an upper end of (g/2^B)^n.
+
+    The sums of q_a, of q_(a+8), and of the factors 4 D^2 Q_2(m/D) =
+    (a^2+2a) m^2 - 2a D^2 times q_(a+8), split by the factor's sign, are
+    lower ends.  Each upper end adds n - 1 units per panel, times the
+    factor in the two Q_2 sums.  The ceiling of 2^B u^(-1/4) is at most
+    g + 1, and (g + 1)^n <= g^n (1 + 2n/g) for n <= g (e^x <= 1 + 2x on
+    [0, 1]), so each upper end is then multiplied by the one factor
+    1 + 2n/g_min, where g_min is the smallest midpoint root.
+    """
+    B = QUADRATURE_BITS
+    D = 2 * panels
+    D2 = D * D
+    top = D2 << 4 * B
+    # m^2 at each midpoint, m = (2i+1)(T+1) - D, and a column of q_n over
+    # the midpoints for each n of the chain of the parities of a and a + 8
+    m2s = [m * m for m in range(T + 1 - D, 2 * panels * (T + 1) - D,
+                                2 * (T + 1))]
+    q = {1: [floor_root(top // (D2 + m2), 4) for m2 in m2s]}
+    q[2] = [g * g >> B for g in q[1]]
+    parities = {a & 1 for a in exps}
+    for n in range(3, exps[-1] + 9):
+        if n & 1 in parities:
+            q[n] = [x * y >> B for x, y in zip(q[n - 2], q[2])]
+    # the last midpoint, T - h/2, lies farthest from 0, since
+    # T - h/2 >= |h/2 - 1| when h <= T + 1, so its root is the least
+    g_min = q[1][-1]
+    if exps[-1] + 8 > g_min:
+        raise PreconditionError(
+            f"T = {T} is too large for {B}-bit roots: the smallest root "
+            f"{g_min} is below the power {exps[-1] + 8}")
+    unit, curv_unit = 1 << B, 4 * D2 << B
+    sums = {}
+    for a in exps:
+        n = a + 8
+        up_a, up_n = 1 + Fraction(2 * a, g_min), 1 + Fraction(2 * n, g_min)
+        values = sum(q[a])
+        value = Interval(Fraction(values, unit),
+                         up_a * Fraction(values + panels * (a - 1), unit))
+        # 4 D^2 Q_2(m/D) = (a^2+2a) m^2 - 2a D^2 at each midpoint, and the
+        # Q_2 sums of each sign, without and with the n - 1 units
+        factors = [(a * a + 2 * a) * m2 - 2 * a * D2 for m2 in m2s]
+        below = [(f, x) for f, x in zip(factors, q[n]) if f < 0]
+        neg_sum = sum(f * x for f, x in below)
+        neg_factor = sum(f for f, _ in below)
+        pos_sum = sum(map(operator.mul, factors, q[n])) - neg_sum
+        pos_factor = sum(factors) - neg_factor
+        pos = Fraction(pos_sum, curv_unit)
+        neg = Fraction(neg_sum, curv_unit)
+        pos_up = pos + Fraction((n - 1) * pos_factor, curv_unit)
+        neg_up = neg + Fraction((n - 1) * neg_factor, curv_unit)
+        curvature = Interval(pos + up_n * neg_up, up_n * pos_up + neg)
+        S = up_n * Fraction(sum(q[n]) + panels * (n - 1), unit)
+        sums[a] = value, curvature, S
+    return sums
+
+
 def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
                            panels: int) -> Tuple[Interval, ...]:
     """Enclosures of  integral_{-1}^{infinity} (1 + p^2)^(-a/4) dp,  one
@@ -343,81 +428,24 @@ def inverse_power_integral(alpha_quarters: Sequence[int], T: int,
     panel in p >= 0 and the last in p <= 0.  So the remainders sum to at
     most h^5/1920 K (S + 3), with S an upper end of the sum of
     w^(-(a+8)/4) over the midpoints.  The tail beyond T is enclosed by
-    [0, T^(1-a/2) * 2/(a-2)].
-
-    The sweep runs on plain ints.  The half-step grid point
-    p = -1 + j h/2 is m/D with D = 2 panels and m = j (T+1) - D, so
-    u = 1 + p^2 = (D^2 + m^2)/D^2 is exact for any panel count.  At each
-    midpoint one exact integer fourth root gives g = floor(2^B u^(-1/4)),
-    with B = ``QUADRATURE_BITS`` fractional bits, and g^n/2^(nB) is a
-    lower end of u^(-n/4); the sums of g^a, of the signed f'' products
-    and of g^(a+8) are accumulated exactly, with no rounding per step.
-    The ceiling of 2^B u^(-1/4) is at most g + 1, and (g + 1)^n <=
-    g^n (1 + 2n/g) for n <= g (e^x <= 1 + 2x on [0, 1]), so each upper
-    end is the lower sum times the one factor 1 + 2n/g_min, where g_min
-    is the smallest midpoint root.
+    [0, T^(1-a/2) * 2/(a-2)].  The three sums over the midpoints come
+    from :func:`_midpoint_sums`.
     """
     if any(a <= 2 for a in alpha_quarters):
         raise PreconditionError("integral diverges unless a > 2")
     if T < 1 or panels < 1:
         raise PreconditionError("need T >= 1 and panels >= 1")
-    B = QUADRATURE_BITS
-    D = 2 * panels
-    D2 = D * D
-    top = D2 << 4 * B
-    exps = sorted(set(alpha_quarters))
-    # the powers of g each panel needs, ascending, and the steps to them
-    ns = sorted(set(exps) | {a + 8 for a in exps})
-    steps = [n - done for done, n in zip([0] + ns, ns)]
-
-    # Exact int sums per exponent a: midpoint values g^a on the scale
-    # 2^(aB), the powers g^(a+8), and the f'' products of each sign on
-    # the scale 4 D^2 2^((a+8)B), where 4 D^2 Q_2(m/D) is
-    # (a^2+2a) m^2 - 2a D^2.
-    rows = [(ns.index(a), ns.index(a + 8), a * a + 2 * a, 2 * a * D2)
-            for a in exps]
-    values, sups = [0] * len(exps), [0] * len(exps)
-    curv_pos, curv_neg = [0] * len(exps), [0] * len(exps)
-    g_min = top
-    for i in range(panels):
-        m = (2 * i + 1) * (T + 1) - D
-        g = floor_root(top // (D2 + m * m), 4)
-        g_min = min(g_min, g)
-        power, acc = [], 1
-        for step in steps:
-            acc *= g ** step
-            power.append(acc)
-        m2 = m * m
-        for k, (at_a, at_outer, coeff, offset) in enumerate(rows):
-            values[k] += power[at_a]
-            outer = power[at_outer]
-            sups[k] += outer
-            second = coeff * m2 - offset
-            if second < 0:
-                curv_neg[k] += second * outer
-            else:
-                curv_pos[k] += second * outer
-    if ns[-1] > g_min:
-        raise PreconditionError(
-            f"T = {T} is too large for {B}-bit roots: the smallest root "
-            f"{g_min} is below the power {ns[-1]}")
     h = Fraction(T + 1, panels)
-    enclosures = {}
-    for k, a in enumerate(exps):
-        n = a + 8
-        up_a, up_n = 1 + Fraction(2 * a, g_min), 1 + Fraction(2 * n, g_min)
-        mid = Fraction(values[k], 1 << a * B)
-        pos = Fraction(curv_pos[k], 4 * D2 << n * B)
-        neg = Fraction(curv_neg[k], 4 * D2 << n * B)
-        S = up_n * Fraction(sups[k], 1 << n * B)
+    sums = _midpoint_sums(sorted(set(alpha_quarters)), T, panels)
+    enclosures = []
+    for a in alpha_quarters:
+        value, curvature, S = sums[a]
         R = h ** 5 / 1920 * _fourth_derivative_constant(a) * (S + 3)
         # T^(1-a/2) = (sqrt T)^(2-a)
         tail_hi = Fraction(2, a - 2) * frac_pow(T, 2 - a, 2).hi
-        enclosures[a] = (h * Interval(mid, up_a * mid)
-                         + h ** 3 / 24 * Interval(pos + up_n * neg,
-                                                  up_n * pos + neg)
-                         + Interval(-R, R + tail_hi))
-    return tuple(enclosures[a] for a in alpha_quarters)
+        enclosures.append(h * value + h ** 3 / 24 * curvature
+                          + Interval(-R, R + tail_hi))
+    return tuple(enclosures)
 
 
 def wedge_kernel_constants() -> Dict[str, Interval]:
@@ -853,32 +881,56 @@ ENVELOPE_BITS = 64
 ENVELOPE_HORIZON = 256
 
 
-def maclaurin_enclosures(horizon: int, eps: Fraction) -> List[Interval]:
-    """c_0..c_horizon: the exact windows c_0, c_1, then balls from the
-    integer kernel at rho = 2 and 2^-``ENVELOPE_BITS``, converted back to
-    exact intervals.  The window centres are the midpoints, and eps
-    rounded up plus one unit covers both eps and the centres' floor."""
+def _maclaurin_run(horizon: int, eps: Fraction
+                   ) -> Tuple[List[Interval], List[int], List[int]]:
+    """The exact windows of c_0 and c_1, and the integer kernel's
+    centres and radii of c_0..c_horizon, each c_k in units of
+    2^-(``ENVELOPE_BITS`` + k), from the windows at rho = 2.  The
+    window centres are the midpoints, and eps rounded up plus one unit
+    covers both eps and the centres' floor."""
     bits, eps = ENVELOPE_BITS, as_fraction(eps)
     windows = inner_interval.origin_windows(eps, eps)[:2]
     value, slope = (math.floor(c.mid * 2 ** bits) for c in windows)
     radius = math.ceil(eps * 2 ** bits) + 1
     re, im = inner_interval.taylor_fixed(
         (value, 0), (slope, 0), (0, 0), horizon, 1, bits)
-    radii = inner_interval.taylor_radii(re, im, radius, radius, 1, bits)
-    balls = [Interval(Fraction(m - r, 1 << (bits + k)),
-                      Fraction(m + r, 1 << (bits + k)))
-             for k, (m, r) in enumerate(zip(re, radii))]
-    return windows + balls[2:]
+    return windows, re, inner_interval.taylor_radii(re, im, radius, radius,
+                                                    1, bits)
+
+
+def maclaurin_enclosures(horizon: int, eps: Fraction) -> List[Interval]:
+    """c_0..c_horizon: the exact windows c_0, c_1, then the balls of
+    :func:`_maclaurin_run` converted back to exact intervals."""
+    windows, re, radii = _maclaurin_run(horizon, eps)
+    bits = ENVELOPE_BITS
+    return windows + [Interval(Fraction(m - r, 1 << (bits + k)),
+                               Fraction(m + r, 1 << (bits + k)))
+                      for k, (m, r) in enumerate(zip(re, radii)) if k >= 2]
 
 
 def taylor_envelope_run(horizon: int, eps: Fraction) -> Tuple[Fraction, int]:
     """The enclosures of :func:`maclaurin_enclosures` against the
-    envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k)."""
-    ratios = [max(abs(c.lo), abs(c.hi))
-              / ((k + 1) * (1 / DISK_RADIUS) ** (k + 2))
-              for k, c in enumerate(maclaurin_enclosures(horizon, eps))]
-    worst = max(ratios)
-    return worst, ratios.index(worst)
+    envelope (k+1) (20/37)^(k+2); returns (max ratio, argmax k).
+
+    The ratio |c_k| R0^(k+2)/(k+1) is compared as a numerator over a
+    denominator, by cross-multiplying: |c_k| is the larger end of a
+    window, or |m| + r over 2^(``ENVELOPE_BITS`` + k) for a ball m +- r.
+    Only the maximum becomes a ``Fraction``."""
+    windows, re, radii = _maclaurin_run(horizon, eps)
+    bits = ENVELOPE_BITS
+    mags = [(c.numerator, c.denominator)
+            for c in (max(abs(w.lo), abs(w.hi)) for w in windows)]
+    mags += [(abs(m) + r, 1 << (bits + k))
+             for k, (m, r) in enumerate(zip(re, radii)) if k >= 2]
+    worst_n, worst_d, worst_k = 0, 1, 0
+    up, down = DISK_RADIUS.numerator ** 2, DISK_RADIUS.denominator ** 2
+    for k, (num, den) in enumerate(mags):
+        num, den = num * up, den * down * (k + 1)
+        if num * worst_d > worst_n * den:
+            worst_n, worst_d, worst_k = num, den, k
+        up *= DISK_RADIUS.numerator
+        down *= DISK_RADIUS.denominator
+    return Fraction(worst_n, worst_d), worst_k
 
 
 def check_taylor_radius() -> CertificateReport:
@@ -1009,13 +1061,15 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
 #: The jobs of :func:`run_scope`: each maps rho to a list of reports, and
 #: only ``omega4`` reads it.  A job looks its report function up when it
 #: runs, so it calls whatever the module attribute holds at that time.
-#: They are listed longest first.  Serial times on a 2-core Xeon
-#: (Python 3.11.7, mpmath 1.3.0, no gmpy2): omega12 42-50 ms, inner
-#: 36-54, omega4 28-39, radius 17-27, tables 7-12 and omegaI 2-3 ms.
+#: They are listed longest first.  Serial times in one process on a
+#: 2-core Xeon (Python 3.11.7, mpmath 1.3.0, no gmpy2; medians of eleven
+#: runs on a quiet host): omega4 24-25 ms, omega12 22-24, inner 21-26,
+#: radius 9, tables 5-6 and omegaI 1.4-1.7 ms.  On a loaded host each
+#: took about 1.7 times as long.
 _JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
-    "omega12": lambda rho: [check_omega_12()],
-    "inner": lambda rho: [check_inner_interval()],
     "omega4": lambda rho: [check_omega_4(rho)],
+    "inner": lambda rho: [check_inner_interval()],
+    "omega12": lambda rho: [check_omega_12()],
     "radius": lambda rho: [check_taylor_radius()],
     "tables": lambda rho: [check_symbolic_tables()],
     "omegaI": lambda rho: ray_reports(),

@@ -10,17 +10,25 @@ enclosure), and adds the l1 norm of the remaining terms scaled by
 powers of the piece half-width.  An adaptive driver bisects pieces
 until the bound is tight to a requested relative slack or a depth cap.
 
-The piece estimator runs on plain Python ints: it clears the
-denominators once per piece, writes the midpoint and the half-width over
-one common denominator, shifts by integer Horner steps and evaluates the
-polynomial at the piece ends and at the critical-point midpoints, and
-the l1 tail, through one integer Horner each.  Each critical-point
-enclosure is a pair of integer numerators over one denominator, with the
-square root bracketed by :func:`~p1cert.numerics.grid_root` on
+The bisection runs on plain Python ints.  :func:`sup_abs` clears the
+polynomial's denominators once per call, and carries each piece as two
+integer numerators over one dyadic denominator, d 2^j after j
+bisections, so the polynomial's integers at depth j are those at depth
+0 shifted left by j bits per power of the denominator.  The piece
+estimator shifts them to the midpoint by integer Horner steps and
+evaluates them at the piece ends, at the critical-point midpoints and
+in the l1 tail, by integer Horner's rule.  Each critical-point
+enclosure is a pair of integer numerators over one denominator, with
+the square root bracketed by :func:`~p1cert.numerics.grid_root` on
 ``root_enclosure``'s grid, and its interval Horner bound runs on integer
-numerators too.  Only the two results are ``Fraction``s: they are the
+numerators too.  Each piece's attained value and bound are
+numerator/denominator pairs, compared by cross-multiplying; only the
+two ends of the result become ``Fraction``s.  A piece's bound depends
+on its rational ends, not on how they are written, so these are the
 same exact rationals as a ``Fraction`` computation throughout, found
-without a gcd per operation.
+without a gcd per operation.  :func:`poly_mul` also convolves the
+cleared integers and builds one ``Fraction`` per coefficient of the
+product.
 
 The returned object is an :class:`~p1cert.numerics.Interval` that
 encloses the supremum itself: its ``lo`` is an exactly attained value
@@ -75,15 +83,18 @@ def poly_scale(p: Poly, c: Coefficient) -> list[Fraction]:
 
 
 def poly_mul(p: Poly, q: Poly) -> list[Fraction]:
+    """The product, convolved on the cleared integer coefficients."""
     if not p or not q:
         return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    a, da = _cleared(p)
+    b, db = _cleared(q)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    den = da * db
+    return [Fraction(c, den) for c in out]
 
 
 def poly_derivative(p: Poly) -> list[Fraction]:
@@ -108,21 +119,16 @@ def _shift_int(b: list[int], c: int) -> list[int]:
     return b
 
 
-def _cleared(p: Poly, cd: int) -> tuple[list[int], int]:
-    """Integers b_k = L p_k cd^(n-1-k) and L, the common denominator of
-    the n coefficients p_k; then sum b_k w^k = L cd^(n-1) P(w/cd)."""
+def _cleared(p: Poly) -> tuple[list[int], int]:
+    """Integers a_k = L p_k and L, the common denominator of the
+    coefficients p_k; then sum a_k x^k = L P(x)."""
     # a list, not a generator: math.lcm(*generator) here kept about
     # 16 KB per certificate pass alive on CPython 3.11.7 (tracemalloc)
     den = math.lcm(*[c.denominator for c in p])
-    b = [0] * len(p)
-    scale = 1
-    for k in range(len(p) - 1, -1, -1):
-        b[k] = p[k].numerator * (den // p[k].denominator) * scale
-        scale *= cd
-    return b, den
+    return [c.numerator * (den // c.denominator) for c in p], den
 
 
-def _horner(coeffs: Sequence[int], num: int, den: int = 1) -> int:
+def _horner(coeffs: Sequence[int], num: int, den: int) -> int:
     """den^(n-1) times sum c_k (num/den)^k over the n coefficients."""
     acc, scale = 0, 1
     for c in reversed(coeffs):
@@ -131,7 +137,28 @@ def _horner(coeffs: Sequence[int], num: int, den: int = 1) -> int:
     return acc
 
 
+def _value(coeffs: Sequence[int], x: int) -> int:
+    """sum c_k x^k, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _both_signs(coeffs: Sequence[int], r: int) -> int:
+    """max |sum c_k (+-r)^k| over both signs: the even part E and the odd
+    part O, each one Horner in r^2, give E +- O, whose larger modulus
+    is |E| + |O|."""
+    r2 = r * r
+    return abs(_value(coeffs[::2], r2)) + abs(r * _value(coeffs[1::2], r2))
+
+
 # -- supremum bounds ----------------------------------------------------------
+
+#: The exponent k of the grid 2^-k on which critical points' square
+#: roots are bracketed, as in ``root_enclosure``.
+_ROOT_GRID = grid_exponent()
+
 
 def _interval_horner(coeffs: Sequence[int], lo: int, hi: int,
                      q: int) -> tuple[int, int, int]:
@@ -154,25 +181,18 @@ def _point(num: int, den: int) -> tuple[int, int, int]:
     return (num, num, den) if den > 0 else (-num, -num, -den)
 
 
-def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
-    """(attained value, certified bound) for sup |P| on one piece."""
-    n = len(p)
-    if n == 0:
-        return _ZERO, _ZERO
-    # midpoint cn/cd and half-width rn/cd over one denominator cd
-    d = math.lcm(lo.denominator, hi.denominator)
-    lo_n = lo.numerator * (d // lo.denominator)
-    hi_n = hi.numerator * (d // hi.denominator)
-    cn, cd, rn = lo_n + hi_n, 2 * d, hi_n - lo_n
+def _piece_bound(b: list[int], K: int, cn: int, cd: int,
+                 rn: int) -> tuple[int, int, int, int]:
+    """(attained value, certified bound) for sup |P| on the piece with
+    midpoint cn/cd and half-width rn/cd, where sum b_k w^k = K P(w/cd)
+    and K, cd > 0: the two ends as (num, den, num, den)."""
+    n = len(b)
     # Q(u) = P(c + u) = sum beta_k w^k / K in w = cd u; at u = +-r, w = +-rn
-    beta, den = _cleared(p, cd)
-    beta = _shift_int(beta, cn)
-    K = den * cd ** (n - 1)
+    beta = _shift_int(list(b), cn)
     head = beta[:4]
-    attained = max(abs(_horner(beta, rn)), abs(_horner(beta, -rn)),
-                   abs(beta[0]))
-    tail = rn ** 4 * _horner([abs(c) for c in beta[4:]], rn)
-    endpoint = max(abs(_horner(head, rn)), abs(_horner(head, -rn)))
+    attained = max(_both_signs(beta, rn), abs(beta[0]))
+    tail = rn ** 4 * _value([abs(c) for c in beta[4:]], rn)
+    endpoint = _both_signs(head, rn)
 
     # critical points of the head h_0 + h_1 u + h_2 u^2 + h_3 u^3, where
     # h_k = beta_k cd^k / K, as enclosures (lo, hi, e) of w: [lo/e, hi/e]
@@ -189,7 +209,7 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
         elif disc > 0:
             # u = (-2 h2 +- sqrt(cd^4 disc / K^2)) / (6 h3), with the root
             # bracketed by [s_lo, s_hi] 2^-k, is w = (c0 +- s K) / e
-            k = grid_exponent()
+            k = _ROOT_GRID
             s_lo, s_hi = grid_root(cd ** 4 * disc, K * K, 2, k)
             c0 = (-2 * b2 * cd * cd) << k
             e = (6 * b3 * cd * cd) << k
@@ -211,7 +231,10 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
         cand_n, cand_d = max(-h_lo, h_hi) + tail * scale, K * scale
         if cand_n * up_d > up_n * cand_d:
             up_n, up_d = cand_n, cand_d
-        # |P| at the midpoint of the clamped enclosure
+        # |P| at the midpoint of the clamped enclosure is at most that
+        # bound, so it can raise the attained value only if the bound does
+        if cand_n * low_d <= low_n * cand_d:
+            continue
         mid_n, mid_d = w_lo + w_hi, 2 * e
         g = math.gcd(mid_n, mid_d)
         mid_n, mid_d = mid_n // g, mid_d // g
@@ -219,7 +242,7 @@ def _piece_bound(p: Poly, lo: Fraction, hi: Fraction):
         cand_d = K * mid_d ** (n - 1)
         if cand_n * low_d > low_n * cand_d:
             low_n, low_d = cand_n, cand_d
-    return Fraction(low_n, low_d), Fraction(up_n, up_d)
+    return low_n, low_d, up_n, up_d
 
 
 def sup_abs(p: Poly, lo, hi) -> Interval:
@@ -238,24 +261,44 @@ def sup_abs(p: Poly, lo, hi) -> Interval:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if lo == hi:
         return Interval(abs(poly_eval(pcoeffs, lo)))
+    if not pcoeffs:
+        return Interval(_ZERO)
 
-    best_lower = _ZERO
-    accepted: list[Fraction] = []
-    pieces = [(lo, hi, _MAX_DEPTH)]
+    # A piece j bisections deep has its ends over d 2^j, and its midpoint
+    # and half-width over cd 2^j with cd = 2d.  There sum b_k w^k =
+    # K 2^(j(n-1)) P(w/(cd 2^j)) with b_k = a_k cd^(n-1-k) 2^(j(n-1-k))
+    # and K = L cd^(n-1), from the cleared a_k = L p_k.
+    a, L = _cleared(pcoeffs)
+    n = len(a)
+    d = math.lcm(lo.denominator, hi.denominator)
+    cd = 2 * d
+    base = [c * cd ** (n - 1 - k) for k, c in enumerate(a)]
+    K = L * cd ** (n - 1)
+    # the bound and attained value are num/den pairs, compared by
+    # cross-multiplying; slack_n/slack_d is 1 + _REL_SLACK
+    slack = 1 + _REL_SLACK
+    slack_n, slack_d = slack.numerator, slack.denominator
+    best_n, best_d = 0, 1
+    bound_n, bound_d = 0, 1
+    pieces = [(lo.numerator * (d // lo.denominator),
+               hi.numerator * (d // hi.denominator), 0)]
     while pieces:
-        a, b, depth = pieces.pop()
-        lower, upper = _piece_bound(pcoeffs, a, b)
-        if lower > best_lower:
-            best_lower = lower
-        if (depth <= 0
-                or upper <= lower * (1 + _REL_SLACK)
-                or upper <= best_lower * (1 + _REL_SLACK)):
-            accepted.append(upper)
+        left, right, j = pieces.pop()
+        low_n, low_d, up_n, up_d = _piece_bound(
+            [c << j * (n - 1 - k) for k, c in enumerate(base)],
+            K << j * (n - 1), left + right, cd << j, right - left)
+        if low_n * best_d > best_n * low_d:
+            best_n, best_d = low_n, low_d
+        if (j >= _MAX_DEPTH
+                or up_n * low_d * slack_d <= low_n * up_d * slack_n
+                or up_n * best_d * slack_d <= best_n * up_d * slack_n):
+            if up_n * bound_d > bound_n * up_d:
+                bound_n, bound_d = up_n, up_d
             continue
-        m = (a + b) / 2
-        pieces.append((a, m, depth - 1))
-        pieces.append((m, b, depth - 1))
-    return Interval(best_lower, max(accepted))
+        mid = left + right
+        pieces.append((2 * left, mid, j + 1))
+        pieces.append((mid, 2 * right, j + 1))
+    return Interval(Fraction(best_n, best_d), Fraction(bound_n, bound_d))
 
 
 def sup_abs_partition(p: Poly, breakpoints: Sequence) -> Interval:

@@ -25,7 +25,7 @@ from p1cert import data, formal, inner
 from p1cert.cli import main
 from p1cert.formal import FormalSeries
 from p1cert.functionals import PowerSum, QSqrt2, SPoly, majorant
-from p1cert.numerics import (Interval, frac_pow, slim, slim_up,
+from p1cert.numerics import (Interval, floor_root, frac_pow, slim, slim_up,
                              truncation_window)
 
 
@@ -120,6 +120,35 @@ class TestMatchingPoint:
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
+
+def _exact_power_sums(a, T, panels, B):
+    """The three sums of ``_midpoint_sums`` for the exponent a, on the
+    exact powers g^n of the same roots g, as the quadrature summed them
+    before its fixed-point chain.  Each comes with the largest offset
+    that the fixed-point powers may add at either end: n - 1 units of
+    2^-B per power, n = a + 8 (a - 1 in the first sum), times the
+    factor in the Q_2 sum and times 1 + 2n/g_min."""
+    D = 2 * panels
+    D2 = D * D
+    n = a + 8
+    ms = [(2 * i + 1) * (T + 1) - D for i in range(panels)]
+    roots = [floor_root((D2 << 4 * B) // (D2 + m * m), 4) for m in ms]
+    g_min = min(roots)
+    up_a, up_n = 1 + Fraction(2 * a, g_min), 1 + Fraction(2 * n, g_min)
+    unit = Fraction(1, 1 << B)
+    value = Fraction(sum(g ** a for g in roots), 1 << a * B)
+    seconds = [(a * a + 2 * a) * m * m - 2 * a * D2 for m in ms]
+    pos = Fraction(sum(s * g ** n for s, g in zip(seconds, roots) if s >= 0),
+                   4 * D2 << n * B)
+    neg = Fraction(sum(s * g ** n for s, g in zip(seconds, roots) if s < 0),
+                   4 * D2 << n * B)
+    weight = up_n * Fraction(sum(g ** n for g in roots), 1 << n * B)
+    return ((Interval(value, up_a * value), up_a * panels * (a - 1) * unit),
+            (Interval(pos + up_n * neg, up_n * pos + neg),
+             up_n * (n - 1) * Fraction(sum(map(abs, seconds)), 4 * D2)
+             * unit),
+            (weight, up_n * panels * (n - 1) * unit))
+
 
 class TestInversePowerIntegral:
     @pytest.mark.parametrize("quarters", [7, 9, 11])
@@ -250,6 +279,40 @@ class TestInversePowerIntegral:
         ivs = C.inverse_power_integral(quarters, T=T, panels=panels)
         for q, iv in zip(quarters, ivs):
             assert iv.lo <= self.closed_form(q) <= iv.hi, (q, iv)
+
+    @pytest.mark.parametrize("bits", [12, 128])
+    @pytest.mark.parametrize("T, panels", [(T, panels) for T in (8, 64)
+                                           for panels in (1, 16, 256)]
+                             + [(1, 2)])
+    def test_fixed_point_powers_contain_the_exact_power_sweep(
+            self, monkeypatch, T, panels, bits):
+        # The floors along the chain only lower the sums, and the n - 1
+        # units per power raise their upper ends past the exact powers.
+        # On (1, 2) both midpoints, +-1/2, lie where Q_2 < 0 for a = 3,
+        # so there the negative f'' sum alone sets the lower end.
+        monkeypatch.setattr(C, "QUADRATURE_BITS", bits)
+        quarters = (3, 7, 9, 11, 13)
+        sums = C._midpoint_sums(quarters, T, panels)
+        ivs = C.inverse_power_integral(quarters, T=T, panels=panels)
+        h = Fraction(T + 1, panels)
+        for a, iv in zip(quarters, ivs):
+            value, curvature, S = sums[a]
+            exact = _exact_power_sums(a, T, panels, bits)
+            (value0, dv), (curvature0, dc), (S0, dS) = exact
+            for got, want, slack in ((value, value0, dv),
+                                     (curvature, curvature0, dc)):
+                assert got.lo <= want.lo <= got.lo + slack, a
+                assert got.hi - slack <= want.hi <= got.hi, a
+            assert S0 <= S <= S0 + dS, a
+            # the enclosure that the exact sums give, and its offsets
+            R = h ** 5 / 1920 * C._fourth_derivative_constant(a) * (S0 + 3)
+            tail_hi = Fraction(2, a - 2) * frac_pow(T, 2 - a, 2).hi
+            want = (h * value0 + h ** 3 / 24 * curvature0
+                    + Interval(-R, R + tail_hi))
+            slack = (h * dv + h ** 3 / 24 * dc
+                     + h ** 5 / 1920 * C._fourth_derivative_constant(a) * dS)
+            assert iv.lo <= want.lo <= iv.lo + slack, a
+            assert iv.hi - slack <= want.hi <= iv.hi, a
 
     @pytest.mark.parametrize("bits", [8, 12])
     @pytest.mark.parametrize("T, panels", [(8, 64), (64, 512)])
@@ -1001,24 +1064,21 @@ class TestRunAll:
 
     def test_interrupt_while_waiting_reaps_the_workers(self, monkeypatch):
         monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
 
         def job(x):
+            # The first job interrupts this process from its worker, so
+            # SIGINT arrives while this process waits for that job's
+            # result, with every worker still busy; run in this process,
+            # it sends nothing and the test fails.
+            if x == 0 and os.getpid() != parent:
+                os.kill(parent, signal.SIGINT)
             time.sleep(0.5)
             return _pid_report(x)
 
         self.fake_jobs(monkeypatch, job)
-        parent = os.getpid()
-        # The timer runs in this process only; a forked child inherits no
-        # timer, so SIGINT reaches this process alone while it waits.
-        previous = signal.signal(
-            signal.SIGALRM, lambda *_: os.kill(parent, signal.SIGINT))
-        signal.setitimer(signal.ITIMER_REAL, 0.2)
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                C.run_scope("fake")
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(KeyboardInterrupt):
+            C.run_scope("fake")
         _assert_no_child_left()
 
     def test_after_a_refused_fork_the_jobs_run_in_this_process(

@@ -864,15 +864,15 @@ class TestDeterminism:
 # pinned.  An intended change of output re-pins these digests.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "json"):
-        "9fb7cf00240356a2b713378abbc921839d2c60e0ff9f7a7ab3b8ddd19fd7a0f6",
+        "95866386543c5f15bed1feeeb48f7a9e127b7a5997a86838f24667fdcda398f1",
     ("verify", "--scope", "all", "--format", "text"):
-        "9f75665cf69bd0209cd4eb7ed3327222007fa2f8cc105e68d067d94bec7432db",
+        "40bda415bf360094ae1dbddda5d8acb9f006ca9ef5e64985b5d7c460eeea0e6a",
     ("verify", "--scope", "all", "--format", "csv"):
-        "6d74beff89c79e2ecb702f63689db159cff8038ae12c838025ebf500eef48390",
+        "a9fb5107b63a447a2a5347805627cf730783d1397200777331dd528d32139ded",
     ("verify", "--scope", "omegaI", "--format", "json"):
         "20262f6ddfd7476743b130c06e4522b726e4d953b578e68f5c51466e1a58c194",
     ("verify", "--scope", "omega12", "--format", "json"):
-        "b1049b1c82deb3e7530daea178b9d0a277ee99bcab42c4fcfc29528993418c7a",
+        "d6919de7a495f5a164d879dee0d3e0dd3f51cf3c2d022e29fbbf9f248a0769d8",
     ("verify", "--scope", "omega4", "--format", "json"):
         "4ebf85fe3d449d8ecabaecd0eb683eec4e22a359d38fa088c18fc489c9eddbbe",
     ("verify", "--scope", "omega4", "--rho", "7/2", "--format", "json"):

@@ -8,14 +8,15 @@ floating-point oracle.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from p1cert import polybound
 from p1cert.numerics import Interval, root_enclosure
 from p1cert.polybound import (
     _cleared,
-    _piece_bound,
     _shift_int,
     poly,
     poly_add,
@@ -83,7 +84,8 @@ class TestArithmetic:
         p = poly(coeffs)
         c = F(c_num, 4)
         u = F(u_num, 8)
-        b, den = _cleared(p, 4)
+        a, den = _cleared(p)
+        b = [a_k * 4 ** (len(p) - 1 - k) for k, a_k in enumerate(a)]
         shifted = _shift_int(b, c_num)
         scale = den * 4 ** (len(p) - 1)
         assert poly_eval([F(b_k, scale) for b_k in shifted], 4 * u) \
@@ -219,9 +221,73 @@ class TestPieceBound:
              ends=(F(-1), F(1)))
     def test_integer_kernel_equals_the_fraction_reference(self, coeffs,
                                                           ends):
+        # at depth 0 sup_abs bounds the one piece [lo, hi] and returns
+        # its attained value and bound
         lo, hi = sorted(ends)
-        assert _piece_bound(coeffs, lo, hi) \
-            == _fraction_piece_bound(coeffs, lo, hi)
+        with mock.patch.object(polybound, "_MAX_DEPTH", 0):
+            result = sup_abs(coeffs, lo, hi)
+        assert result == Interval(*_fraction_piece_bound(coeffs, lo, hi))
+
+
+def _fraction_sup_abs(p, lo, hi):
+    """sup_abs's bisection loop in Fraction arithmetic, on the Fraction
+    piece bound: the reference that the integer loop must reproduce."""
+    best_lower = F(0)
+    accepted = []
+    pieces = [(lo, hi, polybound._MAX_DEPTH)]
+    while pieces:
+        a, b, depth = pieces.pop()
+        lower, upper = _fraction_piece_bound(p, a, b)
+        best_lower = max(best_lower, lower)
+        if (depth <= 0
+                or upper <= lower * (1 + polybound._REL_SLACK)
+                or upper <= best_lower * (1 + polybound._REL_SLACK)):
+            accepted.append(upper)
+            continue
+        m = (a + b) / 2
+        pieces.append((a, m, depth - 1))
+        pieces.append((m, b, depth - 1))
+    return Interval(best_lower, max(accepted))
+
+
+unit_ends = st.fractions(min_value=-1, max_value=1, max_denominator=10**6)
+small_rationals = st.builds(
+    F, st.integers(-2**40, 2**40), st.integers(1, 2**40))
+
+
+class TestSupAbsLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(small_rationals, min_size=1, max_size=25),
+           ends=st.tuples(piece_ends, piece_ends).filter(
+               lambda e: e[0] != e[1]))
+    @example(coeffs=[F(0), F(1), F(0), F(-1)], ends=(F(-1), F(1)))
+    @example(coeffs=[F(1), F(-3), F(0), F(2), F(0), F(-1)],
+             ends=(F(-2), F(1)))
+    @example(coeffs=[F(0), F(0), F(0), F(0), F(1)], ends=(F(-1), F(1)))
+    def test_integer_loop_equals_the_fraction_reference(self, coeffs, ends):
+        lo, hi = sorted(ends)
+        assert sup_abs(coeffs, lo, hi) == _fraction_sup_abs(coeffs, lo, hi)
+
+    # products of factors x - r with roots in [-1, 1] dip to 0 between
+    # their extrema, so the loop bisects many levels deep
+    @settings(max_examples=40, deadline=None)
+    @given(roots=st.lists(st.fractions(min_value=-1, max_value=1,
+                                       max_denominator=64),
+                          min_size=2, max_size=24),
+           scale=small_rationals.filter(bool),
+           ends=st.tuples(unit_ends, unit_ends).filter(
+               lambda e: e[0] != e[1]))
+    @example(roots=[F(k, 12) for k in range(-12, 13, 2)], scale=F(1),
+             ends=(F(-1), F(1)))
+    @example(roots=[F(k, 23) for k in range(-23, 24, 2)], scale=F(-3, 7),
+             ends=(F(-1), F(1)))
+    def test_bisection_equals_the_fraction_reference(self, roots, scale,
+                                                     ends):
+        lo, hi = sorted(ends)
+        p = [scale]
+        for r in roots:
+            p = poly_mul(p, [-r, F(1)])
+        assert sup_abs(p, lo, hi) == _fraction_sup_abs(p, lo, hi)
 
 
 class TestPartition:
