@@ -1063,9 +1063,10 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
 #: runs, so it calls whatever the module attribute holds at that time.
 #: They are listed longest first.  Serial times in one process on a
 #: 2-core Xeon (Python 3.11.7, mpmath 1.3.0, no gmpy2; medians of eleven
-#: runs on a quiet host): omega4 24-25 ms, omega12 22-24, inner 21-26,
-#: radius 9, tables 5-6 and omegaI 1.4-1.7 ms.  On a loaded host each
-#: took about 1.7 times as long.
+#: runs in each of five processes on a quiet host): omega4 23-27 ms,
+#: inner 19-22, omega12 20-25, radius 9-10, tables 5-6 and omegaI 1.3-1.5
+#: ms.  Inner and omega12 are within noise of each other; on a loaded
+#: host, where every job took about 1.7 times as long, inner was longer.
 _JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
     "omega4": lambda rho: [check_omega_4(rho)],
     "inner": lambda rho: [check_inner_interval()],

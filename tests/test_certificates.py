@@ -123,8 +123,8 @@ class TestMatchingPoint:
 
 def _exact_power_sums(a, T, panels, B):
     """The three sums of ``_midpoint_sums`` for the exponent a, on the
-    exact powers g^n of the same roots g, as the quadrature summed them
-    before its fixed-point chain.  Each comes with the largest offset
+    exact powers g^n of the same roots g: the reference that the
+    fixed-point chain must enclose.  Each comes with the largest offset
     that the fixed-point powers may add at either end: n - 1 units of
     2^-B per power, n = a + 8 (a - 1 in the first sum), times the
     factor in the Q_2 sum and times 1 + 2n/g_min."""
@@ -142,12 +142,12 @@ def _exact_power_sums(a, T, panels, B):
                    4 * D2 << n * B)
     neg = Fraction(sum(s * g ** n for s, g in zip(seconds, roots) if s < 0),
                    4 * D2 << n * B)
-    weight = up_n * Fraction(sum(g ** n for g in roots), 1 << n * B)
+    S = up_n * Fraction(sum(g ** n for g in roots), 1 << n * B)
     return ((Interval(value, up_a * value), up_a * panels * (a - 1) * unit),
             (Interval(pos + up_n * neg, up_n * pos + neg),
              up_n * (n - 1) * Fraction(sum(map(abs, seconds)), 4 * D2)
              * unit),
-            (weight, up_n * panels * (n - 1) * unit))
+            (S, up_n * panels * (n - 1) * unit))
 
 
 class TestInversePowerIntegral:
