@@ -1095,13 +1095,14 @@ def _usable_cpus() -> int:
 
 def _run_job(job: str, rho: Fraction
              ) -> Tuple[List[CertificateReport], Tuple[str, ...]]:
-    """The reports of ``_JOBS[job]`` and the data files parsed so far."""
+    """In a forked worker: the reports of ``_JOBS[job]`` and the data
+    files parsed so far."""
     return _JOBS[job](rho), parsed_files()
 
 
 def _map_jobs(jobs: Sequence[str], rho: Fraction
-              ) -> List[Tuple[List[CertificateReport], Tuple[str, ...]]]:
-    """``[_run_job(job, rho) for job in jobs]``, on one forked worker per
+              ) -> List[List[CertificateReport]]:
+    """``[_JOBS[job](rho) for job in jobs]``, on one forked worker per
     usable CPU, up to one per job.
 
     The serial loop runs in this process when one worker would do, when
@@ -1113,11 +1114,14 @@ def _map_jobs(jobs: Sequence[str], rho: Fraction
     Forking, not spawning, is what makes the split pay: the workers
     inherit the imported package and the data already read, where a
     spawned worker would import the package again, which takes about as
-    long as the reports it would share.  Only the job name and rho go out
-    and the reports come back, pickled.  ``map`` yields the results in
-    job order and raises the exception of the earliest failing job, as
-    the serial loop would; an exception that cannot be rebuilt here
-    breaks the pool, which raises
+    long as the reports it would share.  Every data file is read before
+    the workers fork, so each report parses the bytes that
+    :func:`p1cert.data.file_fingerprints` digests in this process.  Only
+    the job name and rho go out, and the reports come back, pickled, with
+    the names of the files each worker parsed, which are recorded here.
+    ``map`` yields the results in job order and raises the exception of
+    the earliest failing job, as the serial loop would; an exception that
+    cannot be rebuilt here breaks the pool, which raises
     :class:`~concurrent.futures.process.BrokenProcessPool`.  After a
     refused fork the workers already forked are killed and the serial
     loop runs.  Every worker is joined before this returns or raises.
@@ -1125,7 +1129,8 @@ def _map_jobs(jobs: Sequence[str], rho: Fraction
     workers = min(len(jobs), _usable_cpus())
     if (workers <= 1 or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        return [_run_job(job, rho) for job in jobs]
+        return [_JOBS[job](rho) for job in jobs]
+    read_ahead()
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(
@@ -1140,10 +1145,13 @@ def _map_jobs(jobs: Sequence[str], rho: Fraction
             for worker in multiprocessing.active_children():
                 worker.kill()
                 worker.join()
-            return [_run_job(job, rho) for job in jobs]
-        return list(results)
+            return [_JOBS[job](rho) for job in jobs]
+        parts = list(results)
     finally:
         pool.shutdown(cancel_futures=True)
+    for _, names in parts:
+        mark_parsed(names)
+    return [reports for reports, _ in parts]
 
 
 def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
@@ -1160,19 +1168,12 @@ def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
     The jobs run side by side in forked workers (:func:`_map_jobs`), so
     a single-job scope never forks, and each report is the same whichever
     process makes it.  A fault in the data raises the exception of the
-    earliest job that meets it, as the serial loop would.  Every data
-    file is read before the workers fork, so each report parses the bytes
-    that :func:`p1cert.data.file_fingerprints` digests in this process,
-    and each job returns the names of the files parsed with its reports.
+    earliest job that meets it, as the serial loop would.
     """
     jobs = SCOPES[scope]
     if "omega4" in jobs:
         rho = _lower_wedge_rho(rho)
-    read_ahead()
-    parts = _map_jobs(jobs, rho)
-    for _, names in parts:
-        mark_parsed(names)
-    reports = sorted((r for part, _ in parts for r in part),
+    reports = sorted((r for part in _map_jobs(jobs, rho) for r in part),
                      key=lambda r: r.name)
     if not all(r.verdict for r in reports):
         return reports, failure_summary(reports)

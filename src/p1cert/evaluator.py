@@ -37,7 +37,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import data, formal, inner
 from .inner import Gaussian, taylor_fixed
-from .numerics import Interval
+from .numerics import _floor_dyadic
 from .regions import CLOSED_FORMS, DISK_RADIUS, OMEGA_4
 from .result import PreconditionError
 
@@ -89,11 +89,9 @@ __all__ = [
     "PreconditionError",
     "PoleNotFoundError",
     "FramePoint",
-    "AsymptoticValue",
     "IntegrationResult",
     "PoleEstimate",
     "PoleScan",
-    "ZeroData",
     "Evaluation",
     "frame_map",
     "g_from_y",
@@ -450,19 +448,33 @@ def h0_value(x: Number, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpc:
 
 
 @dataclass(frozen=True)
-class AsymptoticValue:
-    """An asymptotic value of y together with a certified error radius."""
+class Evaluation:
+    """The solution at one point: what every point evaluation,
+    :func:`y_at_zero`, :func:`asymptotic_y` and :func:`evaluate_point`,
+    returns.
 
-    value: mpc
-    error: mpf
-    region: str
+    ``rigorous`` is True exactly when ``error_bound`` is a certified
+    radius (origin window or asymptotic ball); otherwise
+    ``error_estimate`` is the integrator's heuristic sum of truncation
+    tails and rounding bounds, and the value is a consistency estimate.
+    """
+
+    z: mpc
+    y: Optional[mpc]
+    y_prime: Optional[mpc]
+    method: str
+    rigorous: bool
+    error_bound: Optional[mpf] = None
+    slope_error_bound: Optional[mpf] = None
+    error_estimate: Optional[mpf] = None
+    warning: Optional[str] = None
 
 
 def asymptotic_y(
     z: Number,
     region: str,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> AsymptoticValue:
+) -> Evaluation:
     """Evaluate y(z) from a certified asymptotic representation.
 
     ``region`` names the row of :data:`p1cert.regions.CLOSED_FORMS`
@@ -476,7 +488,9 @@ def asymptotic_y(
     Both come from z's integers at 2^-prec (:func:`_outer_polar`,
     :func:`_closed_form`): r = |z|, sqrt(z/6) and the outer image x by
     integer square roots, the bracket by the kernel of :func:`h0_value`,
-    and its product with i*sqrt(z/6).
+    and its product with i*sqrt(z/6).  The result is the
+    :class:`Evaluation` that :func:`evaluate_point` returns at z when it
+    picks ``region``, method ``"asymptotic-<region>"``, with no slope.
 
     Raises :class:`PreconditionError`, stating the region, unless its
     row of :mod:`p1cert.regions` holds z: exactly in the wedge, and
@@ -505,8 +519,7 @@ def asymptotic_y(
                 f"{row.lowest} <= arg x/pi <= {row.highest}; got |x| = "
                 f"{mp.nstr(_real(radius, bits), 12)} and arg x = "
                 f"{mp.nstr(_real(angle, bits), 12)}")
-        value, error = _closed_form(z_fixed, region, bits)
-        return AsymptoticValue(value=value, error=error, region=region)
+        return _closed_form(zv, z_fixed, region, bits)
 
 
 def _outer_polar(z: Gaussian, bits: int) -> Tuple[int, Gaussian, Gaussian,
@@ -533,9 +546,11 @@ def _outer_polar(z: Gaussian, bits: int) -> Tuple[int, Gaussian, Gaussian,
     return r, root, x, radius
 
 
-def _closed_form(z: Gaussian, region: str, bits: int) -> Tuple[mpc, mpf]:
-    """The value and certified error of ``region``'s closed form at z at
-    2^-bits, whose outer-frame image is known to lie in the region.
+def _closed_form(z: mpc, z_fixed: Gaussian, region: str,
+                 bits: int) -> Evaluation:
+    """The value and certified error of ``region``'s closed form at z,
+    read as ``z_fixed`` at 2^-bits, whose outer-frame image is known to
+    lie in the region.
 
     The bracket 1 - 4/(25 x^2), plus h0(x) in the wedge, is one
     :func:`_layer_sum` at the x of :func:`_outer_polar`; it is multiplied
@@ -543,7 +558,7 @@ def _closed_form(z: Gaussian, region: str, bits: int) -> Tuple[mpc, mpf]:
     s * ball * |x|^(-3), s = sqrt(r/6) rounded up, plus a bound on the
     value's own rounding.  Runs at the caller's working precision.
     """
-    r, (rr, ri), x, radius = _outer_polar(z, bits)
+    r, (rr, ri), x, radius = _outer_polar(z_fixed, bits)
     layers, ball = _constants(bits).regions[region]
     br, bi = _layer_sum(layers, x, bits)
     value = (-((rr * bi + ri * br) >> bits), (rr * br - ri * bi) >> bits)
@@ -564,15 +579,17 @@ def _closed_form(z: Gaussian, region: str, bits: int) -> Tuple[mpc, mpf]:
     # s * ball / |x|^3 and that rounding over one denominator.
     error = _ceil_mpf(((s * ball) << 4 * bits) + rounding,
                       cube << 3 * bits, bits)
-    return _from_fixed(value, bits), error
+    return Evaluation(z=z, y=_from_fixed(value, bits), y_prime=None,
+                      method=f"asymptotic-{region}", rigorous=True,
+                      error_bound=error)
 
 
 def _ceil_mpf(num: int, den: int, bits: int) -> mpf:
     """num/den for positive ints with num/den < 2^(bits - 2), rounded up
     to an mpf of at most ``bits`` significant bits, so exact at any
     working precision of ``bits`` or more."""
-    shift = bits + den.bit_length() - num.bit_length() - 1
-    return mpf((-(-(num << shift) // den), -shift))
+    m, e = _floor_dyadic(-num, den, bits - 1)
+    return mpf((-m, e))
 
 
 # --------------------------------------------------------------------------
@@ -1248,23 +1265,6 @@ def integration_seed() -> Tuple[Fraction, Fraction]:
     return inner.CENTER_VALUE, inner.CENTER_SLOPE
 
 
-@dataclass(frozen=True)
-class ZeroData:
-    """Certified enclosures of the solution at the origin, both frames.
-
-    The g-frame windows are exact rational intervals; the y-frame
-    images are the rotated centres together with the (rotation-
-    invariant) window radii.
-    """
-
-    value_window: Interval
-    slope_window: Interval
-    y_value: mpc
-    y_value_radius: mpf
-    y_slope: mpc
-    y_slope_radius: mpf
-
-
 #: Interior-certificate verdicts keyed by the SHA-256 of the
 #: ``inner_ode.json`` bytes they were computed from, so a switched data
 #: directory or an edited file is certified afresh.
@@ -1281,51 +1281,44 @@ def _inner_certified() -> bool:
     return _INNER_CERTIFIED[digest]
 
 
-def y_at_zero(precision_bits: int = DEFAULT_PRECISION_BITS) -> ZeroData:
-    """Certified enclosures of y(0) and y'(0).
+def y_at_zero(precision_bits: int = DEFAULT_PRECISION_BITS) -> Evaluation:
+    """Certified enclosures of y(0) and y'(0), method
+    ``"origin-enclosure"``.
 
     Requires the interior certificate to pass (it is run once per
-    ``inner_ode.json`` content and cached); the g-frame windows are its
-    exact conclusion, and the y-frame images follow by the exact
-    rotation between frames.
+    ``inner_ode.json`` content and cached).  Its exact conclusion is
+    that g(0) and g'(0) lie within :data:`p1cert.inner.VALUE_WINDOW` and
+    :data:`p1cert.inner.SLOPE_WINDOW` of the centres
+    (:func:`p1cert.inner.origin_windows`), and the rotation between the
+    frames keeps both radii.  The centres are rotated in floating point,
+    so each radius is widened by a bound on that rounding and rounded up.
     """
     _require_bits(precision_bits)
     if not _inner_certified():
         raise PreconditionError(
             "the interior certificate failed; no enclosure at the origin"
         )
-    value_window, slope_window = inner.origin_windows()[:2]
-    y_value, y_slope = y_from_g(inner.CENTER_VALUE, inner.CENTER_SLOPE, precision_bits)
     with workprec(precision_bits + GUARD_BITS):
-        return ZeroData(
-            value_window=value_window,
-            slope_window=slope_window,
-            y_value=y_value,
-            y_value_radius=_to_mpf(inner.VALUE_WINDOW),
-            y_slope=y_slope,
-            y_slope_radius=_to_mpf(inner.SLOPE_WINDOW),
+        bits = mp.prec
+        y, y_prime = y_from_g(inner.CENTER_VALUE, inner.CENTER_SLOPE,
+                              precision_bits)
+        # The centres are below 1/3 in modulus.  The root of unity is off
+        # by under 3 units of 2^-bits per part, reading a centre moves it
+        # by under one unit, relative, and the product rounds each part
+        # by half a unit: under 2 units per part, so under 8 in modulus.
+        value_radius, slope_radius = (
+            _ceil_mpf((w.numerator << bits) + 8 * w.denominator,
+                      w.denominator << bits, bits)
+            for w in (inner.VALUE_WINDOW, inner.SLOPE_WINDOW))
+        return Evaluation(
+            z=mpc(0),
+            y=y,
+            y_prime=y_prime,
+            method="origin-enclosure",
+            rigorous=True,
+            error_bound=value_radius,
+            slope_error_bound=slope_radius,
         )
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Outcome of :func:`evaluate_point`.
-
-    ``rigorous`` is True exactly when ``error_bound`` is a certified
-    radius (origin window or asymptotic ball); otherwise
-    ``error_estimate`` is the integrator's heuristic sum of truncation
-    tails and rounding bounds, and the value is a consistency estimate.
-    """
-
-    z: mpc
-    y: Optional[mpc]
-    y_prime: Optional[mpc]
-    method: str
-    rigorous: bool
-    error_bound: Optional[mpf] = None
-    slope_error_bound: Optional[mpf] = None
-    error_estimate: Optional[mpf] = None
-    warning: Optional[str] = None
 
 
 def evaluate_point(
@@ -1335,12 +1328,13 @@ def evaluate_point(
 ) -> Evaluation:
     """Evaluate the solution at one point, choosing the best method.
 
-    Preference order: the certified origin window at z = 0; a certified
-    asymptotic representation when z lies in one of the asymptotic
-    regions; otherwise numerical integration in the t frame from the
-    origin window centres (flagged non-rigorous).  A trajectory that
-    blows up before reaching the target returns no value but carries
-    the pole-location estimate in the warning.
+    Preference order: the certified origin window at z = 0
+    (:func:`y_at_zero`); a certified asymptotic representation when z
+    lies in one of the asymptotic regions (:func:`asymptotic_y`);
+    otherwise numerical integration in the t frame from the origin
+    window centres (flagged non-rigorous).  A trajectory that blows up
+    before reaching the target returns no value but carries the
+    pole-location estimate in the warning.
 
     Away from the origin the rows' ``holds`` decide on z's integers at
     2^-prec.  A closed-form point goes on to its outer image x, the
@@ -1358,73 +1352,55 @@ def evaluate_point(
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):
         zv = _finite_mpc(z)
-    if zv == 0:
-        data = y_at_zero(precision_bits)
-        return Evaluation(
-            z=zv,
-            y=data.y_value,
-            y_prime=data.y_slope,
-            method="origin-enclosure",
-            rigorous=True,
-            error_bound=data.y_value_radius,
-            slope_error_bound=data.y_slope_radius,
-        )
-    with workprec(precision_bits + GUARD_BITS):
+        if zv == 0:
+            return y_at_zero(precision_bits)
         bits = mp.prec
         z_fixed = zr, zi = _to_fixed(zv, bits)
         row = next((w for w in CLOSED_FORMS if w.holds(zr, zi, bits)), None)
         if row is not None:
-            value, error = _closed_form(z_fixed, row.name, bits)
-            return Evaluation(
-                z=zv,
-                y=value,
-                y_prime=None,
-                method=f"asymptotic-{row.name}",
-                rigorous=True,
-                error_bound=error,
-            )
+            return _closed_form(zv, z_fixed, row.name, bits)
         t = -zv * _fifth_root_of_unity_power(-1)
         warning = None
         # |arg t| < pi/5 is -pi < arg z < -3pi/5, below the sector's lowest
-        # edge: Re z, Im z < 0 and z outside the wedge.  |t| = |z| = r.
+        # edge: Re z, Im z < 0 and z outside the wedge.  |t| = |z| = r,
+        # compared with the disk radius exactly.
         if (zr < 0 and zi < 0 and not OMEGA_4.within(zr, zi)
-                and math.isqrt(zr * zr + zi * zi) * DISK_RADIUS.denominator
-                > DISK_RADIUS.numerator << bits):
+                and (zr * zr + zi * zi) * DISK_RADIUS.denominator ** 2
+                > DISK_RADIUS.numerator ** 2 << 2 * bits):
             warning = (
                 "target lies outside the certified disk in the only sector "
                 "that can contain poles; treat the value as an estimate"
             )
         run = _integrate_from_seed(t, _tolerance(tol))
-    if run.pole is not None:
-        # A fixed digit count, with any part below that many digits of
-        # |t_p| chopped, keeps rounding noise out of the text.
-        estimate = mp.chop(run.pole, tol=mpf(10) ** -_WARNING_DIGITS)
-        return Evaluation(
-            z=zv,
-            y=None,
-            y_prime=None,
-            method="integration",
-            rigorous=False,
-            warning=(
-                "trajectory blew up before reaching the target; "
-                f"double-pole estimate t_p ~= "
-                f"{mp.nstr(estimate, _WARNING_DIGITS)}"
-            ),
-        )
-    y_val, y_slope = y_from_g(run.value, run.slope, precision_bits)
-    with workprec(precision_bits + GUARD_BITS):
+        if run.pole is not None:
+            # A fixed digit count, with any part below that many digits of
+            # |t_p| chopped, keeps rounding noise out of the text.
+            estimate = mp.chop(run.pole, tol=mpf(10) ** -_WARNING_DIGITS)
+            return Evaluation(
+                z=zv,
+                y=None,
+                y_prime=None,
+                method="integration",
+                rigorous=False,
+                warning=(
+                    "trajectory blew up before reaching the target; "
+                    f"double-pole estimate t_p ~= "
+                    f"{mp.nstr(estimate, _WARNING_DIGITS)}"
+                ),
+            )
+        y_val, y_slope = y_from_g(run.value, run.slope, precision_bits)
         # Reading z and turning it into t (one rotation) moves t by up to
         # 3 units of 2^-prec |t|, hence g by |g'| times that; turning g
         # back into y costs 2 units of 2^-prec |g|.
         error_estimate = run.error_estimate + mpf(2) ** -mp.prec * (
             3 * abs(t) * abs(run.slope) + 2 * abs(run.value)
         )
-    return Evaluation(
-        z=zv,
-        y=y_val,
-        y_prime=y_slope,
-        method="integration",
-        rigorous=False,
-        error_estimate=error_estimate,
-        warning=warning,
-    )
+        return Evaluation(
+            z=zv,
+            y=y_val,
+            y_prime=y_slope,
+            method="integration",
+            rigorous=False,
+            error_estimate=error_estimate,
+            warning=warning,
+        )

@@ -10,7 +10,8 @@ the dyadic grid finer than the one certificate width :data:`CERT_TOL`.
 
 Rounding lives here too: :func:`dyadic_floor`, :func:`dyadic_ceil`,
 :func:`slim` and :func:`slim_up` shorten large rational endpoints outward
-before they are compared or printed.  The one computation that rounds at
+before they are compared or printed, through the one integer floor that
+also rounds the evaluator's certified error bounds up.  The one computation that rounds at
 every step, the Maclaurin envelope, runs on the integer ball kernel of
 :mod:`p1cert.inner` and converts its balls back to :class:`Interval`
 exactly, so every certified comparison stays an exact rational one.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from typing import Tuple
 
 Rational = Fraction
 
@@ -222,13 +224,22 @@ def _coerce(value) -> Interval:
 
 # -- outward dyadic rounding ------------------------------------------------
 
+def _floor_dyadic(num: int, den: int, bits: int) -> Tuple[int, int]:
+    """(m, e) with m 2^e the largest multiple of 2^e <= num/den, for
+    den > 0 and e = len(num) - len(den) - bits, so about ``bits``
+    significant bits of the ratio as given, reduced or not.  Every
+    outward dyadic rounding of the package is this floor, or the ceiling
+    -floor(-num/den)."""
+    e = num.bit_length() - den.bit_length() - bits
+    if e >= 0:
+        return num // (den << e), e
+    return (num << -e) // den, e
+
+
 def dyadic_floor(x: Fraction, bits: int) -> Fraction:
     """The largest dyadic of about ``bits`` significant bits <= x."""
-    num, den = x.numerator, x.denominator
-    shift = num.bit_length() - den.bit_length() - bits
-    if shift >= 0:
-        return Fraction(num // (den << shift) << shift)
-    return Fraction((num << -shift) // den, 1 << -shift)
+    m, e = _floor_dyadic(x.numerator, x.denominator, bits)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def dyadic_ceil(x: Fraction, bits: int) -> Fraction:

@@ -922,9 +922,14 @@ def test_pole_stdout_matches_pinned_digest(args):
 _RAY_Z = "3.9947146479757611459<0.6283185307179586232"       # x = 10i
 _WEDGE_Z = "1.9192597481868873821<-1.570796326794896558"   # x = 4e^(-3pi i/8)
 
-# Closed-form eval outputs depend on floating-point values of the
-# asymptotic representations; their digests pin every digit printed.
+# Closed-form and origin eval outputs depend on floating-point values of
+# the asymptotic representations and of the rotated origin centres; their
+# digests pin every digit printed.
 GOLDEN_EVAL_STDOUT_SHA256_PREFIX = {
+    ("0", "json", None): "a5d2001d131f5470",
+    ("0", "text", None): "8302422d5336d811",
+    ("0", "json", "256"): "e4c4cc8ef89a4a3e",
+    ("0", "text", "256"): "f7ce0679d657844a",
     ("1.7<0.6283185307", "json", None): "f58e15980fb0a45c",
     ("1.7<0.6283185307", "text", None): "3fcfcc50d340b7b7",
     ("1.7<0.6283185307", "json", "256"): "4f0bd0a3fe781272",

@@ -214,16 +214,16 @@ class TestAsymptotics:
             x0 = _x0_abs()
             c1 = -mp.sqrt(mpf(17) / 60) * (1 + 4 / (25 * x0**2))
             reference = c1 * mp.expjpi(mpf(-2) / 5)
-        assert abs(asym.value - reference) < mpf(3) / 890
-        assert asym.error < mpf(3) / 890
-        assert asym.error > mpf(3) / 890 * mpf("0.99")  # the budget is tight
+        assert abs(asym.y - reference) < mpf(3) / 890
+        assert asym.error_bound < mpf(3) / 890
+        assert asym.error_bound > mpf(3) / 890 * mpf("0.99")  # tight budget
 
     def test_ray_error_decays_like_five_halves_power(self):
         with workprec(200):
             z10 = ev.frame_map(mpc(0, 10), "x").z
             z100 = ev.frame_map(mpc(0, 100), "x").z
-        e10 = ev.asymptotic_y(z10, "omegaI").error
-        e100 = ev.asymptotic_y(z100, "omegaI").error
+        e10 = ev.asymptotic_y(z10, "omegaI").error_bound
+        e100 = ev.asymptotic_y(z100, "omegaI").error_bound
         # error ~ |sqrt(z/x)| |x|^{-5/2} and |z| ~ |x|^{4/5}:
         # overall |x|^{-1/10 - 5/2} = |x|^{-13/5}
         ratio = e10 / e100
@@ -265,8 +265,8 @@ class TestAsymptotics:
             tol=Fraction(1, 10**20),
         )
         y_int, _ = ev.y_from_g(run.value, run.slope)
-        difference = abs(asym.value - y_int)
-        assert difference < asym.error
+        difference = abs(asym.y - y_int)
+        assert difference < asym.error_bound
         assert difference < mpf("0.01")  # far sharper than the budget
 
     def test_wedge_interior_agrees_with_integration(self):
@@ -282,7 +282,7 @@ class TestAsymptotics:
             tol=Fraction(1, 10**20),
         )
         y_int, _ = ev.y_from_g(run.value, run.slope)
-        assert abs(asym.value - y_int) < asym.error
+        assert abs(asym.y - y_int) < asym.error_bound
 
     @pytest.mark.parametrize("z", [-3, -5, -10])
     def test_negative_real_axis_is_no_closed_form(self, z):
@@ -447,12 +447,25 @@ class TestClosedFormKernel:
                 reference = mpc(0, 1) * mp.sqrt(z / 6) * bracket
             outcome = ev.evaluate_point(z, precision_bits=bits)
             assert outcome.method == f"asymptotic-{region}", (radius, angle)
-            asym = ev.asymptotic_y(z, region, precision_bits=bits)
-            for value in (outcome.y, asym.value):
-                assert (abs(value - reference)
-                        < mpf(2) ** -(bits - 4) * abs(reference)), (
-                            bits, radius, angle)
-            assert asym.error == outcome.error_bound
+            assert (abs(outcome.y - reference)
+                    < mpf(2) ** -(bits - 4) * abs(reference)), (
+                        bits, radius, angle)
+            assert ev.asymptotic_y(z, region, precision_bits=bits) == outcome
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**600),
+           st.integers(min_value=1, max_value=2**600),
+           st.integers(min_value=100, max_value=600))
+    def test_error_bounds_are_the_ceiling_on_their_grid(self, num, den,
+                                                         bits):
+        # the ceiling at bits - 1 significant bits of num/den, as given,
+        # against that ceiling taken directly: one shift, one division
+        if num >= den << bits - 2:
+            num = den << bits - 3
+        shift = bits + den.bit_length() - num.bit_length() - 1
+        with workprec(bits):
+            assert ev._ceil_mpf(num, den, bits) == mpf(
+                (-(-(num << shift) // den), -shift))
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_bound_covers_the_term_and_the_value_rounding(self, bits):
@@ -1281,32 +1294,75 @@ class TestPoles:
 # ---------------------------------------------------------------------------
 
 
+def _on_the_real_t_axis(offset):
+    """z of t = 37/20 + offset * 1e-20, in the pole sector."""
+    with workprec(220):
+        t = mpf(37) / 20 + offset * mpf(10) ** -20
+        return ev.frame_map(t, "t", precision_bits=200).z
+
+
+def _past_the_disk_by_under_a_unit():
+    """z = -(zr + i zi) 2^-bits, bits the default working precision, in
+    the pole sector and outside |z| = 37/20 = R by less than 2^-bits:
+    zr is floor(R 2^bits) rounded to even, so that z fits in bits, and zi
+    puts zr^2 + zi^2 above (R 2^bits)^2 and below (floor(R 2^bits) + 1)^2,
+    so that isqrt(zr^2 + zi^2) reads it inside."""
+    bits = ev.DEFAULT_PRECISION_BITS + ev.GUARD_BITS
+    n, d = 37 << bits, 20
+    zr = n // d & ~1
+    zi = math.isqrt(-(-(n * n - d * d * zr * zr) // (d * d))) + 1
+    assert d * d * (zr * zr + zi * zi) > n * n
+    assert math.isqrt(zr * zr + zi * zi) == n // d
+    with workprec(200):
+        return -mpc(mpf((zr, -bits)), mpf((zi, -bits)))
+
+
 class TestOriginAndEvaluation:
     def test_origin_windows_are_the_certified_ones(self):
-        data = ev.y_at_zero()
-        assert data.value_window == Interval(
+        value_window, slope_window = inner.origin_windows()[:2]
+        assert value_window == Interval(
             Fraction(-87, 469) - Fraction(1, 167),
             Fraction(-87, 469) + Fraction(1, 167),
         )
-        assert data.slope_window == Interval(
+        assert slope_window == Interval(
             Fraction(41, 134) - Fraction(1, 108),
             Fraction(41, 134) + Fraction(1, 108),
         )
 
     def test_origin_y_frame_images(self):
-        data = ev.y_at_zero()
+        outcome = ev.y_at_zero()
         with workprec(200):
             expected_y = mp.expjpi(mpf(-2) / 5) * (mpf(-87) / 469)
             expected_slope = -mp.expjpi(mpf(-3) / 5) * (mpf(41) / 134)
-        assert abs(data.y_value - expected_y) < mpf(10) ** -30
-        assert abs(data.y_slope - expected_slope) < mpf(10) ** -30
-        assert abs(data.y_value_radius - mpf(1) / 167) < mpf(10) ** -35
-        assert abs(data.y_slope_radius - mpf(1) / 108) < mpf(10) ** -35
+        assert outcome.method == "origin-enclosure"
+        assert outcome.rigorous
+        assert outcome.z == 0
+        assert abs(outcome.y - expected_y) < mpf(10) ** -30
+        assert abs(outcome.y_prime - expected_slope) < mpf(10) ** -30
+        assert abs(outcome.error_bound - mpf(1) / 167) < mpf(10) ** -35
+        assert abs(outcome.slope_error_bound - mpf(1) / 108) < mpf(10) ** -35
+
+    @pytest.mark.parametrize("bits", [100, 128, 192, 256])
+    def test_origin_radii_cover_the_windows_and_the_rotation(self, bits):
+        # outward: each radius is at least its certified window plus the
+        # distance of the rotated centre from a 400-bit rotation
+        outcome = ev.y_at_zero(bits)
+        reference = ev.y_from_g(inner.CENTER_VALUE, inner.CENTER_SLOPE, 368)
+        for bound, window, value, exact in (
+                (outcome.error_bound, inner.VALUE_WINDOW, outcome.y,
+                 reference[0]),
+                (outcome.slope_error_bound, inner.SLOPE_WINDOW,
+                 outcome.y_prime, reference[1])):
+            man, exp = bound.man_exp
+            assert Fraction(man) * Fraction(2) ** exp >= window
+            with workprec(400):
+                assert (bound >= mpf(window.numerator) / window.denominator
+                        + abs(value - exact))
 
     def test_origin_center_values(self):
-        data = ev.y_at_zero()
-        assert data.value_window.mid == Fraction(-87, 469)
-        assert data.slope_window.mid == Fraction(41, 134)
+        value_window, slope_window = inner.origin_windows()[:2]
+        assert value_window.mid == Fraction(-87, 469)
+        assert slope_window.mid == Fraction(41, 134)
         assert abs(mpf(-87) / 469 - mpf("-0.185501")) < mpf(10) ** -6
         assert abs(mpf(41) / 134 - mpf("0.305970")) < mpf(10) ** -6
 
@@ -1332,14 +1388,14 @@ class TestOriginAndEvaluation:
             data.clear_cache()
 
     def test_landing_run_confirms_origin_window(self, landing_run):
-        data = ev.y_at_zero()
-        lo = data.value_window.lo
-        hi = data.value_window.hi
+        window = inner.origin_windows()[0]
+        lo, hi = window.lo, window.hi
         assert mpf(lo.numerator) / lo.denominator < landing_run.value.real
         assert landing_run.value.real < mpf(hi.numerator) / hi.denominator
 
     def test_evaluate_origin(self):
         outcome = ev.evaluate_point(0)
+        assert outcome == ev.y_at_zero()
         assert outcome.method == "origin-enclosure"
         assert outcome.rigorous
         assert abs(outcome.error_bound - mpf(1) / 167) < mpf(10) ** -40
@@ -1411,12 +1467,11 @@ class TestOriginAndEvaluation:
         assert outcome.warning is not None
         assert outcome.y is not None
 
-    @pytest.mark.parametrize("offset, warns", [(-1, False), (1, True)],
-                             ids=["inside", "outside"])
-    def test_disk_warning_starts_at_the_disk_radius(self, offset, warns):
-        # t = 37/20 -+ 1e-20 on the real t axis, in the pole sector
-        t = mpf(37) / 20 + offset * mpf(10) ** -20
-        z = ev.frame_map(t, "t", precision_bits=200).z
+    @pytest.mark.parametrize("z, warns", [
+        (_on_the_real_t_axis(-1), False), (_on_the_real_t_axis(1), True),
+        (_past_the_disk_by_under_a_unit(), True),
+    ], ids=["inside", "outside", "outside-by-under-a-unit"])
+    def test_disk_warning_starts_at_the_disk_radius(self, z, warns):
         outcome = ev.evaluate_point(z)
         assert outcome.method == "integration"
         assert outcome.y is not None

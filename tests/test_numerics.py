@@ -18,6 +18,7 @@ from p1cert import certificates
 from p1cert.numerics import (
     CERT_TOL,
     Interval,
+    _floor_dyadic,
     dyadic_ceil,
     dyadic_floor,
     floor_root,
@@ -293,6 +294,18 @@ def run_containment_samples(count: int, seed: int = 0) -> None:
        st.integers(min_value=4, max_value=140))
 def test_dyadic_rounding_is_outward(a, bits):
     assert dyadic_floor(a, bits) <= a <= dyadic_ceil(a, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-2**300, max_value=2**300),
+       st.integers(min_value=1, max_value=2**200),
+       st.integers(min_value=1, max_value=140))
+def test_integer_floor_is_the_floor_on_its_grid(num, den, bits):
+    # the grid follows the ratio as given, not reduced
+    m, e = _floor_dyadic(num, den, bits)
+    assert e == num.bit_length() - den.bit_length() - bits
+    step = Fraction(2) ** e
+    assert m * step <= Fraction(num, den) < (m + 1) * step
 
 
 @settings(max_examples=300, deadline=None)
