@@ -10,11 +10,12 @@ the dyadic grid finer than the one certificate width :data:`CERT_TOL`.
 
 Rounding lives here too: :func:`dyadic_floor`, :func:`dyadic_ceil`,
 :func:`slim` and :func:`slim_up` shorten large rational endpoints outward
-before they are compared or printed, through the one integer floor that
-also rounds the evaluator's certified error bounds up.  The one computation that rounds at
-every step, the Maclaurin envelope, runs on the integer ball kernel of
-:mod:`p1cert.inner` and converts its balls back to :class:`Interval`
-exactly, so every certified comparison stays an exact rational one.
+before they are compared or printed, through the one integer floor
+(:func:`_floor_dyadic`) that also rounds the evaluator's certified error
+bounds up.  The one computation that rounds at every step, the Maclaurin
+envelope, runs on the integer ball kernel of :mod:`p1cert.inner` and
+converts its balls back to :class:`Interval` exactly, so every certified
+comparison stays an exact rational one.
 """
 
 from __future__ import annotations
@@ -227,8 +228,9 @@ def _coerce(value) -> Interval:
 def _floor_dyadic(num: int, den: int, bits: int) -> Tuple[int, int]:
     """(m, e) with m 2^e the largest multiple of 2^e <= num/den, for
     den > 0 and e = len(num) - len(den) - bits, so about ``bits``
-    significant bits of the ratio as given, reduced or not.  Every
-    outward dyadic rounding of the package is this floor, or the ceiling
+    significant bits of the ratio as given, reduced or not.
+    :func:`dyadic_floor`, :func:`dyadic_ceil` and the evaluator's
+    rounded-up error bounds take this floor, or the ceiling
     -floor(-num/den)."""
     e = num.bit_length() - den.bit_length() - bits
     if e >= 0:
