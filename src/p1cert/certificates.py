@@ -778,10 +778,13 @@ def check_omega_4(rho: Union[Fraction, int, str] = OMEGA_4.floor
                  "exactly"))
 
     leaves = _wedge_leaves(scalar_bounds(), routes)
-    # the point values and the majorants read the same leaf enclosures
+    # the point values and the majorants read the same leaf enclosures,
+    # and u is formed from them as in z2_remainder_majorant, so at the
+    # anchor the geometric bound meets 1/(1-u) exactly
     at = _leaf_enclosures(rho, leaves)
-    j_anchor = at["J_M"] if rho == anchor else leaves["J_M"].enclosure(anchor)
-    u_hi = (j_anchor * frac_pow(anchor, -1, 2)).hi
+    at_anchor = at if rho == anchor else _leaf_enclosures(
+        anchor, {name: leaves[name] for name in ("rho^-1/2", "J_M")})
+    u_hi = (at_anchor["rho^-1/2"] * at_anchor["J_M"]).hi
     checks.append(check(
         "division_terms_valid", slim_up(u_hi), Fraction(1), "<",
         note="rho^(-1/2) J_M < 1 at the anchor, so the geometric majorant "
@@ -1063,14 +1066,13 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
 #: runs, so it calls whatever the module attribute holds at that time.
 #: They are listed longest first.  Serial times in one process on a
 #: 2-core Xeon (Python 3.11.7, mpmath 1.3.0, no gmpy2; medians of eleven
-#: runs in each of five processes on a quiet host): omega4 23-27 ms,
-#: inner 19-22, omega12 20-25, radius 9-10, tables 5-6 and omegaI 1.3-1.5
-#: ms.  Inner and omega12 are within noise of each other; on a loaded
-#: host, where every job took about 1.7 times as long, inner was longer.
+#: or 21 runs in each of ten processes on a loaded host): omega12 20-35
+#: ms, inner 17-27, omega4 7-12, radius 7-10, tables 4-7 and omegaI
+#: 1.5-2.5 ms.  Omega4 and radius are within noise of each other.
 _JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
-    "omega4": lambda rho: [check_omega_4(rho)],
-    "inner": lambda rho: [check_inner_interval()],
     "omega12": lambda rho: [check_omega_12()],
+    "inner": lambda rho: [check_inner_interval()],
+    "omega4": lambda rho: [check_omega_4(rho)],
     "radius": lambda rho: [check_taylor_radius()],
     "tables": lambda rho: [check_symbolic_tables()],
     "omegaI": lambda rho: ray_reports(),

@@ -39,8 +39,8 @@ import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Set,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Set, Tuple, Union)
 
 from .functionals import PowerSum, QSqrt2, SPoly
 from .numerics import as_fraction, as_integer, truncation_window
@@ -87,6 +87,9 @@ Table = Dict[int, Dict[Tuple[int, int], Fraction]]
 # what was parsed, even if the file changes on disk later.
 _bytes_cache: Dict[Path, bytes] = {}
 _parse_cache: Dict[Path, Any] = {}
+# Keyed by (path read, reader name): the typed objects each reader built
+# from that parse, of which every call hands out a copy.
+_typed_cache: Dict[Tuple[Path, str], Any] = {}
 
 # File name -> path read in its place, set by :func:`replaced`.
 _replacements: Dict[str, Path] = {}
@@ -114,6 +117,7 @@ def clear_cache() -> None:
     directory or a data file)."""
     _bytes_cache.clear()
     _parse_cache.clear()
+    _typed_cache.clear()
 
 
 @contextlib.contextmanager
@@ -171,21 +175,37 @@ def malformed(name: str, reason: object) -> PreconditionError:
     return PreconditionError(f"malformed data file {name}: {reason}")
 
 
-def _parses(name: str):
+def _parses(name: str, fresh: Callable[[Any], Any]):
     """Report a malformed data file ``name`` as a violated precondition,
-    and record a well-formed one as parsed in this run."""
+    and record a well-formed one as parsed in this run, on every call.
+
+    The reader runs once per path read (until :func:`clear_cache`), and
+    each call returns ``fresh`` of its result: a copy down to the
+    mutable containers, so a caller that edits it leaves the cache as it
+    was."""
     def wrap(parse):
         @functools.wraps(parse)
         def parsed():
-            try:
-                result = parse()
-            except (AttributeError, KeyError, TypeError, ValueError,
-                    ZeroDivisionError) as exc:
-                raise malformed(name, exc) from exc
+            key = (_path(name), parse.__name__)
+            if key not in _typed_cache:
+                try:
+                    _typed_cache[key] = parse()
+                except (AttributeError, KeyError, TypeError, ValueError,
+                        ZeroDivisionError) as exc:
+                    raise malformed(name, exc) from exc
             _parsed.add(name)
-            return result
+            return fresh(_typed_cache[key])
         return parsed
     return wrap
+
+
+def _fresh_tables(tables: Dict[str, Table]) -> Dict[str, Table]:
+    return {family: {j: dict(entries) for j, entries in table.items()}
+            for family, table in tables.items()}
+
+
+def _fresh_lists(lists: Mapping[str, List]) -> Dict[str, List]:
+    return {name: list(items) for name, items in lists.items()}
 
 
 def parsed_files() -> Tuple[str, ...]:
@@ -221,7 +241,7 @@ def file_fingerprints(names: Iterable[str] = DATA_FILES) -> Dict[str, str]:
     return {name: sha256(_raw_bytes(name)).hexdigest() for name in names}
 
 
-@_parses("expansion_tables.json")
+@_parses("expansion_tables.json", _fresh_tables)
 def expansion_tables() -> Dict[str, Table]:
     """All coefficient families, as family -> j -> {(k, m): coefficient}."""
     raw = _load("expansion_tables.json")["tables"]
@@ -251,7 +271,7 @@ def expansion_tables() -> Dict[str, Table]:
     return out
 
 
-@_parses("constant_catalog.json")
+@_parses("constant_catalog.json", dict)
 def constant_catalog() -> Dict[str, PowerSum]:
     """Closed-form majorant constants as symbolic sums over rho powers."""
     raw = _load("constant_catalog.json")["constants"]
@@ -274,23 +294,23 @@ def constant_catalog() -> Dict[str, PowerSum]:
     return out
 
 
-@_parses("constant_catalog.json")
+@_parses("constant_catalog.json", dict)
 def reference_values() -> Dict[str, str]:
     """Printed decimal truncations of assembled quantities at rho = 3."""
     raw = _load("constant_catalog.json")["reference_values"]["values"]
     for printed in raw.values():
         truncation_window(printed)
-    return dict(raw)
+    return raw
 
 
-@_parses("inner_ode.json")
+@_parses("inner_ode.json", _fresh_lists)
 def inner_polynomials() -> Dict[str, Poly]:
     """Approximating polynomials in s = t + 17/10, ascending coefficients."""
     raw = _load("inner_ode.json")["polynomials"]
     return {name: poly(coeffs) for name, coeffs in raw.items()}
 
 
-@_parses("inner_ode.json")
+@_parses("inner_ode.json", _fresh_lists)
 def inner_partitions() -> Dict[str, List[Fraction]]:
     """Certification partitions as ascending t values in [-17/10, 0]."""
     raw = _load("inner_ode.json")["partitions"]

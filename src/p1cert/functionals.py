@@ -16,13 +16,16 @@ Families carry a formal symbol S: entries are keyed (k, m) and stand
 for coefficients of S^k e^(-m x).  The functionals therefore return
 polynomials in |S| (:class:`SPoly`) rather than numbers.
 
-The value algebra is exact end to end: :class:`QSqrt2` is the field
-Q(sqrt(2)) with decidable signs, :class:`SPoly` are polynomials in |S|
-over it, and :class:`PowerSum` are finite sums of SPoly-weighted powers
-rho^(-e) with rational e; both are built on the sparse-sum core
-:class:`p1cert.formal.MonomialSum`.  Numbers only appear at the final
-enclosure step, where |S|, sqrt(2), and rho are replaced by verified
-intervals.
+The value algebra is exact: :class:`QSqrt2` is the field Q(sqrt(2))
+with decidable signs, :class:`SPoly` are polynomials in |S| over it,
+and :class:`PowerSum` are finite sums of SPoly-weighted powers rho^(-e)
+with rational e; both are built on the sparse-sum core
+:class:`p1cert.formal.MonomialSum`.  Numbers only appear when a
+PowerSum is enclosed at one rho (:meth:`PowerSum.enclosure`), by an
+outward integer kernel on the fixed-point grid 2^-SLIM_BITS: the floors
+and ceilings of rho^(-e), |S|^k and sqrt(2) there bound every term, and
+the sum becomes an :class:`~p1cert.numerics.Interval` with two dyadic
+ends.  Equality and the signs that certify monotonicity stay exact.
 A PowerSum whose exponents are all nonnegative and whose coefficients
 are all nonnegative is mechanically certified nonincreasing in rho, so
 its supremum over rho >= rho0 is its value at rho0.
@@ -37,15 +40,16 @@ PowerSums this way and evaluates the expression by interval arithmetic.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping, Tuple, Union
 
 from .formal import FormalSeries, MonomialSum
 from .numerics import (
+    SLIM_BITS,
     Interval,
     as_fraction,
-    frac_pow,
-    sqrt2_enclosure,
+    grid_root,
     stokes_modulus,
 )
 
@@ -67,15 +71,17 @@ class QSqrt2:
     def __setattr__(self, name, value):
         raise AttributeError("QSqrt2 is immutable")
 
-    # arithmetic
+    # arithmetic; a rational operand pair (both b zero) skips the b parts
     def __add__(self, other):
         other = _coerce_q(other)
-        return QSqrt2(self.a + other.a, self.b + other.b)
+        if not (self.b or other.b):
+            return _q(self.a + other.a)
+        return _q(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
+        return _q(-self.a, -self.b)
 
     def __sub__(self, other):
         return self + (-_coerce_q(other))
@@ -85,7 +91,9 @@ class QSqrt2:
 
     def __mul__(self, other):
         other = _coerce_q(other)
-        return QSqrt2(
+        if not (self.b or other.b):
+            return _q(self.a * other.a)
+        return _q(
             self.a * other.a + 2 * self.b * other.b,
             self.a * other.b + self.b * other.a,
         )
@@ -114,10 +122,6 @@ class QSqrt2:
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
-    # conversion
-    def enclosure(self) -> Interval:
-        return Interval(self.a) + sqrt2_enclosure() * self.b
-
     def __eq__(self, other):
         try:
             other = _coerce_q(other)
@@ -133,6 +137,17 @@ class QSqrt2:
         if self.b == 0:
             return f"QSqrt2({self.a})"
         return f"QSqrt2({self.a}, {self.b})"
+
+
+_ZERO = Fraction(0)
+
+
+def _q(a: Fraction, b: Fraction = _ZERO) -> QSqrt2:
+    """a + b sqrt(2) from Fraction parts, which are not coerced again."""
+    q = object.__new__(QSqrt2)
+    object.__setattr__(q, "a", a)
+    object.__setattr__(q, "b", b)
+    return q
 
 
 def _coerce_q(value) -> QSqrt2:
@@ -167,19 +182,38 @@ class SPoly(MonomialSum):
         """True when every coefficient is >= 0 (so the value is, too)."""
         return all(c.is_nonnegative() for c in self._terms.values())
 
-    def enclosure(self, s_abs: Interval | None = None) -> Interval:
-        if s_abs is None:
-            s_abs = stokes_modulus()
-        total = Interval(0)
-        for k, c in self._terms.items():
-            total = total + c.enclosure() * s_abs**k
-        return total
-
     def __repr__(self):
         if not self._terms:
             return "SPoly(0)"
         bits = [f"{k}: {c!r}" for k, c in self.items()]
         return "SPoly({" + ", ".join(bits) + "})"
+
+
+# -- the integer enclosure kernel ----------------------------------------------
+
+#: The fixed-point grid 2^-B of :meth:`PowerSum.enclosure`.
+_BITS = SLIM_BITS
+_ONE = 1 << _BITS
+
+
+@functools.lru_cache(maxsize=1024)
+def _bracket(n: int, d: int, p: int, q: int) -> Tuple[int, int]:
+    """The floor and ceiling of (n/d)^(p/q) 2^B, for d > 0 and n > 0
+    (n >= 0 when p >= 0): one integer root on the grid 2^-B
+    (:func:`~p1cert.numerics.grid_root`).  Keyed by plain ints, which
+    hash in a fraction of the time a Fraction takes."""
+    if p < 0:
+        p, n, d = -p, d, n
+    return grid_root(n ** p, d ** p, q, _BITS)
+
+
+def _times(c: Fraction, y_lo: int, y_hi: int) -> Tuple[int, int]:
+    """The floor of the least and the ceiling of the greatest c y over y
+    in [y_lo, y_hi], for 0 <= y_lo <= y_hi."""
+    n, d = c.numerator, c.denominator
+    if n < 0:
+        y_lo, y_hi = y_hi, y_lo
+    return n * y_lo // d, -(-n * y_hi // d)
 
 
 # -- sums of rho powers --------------------------------------------------------
@@ -221,16 +255,48 @@ class PowerSum(MonomialSum):
         )
 
     def enclosure(self, rho, s_abs: Interval | None = None) -> Interval:
-        """Interval value at rho (Interval or exact rational)."""
-        if not isinstance(rho, Interval):
-            rho = Interval(as_fraction(rho))
+        """Interval value at an exact rational rho > 0, with |S| in
+        ``s_abs`` (an Interval >= 0 or a rational; by default
+        :func:`~p1cert.numerics.stokes_modulus`).
+
+        An outward integer kernel on the fixed-point grid 2^-B, B =
+        :data:`~p1cert.numerics.SLIM_BITS`.  R = rho^(-e) 2^B, S =
+        |S|^k 2^B and sqrt(2) 2^B are each bracketed by their floor and
+        ceiling (:func:`_bracket`, cached, as they depend on rho and the
+        ends of |S| alone), and so is W = (a + b sqrt(2)) 2^B.  Each
+        term's product W S R is bounded at 2^-3B by the ends that its
+        sign picks: S R >= 0, and W may have either sign.  The exact sum
+        of those ends is rounded outward to 2^-B once, so the result has
+        two dyadic ends.
+        """
+        rho = as_fraction(rho)
+        if rho <= 0:
+            raise ValueError(f"enclosure needs rho > 0, got {rho}")
         if s_abs is None:
             s_abs = stokes_modulus()
-        total = Interval(0)
-        for e, c in self._terms.items():
-            total = total + c.enclosure(s_abs) * frac_pow(
-                rho, -e.numerator, e.denominator)
-        return total
+        elif not isinstance(s_abs, Interval):
+            s_abs = Interval(s_abs)
+        if s_abs.lo < 0:
+            raise ValueError(f"|S| must be nonnegative, got {s_abs}")
+        rho_n, rho_d = rho.numerator, rho.denominator
+        (lo_n, lo_d), (hi_n, hi_d) = (s_abs.lo.as_integer_ratio(),
+                                      s_abs.hi.as_integer_ratio())
+        sqrt2_lo, sqrt2_hi = _bracket(2, 1, 1, 2)
+        lo = hi = 0
+        for e, poly in self._terms.items():
+            r_lo, r_hi = _bracket(rho_n, rho_d, -e.numerator, e.denominator)
+            for k, c in poly._terms.items():
+                x_lo = _bracket(lo_n, lo_d, k, 1)[0] * r_lo
+                x_hi = _bracket(hi_n, hi_d, k, 1)[1] * r_hi
+                w_lo, w_hi = _times(c.a, _ONE, _ONE)
+                if c.b:
+                    b_lo, b_hi = _times(c.b, sqrt2_lo, sqrt2_hi)
+                    w_lo, w_hi = w_lo + b_lo, w_hi + b_hi
+                lo += w_lo * (x_lo if w_lo >= 0 else x_hi)
+                hi += w_hi * (x_hi if w_hi >= 0 else x_lo)
+        shift = 2 * _BITS
+        return Interval(Fraction(lo >> shift, _ONE),
+                        Fraction(-(-hi >> shift), _ONE))
 
     def __repr__(self):
         if not self._terms:

@@ -410,16 +410,19 @@ def taylor_radii(re: Sequence[int], im: Sequence[int], r0: int, r1: int,
     The exact b_k lies within r_k units of (re_k, im_k) in |Re| + |Im|.
     Each Cauchy-square product of balls adds 2 sum_j |b_j| r_{k-j} +
     sum_j r_j r_{k-j}, with |b_j| <= |re_j| + |im_j|, and the kernel's one
-    floor per component adds under 2 more; the forcing is exact.
+    floor per component adds under 2 more; the forcing is exact.  The
+    two sums are one convolution, sum_j (2 |b_j| + r_j) r_{k-j}, of the
+    weights w_j = 2 (|re_j| + |im_j|) + r_j, kept beside the radii.
     """
-    mag = [abs(x) + abs(y) for x, y in zip(re, im)]
+    mag2 = [2 * (abs(x) + abs(y)) for x, y in zip(re, im)]
     # b_1 = slope * rho is exact for e >= 0 and floored once otherwise
     rad = [r0, r1 << e if e >= 0 else -(-r1 >> -e) + 2]
+    weight = [m + r for m, r in zip(mag2, rad)]
     shift = bits - 2 * e
     for k in range(len(re) - 2):
-        back = rad[k::-1]
-        num = 6 * (2 * sum(map(mul, mag, back)) + sum(map(mul, rad, back)))
+        num = 6 * sum(map(mul, weight, rad[k::-1]))
         rad.append(-(-num // ((k + 1) * (k + 2) << shift)) + 2)
+        weight.append(mag2[k + 2] + rad[k + 2])
     return rad
 
 

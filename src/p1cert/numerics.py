@@ -12,9 +12,12 @@ Rounding lives here too: :func:`dyadic_floor`, :func:`dyadic_ceil`,
 :func:`slim` and :func:`slim_up` shorten large rational endpoints outward
 before they are compared or printed, through the one integer floor
 (:func:`_floor_dyadic`) that also rounds the evaluator's certified error
-bounds up.  The one computation that rounds at every step, the Maclaurin
-envelope, runs on the integer ball kernel of :mod:`p1cert.inner` and
-converts its balls back to :class:`Interval` exactly, so every certified
+bounds up and :func:`p1cert.polybound.sup_abs`'s attained values down.
+The one computation that rounds at every step, the Maclaurin envelope,
+runs on the integer ball kernel of :mod:`p1cert.inner` and converts its
+balls back to :class:`Interval` exactly, and the lower-wedge leaves are
+enclosed on the grid 2^-:data:`SLIM_BITS` by the integer kernel of
+:meth:`p1cert.functionals.PowerSum.enclosure`, so every certified
 comparison stays an exact rational one.
 """
 

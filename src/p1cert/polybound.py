@@ -31,9 +31,9 @@ cleared integers and builds one ``Fraction`` per coefficient of the
 product.
 
 The returned object is an :class:`~p1cert.numerics.Interval` that
-encloses the supremum itself: its ``lo`` is an exactly attained value
-of ``|P|`` (so the true sup is at least that), its ``hi`` is the
-certified upper bound.
+encloses the supremum itself: its ``lo`` is at most an attained value
+of ``|P|`` (exact, or rounded down on the dyadic grid; so the true sup
+is at least that), its ``hi`` is the certified upper bound.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .numerics import Interval, as_fraction, grid_exponent, grid_root
+from .numerics import (SLIM_BITS, Interval, _floor_dyadic, as_fraction,
+                       grid_exponent, grid_root)
 
 Coefficient = Union[int, str, Fraction]
 Poly = Sequence[Fraction]
@@ -238,8 +239,15 @@ def _piece_bound(b: list[int], K: int, cn: int, cd: int,
         mid_n, mid_d = w_lo + w_hi, 2 * e
         g = math.gcd(mid_n, mid_d)
         mid_n, mid_d = mid_n // g, mid_d // g
-        cand_n = abs(_horner(beta, mid_n, mid_d))
-        cand_d = K * mid_d ** (n - 1)
+        # |P| there, rounded down to SLIM_BITS significant bits: still at
+        # most an attained value, without the K mid_d^(n-1) denominator.
+        # The floor has SLIM_BITS or one more bits; a second floor makes
+        # it SLIM_BITS, whatever the ratio's representation.
+        m, x = _floor_dyadic(abs(_horner(beta, mid_n, mid_d)),
+                             K * mid_d ** (n - 1), SLIM_BITS)
+        if m >> SLIM_BITS:
+            m, x = m >> 1, x + 1
+        cand_n, cand_d = (m << x, 1) if x >= 0 else (m, 1 << -x)
         if cand_n * low_d > low_n * cand_d:
             low_n, low_d = cand_n, cand_d
     return low_n, low_d, up_n, up_d
@@ -249,8 +257,10 @@ def sup_abs(p: Poly, lo, hi) -> Interval:
     """Enclosure of sup over [lo, hi] of |P|.
 
     The result's ``hi`` is a certified upper bound; its ``lo`` is the
-    largest exactly evaluated |P| value seen, so the true supremum lies
-    in the interval.  Pieces are bisected (up to ``_MAX_DEPTH`` times) until
+    largest |P| value seen, evaluated exactly at the ends of the pieces
+    and rounded down to ``SLIM_BITS`` significant bits at a critical
+    point's midpoint, so it is at most an attained value and the true
+    supremum lies in the interval.  Pieces are bisected (up to ``_MAX_DEPTH`` times) until
     each one's bound is within ``_REL_SLACK`` of an attained value or
     cannot affect the global maximum.
     """

@@ -424,8 +424,8 @@ class TestSectorCertificate:
     def test_majorants_monotone_and_decreasing(self):
         """Each majorant bounds its sharp value at rho=3 and is smaller at
         rho=4."""
-        u3 = (C.scalar_bounds()["J_M"].enclosure(3)
-              * frac_pow(3, -1, 2)).hi
+        u3 = (PowerSum.monomial(1, Fraction(1, 2)).enclosure(3)
+              * C.scalar_bounds()["J_M"].enclosure(3)).hi
         c_hi = 1 / (1 - u3)
         points = C.sector_point_values(Fraction(3))
         at3 = C.sector_majorants(Fraction(3), c_hi)
@@ -486,8 +486,8 @@ class TestSectorCertificate:
         equals the check built from sector_point_values and
         sector_majorants called on their own."""
         checks = _by_name(C.check_omega_4(3))
-        u3 = (C.scalar_bounds()["J_M"].enclosure(3)
-              * frac_pow(3, -1, 2)).hi
+        u3 = (PowerSum.monomial(1, Fraction(1, 2)).enclosure(3)
+              * C.scalar_bounds()["J_M"].enclosure(3)).hi
         c_hi = 1 / (1 - u3)
         points = C.sector_point_values(Fraction(3))
         majorants = C.sector_majorants(Fraction(3), c_hi)

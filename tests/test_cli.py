@@ -864,25 +864,25 @@ class TestDeterminism:
 # pinned.  An intended change of output re-pins these digests.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "json"):
-        "95866386543c5f15bed1feeeb48f7a9e127b7a5997a86838f24667fdcda398f1",
+        "80ea21a10b32eed3708de25afefbc3c58f25d4a532b06566805eb3f96ee3a70f",
     ("verify", "--scope", "all", "--format", "text"):
-        "40bda415bf360094ae1dbddda5d8acb9f006ca9ef5e64985b5d7c460eeea0e6a",
+        "ca6c48b6fd1f3992c28ee4062b86d94c3e1cf0eb1214225f7106507c48e5c50d",
     ("verify", "--scope", "all", "--format", "csv"):
-        "a9fb5107b63a447a2a5347805627cf730783d1397200777331dd528d32139ded",
+        "3baa7f45a3a185a7d8f78c8d56323cebfb6cfebf7a0dfb690eb7c73b41c0e6a6",
     ("verify", "--scope", "omegaI", "--format", "json"):
         "20262f6ddfd7476743b130c06e4522b726e4d953b578e68f5c51466e1a58c194",
     ("verify", "--scope", "omega12", "--format", "json"):
         "d6919de7a495f5a164d879dee0d3e0dd3f51cf3c2d022e29fbbf9f248a0769d8",
     ("verify", "--scope", "omega4", "--format", "json"):
-        "4ebf85fe3d449d8ecabaecd0eb683eec4e22a359d38fa088c18fc489c9eddbbe",
+        "3c40036442acba68288c9e2749f475e9d1fd3bf44f1b3fe26666aa50730ebe3a",
     ("verify", "--scope", "omega4", "--rho", "7/2", "--format", "json"):
-        "e3608197a1a1aae7cd3f6426e5c5985189e7cc029cfed9039e0d72a373eafe38",
+        "5097ea4b288e66ff2bfac13920e9ea00fe5211aa2392acf551e7acfaaf2862ca",
     ("verify", "--scope", "inner", "--format", "json"):
         "a10d3a61fdb29db132f044794bd614e99cf0f54c215db188cc27fb41eeb45198",
     ("verify", "--scope", "radius", "--format", "json"):
         "5bb0748c0a75532b79cf8f993710d0da622a876a88eec951287406fe68a3f1d4",
     ("constants", "--format", "json"):
-        "443fce94bf698368be505ec857d1e4e3f4dea08be85e31082cc8f94c7fdbd151",
+        "5443cc48c25d666ce7cf50cb6af63d1a43caeb51b967346237bab4f5e49b70d1",
     ("identities",):
         "640664b7619bb57bc3dfef6ccb58663deca4ea217edb991be3e8e5cf8e76d569",
 }

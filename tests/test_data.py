@@ -279,3 +279,57 @@ def test_a_malformed_file_is_not_recorded_as_parsed(tmp_path):
         with pytest.raises(data.PreconditionError):
             data.inner_polynomials()
         assert data.parsed_files() == ()
+
+
+# ---------------------------------------------------------------------------
+# typed objects, built once per bytes read
+# ---------------------------------------------------------------------------
+
+
+def test_editing_a_returned_object_leaves_the_next_call_unchanged():
+    tables = data.expansion_tables()
+    rows = dict(tables["r"][7])
+    tables["r"][7][(0, 0)] = Fraction(1)
+    del tables["q"]
+    catalog = data.constant_catalog()
+    catalog.clear()
+    polys = data.inner_polynomials()
+    g0 = list(polys["g0"])
+    polys["g0"][0] = Fraction(1)
+    partitions = data.inner_partitions()
+    partitions[next(iter(partitions))].append(Fraction(1))
+    data.reference_values()["M_1"] = "0.99999"
+
+    again = data.expansion_tables()
+    assert again["r"][7] == rows and "q" in again
+    assert set(data.constant_catalog()) >= {"E_M", "M_G1"}
+    assert data.inner_polynomials()["g0"] == g0
+    assert all(Fraction(1) not in points
+               for points in data.inner_partitions().values())
+    assert data.reference_values()["M_1"] != "0.99999"
+
+
+def test_replaced_with_a_perturbed_catalog_gives_its_rows(tmp_path):
+    shipped = data.constant_catalog()
+    doc = json.loads((data.data_dir() / "constant_catalog.json").read_text())
+    exponent, k, a, b = doc["constants"]["M_q"][0]
+    doc["constants"]["M_q"][0] = [exponent, k,
+                                  str(Fraction(a) + Fraction(1, 7)), b]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    with data.replaced({"constant_catalog.json": path}):
+        perturbed = data.constant_catalog()
+    assert perturbed["M_q"] != shipped["M_q"]
+    assert perturbed["E_M"] == shipped["E_M"]
+    assert data.constant_catalog() == shipped
+
+
+def test_a_cached_read_is_still_recorded_as_parsed():
+    data.expansion_tables()
+    data.inner_partitions()
+    with data.replaced({}):
+        assert data.parsed_files() == ()
+        data.expansion_tables()
+        data.inner_partitions()
+        assert data.parsed_files() == ("expansion_tables.json",
+                                       "inner_ode.json")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1cert.formal import FormalSeries
-from p1cert.numerics import Interval, truncation_window
+from p1cert.numerics import (SLIM_BITS, Interval, root_enclosure,
+                             stokes_modulus, truncation_window)
 from p1cert.functionals import (PowerSum, QSqrt2, SPoly, majorant, tail1,
                                 tail2, tail3, tail4)
 
@@ -54,7 +55,7 @@ class TestQSqrt2:
         assert (-x).sign() == -x.sign()
 
     def test_enclosure(self):
-        enc = QSqrt2(1, 1).enclosure()
+        enc = PowerSum.constant(QSqrt2(1, 1)).enclosure(1)
         assert truncation_window("2.41421356237309").contains_interval(enc)
         assert enc.width < F(1, 10**20)
 
@@ -73,8 +74,8 @@ class TestSPoly:
         assert not SPoly({1: QSqrt2(2, -2)}).is_nonnegative()
 
     def test_enclosure_at_exact_point(self):
-        p = SPoly({0: "1/2", 1: 3})
-        val = p.enclosure(s_abs=Interval(F(1, 4)))
+        p = PowerSum.constant(SPoly({0: "1/2", 1: 3}))
+        val = p.enclosure(1, s_abs=Interval(F(1, 4)))
         assert F(5, 4) in val
         assert val.width < F(1, 10**25)
 
@@ -119,6 +120,74 @@ class TestPowerSum:
         p = PowerSum.monomial(SPoly({0: 1, 2: "5/24"}), "3/2")
         assert p.nonincreasing_in_rho()
         assert p.enclosure(9).hi < p.enclosure(3).lo
+
+
+# A grid far finer than the kernel's 2^-SLIM_BITS.  A root of a rational
+# of a few dozen bits that is not on it sits much farther from the
+# kernel's grid points than the bracket is wide, so the reference below
+# lies inside the kernel's enclosure.
+_FINE_TOL = F(1, 2 ** 600)
+
+power_sums = st.dictionaries(
+    st.integers(-6, 6).map(lambda n: F(n, 2)),
+    st.dictionaries(st.integers(0, 5), qsqrt2_strategy, max_size=3)
+    .map(SPoly),
+    max_size=5).map(PowerSum)
+rhos = st.fractions(min_value=1, max_value=20, max_denominator=1000)
+s_ends = st.fractions(min_value=0, max_value=2, max_denominator=2 ** 40)
+
+
+def _reference_enclosure(ps, rho, s_abs):
+    """The value by exact Interval arithmetic, term by term, with sqrt(2)
+    and each rho^(-e) = (rho^(-p))^(1/q) bracketed on the fine grid."""
+    sqrt2 = root_enclosure(2, 2, _FINE_TOL)
+    total, scale = Interval(0), F(0)
+    for e, poly in ps.items():
+        r = root_enclosure(Interval(rho) ** -e.numerator, e.denominator,
+                           _FINE_TOL)
+        for k, c in poly.items():
+            s_k = s_abs ** k
+            total = total + (Interval(c.a) + sqrt2 * c.b) * s_k * r
+            scale += (abs(c.a) + 2 * abs(c.b) + 2) * (1 + s_k.hi) * (1 + r.hi)
+    return total, scale
+
+
+class TestEnclosureKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(ps=power_sums, rho=rhos,
+           s=st.none() | st.tuples(s_ends, s_ends).map(sorted))
+    def test_contains_the_exact_value_and_is_a_few_units_wider(self, ps,
+                                                               rho, s):
+        s_abs = stokes_modulus() if s is None else Interval(*s)
+        got = ps.enclosure(rho, None if s is None else s_abs)
+        want, scale = _reference_enclosure(ps, rho, s_abs)
+        unit = F(1, 2 ** SLIM_BITS)
+        assert got.contains_interval(want)
+        # each floor or ceiling moves a term by a unit of 2^-B times its
+        # size, and the final outward rounding by one unit per end
+        assert got.width <= want.width + unit * (2 + 4 * scale)
+        assert (got.lo * 2 ** SLIM_BITS).denominator == 1
+        assert (got.hi * 2 ** SLIM_BITS).denominator == 1
+
+    def test_a_point_on_the_grid_comes_back_as_a_point(self):
+        # (1 + 2^-3 |S|^2) rho^(-1/2) at rho = 4 and |S| = 1/2
+        ps = PowerSum.monomial(SPoly({0: 1, 2: F(1, 8)}), "1/2")
+        assert ps.enclosure(4, Interval(F(1, 2))) == Interval(F(33, 64))
+
+    def test_negative_exponents_and_coefficients(self):
+        # -rho^2 + (3 - 2 sqrt2) at rho = 3: exactly -6 - 2 sqrt2
+        ps = (PowerSum.monomial(-1, -2)
+              + PowerSum.constant(QSqrt2(3, -2)))
+        got = ps.enclosure(3, Interval(0))
+        assert got.contains_interval(
+            Interval(-6) - root_enclosure(2, 2, _FINE_TOL) * 2)
+        assert got.width <= F(4, 2 ** SLIM_BITS)
+
+    def test_rejects_a_nonpositive_rho_and_a_negative_modulus(self):
+        with pytest.raises(ValueError):
+            PowerSum.constant(1).enclosure(0)
+        with pytest.raises(ValueError):
+            PowerSum.constant(1).enclosure(1, Interval(F(-1), F(1)))
 
 
 @pytest.mark.parametrize("value, scalar", [

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from p1cert import certificates, data, inner
 from p1cert.polybound import sup_abs_partition
@@ -205,6 +206,30 @@ def test_kernel_mantissas_lie_within_their_radii_of_the_exact_series(e):
     for k, (c, mr, mi, r) in enumerate(zip(exact, re, im, radii)):
         b = c * Fraction(2) ** (bits + e * k)
         assert abs(b - mr) + abs(mi) <= r, k
+
+
+def _two_sum_radii(re, im, r0, r1, e, bits):
+    """taylor_radii's recurrence with the two Cauchy sums written apart,
+    2 sum_j |b_j| r_(k-j) + sum_j r_j r_(k-j): the reference for its one
+    convolution of the weights 2 |b_j| + r_j."""
+    mag = [abs(x) + abs(y) for x, y in zip(re, im)]
+    rad = [r0, r1 << e if e >= 0 else -(-r1 >> -e) + 2]
+    for k in range(len(re) - 2):
+        num = 6 * (2 * sum(mag[j] * rad[k - j] for j in range(k + 1))
+                   + sum(rad[j] * rad[k - j] for j in range(k + 1)))
+        rad.append(-(-num // ((k + 1) * (k + 2) << (bits - 2 * e))) + 2)
+    return rad
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=st.lists(st.integers(-2**80, 2**80), min_size=2, max_size=40),
+       im_seed=st.integers(-2**80, 2**80),
+       r0=st.integers(0, 2**20), r1=st.integers(0, 2**20),
+       e=st.integers(-4, 3), bits=st.integers(16, 96))
+def test_radii_convolution_equals_the_two_sums(re, im_seed, r0, r1, e, bits):
+    im = [(x * im_seed) >> 80 for x in re]
+    assert inner.taylor_radii(re, im, r0, r1, e, bits) \
+        == _two_sum_radii(re, im, r0, r1, e, bits)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])

@@ -7,6 +7,7 @@ itself returns.  Together these bracket the true supremum without any
 floating-point oracle.
 """
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from p1cert import polybound
-from p1cert.numerics import Interval, root_enclosure
+from p1cert.numerics import SLIM_BITS, Interval, root_enclosure
 from p1cert.polybound import (
     _cleared,
     _shift_int,
@@ -147,9 +148,23 @@ class TestSupAbs:
         assert result.hi <= result.lo * (1 + F(1, 1000))
 
 
+def _round_down(v):
+    """v >= 0 rounded down to SLIM_BITS significant bits."""
+    if v == 0:
+        return v
+    k = v.numerator.bit_length() - v.denominator.bit_length()
+    if v < F(2) ** k:
+        k -= 1
+    # now 2^k <= v < 2^(k+1)
+    unit = F(2) ** (k + 1 - SLIM_BITS)
+    return math.floor(v / unit) * unit
+
+
 def _fraction_piece_bound(p, lo, hi):
     """The piece bound written in Fraction arithmetic throughout: the
-    reference that the integer kernel must reproduce exactly."""
+    reference that the integer kernel must reproduce exactly.  |P| at a
+    critical point's midpoint is rounded down to SLIM_BITS significant
+    bits, as the kernel rounds it."""
     zero = F(0)
     mid = (lo + hi) / 2
     r = (hi - lo) / 2
@@ -183,7 +198,7 @@ def _fraction_piece_bound(p, lo, hi):
             continue
         clamped = Interval(max(enclosure.lo, -r), min(enclosure.hi, r))
         cands.append(abs(poly_eval(head, clamped)).hi)
-        lows.append(abs(poly_eval(q, clamped.mid)))
+        lows.append(_round_down(abs(poly_eval(q, clamped.mid))))
     return max(lows), max(cands) + tail
 
 
