@@ -1066,9 +1066,10 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
 #: runs, so it calls whatever the module attribute holds at that time.
 #: They are listed longest first.  Serial times in one process on a
 #: 2-core Xeon (Python 3.11.7, mpmath 1.3.0, no gmpy2; medians of eleven
-#: or 21 runs in each of ten processes on a loaded host): omega12 20-35
-#: ms, inner 17-27, omega4 7-12, radius 7-10, tables 4-7 and omegaI
-#: 1.5-2.5 ms.  Omega4 and radius are within noise of each other.
+#: runs in each of five processes on a quiet host): omega12 13.6-14.3
+#: ms, inner 10.5-11.2, omega4 4.9-5.3, radius 4.3-4.6, tables 2.7-2.9
+#: and omegaI 1.0 ms.  On a loaded host, where every job took up to
+#: twice as long, omega4 and radius were within noise of each other.
 _JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
     "omega12": lambda rho: [check_omega_12()],
     "inner": lambda rho: [check_inner_interval()],
