@@ -527,9 +527,6 @@ def check_omega_12() -> CertificateReport:
 # cross-check, the rho=3 reference values, and the contraction targets.
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
-
-
 def route_constants() -> Dict[str, PowerSum]:
     """The eleven closed-form constants, recomputed from the shipped
     coefficient tables through the weighted tail functionals.
@@ -591,28 +588,15 @@ def scalar_bounds() -> Dict[str, PowerSum]:
             "Y_head": majorant(formal.y10_series() + formal.y11_series())}
 
 
-def z2_remainder_division_free(j_m: PowerSum, e_m: PowerSum) -> PowerSum:
-    """All of the |x z_{2,R}| bound except its two division terms, from
-    the scalar bound ``j_m`` and the route constant ``e_m`` (E_M)."""
-    explicit = majorant(formal.z2R0_series(), shift=2) + PowerSum({
-        _HALF: (SPoly.s_power(1, QSqrt2(Fraction(7, 36), Fraction(7, 36)))
-                + SPoly.s_power(3, Fraction(8, 27)))})
-    u = PowerSum.monomial(1, _HALF) * j_m
-    cubic_tail = (PowerSum.constant(SPoly.s_power(3, Fraction(4, 9))) * j_m
-                  * (1 + u + u * u * Fraction(1, 3)))
-    return explicit + e_m + cubic_tail
-
-
 def _wedge_leaves(scalars: Mapping[str, PowerSum],
                   routes: Mapping[str, PowerSum]) -> Dict[str, PowerSum]:
     """Every input of the lower-wedge formulas, each a small PowerSum."""
     return {
         **scalars,
         **routes,
-        "z_2R_free": z2_remainder_division_free(scalars["j_m"],
-                                                routes["E_M"]),
+        "z_2R0": majorant(formal.z2R0_series(), shift=2),
         "z_2head": _z2_head_majorant(),
-        "rho^-1/2": PowerSum.monomial(1, _HALF),
+        "rho^-1/2": PowerSum.monomial(1, Fraction(1, 2)),
         "rho^-1": PowerSum.monomial(1, Fraction(1)),
         "|S|": PowerSum.constant(SPoly.s_power(1)),
         "sqrt2+1": PowerSum.constant(QSqrt2(1, 1)),
@@ -653,15 +637,22 @@ def _geometric(c_hi: Fraction):
 
 
 def z2_remainder_majorant(v: Mapping, recip):
-    """The |x z_{2,R}| bound: its division-free part plus the division
-    terms 5 J_M^4/(1-u) + (2/3) rho^(-1/2) J_M^5/(1-u)^2, u = rho^(-1/2)
-    J_M, with 1/(1-u) bounded by ``recip(u)``.  ``v`` maps leaf names to
-    values of one type (see :func:`_lower_wedge`)."""
-    big_j, inv_sqrt_rho = v["J_M"], v["rho^-1/2"]
+    """The |x z_{2,R}| bound as one formula over the wedge leaves,
+    z_2R0 + E_M + rho^(-1/2) ((7/36)(sqrt2+1)|S| + (8/27)|S|^3)
+    + (4/9)|S|^3 j_m (1 + w + w^2/3) + 5 J_M^4/(1-u)
+    + (2/3) rho^(-1/2) J_M^5/(1-u)^2, with w = rho^(-1/2) j_m,
+    u = rho^(-1/2) J_M and 1/(1-u) bounded by ``recip(u)``.  ``v`` maps
+    leaf names to values of one type (see :func:`_lower_wedge`)."""
+    j_m, big_j, inv_sqrt_rho = v["j_m"], v["J_M"], v["rho^-1/2"]
+    s, s3 = v["|S|"], v["|S|"] ** 3
+    w = inv_sqrt_rho * j_m
     r = recip(inv_sqrt_rho * big_j)
-    return v["z_2R_free"] + (5 * big_j ** 4 * r
-                             + Fraction(2, 3) * inv_sqrt_rho * big_j ** 5
-                             * r ** 2)
+    return (v["z_2R0"] + v["E_M"]
+            + inv_sqrt_rho * (Fraction(7, 36) * v["sqrt2+1"] * s
+                              + Fraction(8, 27) * s3)
+            + Fraction(4, 9) * s3 * j_m * (1 + w + w ** 2 * Fraction(1, 3))
+            + 5 * big_j ** 4 * r
+            + Fraction(2, 3) * inv_sqrt_rho * big_j ** 5 * r ** 2)
 
 
 def _lower_wedge(v: Mapping, recip) -> Dict[str, object]:
@@ -1204,7 +1195,6 @@ __all__ = [
     "check_omega_12",
     "route_constants",
     "scalar_bounds",
-    "z2_remainder_division_free",
     "z2_remainder_majorant",
     "sector_majorants",
     "sector_point_values",

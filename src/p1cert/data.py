@@ -83,12 +83,11 @@ TABLE_SHAPE: Mapping[str, Tuple[int, int, int, int]] = {
 Table = Dict[int, Dict[Tuple[int, int], Fraction]]
 
 # Keyed by the path read.  A file's bytes are read once; its fingerprint
-# and its parse both come from those bytes, so a digest always describes
-# what was parsed, even if the file changes on disk later.
+# and every parse of it come from those bytes, so a digest always
+# describes what was parsed, even if the file changes on disk later.
 _bytes_cache: Dict[Path, bytes] = {}
-_parse_cache: Dict[Path, Any] = {}
 # Keyed by (path read, reader name): the typed objects each reader built
-# from that parse, of which every call hands out a copy.
+# from its parse of those bytes, of which every call hands out a copy.
 _typed_cache: Dict[Tuple[Path, str], Any] = {}
 
 # File name -> path read in its place, set by :func:`replaced`.
@@ -116,7 +115,6 @@ def clear_cache() -> None:
     """Drop memoized reads and parses (needed after changing the data
     directory or a data file)."""
     _bytes_cache.clear()
-    _parse_cache.clear()
     _typed_cache.clear()
 
 
@@ -163,10 +161,7 @@ def _raw_bytes(name: str) -> bytes:
 
 
 def _load(name: str) -> Any:
-    path = _path(name)
-    if path not in _parse_cache:
-        _parse_cache[path] = json.loads(_raw_bytes(name).decode("utf-8"))
-    return _parse_cache[path]
+    return json.loads(_raw_bytes(name).decode("utf-8"))
 
 
 def malformed(name: str, reason: object) -> PreconditionError:

@@ -73,6 +73,11 @@ MIN_ORDER, MAX_ORDER = 16, 64
 
 _MAX_STEPS = 500_000
 
+#: A point is taken only with |Re| and |Im| below 2^MAX_Z_EXPONENT: its
+#: fixed-point integers take about that many bits, and far larger ones
+#: exhaust memory.  Every test and benchmark point has |z| <= 40.
+MAX_Z_EXPONENT = 2 ** 16
+
 #: Asymptotic-region tokens accepted by :func:`asymptotic_y`: the names
 #: of the closed-form rows of :mod:`p1cert.regions`, in priority order.
 ASYMPTOTIC_REGIONS = tuple(row.name for row in CLOSED_FORMS)
@@ -85,6 +90,7 @@ __all__ = [
     "POLE_HORIZON",
     "MIN_ORDER",
     "MAX_ORDER",
+    "MAX_Z_EXPONENT",
     "ASYMPTOTIC_REGIONS",
     "PreconditionError",
     "PoleNotFoundError",
@@ -139,10 +145,15 @@ def _to_mpc(value: Number) -> mpc:
 
 
 def _finite_mpc(value: Number) -> mpc:
-    """``value`` as an mpc at the working precision; raises unless finite."""
+    """``value`` as an mpc at the working precision; raises unless finite
+    and within :data:`MAX_Z_EXPONENT`."""
     w = _to_mpc(value)
     if not mp.isfinite(w):
         raise PreconditionError(f"the point must be finite, got {w}")
+    if max(mp.mag(w.real), mp.mag(w.imag)) > MAX_Z_EXPONENT:
+        raise PreconditionError(
+            f"the point's real and imaginary parts must be below "
+            f"2^{MAX_Z_EXPONENT} in modulus, got {mp.nstr(w, 5)}")
     return w
 
 

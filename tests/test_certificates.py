@@ -603,16 +603,44 @@ class TestWedgeLeavesFromTheRing:
         assert C._z2_head_majorant() == PowerSum({
             Fraction(0): SPoly.constant(half),
             half: s(1, Fraction(2, 3))})
-        # with j_m and E_M zero only the explicit terms remain
-        assert C.z2_remainder_division_free(PowerSum(), PowerSum()) \
-            == PowerSum({
-                Fraction(0): s(2, Fraction(23, 72)),
-                half: (s(3, Fraction(23, 216))
-                       + s(1, QSqrt2(Fraction(7, 36), Fraction(7, 36)))
-                       + s(3, Fraction(8, 27))),
-                Fraction(1): (s(2, Fraction(361, 3456))
-                              + s(4, Fraction(577, 41472))),
-            })
+        leaves = C._wedge_leaves(C.scalar_bounds(), C.route_constants())
+        assert leaves["z_2R0"] == PowerSum({
+            Fraction(0): s(2, Fraction(23, 72)),
+            half: s(3, Fraction(23, 216)),
+            Fraction(1): (s(2, Fraction(361, 3456))
+                          + s(4, Fraction(577, 41472))),
+        })
+
+    def test_z2_remainder_meets_its_symbolic_expansion(self):
+        """The reference: the |x z_{2,R}| bound's division-free part
+        expanded by PowerSum algebra, plus the two division terms by
+        interval division, meets the folded wedge formula.  Both are
+        about 2^-78 wide relative, the width of the |S| bracket, and
+        their ends agree far below that."""
+        half, s = Fraction(1, 2), SPoly.s_power
+        scalars = C.scalar_bounds()
+        j_m, rho_half = scalars["j_m"], PowerSum.monomial(1, half)
+        u = rho_half * j_m
+        expanded = (
+            majorant(formal.z2R0_series(), shift=2)
+            + C.route_constants()["E_M"]
+            + PowerSum({half: (s(1, QSqrt2(Fraction(7, 36), Fraction(7, 36)))
+                               + s(3, Fraction(8, 27)))})
+            + PowerSum.constant(s(3, Fraction(4, 9))) * j_m
+            * (1 + u + u * u * Fraction(1, 3)))
+        for rho in (Fraction(3), Fraction(7, 2), Fraction(10)):
+            inv_sqrt_rho = rho_half.enclosure(rho)
+            big_j = scalars["J_M"].enclosure(rho)
+            r = (1 - inv_sqrt_rho * big_j).inverse()
+            reference = (expanded.enclosure(rho) + 5 * big_j ** 4 * r
+                         + Fraction(2, 3) * inv_sqrt_rho * big_j ** 5 * r ** 2)
+            folded = C.sector_point_values(rho)["z_2RM"]
+            assert reference.intersects(folded), rho
+            for enclosure in (reference, folded):
+                assert enclosure.width < enclosure.lo / 2 ** 76, rho
+            for a, b in ((reference.lo, folded.lo),
+                         (reference.hi, folded.hi)):
+                assert abs(a - b) < folded.lo / 2 ** 100, rho
 
     def test_a_series_edit_moves_the_leaf_and_fails_the_identity(
             self, monkeypatch):

@@ -608,6 +608,15 @@ class TestEval:
             assert abs(float(doc["y"]["re"]) - float(expected.real)) < 1e-15
             assert abs(float(doc["y"]["im"]) - float(expected.imag)) < 1e-15
 
+    @pytest.mark.parametrize("z", ["1e999999999999",
+                                   "1e30000000,-1e30000000"])
+    def test_point_past_the_exponent_cap_exits_2(self, z):
+        result = invoke("eval", "--z", z)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("precondition violated:")
+        assert "must be below 2^65536" in result.stderr
+        assert result.stdout == ""
+
     def test_polar_point_on_matching_ray_uses_ray_asymptotics(self):
         # 17/10 at angle pi/5: the matching ray
         result = invoke("eval", "--z", "1.7<0.62831853071795864769",
@@ -864,17 +873,17 @@ class TestDeterminism:
 # pinned.  An intended change of output re-pins these digests.
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "all", "--format", "json"):
-        "80ea21a10b32eed3708de25afefbc3c58f25d4a532b06566805eb3f96ee3a70f",
+        "f984dda747558aec28a6d2089b4e48719859108a413631f6651fd1d824ee2aec",
     ("verify", "--scope", "all", "--format", "text"):
-        "ca6c48b6fd1f3992c28ee4062b86d94c3e1cf0eb1214225f7106507c48e5c50d",
+        "0915bdcc3d73b25da7bf5aff61777ef51063a8be2ef88450e7b9b5d8393798fb",
     ("verify", "--scope", "all", "--format", "csv"):
-        "3baa7f45a3a185a7d8f78c8d56323cebfb6cfebf7a0dfb690eb7c73b41c0e6a6",
+        "93a6b8ce72925f9defb965014b708169c7b368322e4cceea7f5541a2cd73f176",
     ("verify", "--scope", "omegaI", "--format", "json"):
         "20262f6ddfd7476743b130c06e4522b726e4d953b578e68f5c51466e1a58c194",
     ("verify", "--scope", "omega12", "--format", "json"):
         "d6919de7a495f5a164d879dee0d3e0dd3f51cf3c2d022e29fbbf9f248a0769d8",
     ("verify", "--scope", "omega4", "--format", "json"):
-        "3c40036442acba68288c9e2749f475e9d1fd3bf44f1b3fe26666aa50730ebe3a",
+        "ad6373c196e78c49a7f23585a4f55f88503a7c271d9aaa37ad6afb9e140f32a9",
     ("verify", "--scope", "omega4", "--rho", "7/2", "--format", "json"):
         "5097ea4b288e66ff2bfac13920e9ea00fe5211aa2392acf551e7acfaaf2862ca",
     ("verify", "--scope", "inner", "--format", "json"):
@@ -882,7 +891,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "--scope", "radius", "--format", "json"):
         "5bb0748c0a75532b79cf8f993710d0da622a876a88eec951287406fe68a3f1d4",
     ("constants", "--format", "json"):
-        "5443cc48c25d666ce7cf50cb6af63d1a43caeb51b967346237bab4f5e49b70d1",
+        "0af8db37903cb2cb3c099434aa74e440eb1c0f3e04f2de98508896d61207db70",
     ("identities",):
         "640664b7619bb57bc3dfef6ccb58663deca4ea217edb991be3e8e5cf8e76d569",
 }

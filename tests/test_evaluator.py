@@ -1073,6 +1073,20 @@ class TestIntegration:
             with pytest.raises(PreconditionError):
                 ev.asymptotic_y(z, region)
 
+    def test_points_past_the_exponent_cap_rejected(self):
+        top = mpf(2) ** ev.MAX_Z_EXPONENT
+        for z in (top, mpc(-1, top), mpc(top, -top)):
+            with pytest.raises(PreconditionError, match="must be below"):
+                ev.evaluate_point(z)
+            with pytest.raises(PreconditionError, match="must be below"):
+                ev.h0_value(z)
+            for region in ev.ASYMPTOTIC_REGIONS:
+                with pytest.raises(PreconditionError, match="must be below"):
+                    ev.asymptotic_y(z, region)
+        # just below the cap the point is read; it lies in no closed form
+        with pytest.raises(PreconditionError, match="requires"):
+            ev.asymptotic_y(top * (1 - mpf(2) ** -10), "omegaI")
+
     def test_step_collapse_is_judged_at_the_kernel_width(self, monkeypatch):
         # A top coefficient c_n ~ 2^(160 n) asks for a step near 2^-163,
         # below the 148-bit kernel's last bit at tol 1e-10.  Judged against
