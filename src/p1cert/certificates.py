@@ -34,14 +34,11 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
-from .data import (constant_catalog, expansion_tables, mark_parsed,
-                   parsed_files, read_ahead, reference_values)
+from .data import constant_catalog, expansion_tables, reference_values
 from .functionals import (PowerSum, QSqrt2, SPoly, abs_sums_by_s_power,
                           majorant, tail1, tail2, tail3, tail4)
 from .numerics import (
@@ -1055,12 +1052,12 @@ def failure_summary(reports: Sequence[CertificateReport]) -> str:
 #: The jobs of :func:`run_scope`: each maps rho to a list of reports, and
 #: only ``omega4`` reads it.  A job looks its report function up when it
 #: runs, so it calls whatever the module attribute holds at that time.
-#: They are listed longest first.  Serial times in one process on a
-#: 2-core Xeon (Python 3.11.7, mpmath 1.3.0, no gmpy2; medians of eleven
-#: runs in each of five processes on a quiet host): omega12 13.6-14.3
-#: ms, inner 10.5-11.2, omega4 4.9-5.3, radius 4.3-4.6, tables 2.7-2.9
-#: and omegaI 1.0 ms.  On a loaded host, where every job took up to
-#: twice as long, omega4 and radius were within noise of each other.
+#: The reports are sorted by name, so this order only decides which job's
+#: exception is raised first.  Serial times in one process on a 2-core
+#: Xeon (Python 3.11.7, mpmath 1.3.0, no gmpy2; medians of eleven runs in
+#: each of five processes on a quiet host): omega12 13.6-14.3 ms, inner
+#: 10.5-11.2, omega4 4.9-5.3, radius 4.3-4.6, tables 2.7-2.9 and omegaI
+#: 1.0 ms.
 _JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
     "omega12": lambda rho: [check_omega_12()],
     "inner": lambda rho: [check_inner_interval()],
@@ -1071,81 +1068,12 @@ _JOBS: Dict[str, Callable[[Fraction], List[CertificateReport]]] = {
 }
 
 #: The jobs each ``verify`` scope runs.  ``all`` runs every job in the
-#: order of ``_JOBS``: the workers take them longest first, so on two
-#: CPUs the two longest start at once, and the short ones fill in
-#: behind whichever worker frees first.
+#: order of ``_JOBS``.
 SCOPES: Dict[str, Tuple[str, ...]] = {
     "all": tuple(_JOBS),
     **{scope: (scope,)
        for scope in ("omegaI", "omega12", "omega4", "inner", "radius")},
 }
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on (at least 1)."""
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return len(mask) or os.cpu_count() or 1
-
-
-def _run_job(job: str, rho: Fraction
-             ) -> Tuple[List[CertificateReport], Tuple[str, ...]]:
-    """In a forked worker: the reports of ``_JOBS[job]`` and the data
-    files parsed so far."""
-    return _JOBS[job](rho), parsed_files()
-
-
-def _map_jobs(jobs: Sequence[str], rho: Fraction
-              ) -> List[List[CertificateReport]]:
-    """``[_JOBS[job](rho) for job in jobs]``, on one forked worker per
-    usable CPU, up to one per job.
-
-    The serial loop runs in this process when one worker would do, when
-    the platform has no ``os.fork``, or when the process runs a second
-    thread: a fork copies only the forking thread, and a lock another
-    thread held stays held in the child.  Otherwise a fork-context
-    :class:`~concurrent.futures.ProcessPoolExecutor` forks every worker
-    before it starts a thread of its own, and this process only waits.
-    Forking, not spawning, is what makes the split pay: the workers
-    inherit the imported package and the data already read, where a
-    spawned worker would import the package again, which takes about as
-    long as the reports it would share.  Every data file is read before
-    the workers fork, so each report parses the bytes that
-    :func:`p1cert.data.file_fingerprints` digests in this process.  Only
-    the job name and rho go out, and the reports come back, pickled, with
-    the names of the files each worker parsed, which are recorded here.
-    ``map`` yields the results in job order and raises the exception of
-    the earliest failing job, as the serial loop would; an exception that
-    cannot be rebuilt here breaks the pool, which raises
-    :class:`~concurrent.futures.process.BrokenProcessPool`.  After a
-    refused fork the workers already forked are killed and the serial
-    loop runs.  Every worker is joined before this returns or raises.
-    """
-    workers = min(len(jobs), _usable_cpus())
-    if (workers <= 1 or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return [_JOBS[job](rho) for job in jobs]
-    read_ahead()
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        try:
-            # the first job submitted forks every worker
-            results = pool.map(_run_job, jobs, [rho] * len(jobs))
-        except OSError:
-            # The pool has no thread yet to stop the workers it forked,
-            # which would wait for jobs forever.
-            for worker in multiprocessing.active_children():
-                worker.kill()
-                worker.join()
-            return [_JOBS[job](rho) for job in jobs]
-        parts = list(results)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    for _, names in parts:
-        mark_parsed(names)
-    return [reports for reports, _ in parts]
 
 
 def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
@@ -1159,15 +1087,14 @@ def run_scope(scope: str, rho: Union[Fraction, int, str] = OMEGA_4.floor
     lower wedge raises :class:`PreconditionError` for rho < 3 before any
     report runs.
 
-    The jobs run side by side in forked workers (:func:`_map_jobs`), so
-    a single-job scope never forks, and each report is the same whichever
-    process makes it.  A fault in the data raises the exception of the
-    earliest job that meets it, as the serial loop would.
+    Every job runs in the calling process, one after another in the
+    order of the scope, so a fault in the data raises the exception of
+    the earliest job that meets it.
     """
     jobs = SCOPES[scope]
     if "omega4" in jobs:
         rho = _lower_wedge_rho(rho)
-    reports = sorted((r for part in _map_jobs(jobs, rho) for r in part),
+    reports = sorted((r for job in jobs for r in _JOBS[job](rho)),
                      key=lambda r: r.name)
     if not all(r.verdict for r in reports):
         return reports, failure_summary(reports)

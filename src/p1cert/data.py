@@ -209,25 +209,9 @@ def parsed_files() -> Tuple[str, ...]:
 
 
 def mark_parsed(names: Iterable[str]) -> None:
-    """Record ``names`` as parsed in this run: by a forked worker, or into
-    a result kept from an earlier run under the digest of the same
-    bytes."""
+    """Record ``names`` as parsed in this run, into a result kept from an
+    earlier run under the digest of the same bytes."""
     _parsed.update(names)
-
-
-def read_ahead() -> None:
-    """Read the bytes of every data file into the cache now.
-
-    Processes forked afterwards inherit the cache, so they parse these
-    bytes and :func:`file_fingerprints` in this process digests the same
-    ones.  A file that cannot be read is left for the parser that needs
-    it to report.
-    """
-    for name in DATA_FILES:
-        try:
-            _raw_bytes(name)
-        except OSError:
-            pass
 
 
 def file_fingerprints(names: Iterable[str] = DATA_FILES) -> Dict[str, str]:

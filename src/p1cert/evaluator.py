@@ -1238,7 +1238,7 @@ def pole_scan(precision_bits: int = DEFAULT_PRECISION_BITS) -> PoleScan:
     0 or pi, is the same at every precision.
 
     One :func:`pole_estimate` run along that direction refines the
-    estimate; ``gap`` is the distance between the two.  Nothing forks.
+    estimate; ``gap`` is the distance between the two.
     """
     _require_bits(precision_bits)
     with workprec(precision_bits + GUARD_BITS):

@@ -74,10 +74,8 @@ def test_install_then_uninstall_restores_every_original(tracer):
 def test_one_certificate_pass_runs_the_hot_loops_through_hooked_names(
         tracer, monkeypatch):
     # The tracer's per-layer spans time the quadrature and the sup norms
-    # only if the hot loops still run through these module attributes.
-    # On one CPU every report runs in this process, where the counter
-    # can see it; a forked worker's calls would not be counted.
-    monkeypatch.setattr(certificates, "_usable_cpus", lambda: 1)
+    # only if the hot loops still run through these module attributes,
+    # in this process, where the counter can see them.
     counts = {}
     for owner, attr in ((certificates, "inverse_power_integral"),
                         (polybound, "sup_abs_partition")):

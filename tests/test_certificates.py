@@ -1,16 +1,12 @@
 """Certificate suites: frozen oracle values, must-fail instances,
 quadrature refinement, and fault injection."""
 
-import contextlib
 import hashlib
 import json
 import os
 import shutil
-import signal
 import subprocess
 import sys
-import threading
-import time
 from collections import Counter
 from fractions import Fraction
 
@@ -838,83 +834,22 @@ class TestRunAll:
 
     def test_precondition_violation_raised_before_any_report(
             self, monkeypatch):
-        def no_job(*args):
+        def no_job(rho):
             raise AssertionError("a job ran")
 
-        monkeypatch.setattr(C, "_map_jobs", no_job)
+        for name in list(C._JOBS):
+            monkeypatch.setitem(C._JOBS, name, no_job)
         with pytest.raises(C.PreconditionError, match="rho >= 3"):
             C.run_all(rho=Fraction(2))
         with pytest.raises(C.PreconditionError, match="rho >= 3"):
             C.run_scope("omega4", Fraction(2))
 
-    @pytest.mark.parametrize("rho", [Fraction(3), Fraction(7, 2)])
-    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, rho):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
-        serial = C.run_all(rho)
-        for count in (2, 3, 8):
-            monkeypatch.setattr(C, "_usable_cpus", lambda: count)
-            assert C.run_all(rho) == serial, count
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def log_forks(tmp_path, monkeypatch):
-        """Make every os.fork append the forking pid to a log; returns
-        a function that reads the pids logged so far.  The forked workers
-        inherit the logging fork, so the log counts every fork of the
-        process tree, a fork inside a job included."""
-        log = tmp_path / "forks"
-        log.touch()
-        fork = os.fork
-
-        def logged_fork():
-            fd = os.open(log, os.O_WRONLY | os.O_APPEND)
-            try:
-                os.write(fd, f"{os.getpid()}\n".encode())
-            finally:
-                os.close(fd)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", logged_fork)
-        return lambda: log.read_text().split()
-
-    @pytest.mark.parametrize("count", [2, 3, 8])
-    def test_only_the_calling_process_forks(self, tmp_path, monkeypatch,
-                                            count):
-        # one worker per usable CPU, up to one per job
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
-        serial = C.run_all()
-        forks = self.log_forks(tmp_path, monkeypatch)
-        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
-        assert C.run_all() == serial
-        assert forks() == [str(os.getpid())] * min(6, count)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("count", [1, 2, 8])
-    def test_files_parsed_by_forked_jobs_are_recorded(self, monkeypatch,
-                                                      count):
-        # on more than one CPU every job runs in a forked worker
-        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
+    def test_files_the_reports_parsed_are_recorded(self):
         with data.replaced({}):
             C.run_all()
             assert data.parsed_files() == data.DATA_FILES
 
-    @pytest.mark.parametrize("scope", list(C.SCOPES))
-    def test_only_scope_all_forks(self, tmp_path, monkeypatch, scope):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
-        serial = C.run_scope(scope)
-        forks = self.log_forks(tmp_path, monkeypatch)
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
-        assert C.run_scope(scope) == serial
-        assert forks() == [str(os.getpid())] * (2 if scope == "all" else 0)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_perturbed_catalog_fails_by_name(self, tmp_path, monkeypatch,
-                                             count):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
+    def test_perturbed_catalog_fails_by_name(self, tmp_path):
         path = tmp_path / "constant_catalog.json"
         blob = json.loads((data.data_dir() / path.name).read_text())
         row = blob["constants"]["E_M"][0]
@@ -931,8 +866,8 @@ class TestRunAll:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize("defect", ["not_json", "short_row"])
-    def test_malformed_tables_fail_as_the_serial_loop_does(
-            self, tmp_path, monkeypatch, defect):
+    def test_malformed_tables_are_a_precondition_violation(
+            self, tmp_path, defect):
         text = (data.data_dir() / "expansion_tables.json").read_text()
         if defect == "not_json":
             text = text[:len(text) // 2]
@@ -942,32 +877,23 @@ class TestRunAll:
             text = json.dumps(doc)
         path = tmp_path / "tables.json"
         path.write_text(text)
-        outcomes = []
-        for count in (1, 2, 3):
-            monkeypatch.setattr(C, "_usable_cpus", lambda: count)
-            result = CliRunner().invoke(
-                main, ["verify", "--scope", "all", "--tables", str(path)])
-            outcomes.append((result.exit_code, result.stdout, result.stderr))
-        assert outcomes[0][0] == 2
-        assert "precondition violated: malformed data file" in outcomes[0][2]
-        assert outcomes[1:] == outcomes[:1] * 2
+        result = CliRunner().invoke(
+            main, ["verify", "--scope", "all", "--tables", str(path)])
+        assert result.exit_code == 2
+        assert "precondition violated: malformed data file" in result.stderr
 
     def test_fingerprint_is_of_the_bytes_the_reports_parsed(
             self, tmp_path, monkeypatch):
-        # On two CPUs a forked worker runs inner_interval, which rewrites
-        # its data file once parsed; the calling process runs no job.
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
+        # inner_interval rewrites its data file once parsed, before the
+        # report's fingerprints are taken.
         path = tmp_path / "inner_ode.json"
         parsed = (data.data_dir() / path.name).read_bytes()
         path.write_bytes(parsed)
-        marker = tmp_path / "rewritten_by"
-        parent = os.getpid()
         check_inner_interval = C.check_inner_interval
 
         def rewrite_after_parsing():
             report = check_inner_interval()
             path.write_bytes(parsed + b"\n")
-            marker.write_text(str(os.getpid()))
             return report
 
         monkeypatch.setattr(C, "check_inner_interval", rewrite_after_parsing)
@@ -975,16 +901,13 @@ class TestRunAll:
             "verify", "--scope", "all", "--partitions", str(path),
             "--format", "json"])
         assert result.exit_code == 0, result.output
-        assert int(marker.read_text()) != parent
         assert path.read_bytes() != parsed
         fingerprints = json.loads(result.stdout)["fingerprints"]
         assert (fingerprints["inner_ode.json"]
                 == hashlib.sha256(parsed).hexdigest())
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     # The jobs below stand in for the reports: each replaces the entries of
-    # C._JOBS, which the forked workers inherit, and run_scope maps them.
+    # C._JOBS, which run_scope runs.
 
     @staticmethod
     def fake_jobs(monkeypatch, job, count=None):
@@ -996,186 +919,42 @@ class TestRunAll:
                                 lambda rho, index=index: job(index))
         monkeypatch.setitem(C.SCOPES, "fake", names)
 
-    def test_usable_cpus_is_positive(self):
-        assert C._usable_cpus() >= 1
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("n_jobs", [1, 2, 3, 4, 5])
     def test_results_equal_the_in_process_map_in_order(
-            self, monkeypatch, tmp_path, count, n_jobs):
-        log = tmp_path / "runs"
-        self.fake_jobs(monkeypatch, _logged(log), n_jobs)
-        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
+            self, monkeypatch, n_jobs):
+        runs = []
+
+        def job(x):
+            runs.append(x)
+            return _pid_report(x)
+
+        self.fake_jobs(monkeypatch, job, n_jobs)
         reports, _ = C.run_scope("fake")
         assert [r.name for r in reports] == [f"job {x}"
                                              for x in range(n_jobs)]
-        # Each job runs exactly once, in one of at most w processes, and
-        # in this process only when the loop is serial.
-        assert _runs(log) == list(range(n_jobs))
-        pids = {_pid_of(r) for r in reports}
-        assert len(pids) <= min(count, n_jobs)
-        assert (os.getpid() in pids) == (min(count, n_jobs) == 1)
+        # each job runs exactly once, in the order of the scope
+        assert runs == list(range(n_jobs))
         _assert_no_child_left()
 
-    def test_a_forked_worker_runs_jobs(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
-        marker = tmp_path / "job_1_ran_in"
-
-        # Job 1 cannot run in the worker that waits in job 0, so the other
-        # worker takes it.
-        def job(x):
-            if x == 0:
-                deadline = time.monotonic() + 60
-                while not marker.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-            else:
-                marker.write_text(str(os.getpid()))
-            return _pid_report(x)
-
-        self.fake_jobs(monkeypatch, job, 2)
-        pids = [_pid_of(r) for r in C.run_scope("fake")[0]]
-        assert int(marker.read_text()) == pids[1]
-        assert pids[0] != pids[1]
-        assert os.getpid() not in pids
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("bad, first", [
         ({3}, 3), ({4, 1}, 1), ({2, 3}, 2), ({0, 5}, 0), ({5}, 5)])
     def test_earliest_failing_job_raises_its_exception(
-            self, monkeypatch, count, bad, first):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: count)
+            self, monkeypatch, bad, first):
         self.fake_jobs(monkeypatch, _fail_at(bad))
         with pytest.raises(ValueError, match=f"^job {first} failed$"):
             C.run_scope("fake")
         _assert_no_child_left()
 
-    def test_an_exception_that_cannot_be_rebuilt_breaks_the_pool(
-            self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
-        monkeypatch.setitem(C._JOBS, "inner", _raise_unpicklable)
-        start = time.monotonic()
-        with pytest.raises(BrokenProcessPool):
-            C.run_all()
-        assert time.monotonic() - start < 20
-        _assert_no_child_left()
-
-    @pytest.mark.parametrize("kind", ["result", "exception"])
-    @pytest.mark.parametrize("bad", range(4))
-    def test_unsendable_outcome_is_the_same_on_any_worker_count(
-            self, monkeypatch, bad, kind):
-        # Every job runs in a forked worker, so which one ran it does not
-        # matter: a result that cannot be pickled fails its job, and an
-        # exception that cannot be rebuilt here breaks the pool.
-        self.fake_jobs(monkeypatch, _unsendable_at(bad, kind), 4)
-        outcomes = []
-        for count in (2, 3):
-            monkeypatch.setattr(C, "_usable_cpus", lambda: count)
-            with pytest.raises(Exception) as raised:
-                C.run_scope("fake")
-            outcomes.append((type(raised.value), str(raised.value)))
-            _assert_no_child_left()
-        assert outcomes[0] == outcomes[1]
-        failure, message = outcomes[0]
-        if kind == "exception":
-            assert failure.__name__ == "BrokenProcessPool"
-        else:
-            assert "cannot pickle 'generator' object" in message
-
-    def test_results_that_cannot_be_sent_back_raise(self, monkeypatch):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 2)
-        self.fake_jobs(monkeypatch, lambda x: [lambda: x], 2)
-        with pytest.raises(Exception, match="pickle"):
-            C.run_scope("fake")
-        _assert_no_child_left()
-
-    def test_interrupt_while_waiting_reaps_the_workers(self, monkeypatch):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
-        parent = os.getpid()
-
-        def job(x):
-            # The first job interrupts this process from its worker, so
-            # SIGINT arrives while this process waits for that job's
-            # result, with every worker still busy; run in this process,
-            # it sends nothing and the test fails.
-            if x == 0 and os.getpid() != parent:
-                os.kill(parent, signal.SIGINT)
-            time.sleep(0.5)
-            return _pid_report(x)
-
-        self.fake_jobs(monkeypatch, job)
-        with pytest.raises(KeyboardInterrupt):
-            C.run_scope("fake")
-        _assert_no_child_left()
-
-    def test_after_a_refused_fork_the_jobs_run_in_this_process(
-            self, monkeypatch):
-        # Without the kill, a worker forked before the refusal waits for
-        # jobs forever, and the interpreter waits for it at exit.
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
-        self.fake_jobs(monkeypatch, _pid_report)
-        fork = os.fork
-        for refused in (1, 2, 3):
-            calls = []
-
-            def refuse(refused=refused, calls=calls):
-                calls.append(None)
-                if len(calls) == refused:
-                    raise BlockingIOError("fork refused")
-                return fork()
-
-            monkeypatch.setattr(os, "fork", refuse)
-            reports, _ = C.run_scope("fake")
-            assert len(calls) == refused
-            assert [(r.name, _pid_of(r)) for r in reports] == [
-                (f"job {x}", os.getpid()) for x in range(6)]
-            _assert_no_child_left()
-
-    def test_unflushed_output_is_written_once(self, monkeypatch, capfd):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
-        self.fake_jobs(monkeypatch, _pid_report)
-        # Block-buffered, as stdout is when it goes to a pipe or a file: the
-        # line is still in this process's buffer when the workers fork.
-        with open(os.dup(1), "w", buffering=1 << 16) as stdout:
-            with contextlib.redirect_stdout(stdout):
-                print("written before the fork")
-                C.run_scope("fake")
-        out, _ = capfd.readouterr()
-        assert out.count("written before the fork") == 1
-
-    def run_in_process(self, monkeypatch):
-        """run_scope on fake jobs, asserting that no worker was forked."""
+    def test_run_scope_never_forks(self, monkeypatch):
         def fork():
             raise AssertionError("os.fork was called")
 
         if hasattr(os, "fork"):
             monkeypatch.setattr(os, "fork", fork)
-        self.fake_jobs(monkeypatch, _pid_report, 4)
+        self.fake_jobs(monkeypatch, _pid_report)
         reports, _ = C.run_scope("fake")
         assert [(r.name, _pid_of(r)) for r in reports] == [
-            (f"job {x}", os.getpid()) for x in range(4)]
-
-    def test_one_usable_cpu_never_forks(self, monkeypatch):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 1)
-        self.run_in_process(monkeypatch)
-
-    def test_a_second_thread_prevents_forking(self, monkeypatch):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(10,))
-        thread.start()
-        try:
-            self.run_in_process(monkeypatch)
-        finally:
-            release.set()
-            thread.join(10)
-        assert not thread.is_alive()
-
-    def test_without_fork_jobs_run_in_process(self, monkeypatch):
-        monkeypatch.setattr(C, "_usable_cpus", lambda: 3)
-        monkeypatch.delattr(os, "fork")
-        self.run_in_process(monkeypatch)
+            (f"job {x}", os.getpid()) for x in range(6)]
 
 
 def _pid_report(x):
@@ -1189,23 +968,6 @@ def _pid_of(report):
     return int(dict(report.inputs)["pid"])
 
 
-def _logged(log):
-    """A job that appends its index to the file ``log`` in whichever
-    process runs it."""
-    def job(x):
-        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        try:
-            os.write(fd, f"{x}\n".encode())
-        finally:
-            os.close(fd)
-        return _pid_report(x)
-    return job
-
-
-def _runs(log):
-    return sorted(int(line) for line in log.read_text().split())
-
-
 def _fail_at(bad):
     def job(x):
         if x in bad:
@@ -1214,33 +976,10 @@ def _fail_at(bad):
     return job
 
 
-class _Unpicklable(Exception):
-    """Rebuilding from its pickled args fails, like PoleNotFoundError."""
-
-    def __init__(self, x, y):
-        super().__init__(f"{x} and {y}")
-
-
-def _raise_unpicklable(x):
-    raise _Unpicklable(x, "more")
-
-
-def _unsendable_at(bad, kind):
-    def job(x):
-        if x != bad:
-            return _pid_report(x)
-        if kind == "result":
-            return (y for y in ())
-        raise _Unpicklable(x, "more")
-    return job
-
-
 def _assert_no_child_left():
-    """No child process is left, and no thread of the pool either, which
-    would keep a later run from forking."""
+    """No child process is left."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert threading.active_count() == 1
 
 
 #: Entry points that take an exact rational, each called with one float

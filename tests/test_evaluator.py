@@ -29,7 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
-from p1cert import certificates, data
+from p1cert import data
 from p1cert import evaluator as ev
 from p1cert import inner
 from p1cert.certificates import PreconditionError
@@ -1271,12 +1271,10 @@ class TestPoles:
         assert len(legs) == 1
         assert scan.best.steps > 0
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_scan_never_forks(self, monkeypatch, cpus):
+    def test_scan_never_forks(self, monkeypatch):
         def no_fork():
             raise AssertionError("the pole scan forked")
 
-        monkeypatch.setattr(certificates, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", no_fork)
         assert ev.pole_scan().best.direction == 0
 

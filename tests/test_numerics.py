@@ -158,15 +158,18 @@ class TestRoots:
         # 2**(5/4)  = 2.37841423000544213343... (mpmath, 30 digits)
         # 2**(-5/4) = 0.42044820762685727151...
         enc = frac_pow(2, 5, 4)
-        assert truncation_window("2.37841423000544213343").contains_interval(enc)
+        w = truncation_window("2.37841423000544213343")
+        assert enc.lo in w and enc.hi in w
         inv = frac_pow(2, -5, 4)
-        assert truncation_window("0.42044820762685727151").contains_interval(inv)
+        w = truncation_window("0.42044820762685727151")
+        assert inv.lo in w and inv.hi in w
 
     def test_stokes_modulus_frozen_window(self):
         # oracle: sqrt(6/(5*pi)) = 0.61803872323710332854... (mpmath)
         enc = stokes_modulus()
-        assert truncation_window("0.618038723237103328").contains_interval(enc)
-        assert Interval(Fraction("0.618038"), Fraction("0.618040")).contains_interval(enc)
+        for w in (truncation_window("0.618038723237103328"),
+                  Interval(Fraction("0.618038"), Fraction("0.618040"))):
+            assert enc.lo in w and enc.hi in w
 
 
 class TestCertTol:
