@@ -9,6 +9,7 @@ These tests load the tracer by path and change nothing under ``bench/``.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,55 @@ def test_one_certificate_pass_runs_the_hot_loops_through_hooked_names(
     data.clear_cache()
     certificates.run_all()
     assert counts == {"inverse_power_integral": 1, "sup_abs_partition": 12}
+
+
+#: The spans one traced certificate pass records, with the number of times
+#: each runs (None: at least once, as often as the caches leave to do).
+CERTIFY_SPANS = {
+    "certificates.run_all": 1,
+    "certificates.check_omega_I": 2,
+    "certificates.check_z0_bounds": 1,
+    "certificates.check_omega_12": 1,
+    "certificates.check_omega_4": 1,
+    "certificates.check_inner_interval": 1,
+    "certificates.check_taylor_radius": 1,
+    "certificates.check_symbolic_tables": 1,
+    "certificates.inverse_power_integral": 1,
+    "certificates.taylor_envelope_run": 1,
+    "certificates.route_constants": 1,
+    "certificates.z2_remainder_majorant": 3,
+    "inner.certify": 1,
+    "polybound.sup_abs_partition": 12,
+    "formal.verify_tables": 5,
+    "data.parse": 9,
+    "numerics.frac_pow": None,
+    "numerics.root_enclosure": None,
+    "functionals.PowerSum.enclosure": None,
+    "functionals.PowerSum.nonincreasing_in_rho": None,
+}
+
+
+@pytest.fixture(scope="module")
+def certify_spans(tracer):
+    """(count, inclusive seconds) per span name of one traced pass."""
+    data.clear_cache()
+    hooks = tracer.Tracer("certify")
+    hooks.install()
+    try:
+        certificates.run_all()
+    finally:
+        hooks.uninstall()
+    return (Counter(span[2] for span in hooks.spans),
+            tracer.Tracer.inclusive_seconds(hooks.spans))
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_SPANS))
+def test_a_traced_certificate_pass_times_each_layer(certify_spans, name):
+    # Every report runs in the process that installed the tracer, so each
+    # check and the layers under it are timed, not only run_all.
+    counts, seconds = certify_spans
+    if CERTIFY_SPANS[name] is None:
+        assert counts[name] >= 1
+    else:
+        assert counts[name] == CERTIFY_SPANS[name]
+    assert seconds[name] > 0

@@ -4,6 +4,7 @@ quadrature refinement, and fault injection."""
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -787,6 +788,19 @@ def test_cli_verify_loads_neither_the_evaluator_nor_mpmath():
 # Whole-suite assembly
 # ---------------------------------------------------------------------------
 
+#: The reports each verify scope makes.
+SCOPE_REPORTS = {
+    "omegaI": ("omega_I(rho=1,eps=3/20)",
+               "omega_I(rho=~3.437193241246,eps=1/40)", "z0_bounds"),
+    "omega12": ("omega_12",),
+    "omega4": ("omega_4",),
+    "inner": ("inner_interval",),
+    "radius": ("taylor_radius",),
+}
+SCOPE_REPORTS["all"] = (sum(SCOPE_REPORTS.values(), ())
+                        + ("symbolic_tables",))
+
+
 class TestRunAll:
     def test_everything_passes(self, all_reports):
         reports, statement = all_reports
@@ -906,6 +920,48 @@ class TestRunAll:
         assert (fingerprints["inner_ode.json"]
                 == hashlib.sha256(parsed).hexdigest())
 
+    @pytest.mark.parametrize("rho", [Fraction(3), Fraction(7, 2)])
+    def test_reports_do_not_depend_on_the_data_cache(self, rho):
+        # the first run parses every data file, the second reads the cache
+        cold = C.run_all(rho)
+        assert C.run_all(rho) == cold
+
+    @pytest.mark.parametrize("scope", sorted(SCOPE_REPORTS))
+    def test_each_scope_runs_its_reports_in_this_process(
+            self, monkeypatch, all_reports, scope):
+        def fork():
+            raise AssertionError("os.fork was called")
+
+        if hasattr(os, "fork"):
+            monkeypatch.setattr(os, "fork", fork)
+        assert set(C.SCOPES) == set(SCOPE_REPORTS)
+        reports, summary = C.run_scope(scope)
+        assert [r.name for r in reports] == sorted(SCOPE_REPORTS[scope])
+        # a scope's reports are those that scope all makes
+        everything, statement = all_reports
+        assert reports == [everything[r.name] for r in reports]
+        assert summary == (
+            statement if scope == "all"
+            else f"scope '{scope}': every certified inequality holds")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("scope", sorted(SCOPE_REPORTS))
+    def test_only_scopes_with_the_lower_wedge_refuse_rho_below_3(
+            self, monkeypatch, scope):
+        runs = []
+        for name in list(C._JOBS):
+            monkeypatch.setitem(
+                C._JOBS, name,
+                lambda rho, name=name: runs.append((name, rho)) or [])
+        if scope in ("all", "omega4"):
+            with pytest.raises(C.PreconditionError, match="rho >= 3"):
+                C.run_scope(scope, Fraction(2))
+            assert runs == []
+        else:
+            assert C.run_scope(scope, Fraction(2)) == (
+                [], f"scope '{scope}': every certified inequality holds")
+            assert runs == [(name, Fraction(2)) for name in C.SCOPES[scope]]
+
     # The jobs below stand in for the reports: each replaces the entries of
     # C._JOBS, which run_scope runs.
 
@@ -956,6 +1012,77 @@ class TestRunAll:
         assert [(r.name, _pid_of(r)) for r in reports] == [
             (f"job {x}", os.getpid()) for x in range(6)]
 
+    @pytest.mark.parametrize("n_jobs", [2, 3, 4, 5])
+    def test_a_reversed_scope_runs_its_jobs_in_reverse(
+            self, monkeypatch, n_jobs):
+        runs = []
+
+        def job(x):
+            runs.append(x)
+            return _pid_report(x)
+
+        self.fake_jobs(monkeypatch, job, n_jobs)
+        monkeypatch.setitem(C.SCOPES, "fake", C.SCOPES["fake"][::-1])
+        reports, _ = C.run_scope("fake")
+        # the reports are sorted by name whatever order the jobs ran in
+        assert [r.name for r in reports] == [f"job {x}"
+                                             for x in range(n_jobs)]
+        assert runs == list(range(n_jobs))[::-1]
+
+    @pytest.mark.parametrize("bad, first", [
+        ({3}, 3), ({4, 1}, 4), ({2, 3}, 3), ({0, 5}, 5), ({5}, 5)])
+    def test_the_scope_order_decides_which_exception_is_raised(
+            self, monkeypatch, bad, first):
+        self.fake_jobs(monkeypatch, _fail_at(bad))
+        monkeypatch.setitem(C.SCOPES, "fake", C.SCOPES["fake"][::-1])
+        with pytest.raises(ValueError, match=f"^job {first} failed$"):
+            C.run_scope("fake")
+
+    @pytest.mark.parametrize("stop", range(6))
+    def test_an_interrupt_in_a_job_stops_the_scope(self, monkeypatch, stop):
+        runs = []
+
+        def job(x):
+            runs.append(x)
+            if x == stop:
+                raise KeyboardInterrupt
+            return _pid_report(x)
+
+        self.fake_jobs(monkeypatch, job)
+        with pytest.raises(KeyboardInterrupt):
+            C.run_scope("fake")
+        assert runs == list(range(stop + 1))
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["result", "exception"])
+    @pytest.mark.parametrize("bad", range(4))
+    def test_an_unpicklable_outcome_reaches_the_caller_unchanged(
+            self, monkeypatch, bad, kind):
+        # Nothing is sent between processes, so a report or an exception
+        # that no pickle could carry comes back as the object the job made.
+        made = []
+
+        def job(x):
+            if x != bad:
+                return _pid_report(x)
+            if kind == "result":
+                made.append(C.CertificateReport(
+                    f"job {x}", (("pending", (y for y in ())),), ()))
+                return made[:1]
+            made.append(_Unpicklable(x, "more"))
+            raise made[0]
+
+        self.fake_jobs(monkeypatch, job, 4)
+        if kind == "result":
+            reports, _ = C.run_scope("fake")
+            assert reports[bad] is made[0]
+        else:
+            with pytest.raises(_Unpicklable) as raised:
+                C.run_scope("fake")
+            assert raised.value is made[0]
+        with pytest.raises(Exception):
+            pickle.loads(pickle.dumps(made[0]))
+
 
 def _pid_report(x):
     """A passing job result: one report named after job x, whose input
@@ -974,6 +1101,13 @@ def _fail_at(bad):
             raise ValueError(f"job {x} failed")
         return _pid_report(x)
     return job
+
+
+class _Unpicklable(Exception):
+    """Rebuilding from its pickled args fails, like PoleNotFoundError."""
+
+    def __init__(self, x, y):
+        super().__init__(f"{x} and {y}")
 
 
 def _assert_no_child_left():
